@@ -15,6 +15,14 @@ Ricci is taken as the pair trace ``R_ik = g^{jl} R_ijkl``.  The alternative
 contraction over the first and last slots is its negative; the pair trace is
 the one under which the dimension-3 decomposition, the conformally flat
 decomposition and the trace-free Weyl tensor below all hold exactly.
+
+The contractions of the curvature layer are written as explicit batched
+``np.matmul`` products over the sample axis: the quadratic Christoffel term
+of the curvature tensor, the pair trace ``g^{jl} T_ijkl`` (:func:`pair_trace`)
+and the tensor norms.  None of them searches for an ``einsum`` contraction
+path at call time, which on a single sample would cost more than the
+arithmetic.  They agree with the literal component formulas (kept in the test
+suite as the oracle) to roundoff, not bit for bit.
 """
 
 from dataclasses import dataclass
@@ -171,16 +179,24 @@ def riemann(field: MetricField) -> CurvatureTensor:
 
 def riemann_from_jets(g, dg, d2g):
     gam = christoffel_from_jets(g, dg)
-    # bracket: 1/2 (d_j d_l g_ik + d_i d_k g_jl - d_i d_l g_jk - d_j d_k g_il)
+    # 1/2 (d_j d_l g_ik + d_i d_k g_jl - d_i d_l g_jk - d_j d_k g_il)
     # d2g[..., a, b, c, d] = d_c d_d g_ab
     t_ik_jl = np.einsum('...ikjl->...ijkl', d2g)
     t_jl_ik = np.einsum('...jlik->...ijkl', d2g)
     t_jk_il = np.einsum('...jkil->...ijkl', d2g)
     t_il_jk = np.einsum('...iljk->...ijkl', d2g)
-    bracket = 0.5 * (t_ik_jl + t_jl_ik - t_jk_il - t_il_jk)
-    quad = (np.einsum('...mn,...mjk,...nil->...ijkl', g, gam, gam)
-            - np.einsum('...mn,...mjl,...nik->...ijkl', g, gam, gam))
-    return bracket - quad
+    riem = 0.5 * (t_ik_jl + t_jl_ik - t_jk_il - t_il_jk)
+    # quadratic term g_mn (Gamma^m_jk Gamma^n_il - Gamma^m_jl Gamma^n_ik): with
+    # the lowered symbols Gamma_{m,il} = g_mn Gamma^n_il, one product gives
+    # M[(jk),(il)] = Gamma^m_jk Gamma_{m,il}; both terms are transposes of M
+    n = g.shape[-1]
+    lead = gam.shape[:-3]
+    gam_m = gam.reshape(lead + (n, n * n))
+    M = (np.swapaxes(gam_m, -1, -2) @ (g @ gam_m)).reshape(lead + (n,) * 4)
+    first = np.moveaxis(M, -2, -4)
+    riem -= first
+    riem += np.swapaxes(first, -1, -2)
+    return riem
 
 
 def ricci_and_scalar(field: MetricField, riem: CurvatureTensor):
@@ -188,16 +204,26 @@ def ricci_and_scalar(field: MetricField, riem: CurvatureTensor):
 
     ``R_ik = g^{jl} R_ijkl`` and ``R = g^{ik} R_ik``.
     """
-    ginv = inverse_metric(field)
-    ric = np.einsum('...jl,...ijkl->...ik', ginv, riem.array)
-    scal = np.einsum('...ik,...ik->...', ginv, ric)
-    return ric, scal
+    return ricci_scalar_from_arrays(inverse_metric(field), riem.array)
 
 
 def ricci_scalar_from_arrays(ginv, riem_array):
-    ric = np.einsum('...jl,...ijkl->...ik', ginv, riem_array)
+    ric = pair_trace(ginv, riem_array)
     scal = np.einsum('...ik,...ik->...', ginv, ric)
     return ric, scal
+
+
+def pair_trace(ginv, tensor):
+    """Pair trace ``W_ik = g^{jl} T_ijkl`` of stacked 4-tensors.
+
+    One batched product of ``T`` laid out as the matrix ``T[(ik), (jl)]``
+    with the inverse metric flattened to the column ``g^(jl)``.
+    """
+    n = tensor.shape[-1]
+    lead = tensor.shape[:-4]
+    t_ik_jl = np.swapaxes(tensor, -3, -2).reshape(lead + (n * n, n * n))
+    col = ginv.reshape(ginv.shape[:-2] + (n * n, 1))
+    return (t_ik_jl @ col).reshape(lead + (n, n))
 
 
 def weyl(field: MetricField, riem: CurvatureTensor) -> CurvatureTensor:
@@ -321,11 +347,17 @@ def tensor_norm(tensor, field_or_ginv):
     rank = t.ndim - 1
     if rank == 0:
         return np.abs(t)
+    # |T|^2 = <A, K A K>: for rank 2, A = T and K = g^-1 raise one slot per
+    # product; for rank 4, A = T[(ij), (kl)] and K = g^-1 (x) g^-1 raise a
+    # slot pair per product
+    n = ginv.shape[-1]
     if rank == 2:
-        sq = np.einsum('...ij,...kl,...ik,...jl->...', t, t, ginv, ginv)
+        K = ginv
     elif rank == 4:
-        sq = np.einsum('...ijkl,...abcd,...ia,...jb,...kc,...ld->...',
-                       t, t, ginv, ginv, ginv, ginv)
+        K = (ginv[..., :, None, :, None] * ginv[..., None, :, None, :]).reshape(
+            ginv.shape[:-2] + (n * n, n * n))
     else:
         raise ValueError("tensor_norm handles ranks 0, 2 and 4")
+    A = t.reshape(t.shape[:1] + K.shape[-2:])
+    sq = np.einsum('...ij,...ij->...', A, K @ A @ K)
     return np.sqrt(np.maximum(sq, 0.0))

@@ -32,6 +32,7 @@ from .charts import MetricField
 from .curvature import (
     kn_product,
     pair_product_from_samples,
+    pair_trace,
     ricci_scalar_from_arrays,
     riemann,
     tensor_norm,
@@ -62,7 +63,7 @@ def solve_pair_trace(g, ginv, rhs4):
     n = g.shape[-1]
     if n < 3:
         raise DimensionTooSmall("the pair-trace inversion needs n >= 3")
-    W = np.einsum('...jl,...ijkl->...ik', ginv, rhs4)
+    W = pair_trace(ginv, rhs4)
     trW = np.einsum('...ik,...ik->...', ginv, W)
     trv = trW / (2.0 * (n - 1))
     return (W - trv[..., None, None] * g) / (n - 2)
@@ -267,8 +268,10 @@ class _FlowSystem:
             return False
 
     def equation_residual(self, state, g, vel, riem_arr):
+        if self.law == "ricci":
+            return _ricci_residual(g, vel, riem_arr)
         dG = kn_product(vel, g)
-        if self.law in ("riemann-induced", "ricci"):
+        if self.law == "riemann-induced":
             return float(np.abs(dG + 2.0 * riem_arr).max())
         if self.law == "general":
             beta = float(self.params.get("beta"))
@@ -286,6 +289,13 @@ class _FlowSystem:
             rhs = alpha * riem_arr + beta * trv[..., None, None, None, None] * G
             return float(np.abs(dG - rhs).max())
         return float("nan")
+
+
+def _ricci_residual(g, rate, riem_arr):
+    """max |(rate + 2 Ric) ^ g|: the G-level residual of a Ricci law, whose
+    metric rate (velocity or acceleration) is -2 Ric."""
+    ric, _ = ricci_scalar_from_arrays(np.linalg.inv(g), riem_arr)
+    return float(np.abs(kn_product(rate + 2.0 * ric, g)).max())
 
 
 def _law_key(law):
@@ -354,7 +364,6 @@ def _rk4_evolve(system, t0, dt_base, t_end, stride, collapse_threshold,
 
     def record(t, state):
         g = system.metric_samples(state)
-        fld = system.field_of(state)
         derivs, riem_arr, vel = system.rhs(state)
         ginv = np.linalg.inv(g)
         ric, scal = ricci_scalar_from_arrays(ginv, riem_arr)

@@ -15,6 +15,8 @@ discrepancies`` plus the scenario id, wall time and a config echo.  The
 with the values computed under the implemented sign conventions (the
 constant-curvature factor of the round sphere, the sign of the scaled-flow
 coefficient, the validity condition of the closed-form wave polynomial).
+A ``conformal-wave`` run steps with the largest step not above ``dt`` that
+divides ``t_end`` and reports it as ``dt_used``.
 """
 
 import json
@@ -296,7 +298,10 @@ def run_scenario(cfg: ScenarioConfig):
             u1 = -amp * (2.0 * math.pi * mode / L) * np.cos(2.0 * math.pi * mode * x / L)
         else:
             raise SchemaError("velocity must be 'zero' or 'right-mover'", key="velocity")
-        result = conformally_flat_wave_solve(u0, u1, cfg.dt, cfg.t_end, length=L,
+        # the solver takes whole steps: use the largest step not above dt
+        # that divides t_end, so the run ends exactly at t_end
+        dt = cfg.t_end / math.ceil(cfg.t_end / cfg.dt - 1e-9)
+        result = conformally_flat_wave_solve(u0, u1, dt, cfg.t_end, length=L,
                                              stride=cfg.stride)
         rows = [[t, u.min(), u.max(), 0.5 * (u.max() - u.min())]
                 for t, u in zip(result.times, result.u)]
@@ -304,6 +309,7 @@ def run_scenario(cfg: ScenarioConfig):
         summary["termination"] = "t_end"
         summary["t_final"] = float(result.times[-1])
         summary["residuals"] = {"min_u": float(result.u.min())}
+        summary["dt_used"] = dt
     else:
         family = make_family(cfg.family_name, cfg.dimension, cfg.family_params, rng)
         chart = _build_chart(cfg)

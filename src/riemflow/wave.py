@@ -39,6 +39,7 @@ from .flow import (
     Trajectory,
     _FlowSystem,
     _frozen_frame_builder,
+    _ricci_residual,
     _rk4_evolve,
     estimate_singular_time,
     monitor_blow_up,
@@ -226,9 +227,7 @@ class _WaveSystem(_FlowSystem):
             return float(np.abs(resid).max())
         if self.law == "ricci-wave":
             ric, _ = ricci_scalar_from_arrays(ginv, riem_arr)
-            acc = -2.0 * ric
-            resid = kn_product(acc, g) + 2.0 * _pair_squared(k) + 2.0 * riem_arr
-            return float(np.abs(resid).max())
+            return _ricci_residual(g, -2.0 * ric, riem_arr)
         if self.law == "general":
             alpha = float(self.params.get("alpha", 1.0))
             beta = float(self.params.get("beta", 0.0))
@@ -399,9 +398,17 @@ def conformally_flat_wave_solve(u0, u1, dt, t_end, length=None, stride=1,
     ``u0`` and ``u1`` sample the initial factor and its rate on a uniform
     periodic grid.  The time-centred velocity makes the update quadratic in
     the new level; the root continuous with the linear update is taken.
-    Raises :class:`CFLViolated` when ``dt > 0.5 dx`` and
-    :class:`PositivityLost` when the factor reaches the floor.
+    The run takes ``t_end / dt`` steps and ends exactly at ``t_end``, so
+    ``dt`` must divide ``t_end`` (to 1e-9 of a step); otherwise
+    :class:`ValueError` is raised.  Raises :class:`CFLViolated` when
+    ``dt > 0.5 dx`` and :class:`PositivityLost` when the factor reaches the
+    floor.
     """
+    if dt <= 0:
+        raise ValueError("dt must be positive")
+    nsteps = round(t_end / dt)
+    if nsteps < 1 or abs(t_end / dt - nsteps) > 1e-9:
+        raise ValueError(f"dt={dt!r} does not divide t_end={t_end!r} into whole steps")
     if isinstance(u0, ConformalWaveField):
         if length is None:
             length = u0.length
@@ -432,8 +439,7 @@ def conformally_flat_wave_solve(u0, u1, dt, t_end, length=None, stride=1,
     history = [u_prev.copy(), u_cur.copy()]
 
     t = dt
-    nsteps = int(round((t_end - dt) / dt))
-    for step_index in range(nsteps):
+    for step_index in range(nsteps - 1):
         # centred update: solve  B^2/(4u) + B + C = 0  for B = u_new - u_prev
         C = 2.0 * u_prev - 2.0 * u_cur - dt * dt * (lap(u_cur) - grad(u_cur) ** 2 / u_cur)
         disc = 1.0 - C / u_cur
@@ -444,8 +450,8 @@ def conformally_flat_wave_solve(u0, u1, dt, t_end, length=None, stride=1,
         if np.min(u_new) <= positivity_floor:
             raise PositivityLost(t + dt, int(np.argmin(u_new)), float(np.min(u_new)))
         u_prev, u_cur = u_cur, u_new
-        t += dt
-        if (step_index + 1) % stride == 0 or step_index == nsteps - 1:
+        t = (step_index + 2) * dt
+        if (step_index + 1) % stride == 0 or step_index == nsteps - 2:
             times.append(t)
             history.append(u_cur.copy())
     return ConformalWaveResult(times=np.asarray(times), u=np.asarray(history),

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from conftest import (
     HYPERBOLIC_FACTOR,
@@ -17,7 +20,9 @@ from riemflow.curvature import (
     CurvatureTensor,
     christoffel,
     inverse_metric,
+    kn_product,
     orthogonal_metric_curvature,
+    pair_trace,
     ricci_and_scalar,
     riemann,
     riemann_from_jets,
@@ -26,6 +31,7 @@ from riemflow.curvature import (
 )
 from riemflow.errors import DimensionTooSmall, NonpositiveLame, NotPositiveDefinite
 from riemflow.families import make_family
+from riemflow.flow import solve_pair_trace
 
 
 # ---------------------------------------------------------------------------
@@ -352,3 +358,107 @@ def test_packed_roundtrip(n):
                             CurvatureTensor.independent_component_count(n))
     back = CurvatureTensor.from_packed(packed, n)
     assert np.abs(back.array - R.array).max() < 1e-12 * max(np.abs(R.array).max(), 1)
+
+
+# ---------------------------------------------------------------------------
+# batched contractions against the literal component formulas
+# ---------------------------------------------------------------------------
+
+def _oracle_riemann(g, dg, d2g):
+    """R_ijkl term by term, each contraction a naive einsum."""
+    ginv = np.linalg.inv(g)
+    # Gamma^i_jk = 1/2 g^{il} (d_k g_lj + d_j g_lk - d_l g_jk), dg[a, b, c] = d_c g_ab
+    gam = 0.5 * (np.einsum('...il,...ljk->...ijk', ginv, dg)
+                 + np.einsum('...il,...lkj->...ijk', ginv, dg)
+                 - np.einsum('...il,...jkl->...ijk', ginv, dg))
+    # d2g[a, b, c, d] = d_c d_d g_ab
+    bracket = 0.5 * (np.einsum('...ikjl->...ijkl', d2g)
+                     + np.einsum('...jlik->...ijkl', d2g)
+                     - np.einsum('...jkil->...ijkl', d2g)
+                     - np.einsum('...iljk->...ijkl', d2g))
+    quad = (np.einsum('...mn,...mjk,...nil->...ijkl', g, gam, gam)
+            - np.einsum('...mn,...mjl,...nik->...ijkl', g, gam, gam))
+    return bracket - quad
+
+
+def _oracle_norm(t, ginv):
+    if t.ndim == 3:
+        sq = np.einsum('...ij,...kl,...ik,...jl->...', t, t, ginv, ginv)
+    else:
+        sq = np.einsum('...ijkl,...abcd,...ia,...jb,...kc,...ld->...',
+                       t, t, ginv, ginv, ginv, ginv)
+    return np.sqrt(sq)
+
+
+def _random_jets(S, n, rng):
+    """Per-sample SPD metrics with first and second derivatives of the
+    symmetries of metric jets: dg symmetric in (a, b), d2g in (a, b) and (c, d)."""
+    g = np.stack([rand_spd(n, rng) for _ in range(S)])
+    dg = rng.normal(size=(S, n, n, n))
+    dg = dg + np.swapaxes(dg, 1, 2)
+    d2g = rng.normal(size=(S, n, n, n, n))
+    d2g = d2g + np.swapaxes(d2g, 1, 2)
+    d2g = d2g + np.swapaxes(d2g, 3, 4)
+    return g, dg, d2g
+
+
+def _rel_err(a, b):
+    return np.abs(a - b).max() / np.abs(b).max()
+
+
+@pytest.mark.parametrize("S", [1, 7])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_batched_contractions_match_component_formulas(n, S):
+    rng = np.random.default_rng(100 * n + S)
+    g, dg, d2g = _random_jets(S, n, rng)
+    ginv = np.linalg.inv(g)
+    assert _rel_err(riemann_from_jets(g, dg, d2g), _oracle_riemann(g, dg, d2g)) < 1e-12
+    t2 = rng.normal(size=(S, n, n))
+    t4 = rng.normal(size=(S, n, n, n, n))
+    assert _rel_err(tensor_norm(t2, ginv), _oracle_norm(t2, ginv)) < 1e-12
+    assert _rel_err(tensor_norm(t4, ginv), _oracle_norm(t4, ginv)) < 1e-12
+    assert _rel_err(pair_trace(ginv, t4),
+                    np.einsum('...jl,...ijkl->...ik', ginv, t4)) < 1e-12
+
+
+_unit = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _frames(draw, ranks=(2, 4), min_n=2):
+    """A dimension, SPD metrics g = B B^T + 1, frame changes P = 1 + A/(2n)
+    (|A_ij| <= 1, so P is invertible with condition number below 3) and a
+    tensor of the drawn rank, for three samples."""
+    n = draw(st.integers(min_n, 5))
+    rank = draw(st.sampled_from(ranks))
+    B = draw(arrays(float, (3, n, n), elements=_unit))
+    A = draw(arrays(float, (3, n, n), elements=_unit))
+    t = draw(arrays(float, (3,) + (n,) * rank, elements=_unit))
+    g = B @ np.swapaxes(B, -1, -2) + np.eye(n)
+    return g, np.eye(n) + A / (2.0 * n), t
+
+
+def _pull_back(t, P):
+    """T'_{i...} = P^a_i ... T_{a...}: the components of T in the frame P."""
+    if t.ndim == 3:
+        return np.einsum('sai,sbj,sab->sij', P, P, t)
+    return np.einsum('sai,sbj,sck,sdl,sabcd->sijkl', P, P, P, P, t)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(_frames())
+def test_tensor_norm_frame_invariant(case):
+    g, P, t = case
+    g_new = np.swapaxes(P, -1, -2) @ g @ P
+    before = tensor_norm(t, np.linalg.inv(g))
+    after = tensor_norm(_pull_back(t, P), np.linalg.inv(g_new))
+    assert np.allclose(after, before, rtol=1e-11, atol=1e-13)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(_frames(ranks=(2,), min_n=3))
+def test_solve_pair_trace_inverts_kn_product(case):
+    g, _, a = case
+    v = a + np.swapaxes(a, -1, -2)
+    back = solve_pair_trace(g, np.linalg.inv(g), kn_product(v, g))
+    assert np.abs(back - v).max() <= 1e-12 * max(np.abs(v).max(), 1.0)

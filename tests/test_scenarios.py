@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -121,6 +122,22 @@ def test_scale_ode_scenario(tmp_path):
     for row in rows:
         t, f, _ = (float(v) for v in row.split(","))
         assert abs(f - (1.0 + t) ** 2) < 1e-8
+
+
+def test_ricci_residual_scores_the_ricci_law(tmp_path):
+    # eq_residual of the Ricci flow is max |(v + 2 Ric) ^ g|, not the
+    # Riemann law's dG/dt + 2 Riem, which stays of the size of Riem
+    path = Path(__file__).resolve().parents[1] / "configs" / "ricci-hyperbolic-collapse.json"
+    cfg = json.loads(path.read_text())
+    cfg["output"] = {"csv": str(tmp_path / "ricci.csv"),
+                     "summary": str(tmp_path / "ricci.json")}
+    run_scenario(load_config(_write(tmp_path, cfg)))
+    lines = (tmp_path / "ricci.csv").read_text().splitlines()
+    header = lines[0].split(",")
+    rows = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+    ratio = rows[:, header.index("eq_residual")] / rows[:, header.index("sup_riem_norm")]
+    assert len(rows) > 10
+    assert ratio.max() <= 1e-8
 
 
 def test_determinism_byte_identical_csv(tmp_path):

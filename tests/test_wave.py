@@ -39,6 +39,14 @@ def test_flat_acceleration_vanishes():
     assert np.abs(ricci_wave_accel(fld)).max() == 0.0
 
 
+def test_ricci_wave_residual_scores_the_ricci_wave_law():
+    # max |(a + 2 Ric) ^ g| at a = -2 Ric, not the Riemann wave's equation
+    fld, _ = hyperbolic_field(3)
+    traj = integrate_wave(fld, "ricci-wave", 1e-3, 0.05, stride=10)
+    ratio = traj.diagnostic("eq_residual") / traj.diagnostic("sup_riem_norm")
+    assert ratio.max() <= 1e-8
+
+
 def test_ricci_wave_accel_matches_first_order_rhs():
     fld, _ = torus_field(3, points=8, amplitude=0.08)
     from riemflow.flow import ricci_flow_rhs
@@ -265,6 +273,24 @@ def test_conformal_wave_positivity_margin():
     res = conformally_flat_wave_solve(u0, np.zeros(N), 0.2 * L / N, 2.0,
                                       length=L, stride=20)
     assert res.u.min() >= 0.5 * u0.min()
+
+
+@pytest.mark.parametrize("dt, t_end", [(0.003, 0.5), (0.007, 0.1), (0.01, 0.005)])
+def test_conformal_wave_rejects_step_not_dividing_t_end(dt, t_end):
+    N = 64
+    with pytest.raises(ValueError):
+        conformally_flat_wave_solve(np.ones(N), np.zeros(N), dt, t_end, length=1.0)
+
+
+@pytest.mark.parametrize("dt, t_end, stride", [(0.5 / 70, 0.5, 3), (0.1 / 14, 0.1, 1),
+                                               (0.004, 0.5, 10 ** 9)])
+def test_conformal_wave_ends_at_t_end(dt, t_end, stride):
+    N = 64
+    x = np.arange(N) / N
+    res = conformally_flat_wave_solve(1.0 + 0.01 * np.sin(2.0 * np.pi * x), np.zeros(N),
+                                      dt, t_end, length=1.0, stride=stride)
+    assert abs(res.times[-1] - t_end) <= 1e-12
+    assert len(res.times) == len(res.u)
 
 
 def test_conformal_wave_cfl_guard():
