@@ -9,7 +9,6 @@ the acceptance suite.
 """
 
 from .bialternate import (
-    BialternateTensor,
     bialternate_product,
     kulkarni_nomizu,
     recover_metric,
@@ -30,7 +29,6 @@ from .curvature import (
 )
 from .errors import (
     CFLViolated,
-    CollapseDetected,
     DegenerateCoefficients,
     DimensionTooSmall,
     EmptyTrajectory,
@@ -79,8 +77,6 @@ from .variation import (
     soliton_residual,
 )
 from .wave import (
-    ConformalWaveField,
-    ScaleODEState,
     WaveState,
     conformally_flat_wave_solve,
     constant_curvature_wave_ode,

@@ -17,18 +17,14 @@ from .curvature import CurvatureTensor, kn_product, pair_product_from_samples
 from .errors import DimensionTooSmall, NotInImage
 
 
-class BialternateTensor(CurvatureTensor):
-    """Product metric on 2-forms; same storage contract as curvature."""
-
-
 def bialternate_product(g):
     """G = g (.) g with G_ijkl = g_ik g_jl - g_il g_jk.
 
     Accepts a :class:`MetricField`, stacked samples ``(S, n, n)`` or a single
-    matrix ``(n, n)``; returns a :class:`BialternateTensor` over samples.
+    matrix ``(n, n)``; returns a :class:`CurvatureTensor` over samples.
     """
     g = _as_samples(g)
-    return BialternateTensor(pair_product_from_samples(g))
+    return CurvatureTensor(pair_product_from_samples(g))
 
 
 def kulkarni_nomizu(a, b):
@@ -66,7 +62,7 @@ def recover_metric(G, n=None, tolerance=1e-10, max_iterations=50):
 
     Parameters
     ----------
-    G : array_like or BialternateTensor
+    G : array_like or CurvatureTensor
         Target tensor, shape ``(n, n, n, n)`` (a single sample).
     n : int, optional
         Dimension; inferred from ``G`` when omitted.  Must be >= 3.

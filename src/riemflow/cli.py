@@ -136,10 +136,8 @@ def _finalize_output_args(args, stem):
 
 def _cmd_flow(args):
     _finalize_output_args(args, f"flow-{args.family}-n{args.dimension}")
-    params = {}
-    if args.law == "riemann-type":
-        params = {"alpha": args.alpha if args.alpha is not None else -2.0 * (args.dimension - 2),
-                  "beta": args.beta if args.beta is not None else 1.0 / (args.dimension - 1)}
+    params = {key: value for key, value in (("alpha", args.alpha), ("beta", args.beta))
+              if value is not None}
     cfg = _scenario_from_args(args, args.law, params)
     summary = run_scenario(cfg)
     print(json.dumps({k: summary[k] for k in

@@ -48,10 +48,6 @@ class StepRejected(RiemflowError):
     """Time step kept failing the positivity guard after the halving cap."""
 
 
-class CollapseDetected(RiemflowError):
-    """Raised only when a caller asks for strict handling of a collapsed state."""
-
-
 class EmptyTrajectory(RiemflowError):
     """A trajectory-consuming check received no samples."""
 

@@ -1,16 +1,26 @@
-"""First-order metric evolutions driven by curvature.
+"""First-order metric evolutions driven by curvature, and the law table.
 
-Three laws are integrated on the metric components:
+Four first-order laws are integrated on the metric components:
 
 * ``ricci``:             dg/dt = -2 Ric(g)
 * ``riemann-induced``:   the unique velocity solving the pair-trace
                          contraction of dG/dt = -2 Riem(g), namely
                          (n-2) v + tr(v) g = g^{jl} (-2 R)_ijkl
 * ``riemann-type``:      dG/dt = alpha Riem + beta (d ln det g / dt) G,
-                         solved for the metric velocity (well posed when
-                         beta != 1/(n-1) + (n-2)/(n(n-1)) fails; see below)
+                         solved for the metric velocity; well posed unless
+                         beta = 2/n, where the contracted equation no longer
+                         fixes tr(v)
 * ``general``:           the first-order member of the general family,
                          beta dG/dt + gamma G + delta Riem = 0
+
+Every law, first or second order, is one row of a table.
+:func:`resolve_law` turns a name, or a ``(name, params)`` pair, into a
+frozen :class:`Law` record once, at integrator entry, and rejects parameters
+the law does not take.  The record gives the rate (velocity or acceleration)
+and the equation residual, and one RK4 system steps flows and waves alike.
+``riemann-induced`` is the general family at (beta=1, delta=2) and
+``riemann-wave`` at (alpha=1, delta=2), so the general law reproduces them
+bit for bit.
 
 On periodic grids the evolution is a genuine method-of-lines PDE solve.  On
 analytic single-point charts the state is the metric at the evaluation point
@@ -38,6 +48,7 @@ from .curvature import (
     tensor_norm,
 )
 from .errors import (
+    DegenerateCoefficients,
     DimensionTooSmall,
     EmptyTrajectory,
     NoSingularity,
@@ -50,7 +61,7 @@ MAX_HALVINGS = 20
 
 
 # ---------------------------------------------------------------------------
-# velocities
+# the law table
 # ---------------------------------------------------------------------------
 
 
@@ -69,16 +80,178 @@ def solve_pair_trace(g, ginv, rhs4):
     return (W - trv[..., None, None] * g) / (n - 2)
 
 
+def _pair_squared(k):
+    """(k (.) k)_ijkl = k_ik k_jl - k_il k_jk."""
+    return (np.einsum('...ik,...jl->...ijkl', k, k)
+            - np.einsum('...il,...jk->...ijkl', k, k))
+
+
+def _combine(terms, like, lead=1.0):
+    """Sum of ``c * term()`` over the ``(c, term)`` pairs with c != 0, added
+    in order and divided by ``lead``.
+
+    Zero terms are never built and unit factors never applied; ``1.0 * x``
+    and ``x / 1.0`` are exact, so skipping them changes no bit.  With every
+    term skipped the sum is zeros shaped like ``like``.
+    """
+    total = None
+    for c, term in terms:
+        if c != 0.0:
+            x = term() if c == 1.0 else c * term()
+            total = x if total is None else total + x
+    if total is None:
+        return np.zeros_like(like)
+    return total if lead == 1.0 else total / lead
+
+
+def _trace_coupling(beta, n):
+    """c and the tr(v) coefficient of the contracted riemann-type equation
+    (n-2) v + c tr(v) g = alpha Ric, c = 1 - beta (n-1); zero iff beta = 2/n."""
+    c = 1.0 - beta * (n - 1.0)
+    return c, (n - 2.0) + n * c
+
+
+@dataclass(frozen=True)
+class Law:
+    """A resolved evolution law: its name, order (1 flow, 2 wave), kind and
+    coefficients.
+
+    ``family``: alpha (a ^ g + 2 k (.) k) + beta (k ^ g) + gamma G
+    + delta Riem = 0, the G-level general family, solved for the acceleration
+    ``a`` (order 2) or the velocity ``k`` (order 1).  ``ricci``: the
+    metric-level alpha a + beta k + delta Ric = 0.  ``riemann-type``:
+    (k ^ g) = alpha Riem + beta tr(k) G.
+    """
+
+    name: str
+    order: int
+    kind: str
+    alpha: float = 0.0
+    beta: float = 0.0
+    gamma: float = 0.0
+    delta: float = 0.0
+
+    @property
+    def lead(self):
+        """The coefficient of the highest time derivative."""
+        return self.alpha if self.order == 2 else self.beta
+
+    def rate(self, g, k, riem):
+        """Metric velocity (order 1) or acceleration (order 2) at metric
+        samples ``g``, velocity samples ``k`` (order 2) and curvature ``riem``."""
+        ginv = np.linalg.inv(g)
+        if self.kind == "ricci":
+            ric, _ = ricci_scalar_from_arrays(ginv, riem)
+            return _combine([(-self.delta, lambda: ric)], ric, self.lead)
+        if self.kind == "riemann-type":
+            n = g.shape[-1]
+            S, scal = ricci_scalar_from_arrays(ginv, riem)
+            c, denom = _trace_coupling(self.beta, n)
+            trv = self.alpha * scal / denom
+            return (self.alpha * S - c * trv[..., None, None] * g) / (n - 2.0)
+        terms = [(-self.gamma, lambda: pair_product_from_samples(g)),
+                 (-self.delta, lambda: riem)]
+        if self.order == 2:
+            terms = [(-2.0 * self.alpha, lambda: _pair_squared(k)),
+                     (-self.beta, lambda: kn_product(k, g))] + terms
+        return solve_pair_trace(g, ginv, _combine(terms, riem, self.lead))
+
+    def rate_at(self, field, velocity=None):
+        """:meth:`rate` at a field's samples and curvature."""
+        g = field.samples
+        k = None if velocity is None else np.asarray(velocity, dtype=float).reshape(g.shape)
+        return self.rate(g, k, riemann(field).array)
+
+    def residual(self, g, k, rate, riem):
+        """Max norm of the law's G-level equation at the ``rate`` that
+        :meth:`rate` gave for the same samples."""
+        if self.kind == "ricci":
+            ric, _ = ricci_scalar_from_arrays(np.linalg.inv(g), riem)
+            total = kn_product(_combine([(self.lead, lambda: rate), (self.delta, lambda: ric)],
+                                        ric), g)
+        elif self.kind == "riemann-type":
+            trv = np.einsum('...ik,...ik->...', np.linalg.inv(g), rate)
+            G = pair_product_from_samples(g)
+            rhs = self.alpha * riem + self.beta * trv[..., None, None, None, None] * G
+            total = kn_product(rate, g) - rhs
+        else:
+            v = rate if self.order == 1 else k
+            total = _combine([
+                (self.alpha, lambda: kn_product(rate, g) + 2.0 * _pair_squared(k)),
+                (self.beta, lambda: kn_product(v, g)),
+                (self.gamma, lambda: pair_product_from_samples(g)),
+                (self.delta, lambda: riem)], riem)
+        return float(np.abs(total).max())
+
+
+# (name, order) -> (kind, parameter names, defaults); a parameter without a
+# default is required, and defaults are functions of the dimension n
+_LAWS = {
+    ("ricci", 1): ("ricci", (), lambda n: {"beta": 1.0, "delta": 2.0}),
+    ("riemann-induced", 1): ("family", (), lambda n: {"beta": 1.0, "delta": 2.0}),
+    ("riemann-type", 1): ("riemann-type", ("alpha", "beta"),
+                          lambda n: {"alpha": -2.0 * (n - 2), "beta": 1.0 / (n - 1)}),
+    ("general", 1): ("family", ("beta", "gamma", "delta"),
+                     lambda n: {"gamma": 0.0, "delta": 0.0}),
+    ("ricci-wave", 2): ("ricci", (), lambda n: {"alpha": 1.0, "delta": 2.0}),
+    ("riemann-wave", 2): ("family", (), lambda n: {"alpha": 1.0, "delta": 2.0}),
+    ("general", 2): ("family", ("alpha", "beta", "gamma", "delta"),
+                     lambda n: {"alpha": 1.0, "beta": 0.0, "gamma": 0.0, "delta": 2.0}),
+}
+
+
+def resolve_law(law, n, order):
+    """The :class:`Law` record of ``law`` (a name, a ``(name, params)`` pair
+    or a record) for dimension ``n`` as a law of ``order`` (1 for
+    :func:`integrate_flow`, 2 for ``integrate_wave``).
+
+    Raises ``ValueError`` for an unknown name, a parameter the law does not
+    take, a missing required one or a non-numeric value;
+    :class:`DimensionTooSmall` when a law that inverts the pair trace meets
+    ``n < 3``; :class:`DegenerateCoefficients` when the leading coefficient
+    vanishes or riemann-type has ``beta = 2/n``.  A general wave with
+    ``alpha = 0`` resolves to the first-order flow.
+    """
+    if isinstance(law, Law):
+        if law.order > order:
+            raise ValueError(f"law {law.name!r} of order {law.order} given as order {order}")
+        return law
+    name, params = (law[0], dict(law[1] or {})) if isinstance(law, (tuple, list)) else (law, {})
+    if (name, order) not in _LAWS:
+        raise ValueError(f"unknown {('flow', 'wave')[order - 1]} law {name!r}")
+    kind, names, defaults = _LAWS[name, order]
+    if kind != "ricci" and n < 3:
+        raise DimensionTooSmall(f"law {name!r} needs n >= 3")
+    coeffs = defaults(n)
+    for key in params:
+        if key not in names:
+            raise ValueError(f"law {name!r} takes no parameter {key!r}"
+                             + (f" (it takes {', '.join(names)})" if names else ""))
+        try:
+            coeffs[key] = float(params[key])
+        except (TypeError, ValueError):
+            raise ValueError(f"parameter {key!r} of law {name!r} must be a number") from None
+    missing = [key for key in names if key not in coeffs]
+    if missing:
+        raise ValueError(f"law {name!r} needs parameter {missing[0]!r}")
+    if kind == "family":
+        if order == 2 and coeffs["alpha"] == 0.0:
+            order = 1
+        if coeffs["alpha" if order == 2 else "beta"] == 0.0:
+            raise DegenerateCoefficients(f"law {name!r} needs alpha != 0 or beta != 0")
+    if kind == "riemann-type" and abs(_trace_coupling(coeffs["beta"], n)[1]) < 1e-14:
+        raise DegenerateCoefficients(f"law {name!r} is degenerate at beta = 2/n = {2.0 / n:g}")
+    return Law(name, order, kind, **coeffs)
+
+
 def ricci_flow_rhs(field: MetricField):
     """-2 Ric(g), the classical first-order law."""
-    vel, _ = _flow_velocity(field, "ricci", {})
-    return vel
+    return resolve_law("ricci", field.dimension, 1).rate_at(field)
 
 
 def induced_riemann_flow_rhs(field: MetricField):
     """Metric velocity induced by the pair-product flow dG/dt = -2 Riem."""
-    vel, _ = _flow_velocity(field, "riemann-induced", {})
-    return vel
+    return resolve_law("riemann-induced", field.dimension, 1).rate_at(field)
 
 
 def riemann_type_flow_rhs(field: MetricField, alpha, beta):
@@ -107,45 +280,6 @@ def riemann_flow_residual(field: MetricField, velocity):
     riem = riemann(field)
     resid = kn_product(np.asarray(velocity, dtype=float), g) + 2.0 * riem.array
     return float(np.abs(resid).max())
-
-
-def _flow_velocity(field, law, params, riem_array=None):
-    """Velocity samples plus the curvature array (reused by diagnostics)."""
-    g = field.samples
-    n = g.shape[-1]
-    if riem_array is None:
-        riem_array = riemann(field).array
-    ginv = np.linalg.inv(g)
-    if law == "ricci":
-        ric, _ = ricci_scalar_from_arrays(ginv, riem_array)
-        return -2.0 * ric, riem_array
-    if law == "riemann-induced":
-        return solve_pair_trace(g, ginv, -2.0 * riem_array), riem_array
-    if law == "general":
-        beta = float(params.get("beta"))
-        gamma = float(params.get("gamma", 0.0))
-        delta = float(params.get("delta", 0.0))
-        if beta == 0.0:
-            raise ValueError("first-order general law needs beta != 0")
-        G = pair_product_from_samples(g)
-        rhs4 = -(gamma * G + delta * riem_array) / beta
-        return solve_pair_trace(g, ginv, rhs4), riem_array
-    if law == "riemann-type":
-        if n < 3:
-            raise DimensionTooSmall("the scaled flow needs n >= 3")
-        alpha = float(params.get("alpha", -2.0 * (n - 2)))
-        beta = float(params.get("beta", 1.0 / (n - 1)))
-        # dG/dt = alpha Riem + beta tr(v) G couples tr(v); contracting:
-        # (n-2) v + [1 - beta (n-1)] tr(v) g = alpha S
-        S, scal = ricci_scalar_from_arrays(ginv, riem_array)
-        c = 1.0 - beta * (n - 1.0)
-        denom = (n - 2.0) + n * c
-        if abs(denom) < 1e-14:
-            raise ValueError("degenerate scaled-flow coefficients")
-        trv = alpha * scal / denom
-        vel = (alpha * S - c * trv[..., None, None] * g) / (n - 2.0)
-        return vel, riem_array
-    raise ValueError(f"unknown flow law {law!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -220,26 +354,40 @@ def _frozen_frame_builder(chart, base_func):
     return build
 
 
-class _FlowSystem:
-    """First-order state (metric only)."""
+class _RK4System:
+    """RK4 state of a law: one array per time derivative of the metric below
+    the law's order, ``[g]`` for a flow and ``[g, k]`` for a wave.
 
-    wave = False
+    On grid charts the arrays are the samples themselves; on analytic charts
+    they are (n, n) matrices in the frame of the initial metric at the
+    evaluation point, ``g = L0 Y L0^T``.
+    """
 
-    def __init__(self, field, law, params):
+    def __init__(self, field, law, velocity=None):
         self.chart = field.chart
         self.law = law
-        self.params = params
         self.n = field.dimension
-        if self.chart.kind == "periodic-grid":
-            self.grid = True
-            self.state0 = [field.samples.copy()]
+        self.wave = law.order == 2
+        self.grid = self.chart.kind == "periodic-grid"
+        g = field.samples
+        if self.grid:
+            self.state0 = [g.copy()]
         else:
-            self.grid = False
             self._build = _frozen_frame_builder(self.chart, field.func)
-            self.state0 = [np.eye(self.n)]
-            self._L0 = np.linalg.cholesky(field.samples[0])
+            self._L0 = np.linalg.cholesky(g[0])
             self._L0inv = np.linalg.inv(self._L0)
-        self._g0 = field.samples.copy()
+            self.state0 = [np.eye(self.n)]
+        if self.wave:
+            k = np.asarray(velocity, dtype=float)
+            if self.grid:
+                self.state0.append(k.reshape(g.shape).copy())
+            else:
+                self.state0.append(self._to_frame(
+                    k if k.shape == (self.n, self.n) else k.reshape(g.shape)[0]))
+
+    def _to_frame(self, x):
+        d = self._L0inv @ x @ self._L0inv.T
+        return 0.5 * (d + d.T)
 
     def field_of(self, state):
         if self.grid:
@@ -247,61 +395,27 @@ class _FlowSystem:
             return MetricField.from_samples(self.chart, vals)
         return self._build(state[0])
 
-    def metric_samples(self, state):
+    def samples(self, state, i=0):
+        """Metric (``i = 0``) or velocity (``i = 1``) samples of a state."""
         if self.grid:
-            return state[0]
-        return np.einsum('ab,bc,dc->ad', self._L0, state[0], self._L0)[None]
+            return state[i]
+        return np.einsum('ab,bc,dc->ad', self._L0, state[i], self._L0)[None]
 
     def rhs(self, state):
+        """(d state/dt, curvature array, the law's rate at the samples)."""
         fld = self.field_of(state)
-        vel, riem_arr = _flow_velocity(fld, self.law, self.params)
-        if self.grid:
-            return [vel], riem_arr, vel
-        dY = self._L0inv @ vel[0] @ self._L0inv.T
-        return [0.5 * (dY + dY.T)], riem_arr, vel
+        riem_arr = riemann(fld).array
+        k = self.samples(state, 1) if self.wave else None
+        rate = self.law.rate(fld.samples, k, riem_arr)
+        top = rate if self.grid else self._to_frame(rate[0])
+        return state[1:] + [top], riem_arr, rate
 
     def spd_ok(self, state):
         try:
-            np.linalg.cholesky(self.metric_samples(state))
+            np.linalg.cholesky(self.samples(state))
             return True
         except np.linalg.LinAlgError:
             return False
-
-    def equation_residual(self, state, g, vel, riem_arr):
-        if self.law == "ricci":
-            return _ricci_residual(g, vel, riem_arr)
-        dG = kn_product(vel, g)
-        if self.law == "riemann-induced":
-            return float(np.abs(dG + 2.0 * riem_arr).max())
-        if self.law == "general":
-            beta = float(self.params.get("beta"))
-            gamma = float(self.params.get("gamma", 0.0))
-            delta = float(self.params.get("delta", 0.0))
-            G = pair_product_from_samples(g)
-            return float(np.abs(beta * dG + gamma * G + delta * riem_arr).max())
-        if self.law == "riemann-type":
-            n = g.shape[-1]
-            alpha = float(self.params.get("alpha", -2.0 * (n - 2)))
-            beta = float(self.params.get("beta", 1.0 / (n - 1)))
-            ginv = np.linalg.inv(g)
-            trv = np.einsum('...ik,...ik->...', ginv, vel)
-            G = pair_product_from_samples(g)
-            rhs = alpha * riem_arr + beta * trv[..., None, None, None, None] * G
-            return float(np.abs(dG - rhs).max())
-        return float("nan")
-
-
-def _ricci_residual(g, rate, riem_arr):
-    """max |(rate + 2 Ric) ^ g|: the G-level residual of a Ricci law, whose
-    metric rate (velocity or acceleration) is -2 Ric."""
-    ric, _ = ricci_scalar_from_arrays(np.linalg.inv(g), riem_arr)
-    return float(np.abs(kn_product(rate + 2.0 * ric, g)).max())
-
-
-def _law_key(law):
-    if isinstance(law, (tuple, list)):
-        return law[0], dict(law[1] or {})
-    return law, {}
 
 
 def integrate_flow(initial, law, dt, t_end, *, stride=10,
@@ -314,9 +428,10 @@ def integrate_flow(initial, law, dt, t_end, *, stride=10,
     ----------
     initial : MetricField or FlowState
         Starting metric (t = 0 unless a state is given).
-    law : str or (str, dict)
+    law : str, (str, dict) or Law
         ``'ricci'``, ``'riemann-induced'``, ``('riemann-type', {...})`` or
-        ``('general', {'beta': .., 'gamma': .., 'delta': ..})``.
+        ``('general', {'beta': .., 'gamma': .., 'delta': ..})``; see
+        :func:`resolve_law` for the parameters each law takes.
     dt, t_end : float
         Base step and horizon.
     stride : int
@@ -337,8 +452,7 @@ def integrate_flow(initial, law, dt, t_end, *, stride=10,
     if dt <= 0:
         raise ValueError("dt must be positive")
     fld.validate_spd()
-    law_name, params = _law_key(law)
-    system = _FlowSystem(fld, law_name, params)
+    system = _RK4System(fld, resolve_law(law, fld.dimension, 1))
     return _rk4_evolve(system, t0, dt, t_end, stride, collapse_threshold,
                        curvature_cap, max_halvings, cross_check_stride)
 
@@ -346,25 +460,26 @@ def integrate_flow(initial, law, dt, t_end, *, stride=10,
 def _rk4_evolve(system, t0, dt_base, t_end, stride, collapse_threshold,
                 curvature_cap, max_halvings, cross_check_stride):
     state = [a.copy() for a in system.state0]
-    g0 = system.metric_samples(state).copy()
+    g0 = system.samples(state).copy()
     L0inv = _rel_eig_factors(g0)
     det0 = np.linalg.det(g0)
     n = g0.shape[-1]
 
-    traj = Trajectory(chart=system.chart, law=system.law, times=[], states=[],
+    traj = Trajectory(chart=system.chart, law=system.law.name, times=[], states=[],
                       velocities=[], diagnostics={k: [] for k in (
                           "f_est", "min_rel_eig", "max_rel_eig", "sup_ric_norm",
                           "sup_riem_norm", "scalar_min", "scalar_max",
                           "eq_residual", "det_g_min", "cross_check_error")},
-                      wave=getattr(system, "wave", False))
+                      wave=system.wave)
 
     cross_G = None
     if cross_check_stride:
         cross_G = pair_product_from_samples(g0).copy()
 
     def record(t, state):
-        g = system.metric_samples(state)
-        derivs, riem_arr, vel = system.rhs(state)
+        g = system.samples(state)
+        _, riem_arr, rate = system.rhs(state)
+        k = system.samples(state, 1) if system.wave else None
         ginv = np.linalg.inv(g)
         ric, scal = ricci_scalar_from_arrays(ginv, riem_arr)
         rel = _relative_eigenvalues(g, L0inv)
@@ -372,9 +487,9 @@ def _rk4_evolve(system, t0, dt_base, t_end, stride, collapse_threshold,
         ric_norm = tensor_norm(ric, ginv)
         traj.times.append(t)
         traj.states.append(g.copy())
-        traj.velocities.append(vel.copy())
-        if traj.wave:
-            traj.velocity_states.append(system.velocity_samples(state).copy())
+        traj.velocities.append((rate if k is None else k).copy())
+        if system.wave:
+            traj.velocity_states.append(k.copy())
         d = traj.diagnostics
         d["f_est"].append(float(np.mean((np.linalg.det(g) / det0) ** (1.0 / n))))
         d["min_rel_eig"].append(float(rel.min()))
@@ -383,7 +498,7 @@ def _rk4_evolve(system, t0, dt_base, t_end, stride, collapse_threshold,
         d["sup_riem_norm"].append(float(riem_norm.max()))
         d["scalar_min"].append(float(scal.min()))
         d["scalar_max"].append(float(scal.max()))
-        d["eq_residual"].append(system.equation_residual(state, g, vel, riem_arr))
+        d["eq_residual"].append(system.law.residual(g, k, rate, riem_arr))
         d["det_g_min"].append(float(np.linalg.det(g).min()))
         if cross_G is not None and (len(traj.times) - 1) % cross_check_stride == 0:
             err = 0.0
@@ -409,7 +524,7 @@ def _rk4_evolve(system, t0, dt_base, t_end, stride, collapse_threshold,
                 break
             halvings += 1
             if halvings > max_halvings:
-                rel = _relative_eigenvalues(system.metric_samples(state), L0inv)
+                rel = _relative_eigenvalues(system.samples(state), L0inv)
                 if rel.min() < SOFT_COLLAPSE_FRACTION:
                     termination = "collapse"
                     break
@@ -424,7 +539,7 @@ def _rk4_evolve(system, t0, dt_base, t_end, stride, collapse_threshold,
         t += dt
         steps += 1
         dt_cur = min(dt_cur * 2.0, dt_base)
-        rel = _relative_eigenvalues(system.metric_samples(state), L0inv)
+        rel = _relative_eigenvalues(system.samples(state), L0inv)
         min_rel = float(rel.min())
         # keep a dense record of the approach to collapse for the monitors
         near_collapse = min_rel < max(0.1, 1e3 * collapse_threshold)

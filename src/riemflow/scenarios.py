@@ -2,8 +2,9 @@
 
 A scenario is a JSON document selecting a metric family, a chart, an
 evolution law, integrator settings and output paths.  Unknown keys are
-rejected.  Runs write a time-series CSV plus a JSON summary; with a fixed
-seed the CSV bytes are reproducible on one platform.
+rejected, and so are parameters the law does not take.  Runs write a
+time-series CSV plus a JSON summary; with a fixed seed the CSV bytes are
+reproducible on one platform.
 
 Flow/wave CSV columns:
 ``t, f_est, min_rel_eig, max_rel_eig, sup_ric_norm, sup_riem_norm,
@@ -29,7 +30,7 @@ import numpy as np
 from .charts import AnalyticChart, GridChart, MetricField
 from .errors import NoSingularity, ParseError, SchemaError
 from .families import FAMILY_NAMES, make_family
-from .flow import integrate_flow, monitor_blow_up
+from .flow import integrate_flow, monitor_blow_up, resolve_law
 from .wave import (
     constant_curvature_wave_ode,
     conformally_flat_wave_solve,
@@ -126,6 +127,8 @@ def config_from_dict(raw, default_id="scenario"):
     if law_name not in known:
         raise SchemaError(f"unknown law {law_name!r}; choose from {sorted(known)}",
                           key="law")
+    if law_name not in OTHER_LAWS:
+        _resolved_law(law_name, law_params, dimension)
 
     integ = dict(raw.get("integrator", {}))
     _require_known(integ, {"dt", "t_end", "stride"}, "integrator")
@@ -172,6 +175,16 @@ def config_from_dict(raw, default_id="scenario"):
     )
 
 
+def _resolved_law(law_name, law_params, dimension):
+    """The library's law record of a flow or wave scenario law."""
+    order = 1 if law_name in FLOW_LAWS else 2
+    try:
+        return resolve_law(({**FLOW_LAWS, **WAVE_LAWS}[law_name], law_params), dimension,
+                           order)
+    except ValueError as exc:
+        raise SchemaError(f"{law_name}: {exc}", key="law") from None
+
+
 def _build_chart(cfg):
     spec = cfg.chart_spec
     kind = spec.get("kind")
@@ -211,7 +224,7 @@ def _trajectory_rows(traj):
     return rows
 
 
-def _family_discrepancies(cfg, family):
+def _family_discrepancies(cfg, family, law):
     notes = []
     lam = family.constant_curvature
     if lam is not None and lam != 0.0:
@@ -234,7 +247,7 @@ def _family_discrepancies(cfg, family):
                 "note": "finite collapse horizon 1/factor versus the commonly "
                         "stated 1/(n-1)",
             })
-    if cfg.law_name == "riemann-type":
+    if law.kind == "riemann-type":
         n = cfg.dimension
         notes.append({
             "id": "scaled-flow-alpha-sign",
@@ -263,11 +276,9 @@ def run_scenario(cfg: ScenarioConfig):
     exit_code = 0
 
     if cfg.law_name == "scale-ode":
-        lam = float(cfg.law_params.get("lam", 0.0))
-        v = float(cfg.law_params.get("v", 0.0))
-        extra = set(cfg.law_params) - {"lam", "v"}
-        if extra:
-            raise SchemaError("unknown scale-ode parameter", key=sorted(extra)[0])
+        params = _other_law_params(cfg, {"lam": 0.0, "v": 0.0})
+        lam = float(params["lam"])
+        v = float(params["v"])
         result = constant_curvature_wave_ode(lam, v, cfg.dt, cfg.t_end,
                                              record_stride=cfg.stride)
         rows = [[t, f, fp] for t, f, fp in zip(result.times, result.scales, result.rates)]
@@ -278,18 +289,16 @@ def run_scenario(cfg: ScenarioConfig):
         summary["T_est"] = result.collapse_time
         summary["residuals"] = {"polynomial_condition": result.polynomial_residual}
         summary["concave"] = result.concave
-        summary["discrepancies"] = _scale_ode_notes(cfg)
+        summary["discrepancies"] = _scale_ode_notes(lam, v)
         exit_code = 2 if collapsed else 0
     elif cfg.law_name == "conformal-wave":
-        allowed = {"amplitude", "mode", "points", "length", "velocity"}
-        extra = set(cfg.law_params) - allowed
-        if extra:
-            raise SchemaError("unknown conformal-wave parameter", key=sorted(extra)[0])
-        amp = float(cfg.law_params.get("amplitude", 1e-4))
-        mode = int(cfg.law_params.get("mode", 1))
-        N = int(cfg.law_params.get("points", 256))
-        L = float(cfg.law_params.get("length", 1.0))
-        vel_kind = cfg.law_params.get("velocity", "zero")
+        params = _other_law_params(cfg, {"amplitude": 1e-4, "mode": 1, "points": 256,
+                                         "length": 1.0, "velocity": "zero"})
+        amp = float(params["amplitude"])
+        mode = int(params["mode"])
+        N = int(params["points"])
+        L = float(params["length"])
+        vel_kind = params["velocity"]
         x = np.arange(N) * (L / N)
         u0 = 1.0 + amp * np.sin(2.0 * math.pi * mode * x / L)
         if vel_kind == "zero":
@@ -314,17 +323,12 @@ def run_scenario(cfg: ScenarioConfig):
         family = make_family(cfg.family_name, cfg.dimension, cfg.family_params, rng)
         chart = _build_chart(cfg)
         fld = MetricField.from_function(chart, family.metric_function)
+        law = _resolved_law(cfg.law_name, cfg.law_params, cfg.dimension)
         if cfg.law_name in FLOW_LAWS:
-            law = FLOW_LAWS[cfg.law_name]
-            if cfg.law_params:
-                law = (law, cfg.law_params)
             traj = integrate_flow(fld, law, cfg.dt, cfg.t_end, stride=cfg.stride,
                                   collapse_threshold=cfg.collapse_threshold,
                                   curvature_cap=cfg.curvature_cap)
         else:
-            law = WAVE_LAWS[cfg.law_name]
-            if cfg.law_params:
-                law = (law, cfg.law_params)
             v0 = cfg.initial_velocity_scale * fld.samples
             traj = integrate_wave(fld, law, cfg.dt, cfg.t_end, velocity=v0,
                                   stride=cfg.stride,
@@ -346,7 +350,7 @@ def run_scenario(cfg: ScenarioConfig):
                 summary["blowup_exponent"] = report.exponent
             except (NoSingularity, ValueError):
                 pass
-        summary["discrepancies"] = _family_discrepancies(cfg, family)
+        summary["discrepancies"] = _family_discrepancies(cfg, family, law)
 
     summary["wall_time_s"] = time.perf_counter() - t_start
     summary["exit_code"] = exit_code
@@ -356,12 +360,19 @@ def run_scenario(cfg: ScenarioConfig):
     return summary
 
 
-def _scale_ode_notes(cfg):
-    lam_ode = float(cfg.law_params.get("lam", 0.0))
-    v = float(cfg.law_params.get("v", 0.0))
+def _other_law_params(cfg, defaults):
+    """The parameters of a scale-ode or conformal-wave scenario over their
+    defaults; a name without a default is a :class:`SchemaError`."""
+    extra = set(cfg.law_params) - set(defaults)
+    if extra:
+        raise SchemaError(f"unknown {cfg.law_name} parameter", key=sorted(extra)[0])
+    return {**defaults, **cfg.law_params}
+
+
+def _scale_ode_notes(lam, v):
     return [{
         "id": "wave-polynomial-condition",
-        "computed": v * v + 2.0 * lam_ode / 3.0,
+        "computed": v * v + 2.0 * lam / 3.0,
         "commonly_stated": 0.0,
         "note": "the closed-form quadratic solves the scale equation exactly "
                 "only when v^2 = -2 lam / 3",

@@ -21,7 +21,7 @@ from .curvature import (
     tensor_norm,
 )
 from .errors import NotPositiveDefinite, PerturbationTooLarge
-from .flow import _flow_velocity
+from .flow import resolve_law
 
 DEFAULT_RELATIVE_EPS = 1e-4
 
@@ -103,29 +103,22 @@ def _operator(field, which):
     raise ValueError("which must be 'Riem' or 'Ric'")
 
 
-def directional_curvature_derivative(field, h, which="Riem", eps=None,
-                                     richardson=True, max_halvings=40):
-    """Central-difference derivative of a curvature operator along ``h``.
-
-    ``eps`` is relative to the metric scale divided by the direction scale;
-    it is halved automatically while the perturbed metric loses positive
-    definiteness.  With ``richardson=True`` the estimates at ``eps`` and
-    ``eps/2`` are extrapolated to fourth order.
-    """
+def _central_quotient(field, h, op, eps, richardson, max_halvings=40):
+    """(op(g + e h) - op(g - e h)) / (2 e), Richardson-extrapolated over
+    ``e`` and ``e/2`` when asked; ``e`` starts at ``eps`` times the metric
+    scale over the direction scale and halves while a perturbed metric is
+    not positive definite (``op`` computes curvature, which checks that)."""
     g_scale = float(np.abs(field.samples).max())
     h_scale = _direction_scale(field, h)
     if h_scale == 0.0:
-        return np.zeros_like(_operator(field, which))
-    base_eps = (eps if eps is not None else DEFAULT_RELATIVE_EPS) * g_scale / h_scale
+        return np.zeros_like(op(field))
+    e = (eps if eps is not None else DEFAULT_RELATIVE_EPS) * g_scale / h_scale
 
     def quotient(e):
         plus = _perturbed_field(field, h, e, +1.0)
         minus = _perturbed_field(field, h, e, -1.0)
-        plus.validate_spd()
-        minus.validate_spd()
-        return (_operator(plus, which) - _operator(minus, which)) / (2.0 * e)
+        return (op(plus) - op(minus)) / (2.0 * e)
 
-    e = base_eps
     for _ in range(max_halvings):
         try:
             d1 = quotient(e)
@@ -139,38 +132,29 @@ def directional_curvature_derivative(field, h, which="Riem", eps=None,
         f"could not keep g +/- eps h positive definite down to eps={e:.3e}")
 
 
+def directional_curvature_derivative(field, h, which="Riem", eps=None,
+                                     richardson=True, max_halvings=40):
+    """Central-difference derivative of a curvature operator along ``h``.
+
+    ``eps`` is relative to the metric scale divided by the direction scale;
+    it is halved automatically while the perturbed metric loses positive
+    definiteness.  With ``richardson=True`` the estimates at ``eps`` and
+    ``eps/2`` are extrapolated to fourth order.
+    """
+    return _central_quotient(field, h, lambda f: _operator(f, which), eps, richardson,
+                             max_halvings)
+
+
 def linearized_flow_rhs(field, h, which="ricci", eps=None, richardson=True):
     """dh/dt of the linearized law: the directional derivative of the
-    nonlinear velocity map along ``h``."""
-    law = {"ricci": "ricci", "riemann-induced": "riemann-induced"}[which]
-    g_scale = float(np.abs(field.samples).max())
-    h_scale = _direction_scale(field, h)
-    if h_scale == 0.0:
-        return np.zeros_like(field.samples)
-    base_eps = (eps if eps is not None else DEFAULT_RELATIVE_EPS) * g_scale / h_scale
-
-    def quotient(e):
-        plus = _perturbed_field(field, h, e, +1.0)
-        minus = _perturbed_field(field, h, e, -1.0)
-        vp, _ = _flow_velocity(plus, law, {})
-        vm, _ = _flow_velocity(minus, law, {})
-        return (vp - vm) / (2.0 * e)
-
-    e = base_eps
-    for _ in range(40):
-        try:
-            d1 = quotient(e)
-            if not richardson:
-                return d1
-            d2 = quotient(0.5 * e)
-            return (4.0 * d2 - d1) / 3.0
-        except (NotPositiveDefinite, np.linalg.LinAlgError):
-            e *= 0.5
-    raise PerturbationTooLarge(
-        f"could not keep g +/- eps h positive definite down to eps={e:.3e}")
+    nonlinear velocity map of the first-order law ``which`` along ``h``."""
+    law = resolve_law(which, field.dimension, 1)
+    return _central_quotient(field, h, law.rate_at, eps, richardson)
 
 
-def _scalar_jets(field, func_or_samples):
+def _jets(field, func_or_samples, tail, what):
+    """2-jets of a scalar (``tail = ()``) or covector (``tail = (n,)``) field
+    given as samples (grid charts) or a callable."""
     chart = field.chart
     n = field.dimension
     if chart.kind == "periodic-grid":
@@ -178,25 +162,10 @@ def _scalar_jets(field, func_or_samples):
             pts = chart.sample_points.reshape(chart.grid_shape + (n,))
             vals = np.asarray(func_or_samples(pts), dtype=float)
         else:
-            vals = np.asarray(func_or_samples, dtype=float).reshape(chart.grid_shape)
+            vals = np.asarray(func_or_samples, dtype=float).reshape(chart.grid_shape + tail)
         return grid_scalar_jet(vals, chart)
     if not callable(func_or_samples):
-        raise TypeError("analytic charts need the potential as a callable")
-    return analytic_scalar_jet(func_or_samples, chart.point[None, :], n, chart.step)
-
-
-def _covector_jets(field, func_or_samples):
-    chart = field.chart
-    n = field.dimension
-    if chart.kind == "periodic-grid":
-        if callable(func_or_samples):
-            pts = chart.sample_points.reshape(chart.grid_shape + (n,))
-            vals = np.asarray(func_or_samples(pts), dtype=float)
-        else:
-            vals = np.asarray(func_or_samples, dtype=float).reshape(chart.grid_shape + (n,))
-        return grid_scalar_jet(vals, chart)
-    if not callable(func_or_samples):
-        raise TypeError("analytic charts need the covector field as a callable")
+        raise TypeError(f"analytic charts need the {what} as a callable")
     return analytic_scalar_jet(func_or_samples, chart.point[None, :], n, chart.step)
 
 
@@ -219,11 +188,11 @@ def soliton_residual(field, data: SolitonData, gradient=True):
     lam = float(data.factor)
 
     if gradient:
-        _, df, d2f = _scalar_jets(field, data.potential)
+        _, df, d2f = _jets(field, data.potential, (), "potential")
         hess = d2f - np.einsum('...lik,...l->...ik', gam, df)
         resid = riem_arr + lam * G + kn_product(hess, g)
     else:
-        V, dV, _ = _covector_jets(field, data.covector)
+        V, dV, _ = _jets(field, data.covector, (field.dimension,), "covector field")
         # nabla_i V_k = d_i V_k - Gamma^m_ik V_m ; dV[..., k, i] = d_i V_k
         nablaV = np.swapaxes(dV, -1, -2) - np.einsum('...mik,...m->...ik', gam, V)
         lie = nablaV + np.swapaxes(nablaV, -1, -2)
@@ -252,12 +221,11 @@ def integrate_linearized_flow(field, h, which, dt, t_end):
     if chart.kind != "periodic-grid":
         raise ValueError("the coupled linearized integration runs on grid charts")
     shape = field.values.shape
+    law = resolve_law(which, field.dimension, 1)
 
     def rhs(gvals, hvals):
         f = MetricField.from_samples(chart, gvals.reshape(shape))
-        vel, _ = _flow_velocity(f, which, {})
-        lin = linearized_flow_rhs(f, hvals, which=which)
-        return vel, lin
+        return law.rate_at(f), linearized_flow_rhs(f, hvals, which=law)
 
     g = field.samples.copy()
     hh = np.asarray(h, dtype=float).reshape(g.shape).copy()

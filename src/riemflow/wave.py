@@ -7,13 +7,16 @@ The tensor wave solves for the metric acceleration in
 where ``a`` is the acceleration, ``k`` the metric velocity and
 ``(k (.) k)_ijkl = k_ik k_jl - k_il k_jk``.  The velocity-quadratic part
 moves to the right-hand side and the same pair-trace inversion as the flow
-applies.  The general scalar-coefficient family
+applies.  The wave laws are rows of the law table in :mod:`riemflow.flow`
+(:func:`~riemflow.flow.resolve_law`): ``riemann-wave`` is the general
+scalar-coefficient family
 
     alpha d2G/dt2 + beta dG/dt + gamma G + delta Riem = 0
 
-degenerates to the first-order flow for ``alpha = 0`` and is integrated with
-the same stepping core, so flow-coefficient runs reproduce flow trajectories
-bit for bit.
+at (alpha=1, delta=2), ``ricci-wave`` is d2g/dt2 = -2 Ric(g), and a
+``general`` law with ``alpha = 0`` resolves to the first-order flow.  Flows
+and waves step with one RK4 system, so the general law reproduces the
+Riemann flow and wave trajectories bit for bit.
 """
 
 import math
@@ -22,32 +25,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .charts import MetricField
-from .curvature import (
-    kn_product,
-    pair_product_from_samples,
-    ricci_scalar_from_arrays,
-    riemann,
-)
-from .errors import (
-    CFLViolated,
-    DegenerateCoefficients,
-    DimensionTooSmall,
-    NoSingularity,
-    PositivityLost,
-)
+from .curvature import riemann
+from .errors import CFLViolated, PositivityLost
 from .flow import (
-    Trajectory,
-    _FlowSystem,
-    _frozen_frame_builder,
-    _ricci_residual,
+    Law,
+    _RK4System,
     _rk4_evolve,
     estimate_singular_time,
     monitor_blow_up,
-    solve_pair_trace,
+    resolve_law,
 )
 
 __all__ = [
-    "WaveState", "ScaleODEState", "ConformalWaveField",
+    "WaveState",
     "riemann_wave_accel", "ricci_wave_accel", "general_form_accel",
     "general_form_residual", "integrate_wave", "constant_curvature_wave_ode",
     "conformally_flat_wave_solve", "monitor_wave_blow_up",
@@ -61,62 +51,14 @@ class WaveState:
     velocity: np.ndarray   # metric velocity samples (S, n, n), or (n, n) frame
 
 
-@dataclass
-class ScaleODEState:
-    scale: float
-    rate: float
-    factor: float     # constant-curvature factor lam
-    initial_rate: float
-
-
-@dataclass
-class ConformalWaveField:
-    """Positive conformal factor on a periodic 1-d spatial grid."""
-
-    u: np.ndarray
-    length: float
-
-    @property
-    def dx(self):
-        return self.length / len(self.u)
-
-
-def _pair_squared(k):
-    return (np.einsum('...ik,...jl->...ijkl', k, k)
-            - np.einsum('...il,...jk->...ijkl', k, k))
-
-
-def _wave_rhs4(g, k, riem_arr, alpha, beta, gamma, delta):
-    """Right-hand side of (a ^ g) = ... for the general second-order law."""
-    out = -2.0 * alpha * _pair_squared(k)
-    if beta != 0.0:
-        out = out - beta * kn_product(k, g)
-    if gamma != 0.0:
-        out = out - gamma * pair_product_from_samples(g)
-    out = out - delta * riem_arr
-    return out / alpha
-
-
 def riemann_wave_accel(field: MetricField, velocity):
     """Metric acceleration solving d2G/dt2 = -2 Riem(g)."""
-    n = field.dimension
-    if n < 3:
-        raise DimensionTooSmall("the tensor wave needs n >= 3")
-    g = field.samples
-    k = np.asarray(velocity, dtype=float).reshape(g.shape)
-    riem_arr = riemann(field).array
-    ginv = np.linalg.inv(g)
-    rhs4 = _wave_rhs4(g, k, riem_arr, 1.0, 0.0, 0.0, 2.0)
-    return solve_pair_trace(g, ginv, rhs4)
+    return resolve_law("riemann-wave", field.dimension, 2).rate_at(field, velocity)
 
 
 def ricci_wave_accel(field: MetricField):
     """-2 Ric(g); same right-hand side as the first-order law."""
-    g = field.samples
-    riem_arr = riemann(field).array
-    ginv = np.linalg.inv(g)
-    ric, _ = ricci_scalar_from_arrays(ginv, riem_arr)
-    return -2.0 * ric
+    return resolve_law("ricci-wave", field.dimension, 2).rate_at(field)
 
 
 def general_form_accel(field: MetricField, velocity, alpha, beta, gamma, delta):
@@ -124,21 +66,9 @@ def general_form_accel(field: MetricField, velocity, alpha, beta, gamma, delta):
     general family.  Raises :class:`DegenerateCoefficients` when both leading
     coefficients vanish; use :func:`general_form_residual` to evaluate the
     algebraic members."""
-    n = field.dimension
-    if n < 3:
-        raise DimensionTooSmall("the general family needs n >= 3")
-    g = field.samples
-    riem_arr = riemann(field).array
-    ginv = np.linalg.inv(g)
-    if alpha != 0.0:
-        k = np.asarray(velocity, dtype=float).reshape(g.shape)
-        rhs4 = _wave_rhs4(g, k, riem_arr, alpha, beta, gamma, delta)
-        return solve_pair_trace(g, ginv, rhs4)
-    if beta != 0.0:
-        G = pair_product_from_samples(g)
-        rhs4 = -(gamma * G + delta * riem_arr) / beta
-        return solve_pair_trace(g, ginv, rhs4)
-    raise DegenerateCoefficients("alpha and beta cannot both vanish")
+    law = resolve_law(("general", {"alpha": alpha, "beta": beta, "gamma": gamma,
+                                   "delta": delta}), field.dimension, 2)
+    return law.rate_at(field, velocity)
 
 
 def general_form_residual(field: MetricField, alpha, beta, gamma, delta,
@@ -149,98 +79,15 @@ def general_form_residual(field: MetricField, alpha, beta, gamma, delta,
     ``gamma G + delta Riem = 0`` (for example ``gamma=1, delta=-1/lam``
     expresses constant curvature).
     """
+    if beta != 0.0 and velocity is None:
+        raise ValueError("beta != 0 needs the metric velocity")
+    if alpha != 0.0 and (velocity is None or acceleration is None):
+        raise ValueError("alpha != 0 needs velocity and acceleration")
     g = field.samples
-    riem_arr = riemann(field).array
-    total = gamma * pair_product_from_samples(g) + delta * riem_arr
-    if beta != 0.0:
-        if velocity is None:
-            raise ValueError("beta != 0 needs the metric velocity")
-        k = np.asarray(velocity, dtype=float).reshape(g.shape)
-        total = total + beta * kn_product(k, g)
-    if alpha != 0.0:
-        if velocity is None or acceleration is None:
-            raise ValueError("alpha != 0 needs velocity and acceleration")
-        k = np.asarray(velocity, dtype=float).reshape(g.shape)
-        a = np.asarray(acceleration, dtype=float).reshape(g.shape)
-        total = total + alpha * (kn_product(a, g) + 2.0 * _pair_squared(k))
-    return float(np.abs(total).max())
-
-
-class _WaveSystem(_FlowSystem):
-    """Second-order state (metric, velocity)."""
-
-    wave = True
-
-    def __init__(self, field, velocity, law, params):
-        super().__init__(field, law, params)
-        g = field.samples
-        k = np.asarray(velocity, dtype=float)
-        if self.grid:
-            k = k.reshape(g.shape)
-            self.state0 = [g.copy(), k.copy()]
-        else:
-            if k.shape == (self.n, self.n):
-                kmat = k
-            else:
-                kmat = k.reshape(g.shape)[0]
-            K0 = self._L0inv @ kmat @ self._L0inv.T
-            self.state0 = [np.eye(self.n), 0.5 * (K0 + K0.T)]
-
-    def velocity_samples(self, state):
-        if self.grid:
-            return state[1]
-        return np.einsum('ab,bc,dc->ad', self._L0, state[1], self._L0)[None]
-
-    def rhs(self, state):
-        fld = self.field_of(state)
-        g = self.metric_samples(state)
-        k = self.velocity_samples(state)
-        riem_arr = riemann(fld).array
-        ginv = np.linalg.inv(g)
-        if self.law == "riemann-wave":
-            rhs4 = _wave_rhs4(g, k, riem_arr, 1.0, 0.0, 0.0, 2.0)
-            acc = solve_pair_trace(g, ginv, rhs4)
-        elif self.law == "ricci-wave":
-            ric, _ = ricci_scalar_from_arrays(ginv, riem_arr)
-            acc = -2.0 * ric
-        elif self.law == "general":
-            alpha = float(self.params.get("alpha", 1.0))
-            beta = float(self.params.get("beta", 0.0))
-            gamma = float(self.params.get("gamma", 0.0))
-            delta = float(self.params.get("delta", 2.0))
-            rhs4 = _wave_rhs4(g, k, riem_arr, alpha, beta, gamma, delta)
-            acc = solve_pair_trace(g, ginv, rhs4)
-        else:
-            raise ValueError(f"unknown wave law {self.law!r}")
-        if self.grid:
-            return [state[1], acc], riem_arr, state[1]
-        dK = self._L0inv @ acc[0] @ self._L0inv.T
-        return [state[1], 0.5 * (dK + dK.T)], riem_arr, self.velocity_samples(state)
-
-    def equation_residual(self, state, g, vel, riem_arr):
-        k = self.velocity_samples(state)
-        ginv = np.linalg.inv(g)
-        if self.law == "riemann-wave":
-            rhs4 = _wave_rhs4(g, k, riem_arr, 1.0, 0.0, 0.0, 2.0)
-            acc = solve_pair_trace(g, ginv, rhs4)
-            resid = kn_product(acc, g) + 2.0 * _pair_squared(k) + 2.0 * riem_arr
-            return float(np.abs(resid).max())
-        if self.law == "ricci-wave":
-            ric, _ = ricci_scalar_from_arrays(ginv, riem_arr)
-            return _ricci_residual(g, -2.0 * ric, riem_arr)
-        if self.law == "general":
-            alpha = float(self.params.get("alpha", 1.0))
-            beta = float(self.params.get("beta", 0.0))
-            gamma = float(self.params.get("gamma", 0.0))
-            delta = float(self.params.get("delta", 2.0))
-            rhs4 = _wave_rhs4(g, k, riem_arr, alpha, beta, gamma, delta)
-            acc = solve_pair_trace(g, ginv, rhs4)
-            total = (alpha * (kn_product(acc, g) + 2.0 * _pair_squared(k))
-                     + beta * kn_product(k, g)
-                     + gamma * pair_product_from_samples(g)
-                     + delta * riem_arr)
-            return float(np.abs(total).max())
-        return float("nan")
+    k, a = (None if x is None else np.asarray(x, dtype=float).reshape(g.shape)
+            for x in (velocity, acceleration))
+    law = Law("general", 2, "family", alpha, beta, gamma, delta)
+    return law.residual(g, k, a, riemann(field).array)
 
 
 def integrate_wave(initial, law, dt, t_end, *, velocity=None, stride=10,
@@ -251,8 +98,8 @@ def integrate_wave(initial, law, dt, t_end, *, velocity=None, stride=10,
     ``initial`` is a :class:`WaveState` or a :class:`MetricField` together
     with a ``velocity`` array (defaulting to zero).  Laws: ``riemann-wave``,
     ``ricci-wave`` or ``('general', {...})``; a general law with
-    ``alpha = 0`` delegates to the first-order core so flow trajectories are
-    reproduced exactly.
+    ``alpha = 0`` is the first-order flow and ignores the velocity, so flow
+    trajectories are reproduced exactly.
     """
     if isinstance(initial, WaveState):
         t0, fld, vel0 = initial.t, initial.field, initial.velocity
@@ -261,19 +108,9 @@ def integrate_wave(initial, law, dt, t_end, *, velocity=None, stride=10,
     if dt <= 0:
         raise ValueError("dt must be positive")
     fld.validate_spd()
-    if isinstance(law, (tuple, list)):
-        law_name, params = law[0], dict(law[1] or {})
-    else:
-        law_name, params = law, {}
-    if law_name == "general" and float(params.get("alpha", 1.0)) == 0.0:
-        if float(params.get("beta", 0.0)) == 0.0:
-            raise DegenerateCoefficients("alpha and beta cannot both vanish")
-        system = _FlowSystem(fld, "general", params)
-        return _rk4_evolve(system, t0, dt, t_end, stride, collapse_threshold,
-                           curvature_cap, max_halvings, cross_check_stride)
     if vel0 is None:
         vel0 = np.zeros_like(fld.samples)
-    system = _WaveSystem(fld, vel0, law_name, params)
+    system = _RK4System(fld, resolve_law(law, fld.dimension, 2), vel0)
     return _rk4_evolve(system, t0, dt, t_end, stride, collapse_threshold,
                        curvature_cap, max_halvings, cross_check_stride)
 
@@ -292,7 +129,6 @@ class ScaleODEResult:
     concave: bool             # scale stayed concave over the recorded span
     polynomial_residual: float  # v^2 + 2 lam / 3; zero iff the closed-form
                                 # quadratic solves the ODE exactly
-    initial: ScaleODEState = None
 
 
 def constant_curvature_wave_ode(lam, v, dt, t_end, record_stride=1):
@@ -373,10 +209,7 @@ def constant_curvature_wave_ode(lam, v, dt, t_end, record_stride=1):
     concave = bool(np.all(np.diff(rates) <= 1e-12))
     return ScaleODEResult(times=times, scales=scales, rates=rates,
                           collapse_time=T, concave=concave,
-                          polynomial_residual=v * v + 2.0 * lam / 3.0,
-                          initial=ScaleODEState(scale=1.0, rate=float(v),
-                                                factor=float(lam),
-                                                initial_rate=float(v)))
+                          polynomial_residual=v * v + 2.0 * lam / 3.0)
 
 
 # ---------------------------------------------------------------------------
@@ -409,10 +242,6 @@ def conformally_flat_wave_solve(u0, u1, dt, t_end, length=None, stride=1,
     nsteps = round(t_end / dt)
     if nsteps < 1 or abs(t_end / dt - nsteps) > 1e-9:
         raise ValueError(f"dt={dt!r} does not divide t_end={t_end!r} into whole steps")
-    if isinstance(u0, ConformalWaveField):
-        if length is None:
-            length = u0.length
-        u0 = u0.u
     u_prev = np.asarray(u0, dtype=float).copy()
     rate0 = np.asarray(u1, dtype=float).copy()
     N = len(u_prev)

@@ -4,9 +4,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import flat_grid_field
 from riemflow.cli import main as cli_main
-from riemflow.errors import ParseError, SchemaError, UnknownFamily
+from riemflow.errors import DegenerateCoefficients, ParseError, SchemaError, UnknownFamily
+from riemflow.flow import integrate_flow
 from riemflow.scenarios import config_from_dict, load_config, run_scenario
+from riemflow.wave import integrate_wave
 
 
 def _write(tmp_path, cfg, name="cfg.json"):
@@ -59,6 +62,63 @@ def test_unknown_family():
 def test_unknown_law():
     with pytest.raises(SchemaError):
         config_from_dict({"family": "flat", "law": "heat-death"})
+
+
+def _rejected_law(law, library_call, match):
+    """The config is refused at load naming the law, and the library call
+    raises ValueError naming the offending parameter."""
+    with pytest.raises(SchemaError) as err:
+        config_from_dict({"family": "flat", "law": law})
+    assert err.value.key == "law"
+    fld, _ = flat_grid_field(3)
+    with pytest.raises(ValueError, match=match):
+        library_call(fld)
+
+
+def test_riemann_flow_rejects_family_parameters():
+    _rejected_law({"name": "riemann-flow", "beta": 1.0, "delta": 2.0},
+                  lambda f: integrate_flow(f, ("riemann-induced", {"beta": 1.0}), 0.1, 0.2),
+                  "beta")
+
+
+def test_ricci_wave_rejects_alpha():
+    _rejected_law({"name": "ricci-wave", "alpha": 2.0},
+                  lambda f: integrate_wave(f, ("ricci-wave", {"alpha": 2.0}), 0.1, 0.2),
+                  "alpha")
+
+
+def test_general_flow_rejects_misspelt_delta():
+    _rejected_law({"name": "general-flow", "beta": 1.0, "detla": 2.0},
+                  lambda f: integrate_flow(f, ("general", {"beta": 1.0, "detla": 2.0}),
+                                           0.1, 0.2),
+                  "detla")
+
+
+def test_general_wave_rejects_misspelt_alpha():
+    _rejected_law({"name": "general", "alhpa": 0.5},
+                  lambda f: integrate_wave(f, ("general", {"alhpa": 0.5}), 0.1, 0.2),
+                  "alhpa")
+
+
+def test_general_flow_needs_beta(tmp_path, capsys):
+    _rejected_law({"name": "general-flow", "delta": 2.0},
+                  lambda f: integrate_flow(f, ("general", {"delta": 2.0}), 0.1, 0.2),
+                  "beta")
+    # the command reports the error instead of dying with a traceback
+    path = _write(tmp_path, _base_cfg(tmp_path, law={"name": "general-flow", "delta": 2.0}))
+    assert cli_main(["run", path]) == 1
+    assert "beta" in capsys.readouterr().err
+
+
+def test_riemann_type_degenerate_beta():
+    # (n-2) + n (1 - beta (n-1)) vanishes at beta = 2/n
+    for n in (3, 4):
+        with pytest.raises(DegenerateCoefficients):
+            config_from_dict({"family": "flat", "chart": {"dimension": n},
+                              "law": {"name": "riemann-type", "beta": 2.0 / n}})
+        fld, _ = flat_grid_field(n)
+        with pytest.raises(DegenerateCoefficients):
+            integrate_flow(fld, ("riemann-type", {"beta": 2.0 / n}), 0.1, 0.2)
 
 
 def test_parse_error(tmp_path):

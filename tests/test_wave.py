@@ -8,6 +8,7 @@ from conftest import (
     sphere_field,
     torus_field,
 )
+from riemflow.charts import AnalyticChart, MetricField
 from riemflow.errors import (
     CFLViolated,
     DegenerateCoefficients,
@@ -15,6 +16,7 @@ from riemflow.errors import (
     NoSingularity,
     PositivityLost,
 )
+from riemflow.families import make_family
 from riemflow.flow import integrate_flow
 from riemflow.wave import (
     conformally_flat_wave_solve,
@@ -77,14 +79,21 @@ def test_wave_dimension_guard():
 # general family
 # ---------------------------------------------------------------------------
 
+def _off_origin_hyperbolic():
+    fam = make_family("hyperbolic-poincare", 3)
+    chart = AnalyticChart(3, [0.1, -0.2, 0.15], 1e-2)
+    return MetricField.from_function(chart, fam.metric_function)
+
+
 def test_general_form_reduces_to_flow_bitwise():
-    fld, _ = torus_field(3, points=8, amplitude=0.08)
-    t1 = integrate_flow(fld, "riemann-induced", 5e-3, 0.05, stride=2)
-    t2 = integrate_wave(fld, ("general", {"alpha": 0.0, "beta": 1.0,
-                                          "gamma": 0.0, "delta": 2.0}),
-                        5e-3, 0.05, stride=2)
-    assert all(np.array_equal(a, b) for a, b in zip(t1.states, t2.states))
-    assert t1.times == t2.times
+    # on a grid and on an off-origin analytic chart
+    for fld in (torus_field(3, points=8, amplitude=0.08)[0], _off_origin_hyperbolic()):
+        t1 = integrate_flow(fld, "riemann-induced", 5e-3, 0.05, stride=2)
+        t2 = integrate_wave(fld, ("general", {"alpha": 0.0, "beta": 1.0,
+                                              "gamma": 0.0, "delta": 2.0}),
+                            5e-3, 0.05, stride=2)
+        assert all(np.array_equal(a, b) for a, b in zip(t1.states, t2.states))
+        assert t1.times == t2.times
 
 
 def test_general_form_reduces_to_wave_bitwise():
@@ -93,6 +102,18 @@ def test_general_form_reduces_to_wave_bitwise():
     a1 = riemann_wave_accel(fld, k)
     a2 = general_form_accel(fld, k, 1.0, 0.0, 0.0, 2.0)
     assert np.array_equal(a1, a2)
+    # whole trajectories from a nonzero velocity, on both chart kinds
+    for fld in (fld, _off_origin_hyperbolic()):
+        k = 0.1 * fld.samples
+        t1 = integrate_wave(fld, "riemann-wave", 5e-3, 0.05, velocity=k, stride=2)
+        t2 = integrate_wave(fld, ("general", {"alpha": 1.0, "delta": 2.0}), 5e-3, 0.05,
+                            velocity=k, stride=2)
+        assert t1.times == t2.times
+        for key in ("states", "velocities", "velocity_states"):
+            assert all(np.array_equal(a, b)
+                       for a, b in zip(getattr(t1, key), getattr(t2, key)))
+        assert all(np.array_equal(t1.diagnostic(d), t2.diagnostic(d), equal_nan=True)
+                   for d in t1.diagnostics)
 
 
 def test_general_form_constant_curvature_residual():
