@@ -5,19 +5,27 @@ Two chart backends are supported:
 * :class:`AnalyticChart` -- a single evaluation point together with a
   user-supplied metric function.  Derivatives are taken with second-order
   central differences at steps ``h`` and ``h/2`` followed by one Richardson
-  extrapolation, which makes the jet fourth-order accurate.
+  extrapolation, which makes the jet fourth-order accurate.  The stencil is
+  built once per ``(n, h)`` and cached (:func:`analytic_stencil`): its
+  1 + 4 n^2 offsets and the index arrays of the +/- points per scale and
+  axis and of the four corner points per scale and axis pair.  One
+  vectorised :func:`richardson_jet` turns stencil values of shape
+  ``(B, P) + tail`` into the jet, taking every difference before dividing
+  so that equal values cancel exactly (a precomputed weight matrix would
+  add weights first and lose that cancellation).
 * :class:`GridChart` -- a periodic grid over a flat torus.  Derivatives are
   taken with fourth-order central stencils and periodic wrap-around, so no
   boundary conditions ever enter.
 
-A :class:`MetricField` couples a chart with metric samples (grid) or a metric
-function (analytic) and produces the 2-jet ``(g, dg, d2g)`` that the curvature
-kernel consumes.  Index conventions for jets: ``dg[..., i, j, k] = d_k g_ij``
-and ``d2g[..., i, j, k, l] = d_k d_l g_ij`` with the derivative pair
-symmetrised.
+A :class:`MetricField` couples a chart with metric samples (grid), a metric
+function (analytic) or metric values at the analytic stencil's points, and
+produces the 2-jet ``(g, dg, d2g)`` that the curvature kernel consumes.
+Index conventions for jets: ``dg[..., i, j, k] = d_k g_ij`` and
+``d2g[..., i, j, k, l] = d_k d_l g_ij`` with the derivative pair symmetrised.
 """
 
 from dataclasses import dataclass, field as dataclass_field
+from functools import lru_cache
 
 import numpy as np
 
@@ -180,10 +188,34 @@ def grid_scalar_jet(values, chart):
 # ---------------------------------------------------------------------------
 
 
-def _analytic_offsets(n, h):
-    """Stencil offsets used by the Richardson jet, shape (P, n)."""
+@dataclass(frozen=True, eq=False)
+class AnalyticStencil:
+    """Richardson stencil of dimension ``n`` and base step ``h``.
+
+    ``offsets`` (P, n), P = 1 + 4 n^2: the centre, then per scale (``h``,
+    ``h/2``) the +/- points of each axis and the (+,+), (+,-), (-,+), (-,-)
+    corners of each axis pair k < l.  ``plus`` and ``minus`` (2, n) and
+    ``corners`` (2, n(n-1)/2, 4) index into it per scale.  The difference
+    quotients come in m = 2n + n(n-1)/2 columns per scale (first derivative
+    per axis, second derivative per axis, mixed derivative per pair) with the
+    denominators ``den`` (2, m); ``hessian`` (n, n) picks each Hessian entry's
+    column.
+    """
+
+    offsets: np.ndarray
+    plus: np.ndarray
+    minus: np.ndarray
+    corners: np.ndarray
+    den: np.ndarray
+    hessian: np.ndarray
+
+
+@lru_cache(maxsize=None)
+def analytic_stencil(n, h):
+    """The cached :class:`AnalyticStencil` of dimension ``n`` and step ``h``."""
+    scales = (h, 0.5 * h)
     offsets = [np.zeros(n)]
-    for scale in (h, 0.5 * h):
+    for scale in scales:
         for k in range(n):
             for s in (+1.0, -1.0):
                 off = np.zeros(n)
@@ -197,7 +229,49 @@ def _analytic_offsets(n, h):
                         off[k] = sk * scale
                         off[l] = sl * scale
                         offsets.append(off)
-    return np.array(offsets)
+    pairs = n * (n - 1) // 2
+    start = 1 + (2 * n + 4 * pairs) * np.arange(2)[:, None]    # first point per scale
+    plus = start + 2 * np.arange(n)
+    corners = (start + 2 * n + 4 * np.arange(pairs))[..., None] + np.arange(4)
+    den = np.array([[2.0 * s] * n + [s * s] * n + [4.0 * s * s] * pairs for s in scales])
+    hessian = np.empty((n, n), dtype=int)
+    hessian[range(n), range(n)] = n + np.arange(n)
+    k, l = np.triu_indices(n, 1)
+    hessian[k, l] = hessian[l, k] = 2 * n + np.arange(pairs)
+    arrays = [np.array(offsets), plus, plus + 1, corners, den, hessian]
+    for a in arrays:
+        a.flags.writeable = False
+    return AnalyticStencil(*arrays)
+
+
+def require_finite(vals, points, offsets):
+    """Raise :class:`StencilOutOfDomain` at the first stencil point
+    ``points[b] + offsets[p]`` whose values ``vals[b, p]`` are not finite."""
+    if not np.all(np.isfinite(vals)):
+        finite = np.isfinite(vals).reshape(vals.shape[0], vals.shape[1], -1).all(axis=-1)
+        b, p = np.argwhere(~finite)[0]
+        raise StencilOutOfDomain(points[b] + offsets[p])
+
+
+def richardson_jet(stencil, vals):
+    """Value, gradient and symmetrised Hessian from values of shape
+    ``(B, P) + tail`` at the points of ``stencil``.
+
+    Second-order central differences at ``h`` and ``h/2`` followed by one
+    Richardson step ``(4 e_2 - e_1) / 3``; the derivative axes come after
+    the tail, as in :func:`grid_scalar_jet`.  The differences are taken
+    before dividing, so that equal values cancel exactly.
+    """
+    v = vals.transpose((0,) + tuple(range(2, vals.ndim)) + (1,))   # (B,) + tail + (P,)
+    fp = v[..., stencil.plus]                                      # (B,) + tail + (2, n)
+    fm = v[..., stencil.minus]
+    c = v[..., stencil.corners]                                    # (B,) + tail + (2, pairs, 4)
+    est = np.concatenate([fp - fm, fp - 2.0 * v[..., :1, None] + fm,
+                          c[..., 0] - c[..., 1] - c[..., 2] + c[..., 3]], axis=-1) / stencil.den
+    r = (4.0 * est[..., 1, :] - est[..., 0, :]) / 3.0
+    n = fp.shape[-1]
+    return (vals[:, 0], np.ascontiguousarray(r[..., :n]),
+            np.ascontiguousarray(r[..., stencil.hessian]))
 
 
 def analytic_scalar_jet(func, points, n, h):
@@ -209,60 +283,10 @@ def analytic_scalar_jet(func, points, n, h):
     :func:`grid_scalar_jet`.
     """
     points = np.asarray(points, dtype=float).reshape(-1, n)
-    offsets = _analytic_offsets(n, h)
-    stencil = points[:, None, :] + offsets[None, :, :]
-    vals = np.asarray(func(stencil), dtype=float)
-    if not np.all(np.isfinite(vals)):
-        finite = np.isfinite(vals).reshape(vals.shape[0], vals.shape[1], -1).all(axis=-1)
-        b, p = np.argwhere(~finite)[0]
-        raise StencilOutOfDomain(stencil[b, p])
-    tail = vals.shape[2:]
-    B = points.shape[0]
-
-    # index map into the offsets table
-    idx = 1
-    plus = {}
-    minus = {}
-    cross = {}
-    for scale_id, scale in enumerate((h, 0.5 * h)):
-        for k in range(n):
-            plus[(scale_id, k)] = idx
-            idx += 1
-            minus[(scale_id, k)] = idx
-            idx += 1
-        for k in range(n):
-            for l in range(k + 1, n):
-                # order: (+,+), (+,-), (-,+), (-,-)
-                cross[(scale_id, k, l)] = idx
-                idx += 4
-
-    g0 = vals[:, 0]
-    d1 = np.empty((B,) + tail + (n,))
-    d2 = np.empty((B,) + tail + (n, n))
-    for k in range(n):
-        est = []
-        est2 = []
-        for scale_id, scale in enumerate((h, 0.5 * h)):
-            fp = vals[:, plus[(scale_id, k)]]
-            fm = vals[:, minus[(scale_id, k)]]
-            est.append((fp - fm) / (2.0 * scale))
-            est2.append((fp - 2.0 * g0 + fm) / (scale * scale))
-        d1[..., k] = (4.0 * est[1] - est[0]) / 3.0
-        d2[..., k, k] = (4.0 * est2[1] - est2[0]) / 3.0
-    for k in range(n):
-        for l in range(k + 1, n):
-            est = []
-            for scale_id, scale in enumerate((h, 0.5 * h)):
-                base = cross[(scale_id, k, l)]
-                fpp = vals[:, base]
-                fpm = vals[:, base + 1]
-                fmp = vals[:, base + 2]
-                fmm = vals[:, base + 3]
-                est.append((fpp - fpm - fmp + fmm) / (4.0 * scale * scale))
-            mixed = (4.0 * est[1] - est[0]) / 3.0
-            d2[..., k, l] = mixed
-            d2[..., l, k] = mixed
-    return g0, d1, d2
+    stencil = analytic_stencil(n, h)
+    vals = np.asarray(func(points[:, None, :] + stencil.offsets[None, :, :]), dtype=float)
+    require_finite(vals, points, stencil.offsets)
+    return richardson_jet(stencil, vals)
 
 
 # ---------------------------------------------------------------------------
@@ -274,8 +298,10 @@ def analytic_scalar_jet(func, points, n, h):
 class MetricField:
     """Metric components attached to a chart.
 
-    Use :meth:`from_function` for closed-form metrics (both chart kinds) or
-    :meth:`from_samples` for component arrays on a grid chart.
+    Use :meth:`from_function` for closed-form metrics (both chart kinds),
+    :meth:`from_samples` for component arrays on a grid chart, or
+    :meth:`from_stencil_values` for components already evaluated at an
+    analytic chart's stencil points.
     """
 
     chart: object
@@ -304,6 +330,18 @@ class MetricField:
             raise ValueError(f"samples have shape {values.shape}, expected {expected}")
         return cls(chart=chart, values=values)
 
+    @classmethod
+    def from_stencil_values(cls, chart, values):
+        """Analytic-chart field from components at the points of the chart's
+        :func:`analytic_stencil`, shape (P, n, n), centre first."""
+        if chart.kind != "analytic-point":
+            raise ValueError("stencil values need an analytic chart; use from_samples")
+        n = chart.dimension
+        expected = (len(analytic_stencil(n, chart.step).offsets), n, n)
+        if values.shape != expected:
+            raise ValueError(f"stencil values have shape {values.shape}, expected {expected}")
+        return cls(chart=chart, values=values)
+
     @property
     def dimension(self):
         return self.chart.dimension
@@ -315,6 +353,8 @@ class MetricField:
             n = self.dimension
             if self.chart.kind == "periodic-grid":
                 self._samples = self.values.reshape(-1, n, n)
+            elif self.func is None:
+                self._samples = self.values[:1]
             else:
                 pt = self.chart.point
                 self._samples = np.asarray(self.func(pt[None, :]), dtype=float).reshape(1, n, n)
@@ -337,13 +377,15 @@ class MetricField:
         n = self.dimension
         if self.chart.kind == "periodic-grid":
             return grid_scalar_jet(self.values, self.chart)
-        g0, d1, d2 = analytic_scalar_jet(
-            self.func, self.chart.point[None, :], n, self.chart.step
-        )
-        return g0, d1, d2
+        point = self.chart.point[None, :]
+        if self.func is not None:
+            return analytic_scalar_jet(self.func, point, n, self.chart.step)
+        stencil = analytic_stencil(n, self.chart.step)
+        require_finite(self.values[None], point, stencil.offsets)
+        return richardson_jet(stencil, self.values[None])
 
     def jets_at(self, points):
         """Analytic-chart jets at arbitrary points (reference computations)."""
-        if self.chart.kind != "analytic-point":
-            raise ValueError("jets_at is only available on analytic charts")
+        if self.chart.kind != "analytic-point" or self.func is None:
+            raise ValueError("jets_at needs an analytic chart with a metric function")
         return analytic_scalar_jet(self.func, points, self.dimension, self.chart.step)

@@ -32,13 +32,12 @@ scenario); general inhomogeneous dynamics belong on grid charts.
 """
 
 import math
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .bialternate import recover_metric
-from .charts import MetricField
+from .charts import MetricField, analytic_stencil, require_finite
 from .curvature import (
     kn_product,
     pair_product_from_samples,
@@ -51,6 +50,7 @@ from .errors import (
     DegenerateCoefficients,
     DimensionTooSmall,
     EmptyTrajectory,
+    NotInImage,
     NoSingularity,
     StepRejected,
 )
@@ -135,6 +135,14 @@ class Law:
     def lead(self):
         """The coefficient of the highest time derivative."""
         return self.alpha if self.order == 2 else self.beta
+
+    @property
+    def pair_rate_factor(self):
+        """c in dG/dt = c Riem, for first-order family laws with gamma = 0;
+        ``None`` for the laws whose pair product has no such rate."""
+        if self.kind == "family" and self.order == 1 and self.gamma == 0.0:
+            return -(self.delta / self.beta)
+        return None
 
     def rate(self, g, k, riem):
         """Metric velocity (order 1) or acceleration (order 2) at metric
@@ -321,7 +329,12 @@ class Trajectory:
     diagnostics: dict
     termination: str = "t_end"
     wave: bool = False
-    velocity_states: list = dataclass_field(default_factory=list)  # wave only
+
+    @property
+    def velocity_states(self):
+        """Velocity samples at records for a wave run (they are
+        :attr:`velocities`), empty for a flow."""
+        return self.velocities if self.wave else []
 
     @property
     def initial_samples(self):
@@ -341,15 +354,23 @@ def _relative_eigenvalues(g_samples, L0inv):
     return np.linalg.eigvalsh(M)
 
 
-def _frozen_frame_builder(chart, base_func):
-    """Field builder for analytic charts: g_Y(x) = L0(x) Y L0(x)^T."""
+def _frozen_frame_builder(field):
+    """Field builder for an analytic chart: g_Y(x) = L0(x) Y L0(x)^T at the
+    points of the chart's stencil, with ``L0`` taken there once from
+    ``field``."""
+    chart = field.chart
+    stencil = analytic_stencil(chart.dimension, chart.step)
+    point = chart.point[None, :]
+    if field.func is None:
+        g0 = field.values[None]
+    else:
+        g0 = np.asarray(field.func(point[:, None, :] + stencil.offsets[None, :, :]),
+                        dtype=float)
+    require_finite(g0, point, stencil.offsets)
+    L = np.linalg.cholesky(g0[0])
 
     def build(Y):
-        def metric(x):
-            g0 = np.asarray(base_func(x), dtype=float)
-            L = np.linalg.cholesky(g0)
-            return np.einsum('...ab,bc,...dc->...ad', L, Y, L)
-        return MetricField.from_function(chart, metric)
+        return MetricField.from_stencil_values(chart, np.einsum('pab,bc,pdc->pad', L, Y, L))
 
     return build
 
@@ -373,7 +394,7 @@ class _RK4System:
         if self.grid:
             self.state0 = [g.copy()]
         else:
-            self._build = _frozen_frame_builder(self.chart, field.func)
+            self._build = _frozen_frame_builder(field)
             self._L0 = np.linalg.cholesky(g[0])
             self._L0inv = np.linalg.inv(self._L0)
             self.state0 = [np.eye(self.n)]
@@ -442,8 +463,12 @@ def integrate_flow(initial, law, dt, t_end, *, stride=10,
     curvature_cap : float, optional
         Stop with ``curvature_cap`` termination when sup |Riem| exceeds it.
     cross_check_stride : int, optional
-        Every so many records, also evolve the pair product directly and
-        confirm the recovered metric agrees with the evolved one.
+        Every so many records, also evolve the pair product directly, at
+        dG/dt = -(delta/beta) Riem, and record how far the metric recovered
+        from it is from the evolved one (``inf`` when the recovery fails).
+        Only first-order family laws with gamma = 0 (``riemann-induced`` and
+        such ``general`` laws) give the pair product that rate; any other law
+        raises ``ValueError``.
     """
     if isinstance(initial, FlowState):
         t0, fld = initial.t, initial.field
@@ -459,6 +484,10 @@ def integrate_flow(initial, law, dt, t_end, *, stride=10,
 
 def _rk4_evolve(system, t0, dt_base, t_end, stride, collapse_threshold,
                 curvature_cap, max_halvings, cross_check_stride):
+    pair_rate = system.law.pair_rate_factor
+    if cross_check_stride and pair_rate is None:
+        raise ValueError(f"cross_check_stride needs a first-order family law with gamma = 0; "
+                         f"law {system.law.name!r} gives the pair product no rate c Riem")
     state = [a.copy() for a in system.state0]
     g0 = system.samples(state).copy()
     L0inv = _rel_eig_factors(g0)
@@ -477,8 +506,11 @@ def _rk4_evolve(system, t0, dt_base, t_end, stride, collapse_threshold,
         cross_G = pair_product_from_samples(g0).copy()
 
     def record(t, state):
+        """Append a record of ``state``; returns sup |Riem|, the smallest
+        relative eigenvalue and the state's rhs, which the next step reuses."""
         g = system.samples(state)
-        _, riem_arr, rate = system.rhs(state)
+        first = system.rhs(state)
+        _, riem_arr, rate = first
         k = system.samples(state, 1) if system.wave else None
         ginv = np.linalg.inv(g)
         ric, scal = ricci_scalar_from_arrays(ginv, riem_arr)
@@ -488,8 +520,6 @@ def _rk4_evolve(system, t0, dt_base, t_end, stride, collapse_threshold,
         traj.times.append(t)
         traj.states.append(g.copy())
         traj.velocities.append((rate if k is None else k).copy())
-        if system.wave:
-            traj.velocity_states.append(k.copy())
         d = traj.diagnostics
         d["f_est"].append(float(np.mean((np.linalg.det(g) / det0) ** (1.0 / n))))
         d["min_rel_eig"].append(float(rel.min()))
@@ -503,14 +533,20 @@ def _rk4_evolve(system, t0, dt_base, t_end, stride, collapse_threshold,
         if cross_G is not None and (len(traj.times) - 1) % cross_check_stride == 0:
             err = 0.0
             for s in range(g.shape[0]):
-                rec = recover_metric(cross_G[s], n)
+                try:
+                    rec = recover_metric(cross_G[s], n)
+                except NotInImage:
+                    err = math.inf
+                    break
                 err = max(err, float(np.abs(rec - g[s]).max()))
             d["cross_check_error"].append(err)
         else:
             d["cross_check_error"].append(float("nan"))
-        return float(riem_norm.max()), float(rel.min())
+        return float(riem_norm.max()), float(rel.min()), first
 
-    sup_riem, min_rel = record(t0, state)
+    # ``first`` is the rhs at ``state`` once known, so that neither a record
+    # nor a halving retry evaluates it twice
+    sup_riem, min_rel, first = record(t0, state)
     t = t0
     steps = 0
     dt_cur = dt_base
@@ -519,7 +555,8 @@ def _rk4_evolve(system, t0, dt_base, t_end, stride, collapse_threshold,
         dt = min(dt_cur, t_end - t)
         halvings = 0
         while True:
-            ok, new_state, cross_new = _rk4_step(system, state, dt, cross_G)
+            ok, new_state, cross_new, first = _rk4_step(system, state, dt, cross_G,
+                                                        pair_rate, first)
             if ok:
                 break
             halvings += 1
@@ -535,6 +572,7 @@ def _rk4_evolve(system, t0, dt_base, t_end, stride, collapse_threshold,
         if termination == "collapse":
             break
         state = new_state
+        first = None
         cross_G = cross_new
         t += dt
         steps += 1
@@ -545,7 +583,7 @@ def _rk4_evolve(system, t0, dt_base, t_end, stride, collapse_threshold,
         near_collapse = min_rel < max(0.1, 1e3 * collapse_threshold)
         if (steps % stride == 0 or near_collapse or t >= t_end - 1e-14
                 or min_rel < collapse_threshold):
-            sup_riem, min_rel = record(t, state)
+            sup_riem, min_rel, first = record(t, state)
         if min_rel < collapse_threshold:
             termination = "collapse"
             break
@@ -558,35 +596,42 @@ def _rk4_evolve(system, t0, dt_base, t_end, stride, collapse_threshold,
     return traj
 
 
-def _rk4_step(system, state, dt, cross_G):
-    """One classical RK4 step with a positivity guard on every stage."""
+def _rk4_step(system, state, dt, cross_G, pair_rate, first=None):
+    """One classical RK4 step with a positivity guard on every stage.
+
+    ``first`` is ``system.rhs(state)`` when already known.  Returns (ok, new
+    state, new pair product, ``first``), the last ``None`` when computing it
+    failed.  The pair product ``cross_G`` advances at ``pair_rate`` Riem.
+    """
     try:
-        k1, r1, _ = system.rhs(state)
+        if first is None:
+            first = system.rhs(state)
+        k1, r1, _ = first
         s2 = [y + 0.5 * dt * k for y, k in zip(state, k1)]
         if not system.spd_ok(s2):
-            return False, None, None
+            return False, None, None, first
         k2, r2, _ = system.rhs(s2)
         s3 = [y + 0.5 * dt * k for y, k in zip(state, k2)]
         if not system.spd_ok(s3):
-            return False, None, None
+            return False, None, None, first
         k3, r3, _ = system.rhs(s3)
         s4 = [y + dt * k for y, k in zip(state, k3)]
         if not system.spd_ok(s4):
-            return False, None, None
+            return False, None, None, first
         k4, r4, _ = system.rhs(s4)
         new = [y + dt / 6.0 * (a + 2.0 * b + 2.0 * c + d)
                for y, a, b, c, d in zip(state, k1, k2, k3, k4)]
         if not system.spd_ok(new):
-            return False, None, None
+            return False, None, None, first
     except (np.linalg.LinAlgError, FloatingPointError):
-        return False, None, None
+        return False, None, None, first
     if not all(np.all(np.isfinite(a)) for a in new):
-        return False, None, None
+        return False, None, None, first
     cross_new = cross_G
     if cross_G is not None:
         # pair product evolved directly with the same stage curvatures
-        cross_new = cross_G + dt / 6.0 * (-2.0) * (r1 + 2.0 * r2 + 2.0 * r3 + r4)
-    return True, new, cross_new
+        cross_new = cross_G + dt / 6.0 * pair_rate * (r1 + 2.0 * r2 + 2.0 * r3 + r4)
+    return True, new, cross_new, first
 
 
 # ---------------------------------------------------------------------------
@@ -710,6 +755,10 @@ def _three_point_singular_time(t, f):
         a12 = (math.log(f1) - math.log(f2)) / (math.log(T - t1) - math.log(T - t2))
         a23 = (math.log(f2) - math.log(f3)) / (math.log(T - t2) - math.log(T - t3))
         return a12 - a23
+
+    # imported here, not at module level: scipy is the library's only use of
+    # it and would more than double the start-up time of the CLI
+    from scipy.optimize import brentq
 
     lo = t3 + 1e-15 * max(1.0, abs(t3))
     hi = max(newton * 2.0, t3 + 10.0 * (t3 - t1))

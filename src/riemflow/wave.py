@@ -99,7 +99,9 @@ def integrate_wave(initial, law, dt, t_end, *, velocity=None, stride=10,
     with a ``velocity`` array (defaulting to zero).  Laws: ``riemann-wave``,
     ``ricci-wave`` or ``('general', {...})``; a general law with
     ``alpha = 0`` is the first-order flow and ignores the velocity, so flow
-    trajectories are reproduced exactly.
+    trajectories are reproduced exactly.  ``cross_check_stride`` is refused
+    with ``ValueError`` unless the law resolves to such a flow with
+    ``gamma = 0`` (see :func:`riemflow.flow.integrate_flow`).
     """
     if isinstance(initial, WaveState):
         t0, fld, vel0 = initial.t, initial.field, initial.velocity

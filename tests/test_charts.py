@@ -6,6 +6,7 @@ from riemflow.charts import (
     GridChart,
     MetricField,
     analytic_scalar_jet,
+    analytic_stencil,
     grid_scalar_jet,
 )
 from riemflow.errors import NotPositiveDefinite, StencilOutOfDomain
@@ -129,3 +130,115 @@ def test_jets_at_matches_chart_point():
     g0b, d1b, d2b = fld.jets_at(np.array([[0.3, -0.2], [0.0, 0.0]]))
     assert np.array_equal(g0[0], g0b[0])
     assert np.array_equal(d2[0], d2b[0])
+
+
+# ---------------------------------------------------------------------------
+# the cached Richardson stencil against the loop implementation it replaced
+# ---------------------------------------------------------------------------
+
+
+def _loop_offsets(n, h):
+    offsets = [np.zeros(n)]
+    for scale in (h, 0.5 * h):
+        for k in range(n):
+            for s in (+1.0, -1.0):
+                off = np.zeros(n)
+                off[k] = s * scale
+                offsets.append(off)
+        for k in range(n):
+            for l in range(k + 1, n):
+                for sk in (+1.0, -1.0):
+                    for sl in (+1.0, -1.0):
+                        off = np.zeros(n)
+                        off[k] = sk * scale
+                        off[l] = sl * scale
+                        offsets.append(off)
+    return np.array(offsets)
+
+
+def _loop_jet(func, points, n, h):
+    """The per-axis, per-pair loop form of the Richardson jet (the oracle)."""
+    stencil = points[:, None, :] + _loop_offsets(n, h)[None, :, :]
+    vals = np.asarray(func(stencil), dtype=float)
+    tail = vals.shape[2:]
+    B = points.shape[0]
+    idx = 1
+    plus, minus, cross = {}, {}, {}
+    for scale_id in range(2):
+        for k in range(n):
+            plus[(scale_id, k)] = idx
+            minus[(scale_id, k)] = idx + 1
+            idx += 2
+        for k in range(n):
+            for l in range(k + 1, n):
+                cross[(scale_id, k, l)] = idx
+                idx += 4
+    g0 = vals[:, 0]
+    d1 = np.empty((B,) + tail + (n,))
+    d2 = np.empty((B,) + tail + (n, n))
+    for k in range(n):
+        est, est2 = [], []
+        for scale_id, scale in enumerate((h, 0.5 * h)):
+            fp = vals[:, plus[(scale_id, k)]]
+            fm = vals[:, minus[(scale_id, k)]]
+            est.append((fp - fm) / (2.0 * scale))
+            est2.append((fp - 2.0 * g0 + fm) / (scale * scale))
+        d1[..., k] = (4.0 * est[1] - est[0]) / 3.0
+        d2[..., k, k] = (4.0 * est2[1] - est2[0]) / 3.0
+    for k in range(n):
+        for l in range(k + 1, n):
+            est = []
+            for scale_id, scale in enumerate((h, 0.5 * h)):
+                base = cross[(scale_id, k, l)]
+                est.append((vals[:, base] - vals[:, base + 1] - vals[:, base + 2]
+                            + vals[:, base + 3]) / (4.0 * scale * scale))
+            d2[..., k, l] = d2[..., l, k] = (4.0 * est[1] - est[0]) / 3.0
+    return g0, d1, d2
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_stencil_jet_bitwise_equals_loop_oracle(n):
+    rng = np.random.default_rng(n)
+    A = rng.normal(size=(n, n, n))
+    c = rng.normal(size=(n, n))
+    tails = {(): lambda x: np.sin(x @ A[0, 0]) * np.exp(x @ c[0]),
+             (n,): lambda x: np.cos(x @ A[0] + c[0]) + (x @ c[1])[..., None] ** 3,
+             (n, n): lambda x: np.exp(0.3 * np.einsum('...k,abk->...ab', x, A)) + np.eye(n)}
+    for B in (1, 3):
+        points = rng.uniform(-0.4, 0.4, size=(B, n))
+        for tail, func in tails.items():
+            got = analytic_scalar_jet(func, points, n, 0.03)
+            want = _loop_jet(func, points, n, 0.03)
+            assert [a.shape for a in got] == [(B,) + tail + (n,) * k for k in range(3)]
+            for a, b in zip(got, want):
+                assert np.array_equal(a, b)
+
+
+def test_stencil_is_cached_and_read_only():
+    st = analytic_stencil(3, 1e-2)
+    assert analytic_stencil(3, 1e-2) is st
+    assert np.array_equal(st.offsets, _loop_offsets(3, 1e-2))
+    with pytest.raises(ValueError):
+        st.offsets[0, 0] = 1.0
+
+
+def test_stencil_values_field_matches_function_field():
+    def g(x):
+        x = np.asarray(x)
+        r2 = np.sum(x * x, axis=-1)
+        return (4.0 / (1.0 + r2) ** 2)[..., None, None] * np.eye(3) + 0.1 * x[..., :, None] * x[..., None, :]
+
+    chart = AnalyticChart(3, [0.3, -0.2, 0.1], 1e-2)
+    stencil = analytic_stencil(3, 1e-2)
+    fld = MetricField.from_function(chart, g)
+    sv = MetricField.from_stencil_values(chart, g(chart.point + stencil.offsets))
+    assert np.array_equal(sv.samples, sv.values[:1])
+    for a, b in zip(fld.jets(), sv.jets()):
+        assert np.array_equal(a, b)
+    with pytest.raises(ValueError):
+        MetricField.from_stencil_values(chart, sv.values[1:])
+    bad = sv.values.copy()
+    bad[5, 0, 0] = np.nan
+    with pytest.raises(StencilOutOfDomain) as err:
+        MetricField.from_stencil_values(chart, bad).jets()
+    assert np.array_equal(err.value.point, chart.point + stencil.offsets[5])

@@ -6,15 +6,23 @@ from conftest import (
     SPHERE_FACTOR,
     flat_grid_field,
     hyperbolic_field,
+    rand_spd,
     sphere_field,
     torus_field,
 )
 from riemflow.bialternate import bialternate_product
-from riemflow.charts import GridChart, MetricField
+from riemflow import flow
+from riemflow.charts import AnalyticChart, GridChart, MetricField, analytic_stencil
 from riemflow.curvature import riemann, weyl
-from riemflow.errors import DimensionTooSmall, EmptyTrajectory, NoSingularity
+from riemflow.errors import (
+    DimensionTooSmall,
+    EmptyTrajectory,
+    NoSingularity,
+    StencilOutOfDomain,
+)
 from riemflow.families import make_family
 from riemflow.flow import (
+    _frozen_frame_builder,
     check_metric_equivalence,
     homothety_flow_solution,
     induced_riemann_flow_rhs,
@@ -24,6 +32,7 @@ from riemflow.flow import (
     riemann_flow_residual,
     riemann_type_flow_rhs,
 )
+from riemflow.wave import integrate_wave
 
 
 # ---------------------------------------------------------------------------
@@ -295,3 +304,133 @@ def test_sandwich_negative_control():
 def test_sandwich_empty_trajectory():
     with pytest.raises(EmptyTrajectory):
         check_metric_equivalence(_FakeTrajectory([], []), m=1.0)
+
+
+# ---------------------------------------------------------------------------
+# analytic-chart frozen frame
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("family", ["hyperbolic-poincare", "sphere-stereographic"])
+def test_frozen_frame_field_matches_function_field(family):
+    # the stencil-valued field built from L0 taken once gives the curvature
+    # of the closed-form field L0(x) Y L0(x)^T bit for bit
+    fam = make_family(family, 3)
+    chart = AnalyticChart(3, [0.1, -0.2, 0.15], 1e-2)
+    build = _frozen_frame_builder(MetricField.from_function(chart, fam.metric_function))
+    rng = np.random.default_rng(5)
+    for _ in range(3):
+        Y = rand_spd(3, rng)
+
+        def metric(x, Y=Y):
+            L = np.linalg.cholesky(np.asarray(fam.metric_function(x), dtype=float))
+            return np.einsum('...ab,bc,...dc->...ad', L, Y, L)
+
+        ref = MetricField.from_function(chart, metric)
+        got = build(Y)
+        assert np.array_equal(got.samples, ref.samples)
+        assert np.array_equal(riemann(got).array, riemann(ref).array)
+
+
+def test_flow_from_stencil_values_field():
+    # a field given by its stencil values runs as the closed-form field does
+    fam = make_family("hyperbolic-poincare", 3)
+    chart = AnalyticChart(3, [0.1, -0.2, 0.15], 1e-2)
+    fld = MetricField.from_function(chart, fam.metric_function)
+    values = fam.metric_function(chart.point + analytic_stencil(3, 1e-2).offsets)
+    sv = MetricField.from_stencil_values(chart, values)
+    t1 = integrate_flow(fld, "riemann-induced", 5e-3, 0.05, stride=2)
+    t2 = integrate_flow(sv, "riemann-induced", 5e-3, 0.05, stride=2)
+    assert t1.times == t2.times
+    assert all(np.array_equal(a, b) for a, b in zip(t1.states, t2.states))
+
+
+def _ball_metric(x):
+    x = np.asarray(x)
+    r2 = np.sum(x * x, axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = (4.0 / (1.0 - r2) ** 2)[..., None, None] * np.eye(3)
+    return np.where(r2[..., None, None] < 1.0, out, np.nan)
+
+
+def test_stencil_out_of_domain_in_time_loop():
+    # the centre lies in the ball, a stencil point at x1 = 1.005 does not
+    fld = MetricField.from_function(AnalyticChart(3, [0.995, 0.0, 0.0], 1e-2), _ball_metric)
+    for run in (lambda: integrate_flow(fld, "ricci", 1e-3, 0.01),
+                lambda: integrate_wave(fld, "riemann-wave", 1e-3, 0.01)):
+        with pytest.raises(StencilOutOfDomain) as err:
+            run()
+        assert err.value.point[0] == pytest.approx(1.005)
+
+
+# ---------------------------------------------------------------------------
+# the step loop
+# ---------------------------------------------------------------------------
+
+
+def test_each_state_rhs_evaluated_once(monkeypatch):
+    # a record's rhs is the next step's first stage: with every step recorded
+    # and no halving, N steps cost 4 N + 1 curvature evaluations, not 5 N + 1
+    calls = []
+    monkeypatch.setattr(flow, "riemann", lambda f: calls.append(1) or riemann(f))
+    fld, _ = hyperbolic_field(3)
+    traj = integrate_flow(fld, "riemann-induced", 1e-3, 0.02, stride=1)
+    assert len(traj.times) == 21
+    assert len(calls) == 4 * 20 + 1
+
+
+def test_failed_first_stage_is_a_failed_step():
+    class Failing:
+        def rhs(self, state):
+            raise np.linalg.LinAlgError("singular")
+
+    assert flow._rk4_step(Failing(), [np.eye(3)], 1e-3, None, None) == (False, None, None, None)
+
+
+def test_velocity_states_are_the_wave_velocities():
+    fld, _ = hyperbolic_field(3)
+    flow_traj = integrate_flow(fld, "riemann-induced", 5e-3, 0.02, stride=1)
+    assert flow_traj.velocity_states == []
+    wave_traj = integrate_wave(fld, "riemann-wave", 5e-3, 0.02, velocity=0.1 * fld.samples,
+                               stride=1)
+    assert wave_traj.velocity_states is wave_traj.velocities
+
+
+# ---------------------------------------------------------------------------
+# pair-product cross-check
+# ---------------------------------------------------------------------------
+
+
+def test_cross_check_refused_for_laws_without_a_pair_rate():
+    fld, _ = hyperbolic_field(3)
+    for law in ("ricci", "riemann-type", ("general", {"beta": 1.0, "gamma": 0.5, "delta": 2.0})):
+        with pytest.raises(ValueError, match="cross_check_stride"):
+            integrate_flow(fld, law, 1e-3, 0.1, cross_check_stride=5)
+    for law in ("riemann-wave", "ricci-wave", ("general", {"alpha": 1.0, "delta": 2.0})):
+        with pytest.raises(ValueError, match="cross_check_stride"):
+            integrate_wave(fld, law, 1e-3, 0.5, cross_check_stride=5)
+
+
+def test_cross_check_uses_the_law_rate():
+    # beta dG/dt + delta Riem = 0 moves G at -(delta/beta) Riem, not -2 Riem;
+    # a general wave with alpha = 0 is that flow and may be cross-checked
+    fld, _ = hyperbolic_field(3)
+    law = ("general", {"beta": 1.3, "delta": 2.0})
+    traj = integrate_flow(fld, law, 1e-3, 0.3, stride=10, cross_check_stride=2)
+    cc = traj.diagnostic("cross_check_error")
+    assert np.isfinite(cc).sum() >= 10
+    assert np.nanmax(cc) < 1e-8
+    wave_law = ("general", {"alpha": 0.0, "beta": 1.3, "delta": 2.0})
+    wave_traj = integrate_wave(fld, wave_law, 1e-3, 0.3, stride=10, cross_check_stride=2)
+    assert np.array_equal(wave_traj.diagnostic("cross_check_error"), cc, equal_nan=True)
+
+
+def test_cross_check_failed_recovery_recorded_as_inf():
+    # at the collapse record the evolved pair product has left the image of
+    # the pair product map; the run still ends with "collapse"
+    fld, _ = hyperbolic_field(3)
+    traj = integrate_flow(fld, "riemann-induced", 2e-3, 2.0, stride=10, cross_check_stride=1)
+    assert traj.termination == "collapse"
+    cc = traj.diagnostic("cross_check_error")
+    assert np.isinf(cc).any()
+    assert np.all(cc[traj.diagnostic("min_rel_eig") > 1e-2] < 1e-8)

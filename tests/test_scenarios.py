@@ -303,3 +303,18 @@ def test_configs_directory_loads():
     for path in paths:
         cfg = load_config(path)
         assert cfg.dt > 0
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    # scipy.optimize is loaded only when a singular time is fitted
+    import os
+    import subprocess
+    import sys
+
+    import riemflow
+    src = os.path.dirname(os.path.dirname(os.path.abspath(riemflow.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c",
+                          "import sys, riemflow.cli; print('scipy.optimize' in sys.modules)"],
+                         env=env, capture_output=True, text=True, timeout=120, check=True)
+    assert out.stdout.strip() == "False"
