@@ -17,7 +17,6 @@ from .bialternate import (
 from .charts import AnalyticChart, GridChart, MetricField
 from .curvature import (
     ConnectionField,
-    CurvatureBound,
     CurvatureTensor,
     christoffel,
     inverse_metric,

@@ -15,11 +15,17 @@ Two chart backends are supported:
   add weights first and lose that cancellation).
 * :class:`GridChart` -- a periodic grid over a flat torus.  Derivatives are
   taken with fourth-order central stencils and periodic wrap-around, so no
-  boundary conditions ever enter.
+  boundary conditions ever enter.  The +/-1 and +/-2 shifts along an axis
+  are slices of one copy padded with two periodic layers per side, shared
+  by that axis's first and second derivative.
 
 A :class:`MetricField` couples a chart with metric samples (grid), a metric
 function (analytic) or metric values at the analytic stencil's points, and
-produces the 2-jet ``(g, dg, d2g)`` that the curvature kernel consumes.
+produces the 2-jet ``(g, dg, d2g)`` that the curvature kernel consumes.  On
+grids the jet differentiates only the n(n+1)/2 components ``g_ij``,
+``i <= j``, and mirrors them.  A field checks positivity with one batched
+Cholesky (:func:`require_spd`; eigenvalues only on failure, to name the
+worst sample) and inverts its metric once (:attr:`MetricField.inverse`).
 Index conventions for jets: ``dg[..., i, j, k] = d_k g_ij`` and
 ``d2g[..., i, j, k, l] = d_k d_l g_ij`` with the derivative pair symmetrised.
 """
@@ -142,39 +148,46 @@ class GridChart:
 # ---------------------------------------------------------------------------
 
 
-def _grid_d1(values, axis, h):
-    """Fourth-order periodic first derivative along a grid axis."""
-    def sh(s):
-        return np.roll(values, -s, axis=axis)
+def _periodic_shifts(values, axis):
+    """``s -> np.roll(values, -s, axis)`` for ``|s| <= 2``, as views of one
+    copy of ``values`` padded with two periodic layers on each side of
+    ``axis``."""
+    N = values.shape[axis]
+    lead = (slice(None),) * axis
+    padded = np.concatenate([values[lead + (slice(N - 2, N),)], values,
+                             values[lead + (slice(0, 2),)]], axis=axis)
+    return lambda s: padded[lead + (slice(2 + s, 2 + s + N),)]
 
+
+def _grid_d1(sh, h):
+    """Fourth-order periodic first derivative from the shifts ``sh`` of
+    :func:`_periodic_shifts`."""
     return (-sh(2) + 8.0 * sh(1) - 8.0 * sh(-1) + sh(-2)) / (12.0 * h)
 
 
-def _grid_d2(values, axis, h):
-    """Fourth-order periodic pure second derivative along a grid axis."""
-    def sh(s):
-        return np.roll(values, -s, axis=axis)
-
-    return (-sh(2) + 16.0 * sh(1) - 30.0 * values + 16.0 * sh(-1) - sh(-2)) / (12.0 * h * h)
+def _grid_d2(sh, h):
+    """Fourth-order periodic pure second derivative from the shifts ``sh``."""
+    return (-sh(2) + 16.0 * sh(1) - 30.0 * sh(0) + 16.0 * sh(-1) - sh(-2)) / (12.0 * h * h)
 
 
 def grid_scalar_jet(values, chart):
     """Value, gradient and symmetrised Hessian of grid-sampled components.
 
     ``values`` has shape ``grid_shape + tail``; the returned derivative arrays
-    append one (resp. two) axes of length ``n`` after the tail.
+    append one (resp. two) axes of length ``n`` after the tail.  Each axis is
+    padded once and shared by its first and second derivative.
     """
     n = chart.dimension
     hs = chart.spacings
     tail = values.shape[n:]
     d1 = np.empty(values.shape + (n,))
-    for a in range(n):
-        d1[..., a] = _grid_d1(values, a, hs[a])
     d2 = np.empty(values.shape + (n, n))
     for a in range(n):
-        d2[..., a, a] = _grid_d2(values, a, hs[a])
+        sh = _periodic_shifts(values, a)
+        d1[..., a] = _grid_d1(sh, hs[a])
+        d2[..., a, a] = _grid_d2(sh, hs[a])
         for b in range(a + 1, n):
-            mixed = _grid_d1(d1[..., a], b, hs[b])
+            mixed = _grid_d1(_periodic_shifts(d1[..., a], b), hs[b])
             d2[..., a, b] = mixed
             d2[..., b, a] = mixed
     flat = (chart.sample_count,) + tail
@@ -294,6 +307,35 @@ def analytic_scalar_jet(func, points, n, h):
 # ---------------------------------------------------------------------------
 
 
+def require_spd(g):
+    """Raise :class:`NotPositiveDefinite` unless every matrix of the stack
+    ``g`` (..., n, n) has a Cholesky factor.
+
+    The positivity test is the batched Cholesky alone.  Only when it fails
+    are the eigenvalues computed, to name the sample with the smallest one.
+    """
+    try:
+        np.linalg.cholesky(g)
+    except np.linalg.LinAlgError:
+        n = g.shape[-1]
+        w = np.linalg.eigvalsh(g.reshape(-1, n, n))[:, 0]
+        worst = int(np.argmin(w))
+        raise NotPositiveDefinite(worst, float(w[worst])) from None
+
+
+@lru_cache(maxsize=None)
+def _symmetric_components(n):
+    """Flat indices ``i n + j`` of the components i <= j of an n x n
+    symmetric matrix, and the (n, n) map from each entry to its component."""
+    rows, cols = np.triu_indices(n)
+    component = np.empty((n, n), dtype=int)
+    component[rows, cols] = component[cols, rows] = np.arange(len(rows))
+    flat = rows * n + cols
+    for a in (flat, component):
+        a.flags.writeable = False
+    return flat, component
+
+
 @dataclass
 class MetricField:
     """Metric components attached to a chart.
@@ -308,6 +350,7 @@ class MetricField:
     func: object = None
     values: np.ndarray = None
     _samples: np.ndarray = dataclass_field(default=None, repr=False)
+    _inverse: np.ndarray = dataclass_field(default=None, repr=False)
 
     @classmethod
     def from_function(cls, chart, func):
@@ -360,32 +403,39 @@ class MetricField:
                 self._samples = np.asarray(self.func(pt[None, :]), dtype=float).reshape(1, n, n)
         return self._samples
 
+    @property
+    def inverse(self):
+        """Inverse metric at the samples, shape (S, n, n), computed once and
+        read-only.  It does not check positivity; :meth:`validate_spd` does."""
+        if self._inverse is None:
+            self._inverse = np.linalg.inv(self.samples)
+            self._inverse.flags.writeable = False
+        return self._inverse
+
     def eigenvalue_range(self):
         w = np.linalg.eigvalsh(self.samples)
         return float(w.min()), float(w.max())
 
-    def validate_spd(self, tolerance=0.0):
-        """Raise :class:`NotPositiveDefinite` at the worst offending sample."""
-        w = np.linalg.eigvalsh(self.samples)
-        mins = w[:, 0]
-        worst = int(np.argmin(mins))
-        if mins[worst] <= tolerance:
-            raise NotPositiveDefinite(worst, float(mins[worst]))
+    def validate_spd(self):
+        """Raise :class:`NotPositiveDefinite` at the worst offending sample
+        (see :func:`require_spd`)."""
+        require_spd(self.samples)
 
     def jets(self):
-        """Return ``(g, dg, d2g)`` flattened over samples."""
+        """Return ``(g, dg, d2g)`` flattened over samples.
+
+        On grid charts only the n(n+1)/2 components ``g_ij``, i <= j, are
+        differentiated; their derivatives are mirrored to ``g_ji``.
+        """
         n = self.dimension
         if self.chart.kind == "periodic-grid":
-            return grid_scalar_jet(self.values, self.chart)
+            flat, component = _symmetric_components(n)
+            upper = np.take(self.values.reshape(self.chart.grid_shape + (n * n,)), flat, axis=-1)
+            _, d1, d2 = grid_scalar_jet(upper, self.chart)
+            return self.samples, np.take(d1, component, axis=1), np.take(d2, component, axis=1)
         point = self.chart.point[None, :]
         if self.func is not None:
             return analytic_scalar_jet(self.func, point, n, self.chart.step)
         stencil = analytic_stencil(n, self.chart.step)
         require_finite(self.values[None], point, stencil.offsets)
         return richardson_jet(stencil, self.values[None])
-
-    def jets_at(self, points):
-        """Analytic-chart jets at arbitrary points (reference computations)."""
-        if self.chart.kind != "analytic-point" or self.func is None:
-            raise ValueError("jets_at needs an analytic chart with a metric function")
-        return analytic_scalar_jet(self.func, points, self.dimension, self.chart.step)

@@ -17,37 +17,40 @@ the one under which the dimension-3 decomposition, the conformally flat
 decomposition and the trace-free Weyl tensor below all hold exactly.
 
 The contractions of the curvature layer are written as explicit batched
-``np.matmul`` products over the sample axis: the quadratic Christoffel term
-of the curvature tensor, the pair trace ``g^{jl} T_ijkl`` (:func:`pair_trace`)
-and the tensor norms.  None of them searches for an ``einsum`` contraction
+``np.matmul`` products over the sample axis: the Christoffel symbols
+``g^{il} term_l(jk)``, the quadratic Christoffel term of the curvature
+tensor, the pair trace ``g^{jl} T_ijkl`` (:func:`pair_trace`) and the tensor
+norms.  None of them searches for an ``einsum`` contraction
 path at call time, which on a single sample would cost more than the
 arithmetic.  They agree with the literal component formulas (kept in the test
 suite as the oracle) to roundoff, not bit for bit.
+
+The kernels take the inverse metric as an argument: :func:`riemann` checks
+the field's positivity once and passes its cached
+:attr:`~riemflow.charts.MetricField.inverse`, which the callers of the law
+rates reuse, so that a right-hand side inverts its metric once.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .charts import MetricField, analytic_scalar_jet, grid_scalar_jet
-from .errors import DimensionTooSmall, NonpositiveLame, NotPositiveDefinite
+from .charts import MetricField, analytic_scalar_jet, grid_scalar_jet, require_spd
+from .errors import DimensionTooSmall, NonpositiveLame
 
 
 def inverse_metric(field_or_samples):
     """Inverse metric components per sample.
 
-    Accepts a :class:`MetricField` or a stacked array ``(..., n, n)``.
-    Raises :class:`NotPositiveDefinite` before inverting.
+    Accepts a :class:`MetricField`, whose cached :attr:`~MetricField.inverse`
+    is returned, or a stacked array ``(..., n, n)``.  Raises
+    :class:`NotPositiveDefinite` before inverting.
     """
     if isinstance(field_or_samples, MetricField):
         field_or_samples.validate_spd()
-        g = field_or_samples.samples
-    else:
-        g = np.asarray(field_or_samples, dtype=float)
-        w = np.linalg.eigvalsh(g.reshape(-1, g.shape[-1], g.shape[-1]))
-        worst = int(np.argmin(w[:, 0]))
-        if w[worst, 0] <= 0.0:
-            raise NotPositiveDefinite(worst, float(w[worst, 0]))
+        return field_or_samples.inverse
+    g = np.asarray(field_or_samples, dtype=float)
+    require_spd(g)
     return np.linalg.inv(g)
 
 
@@ -141,44 +144,37 @@ def _write_orbit(arr, i, j, k, l, val):
     arr[:, l, k, j, i] = val
 
 
-class CurvatureBound:
-    """Running supremum of a curvature norm over samples and elapsed time."""
-
-    def __init__(self):
-        self.value = 0.0
-
-    def update(self, norm_values):
-        m = float(np.max(norm_values))
-        if m > self.value:
-            self.value = m
-        return self.value
-
-
 def christoffel(field: MetricField) -> ConnectionField:
     """Christoffel symbols from first derivatives of the metric."""
     field.validate_spd()
     g, dg, _ = field.jets()
-    return ConnectionField(christoffel_from_jets(g, dg))
+    return ConnectionField(christoffel_from_jets(g, dg, field.inverse))
 
 
-def christoffel_from_jets(g, dg):
-    ginv = np.linalg.inv(g)
+def christoffel_from_jets(g, dg, ginv):
+    """Christoffel symbols from the 1-jet ``(g, dg)`` and ``ginv``, the
+    inverse of ``g``."""
     # Gamma^i_jk = 1/2 g^{il} (d_k g_lj + d_j g_lk - d_l g_jk)
     # with dg[..., a, b, c] = d_c g_ab:
     #   term[l, j, k] = dg[l, j, k] + dg[l, k, j] - dg[j, k, l]
+    # contracted as one batched product g^{il} term[l, (jk)]
     term = dg + np.swapaxes(dg, -2, -1) - np.moveaxis(dg, -1, -3)
-    return 0.5 * np.einsum('...il,...ljk->...ijk', ginv, term)
+    n = g.shape[-1]
+    return 0.5 * (ginv @ term.reshape(term.shape[:-2] + (n * n,))).reshape(term.shape)
 
 
 def riemann(field: MetricField) -> CurvatureTensor:
-    """Fully lowered curvature tensor from the component formula."""
+    """Fully lowered curvature tensor from the component formula, after one
+    positivity check of the field and with its cached inverse."""
     field.validate_spd()
     g, dg, d2g = field.jets()
-    return CurvatureTensor(riemann_from_jets(g, dg, d2g))
+    return CurvatureTensor(riemann_from_jets(g, dg, d2g, field.inverse))
 
 
-def riemann_from_jets(g, dg, d2g):
-    gam = christoffel_from_jets(g, dg)
+def riemann_from_jets(g, dg, d2g, ginv):
+    """Curvature from the 2-jet ``(g, dg, d2g)`` and ``ginv``, the inverse
+    of ``g``."""
+    gam = christoffel_from_jets(g, dg, ginv)
     # 1/2 (d_j d_l g_ik + d_i d_k g_jl - d_i d_l g_jk - d_j d_k g_il)
     # d2g[..., a, b, c, d] = d_c d_d g_ab
     t_ik_jl = np.einsum('...ikjl->...ijkl', d2g)
@@ -231,10 +227,8 @@ def weyl(field: MetricField, riem: CurvatureTensor) -> CurvatureTensor:
     n = field.dimension
     if n < 3:
         raise DimensionTooSmall("the conformal curvature tensor needs n >= 3")
-    g = field.samples
-    ginv = np.linalg.inv(g)
-    ric, scal = ricci_scalar_from_arrays(ginv, riem.array)
-    return CurvatureTensor(weyl_from_arrays(g, riem.array, ric, scal))
+    ric, scal = ricci_scalar_from_arrays(field.inverse, riem.array)
+    return CurvatureTensor(weyl_from_arrays(field.samples, riem.array, ric, scal))
 
 
 def weyl_from_arrays(g, riem_array, ric, scal):

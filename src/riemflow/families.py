@@ -5,6 +5,13 @@ Registered names: ``flat``, ``sphere-stereographic``, ``hyperbolic-poincare``,
 phases drawn from the scenario seed) and ``diagonal-lame`` (a table of
 coefficient expressions, one per axis).
 
+A ``diagonal-lame`` expression is parsed once, when the family is made, and
+refused with :class:`SchemaError` unless it is built only from the
+coordinates ``x1..xn``, the functions and constants of ``_SAFE_FUNCS``,
+numeric constants, unary ``+ -``, binary ``+ - * / **`` and calls of the
+listed functions.  A config can therefore not reach attributes, builtins or
+any other object.  Integer constants are read as floats.
+
 ``sphere-stereographic`` is the unit-sphere conformal chart
 ``4 delta / (1 + |x|^2)^2`` and ``hyperbolic-poincare`` the unit-ball chart
 ``4 delta / (1 - |x|^2)^2``.  Their constant-curvature factors under the
@@ -13,12 +20,13 @@ one-time symbolic oracle; the commonly quoted factors have the opposite
 sign).
 """
 
+import ast
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UnknownFamily
+from .errors import SchemaError, UnknownFamily
 
 # constant-curvature factors under the implemented component formula
 SPHERE_CURVATURE_FACTOR = -1.0
@@ -28,6 +36,9 @@ _SAFE_FUNCS = {name: getattr(np, name) for name in (
     "sin", "cos", "tan", "exp", "log", "sqrt", "cosh", "sinh", "tanh", "abs",
 )}
 _SAFE_FUNCS["pi"] = math.pi
+
+_SAFE_UNARY = (ast.UAdd, ast.USub)
+_SAFE_BINARY = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow)
 
 
 @dataclass
@@ -88,16 +99,60 @@ def _conformal_torus(n, amplitude, mode, phases, lengths):
     return fam
 
 
+def _compile_expression(expr, n):
+    """Code object of a diagonal-lame coefficient expression in ``x1..xn``;
+    :class:`SchemaError` for any node outside the whitelist."""
+    def refuse(what):
+        raise SchemaError(f"diagonal-lame expression {expr!r}: {what}", key="expressions")
+
+    if not isinstance(expr, str):
+        refuse("expected a string")
+    try:
+        tree = ast.parse(expr, mode="eval")
+    except (SyntaxError, ValueError) as exc:
+        refuse(f"not an expression ({exc})")
+    names = {f"x{k + 1}" for k in range(n)} | set(_SAFE_FUNCS)
+    functions = set(_SAFE_FUNCS) - {"pi"}
+
+    def check(node):
+        if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+            # integers become floats, so that no constant can start unbounded
+            # integer arithmetic such as 9 ** 9 ** 9
+            try:
+                node.value = float(node.value)
+            except OverflowError:
+                refuse(f"{node.value} is out of range")
+            return
+        if isinstance(node, ast.Name) and node.id in names:
+            return
+        if isinstance(node, ast.UnaryOp) and isinstance(node.op, _SAFE_UNARY):
+            return check(node.operand)
+        if isinstance(node, ast.BinOp) and isinstance(node.op, _SAFE_BINARY):
+            check(node.left)
+            return check(node.right)
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id in functions and not node.keywords):
+            for arg in node.args:
+                check(arg)
+            return
+        refuse(f"{ast.unparse(node)!r} is not allowed")
+
+    check(tree.body)
+    return compile(tree, f"<diagonal-lame {expr!r}>", "eval")
+
+
 def _diagonal_lame(n, expressions):
     if len(expressions) != n:
         raise ValueError("diagonal-lame needs one coefficient expression per axis")
 
     def make_H(expr):
+        code = _compile_expression(expr, n)
+
         def H(x):
             x = np.asarray(x, dtype=float)
             names = {f"x{k + 1}": x[..., k] for k in range(n)}
             names.update(_SAFE_FUNCS)
-            out = eval(expr, {"__builtins__": {}}, names)  # noqa: S307 - documented restricted namespace
+            out = eval(code, {"__builtins__": {}}, names)  # noqa: S307 - whitelisted at parse time
             return np.broadcast_to(np.asarray(out, dtype=float), x.shape[:-1]).copy()
         return H
 

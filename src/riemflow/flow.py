@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bialternate import recover_metric
-from .charts import MetricField, analytic_stencil, require_finite
+from .charts import MetricField, analytic_stencil, require_finite, require_spd
 from .curvature import (
     kn_product,
     pair_product_from_samples,
@@ -52,6 +52,7 @@ from .errors import (
     EmptyTrajectory,
     NotInImage,
     NoSingularity,
+    NotPositiveDefinite,
     StepRejected,
 )
 
@@ -144,10 +145,10 @@ class Law:
             return -(self.delta / self.beta)
         return None
 
-    def rate(self, g, k, riem):
+    def rate(self, g, ginv, k, riem):
         """Metric velocity (order 1) or acceleration (order 2) at metric
-        samples ``g``, velocity samples ``k`` (order 2) and curvature ``riem``."""
-        ginv = np.linalg.inv(g)
+        samples ``g`` with inverse ``ginv``, velocity samples ``k`` (order 2)
+        and curvature ``riem``."""
         if self.kind == "ricci":
             ric, _ = ricci_scalar_from_arrays(ginv, riem)
             return _combine([(-self.delta, lambda: ric)], ric, self.lead)
@@ -168,17 +169,18 @@ class Law:
         """:meth:`rate` at a field's samples and curvature."""
         g = field.samples
         k = None if velocity is None else np.asarray(velocity, dtype=float).reshape(g.shape)
-        return self.rate(g, k, riemann(field).array)
+        riem = riemann(field).array
+        return self.rate(g, field.inverse, k, riem)
 
-    def residual(self, g, k, rate, riem):
+    def residual(self, g, ginv, k, rate, riem):
         """Max norm of the law's G-level equation at the ``rate`` that
         :meth:`rate` gave for the same samples."""
         if self.kind == "ricci":
-            ric, _ = ricci_scalar_from_arrays(np.linalg.inv(g), riem)
+            ric, _ = ricci_scalar_from_arrays(ginv, riem)
             total = kn_product(_combine([(self.lead, lambda: rate), (self.delta, lambda: ric)],
                                         ric), g)
         elif self.kind == "riemann-type":
-            trv = np.einsum('...ik,...ik->...', np.linalg.inv(g), rate)
+            trv = np.einsum('...ik,...ik->...', ginv, rate)
             G = pair_product_from_samples(g)
             rhs = self.alpha * riem + self.beta * trv[..., None, None, None, None] * G
             total = kn_product(rate, g) - rhs
@@ -275,8 +277,7 @@ def riemann_type_flow_rhs(field: MetricField, alpha, beta):
         raise DimensionTooSmall("the scaled flow needs n >= 3")
     riem = riemann(field)
     g = field.samples
-    ginv = np.linalg.inv(g)
-    _, scal = ricci_scalar_from_arrays(ginv, riem.array)
+    _, scal = ricci_scalar_from_arrays(field.inverse, riem.array)
     G = pair_product_from_samples(g)
     dlndet = -2.0 * scal
     return alpha * riem.array + beta * dlndet[..., None, None, None, None] * G
@@ -423,19 +424,23 @@ class _RK4System:
         return np.einsum('ab,bc,dc->ad', self._L0, state[i], self._L0)[None]
 
     def rhs(self, state):
-        """(d state/dt, curvature array, the law's rate at the samples)."""
+        """(d state/dt, curvature array, the law's rate at the samples, the
+        inverse metric there).  Raises :class:`NotPositiveDefinite` when the
+        state's metric is not positive definite."""
         fld = self.field_of(state)
         riem_arr = riemann(fld).array
         k = self.samples(state, 1) if self.wave else None
-        rate = self.law.rate(fld.samples, k, riem_arr)
+        rate = self.law.rate(fld.samples, fld.inverse, k, riem_arr)
         top = rate if self.grid else self._to_frame(rate[0])
-        return state[1:] + [top], riem_arr, rate
+        return state[1:] + [top], riem_arr, rate, fld.inverse
 
     def spd_ok(self, state):
+        """Whether the state's metric passes :func:`require_spd`, the check
+        :meth:`rhs` makes."""
         try:
-            np.linalg.cholesky(self.samples(state))
+            require_spd(self.samples(state))
             return True
-        except np.linalg.LinAlgError:
+        except NotPositiveDefinite:
             return False
 
 
@@ -505,31 +510,31 @@ def _rk4_evolve(system, t0, dt_base, t_end, stride, collapse_threshold,
     if cross_check_stride:
         cross_G = pair_product_from_samples(g0).copy()
 
-    def record(t, state):
-        """Append a record of ``state``; returns sup |Riem|, the smallest
-        relative eigenvalue and the state's rhs, which the next step reuses."""
+    def record(t, state, rel):
+        """Append a record of ``state``, whose relative eigenvalues are
+        ``rel``; returns sup |Riem| and the state's rhs, which the next step
+        reuses."""
         g = system.samples(state)
         first = system.rhs(state)
-        _, riem_arr, rate = first
+        _, riem_arr, rate, ginv = first
         k = system.samples(state, 1) if system.wave else None
-        ginv = np.linalg.inv(g)
         ric, scal = ricci_scalar_from_arrays(ginv, riem_arr)
-        rel = _relative_eigenvalues(g, L0inv)
         riem_norm = tensor_norm(riem_arr, ginv)
         ric_norm = tensor_norm(ric, ginv)
         traj.times.append(t)
         traj.states.append(g.copy())
         traj.velocities.append((rate if k is None else k).copy())
         d = traj.diagnostics
-        d["f_est"].append(float(np.mean((np.linalg.det(g) / det0) ** (1.0 / n))))
+        det = np.linalg.det(g)
+        d["f_est"].append(float(np.mean((det / det0) ** (1.0 / n))))
         d["min_rel_eig"].append(float(rel.min()))
         d["max_rel_eig"].append(float(rel.max()))
         d["sup_ric_norm"].append(float(ric_norm.max()))
         d["sup_riem_norm"].append(float(riem_norm.max()))
         d["scalar_min"].append(float(scal.min()))
         d["scalar_max"].append(float(scal.max()))
-        d["eq_residual"].append(system.law.residual(g, k, rate, riem_arr))
-        d["det_g_min"].append(float(np.linalg.det(g).min()))
+        d["eq_residual"].append(system.law.residual(g, ginv, k, rate, riem_arr))
+        d["det_g_min"].append(float(det.min()))
         if cross_G is not None and (len(traj.times) - 1) % cross_check_stride == 0:
             err = 0.0
             for s in range(g.shape[0]):
@@ -542,11 +547,13 @@ def _rk4_evolve(system, t0, dt_base, t_end, stride, collapse_threshold,
             d["cross_check_error"].append(err)
         else:
             d["cross_check_error"].append(float("nan"))
-        return float(riem_norm.max()), float(rel.min()), first
+        return float(riem_norm.max()), first
 
     # ``first`` is the rhs at ``state`` once known, so that neither a record
-    # nor a halving retry evaluates it twice
-    sup_riem, min_rel, first = record(t0, state)
+    # nor a halving retry evaluates it twice; ``rel`` holds the relative
+    # eigenvalues of ``state``
+    rel = _relative_eigenvalues(g0, L0inv)
+    sup_riem, first = record(t0, state, rel)
     t = t0
     steps = 0
     dt_cur = dt_base
@@ -561,7 +568,6 @@ def _rk4_evolve(system, t0, dt_base, t_end, stride, collapse_threshold,
                 break
             halvings += 1
             if halvings > max_halvings:
-                rel = _relative_eigenvalues(system.samples(state), L0inv)
                 if rel.min() < SOFT_COLLAPSE_FRACTION:
                     termination = "collapse"
                     break
@@ -583,7 +589,7 @@ def _rk4_evolve(system, t0, dt_base, t_end, stride, collapse_threshold,
         near_collapse = min_rel < max(0.1, 1e3 * collapse_threshold)
         if (steps % stride == 0 or near_collapse or t >= t_end - 1e-14
                 or min_rel < collapse_threshold):
-            sup_riem, min_rel, first = record(t, state)
+            sup_riem, first = record(t, state, rel)
         if min_rel < collapse_threshold:
             termination = "collapse"
             break
@@ -591,7 +597,7 @@ def _rk4_evolve(system, t0, dt_base, t_end, stride, collapse_threshold,
             termination = "curvature_cap"
             break
     if traj.times[-1] < t - 1e-15:
-        record(t, state)
+        record(t, state, rel)
     traj.termination = termination
     return traj
 
@@ -599,31 +605,28 @@ def _rk4_evolve(system, t0, dt_base, t_end, stride, collapse_threshold,
 def _rk4_step(system, state, dt, cross_G, pair_rate, first=None):
     """One classical RK4 step with a positivity guard on every stage.
 
-    ``first`` is ``system.rhs(state)`` when already known.  Returns (ok, new
-    state, new pair product, ``first``), the last ``None`` when computing it
-    failed.  The pair product ``cross_G`` advances at ``pair_rate`` Riem.
+    Each stage's positivity check is the one its rhs makes (a stage that
+    raises :class:`NotPositiveDefinite` fails the step); the accepted state
+    is checked with ``system.spd_ok``.  ``first`` is ``system.rhs(state)``
+    when already known.  Returns (ok, new state, new pair product,
+    ``first``), the last ``None`` when computing it failed.  The pair
+    product ``cross_G`` advances at ``pair_rate`` Riem.
     """
     try:
         if first is None:
             first = system.rhs(state)
-        k1, r1, _ = first
+        k1, r1 = first[:2]
         s2 = [y + 0.5 * dt * k for y, k in zip(state, k1)]
-        if not system.spd_ok(s2):
-            return False, None, None, first
-        k2, r2, _ = system.rhs(s2)
+        k2, r2 = system.rhs(s2)[:2]
         s3 = [y + 0.5 * dt * k for y, k in zip(state, k2)]
-        if not system.spd_ok(s3):
-            return False, None, None, first
-        k3, r3, _ = system.rhs(s3)
+        k3, r3 = system.rhs(s3)[:2]
         s4 = [y + dt * k for y, k in zip(state, k3)]
-        if not system.spd_ok(s4):
-            return False, None, None, first
-        k4, r4, _ = system.rhs(s4)
+        k4, r4 = system.rhs(s4)[:2]
         new = [y + dt / 6.0 * (a + 2.0 * b + 2.0 * c + d)
                for y, a, b, c, d in zip(state, k1, k2, k3, k4)]
         if not system.spd_ok(new):
             return False, None, None, first
-    except (np.linalg.LinAlgError, FloatingPointError):
+    except (np.linalg.LinAlgError, FloatingPointError, NotPositiveDefinite):
         return False, None, None, first
     if not all(np.all(np.isfinite(a)) for a in new):
         return False, None, None, first

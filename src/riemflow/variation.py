@@ -51,7 +51,7 @@ class PerturbationField:
 
     def raised(self, field):
         """h^{lk} = h_ij g^{jk} g^{il} at the chart samples."""
-        ginv = np.linalg.inv(field.samples)
+        ginv = field.inverse
         return np.einsum('...ij,...jk,...il->...lk', self.lowered(field), ginv, ginv)
 
 
@@ -97,8 +97,7 @@ def _operator(field, which):
         return riemann(field).array
     if which == "Ric":
         riem_arr = riemann(field).array
-        ginv = np.linalg.inv(field.samples)
-        ric, _ = ricci_scalar_from_arrays(ginv, riem_arr)
+        ric, _ = ricci_scalar_from_arrays(field.inverse, riem_arr)
         return ric
     raise ValueError("which must be 'Riem' or 'Ric'")
 
@@ -182,7 +181,7 @@ def soliton_residual(field, data: SolitonData, gradient=True):
     """
     field.validate_spd()
     g, dg, _ = field.jets()
-    gam = christoffel_from_jets(g, dg)
+    gam = christoffel_from_jets(g, dg, field.inverse)
     riem_arr = riemann(field).array
     G = pair_product_from_samples(g)
     lam = float(data.factor)
@@ -198,8 +197,7 @@ def soliton_residual(field, data: SolitonData, gradient=True):
         lie = nablaV + np.swapaxes(nablaV, -1, -2)
         resid = riem_arr + lam * G + 0.5 * kn_product(lie, g)
 
-    ginv = np.linalg.inv(g)
-    return resid, float(tensor_norm(resid, ginv).max())
+    return resid, float(tensor_norm(resid, field.inverse).max())
 
 
 def classify_soliton(factor):

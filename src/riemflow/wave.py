@@ -87,7 +87,8 @@ def general_form_residual(field: MetricField, alpha, beta, gamma, delta,
     k, a = (None if x is None else np.asarray(x, dtype=float).reshape(g.shape)
             for x in (velocity, acceleration))
     law = Law("general", 2, "family", alpha, beta, gamma, delta)
-    return law.residual(g, k, a, riemann(field).array)
+    riem = riemann(field).array
+    return law.residual(g, field.inverse, k, a, riem)
 
 
 def integrate_wave(initial, law, dt, t_end, *, velocity=None, stride=10,

@@ -8,6 +8,7 @@ from riemflow.charts import (
     analytic_scalar_jet,
     analytic_stencil,
     grid_scalar_jet,
+    require_spd,
 )
 from riemflow.errors import NotPositiveDefinite, StencilOutOfDomain
 
@@ -116,20 +117,6 @@ def test_grid_samples_roundtrip():
     fld = MetricField.from_function(chart, g)
     again = MetricField.from_samples(chart, fld.values)
     assert np.array_equal(fld.samples, again.samples)
-
-
-def test_jets_at_matches_chart_point():
-    def g(x):
-        x = np.asarray(x)
-        r2 = np.sum(x * x, axis=-1)
-        return (4.0 / (1.0 + r2) ** 2)[..., None, None] * np.eye(2)
-
-    chart = AnalyticChart(2, [0.3, -0.2], 1e-2)
-    fld = MetricField.from_function(chart, g)
-    g0, d1, d2 = fld.jets()
-    g0b, d1b, d2b = fld.jets_at(np.array([[0.3, -0.2], [0.0, 0.0]]))
-    assert np.array_equal(g0[0], g0b[0])
-    assert np.array_equal(d2[0], d2b[0])
 
 
 # ---------------------------------------------------------------------------
@@ -242,3 +229,95 @@ def test_stencil_values_field_matches_function_field():
     with pytest.raises(StencilOutOfDomain) as err:
         MetricField.from_stencil_values(chart, bad).jets()
     assert np.array_equal(err.value.point, chart.point + stencil.offsets[5])
+
+
+# ---------------------------------------------------------------------------
+# grid jets: padded shifts, symmetric components
+# ---------------------------------------------------------------------------
+
+
+def _roll_jet(values, chart):
+    """The np.roll stencils that the padded shifts replaced (the oracle)."""
+    def d1(v, axis, h):
+        def sh(s):
+            return np.roll(v, -s, axis=axis)
+        return (-sh(2) + 8.0 * sh(1) - 8.0 * sh(-1) + sh(-2)) / (12.0 * h)
+
+    def d2(v, axis, h):
+        def sh(s):
+            return np.roll(v, -s, axis=axis)
+        return (-sh(2) + 16.0 * sh(1) - 30.0 * v + 16.0 * sh(-1) - sh(-2)) / (12.0 * h * h)
+
+    n = chart.dimension
+    hs = chart.spacings
+    first = np.stack([d1(values, a, hs[a]) for a in range(n)], axis=-1)
+    second = np.empty(values.shape + (n, n))
+    for a in range(n):
+        second[..., a, a] = d2(values, a, hs[a])
+        for b in range(a + 1, n):
+            second[..., a, b] = second[..., b, a] = d1(first[..., a], b, hs[b])
+    flat = (chart.sample_count,) + values.shape[n:]
+    return values.reshape(flat), first.reshape(flat + (n,)), second.reshape(flat + (n, n))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_grid_jet_bitwise_equals_roll_oracle(n):
+    rng = np.random.default_rng(20 + n)
+    chart = GridChart(n, tuple(range(8, 8 + n)), tuple(1.0 + rng.uniform(size=n)))
+    for tail in ((), (n,), (n, n)):
+        values = rng.normal(size=chart.grid_shape + tail)
+        for a, b in zip(grid_scalar_jet(values, chart), _roll_jet(values, chart)):
+            assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_symmetric_component_jets_equal_full_jets(n):
+    # the metric jets differentiate the n(n+1)/2 components g_ij, i <= j, and
+    # mirror them; on an exactly symmetric field that is the full jet, bit for bit
+    rng = np.random.default_rng(n)
+    chart = GridChart(n, 8, 2.0 * np.pi)
+    A = rng.normal(size=chart.grid_shape + (n, n))
+    fld = MetricField.from_samples(chart, 0.05 * (A + np.swapaxes(A, -1, -2)) + 2.0 * np.eye(n))
+    got = fld.jets()
+    want = grid_scalar_jet(fld.values, chart)
+    assert [a.shape for a in got] == [a.shape for a in want]
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b)
+
+
+# ---------------------------------------------------------------------------
+# positivity and the cached inverse
+# ---------------------------------------------------------------------------
+
+
+def test_positivity_is_one_cholesky_with_eigenvalues_only_on_failure(monkeypatch):
+    calls = []
+
+    def counting(name, fn):
+        return lambda *args: calls.append(name) or fn(*args)
+
+    for name in ("cholesky", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
+    g = np.stack([np.eye(3), np.diag([1.0, 2.0, 3.0]), np.diag([1.0, -0.5, 2.0]),
+                  np.diag([1.0, -2.0, 2.0])])
+    require_spd(g[:2])
+    assert calls == ["cholesky"]
+    with pytest.raises(NotPositiveDefinite) as err:
+        require_spd(g)
+    assert calls == ["cholesky", "cholesky", "eigvalsh"]
+    assert err.value.sample_index == 3
+    assert err.value.min_eigenvalue == -2.0
+
+
+def test_inverse_is_cached_and_read_only():
+    chart = GridChart(2, 8, 2.0 * np.pi)
+    x = chart.sample_points
+    g = np.broadcast_to(np.eye(2), (chart.sample_count, 2, 2)).copy()
+    g[:, 0, 0] = 2.0 + np.sin(x[:, 0])
+    g[:, 0, 1] = g[:, 1, 0] = 0.3 * np.cos(x[:, 1])
+    fld = MetricField.from_samples(chart, g.reshape(chart.grid_shape + (2, 2)))
+    ginv = fld.inverse
+    assert fld.inverse is ginv
+    assert np.array_equal(ginv, np.linalg.inv(fld.samples))
+    with pytest.raises(ValueError):
+        ginv[0, 0, 0] = 1.0

@@ -18,6 +18,7 @@ from riemflow.errors import (
     DimensionTooSmall,
     EmptyTrajectory,
     NoSingularity,
+    NotPositiveDefinite,
     StencilOutOfDomain,
 )
 from riemflow.families import make_family
@@ -387,6 +388,57 @@ def test_failed_first_stage_is_a_failed_step():
     assert flow._rk4_step(Failing(), [np.eye(3)], 1e-3, None, None) == (False, None, None, None)
 
 
+def test_stage_that_loses_positivity_halves_the_step():
+    # the homothetic collapse g(t) = (1 - t) g0: a first step of 1.2 reaches
+    # -0.2 g0 at its fourth stage, whose curvature check raises
+    # NotPositiveDefinite; the step is halved to 0.6 and accepted
+    class Stage:
+        def __init__(self):
+            self.calls = 0
+
+        def rhs(self, state):
+            self.calls += 1
+            if self.calls == 2:
+                raise NotPositiveDefinite(0, -1.0)
+            return [np.zeros_like(state[0])], None, None, None
+
+    assert flow._rk4_step(Stage(), [np.eye(3)], 1e-3, None, None)[0] is False
+    fld, _ = hyperbolic_field(3)
+    traj = integrate_flow(fld, "riemann-induced", 1.5, 1.2, stride=1)
+    assert traj.times[1] == 0.6
+    assert abs(traj.diagnostic("min_rel_eig")[1] - 0.4) < 1e-6
+    assert traj.termination == "collapse"
+
+
+def test_grid_flow_work_per_rhs(monkeypatch):
+    # each rhs takes one Cholesky (riemann's positivity check) and one
+    # inverse, which record() reuses; on top of that a run takes one Cholesky
+    # per accepted state (spd_ok), one for the initial check and one Cholesky
+    # and inverse for the relative-eigenvalue frame.  eigvalsh runs only for
+    # the relative eigenvalues, once per accepted state.
+    counts = dict.fromkeys(("inv", "cholesky", "eigvalsh", "rhs", "rel"), 0)
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("inv", "cholesky", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
+    monkeypatch.setattr(flow, "riemann", counting("rhs", riemann))
+    monkeypatch.setattr(flow, "_relative_eigenvalues",
+                        counting("rel", flow._relative_eigenvalues))
+    fld, _ = torus_field(3)
+    steps = 10
+    traj = integrate_flow(fld, "riemann-induced", 1e-3, steps * 1e-3, stride=5)
+    assert np.allclose(traj.times, [0.0, 5e-3, 1e-2], rtol=0, atol=1e-15)
+    assert counts["rhs"] == 4 * steps + 1
+    assert counts["inv"] == counts["rhs"] + 1
+    assert counts["cholesky"] == counts["rhs"] + steps + 2
+    assert counts["eigvalsh"] == counts["rel"] == steps + 1
+
+
 def test_velocity_states_are_the_wave_velocities():
     fld, _ = hyperbolic_field(3)
     flow_traj = integrate_flow(fld, "riemann-induced", 5e-3, 0.02, stride=1)
@@ -434,3 +486,39 @@ def test_cross_check_failed_recovery_recorded_as_inf():
     cc = traj.diagnostic("cross_check_error")
     assert np.isinf(cc).any()
     assert np.all(cc[traj.diagnostic("min_rel_eig") > 1e-2] < 1e-8)
+
+
+# ---------------------------------------------------------------------------
+# per-mode rates of the grid laws
+# ---------------------------------------------------------------------------
+
+# growth of the mode g = exp(2 eps sin(k x1)) delta, eps = 1e-6, to t = 0.02
+# (see test_grid_law_mode_growth_is_pinned), measured once and frozen
+GRID_MODE_GROWTH = {
+    "ricci": (1.0403693, 1.1644744, 1.3711290),
+    "riemann-induced": (1.0199837, 1.0790304, 1.1702191),
+}
+
+
+def test_grid_law_mode_growth_is_pinned():
+    # both grid laws amplify a sin(k x1) mode of log g like backward heat flow,
+    # exp(+c k^2 t) up to the stencil's effective k^2, with c = 2 (ricci) and
+    # c = 1 (riemann-induced) under the pinned sign convention: growth
+    # exceeds 1 and rises with k, so the laws are ill posed on grids.  The
+    # mode runs on a 12 x 8 x 8 torus of side 2 pi with dt = 2e-3; the
+    # amplitude of 1/2 log g_11 is normalised by its sampled initial maximum
+    eps, t_end = 1e-6, 0.02
+    chart = GridChart(3, (12, 8, 8), 2.0 * np.pi)
+    for law, pinned in GRID_MODE_GROWTH.items():
+        growth = []
+        for k in (1, 2, 3):
+            fld = MetricField.from_function(
+                chart, lambda x, k=k: np.exp(2.0 * eps * np.sin(k * x[..., 0]))[..., None, None]
+                * np.eye(3))
+            traj = integrate_flow(fld, law, 2e-3, t_end, stride=10 ** 9)
+            amplitude = [0.5 * np.log(g[:, 0, 0]).max() for g in (traj.states[0], traj.states[-1])]
+            growth.append(amplitude[1] / amplitude[0])
+        assert 1.0 < growth[0] < growth[1] < growth[2]
+        c = 2.0 if law == "ricci" else 1.0
+        assert abs(np.log(growth[0]) / t_end / c - 1.0) < 0.02
+        assert np.allclose(growth, pinned, rtol=1e-3, atol=0)

@@ -7,6 +7,7 @@ import pytest
 from conftest import flat_grid_field
 from riemflow.cli import main as cli_main
 from riemflow.errors import DegenerateCoefficients, ParseError, SchemaError, UnknownFamily
+from riemflow.families import _SAFE_FUNCS, make_family
 from riemflow.flow import integrate_flow
 from riemflow.scenarios import config_from_dict, load_config, run_scenario
 from riemflow.wave import integrate_wave
@@ -318,3 +319,48 @@ def test_cli_import_leaves_scipy_optimize_unloaded():
                           "import sys, riemflow.cli; print('scipy.optimize' in sys.modules)"],
                          env=env, capture_output=True, text=True, timeout=120, check=True)
     assert out.stdout.strip() == "False"
+
+
+# ---------------------------------------------------------------------------
+# diagonal-lame expressions
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("expr", ["().__class__.__base__.__subclasses__()", "x1.__class__",
+                                  "__import__('os')", "x4", "pi(1)", "sin(x=x1)", "x1 // 2",
+                                  "x1 if x1 else 2", "True", "'1'", "1 +"])
+def test_diagonal_lame_refuses_expressions_outside_the_whitelist(expr):
+    with pytest.raises(SchemaError, match="diagonal-lame expression"):
+        make_family("diagonal-lame", 3, {"expressions": [expr, "1", "1"]})
+
+
+def test_diagonal_lame_evaluates_like_the_expression():
+    # the parsed code object evaluates the expression itself, bit for bit
+    exprs = ["1 + 0.1 * sin(x1) * cos(2 * x2)", "exp(-x2 ** 2 / 2) + tanh(x3) / pi",
+             "sqrt(2.0 + abs(x1 - x3)) * cosh(0.3 * x2) - -1"]
+    fam = make_family("diagonal-lame", 3, {"expressions": exprs})
+    x = np.random.default_rng(5).uniform(-1.0, 1.0, size=(4, 6, 3))
+    namespace = {f"x{k + 1}": x[..., k] for k in range(3)}
+    namespace.update(_SAFE_FUNCS)
+    for H, expr in zip(fam.lame, exprs):
+        assert np.array_equal(H(x), eval(expr, {"__builtins__": {}}, namespace))
+
+
+def test_diagonal_lame_constants_start_no_integer_arithmetic():
+    # 9 ** 9 ** 9 would run for minutes as integer arithmetic; as floats it
+    # overflows at once
+    fam = make_family("diagonal-lame", 3, {"expressions": ["9 ** 9 ** 9", "1", "1"]})
+    with pytest.raises(OverflowError):
+        fam.metric_function(np.zeros((1, 3)))
+    with pytest.raises(SchemaError, match="out of range"):
+        make_family("diagonal-lame", 3, {"expressions": ["1" + "0" * 400, "1", "1"]})
+
+
+def test_cli_run_refuses_a_dunder_expression(tmp_path, capsys):
+    cfg = _base_cfg(tmp_path, family={"name": "diagonal-lame", "params": {
+        "expressions": ["1", "x1.__class__", "1"]}},
+        chart={"dimension": 3, "kind": "analytic-point", "point": [0.0, 0.0, 0.0]})
+    path = _write(tmp_path, cfg, "dunder.json")
+    assert cli_main(["run", path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "x1.__class__" in err
