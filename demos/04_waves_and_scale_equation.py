@@ -16,7 +16,7 @@ from riemflow import (
     constant_curvature_wave_ode,
     integrate_wave,
     make_family,
-    monitor_wave_blow_up,
+    monitor_blow_up,
 )
 
 print("== the exact quadratic case: lam = -6, v = 2 ==")
@@ -50,7 +50,7 @@ t = np.asarray(traj.times)
 sel = t <= 0.9 * ref.collapse_time
 dev = np.abs(traj.diagnostic("f_est")[sel] - fref(t[sel])).max()
 print(f"termination: {traj.termination}; max deviation to 0.9T: {dev:.2e}")
-rep = monitor_wave_blow_up(traj)
+rep = monitor_blow_up(traj)
 print(f"singular time {rep.T_est:.6f} (scale-equation value "
       f"{ref.collapse_time:.6f}); curvature exponent {rep.exponent:+.3f} "
       "(square-root collapse gives -1/2)")

@@ -57,12 +57,8 @@ from .flow import (
     Trajectory,
     check_metric_equivalence,
     homothety_flow_solution,
-    induced_riemann_flow_rhs,
     integrate_flow,
     monitor_blow_up,
-    ricci_flow_rhs,
-    riemann_flow_residual,
-    riemann_type_flow_rhs,
     solve_pair_trace,
 )
 from .scenarios import ScenarioConfig, config_from_dict, load_config, run_scenario
@@ -79,12 +75,7 @@ from .wave import (
     WaveState,
     conformally_flat_wave_solve,
     constant_curvature_wave_ode,
-    general_form_accel,
-    general_form_residual,
     integrate_wave,
-    monitor_wave_blow_up,
-    ricci_wave_accel,
-    riemann_wave_accel,
 )
 
 __version__ = "0.1.0"

@@ -16,6 +16,9 @@ from .charts import MetricField
 from .curvature import CurvatureTensor, kn_product, pair_product_from_samples
 from .errors import DimensionTooSmall, NotInImage
 
+MAX_ITERATIONS = 50      # Gauss-Newton iterations of recover_metric
+IDENTITY_SAMPLES = 10000  # random index tuples of verify_recovery_identity for n > 4
+
 
 def bialternate_product(g):
     """G = g (.) g with G_ijkl = g_ik g_jl - g_il g_jk.
@@ -57,7 +60,7 @@ def _sym_basis(n):
     return np.array(basis)
 
 
-def recover_metric(G, n=None, tolerance=1e-10, max_iterations=50):
+def recover_metric(G, n=None, tolerance=1e-10):
     """Recover the SPD metric whose pair product is ``G``.
 
     Parameters
@@ -67,9 +70,8 @@ def recover_metric(G, n=None, tolerance=1e-10, max_iterations=50):
     n : int, optional
         Dimension; inferred from ``G`` when omitted.  Must be >= 3.
     tolerance : float
-        Relative max-norm residual accepted for the recovered metric.
-    max_iterations : int
-        Gauss-Newton iteration cap.
+        Relative max-norm residual accepted for the recovered metric, within
+        ``MAX_ITERATIONS`` Gauss-Newton iterations.
 
     Returns
     -------
@@ -124,7 +126,7 @@ def recover_metric(G, n=None, tolerance=1e-10, max_iterations=50):
 
     r = residual(g)
     best = np.abs(r).max()
-    for _ in range(max_iterations):
+    for _ in range(MAX_ITERATIONS):
         if best <= tolerance * scale * 0.01:
             break
         # dF(g)[e] = (e ^ g), assembled column by column
@@ -151,7 +153,7 @@ def recover_metric(G, n=None, tolerance=1e-10, max_iterations=50):
     raise NotInImage(best / scale, tolerance)
 
 
-def verify_recovery_identity(g, G=None, rng=None, sample_limit=10000):
+def verify_recovery_identity(g, G=None, rng=None):
     """Max residual of the degree-8 identity tying ``g`` to its pair product.
 
     Evaluates, over index tuples ``(m, i, j, n, k, l, r, s)``,
@@ -162,7 +164,7 @@ def verify_recovery_identity(g, G=None, rng=None, sample_limit=10000):
               - G_mljs G_kirn - G_mljr G_kins - G_mljn G_kisr ]
 
     and returns the maximum absolute value.  All tuples are enumerated for
-    ``n <= 4``; larger dimensions use ``sample_limit`` random tuples.
+    ``n <= 4``; larger dimensions use ``IDENTITY_SAMPLES`` random tuples.
     """
     g = _as_samples(g)
     if g.shape[0] != 1:
@@ -190,7 +192,7 @@ def verify_recovery_identity(g, G=None, rng=None, sample_limit=10000):
         return float(np.abs(lhs - rhs).max())
 
     gen = rng if rng is not None else np.random.default_rng(0)
-    idx = gen.integers(0, n, size=(sample_limit, 8))
+    idx = gen.integers(0, n, size=(IDENTITY_SAMPLES, 8))
     m, i, j, nn, k, l, r, s = (idx[:, c] for c in range(8))
     lhs = 2 * g[i, j] * (g[k, s] * G[m, l, nn, r]
                          + g[k, nn] * G[l, m, s, r]

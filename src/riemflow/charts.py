@@ -412,10 +412,6 @@ class MetricField:
             self._inverse.flags.writeable = False
         return self._inverse
 
-    def eigenvalue_range(self):
-        w = np.linalg.eigvalsh(self.samples)
-        return float(w.min()), float(w.max())
-
     def validate_spd(self):
         """Raise :class:`NotPositiveDefinite` at the worst offending sample
         (see :func:`require_spd`)."""

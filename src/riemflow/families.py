@@ -85,8 +85,9 @@ def _conformal_ball(n, sign, name, curvature):
 
 def _conformal_torus(n, amplitude, mode, phases, lengths):
     mode = int(mode)
-    lengths = np.asarray(lengths, dtype=float)
-    phases = np.asarray(phases, dtype=float)
+    # ValueError unless each is one value or one per axis
+    lengths = np.broadcast_to(np.asarray(lengths, dtype=float), (n,))
+    phases = np.broadcast_to(np.asarray(phases, dtype=float), (n,))
 
     def metric(x):
         x = np.asarray(x, dtype=float)
@@ -143,7 +144,8 @@ def _compile_expression(expr, n):
 
 def _diagonal_lame(n, expressions):
     if len(expressions) != n:
-        raise ValueError("diagonal-lame needs one coefficient expression per axis")
+        raise SchemaError(f"diagonal-lame needs one coefficient expression per axis, "
+                          f"{n} here", key="expressions")
 
     def make_H(expr):
         code = _compile_expression(expr, n)
@@ -183,8 +185,18 @@ def make_family(name, dimension, params=None, rng=None):
         conformal torus; ``expressions`` for diagonal-lame).
     rng : numpy.random.Generator, optional
         Source for the conformal torus phases when none are given.
+
+    Raises :class:`UnknownFamily` for an unregistered name and
+    :class:`SchemaError` for a parameter the family does not take or cannot
+    use.
     """
     params = dict(params or {})
+    allowed = _PARAMETERS.get(name) if isinstance(name, str) else None
+    if allowed is None:
+        raise UnknownFamily(f"no metric family named {name!r}")
+    unknown = sorted(set(params) - set(allowed))
+    if unknown:
+        raise SchemaError(f"unknown {name} parameter", key=unknown[0])
     if name == "flat":
         return _flat(dimension)
     if name == "sphere-stereographic":
@@ -192,25 +204,23 @@ def make_family(name, dimension, params=None, rng=None):
     if name == "hyperbolic-poincare":
         return _conformal_ball(dimension, -1.0, name, HYPERBOLIC_CURVATURE_FACTOR)
     if name == "conformal-torus":
-        amplitude = float(params.pop("amplitude", 0.05))
-        mode = params.pop("mode", 1)
-        lengths = params.pop("lengths", (2.0 * math.pi,) * dimension)
-        phases = params.pop("phases", None)
+        phases = params.get("phases")
         if phases is None:
             gen = rng if rng is not None else np.random.default_rng(0)
             phases = gen.uniform(0.0, 2.0 * math.pi, size=dimension)
-        if params:
-            raise ValueError(f"unknown conformal-torus parameters: {sorted(params)}")
-        return _conformal_torus(dimension, amplitude, mode, phases, lengths)
-    if name == "diagonal-lame":
-        expressions = params.pop("expressions", None)
-        if expressions is None:
-            raise ValueError("diagonal-lame needs an 'expressions' table")
-        if params:
-            raise ValueError(f"unknown diagonal-lame parameters: {sorted(params)}")
-        return _diagonal_lame(dimension, tuple(expressions))
-    raise UnknownFamily(f"no metric family named {name!r}")
+        try:
+            return _conformal_torus(dimension, float(params.get("amplitude", 0.05)),
+                                    params.get("mode", 1), phases,
+                                    params.get("lengths", (2.0 * math.pi,) * dimension))
+        except (TypeError, ValueError) as exc:
+            raise SchemaError(f"conformal-torus parameters: {exc}", key="params") from None
+    expressions = params.get("expressions")
+    if not isinstance(expressions, (list, tuple)):
+        raise SchemaError("diagonal-lame needs an 'expressions' list", key="expressions")
+    return _diagonal_lame(dimension, tuple(expressions))
 
 
-FAMILY_NAMES = ("flat", "sphere-stereographic", "hyperbolic-poincare",
-                "conformal-torus", "diagonal-lame")
+# the parameters each registered family takes
+_PARAMETERS = {"flat": (), "sphere-stereographic": (), "hyperbolic-poincare": (),
+               "conformal-torus": ("amplitude", "mode", "lengths", "phases"),
+               "diagonal-lame": ("expressions",)}

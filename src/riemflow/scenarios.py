@@ -1,8 +1,10 @@
 """Configuration-driven experiment runner.
 
 A scenario is a JSON document selecting a metric family, a chart, an
-evolution law, integrator settings and output paths.  Unknown keys are
-rejected, and so are parameters the law does not take.  Runs write a
+evolution law, integrator settings and output paths.  A document is checked
+when it is loaded, before any run starts: unknown keys, parameters the law
+or the family does not take or cannot use, and a chart that cannot be built
+are refused with :class:`SchemaError`.  Runs write a
 time-series CSV plus a JSON summary; with a fixed seed the CSV bytes are
 reproducible on one platform.
 
@@ -29,7 +31,7 @@ import numpy as np
 
 from .charts import AnalyticChart, GridChart, MetricField
 from .errors import NoSingularity, ParseError, SchemaError
-from .families import FAMILY_NAMES, make_family
+from .families import make_family
 from .flow import integrate_flow, monitor_blow_up, resolve_law
 from .wave import (
     constant_curvature_wave_ode,
@@ -41,7 +43,11 @@ FLOW_LAWS = {"ricci-flow": "ricci", "riemann-flow": "riemann-induced",
              "riemann-type": "riemann-type", "general-flow": "general"}
 WAVE_LAWS = {"ricci-wave": "ricci-wave", "riemann-wave": "riemann-wave",
              "general": "general"}
-OTHER_LAWS = ("scale-ode", "conformal-wave")
+# the scenario laws outside the law table, with their parameters' defaults
+OTHER_LAWS = {"scale-ode": {"lam": 0.0, "v": 0.0},
+              "conformal-wave": {"amplitude": 1e-4, "mode": 1, "points": 256,
+                                 "length": 1.0, "velocity": "zero"}}
+_VELOCITIES = ("zero", "right-mover")
 
 CSV_COLUMNS = ("t", "f_est", "min_rel_eig", "max_rel_eig", "sup_ric_norm",
                "sup_riem_norm", "scalar_min", "scalar_max", "eq_residual",
@@ -65,13 +71,12 @@ class ScenarioConfig:
     initial_velocity_scale: float
     csv_path: str
     summary_path: str
-    tolerances: dict
     seed: int
     raw: dict = dataclass_field(default_factory=dict)
 
 
 _TOP_KEYS = {"id", "family", "chart", "law", "integrator", "stop",
-             "initial_velocity_scale", "output", "tolerances", "seed"}
+             "initial_velocity_scale", "output", "seed"}
 
 
 def _require_known(mapping, allowed, context):
@@ -89,7 +94,11 @@ def load_config(path):
         raise ParseError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path} is not valid JSON: {exc}") from exc
-    return config_from_dict(raw, default_id=str(path))
+    try:
+        return config_from_dict(raw, default_id=str(path))
+    except (TypeError, ValueError) as exc:
+        # a value of the wrong type, such as "dt": "fast"
+        raise SchemaError(f"{path}: {exc}") from None
 
 
 def config_from_dict(raw, default_id="scenario"):
@@ -104,9 +113,6 @@ def config_from_dict(raw, default_id="scenario"):
         raise SchemaError("configuration needs a family name", key="family")
     _require_known(family, {"name", "params", "dimension"}, "family")
     family_name = family["name"]
-    if family_name not in FAMILY_NAMES:
-        from .errors import UnknownFamily
-        raise UnknownFamily(f"no metric family named {family_name!r}")
     family_params = dict(family.get("params", {}))
 
     chart = dict(raw.get("chart", {}))
@@ -115,6 +121,13 @@ def config_from_dict(raw, default_id="scenario"):
     dimension = int(chart.get("dimension", family.get("dimension", 3)))
     if dimension < 2:
         raise SchemaError("chart dimension must be at least 2", key="dimension")
+    # built once here to refuse a bad family or chart at load; the run builds
+    # its own family, whose random phases come from the scenario seed
+    make_family(family_name, dimension, family_params, np.random.default_rng(0))
+    try:
+        _build_chart(chart, family_name, dimension)
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"bad chart: {exc}", key="chart") from None
 
     law = raw.get("law")
     if isinstance(law, str):
@@ -127,7 +140,9 @@ def config_from_dict(raw, default_id="scenario"):
     if law_name not in known:
         raise SchemaError(f"unknown law {law_name!r}; choose from {sorted(known)}",
                           key="law")
-    if law_name not in OTHER_LAWS:
+    if law_name in OTHER_LAWS:
+        _other_law_params(law_name, law_params)
+    else:
         _resolved_law(law_name, law_params, dimension)
 
     integ = dict(raw.get("integrator", {}))
@@ -169,7 +184,6 @@ def config_from_dict(raw, default_id="scenario"):
         initial_velocity_scale=float(raw.get("initial_velocity_scale", 0.0)),
         csv_path=output.get("csv", f"{scenario_id}.csv"),
         summary_path=output.get("summary", f"{scenario_id}.json"),
-        tolerances=dict(raw.get("tolerances", {})),
         seed=int(raw.get("seed", 0)),
         raw=dict(raw),
     )
@@ -185,19 +199,18 @@ def _resolved_law(law_name, law_params, dimension):
         raise SchemaError(f"{law_name}: {exc}", key="law") from None
 
 
-def _build_chart(cfg):
-    spec = cfg.chart_spec
+def _build_chart(spec, family_name, dimension):
     kind = spec.get("kind")
     if kind is None:
-        kind = "periodic-grid" if cfg.family_name in ("flat", "conformal-torus") \
+        kind = "periodic-grid" if family_name in ("flat", "conformal-torus") \
             else "analytic-point"
     if kind == "analytic-point":
-        point = np.asarray(spec.get("point", [0.0] * cfg.dimension), dtype=float)
-        return AnalyticChart(cfg.dimension, point, float(spec.get("step", 1e-2)))
+        point = np.asarray(spec.get("point", [0.0] * dimension), dtype=float)
+        return AnalyticChart(dimension, point, float(spec.get("step", 1e-2)))
     if kind == "periodic-grid":
         ppa = spec.get("points_per_axis", 16)
         lengths = spec.get("lengths", 2.0 * math.pi)
-        return GridChart(cfg.dimension, ppa if np.isscalar(ppa) else tuple(ppa),
+        return GridChart(dimension, ppa if np.isscalar(ppa) else tuple(ppa),
                          lengths if np.isscalar(lengths) else tuple(lengths))
     raise SchemaError(f"unknown chart kind {kind!r}", key="kind")
 
@@ -276,9 +289,8 @@ def run_scenario(cfg: ScenarioConfig):
     exit_code = 0
 
     if cfg.law_name == "scale-ode":
-        params = _other_law_params(cfg, {"lam": 0.0, "v": 0.0})
-        lam = float(params["lam"])
-        v = float(params["v"])
+        params = _other_law_params(cfg.law_name, cfg.law_params)
+        lam, v = params["lam"], params["v"]
         result = constant_curvature_wave_ode(lam, v, cfg.dt, cfg.t_end,
                                              record_stride=cfg.stride)
         rows = [[t, f, fp] for t, f, fp in zip(result.times, result.scales, result.rates)]
@@ -292,21 +304,14 @@ def run_scenario(cfg: ScenarioConfig):
         summary["discrepancies"] = _scale_ode_notes(lam, v)
         exit_code = 2 if collapsed else 0
     elif cfg.law_name == "conformal-wave":
-        params = _other_law_params(cfg, {"amplitude": 1e-4, "mode": 1, "points": 256,
-                                         "length": 1.0, "velocity": "zero"})
-        amp = float(params["amplitude"])
-        mode = int(params["mode"])
-        N = int(params["points"])
-        L = float(params["length"])
-        vel_kind = params["velocity"]
+        params = _other_law_params(cfg.law_name, cfg.law_params)
+        amp, mode, N, L = (params[key] for key in ("amplitude", "mode", "points", "length"))
         x = np.arange(N) * (L / N)
         u0 = 1.0 + amp * np.sin(2.0 * math.pi * mode * x / L)
-        if vel_kind == "zero":
+        if params["velocity"] == "zero":
             u1 = np.zeros(N)
-        elif vel_kind == "right-mover":
-            u1 = -amp * (2.0 * math.pi * mode / L) * np.cos(2.0 * math.pi * mode * x / L)
         else:
-            raise SchemaError("velocity must be 'zero' or 'right-mover'", key="velocity")
+            u1 = -amp * (2.0 * math.pi * mode / L) * np.cos(2.0 * math.pi * mode * x / L)
         # the solver takes whole steps: use the largest step not above dt
         # that divides t_end, so the run ends exactly at t_end
         dt = cfg.t_end / math.ceil(cfg.t_end / cfg.dt - 1e-9)
@@ -321,7 +326,7 @@ def run_scenario(cfg: ScenarioConfig):
         summary["dt_used"] = dt
     else:
         family = make_family(cfg.family_name, cfg.dimension, cfg.family_params, rng)
-        chart = _build_chart(cfg)
+        chart = _build_chart(cfg.chart_spec, cfg.family_name, cfg.dimension)
         fld = MetricField.from_function(chart, family.metric_function)
         law = _resolved_law(cfg.law_name, cfg.law_params, cfg.dimension)
         if cfg.law_name in FLOW_LAWS:
@@ -360,13 +365,24 @@ def run_scenario(cfg: ScenarioConfig):
     return summary
 
 
-def _other_law_params(cfg, defaults):
+def _other_law_params(law_name, law_params):
     """The parameters of a scale-ode or conformal-wave scenario over their
-    defaults; a name without a default is a :class:`SchemaError`."""
-    extra = set(cfg.law_params) - set(defaults)
+    defaults in :data:`OTHER_LAWS`, each converted to its default's type;
+    :class:`SchemaError` for a name without a default or a value that does
+    not convert."""
+    defaults = OTHER_LAWS[law_name]
+    extra = set(law_params) - set(defaults)
     if extra:
-        raise SchemaError(f"unknown {cfg.law_name} parameter", key=sorted(extra)[0])
-    return {**defaults, **cfg.law_params}
+        raise SchemaError(f"unknown {law_name} parameter", key=sorted(extra)[0])
+    params = {**defaults, **law_params}
+    for key, default in defaults.items():
+        try:
+            params[key] = type(default)(params[key])
+        except (TypeError, ValueError):
+            raise SchemaError(f"{law_name} parameter must be a number", key=key) from None
+    if law_name == "conformal-wave" and params["velocity"] not in _VELOCITIES:
+        raise SchemaError("velocity must be 'zero' or 'right-mover'", key="velocity")
+    return params
 
 
 def _scale_ode_notes(lam, v):

@@ -14,9 +14,12 @@ scalar-coefficient family
     alpha d2G/dt2 + beta dG/dt + gamma G + delta Riem = 0
 
 at (alpha=1, delta=2), ``ricci-wave`` is d2g/dt2 = -2 Ric(g), and a
-``general`` law with ``alpha = 0`` resolves to the first-order flow.  Flows
-and waves step with one RK4 system, so the general law reproduces the
-Riemann flow and wave trajectories bit for bit.
+``general`` law with ``alpha = 0`` resolves to the first-order flow.  A wave
+law is evaluated through that table alone, as
+``resolve_law(law, n, 2).rate_at(field, velocity)``, and its blow-up is
+monitored by :func:`~riemflow.flow.monitor_blow_up`.  Flows and waves step
+with one RK4 system, so the general law reproduces the Riemann flow and wave
+trajectories bit for bit.
 """
 
 import math
@@ -25,23 +28,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .charts import MetricField
-from .curvature import riemann
 from .errors import CFLViolated, PositivityLost
-from .flow import (
-    Law,
-    _RK4System,
-    _rk4_evolve,
-    estimate_singular_time,
-    monitor_blow_up,
-    resolve_law,
-)
+from .flow import COLLAPSE_EIG_FRACTION, _rk4_evolve, estimate_singular_time
 
-__all__ = [
-    "WaveState",
-    "riemann_wave_accel", "ricci_wave_accel", "general_form_accel",
-    "general_form_residual", "integrate_wave", "constant_curvature_wave_ode",
-    "conformally_flat_wave_solve", "monitor_wave_blow_up",
-]
+# the 1+1 wave stops with PositivityLost when its factor falls to this floor
+POSITIVITY_FLOOR = 1e-8
 
 
 @dataclass
@@ -51,49 +42,9 @@ class WaveState:
     velocity: np.ndarray   # metric velocity samples (S, n, n), or (n, n) frame
 
 
-def riemann_wave_accel(field: MetricField, velocity):
-    """Metric acceleration solving d2G/dt2 = -2 Riem(g)."""
-    return resolve_law("riemann-wave", field.dimension, 2).rate_at(field, velocity)
-
-
-def ricci_wave_accel(field: MetricField):
-    """-2 Ric(g); same right-hand side as the first-order law."""
-    return resolve_law("ricci-wave", field.dimension, 2).rate_at(field)
-
-
-def general_form_accel(field: MetricField, velocity, alpha, beta, gamma, delta):
-    """Acceleration (alpha != 0) or velocity (alpha = 0, beta != 0) of the
-    general family.  Raises :class:`DegenerateCoefficients` when both leading
-    coefficients vanish; use :func:`general_form_residual` to evaluate the
-    algebraic members."""
-    law = resolve_law(("general", {"alpha": alpha, "beta": beta, "gamma": gamma,
-                                   "delta": delta}), field.dimension, 2)
-    return law.rate_at(field, velocity)
-
-
-def general_form_residual(field: MetricField, alpha, beta, gamma, delta,
-                          velocity=None, acceleration=None):
-    """Max-norm residual of the general family at supplied time derivatives.
-
-    With ``alpha = beta = 0`` this evaluates the algebraic member
-    ``gamma G + delta Riem = 0`` (for example ``gamma=1, delta=-1/lam``
-    expresses constant curvature).
-    """
-    if beta != 0.0 and velocity is None:
-        raise ValueError("beta != 0 needs the metric velocity")
-    if alpha != 0.0 and (velocity is None or acceleration is None):
-        raise ValueError("alpha != 0 needs velocity and acceleration")
-    g = field.samples
-    k, a = (None if x is None else np.asarray(x, dtype=float).reshape(g.shape)
-            for x in (velocity, acceleration))
-    law = Law("general", 2, "family", alpha, beta, gamma, delta)
-    riem = riemann(field).array
-    return law.residual(g, field.inverse, k, a, riem)
-
-
 def integrate_wave(initial, law, dt, t_end, *, velocity=None, stride=10,
-                   collapse_threshold=1e-6, curvature_cap=None,
-                   max_halvings=20, cross_check_stride=None):
+                   collapse_threshold=COLLAPSE_EIG_FRACTION, curvature_cap=None,
+                   cross_check_stride=None):
     """Integrate a second-order law via RK4 on the (metric, velocity) pair.
 
     ``initial`` is a :class:`WaveState` or a :class:`MetricField` together
@@ -104,18 +55,8 @@ def integrate_wave(initial, law, dt, t_end, *, velocity=None, stride=10,
     with ``ValueError`` unless the law resolves to such a flow with
     ``gamma = 0`` (see :func:`riemflow.flow.integrate_flow`).
     """
-    if isinstance(initial, WaveState):
-        t0, fld, vel0 = initial.t, initial.field, initial.velocity
-    else:
-        t0, fld, vel0 = 0.0, initial, velocity
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    fld.validate_spd()
-    if vel0 is None:
-        vel0 = np.zeros_like(fld.samples)
-    system = _RK4System(fld, resolve_law(law, fld.dimension, 2), vel0)
-    return _rk4_evolve(system, t0, dt, t_end, stride, collapse_threshold,
-                       curvature_cap, max_halvings, cross_check_stride)
+    return _rk4_evolve(initial, law, 2, velocity, dt, t_end, stride, collapse_threshold,
+                       curvature_cap, cross_check_stride)
 
 
 # ---------------------------------------------------------------------------
@@ -227,8 +168,7 @@ class ConformalWaveResult:
     length: float
 
 
-def conformally_flat_wave_solve(u0, u1, dt, t_end, length=None, stride=1,
-                                positivity_floor=1e-8):
+def conformally_flat_wave_solve(u0, u1, dt, t_end, length=None, stride=1):
     """Leapfrog solve of  u_t^2 + u_x^2 + u (u_tt - u_xx) = 0  on a circle.
 
     ``u0`` and ``u1`` sample the initial factor and its rate on a uniform
@@ -237,8 +177,8 @@ def conformally_flat_wave_solve(u0, u1, dt, t_end, length=None, stride=1,
     The run takes ``t_end / dt`` steps and ends exactly at ``t_end``, so
     ``dt`` must divide ``t_end`` (to 1e-9 of a step); otherwise
     :class:`ValueError` is raised.  Raises :class:`CFLViolated` when
-    ``dt > 0.5 dx`` and :class:`PositivityLost` when the factor reaches the
-    floor.
+    ``dt > 0.5 dx`` and :class:`PositivityLost` when the factor reaches
+    ``POSITIVITY_FLOOR``.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -253,7 +193,7 @@ def conformally_flat_wave_solve(u0, u1, dt, t_end, length=None, stride=1,
     dx = length / N
     if dt > 0.5 * dx:
         raise CFLViolated(f"dt={dt:.3e} exceeds 0.5*dx={0.5 * dx:.3e}")
-    if np.min(u_prev) <= positivity_floor:
+    if np.min(u_prev) <= POSITIVITY_FLOOR:
         raise PositivityLost(0.0, int(np.argmin(u_prev)), float(np.min(u_prev)))
 
     def lap(u):
@@ -279,7 +219,7 @@ def conformally_flat_wave_solve(u0, u1, dt, t_end, length=None, stride=1,
             raise PositivityLost(t, int(np.argmin(disc)), float(np.min(u_cur)))
         B = 2.0 * u_cur * (np.sqrt(disc) - 1.0)
         u_new = u_prev + B
-        if np.min(u_new) <= positivity_floor:
+        if np.min(u_new) <= POSITIVITY_FLOOR:
             raise PositivityLost(t + dt, int(np.argmin(u_new)), float(np.min(u_new)))
         u_prev, u_cur = u_cur, u_new
         t = (step_index + 2) * dt
@@ -289,7 +229,3 @@ def conformally_flat_wave_solve(u0, u1, dt, t_end, length=None, stride=1,
     return ConformalWaveResult(times=np.asarray(times), u=np.asarray(history),
                                length=length)
 
-
-def monitor_wave_blow_up(trajectory):
-    """Wave-trajectory counterpart of the flow blow-up monitor."""
-    return monitor_blow_up(trajectory)

@@ -37,9 +37,9 @@ from riemflow.curvature import riemann, riemann_from_jets, weyl
 from riemflow.errors import NoSingularity
 from riemflow.flow import (
     check_metric_equivalence,
-    induced_riemann_flow_rhs,
     integrate_flow,
     monitor_blow_up,
+    resolve_law,
     solve_pair_trace,
 )
 from riemflow.families import make_family
@@ -55,7 +55,6 @@ from riemflow.wave import (
     conformally_flat_wave_solve,
     constant_curvature_wave_ode,
     integrate_wave,
-    monitor_wave_blow_up,
 )
 
 _cache = {}
@@ -200,7 +199,7 @@ def test_acceptance_05_dimension_three_equivalence():
     residuals = []
     for points in (12, 24):
         fld, _ = torus_field(3, points=points, amplitude=0.1, seed=5)
-        vel = induced_riemann_flow_rhs(fld)
+        vel = resolve_law("riemann-induced", 3, 1).rate_at(fld)
         resid = kulkarni_nomizu(vel, fld.samples) + 2.0 * riemann(fld).array
         residuals.append(np.abs(resid).max())
         h = 2.0 * np.pi / points
@@ -215,7 +214,7 @@ def test_acceptance_05_dimension_three_equivalence():
     for points in (12, 24):
         chart = GridChart(3, points, 2.0 * np.pi)
         fldg = MetricField.from_function(chart, fam.metric_function)
-        vel = induced_riemann_flow_rhs(fldg)
+        vel = resolve_law("riemann-induced", 3, 1).rate_at(fldg)
         g0, d1, d2 = analytic_scalar_jet(fam.metric_function,
                                          chart.sample_points, 3, 1e-3)
         Rref = riemann_from_jets(g0, d1, d2, np.linalg.inv(g0))
@@ -233,7 +232,7 @@ def test_acceptance_05_dimension_three_equivalence():
         return base
 
     fld4 = MetricField.from_function(GridChart(4, 8, 2.0 * np.pi), g4)
-    vel4 = induced_riemann_flow_rhs(fld4)
+    vel4 = resolve_law("riemann-induced", 4, 1).rate_at(fld4)
     resid4 = kulkarni_nomizu(vel4, fld4.samples) + 2.0 * riemann(fld4).array
     C4 = weyl(fld4, riemann(fld4)).array
     wmax = np.abs(C4).max()
@@ -334,7 +333,7 @@ def test_acceptance_10_tensor_wave_vs_ode():
     f = traj.diagnostic("f_est")
     mask = t <= 0.9 * T
     checks["scale_matches_ode"] = np.abs(f[mask] - fref(t[mask])).max() <= 1e-6
-    report = monitor_wave_blow_up(traj)
+    report = monitor_blow_up(traj)
     checks["collapse_time"] = abs(report.T_est - T) <= 1e-3
     checks["exponent_reported"] = np.isfinite(report.exponent)
     # growing branch: the opposite-sign chart never collapses and also

@@ -26,12 +26,9 @@ from riemflow.flow import (
     _frozen_frame_builder,
     check_metric_equivalence,
     homothety_flow_solution,
-    induced_riemann_flow_rhs,
     integrate_flow,
     monitor_blow_up,
-    ricci_flow_rhs,
-    riemann_flow_residual,
-    riemann_type_flow_rhs,
+    resolve_law,
 )
 from riemflow.wave import integrate_wave
 
@@ -42,8 +39,8 @@ from riemflow.wave import integrate_wave
 
 def test_flat_velocities_vanish():
     fld, _ = flat_grid_field(3)
-    assert np.abs(ricci_flow_rhs(fld)).max() == 0.0
-    assert np.abs(induced_riemann_flow_rhs(fld)).max() == 0.0
+    assert np.abs(resolve_law("ricci", 3, 1).rate_at(fld)).max() == 0.0
+    assert np.abs(resolve_law("riemann-induced", 3, 1).rate_at(fld)).max() == 0.0
 
 
 def test_ricci_velocity_on_model_charts():
@@ -51,7 +48,7 @@ def test_ricci_velocity_on_model_charts():
     for build, factor in ((sphere_field, SPHERE_FACTOR),
                           (hyperbolic_field, HYPERBOLIC_FACTOR)):
         fld, _ = build(3)
-        vel = ricci_flow_rhs(fld)
+        vel = resolve_law("ricci", 3, 1).rate_at(fld)
         assert np.abs(vel + 4.0 * factor * fld.samples).max() < 1e-6
 
 
@@ -59,14 +56,14 @@ def test_induced_velocity_is_minus_factor_times_metric():
     for build, factor in ((sphere_field, SPHERE_FACTOR),
                           (hyperbolic_field, HYPERBOLIC_FACTOR)):
         fld, _ = build(3)
-        vel = induced_riemann_flow_rhs(fld)
+        vel = resolve_law("riemann-induced", 3, 1).rate_at(fld)
         assert np.abs(vel + factor * fld.samples).max() < 1e-6
 
 
 def test_induced_velocity_dimension_guard():
     fld, _ = sphere_field(2)
     with pytest.raises(DimensionTooSmall):
-        induced_riemann_flow_rhs(fld)
+        resolve_law("riemann-induced", fld.dimension, 1).rate_at(fld)
 
 
 def test_trace_self_consistency():
@@ -75,7 +72,7 @@ def test_trace_self_consistency():
     fld, _ = torus_field(3, points=8, amplitude=0.1)
     g = fld.samples
     ginv = np.linalg.inv(g)
-    vel = induced_riemann_flow_rhs(fld)
+    vel = resolve_law("riemann-induced", 3, 1).rate_at(fld)
     tr_solved = np.einsum('sik,sik->s', ginv, vel)
     R = riemann(fld).array
     double = np.einsum('sik,sjl,sijkl->s', ginv, ginv, -2.0 * R)
@@ -90,14 +87,17 @@ def test_scaled_flow_alpha_sign():
     fam = make_family("conformal-torus", 4, {"amplitude": 0.05, "mode": 1},
                       np.random.default_rng(9))
     fld = MetricField.from_function(GridChart(4, 8, 2.0 * np.pi), fam.metric_function)
-    from riemflow.bialternate import kulkarni_nomizu
-    vel = ricci_flow_rhs(fld)
-    dG = kulkarni_nomizu(vel, fld.samples)
+    g, ginv, riem = fld.samples, fld.inverse, riemann(fld).array
+    vel = resolve_law("ricci", 4, 1).rate_at(fld)
     n = 4
-    good = riemann_type_flow_rhs(fld, -2.0 * (n - 2), 1.0 / (n - 1))
-    bad = riemann_type_flow_rhs(fld, 2.0 * (n - 2), 1.0 / (n - 1))
-    assert np.abs(dG - good).max() < 1e-12
-    assert np.abs(dG - bad).max() > 1e-2
+
+    def mismatch(alpha):
+        # max |(vel ^ g) - alpha Riem - beta tr(vel) G|
+        law = resolve_law(("riemann-type", {"alpha": alpha, "beta": 1.0 / (n - 1)}), n, 1)
+        return law.residual(g, ginv, None, vel, riem)
+
+    assert mismatch(-2.0 * (n - 2)) < 1e-12
+    assert mismatch(2.0 * (n - 2)) > 1e-2
 
 
 def test_riemann_type_integration_matches_ricci_flow():
@@ -117,7 +117,9 @@ def test_riemann_type_integration_matches_ricci_flow():
 
 def test_residual_flat_zero():
     fld, _ = flat_grid_field(3)
-    assert riemann_flow_residual(fld, np.zeros_like(fld.samples)) == 0.0
+    law = resolve_law("riemann-induced", 3, 1)
+    assert law.residual(fld.samples, fld.inverse, None, np.zeros_like(fld.samples),
+                        riemann(fld).array) == 0.0
 
 
 def test_residual_dimension_three_is_roundoff():
@@ -126,8 +128,9 @@ def test_residual_dimension_three_is_roundoff():
     # is bounded by c h^4 with room to spare)
     for points in (8, 16):
         fld, _ = torus_field(3, points=points, amplitude=0.1)
-        vel = induced_riemann_flow_rhs(fld)
-        res = riemann_flow_residual(fld, vel)
+        law = resolve_law("riemann-induced", 3, 1)
+        vel = law.rate_at(fld)
+        res = law.residual(fld.samples, fld.inverse, None, vel, riemann(fld).array)
         h = 2.0 * np.pi / points
         assert res < 1e-10
         assert res < 1.0 * h ** 4
@@ -144,7 +147,7 @@ def test_residual_dimension_four_equals_twice_weyl():
 
     fld = MetricField.from_function(GridChart(4, 8, 2.0 * np.pi), g)
     from riemflow.bialternate import kulkarni_nomizu
-    vel = induced_riemann_flow_rhs(fld)
+    vel = resolve_law("riemann-induced", 4, 1).rate_at(fld)
     R = riemann(fld)
     resid = kulkarni_nomizu(vel, fld.samples) + 2.0 * R.array
     C = weyl(fld, R).array
@@ -437,15 +440,6 @@ def test_grid_flow_work_per_rhs(monkeypatch):
     assert counts["inv"] == counts["rhs"] + 1
     assert counts["cholesky"] == counts["rhs"] + steps + 2
     assert counts["eigvalsh"] == counts["rel"] == steps + 1
-
-
-def test_velocity_states_are_the_wave_velocities():
-    fld, _ = hyperbolic_field(3)
-    flow_traj = integrate_flow(fld, "riemann-induced", 5e-3, 0.02, stride=1)
-    assert flow_traj.velocity_states == []
-    wave_traj = integrate_wave(fld, "riemann-wave", 5e-3, 0.02, velocity=0.1 * fld.samples,
-                               stride=1)
-    assert wave_traj.velocity_states is wave_traj.velocities
 
 
 # ---------------------------------------------------------------------------

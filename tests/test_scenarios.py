@@ -364,3 +364,49 @@ def test_cli_run_refuses_a_dunder_expression(tmp_path, capsys):
     assert cli_main(["run", path]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "x1.__class__" in err
+
+
+# ---------------------------------------------------------------------------
+# every configuration error is refused at load
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("overrides, key", [
+    ({"chart": {"dimension": 3, "kind": "periodic-grid", "points_per_axis": 4}}, "chart"),
+    ({"family": {"name": "conformal-torus", "params": {"amplitud": 0.1}}}, "amplitud"),
+    ({"family": {"name": "diagonal-lame", "params": {"expressions": ["1", "1"]}},
+      "chart": {"dimension": 3, "kind": "analytic-point"}}, "expressions"),
+    ({"family": {"name": "conformal-torus", "params": {"phases": [0.1, 0.2]}}}, "params"),
+    ({"law": {"name": "scale-ode", "lamda": 1.0}}, "lamda"),
+    ({"law": {"name": "scale-ode", "lam": "one"}}, "lam"),
+    ({"law": {"name": "conformal-wave", "velocity": "left-mover"}}, "velocity"),
+    ({"tolerances": {"identity": 1e-12}}, "tolerances"),
+], ids=["grid-points", "family-parameter", "lame-table-length", "torus-phases",
+        "scale-ode-parameter",
+        "scale-ode-value", "conformal-velocity", "tolerances"])
+def test_config_errors_are_refused_at_load(tmp_path, overrides, key):
+    with pytest.raises(SchemaError) as err:
+        config_from_dict(_base_cfg(tmp_path, **overrides))
+    assert err.value.key == key
+
+
+def test_cli_run_refuses_a_bad_file_before_running_any(tmp_path, capsys):
+    good = _write(tmp_path, _base_cfg(tmp_path), "good.json")
+    bad = _write(tmp_path, _base_cfg(tmp_path, id="bad", law={"name": "scale-ode",
+                                                              "lamda": 1.0}), "bad.json")
+    assert cli_main(["run", good, bad]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "lamda" in err
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_load_config_refuses_a_value_of_the_wrong_type(tmp_path):
+    path = _write(tmp_path, _base_cfg(tmp_path, integrator={"dt": "fast"}))
+    with pytest.raises(SchemaError, match="fast"):
+        load_config(path)
+
+
+def test_cli_curvature_refuses_a_short_lame_table(capsys):
+    assert cli_main(["curvature", "--family", "diagonal-lame", "--lame", "1", "1",
+                     "-n", "3"]) == 1
+    assert capsys.readouterr().err.startswith("error: ")

@@ -17,16 +17,12 @@ from riemflow.errors import (
     PositivityLost,
 )
 from riemflow.families import make_family
-from riemflow.flow import integrate_flow
+from riemflow.curvature import riemann
+from riemflow.flow import Law, integrate_flow, monitor_blow_up, resolve_law
 from riemflow.wave import (
     conformally_flat_wave_solve,
     constant_curvature_wave_ode,
-    general_form_accel,
-    general_form_residual,
     integrate_wave,
-    monitor_wave_blow_up,
-    ricci_wave_accel,
-    riemann_wave_accel,
 )
 
 
@@ -37,8 +33,8 @@ from riemflow.wave import (
 def test_flat_acceleration_vanishes():
     fld, _ = flat_grid_field(3)
     k = np.zeros_like(fld.samples)
-    assert np.abs(riemann_wave_accel(fld, k)).max() == 0.0
-    assert np.abs(ricci_wave_accel(fld)).max() == 0.0
+    assert np.abs(resolve_law("riemann-wave", 3, 2).rate_at(fld, k)).max() == 0.0
+    assert np.abs(resolve_law("ricci-wave", 3, 2).rate_at(fld)).max() == 0.0
 
 
 def test_ricci_wave_residual_scores_the_ricci_wave_law():
@@ -51,8 +47,8 @@ def test_ricci_wave_residual_scores_the_ricci_wave_law():
 
 def test_ricci_wave_accel_matches_first_order_rhs():
     fld, _ = torus_field(3, points=8, amplitude=0.08)
-    from riemflow.flow import ricci_flow_rhs
-    assert np.array_equal(ricci_wave_accel(fld), ricci_flow_rhs(fld))
+    assert np.array_equal(resolve_law("ricci-wave", 3, 2).rate_at(fld),
+                          resolve_law("ricci", 3, 1).rate_at(fld))
 
 
 def test_constant_curvature_acceleration_reduces_to_scale_ode():
@@ -64,7 +60,7 @@ def test_constant_curvature_acceleration_reduces_to_scale_ode():
     scaled = type(fld).from_function(fld.chart,
                                      lambda x: f * fam.metric_function(x))
     k = fp * fld.samples
-    acc = riemann_wave_accel(scaled, k)
+    acc = resolve_law("riemann-wave", 3, 2).rate_at(scaled, k)
     fpp = -(fp * fp + lam * f) / f
     assert np.abs(acc - fpp * fld.samples).max() < 1e-6
 
@@ -72,7 +68,7 @@ def test_constant_curvature_acceleration_reduces_to_scale_ode():
 def test_wave_dimension_guard():
     fld, _ = sphere_field(2)
     with pytest.raises(DimensionTooSmall):
-        riemann_wave_accel(fld, np.zeros_like(fld.samples))
+        resolve_law("riemann-wave", fld.dimension, 2).rate_at(fld, np.zeros_like(fld.samples))
 
 
 # ---------------------------------------------------------------------------
@@ -99,8 +95,9 @@ def test_general_form_reduces_to_flow_bitwise():
 def test_general_form_reduces_to_wave_bitwise():
     fld, _ = torus_field(3, points=8, amplitude=0.08)
     k = 0.1 * fld.samples
-    a1 = riemann_wave_accel(fld, k)
-    a2 = general_form_accel(fld, k, 1.0, 0.0, 0.0, 2.0)
+    a1 = resolve_law("riemann-wave", 3, 2).rate_at(fld, k)
+    a2 = resolve_law(("general", {"alpha": 1.0, "beta": 0.0, "gamma": 0.0, "delta": 2.0}),
+                     3, 2).rate_at(fld, k)
     assert np.array_equal(a1, a2)
     # whole trajectories from a nonzero velocity, on both chart kinds
     for fld in (fld, _off_origin_hyperbolic()):
@@ -109,7 +106,7 @@ def test_general_form_reduces_to_wave_bitwise():
         t2 = integrate_wave(fld, ("general", {"alpha": 1.0, "delta": 2.0}), 5e-3, 0.05,
                             velocity=k, stride=2)
         assert t1.times == t2.times
-        for key in ("states", "velocities", "velocity_states"):
+        for key in ("states", "velocities"):
             assert all(np.array_equal(a, b)
                        for a, b in zip(getattr(t1, key), getattr(t2, key)))
         assert all(np.array_equal(t1.diagnostic(d), t2.diagnostic(d), equal_nan=True)
@@ -119,15 +116,18 @@ def test_general_form_reduces_to_wave_bitwise():
 def test_general_form_constant_curvature_residual():
     fldS, famS = sphere_field(3)
     lam = famS.constant_curvature
-    assert general_form_residual(fldS, 0.0, 0.0, 1.0, -1.0 / lam) < 1e-6
+    # the algebraic member gamma G + delta Riem = 0 of the general family
+    law = Law("general", 2, "family", 0.0, 0.0, 1.0, -1.0 / lam)
+    assert law.residual(fldS.samples, fldS.inverse, None, None, riemann(fldS).array) < 1e-6
     fldT, _ = torus_field(3, points=8, amplitude=0.08)
-    assert general_form_residual(fldT, 0.0, 0.0, 1.0, -1.0 / lam) > 1e-1
+    assert law.residual(fldT.samples, fldT.inverse, None, None, riemann(fldT).array) > 1e-1
 
 
 def test_general_form_degenerate_coefficients():
     fld, _ = torus_field(3, points=8)
     with pytest.raises(DegenerateCoefficients):
-        general_form_accel(fld, np.zeros_like(fld.samples), 0.0, 0.0, 1.0, 2.0)
+        resolve_law(("general", {"alpha": 0.0, "beta": 0.0, "gamma": 1.0, "delta": 2.0}),
+                    3, 2).rate_at(fld, np.zeros_like(fld.samples))
     with pytest.raises(DegenerateCoefficients):
         integrate_wave(fld, ("general", {"alpha": 0.0, "beta": 0.0,
                                          "gamma": 1.0, "delta": 2.0}), 1e-2, 0.1)
@@ -190,7 +190,7 @@ def test_tensor_wave_matches_ode_collapsing():
     f = traj.diagnostic("f_est")
     mask = t <= 0.9 * T
     assert np.abs(f[mask] - fref(t[mask])).max() < 1e-6
-    report = monitor_wave_blow_up(traj)
+    report = monitor_blow_up(traj)
     assert abs(report.T_est - T) < 1e-3
     assert -0.7 < report.exponent < -0.3  # square-root collapse
 
@@ -207,7 +207,7 @@ def test_tensor_wave_matches_ode_growing():
     f = traj.diagnostic("f_est")
     assert np.abs(f - fref(t)).max() < 1e-6
     with pytest.raises(NoSingularity):
-        monitor_wave_blow_up(traj)
+        monitor_blow_up(traj)
 
 
 def test_tensor_wave_polynomial_solution():
@@ -229,7 +229,7 @@ def test_integrate_accepts_wave_state():
     state = WaveState(t=0.25, field=fld, velocity=np.zeros_like(fld.samples))
     traj = integrate_wave(state, "riemann-wave", 0.25, 1.0, stride=1)
     assert traj.times[0] == 0.25
-    assert len(traj.velocity_states) == len(traj.states)
+    assert len(traj.velocities) == len(traj.states)
 
 
 def test_flat_wave_is_steady():
@@ -238,7 +238,7 @@ def test_flat_wave_is_steady():
     drift = max(np.abs(s - traj.states[0]).max() for s in traj.states)
     assert drift < 1e-12
     with pytest.raises(NoSingularity):
-        monitor_wave_blow_up(traj)
+        monitor_blow_up(traj)
 
 
 # ---------------------------------------------------------------------------
