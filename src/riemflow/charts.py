@@ -11,8 +11,13 @@ Two chart backends are supported:
   axis and of the four corner points per scale and axis pair.  One
   vectorised :func:`richardson_jet` turns stencil values of shape
   ``(B, P) + tail`` into the jet, taking every difference before dividing
-  so that equal values cancel exactly (a precomputed weight matrix would
-  add weights first and lose that cancellation).
+  so that equal values cancel exactly.  A jet that is linear in a few
+  coefficients, such as the frozen frame's ``L0 Y L0^T`` in
+  :mod:`riemflow.flow`, is built by applying it once to the images of a
+  basis: each basis jet still has its differences taken first, so a
+  derivative that cancels exactly on every basis image is exactly zero in
+  the combination (a weight matrix over the stencil values would add
+  weights first and lose that cancellation).
 * :class:`GridChart` -- a periodic grid over a flat torus.  Derivatives are
   taken with fourth-order central stencils and periodic wrap-around, so no
   boundary conditions ever enter.  The +/-1 and +/-2 shifts along an axis
@@ -20,8 +25,9 @@ Two chart backends are supported:
   by that axis's first and second derivative.
 
 A :class:`MetricField` couples a chart with metric samples (grid), a metric
-function (analytic) or metric values at the analytic stencil's points, and
-produces the 2-jet ``(g, dg, d2g)`` that the curvature kernel consumes.  On
+function (analytic), metric values at the analytic stencil's points or an
+analytic 2-jet already known, and produces the 2-jet ``(g, dg, d2g)`` that
+the curvature kernel consumes.  On
 grids the jet differentiates only the n(n+1)/2 components ``g_ij``,
 ``i <= j``, and mirrors them.  A field checks positivity with one batched
 Cholesky (:func:`require_spd`; eigenvalues only on failure, to name the
@@ -341,9 +347,10 @@ class MetricField:
     """Metric components attached to a chart.
 
     Use :meth:`from_function` for closed-form metrics (both chart kinds),
-    :meth:`from_samples` for component arrays on a grid chart, or
+    :meth:`from_samples` for component arrays on a grid chart,
     :meth:`from_stencil_values` for components already evaluated at an
-    analytic chart's stencil points.
+    analytic chart's stencil points, or :meth:`from_jets` for an analytic
+    chart's 2-jet.
     """
 
     chart: object
@@ -351,6 +358,7 @@ class MetricField:
     values: np.ndarray = None
     _samples: np.ndarray = dataclass_field(default=None, repr=False)
     _inverse: np.ndarray = dataclass_field(default=None, repr=False)
+    _jets: tuple = dataclass_field(default=None, repr=False)
 
     @classmethod
     def from_function(cls, chart, func):
@@ -384,6 +392,13 @@ class MetricField:
         if values.shape != expected:
             raise ValueError(f"stencil values have shape {values.shape}, expected {expected}")
         return cls(chart=chart, values=values)
+
+    @classmethod
+    def from_jets(cls, chart, g, dg, d2g):
+        """Analytic-chart field given by its 2-jet at the chart's point, in the
+        layout :meth:`jets` returns: ``g`` (1, n, n), ``dg`` (1, n, n, n) and
+        ``d2g`` (1, n, n, n, n)."""
+        return cls(chart=chart, _samples=g, _jets=(g, dg, d2g))
 
     @property
     def dimension(self):
@@ -421,8 +436,11 @@ class MetricField:
         """Return ``(g, dg, d2g)`` flattened over samples.
 
         On grid charts only the n(n+1)/2 components ``g_ij``, i <= j, are
-        differentiated; their derivatives are mirrored to ``g_ji``.
+        differentiated; their derivatives are mirrored to ``g_ji``.  A field
+        made by :meth:`from_jets` returns its jet.
         """
+        if self._jets is not None:
+            return self._jets
         n = self.dimension
         if self.chart.kind == "periodic-grid":
             flat, component = _symmetric_components(n)

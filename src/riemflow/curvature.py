@@ -32,6 +32,7 @@ rates reuse, so that a right-hand side inverts its metric once.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -158,9 +159,21 @@ def christoffel_from_jets(g, dg, ginv):
     # with dg[..., a, b, c] = d_c g_ab:
     #   term[l, j, k] = dg[l, j, k] + dg[l, k, j] - dg[j, k, l]
     # contracted as one batched product g^{il} term[l, (jk)]
-    term = dg + np.swapaxes(dg, -2, -1) - np.moveaxis(dg, -1, -3)
+    term = dg + np.swapaxes(dg, -2, -1) - _permute_last(dg, (2, 0, 1))
     n = g.shape[-1]
     return 0.5 * (ginv @ term.reshape(term.shape[:-2] + (n * n,))).reshape(term.shape)
+
+
+@lru_cache(maxsize=None)
+def _trailing_axes(ndim, perm):
+    lead = ndim - len(perm)
+    return tuple(range(lead)) + tuple(lead + p for p in perm)
+
+
+def _permute_last(a, perm):
+    """View of ``a`` with its trailing ``len(perm)`` axes permuted as
+    ``ndarray.transpose(perm)`` permutes them, leading axes in place."""
+    return a.transpose(_trailing_axes(a.ndim, perm))
 
 
 def riemann(field: MetricField) -> CurvatureTensor:
@@ -176,11 +189,12 @@ def riemann_from_jets(g, dg, d2g, ginv):
     of ``g``."""
     gam = christoffel_from_jets(g, dg, ginv)
     # 1/2 (d_j d_l g_ik + d_i d_k g_jl - d_i d_l g_jk - d_j d_k g_il)
-    # d2g[..., a, b, c, d] = d_c d_d g_ab
-    t_ik_jl = np.einsum('...ikjl->...ijkl', d2g)
-    t_jl_ik = np.einsum('...jlik->...ijkl', d2g)
-    t_jk_il = np.einsum('...jkil->...ijkl', d2g)
-    t_il_jk = np.einsum('...iljk->...ijkl', d2g)
+    # d2g[..., a, b, c, d] = d_c d_d g_ab, so that d_j d_l g_ik at [i, j, k, l]
+    # is d2g[i, k, j, l], and so on
+    t_ik_jl = _permute_last(d2g, (0, 2, 1, 3))
+    t_jl_ik = _permute_last(d2g, (2, 0, 3, 1))
+    t_jk_il = _permute_last(d2g, (2, 0, 1, 3))
+    t_il_jk = _permute_last(d2g, (0, 2, 3, 1))
     riem = 0.5 * (t_ik_jl + t_jl_ik - t_jk_il - t_il_jk)
     # quadratic term g_mn (Gamma^m_jk Gamma^n_il - Gamma^m_jl Gamma^n_ik): with
     # the lowered symbols Gamma_{m,il} = g_mn Gamma^n_il, one product gives
@@ -189,7 +203,7 @@ def riemann_from_jets(g, dg, d2g, ginv):
     lead = gam.shape[:-3]
     gam_m = gam.reshape(lead + (n, n * n))
     M = (np.swapaxes(gam_m, -1, -2) @ (g @ gam_m)).reshape(lead + (n,) * 4)
-    first = np.moveaxis(M, -2, -4)
+    first = _permute_last(M, (2, 0, 1, 3))
     riem -= first
     riem += np.swapaxes(first, -1, -2)
     return riem

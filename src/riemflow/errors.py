@@ -1,4 +1,5 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library, and the schema check of the
+whole-number parameters of configurations."""
 
 
 class RiemflowError(Exception):
@@ -91,6 +92,20 @@ class SchemaError(RiemflowError):
     def __init__(self, message, key=None):
         self.key = key
         super().__init__(message if key is None else f"{message} (key: {key!r})")
+
+
+def whole_number(value, key):
+    """``value`` as an int; :class:`SchemaError` naming ``key`` unless it is
+    a whole number, such as 2, 2.0 or "2" (not 2.5, which ``int`` would
+    truncate)."""
+    try:
+        number = int(value)
+        whole = number == float(value)
+    except (TypeError, ValueError, OverflowError):
+        whole = False
+    if not whole:
+        raise SchemaError(f"{key} must be a whole number, got {value!r}", key=key)
+    return number
 
 
 class UnknownFamily(RiemflowError):

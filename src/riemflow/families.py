@@ -1,9 +1,12 @@
 """Named metric families for charts, scenarios and the CLI.
 
 Registered names: ``flat``, ``sphere-stereographic``, ``hyperbolic-poincare``,
-``conformal-torus`` (parameters ``amplitude`` and ``mode``, optional random
-phases drawn from the scenario seed) and ``diagonal-lame`` (a table of
-coefficient expressions, one per axis).
+``conformal-torus`` (parameters ``amplitude``, a whole-number ``mode``, the
+periods ``lengths``, 2 pi by default, and optional random phases drawn from
+the scenario seed) and ``diagonal-lame`` (a table of coefficient
+expressions, one per axis).  A conformal torus is periodic with its
+``lengths`` only, so they are its ``periods``; the flat metric has every
+period and none is fixed.
 
 A ``diagonal-lame`` expression is parsed once, when the family is made, and
 refused with :class:`SchemaError` unless it is built only from the
@@ -26,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SchemaError, UnknownFamily
+from .errors import SchemaError, UnknownFamily, whole_number
 
 # constant-curvature factors under the implemented component formula
 SPHERE_CURVATURE_FACTOR = -1.0
@@ -50,8 +53,8 @@ class MetricFamily:
     metric_function: object
     constant_curvature: float = None   # factor lam with Riem = lam * G, if constant
     lame: tuple = None                 # diagonal coefficient callables, if orthogonal
-    periodic: bool = False
-    default_lengths: tuple = None
+    periods: tuple = None              # the only torus periods the metric has, if any
+    default_lengths: tuple = None      # grid-chart periods when a chart gives none
 
 
 def _flat(n):
@@ -63,7 +66,7 @@ def _flat(n):
 
     return MetricFamily("flat", n, metric, constant_curvature=0.0,
                         lame=tuple(_const_one() for _ in range(n)),
-                        periodic=True, default_lengths=(2.0 * math.pi,) * n)
+                        default_lengths=(2.0 * math.pi,) * n)
 
 
 def _const_one():
@@ -84,7 +87,7 @@ def _conformal_ball(n, sign, name, curvature):
 
 
 def _conformal_torus(n, amplitude, mode, phases, lengths):
-    mode = int(mode)
+    mode = whole_number(mode, "mode")
     # ValueError unless each is one value or one per axis
     lengths = np.broadcast_to(np.asarray(lengths, dtype=float), (n,))
     phases = np.broadcast_to(np.asarray(phases, dtype=float), (n,))
@@ -95,9 +98,8 @@ def _conformal_torus(n, amplitude, mode, phases, lengths):
         phi = amplitude * np.sum(np.sin(args), axis=-1)
         return np.exp(2.0 * phi)[..., None, None] * np.eye(n)
 
-    fam = MetricFamily("conformal-torus", n, metric, periodic=True,
-                       default_lengths=tuple(lengths))
-    return fam
+    return MetricFamily("conformal-torus", n, metric, periods=tuple(lengths),
+                        default_lengths=tuple(lengths))
 
 
 def _compile_expression(expr, n):

@@ -30,7 +30,14 @@ expressed in the frame of the initial metric; the spatial field is
 reconstructed as ``g_t(x) = L0(x) Y(t) L0(x)^T`` with ``L0`` the pointwise
 Cholesky factor of the initial metric.  That reconstruction is exact for
 congruence-homogeneous evolutions (in particular every constant-curvature
-scenario); general inhomogeneous dynamics belong on grid charts.
+scenario); general inhomogeneous dynamics belong on grid charts.  Its 2-jet
+is linear in ``Y``: each run takes the Richardson jets of ``L0 E L0^T`` for
+the n(n+1)/2 symmetric basis matrices ``E`` once, and each right-hand side
+combines them in one matrix product, with no stencil evaluated.  A stage
+whose state is not finite therefore fails its positivity check and the step
+halves, as on grids; a metric that is not finite at a stencil point is
+refused with :class:`~riemflow.errors.StencilOutOfDomain` when the run
+starts.
 """
 
 import math
@@ -39,7 +46,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bialternate import recover_metric
-from .charts import MetricField, analytic_stencil, require_finite, require_spd
+from .charts import (
+    MetricField,
+    analytic_stencil,
+    require_finite,
+    require_spd,
+    richardson_jet,
+)
 from .curvature import (
     kn_product,
     pair_product_from_samples,
@@ -310,11 +323,19 @@ def _relative_eigenvalues(g_samples, L0inv):
 
 
 def _frozen_frame_builder(field):
-    """Field builder for an analytic chart: g_Y(x) = L0(x) Y L0(x)^T at the
-    points of the chart's stencil, with ``L0`` taken there once from
-    ``field``."""
+    """Field builder for an analytic chart: g_Y(x) = L0(x) Y L0(x)^T, with
+    ``L0`` taken once from ``field`` at the points of the chart's stencil.
+
+    The jet of g_Y is linear in the components ``Y_ij``, i <= j, so
+    :func:`richardson_jet` runs once, here, on the images ``L0 E_q L0^T`` of
+    the symmetric basis matrices ``E_q``; each field's derivatives are then
+    one product of those components with the basis jets.  Its sample is
+    ``L0 Y L0^T`` at the chart's point.  The stencil's values are checked
+    for finiteness here, once.
+    """
     chart = field.chart
-    stencil = analytic_stencil(chart.dimension, chart.step)
+    n = chart.dimension
+    stencil = analytic_stencil(n, chart.step)
     point = chart.point[None, :]
     if field.func is None:
         g0 = field.values[None]
@@ -323,9 +344,19 @@ def _frozen_frame_builder(field):
                         dtype=float)
     require_finite(g0, point, stencil.offsets)
     L = np.linalg.cholesky(g0[0])
+    rows, cols = np.triu_indices(n)
+    q = np.arange(len(rows))
+    basis = np.zeros((len(q), n, n))
+    basis[q, rows, cols] = basis[q, cols, rows] = 1.0
+    _, dg, d2g = richardson_jet(stencil, np.einsum('pab,qbc,pdc->qpad', L, basis, L))
+    jet_map = np.concatenate([dg.reshape(len(q), -1), d2g.reshape(len(q), -1)], axis=1)
+    L0 = L[0]
 
     def build(Y):
-        return MetricField.from_stencil_values(chart, np.einsum('pab,bc,pdc->pad', L, Y, L))
+        d = Y[rows, cols] @ jet_map
+        return MetricField.from_jets(chart, np.einsum('ab,bc,dc->ad', L0, Y, L0)[None],
+                                     d[:n ** 3].reshape((1,) + (n,) * 3),
+                                     d[n ** 3:].reshape((1,) + (n,) * 4))
 
     return build
 

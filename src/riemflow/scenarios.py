@@ -3,8 +3,11 @@
 A scenario is a JSON document selecting a metric family, a chart, an
 evolution law, integrator settings and output paths.  A document is checked
 when it is loaded, before any run starts: unknown keys, parameters the law
-or the family does not take or cannot use, and a chart that cannot be built
-are refused with :class:`SchemaError`.  Runs write a
+or the family does not take or cannot use, a fraction where a whole number
+is needed (``dimension``, ``stride``, ``points_per_axis``, ``mode``,
+``points``), a chart that cannot be built and grid ``lengths`` other than a
+conformal torus's periods are refused with :class:`SchemaError`.  A grid
+chart without ``lengths`` takes the family's.  Runs write a
 time-series CSV plus a JSON summary; with a fixed seed the CSV bytes are
 reproducible on one platform.
 
@@ -30,7 +33,7 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from .charts import AnalyticChart, GridChart, MetricField
-from .errors import NoSingularity, ParseError, SchemaError
+from .errors import NoSingularity, ParseError, SchemaError, whole_number
 from .families import make_family
 from .flow import integrate_flow, monitor_blow_up, resolve_law
 from .wave import (
@@ -118,14 +121,15 @@ def config_from_dict(raw, default_id="scenario"):
     chart = dict(raw.get("chart", {}))
     _require_known(chart, {"dimension", "kind", "point", "step",
                            "points_per_axis", "lengths"}, "chart")
-    dimension = int(chart.get("dimension", family.get("dimension", 3)))
+    dimension = whole_number(chart.get("dimension", family.get("dimension", 3)), "dimension")
     if dimension < 2:
         raise SchemaError("chart dimension must be at least 2", key="dimension")
     # built once here to refuse a bad family or chart at load; the run builds
     # its own family, whose random phases come from the scenario seed
-    make_family(family_name, dimension, family_params, np.random.default_rng(0))
+    metric_family = make_family(family_name, dimension, family_params,
+                                np.random.default_rng(0))
     try:
-        _build_chart(chart, family_name, dimension)
+        _build_chart(chart, metric_family)
     except (TypeError, ValueError) as exc:
         raise SchemaError(f"bad chart: {exc}", key="chart") from None
 
@@ -149,7 +153,7 @@ def config_from_dict(raw, default_id="scenario"):
     _require_known(integ, {"dt", "t_end", "stride"}, "integrator")
     dt = float(integ.get("dt", 1e-3))
     t_end = float(integ.get("t_end", 1.0))
-    stride = int(integ.get("stride", 10))
+    stride = whole_number(integ.get("stride", 10), "stride")
     if dt <= 0:
         raise SchemaError("dt must be positive", key="dt")
     if t_end <= 0:
@@ -199,19 +203,29 @@ def _resolved_law(law_name, law_params, dimension):
         raise SchemaError(f"{law_name}: {exc}", key="law") from None
 
 
-def _build_chart(spec, family_name, dimension):
+def _build_chart(spec, family):
+    """The chart of ``spec`` for a :class:`~riemflow.families.MetricFamily`.
+    A grid chart's periods default to the family's ``default_lengths``, and
+    a family with fixed ``periods`` refuses others (``SchemaError`` on
+    ``lengths``)."""
+    dimension = family.dimension
     kind = spec.get("kind")
     if kind is None:
-        kind = "periodic-grid" if family_name in ("flat", "conformal-torus") \
+        kind = "periodic-grid" if family.name in ("flat", "conformal-torus") \
             else "analytic-point"
     if kind == "analytic-point":
         point = np.asarray(spec.get("point", [0.0] * dimension), dtype=float)
         return AnalyticChart(dimension, point, float(spec.get("step", 1e-2)))
     if kind == "periodic-grid":
         ppa = spec.get("points_per_axis", 16)
-        lengths = spec.get("lengths", 2.0 * math.pi)
-        return GridChart(dimension, ppa if np.isscalar(ppa) else tuple(ppa),
-                         lengths if np.isscalar(lengths) else tuple(lengths))
+        ppa = (whole_number(ppa, "points_per_axis") if np.isscalar(ppa)
+               else tuple(whole_number(p, "points_per_axis") for p in ppa))
+        lengths = spec.get("lengths", family.default_lengths or 2.0 * math.pi)
+        chart = GridChart(dimension, ppa, lengths if np.isscalar(lengths) else tuple(lengths))
+        if family.periods is not None and chart.lengths != family.periods:
+            raise SchemaError(f"chart lengths {list(chart.lengths)} are not the "
+                              f"{family.name} periods {list(family.periods)}", key="lengths")
+        return chart
     raise SchemaError(f"unknown chart kind {kind!r}", key="kind")
 
 
@@ -326,7 +340,7 @@ def run_scenario(cfg: ScenarioConfig):
         summary["dt_used"] = dt
     else:
         family = make_family(cfg.family_name, cfg.dimension, cfg.family_params, rng)
-        chart = _build_chart(cfg.chart_spec, cfg.family_name, cfg.dimension)
+        chart = _build_chart(cfg.chart_spec, family)
         fld = MetricField.from_function(chart, family.metric_function)
         law = _resolved_law(cfg.law_name, cfg.law_params, cfg.dimension)
         if cfg.law_name in FLOW_LAWS:
@@ -368,18 +382,22 @@ def run_scenario(cfg: ScenarioConfig):
 def _other_law_params(law_name, law_params):
     """The parameters of a scale-ode or conformal-wave scenario over their
     defaults in :data:`OTHER_LAWS`, each converted to its default's type;
-    :class:`SchemaError` for a name without a default or a value that does
-    not convert."""
+    :class:`SchemaError` for a name without a default, a value that does
+    not convert or a fraction where the default is a whole number."""
     defaults = OTHER_LAWS[law_name]
     extra = set(law_params) - set(defaults)
     if extra:
         raise SchemaError(f"unknown {law_name} parameter", key=sorted(extra)[0])
     params = {**defaults, **law_params}
     for key, default in defaults.items():
-        try:
-            params[key] = type(default)(params[key])
-        except (TypeError, ValueError):
-            raise SchemaError(f"{law_name} parameter must be a number", key=key) from None
+        if type(default) is int:
+            params[key] = whole_number(params[key], key)
+        else:
+            try:
+                params[key] = type(default)(params[key])
+            except (TypeError, ValueError):
+                raise SchemaError(f"{law_name} parameter must be a number",
+                                  key=key) from None
     if law_name == "conformal-wave" and params["velocity"] not in _VELOCITIES:
         raise SchemaError("velocity must be 'zero' or 'right-mover'", key="velocity")
     return params

@@ -18,6 +18,7 @@ from riemflow.charts import AnalyticChart, GridChart, MetricField, analytic_scal
 from riemflow.curvature import (
     CurvatureTensor,
     christoffel,
+    christoffel_from_jets,
     inverse_metric,
     kn_product,
     orthogonal_metric_curvature,
@@ -411,6 +412,43 @@ def test_batched_contractions_match_component_formulas(n, S):
     assert _rel_err(tensor_norm(t4, ginv), _oracle_norm(t4, ginv)) < 1e-12
     assert _rel_err(pair_trace(ginv, t4),
                     np.einsum('...jl,...ijkl->...ik', ginv, t4)) < 1e-12
+
+
+def _einsum_christoffel(g, dg, ginv):
+    """christoffel_from_jets with its axes moved by np.moveaxis (the oracle)."""
+    term = dg + np.swapaxes(dg, -2, -1) - np.moveaxis(dg, -1, -3)
+    n = g.shape[-1]
+    return 0.5 * (ginv @ term.reshape(term.shape[:-2] + (n * n,))).reshape(term.shape)
+
+
+def _einsum_riemann(g, dg, d2g, ginv):
+    """riemann_from_jets with its axes moved by einsum and np.moveaxis (the
+    oracle)."""
+    gam = _einsum_christoffel(g, dg, ginv)
+    riem = 0.5 * (np.einsum('...ikjl->...ijkl', d2g) + np.einsum('...jlik->...ijkl', d2g)
+                  - np.einsum('...jkil->...ijkl', d2g) - np.einsum('...iljk->...ijkl', d2g))
+    n = g.shape[-1]
+    lead = gam.shape[:-3]
+    gam_m = gam.reshape(lead + (n, n * n))
+    M = (np.swapaxes(gam_m, -1, -2) @ (g @ gam_m)).reshape(lead + (n,) * 4)
+    first = np.moveaxis(M, -2, -4)
+    riem -= first
+    riem += np.swapaxes(first, -1, -2)
+    return riem
+
+
+@pytest.mark.parametrize("lead", [(), (1,), (512,), (2, 5)])
+@pytest.mark.parametrize("n", [3, 4])
+def test_kernel_axis_permutations_match_einsum_bitwise(n, lead):
+    # the kernels permute axes with transpose views for any leading shape;
+    # the arithmetic is the einsum oracle's, so the results are equal bit for bit
+    rng = np.random.default_rng(10 * n + len(lead))
+    S = int(np.prod(lead))
+    g, dg, d2g = (a.reshape(lead + a.shape[1:]) for a in _random_jets(S, n, rng))
+    ginv = np.linalg.inv(g)
+    assert np.array_equal(christoffel_from_jets(g, dg, ginv), _einsum_christoffel(g, dg, ginv))
+    assert np.array_equal(riemann_from_jets(g, dg, d2g, ginv),
+                          _einsum_riemann(g, dg, d2g, ginv))
 
 
 _unit = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)

@@ -11,13 +11,20 @@ from conftest import (
     torus_field,
 )
 from riemflow.bialternate import bialternate_product
-from riemflow import flow
-from riemflow.charts import AnalyticChart, GridChart, MetricField, analytic_stencil
+from riemflow import charts, flow
+from riemflow.charts import (
+    AnalyticChart,
+    GridChart,
+    MetricField,
+    analytic_stencil,
+    richardson_jet,
+)
 from riemflow.curvature import riemann, weyl
 from riemflow.errors import (
     DimensionTooSmall,
     EmptyTrajectory,
     NoSingularity,
+    NotInImage,
     NotPositiveDefinite,
     StencilOutOfDomain,
 )
@@ -317,10 +324,13 @@ def test_sandwich_empty_trajectory():
 
 @pytest.mark.parametrize("family", ["hyperbolic-poincare", "sphere-stereographic"])
 def test_frozen_frame_field_matches_function_field(family):
-    # the stencil-valued field built from L0 taken once gives the curvature
-    # of the closed-form field L0(x) Y L0(x)^T bit for bit
+    # the field built from L0 taken once has the sample of the closed-form
+    # field L0(x) Y L0(x)^T bit for bit, and its curvature to the roundoff
+    # floor of the jet's second differences, 64 eps / h^2 relative: its jet
+    # is a combination of basis jets, not the jet of the combined values
     fam = make_family(family, 3)
-    chart = AnalyticChart(3, [0.1, -0.2, 0.15], 1e-2)
+    h = 1e-2
+    chart = AnalyticChart(3, [0.1, -0.2, 0.15], h)
     build = _frozen_frame_builder(MetricField.from_function(chart, fam.metric_function))
     rng = np.random.default_rng(5)
     for _ in range(3):
@@ -333,7 +343,88 @@ def test_frozen_frame_field_matches_function_field(family):
         ref = MetricField.from_function(chart, metric)
         got = build(Y)
         assert np.array_equal(got.samples, ref.samples)
-        assert np.array_equal(riemann(got).array, riemann(ref).array)
+        want = riemann(ref).array
+        gap = np.abs(riemann(got).array - want).max()
+        assert gap <= 64 * np.finfo(float).eps / h ** 2 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("family", ["hyperbolic-poincare", "sphere-stereographic"])
+def test_frozen_frame_jets_match_richardson_on_stencil_values(family, n):
+    # the builder's basis-jet map gives the jet that richardson_jet takes
+    # from the stencil values L0 Y L0^T, to the floor 64 eps / h^2 of the
+    # metric's size; at the origin of a radial chart both gradients cancel
+    # exactly, because every difference is still taken before dividing
+    h = 1e-2
+    fam = make_family(family, n)
+    stencil = analytic_stencil(n, h)
+    rng = np.random.default_rng(n)
+    for point in (np.zeros(n), rng.uniform(-0.3, 0.3, n)):
+        chart = AnalyticChart(n, point, h)
+        build = _frozen_frame_builder(MetricField.from_function(chart, fam.metric_function))
+        L = np.linalg.cholesky(fam.metric_function(point + stencil.offsets))
+        for _ in range(5):
+            Y = rand_spd(n, rng)
+            got = build(Y).jets()
+            want = richardson_jet(stencil, np.einsum('pab,bc,pdc->pad', L, Y, L)[None])
+            assert np.array_equal(got[0], want[0])
+            floor = 64 * np.finfo(float).eps / h ** 2 * np.abs(want[0]).max()
+            for a, b in zip(got[1:], want[1:]):
+                assert a.shape == b.shape
+                assert np.abs(a - b).max() <= floor
+            if not point.any():
+                assert np.all(got[1] == 0.0) and np.all(want[1] == 0.0)
+
+
+def test_richardson_runs_once_per_analytic_run(monkeypatch):
+    # the frozen frame differentiates the basis images once, when the run
+    # starts; no right-hand side takes a stencil jet
+    calls = []
+
+    def counting(stencil, vals):
+        calls.append(vals.shape)
+        return richardson_jet(stencil, vals)
+
+    monkeypatch.setattr(flow, "richardson_jet", counting)
+    monkeypatch.setattr(charts, "richardson_jet", counting)
+    rhs = []
+    monkeypatch.setattr(flow, "riemann", lambda f: rhs.append(1) or riemann(f))
+    fld, _ = hyperbolic_field(3)
+    for run in (lambda: integrate_flow(fld, "riemann-induced", 1e-2, 0.1, stride=1),
+                lambda: integrate_wave(fld, "riemann-wave", 1e-2, 0.1, stride=1)):
+        calls.clear()
+        rhs.clear()
+        assert len(run().times) == 11
+        assert len(rhs) == 41
+        assert len(calls) == 1
+
+
+@pytest.mark.parametrize("stage", [np.nan, np.inf])
+@pytest.mark.parametrize("make", [hyperbolic_field, torus_field], ids=["analytic", "grid"])
+def test_non_finite_stage_fails_the_step(make, stage):
+    # a stage whose state is not finite fails the step, which the step loop
+    # then halves, on both chart kinds; the stencil was checked at the start
+    fld, _ = make(3)
+    system = flow._RK4System(fld, resolve_law("riemann-induced", 3, 1))
+    with np.errstate(invalid="ignore"):
+        ok, new, cross, first = flow._rk4_step(system, system.state0, stage, None, None)
+    assert not ok and new is None and cross is None
+    assert first is not None
+
+
+def test_stencil_values_out_of_domain_refused_at_start():
+    # a metric that is not finite at a stencil point is refused when the run
+    # builds its frame, naming that point
+    chart = AnalyticChart(3, [0.1, -0.2, 0.15], 1e-2)
+    values = _ball_metric(chart.point + analytic_stencil(3, 1e-2).offsets)
+    values[7] = np.nan
+    fld = MetricField.from_stencil_values(chart, values)
+    for run in (lambda: integrate_flow(fld, "riemann-induced", 1e-3, 0.01),
+                lambda: integrate_wave(fld, "riemann-wave", 1e-3, 0.01)):
+        with pytest.raises(StencilOutOfDomain) as err:
+            run()
+        assert np.array_equal(err.value.point,
+                              chart.point + analytic_stencil(3, 1e-2).offsets[7])
 
 
 def test_flow_from_stencil_values_field():
@@ -471,11 +562,28 @@ def test_cross_check_uses_the_law_rate():
     assert np.array_equal(wave_traj.diagnostic("cross_check_error"), cc, equal_nan=True)
 
 
-def test_cross_check_failed_recovery_recorded_as_inf():
-    # at the collapse record the evolved pair product has left the image of
-    # the pair product map; the run still ends with "collapse"
+def test_cross_check_failed_recovery_recorded_as_inf(monkeypatch):
+    # a recovery that fails with NotInImage is recorded as inf and the run
+    # still ends with "collapse"; the failure is forced at the collapse
+    # record, the last of the run's recoveries (one sample, one per record)
     fld, _ = hyperbolic_field(3)
-    traj = integrate_flow(fld, "riemann-induced", 2e-3, 2.0, stride=10, cross_check_stride=1)
+
+    def run():
+        return integrate_flow(fld, "riemann-induced", 2e-3, 2.0, stride=10,
+                              cross_check_stride=1)
+
+    last = len(run().times)
+    calls = []
+    recover = flow.recover_metric
+
+    def failing_at_collapse(G, n):
+        calls.append(1)
+        if len(calls) == last:
+            raise NotInImage(1.0, 1e-10)
+        return recover(G, n)
+
+    monkeypatch.setattr(flow, "recover_metric", failing_at_collapse)
+    traj = run()
     assert traj.termination == "collapse"
     cc = traj.diagnostic("cross_check_error")
     assert np.isinf(cc).any()

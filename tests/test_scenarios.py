@@ -390,6 +390,51 @@ def test_config_errors_are_refused_at_load(tmp_path, overrides, key):
     assert err.value.key == key
 
 
+@pytest.mark.parametrize("key, overrides, fraction", [
+    ("mode", lambda v: {"family": {"name": "conformal-torus", "params": {"mode": v}}}, 1.5),
+    ("mode", lambda v: {"law": {"name": "conformal-wave", "mode": v}}, 1.5),
+    ("points", lambda v: {"law": {"name": "conformal-wave", "points": v}}, 256.9),
+    ("stride", lambda v: {"integrator": {"dt": 0.05, "t_end": 0.5, "stride": v}}, 2.7),
+    ("points_per_axis", lambda v: {"chart": {"dimension": 3, "kind": "periodic-grid",
+                                             "points_per_axis": [8, v, 8]}}, 8.5),
+    ("dimension", lambda v: {"chart": {"dimension": v, "kind": "periodic-grid",
+                                       "points_per_axis": 8}}, 3.5),
+], ids=["torus-mode", "wave-mode", "points", "stride", "points-per-axis", "dimension"])
+def test_fractional_counts_are_refused(tmp_path, key, overrides, fraction):
+    # a whole-number parameter given a fraction is refused, not truncated;
+    # the same value as a whole float loads
+    with pytest.raises(SchemaError) as err:
+        config_from_dict(_base_cfg(tmp_path, **overrides(fraction)))
+    assert err.value.key == key
+    config_from_dict(_base_cfg(tmp_path, **overrides(float(int(fraction)))))
+
+
+def _torus_run(tmp_path, name, chart_lengths=None):
+    chart = {"dimension": 3, "kind": "periodic-grid", "points_per_axis": 8}
+    if chart_lengths is not None:
+        chart["lengths"] = chart_lengths
+    cfg = _base_cfg(tmp_path, id=name, chart=chart,
+                    family={"name": "conformal-torus",
+                            "params": {"amplitude": 0.05, "lengths": [1, 1, 1]}},
+                    integrator={"dt": 1e-4, "t_end": 2e-4, "stride": 1},
+                    output={"csv": str(tmp_path / f"{name}.csv"),
+                            "summary": str(tmp_path / f"{name}.json")})
+    return config_from_dict(cfg)
+
+
+def test_grid_chart_takes_the_torus_periods(tmp_path):
+    # a conformal torus of period 1 is sampled on the torus of side 1 whether
+    # or not the chart repeats its lengths; other lengths are refused
+    for name, lengths in (("implicit", None), ("explicit", [1, 1, 1])):
+        run_scenario(_torus_run(tmp_path, name, lengths))
+    first = [(tmp_path / f"{name}.csv").read_text().splitlines()[1]
+             for name in ("implicit", "explicit")]
+    assert first[0] == first[1]
+    with pytest.raises(SchemaError) as err:
+        _torus_run(tmp_path, "mismatch", [2.0 * np.pi] * 3)
+    assert err.value.key == "lengths"
+
+
 def test_cli_run_refuses_a_bad_file_before_running_any(tmp_path, capsys):
     good = _write(tmp_path, _base_cfg(tmp_path), "good.json")
     bad = _write(tmp_path, _base_cfg(tmp_path, id="bad", law={"name": "scale-ode",
