@@ -3,7 +3,7 @@
 G = g (.) g with components G_ijkl = g_ik g_jl - g_il g_jk carries all the
 algebraic symmetries of a curvature tensor, is positive on decomposable
 2-forms, and for n >= 3 determines g up to sign.  The demo exercises the
-quadratic recovery, its failure for n = 2, and the degree-8 identity that
+closed-form recovery, its failure for n = 2, and the degree-8 identity that
 ties g to G.
 """
 
@@ -31,7 +31,7 @@ print(f"G(X,Y,X,Y) = {quad:+.6f}   Gram determinant = {gram:+.6f}")
 print(f"(g ^ g) equals 2 G: "
       f"{np.abs(kulkarni_nomizu(g, g) - 2 * G.array).max():.2e}")
 
-print("\n== recovery: Gauss-Newton on the quadratic map ==")
+print("\n== recovery: closed form from the 3 x 3 cofactor blocks ==")
 for n in (3, 4, 5):
     a = rng.normal(size=(n, n)) * 0.4
     gn = a @ a.T + np.eye(n)

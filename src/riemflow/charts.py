@@ -25,11 +25,10 @@ Two chart backends are supported:
   by that axis's first and second derivative.
 
 A :class:`MetricField` couples a chart with metric samples (grid), a metric
-function (analytic), metric values at the analytic stencil's points or an
-analytic 2-jet already known, and produces the 2-jet ``(g, dg, d2g)`` that
-the curvature kernel consumes.  On
-grids the jet differentiates only the n(n+1)/2 components ``g_ij``,
-``i <= j``, and mirrors them.  A field checks positivity with one batched
+function (analytic) or an analytic 2-jet already known, and produces the
+2-jet ``(g, dg, d2g)`` that the curvature kernel consumes.  On grids the jet
+differentiates only the n(n+1)/2 components ``g_ij``, ``i <= j``, and
+mirrors them.  A field checks positivity with one batched
 Cholesky (:func:`require_spd`; eigenvalues only on failure, to name the
 worst sample) and inverts its metric once (:attr:`MetricField.inverse`).
 Index conventions for jets: ``dg[..., i, j, k] = d_k g_ij`` and
@@ -95,7 +94,8 @@ class GridChart:
         Chart dimension ``n >= 2`` (the 1+1 conformal wave uses its own
         scalar grid, not this class).
     points_per_axis : int or tuple of int
-        Number of samples along each axis, at least 8.
+        Number of samples along each axis, at least 8; a float must be whole
+        (8.0 is taken, 8.5 refused).
     lengths : float or tuple of float
         Torus periods per axis.
     """
@@ -108,8 +108,9 @@ class GridChart:
         if self.dimension < 2:
             raise ValueError("chart dimension must be at least 2")
         ppa = self.points_per_axis
-        if np.isscalar(ppa):
-            ppa = (int(ppa),) * self.dimension
+        ppa = (ppa,) * self.dimension if np.isscalar(ppa) else tuple(ppa)
+        if any(p != int(p) for p in ppa):
+            raise ValueError(f"points_per_axis must be whole numbers, got {ppa}")
         ppa = tuple(int(p) for p in ppa)
         if len(ppa) != self.dimension:
             raise ValueError("points_per_axis must match the chart dimension")
@@ -347,10 +348,8 @@ class MetricField:
     """Metric components attached to a chart.
 
     Use :meth:`from_function` for closed-form metrics (both chart kinds),
-    :meth:`from_samples` for component arrays on a grid chart,
-    :meth:`from_stencil_values` for components already evaluated at an
-    analytic chart's stencil points, or :meth:`from_jets` for an analytic
-    chart's 2-jet.
+    :meth:`from_samples` for component arrays on a grid chart, or
+    :meth:`from_jets` for an analytic chart's 2-jet.
     """
 
     chart: object
@@ -382,18 +381,6 @@ class MetricField:
         return cls(chart=chart, values=values)
 
     @classmethod
-    def from_stencil_values(cls, chart, values):
-        """Analytic-chart field from components at the points of the chart's
-        :func:`analytic_stencil`, shape (P, n, n), centre first."""
-        if chart.kind != "analytic-point":
-            raise ValueError("stencil values need an analytic chart; use from_samples")
-        n = chart.dimension
-        expected = (len(analytic_stencil(n, chart.step).offsets), n, n)
-        if values.shape != expected:
-            raise ValueError(f"stencil values have shape {values.shape}, expected {expected}")
-        return cls(chart=chart, values=values)
-
-    @classmethod
     def from_jets(cls, chart, g, dg, d2g):
         """Analytic-chart field given by its 2-jet at the chart's point, in the
         layout :meth:`jets` returns: ``g`` (1, n, n), ``dg`` (1, n, n, n) and
@@ -411,8 +398,6 @@ class MetricField:
             n = self.dimension
             if self.chart.kind == "periodic-grid":
                 self._samples = self.values.reshape(-1, n, n)
-            elif self.func is None:
-                self._samples = self.values[:1]
             else:
                 pt = self.chart.point
                 self._samples = np.asarray(self.func(pt[None, :]), dtype=float).reshape(1, n, n)
@@ -447,9 +432,4 @@ class MetricField:
             upper = np.take(self.values.reshape(self.chart.grid_shape + (n * n,)), flat, axis=-1)
             _, d1, d2 = grid_scalar_jet(upper, self.chart)
             return self.samples, np.take(d1, component, axis=1), np.take(d2, component, axis=1)
-        point = self.chart.point[None, :]
-        if self.func is not None:
-            return analytic_scalar_jet(self.func, point, n, self.chart.step)
-        stencil = analytic_stencil(n, self.chart.step)
-        require_finite(self.values[None], point, stencil.offsets)
-        return richardson_jet(stencil, self.values[None])
+        return analytic_scalar_jet(self.func, self.chart.point[None, :], n, self.chart.step)

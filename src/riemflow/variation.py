@@ -2,7 +2,7 @@
 
 Linearizations are realised as numerical directional derivatives of the
 curvature operators: the central quotient ``(F(g + eps h) - F(g - eps h)) /
-(2 eps)`` with optional Richardson extrapolation over ``eps`` and ``eps/2``.
+(2 eps)`` with one Richardson extrapolation over ``eps`` and ``eps/2``.
 No symbolic assembly of the derivative brackets is attempted; the quotient
 is unambiguous and is validated against two-run tangency in the tests.
 """
@@ -102,9 +102,9 @@ def _operator(field, which):
     raise ValueError("which must be 'Riem' or 'Ric'")
 
 
-def _central_quotient(field, h, op, eps, richardson, max_halvings=40):
+def _central_quotient(field, h, op, eps, max_halvings=40):
     """(op(g + e h) - op(g - e h)) / (2 e), Richardson-extrapolated over
-    ``e`` and ``e/2`` when asked; ``e`` starts at ``eps`` times the metric
+    ``e`` and ``e/2``; ``e`` starts at ``eps`` times the metric
     scale over the direction scale and halves while a perturbed metric is
     not positive definite (``op`` computes curvature, which checks that)."""
     g_scale = float(np.abs(field.samples).max())
@@ -121,8 +121,6 @@ def _central_quotient(field, h, op, eps, richardson, max_halvings=40):
     for _ in range(max_halvings):
         try:
             d1 = quotient(e)
-            if not richardson:
-                return d1
             d2 = quotient(0.5 * e)
             return (4.0 * d2 - d1) / 3.0
         except (NotPositiveDefinite, np.linalg.LinAlgError):
@@ -131,24 +129,22 @@ def _central_quotient(field, h, op, eps, richardson, max_halvings=40):
         f"could not keep g +/- eps h positive definite down to eps={e:.3e}")
 
 
-def directional_curvature_derivative(field, h, which="Riem", eps=None,
-                                     richardson=True, max_halvings=40):
+def directional_curvature_derivative(field, h, which="Riem", eps=None, max_halvings=40):
     """Central-difference derivative of a curvature operator along ``h``.
 
     ``eps`` is relative to the metric scale divided by the direction scale;
     it is halved automatically while the perturbed metric loses positive
-    definiteness.  With ``richardson=True`` the estimates at ``eps`` and
-    ``eps/2`` are extrapolated to fourth order.
+    definiteness.  The estimates at ``eps`` and ``eps/2`` are extrapolated
+    to fourth order.
     """
-    return _central_quotient(field, h, lambda f: _operator(f, which), eps, richardson,
-                             max_halvings)
+    return _central_quotient(field, h, lambda f: _operator(f, which), eps, max_halvings)
 
 
-def linearized_flow_rhs(field, h, which="ricci", eps=None, richardson=True):
+def linearized_flow_rhs(field, h, which="ricci", eps=None):
     """dh/dt of the linearized law: the directional derivative of the
     nonlinear velocity map of the first-order law ``which`` along ``h``."""
     law = resolve_law(which, field.dimension, 1)
-    return _central_quotient(field, h, law.rate_at, eps, richardson)
+    return _central_quotient(field, h, law.rate_at, eps)
 
 
 def _jets(field, func_or_samples, tail, what):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from riemflow.charts import AnalyticChart, GridChart, MetricField
 from riemflow.families import make_family
@@ -37,6 +39,15 @@ def torus_field(n=3, points=8, amplitude=0.08, mode=1, seed=3):
     return MetricField.from_function(chart, fam.metric_function), fam
 
 
+def nan_at(metric, point):
+    """``metric`` with NaN components at exactly ``point``."""
+    def g(x):
+        out = np.array(metric(x), dtype=float)
+        out[np.all(np.asarray(x) == point, axis=-1)] = np.nan
+        return out
+    return g
+
+
 def flat_grid_field(n=3, points=8):
     fam = make_family("flat", n)
     chart = GridChart(n, points, 2.0 * np.pi)
@@ -46,3 +57,38 @@ def flat_grid_field(n=3, points=8):
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+# ---------------------------------------------------------------------------
+# hypothesis strategies
+# ---------------------------------------------------------------------------
+
+unit_floats = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def frames(draw, ranks=(2, 4), min_n=2):
+    """A dimension, SPD metrics g = B B^T + 1, frame changes P = 1 + A/(2n)
+    (|A_ij| <= 1, so P is invertible with condition number below 3) and a
+    tensor of the drawn rank, for three samples."""
+    n = draw(st.integers(min_n, 5))
+    rank = draw(st.sampled_from(ranks))
+    B = draw(arrays(float, (3, n, n), elements=unit_floats))
+    A = draw(arrays(float, (3, n, n), elements=unit_floats))
+    t = draw(arrays(float, (3,) + (n,) * rank, elements=unit_floats))
+    g = B @ np.swapaxes(B, -1, -2) + np.eye(n)
+    return g, np.eye(n) + A / (2.0 * n), t
+
+
+@st.composite
+def conditioned_metrics(draw, max_cond=1e4):
+    """An integer SPD metric of dimension 3 to 5 and condition number up to
+    ``max_cond`` (to 0.3%): 1000 Q diag(max_cond^t) Q^T rounded, with t_i in
+    [0, 1] and Q the orthogonal factor of a drawn matrix.  Its entries stay
+    below 2^24, so its pair product is exact in floating point and a
+    recovery's error is the recovery's own."""
+    n = draw(st.integers(3, 5))
+    Q, _ = np.linalg.qr(draw(arrays(float, (n, n), elements=unit_floats)))
+    t = draw(arrays(float, (n,), elements=st.floats(0.0, 1.0)))
+    m = (Q * (1e3 * max_cond ** t)) @ Q.T
+    return np.round(0.5 * (m + m.T))

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
-from conftest import SPHERE_FACTOR, rand_spd, sphere_field
+from conftest import SPHERE_FACTOR, conditioned_metrics, rand_spd, sphere_field
 from riemflow.bialternate import (
     bialternate_product,
     kulkarni_nomizu,
@@ -118,6 +119,80 @@ def test_recover_not_in_image(rng):
     G[0, 1, 0, 1] *= 1.5  # break the pair-product structure
     with pytest.raises(NotInImage):
         recover_metric(G, 3)
+
+
+def test_recover_refusals(rng):
+    # broken pair symmetry, an indefinite metric (n = 3, and n = 4 with every
+    # principal 3 x 3 block definite) and zero are not pair products of an
+    # SPD metric
+    G = bialternate_product(rand_spd(4, rng)).array[0].copy()
+    G[0, 1, 0, 2] += 1e-6
+    indefinite = np.eye(4) - 0.3          # eigenvalues 1, 1, 1, -0.2
+    assert np.all(np.linalg.eigvalsh(indefinite[:3, :3]) > 0)
+    for bad in (G, bialternate_product(np.diag([1.0, 1.0, -1.0])).array[0],
+                bialternate_product(indefinite).array[0], np.zeros((3, 3, 3, 3))):
+        with pytest.raises(NotInImage):
+            recover_metric(bad)
+
+
+def test_recover_negative_definite_gives_spd_root(rng):
+    g = rand_spd(4, rng)
+    rec = recover_metric(bialternate_product(-g), 4)
+    assert np.abs(rec - g).max() < 1e-12 * np.abs(g).max()
+
+
+def test_recover_near_degenerate_block():
+    # a damped iteration from a diagonal start refused this metric
+    g = np.array([[1.0, 0.99, 0.0], [0.99, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    assert np.abs(recover_metric(bialternate_product(g)) - g).max() < 1e-12
+
+
+def _conditioned(n, cond, rng):
+    """A metric Q diag(lam) Q^T with lam_min = 1, lam_max = cond and the
+    others log-uniform between them."""
+    Q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    lam = cond ** rng.uniform(0.0, 1.0, n)
+    lam[:2] = 1.0, cond
+    g = (Q * lam) @ Q.T
+    return 0.5 * (g + g.T)
+
+
+def test_recover_ill_conditioned_batch():
+    # no refusal up to condition number 1e4.  With an exact pair product
+    # (integer entries, 1000 times the metric rounded) the error is the
+    # recovery's own and stays below 1e-10.  A rounded pair product fixes
+    # its metric only to about eps cond^2 / (lam_1 lam_2) of max |g| (the
+    # exact recovery of it misses g by 4.2e-10 at worst for n = 3,
+    # cond = 1e4), so there the error is held to 10 eps cond^2
+    rng = np.random.default_rng(9)
+    eps = np.finfo(float).eps
+    for n in (3, 4, 5):
+        for cond in (10.0, 1e2, 1e3, 1e4):
+            for _ in range(25):
+                g = _conditioned(n, cond, rng)
+                rec = recover_metric(bialternate_product(g))
+                assert np.abs(rec - g).max() <= 10 * eps * cond ** 2 * np.abs(g).max()
+                exact = np.round(1e3 * g)
+                rec = recover_metric(bialternate_product(exact))
+                assert np.abs(rec - exact).max() <= 1e-10 * np.abs(exact).max()
+
+
+def test_recover_stacked_equals_per_sample(rng):
+    for n in (3, 4, 5):
+        g = np.stack([rand_spd(n, rng) for _ in range(6)])
+        G = bialternate_product(g).array
+        rec = recover_metric(G)
+        assert rec.shape == (6, n, n)
+        assert all(np.array_equal(rec[s], recover_metric(G[s])) for s in range(6))
+        assert np.array_equal(recover_metric(G.reshape(2, 3, n, n, n, n)),
+                              rec.reshape(2, 3, n, n))
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(conditioned_metrics())
+def test_recover_roundtrip_property(g):
+    rec = recover_metric(bialternate_product(g))
+    assert np.abs(rec - g).max() <= 1e-10 * np.abs(g).max()
 
 
 def test_recovery_identity_random(rng):

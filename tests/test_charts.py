@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import nan_at
 from riemflow.charts import (
     AnalyticChart,
     GridChart,
@@ -25,6 +26,14 @@ def test_chart_validation():
     chart = GridChart(2, (8, 16), (1.0, 2.0))
     assert chart.sample_count == 128
     assert chart.spacings == (1.0 / 8, 2.0 / 16)
+
+
+def test_grid_chart_refuses_fractional_point_counts():
+    for ppa in (8.5, (8, 9.7, 8)):
+        with pytest.raises(ValueError):
+            GridChart(3, ppa, 1.0)
+    assert GridChart(3, 8.0, 1.0).points_per_axis == (8, 8, 8)
+    assert GridChart(3, (8.0, 9, 10.0), 1.0).points_per_axis == (8, 9, 10)
 
 
 def test_grid_jet_fourth_order():
@@ -209,7 +218,7 @@ def test_stencil_is_cached_and_read_only():
         st.offsets[0, 0] = 1.0
 
 
-def test_stencil_values_field_matches_function_field():
+def test_function_field_out_of_domain_names_the_stencil_point():
     def g(x):
         x = np.asarray(x)
         r2 = np.sum(x * x, axis=-1)
@@ -217,17 +226,8 @@ def test_stencil_values_field_matches_function_field():
 
     chart = AnalyticChart(3, [0.3, -0.2, 0.1], 1e-2)
     stencil = analytic_stencil(3, 1e-2)
-    fld = MetricField.from_function(chart, g)
-    sv = MetricField.from_stencil_values(chart, g(chart.point + stencil.offsets))
-    assert np.array_equal(sv.samples, sv.values[:1])
-    for a, b in zip(fld.jets(), sv.jets()):
-        assert np.array_equal(a, b)
-    with pytest.raises(ValueError):
-        MetricField.from_stencil_values(chart, sv.values[1:])
-    bad = sv.values.copy()
-    bad[5, 0, 0] = np.nan
     with pytest.raises(StencilOutOfDomain) as err:
-        MetricField.from_stencil_values(chart, bad).jets()
+        MetricField.from_function(chart, nan_at(g, chart.point + stencil.offsets[5])).jets()
     assert np.array_equal(err.value.point, chart.point + stencil.offsets[5])
 
 

@@ -8,10 +8,12 @@ from conftest import (
     HYPERBOLIC_FACTOR,
     SPHERE_FACTOR,
     flat_grid_field,
+    frames,
     hyperbolic_field,
     rand_spd,
     sphere_field,
     torus_field,
+    unit_floats,
 )
 from riemflow.bialternate import bialternate_product
 from riemflow.charts import AnalyticChart, GridChart, MetricField, analytic_scalar_jet
@@ -451,23 +453,6 @@ def test_kernel_axis_permutations_match_einsum_bitwise(n, lead):
                           _einsum_riemann(g, dg, d2g, ginv))
 
 
-_unit = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
-
-
-@st.composite
-def _frames(draw, ranks=(2, 4), min_n=2):
-    """A dimension, SPD metrics g = B B^T + 1, frame changes P = 1 + A/(2n)
-    (|A_ij| <= 1, so P is invertible with condition number below 3) and a
-    tensor of the drawn rank, for three samples."""
-    n = draw(st.integers(min_n, 5))
-    rank = draw(st.sampled_from(ranks))
-    B = draw(arrays(float, (3, n, n), elements=_unit))
-    A = draw(arrays(float, (3, n, n), elements=_unit))
-    t = draw(arrays(float, (3,) + (n,) * rank, elements=_unit))
-    g = B @ np.swapaxes(B, -1, -2) + np.eye(n)
-    return g, np.eye(n) + A / (2.0 * n), t
-
-
 def _pull_back(t, P):
     """T'_{i...} = P^a_i ... T_{a...}: the components of T in the frame P."""
     if t.ndim == 3:
@@ -476,7 +461,7 @@ def _pull_back(t, P):
 
 
 @settings(derandomize=True, deadline=None, max_examples=60)
-@given(_frames())
+@given(frames())
 def test_tensor_norm_frame_invariant(case):
     g, P, t = case
     g_new = np.swapaxes(P, -1, -2) @ g @ P
@@ -486,9 +471,46 @@ def test_tensor_norm_frame_invariant(case):
 
 
 @settings(derandomize=True, deadline=None, max_examples=60)
-@given(_frames(ranks=(2,), min_n=3))
+@given(frames(ranks=(2,), min_n=3))
 def test_solve_pair_trace_inverts_kn_product(case):
     g, _, a = case
     v = a + np.swapaxes(a, -1, -2)
     back = solve_pair_trace(g, np.linalg.inv(g), kn_product(v, g))
     assert np.abs(back - v).max() <= 1e-12 * max(np.abs(v).max(), 1.0)
+
+
+@st.composite
+def _metric_jets(draw):
+    """Three samples of SPD metrics from :func:`frames` with drawn first and
+    second derivatives of the symmetries of metric jets."""
+    g = draw(frames(ranks=(2,)))[0]
+    n = g.shape[-1]
+    dg = draw(arrays(float, (3, n, n, n), elements=unit_floats))
+    d2g = draw(arrays(float, (3, n, n, n, n), elements=unit_floats))
+    dg = dg + np.swapaxes(dg, 1, 2)
+    d2g = d2g + np.swapaxes(d2g, 1, 2)
+    return g, dg, d2g + np.swapaxes(d2g, 3, 4)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(_metric_jets())
+def test_riemann_first_bianchi_identity(jets):
+    g, dg, d2g = jets
+    R = riemann_from_jets(g, dg, d2g, np.linalg.inv(g))
+    cyclic = R + np.transpose(R, (0, 1, 3, 4, 2)) + np.transpose(R, (0, 1, 4, 2, 3))
+    assert np.abs(cyclic).max() <= 1e-12 * max(np.abs(R).max(), 1.0)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(_metric_jets(), st.data())
+def test_packed_roundtrips(jets, data):
+    # a curvature tensor survives packing, and packed components survive
+    # unpacking exactly
+    g, dg, d2g = jets
+    n = g.shape[-1]
+    R = CurvatureTensor(riemann_from_jets(g, dg, d2g, np.linalg.inv(g)))
+    back = CurvatureTensor.from_packed(R.packed(), n).array
+    assert np.abs(back - R.array).max() <= 1e-12 * max(np.abs(R.array).max(), 1.0)
+    packed = data.draw(arrays(float, (3, CurvatureTensor.independent_component_count(n)),
+                              elements=unit_floats))
+    assert np.array_equal(CurvatureTensor.from_packed(packed, n).packed(), packed)

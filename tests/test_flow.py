@@ -6,6 +6,7 @@ from conftest import (
     SPHERE_FACTOR,
     flat_grid_field,
     hyperbolic_field,
+    nan_at,
     rand_spd,
     sphere_field,
     torus_field,
@@ -416,28 +417,14 @@ def test_stencil_values_out_of_domain_refused_at_start():
     # a metric that is not finite at a stencil point is refused when the run
     # builds its frame, naming that point
     chart = AnalyticChart(3, [0.1, -0.2, 0.15], 1e-2)
-    values = _ball_metric(chart.point + analytic_stencil(3, 1e-2).offsets)
-    values[7] = np.nan
-    fld = MetricField.from_stencil_values(chart, values)
+    bad = chart.point + analytic_stencil(3, 1e-2).offsets[7]
+    fld = MetricField.from_function(chart, nan_at(_ball_metric, bad))
     for run in (lambda: integrate_flow(fld, "riemann-induced", 1e-3, 0.01),
                 lambda: integrate_wave(fld, "riemann-wave", 1e-3, 0.01)):
         with pytest.raises(StencilOutOfDomain) as err:
             run()
         assert np.array_equal(err.value.point,
                               chart.point + analytic_stencil(3, 1e-2).offsets[7])
-
-
-def test_flow_from_stencil_values_field():
-    # a field given by its stencil values runs as the closed-form field does
-    fam = make_family("hyperbolic-poincare", 3)
-    chart = AnalyticChart(3, [0.1, -0.2, 0.15], 1e-2)
-    fld = MetricField.from_function(chart, fam.metric_function)
-    values = fam.metric_function(chart.point + analytic_stencil(3, 1e-2).offsets)
-    sv = MetricField.from_stencil_values(chart, values)
-    t1 = integrate_flow(fld, "riemann-induced", 5e-3, 0.05, stride=2)
-    t2 = integrate_flow(sv, "riemann-induced", 5e-3, 0.05, stride=2)
-    assert t1.times == t2.times
-    assert all(np.array_equal(a, b) for a, b in zip(t1.states, t2.states))
 
 
 def _ball_metric(x):
@@ -560,6 +547,15 @@ def test_cross_check_uses_the_law_rate():
     wave_law = ("general", {"alpha": 0.0, "beta": 1.3, "delta": 2.0})
     wave_traj = integrate_wave(fld, wave_law, 1e-3, 0.3, stride=10, cross_check_stride=2)
     assert np.array_equal(wave_traj.diagnostic("cross_check_error"), cc, equal_nan=True)
+
+
+def test_grid_cross_check_recovers_every_sample():
+    # each checked record recovers all 8^3 samples in one stacked call
+    fld, _ = torus_field(3, points=8)
+    traj = integrate_flow(fld, "riemann-induced", 1e-3, 0.02, stride=5, cross_check_stride=1)
+    cc = traj.diagnostic("cross_check_error")
+    assert len(cc) == 5
+    assert np.all(np.isfinite(cc)) and cc.max() < 1e-12
 
 
 def test_cross_check_failed_recovery_recorded_as_inf(monkeypatch):
