@@ -464,6 +464,8 @@ def _rk4_evolve(initial, law, order, velocity, dt_base, t_end, stride, collapse_
         t0, fld, velocity = initial.t, initial.field, getattr(initial, "velocity", velocity)
     if dt_base <= 0:
         raise ValueError("dt must be positive")
+    if stride < 1:
+        raise ValueError("stride must be at least 1")
     fld.validate_spd()
     if order == 2 and velocity is None:
         velocity = np.zeros_like(fld.samples)
@@ -691,14 +693,15 @@ class BlowUpReport:
     curve: tuple   # (T_est - t, sup |Riem|) over the fit window
 
 
-def estimate_singular_time(times, scales, with_uncertainty=False):
-    """Singular time from the decay of a positive scale series.
+def estimate_singular_time(times, scales):
+    """Singular time from the decay of a positive scale series, and its
+    uncertainty.
 
     Fits ``scale ~ C (T - t)^alpha`` through three late samples, solving for
     ``T`` by bisection; falls back to a Newton step from the last two samples
-    when the fit degenerates.  With ``with_uncertainty=True`` also returns
-    the spread between the fit and the Newton estimate, a practical proxy
-    for the resolution of ``T``.
+    when the fit degenerates.  Returns ``(T, uncertainty)``, where the
+    uncertainty is the spread between the fit and the same fit without the
+    last sample, a practical proxy for the resolution of ``T``.
     """
     t = np.asarray(times, dtype=float)
     f = np.asarray(scales, dtype=float)
@@ -707,14 +710,8 @@ def estimate_singular_time(times, scales, with_uncertainty=False):
     if len(t) < 3:
         raise ValueError("need at least three positive samples")
     T = _three_point_singular_time(t, f)
-    if with_uncertainty:
-        if len(t) >= 4:
-            T_alt = _three_point_singular_time(t[:-1], f[:-1])
-        else:
-            T_alt = T
-        unc = abs(T - T_alt) + 1e-12 * max(1.0, abs(T))
-        return T, unc
-    return T
+    T_alt = _three_point_singular_time(t[:-1], f[:-1]) if len(t) >= 4 else T
+    return T, abs(T - T_alt) + 1e-12 * max(1.0, abs(T))
 
 
 def _three_point_singular_time(t, f):
@@ -761,7 +758,7 @@ def monitor_blow_up(trajectory):
         raise NoSingularity(f"trajectory ended with {trajectory.termination!r}")
     times = np.asarray(trajectory.times, dtype=float)
     scale = trajectory.diagnostic("min_rel_eig")
-    T, unc = estimate_singular_time(times, scale, with_uncertainty=True)
+    T, unc = estimate_singular_time(times, scale)
 
     norms = trajectory.diagnostic("sup_riem_norm")
     gap = T - times

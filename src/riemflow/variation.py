@@ -24,6 +24,8 @@ from .errors import NotPositiveDefinite, PerturbationTooLarge
 from .flow import resolve_law
 
 DEFAULT_RELATIVE_EPS = 1e-4
+# halvings of eps before a perturbed metric that stays indefinite is refused
+MAX_HALVINGS = 40
 
 
 @dataclass
@@ -102,11 +104,12 @@ def _operator(field, which):
     raise ValueError("which must be 'Riem' or 'Ric'")
 
 
-def _central_quotient(field, h, op, eps, max_halvings=40):
+def _central_quotient(field, h, op, eps):
     """(op(g + e h) - op(g - e h)) / (2 e), Richardson-extrapolated over
     ``e`` and ``e/2``; ``e`` starts at ``eps`` times the metric
-    scale over the direction scale and halves while a perturbed metric is
-    not positive definite (``op`` computes curvature, which checks that)."""
+    scale over the direction scale and halves, at most ``MAX_HALVINGS``
+    times, while a perturbed metric is not positive definite (``op``
+    computes curvature, which checks that)."""
     g_scale = float(np.abs(field.samples).max())
     h_scale = _direction_scale(field, h)
     if h_scale == 0.0:
@@ -118,7 +121,7 @@ def _central_quotient(field, h, op, eps, max_halvings=40):
         minus = _perturbed_field(field, h, e, -1.0)
         return (op(plus) - op(minus)) / (2.0 * e)
 
-    for _ in range(max_halvings):
+    for _ in range(MAX_HALVINGS):
         try:
             d1 = quotient(e)
             d2 = quotient(0.5 * e)
@@ -129,7 +132,7 @@ def _central_quotient(field, h, op, eps, max_halvings=40):
         f"could not keep g +/- eps h positive definite down to eps={e:.3e}")
 
 
-def directional_curvature_derivative(field, h, which="Riem", eps=None, max_halvings=40):
+def directional_curvature_derivative(field, h, which="Riem", eps=None):
     """Central-difference derivative of a curvature operator along ``h``.
 
     ``eps`` is relative to the metric scale divided by the direction scale;
@@ -137,7 +140,7 @@ def directional_curvature_derivative(field, h, which="Riem", eps=None, max_halvi
     definiteness.  The estimates at ``eps`` and ``eps/2`` are extrapolated
     to fourth order.
     """
-    return _central_quotient(field, h, lambda f: _operator(f, which), eps, max_halvings)
+    return _central_quotient(field, h, lambda f: _operator(f, which), eps)
 
 
 def linearized_flow_rhs(field, h, which="ricci", eps=None):

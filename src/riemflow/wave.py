@@ -20,6 +20,9 @@ law is evaluated through that table alone, as
 monitored by :func:`~riemflow.flow.monitor_blow_up`.  Flows and waves step
 with one RK4 system, so the general law reproduces the Riemann flow and wave
 trajectories bit for bit.
+
+The constant-curvature scale ODE is stepped in u = f^2, which stays regular
+at collapse, and its collapse time is the root of u on the last step.
 """
 
 import math
@@ -29,7 +32,7 @@ import numpy as np
 
 from .charts import MetricField
 from .errors import CFLViolated, PositivityLost
-from .flow import COLLAPSE_EIG_FRACTION, _rk4_evolve, estimate_singular_time
+from .flow import COLLAPSE_EIG_FRACTION, _rk4_evolve
 
 # the 1+1 wave stops with PositivityLost when its factor falls to this floor
 POSITIVITY_FLOOR = 1e-8
@@ -78,78 +81,68 @@ class ScaleODEResult:
 def constant_curvature_wave_ode(lam, v, dt, t_end, record_stride=1):
     """Integrate f'^2 + f f'' + lam f = 0, f(0)=1, f'(0)=v with RK4.
 
+    The steps are taken in u = f^2 and u' = 2 f f'.  Since
+    (f^2)'' = 2 (f'^2 + f f''), the equation becomes u'' = -2 lam sqrt(u),
+    which is regular at collapse: u' stays finite and u crosses zero at a
+    simple root.  Steps are fixed at ``dt``, the last one shortened to end
+    at ``t_end``; a negative ``t_end`` integrates backwards.  When a step
+    ends at u <= 0 (``lam > 0`` collapses in finite time), its length is
+    bisected to the root, which is returned as ``collapse_time``, and the
+    run stops there.  Records hold f = sqrt(u) and f' = u' / (2 f) every
+    ``record_stride`` steps, at ``t_end`` and at the last step before the
+    root, so none lies at or past it.
+
     The quadratic ``1 + v t - lam t^2 / 6`` solves this exactly only when
     ``v^2 = -2 lam / 3``; the constant residual ``v^2 + 2 lam / 3`` is
     reported so callers can see how far a given (lam, v) pair is from it.
-    For ``lam > 0`` the scale hits zero in finite time; the returned
-    collapse time comes from a power-law fit of the final samples.
-    A negative ``t_end`` integrates backwards (``dt`` is the step size).
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
+    if record_stride < 1:
+        raise ValueError("record_stride must be at least 1")
     direction = 1.0 if t_end >= 0 else -1.0
-    f, fp, t = 1.0, float(v), 0.0
-    times = [0.0]
-    scales = [1.0]
-    rates = [fp]
-    floor = 1e-12
+    c, sqrt = -2.0 * lam, math.sqrt
 
-    def acc(fv, fpv):
-        return -(fpv * fpv + lam * fv) / fv
+    def step(u, w, h):
+        # a stage past the root continues with u'' = 0
+        a1 = c * sqrt(u)
+        u2, w2 = u + 0.5 * h * w, w + 0.5 * h * a1
+        a2 = c * sqrt(u2) if u2 > 0.0 else 0.0
+        u3, w3 = u + 0.5 * h * w2, w + 0.5 * h * a2
+        a3 = c * sqrt(u3) if u3 > 0.0 else 0.0
+        u4, w4 = u + h * w3, w + h * a3
+        a4 = c * sqrt(u4) if u4 > 0.0 else 0.0
+        return (u + h / 6.0 * (w + 2.0 * w2 + 2.0 * w3 + w4),
+                w + h / 6.0 * (a1 + 2.0 * a2 + 2.0 * a3 + a4))
 
-    step = dt
-    nrec = 0
-    collapsed = False
-    while direction * (t_end - t) > 1e-15:
-        h = direction * min(step, abs(t_end - t))
-        k1f, k1p = fp, acc(f, fp)
-        ok = True
-        try:
-            f2, p2 = f + 0.5 * h * k1f, fp + 0.5 * h * k1p
-            if f2 <= floor:
-                ok = False
-            else:
-                k2f, k2p = p2, acc(f2, p2)
-                f3, p3 = f + 0.5 * h * k2f, fp + 0.5 * h * k2p
-                if f3 <= floor:
-                    ok = False
-                else:
-                    k3f, k3p = p3, acc(f3, p3)
-                    f4, p4 = f + h * k3f, fp + h * k3p
-                    if f4 <= floor:
-                        ok = False
-                    else:
-                        k4f, k4p = p4, acc(f4, p4)
-                        fn = f + h / 6.0 * (k1f + 2 * k2f + 2 * k3f + k4f)
-                        pn = fp + h / 6.0 * (k1p + 2 * k2p + 2 * k3p + k4p)
-                        if fn <= floor or not math.isfinite(fn):
-                            ok = False
-        except (ZeroDivisionError, OverflowError):
-            ok = False
-        if not ok:
-            step *= 0.5
-            if step < dt * 1e-12:
-                collapsed = True
-                break
-            continue
-        f, fp, t = fn, pn, t + h
-        step = min(step * 2.0, dt)
-        nrec += 1
-        if nrec % record_stride == 0 or direction * (t_end - t) <= 1e-15:
-            times.append(t)
-            scales.append(f)
-            rates.append(fp)
-
+    u, w, t = 1.0, 2.0 * v, 0.0
+    records = [(t, u, w)]
+    nsteps = 0
     T = None
-    if collapsed:
-        if abs(times[-1] - t) > 1e-18:
-            times.append(t)
-            scales.append(f)
-            rates.append(fp)
-        T = estimate_singular_time(times, scales)
-    times = np.asarray(times)
-    scales = np.asarray(scales)
-    rates = np.asarray(rates)
+    while direction * (t_end - t) > 1e-15:
+        h = direction * min(dt, abs(t_end - t))
+        u_next, w_next = step(u, w, h)
+        if u_next <= 0.0:
+            # bisect between the times a step from t keeps u > 0 and ends at u <= 0
+            lo, hi = t, t + h
+            T = 0.5 * (lo + hi)
+            while lo != T != hi:
+                if step(u, w, T - t)[0] > 0.0:
+                    lo = T
+                else:
+                    hi = T
+                T = 0.5 * (lo + hi)
+            if nsteps % record_stride:  # the last step before the root is not recorded yet
+                records.append((t, u, w))
+            break
+        u, w, t = u_next, w_next, t + h
+        nsteps += 1
+        if nsteps % record_stride == 0 or direction * (t_end - t) <= 1e-15:
+            records.append((t, u, w))
+
+    times, us, ws = np.array(records).T
+    scales = np.sqrt(us)
+    rates = ws / (2.0 * scales)
     concave = bool(np.all(np.diff(rates) <= 1e-12))
     return ScaleODEResult(times=times, scales=scales, rates=rates,
                           collapse_time=T, concave=concave,
@@ -182,6 +175,8 @@ def conformally_flat_wave_solve(u0, u1, dt, t_end, length=None, stride=1):
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
+    if stride < 1:
+        raise ValueError("stride must be at least 1")
     nsteps = round(t_end / dt)
     if nsteps < 1 or abs(t_end / dt - nsteps) > 1e-9:
         raise ValueError(f"dt={dt!r} does not divide t_end={t_end!r} into whole steps")

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
@@ -12,6 +14,10 @@ from riemflow.families import make_family
 # values are (n-1) with the opposite sign.
 SPHERE_FACTOR = -1.0
 HYPERBOLIC_FACTOR = 1.0
+
+# f'^2 + f f'' + f = 0 with f(0) = 1, f'(0) = 0 collapses at (2/3) sqrt(3/8) B(2/3, 1/2)
+UNIT_COLLAPSE_TIME = ((2.0 / 3.0) * math.sqrt(3.0 / 8.0)
+                      * math.gamma(2.0 / 3.0) * math.gamma(0.5) / math.gamma(2.0 / 3.0 + 0.5))
 
 
 def rand_spd(n, rng, spread=0.4):

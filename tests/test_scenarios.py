@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import flat_grid_field
+from conftest import UNIT_COLLAPSE_TIME, flat_grid_field
 from riemflow.cli import main as cli_main
 from riemflow.errors import DegenerateCoefficients, ParseError, SchemaError, UnknownFamily
 from riemflow.families import _SAFE_FUNCS, make_family
@@ -183,6 +183,18 @@ def test_scale_ode_scenario(tmp_path):
     for row in rows:
         t, f, _ = (float(v) for v in row.split(","))
         assert abs(f - (1.0 + t) ** 2) < 1e-8
+
+
+def test_scale_ode_collapse_config_stops_before_the_root(tmp_path):
+    path = Path(__file__).resolve().parents[1] / "configs" / "scale-ode-collapse.json"
+    cfg = json.loads(path.read_text())
+    cfg["output"] = {"csv": str(tmp_path / "collapse.csv"),
+                     "summary": str(tmp_path / "collapse.json")}
+    summary = run_scenario(load_config(_write(tmp_path, cfg)))
+    assert summary["termination"] == "collapse"
+    assert summary["t_final"] < summary["T_est"]
+    assert abs(summary["T_est"] - UNIT_COLLAPSE_TIME) <= 1e-9
+    assert summary["t_final"] < UNIT_COLLAPSE_TIME
 
 
 def test_ricci_residual_scores_the_ricci_law(tmp_path):

@@ -126,8 +126,9 @@ def test_derivative_perturbation_too_large():
     fld, _ = torus_field(3, points=8, amplitude=0.05)
     h = -10.0 * fld.samples  # g + eps h leaves the SPD cone for any eps > 0.1
 
+    # the absolute eps starts near 1e17, so MAX_HALVINGS = 40 halvings end near 9e4
     with pytest.raises(PerturbationTooLarge):
-        directional_curvature_derivative(fld, h, eps=1e6, max_halvings=2)
+        directional_curvature_derivative(fld, h, eps=1e18)
 
 
 # ---------------------------------------------------------------------------

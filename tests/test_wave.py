@@ -3,6 +3,7 @@ import pytest
 from scipy.interpolate import interp1d
 
 from conftest import (
+    UNIT_COLLAPSE_TIME,
     flat_grid_field,
     hyperbolic_field,
     sphere_field,
@@ -165,6 +166,21 @@ def test_scale_ode_collapse_and_reference():
     fine = constant_curvature_wave_ode(1.0, 0.0, 1e-5, 3.0, record_stride=100)
     assert abs(coarse.collapse_time - fine.collapse_time) < 1e-4
     assert 1.0 < coarse.collapse_time < 1.1
+    for dt in (1e-3, 5e-4, 2.5e-4):
+        res = constant_curvature_wave_ode(1.0, 0.0, dt, 3.0)
+        assert abs(res.collapse_time - UNIT_COLLAPSE_TIME) <= 1e-9
+        assert res.times[-1] < res.collapse_time
+
+
+@pytest.mark.parametrize("run", [
+    lambda s: integrate_flow(hyperbolic_field(3)[0], "riemann-induced", 1e-2, 0.1, stride=s),
+    lambda s: integrate_wave(hyperbolic_field(3)[0], "riemann-wave", 1e-2, 0.1, stride=s),
+    lambda s: constant_curvature_wave_ode(1.0, 0.0, 1e-2, 1.0, record_stride=s),
+    lambda s: conformally_flat_wave_solve(np.ones(8), np.zeros(8), 0.1, 1.0, stride=s),
+], ids=["flow", "wave", "scale-ode", "conformal-wave"])
+def test_stride_below_one_is_refused(run):
+    with pytest.raises(ValueError, match="at least 1"):
+        run(0)
 
 
 def test_scale_ode_time_reversal():
