@@ -58,7 +58,7 @@ fam = make_family("conformal-torus", 3, {"amplitude": 0.08, "mode": 1},
 fldg = MetricField.from_function(GridChart(3, 8, 2 * np.pi), fam.metric_function)
 D = directional_curvature_derivative(fldg, fldg.samples.copy(), which="Riem")
 print(f"derivative along the metric itself vs the curvature (degree-one "
-      f"homogeneity): {np.abs(D - riemann(fldg).array).max():.2e}")
+      f"homogeneity): {np.abs(D - riemann(fldg).block).max():.2e}")
 D0 = directional_curvature_derivative(fldg, fldg.samples.copy(), which="Ric")
 print(f"same for the Ricci operator (degree zero): {np.abs(D0).max():.2e}")
 

@@ -5,14 +5,16 @@ The central object is the product metric on 2-forms,
     G_ijkl = g_ik g_jl - g_il g_jk,
 
 which shares all algebraic curvature symmetries.  For ``n >= 3`` it
-determines ``g`` up to overall sign.  ``G`` is the second compound of
-``g``: ``G_ijkl`` is the 2 x 2 minor of ``g`` on rows (i, j) and columns
-(k, l).  The signed minors of a principal 3 x 3 block of ``g`` are therefore
-its cofactor matrix, and :func:`recover_metric` takes the positive-definite
-root in closed form, with no iteration: the first row of ``g`` from the
-cofactor matrices of the blocks (0, 1, c), the rest from the Schur identity
-``g_00 g_ij - g_0i g_0j = G_0i0j``.  For ``n = 2`` only ``det g`` survives,
-so recovery is refused.
+determines ``g`` up to overall sign.  ``G`` is the second compound
+``C_2(g)`` on 2-forms (the bialternate product of bifurcation numerics;
+Govaerts 2000), stored like the curvature as an N x N block over the pairs
+i < j: its entry ((i, j), (k, l)) is the 2 x 2 minor of ``g`` on rows
+(i, j) and columns (k, l).  The signed minors of a principal 3 x 3 block of
+``g`` are therefore its cofactor matrix, and :func:`recover_metric` reads
+them from the block and takes the positive-definite root in closed form,
+with no iteration: the first row of ``g`` from the cofactor matrices of the
+blocks (0, 1, c), the rest from the Schur identity ``g_00 g_ij - g_0i g_0j
+= G_0i0j``.  For ``n = 2`` only ``det g`` survives, so recovery is refused.
 """
 
 from functools import lru_cache
@@ -20,7 +22,14 @@ from functools import lru_cache
 import numpy as np
 
 from .charts import MetricField
-from .curvature import CurvatureTensor, kn_product, pair_product_from_samples
+from .curvature import (
+    CurvatureTensor,
+    _dimension_of,
+    _pairs,
+    kn_product,
+    pair_count,
+    pair_product_from_samples,
+)
 from .errors import DimensionTooSmall, NotInImage
 
 RESIDUAL_TOLERANCE = 1e-10  # max |G(g) - G| / max |G| per sample accepted by recover_metric
@@ -29,7 +38,7 @@ IDENTITY_SAMPLES = 10000  # random index tuples of verify_recovery_identity for 
 
 
 def bialternate_product(g):
-    """G = g (.) g with G_ijkl = g_ik g_jl - g_il g_jk.
+    """G = g (.) g with G_ijkl = g_ik g_jl - g_il g_jk, the block C_2(g).
 
     Accepts a :class:`MetricField`, stacked samples ``(S, n, n)`` or a single
     matrix ``(n, n)``; returns a :class:`CurvatureTensor` over samples.
@@ -41,11 +50,10 @@ def bialternate_product(g):
 def kulkarni_nomizu(a, b):
     """(a ^ b)_ijkl = a_ik b_jl + a_jl b_ik - a_il b_jk - a_jk b_il.
 
-    ``(g ^ g) = 2 * bialternate_product(g)``.
+    Returns the n^4 components, the view of :func:`~riemflow.curvature.kn_product`'s
+    block.  ``(g ^ g) = 2 * bialternate_product(g)``.
     """
-    a = _as_samples(a)
-    b = _as_samples(b)
-    return kn_product(a, b)
+    return CurvatureTensor(kn_product(_as_samples(a), _as_samples(b))).array
 
 
 def _as_samples(g):
@@ -59,17 +67,16 @@ def _as_samples(g):
 
 @lru_cache(maxsize=None)
 def _pivot_blocks(n):
-    """Indices into ``G`` of the minors that make up the cofactor matrices of
-    the principal 3 x 3 blocks T = (0, 1, c), c = 2 .. n-1, of ``g``: entry
-    (p, q) of block ``c - 2`` is the minor that drops row ``T_p`` and column
-    ``T_q``, taken with the sign ``COFACTOR_SIGN[p, q]``.  Shape (4, n-2, 3, 3).
+    """Block rows and columns of ``G`` holding the minors that make up the
+    cofactor matrices of the principal 3 x 3 blocks T = (0, 1, c),
+    c = 2 .. n-1, of ``g``: entry (p, q) of block ``c - 2`` is the minor that
+    drops row ``T_p`` and column ``T_q``, taken with the sign
+    ``COFACTOR_SIGN[p, q]``.  Shape (2, n-2, 3, 3).
     """
-    index = np.empty((4, n - 2, 3, 3), dtype=int)
-    for c in range(2, n):
-        kept = [(1, c), (0, c), (0, 1)]     # rows of T left when row p is dropped
-        for p in range(3):
-            for q in range(3):
-                index[:, c - 2, p, q] = kept[p] + kept[q]
+    number, _ = _pairs(n)
+    # the pairs of T left when row p is dropped: (1, c), (0, c), (0, 1)
+    kept = number[[1, 0, 0], np.array([[c, c, 1] for c in range(2, n)], dtype=int)]
+    index = np.array(np.broadcast_arrays(kept[:, :, None], kept[:, None, :]))
     index.flags.writeable = False
     return index
 
@@ -96,7 +103,8 @@ def recover_metric(G, n=None):
     Parameters
     ----------
     G : array_like or CurvatureTensor
-        Target tensors, shape ``lead + (n, n, n, n)``.
+        Target pair products as blocks on 2-forms, shape ``lead + (N, N)``
+        with N = n(n-1)/2.
     n : int, optional
         Dimension; inferred from ``G`` when omitted.  Must be >= 3.
 
@@ -108,6 +116,8 @@ def recover_metric(G, n=None):
 
     Raises
     ------
+    ValueError
+        When ``G`` is not a block of dimension ``n``.
     DimensionTooSmall
         For ``n = 2``: only ``det g`` is visible in ``G``.
     NotInImage
@@ -117,15 +127,17 @@ def recover_metric(G, n=None):
         ``RESIDUAL_TOLERANCE`` of ``max |G|`` in some sample.
     """
     if isinstance(G, CurvatureTensor):
-        G = G.array
+        G = G.block
     G = np.asarray(G, dtype=float)
-    if n is None:
-        n = G.shape[-1]
+    if n is not None and G.shape[-2:] != (pair_count(n),) * 2:
+        raise ValueError(f"a {G.shape[-2:]} block is no pair product in dimension {n}")
+    n = _dimension_of(G.shape[-1])
     if n < 3:
         raise DimensionTooSmall("recovery needs n >= 3; n = 2 only determines det g")
-    i, j, k, l = _pivot_blocks(n)
-    C = COFACTOR_SIGN * G[..., i, j, k, l]                # (..., n-2, 3, 3)
-    A = G[..., 0, :, 0, :]
+    rows, cols = _pivot_blocks(n)
+    C = COFACTOR_SIGN * G[..., rows, cols]                # (..., n-2, 3, 3)
+    # G_0i0j: the entry of the pairs (0, i) and (0, j), the first n - 1 pairs
+    A = np.pad(G[..., :n - 1, :n - 1], [(0, 0)] * (G.ndim - 2) + [(1, 0), (1, 0)])
     A = np.triu(A) + np.swapaxes(np.triu(A, 1), -1, -2)   # G_0i0j read for i <= j
     try:
         root = np.prod(np.diagonal(np.linalg.cholesky(C[..., 0, :, :]), axis1=-2, axis2=-1),
@@ -139,7 +151,7 @@ def recover_metric(G, n=None):
         np.linalg.cholesky(g)
     except np.linalg.LinAlgError:
         raise NotInImage(np.inf, RESIDUAL_TOLERANCE) from None
-    axes = (-4, -3, -2, -1)
+    axes = (-2, -1)
     residual = (np.abs(pair_product_from_samples(g) - G).max(axis=axes)
                 / np.abs(G).max(axis=axes))
     worst = float(np.max(residual))
@@ -167,28 +179,15 @@ def verify_recovery_identity(g, G=None, rng=None):
     g = g[0]
     n = g.shape[-1]
     if G is None:
-        G = pair_product_from_samples(g[None])[0]
+        G = bialternate_product(g).array[0]
     elif isinstance(G, CurvatureTensor):
         G = G.array[0]
 
     if n <= 4:
-        lhs = (2 * np.einsum('ij,ks,mlnr->mijnklrs', g, g, G)
-               + 2 * np.einsum('ij,kn,lmsr->mijnklrs', g, g, G)
-               + 2 * np.einsum('ij,kr,mlsn->mijnklrs', g, g, G))
-        rhs = (np.einsum('mijn,klrs->mijnklrs', G, G)
-               + np.einsum('mijs,klnr->mijnklrs', G, G)
-               + np.einsum('mijr,klsn->mijnklrs', G, G)
-               - np.einsum('lijn,kmrs->mijnklrs', G, G)
-               - np.einsum('lijs,kmnr->mijnklrs', G, G)
-               - np.einsum('lijr,kmsn->mijnklrs', G, G)
-               - np.einsum('mljs,kirn->mijnklrs', G, G)
-               - np.einsum('mljr,kins->mijnklrs', G, G)
-               - np.einsum('mljn,kisr->mijnklrs', G, G))
-        return float(np.abs(lhs - rhs).max())
-
-    gen = rng if rng is not None else np.random.default_rng(0)
-    idx = gen.integers(0, n, size=(IDENTITY_SAMPLES, 8))
-    m, i, j, nn, k, l, r, s = (idx[:, c] for c in range(8))
+        m, i, j, nn, k, l, r, s = np.indices((n,) * 8).reshape(8, -1)
+    else:
+        gen = rng if rng is not None else np.random.default_rng(0)
+        m, i, j, nn, k, l, r, s = gen.integers(0, n, size=(IDENTITY_SAMPLES, 8)).T
     lhs = 2 * g[i, j] * (g[k, s] * G[m, l, nn, r]
                          + g[k, nn] * G[l, m, s, r]
                          + g[k, r] * G[m, l, s, nn])

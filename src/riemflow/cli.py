@@ -85,7 +85,7 @@ def _cmd_curvature(args):
         "sup_riem_norm": float(tensor_norm(riem, fld).max()),
         "sup_ric_norm": float(tensor_norm(ric, fld).max()),
         "scalar_range": [float(scal.min()), float(scal.max())],
-        "R_1212_first_sample": float(riem.array[0, 0, 1, 0, 1]),
+        "R_1212_first_sample": float(riem.block[0, 0, 0]),   # the pairs (0, 1), (0, 1)
     }
     if args.dimension >= 3:
         report["sup_weyl_norm"] = float(tensor_norm(weyl(fld, riem), fld).max())

@@ -1,38 +1,39 @@
-"""Connection and curvature quantities from metric components.
+"""Connection and curvature quantities on 2-forms.
 
-The fully lowered curvature tensor is assembled verbatim from the component
-formula
+An algebraic curvature tensor is antisymmetric in each index pair, so it is
+a symmetric matrix on 2-forms (Hamilton's curvature operator, J. Differential
+Geom. 24, 1986).  Numbering the N = n(n-1)/2 pairs i < j lexicographically,
+:class:`CurvatureTensor` stores the (S, N, N) block ``B[(ij), (kl)] =
+R_ijkl``, and every kernel works on it.  The pair product ``G_ijkl = g_ik
+g_jl - g_il g_jk`` is the second compound ``C_2(g)`` on the same space.
+
+The block entries are gathered from the component formula
 
     R_ijkl = 1/2 (d_j d_l g_ik + d_i d_k g_jl - d_i d_l g_jk - d_j d_k g_il)
              - g_mn (Gamma^m_jk Gamma^n_il - Gamma^m_jl Gamma^n_ik),
 
-including its sign convention.  Under this convention the unit sphere has
-sectional factor -1 and hyperbolic space +1 (pinned once by a symbolic
-differentiation oracle; see ``tools/pin_constants.py`` and the frozen values
-in the test suite).
+including its sign convention, through cached index arrays, each exactly as
+the full component array computes it.  Under this convention the unit
+sphere has sectional factor -1 and hyperbolic space +1 (pinned once by a
+symbolic differentiation oracle; see ``tools/pin_constants.py`` and the
+frozen values in the test suite).  Ricci is the pair trace ``R_ik = g^{jl}
+R_ijkl``; the contraction over the first and last slots is its negative.
+The pair trace is the one under which the dimension-3 decomposition, the
+conformally flat decomposition and the trace-free Weyl tensor all hold.
 
-Ricci is taken as the pair trace ``R_ik = g^{jl} R_ijkl``.  The alternative
-contraction over the first and last slots is its negative; the pair trace is
-the one under which the dimension-3 decomposition, the conformally flat
-decomposition and the trace-free Weyl tensor below all hold exactly.
-
-The contractions of the curvature layer are written as explicit batched
-``np.matmul`` products over the sample axis: the Christoffel symbols
-``g^{il} term_l(jk)``, the quadratic Christoffel term of the curvature
-tensor, the pair trace ``g^{jl} T_ijkl`` (:func:`pair_trace`) and the tensor
-norms.  None of them searches for an ``einsum`` contraction
-path at call time, which on a single sample would cost more than the
-arithmetic.  They agree with the literal component formulas (kept in the test
-suite as the oracle) to roundoff, not bit for bit.
-
-The kernels take the inverse metric as an argument: :func:`riemann` checks
-the field's positivity once and passes its cached
-:attr:`~riemflow.charts.MetricField.inverse`, which the callers of the law
-rates reuse, so that a right-hand side inverts its metric once.
+The products on the block are fixed gathers and batched ``np.matmul``
+products: the pair trace sums the (n-1)^2 nonzero terms of each (i, k),
+:func:`kn_product` is the bialternate sum ``a (.) b + b (.) a``, and
+``|T|^2 = 4 <B, C_2(g^-1) B C_2(g^-1)>`` (:func:`tensor_norm`).  They agree
+with the literal component formulas (the test suite's oracle, which reads
+the n^4 view :attr:`CurvatureTensor.array`) to roundoff.  The kernels take
+the inverse metric, so that a right-hand side inverts its metric once.
 """
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations
 
 import numpy as np
 
@@ -55,6 +56,69 @@ def inverse_metric(field_or_samples):
     return np.linalg.inv(g)
 
 
+def pair_count(n):
+    """N = n(n-1)/2, the dimension of 2-forms."""
+    return n * (n - 1) // 2
+
+
+def _dimension_of(N):
+    """The ``n`` with n(n-1)/2 = N."""
+    return int(round((1.0 + math.sqrt(1.0 + 8.0 * N)) / 2.0))
+
+
+def _frozen(*arrays):
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+@lru_cache(maxsize=None)
+def _pairs(n):
+    """(number, sign), (n, n) each: the block row of the pair {i, j}, and +1
+    for i < j, -1 for i > j and 0 for i = j."""
+    i, j = np.triu_indices(n, 1)
+    number, sign = np.zeros((2, n, n), dtype=int)
+    number[i, j] = number[j, i] = np.arange(len(i))
+    sign[i, j], sign[j, i] = 1, -1
+    return _frozen(number, sign)
+
+
+@lru_cache(maxsize=None)
+def _block_index(n, patterns):
+    """Flat indices into ``(n,) * len(pattern)`` arrays: for each pattern and
+    each block entry (P, Q) = ((i<j), (k<l)), the component its letters name
+    (``'ikjl'`` names ``a[i, k, j, l]``).  Shape (len(patterns), N * N)."""
+    i, j = np.triu_indices(n, 1)
+    letters = {"i": i[:, None], "j": j[:, None], "k": i[None, :], "l": j[None, :]}
+    return _frozen(np.array([np.ravel_multi_index(np.broadcast_arrays(*(letters[c] for c in p)),
+                                                  (n,) * len(p)).ravel() for p in patterns]))[0]
+
+
+@lru_cache(maxsize=None)
+def _component_index(n):
+    """Index of each R_ijkl, row-major over (n, n, n, n), into the flat
+    ``[B, -B, 0]``: its signed block entry, or the zero when i = j or k = l."""
+    number, sign = _pairs(n)
+    N2 = pair_count(n) ** 2
+    entry = np.add.outer(number * pair_count(n), number).ravel()
+    s = np.multiply.outer(sign, sign).ravel()
+    return _frozen(np.where(s == 0, 2 * N2, entry + N2 * (s < 0)))[0]
+
+
+@lru_cache(maxsize=None)
+def _packed_layout(n):
+    """Flat indices of the independent block entries, the upper triangle less
+    the (ad, bc) of each {a<b<c<d}, and (ad_bc, bc_ad, ac_bd, ab_cd) of those
+    dropped, which the first Bianchi identity gives as ac_bd - ab_cd."""
+    number, _ = _pairs(n)
+    N = pair_count(n)
+    a, b, c, d = np.array(list(combinations(range(n), 4)), dtype=int).reshape(-1, 4).T
+    bianchi = np.array([number[a, d] * N + number[b, c], number[b, c] * N + number[a, d],
+                        number[a, c] * N + number[b, d], number[a, b] * N + number[c, d]])
+    P, Q = np.triu_indices(N)
+    return _frozen(np.setdiff1d(P * N + Q, bianchi[0]), bianchi)
+
+
 @dataclass
 class ConnectionField:
     """Christoffel symbols ``gamma[..., a, j, k] = Gamma^a_jk`` per sample."""
@@ -68,22 +132,31 @@ class ConnectionField:
 
 @dataclass
 class CurvatureTensor:
-    """Fully lowered curvature components per sample, shape (S, n, n, n, n).
+    """Curvature per sample as its block on 2-forms, shape (S, N, N):
+    ``block[s, P, Q] = R_ijkl`` for the pairs P = (i<j) and Q = (k<l).
 
-    The dense array is kept for vectorised algebra; :meth:`packed` exposes
-    the minimal independent-component storage (pair-symmetric slots with one
-    slot per four-distinct-index set removed via the first Bianchi identity).
+    :attr:`array` is the n^4 view; :meth:`packed` gives the independent
+    components, which the first Bianchi identity completes.
     """
 
-    array: np.ndarray
+    block: np.ndarray
 
     @property
     def dimension(self):
-        return self.array.shape[-1]
+        return _dimension_of(self.block.shape[-1])
 
     @property
     def sample_count(self):
-        return self.array.shape[0]
+        return self.block.shape[0]
+
+    @property
+    def array(self):
+        """The components R_ijkl, (S, n, n, n, n), built on each access as a
+        signed gather of the block: exactly antisymmetric in each pair."""
+        n, lead = self.dimension, self.block.shape[:-2]
+        flat = self.block.reshape(lead + (-1,))
+        signed = np.concatenate([flat, -flat, np.zeros(lead + (1,))], axis=-1)
+        return signed[..., _component_index(n)].reshape(lead + (n,) * 4)
 
     @staticmethod
     def independent_component_count(n):
@@ -91,58 +164,22 @@ class CurvatureTensor:
 
     @staticmethod
     def _packed_slots(n):
-        # pair-symmetric upper triangle over index pairs (i<j) <= (k<l); for
-        # every four-distinct-index set {a<b<c<d} the (ad,bc) pairing is
-        # recoverable from the first Bianchi identity and is dropped
-        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-        slots = []
-        for a, (i, j) in enumerate(pairs):
-            for b in range(a, len(pairs)):
-                k, l = pairs[b]
-                if len({i, j, k, l}) == 4:
-                    s0, s1, s2, s3 = sorted((i, j, k, l))
-                    if (i, j, k, l) == (s0, s3, s1, s2):
-                        continue
-                slots.append((i, j, k, l))
-        return slots
+        return _packed_layout(n)[0]
 
     def packed(self):
-        slots = self._packed_slots(self.dimension)
-        out = np.empty((self.sample_count, len(slots)))
-        for col, (i, j, k, l) in enumerate(slots):
-            out[:, col] = self.array[:, i, j, k, l]
-        return out
+        return self.block.reshape(self.sample_count, -1)[:, self._packed_slots(self.dimension)]
 
     @classmethod
     def from_packed(cls, packed, n):
         packed = np.atleast_2d(np.asarray(packed, dtype=float))
-        slots = cls._packed_slots(n)
-        if packed.shape[1] != len(slots):
-            raise ValueError(f"expected {len(slots)} independent components, got {packed.shape[1]}")
-        S = packed.shape[0]
-        arr = np.zeros((S, n, n, n, n))
-        for col, (i, j, k, l) in enumerate(slots):
-            _write_orbit(arr, i, j, k, l, packed[:, col])
-        # restore the dropped (ad,bc) slots from the first Bianchi identity
-        for a in range(n):
-            for b in range(a + 1, n):
-                for c in range(b + 1, n):
-                    for d in range(c + 1, n):
-                        val = -arr[:, a, b, c, d] - arr[:, a, c, d, b]
-                        # R_adbc = -R_abcd - R_acdb
-                        _write_orbit(arr, a, d, b, c, val)
-        return cls(arr)
-
-
-def _write_orbit(arr, i, j, k, l, val):
-    arr[:, i, j, k, l] = val
-    arr[:, j, i, k, l] = -val
-    arr[:, i, j, l, k] = -val
-    arr[:, j, i, l, k] = val
-    arr[:, k, l, i, j] = val
-    arr[:, l, k, i, j] = -val
-    arr[:, k, l, j, i] = -val
-    arr[:, l, k, j, i] = val
+        kept, (ad_bc, bc_ad, ac_bd, ab_cd) = _packed_layout(n)
+        if packed.shape[1] != len(kept):
+            raise ValueError(f"expected {len(kept)} independent components, got {packed.shape[1]}")
+        N = pair_count(n)
+        flat = np.zeros((packed.shape[0], N * N))
+        flat[:, kept] = flat[:, (kept % N) * N + kept // N] = packed
+        flat[:, ad_bc] = flat[:, bc_ad] = flat[:, ac_bd] - flat[:, ab_cd]
+        return cls(flat.reshape(-1, N, N))
 
 
 def christoffel(field: MetricField) -> ConnectionField:
@@ -159,81 +196,78 @@ def christoffel_from_jets(g, dg, ginv):
     # with dg[..., a, b, c] = d_c g_ab:
     #   term[l, j, k] = dg[l, j, k] + dg[l, k, j] - dg[j, k, l]
     # contracted as one batched product g^{il} term[l, (jk)]
-    term = dg + np.swapaxes(dg, -2, -1) - _permute_last(dg, (2, 0, 1))
+    term = dg + np.swapaxes(dg, -2, -1) - np.swapaxes(np.swapaxes(dg, -1, -2), -2, -3)
     n = g.shape[-1]
     return 0.5 * (ginv @ term.reshape(term.shape[:-2] + (n * n,))).reshape(term.shape)
 
 
-@lru_cache(maxsize=None)
-def _trailing_axes(ndim, perm):
-    lead = ndim - len(perm)
-    return tuple(range(lead)) + tuple(lead + p for p in perm)
-
-
-def _permute_last(a, perm):
-    """View of ``a`` with its trailing ``len(perm)`` axes permuted as
-    ``ndarray.transpose(perm)`` permutes them, leading axes in place."""
-    return a.transpose(_trailing_axes(a.ndim, perm))
-
-
 def riemann(field: MetricField) -> CurvatureTensor:
-    """Fully lowered curvature tensor from the component formula, after one
-    positivity check of the field and with its cached inverse."""
+    """Curvature block from the component formula, after one positivity
+    check of the field and with its cached inverse."""
     field.validate_spd()
     g, dg, d2g = field.jets()
     return CurvatureTensor(riemann_from_jets(g, dg, d2g, field.inverse))
 
 
 def riemann_from_jets(g, dg, d2g, ginv):
-    """Curvature from the 2-jet ``(g, dg, d2g)`` and ``ginv``, the inverse
-    of ``g``."""
+    """Curvature block, shape ``lead + (N, N)``, from the 2-jet
+    ``(g, dg, d2g)`` and ``ginv``, the inverse of ``g``."""
     gam = christoffel_from_jets(g, dg, ginv)
+    n = g.shape[-1]
+    lead = gam.shape[:-3]
     # 1/2 (d_j d_l g_ik + d_i d_k g_jl - d_i d_l g_jk - d_j d_k g_il)
     # d2g[..., a, b, c, d] = d_c d_d g_ab, so that d_j d_l g_ik at [i, j, k, l]
     # is d2g[i, k, j, l], and so on
-    t_ik_jl = _permute_last(d2g, (0, 2, 1, 3))
-    t_jl_ik = _permute_last(d2g, (2, 0, 3, 1))
-    t_jk_il = _permute_last(d2g, (2, 0, 1, 3))
-    t_il_jk = _permute_last(d2g, (0, 2, 3, 1))
-    riem = 0.5 * (t_ik_jl + t_jl_ik - t_jk_il - t_il_jk)
+    t = d2g.reshape(lead + (n ** 4,))[..., _block_index(n, ("ikjl", "jlik", "jkil", "iljk"))]
+    riem = 0.5 * (t[..., 0, :] + t[..., 1, :] - t[..., 2, :] - t[..., 3, :])
     # quadratic term g_mn (Gamma^m_jk Gamma^n_il - Gamma^m_jl Gamma^n_ik): with
     # the lowered symbols Gamma_{m,il} = g_mn Gamma^n_il, one product gives
-    # M[(jk),(il)] = Gamma^m_jk Gamma_{m,il}; both terms are transposes of M
-    n = g.shape[-1]
-    lead = gam.shape[:-3]
+    # M[(jk),(il)] = Gamma^m_jk Gamma_{m,il}; both terms are entries of M
     gam_m = gam.reshape(lead + (n, n * n))
-    M = (np.swapaxes(gam_m, -1, -2) @ (g @ gam_m)).reshape(lead + (n,) * 4)
-    first = _permute_last(M, (2, 0, 1, 3))
-    riem -= first
-    riem += np.swapaxes(first, -1, -2)
-    return riem
+    M = (np.swapaxes(gam_m, -1, -2) @ (g @ gam_m)).reshape(lead + (n ** 4,))
+    m = M[..., _block_index(n, ("jkil", "jlik"))]
+    riem -= m[..., 0, :]
+    riem += m[..., 1, :]
+    N = pair_count(n)
+    return riem.reshape(lead + (N, N))
 
 
 def ricci_and_scalar(field: MetricField, riem: CurvatureTensor):
-    """Pair-trace Ricci tensor and scalar curvature.
-
-    ``R_ik = g^{jl} R_ijkl`` and ``R = g^{ik} R_ik``.
-    """
-    return ricci_scalar_from_arrays(inverse_metric(field), riem.array)
+    """Pair-trace Ricci tensor ``R_ik = g^{jl} R_ijkl`` and scalar curvature
+    ``R = g^{ik} R_ik``."""
+    return ricci_scalar_from_arrays(inverse_metric(field), riem.block)
 
 
-def ricci_scalar_from_arrays(ginv, riem_array):
-    ric = pair_trace(ginv, riem_array)
+def ricci_scalar_from_arrays(ginv, riem_block):
+    ric = pair_trace(ginv, riem_block)
     scal = np.einsum('...ik,...ik->...', ginv, ric)
     return ric, scal
 
 
-def pair_trace(ginv, tensor):
-    """Pair trace ``W_ik = g^{jl} T_ijkl`` of stacked 4-tensors.
+@lru_cache(maxsize=None)
+def _pair_trace_terms(n):
+    """The terms of ``W_ik = g^{jl} T_ijkl`` with j != i and l != k: their
+    flat block entries and ``g^{jl}`` indices, and the (terms, n * n) matrix
+    of their signs that sums them into W."""
+    i, j, k, l = np.indices((n,) * 4).reshape(4, -1)
+    term = (i != j) & (k != l)
+    signed = _component_index(n)[term]                    # into [B, -B, 0]
+    N2 = pair_count(n) ** 2
+    sums = np.zeros((len(signed), n * n))
+    sums[np.arange(len(signed)), (i * n + k)[term]] = np.where(signed < N2, 1.0, -1.0)
+    return _frozen(signed % N2, (j * n + l)[term], sums)
 
-    One batched product of ``T`` laid out as the matrix ``T[(ik), (jl)]``
-    with the inverse metric flattened to the column ``g^(jl)``.
-    """
-    n = tensor.shape[-1]
-    lead = tensor.shape[:-4]
-    t_ik_jl = np.swapaxes(tensor, -3, -2).reshape(lead + (n * n, n * n))
-    col = ginv.reshape(ginv.shape[:-2] + (n * n, 1))
-    return (t_ik_jl @ col).reshape(lead + (n, n))
+
+def pair_trace(ginv, block):
+    """Pair trace ``W_ik = g^{jl} T_ijkl`` of stacked blocks ``(..., N, N)``:
+    a gather of the (n-1)^2 nonzero terms of each (i, k), summed by one
+    product with their signs."""
+    n = ginv.shape[-1]
+    lead = block.shape[:-2]
+    entries, inverse, sums = _pair_trace_terms(n)
+    terms = (block.reshape(lead + (-1,))[..., entries]
+             * ginv.reshape(ginv.shape[:-2] + (n * n,))[..., inverse])
+    return (terms @ sums).reshape(lead + (n, n))
 
 
 def weyl(field: MetricField, riem: CurvatureTensor) -> CurvatureTensor:
@@ -241,30 +275,34 @@ def weyl(field: MetricField, riem: CurvatureTensor) -> CurvatureTensor:
     n = field.dimension
     if n < 3:
         raise DimensionTooSmall("the conformal curvature tensor needs n >= 3")
-    ric, scal = ricci_scalar_from_arrays(field.inverse, riem.array)
-    return CurvatureTensor(weyl_from_arrays(field.samples, riem.array, ric, scal))
+    g = field.samples
+    ric, scal = ricci_scalar_from_arrays(field.inverse, riem.block)
+    return CurvatureTensor(riem.block
+                           - kn_product(ric, g) / (n - 2)
+                           + scal[..., None, None] * pair_product_from_samples(g)
+                           / ((n - 1) * (n - 2)))
 
 
-def weyl_from_arrays(g, riem_array, ric, scal):
-    n = g.shape[-1]
-    G = pair_product_from_samples(g)
-    return (riem_array
-            - kn_product(ric, g) / (n - 2)
-            + scal[..., None, None, None, None] * G / ((n - 1) * (n - 2)))
+def _compound(a, b):
+    """Block of ``(a (.) b)_ijkl = a_ik b_jl - a_il b_jk`` for stacked
+    ``(..., n, n)`` inputs."""
+    n, N = a.shape[-1], pair_count(a.shape[-1])
+    x = a.reshape(a.shape[:-2] + (n * n,))[..., _block_index(n, ("ik", "il"))]
+    y = b.reshape(b.shape[:-2] + (n * n,))[..., _block_index(n, ("jl", "jk"))]
+    out = x[..., 0, :] * y[..., 0, :] - x[..., 1, :] * y[..., 1, :]
+    return out.reshape(out.shape[:-1] + (N, N))
 
 
 def pair_product_from_samples(g):
-    """G_ijkl = g_ik g_jl - g_il g_jk on stacked samples."""
-    return (np.einsum('...ik,...jl->...ijkl', g, g)
-            - np.einsum('...il,...jk->...ijkl', g, g))
+    """The pair product on stacked samples: the second compound ``C_2(g)``,
+    whose block entries are the minors ``g_ik g_jl - g_il g_jk``."""
+    return _compound(g, g)
 
 
 def kn_product(a, b):
-    """(a ^ b)_ijkl = a_ik b_jl + a_jl b_ik - a_il b_jk - a_jk b_il."""
-    return (np.einsum('...ik,...jl->...ijkl', a, b)
-            + np.einsum('...jl,...ik->...ijkl', a, b)
-            - np.einsum('...il,...jk->...ijkl', a, b)
-            - np.einsum('...jk,...il->...ijkl', a, b))
+    """Block of ``(a ^ b)_ijkl = a_ik b_jl + a_jl b_ik - a_il b_jk - a_jk b_il``,
+    the bialternate sum ``a (.) b + b (.) a``."""
+    return _compound(a, b) + _compound(b, a)
 
 
 def orthogonal_metric_curvature(lame_coefficients, chart) -> CurvatureTensor:
@@ -278,94 +316,63 @@ def orthogonal_metric_curvature(lame_coefficients, chart) -> CurvatureTensor:
     n = chart.dimension
     if len(lame_coefficients) != n:
         raise ValueError("need one coefficient function per axis")
-    jets = []
-    for Hf in lame_coefficients:
-        if chart.kind == "periodic-grid":
-            pts = chart.sample_points.reshape(chart.grid_shape + (n,))
-            vals = np.asarray(Hf(pts), dtype=float)
-            jets.append(grid_scalar_jet(vals, chart))
-        else:
-            jets.append(analytic_scalar_jet(Hf, chart.point[None, :], n, chart.step))
+    if chart.kind == "periodic-grid":
+        pts = chart.sample_points.reshape(chart.grid_shape + (n,))
+        jets = [grid_scalar_jet(np.asarray(f(pts), dtype=float), chart) for f in lame_coefficients]
+    else:
+        jets = [analytic_scalar_jet(f, chart.point[None, :], n, chart.step)
+                for f in lame_coefficients]
     H = np.stack([j[0] for j in jets], axis=-1)          # (S, n)
     dH = np.stack([j[1] for j in jets], axis=-2)         # (S, n, n): dH[:, i, a] = d_a H_i
     d2H = np.stack([j[2] for j in jets], axis=-3)        # (S, n, n, n)
     if np.min(H) <= 0.0:
         raise NonpositiveLame(f"smallest coefficient value {np.min(H):.3e}")
 
-    S = H.shape[0]
-    R = np.zeros((S, n, n, n, n))
+    number, sign = _pairs(n)
+    R = np.zeros((H.shape[0],) + (pair_count(n),) * 2)
     for h in range(n):
-        for i in range(n):
-            if i == h:
-                continue
+        for i in range(h):
             # R_hiih = -H_h H_i ( d_h[(d_h H_i)/H_h] + d_i[(d_i H_h)/H_i]
             #                     + sum_{l != h,i} (d_l H_h)(d_l H_i)/H_l^2 )
             term_h = (d2H[:, i, h, h] * H[:, h] - dH[:, i, h] * dH[:, h, h]) / H[:, h] ** 2
             term_i = (d2H[:, h, i, i] * H[:, i] - dH[:, h, i] * dH[:, i, i]) / H[:, i] ** 2
-            extra = np.zeros(S)
-            for l in range(n):
-                if l in (h, i):
-                    continue
-                extra += dH[:, h, l] * dH[:, i, l] / H[:, l] ** 2
+            extra = sum((dH[:, h, l] * dH[:, i, l] / H[:, l] ** 2
+                         for l in range(n) if l not in (h, i)), np.zeros_like(H[:, h]))
             val = -H[:, h] * H[:, i] * (term_h + term_i + extra)
-            _write_sectional(R, h, i, val)
-            for k in range(n):
-                if k in (h, i):
+            P = number[h, i]
+            R[:, P, P] = -val       # R_ihih = -R_hiih
+        for i in range(n):
+            for k in range(h):
+                if i in (h, k):
                     continue
                 # R_hiik = -H_i ( d_h d_k H_i - (d_h H_i)(d_k H_h)/H_h
                 #                             - (d_k H_i)(d_h H_k)/H_k )
                 val = -H[:, i] * (d2H[:, i, h, k]
                                   - dH[:, i, h] * dH[:, h, k] / H[:, h]
                                   - dH[:, i, k] * dH[:, k, h] / H[:, k])
-                _write_mixed(R, h, i, k, val)
+                P, Q = number[h, i], number[i, k]
+                R[:, P, Q] = R[:, Q, P] = sign[h, i] * sign[i, k] * val
     return CurvatureTensor(R)
 
 
-def _write_sectional(R, h, i, val):
-    R[:, h, i, i, h] = val
-    R[:, i, h, i, h] = -val
-    R[:, h, i, h, i] = -val
-    R[:, i, h, h, i] = val
-
-
-def _write_mixed(R, h, i, k, val):
-    R[:, h, i, i, k] = val
-    R[:, i, h, i, k] = -val
-    R[:, h, i, k, i] = -val
-    R[:, i, h, k, i] = val
-    R[:, i, k, h, i] = val
-    R[:, i, k, i, h] = -val
-    R[:, k, i, h, i] = -val
-    R[:, k, i, i, h] = val
-
-
 def tensor_norm(tensor, field_or_ginv):
-    """Pointwise norm by full contraction with one inverse metric per index.
-
-    Accepts scalars per sample (rank 0), 2-tensors or 4-tensors with all
-    indices lowered.  Returns an array of shape ``(S,)``.
-    """
+    """Pointwise norm by full contraction with one inverse metric per index,
+    shape (S,), of scalars per sample ``(S,)``, 2-tensors with both indices
+    lowered ``(S, n, n)`` or a :class:`CurvatureTensor`."""
     if isinstance(field_or_ginv, MetricField):
         ginv = inverse_metric(field_or_ginv)
     else:
         ginv = np.asarray(field_or_ginv, dtype=float)
+    # |T|^2 = c <A, K A K>: A = T, K = g^-1 and c = 1 for a 2-tensor; for a curvature
+    # tensor A is its block, K = C_2(g^-1) = C_2(g)^-1 and c = 4 orders the pairs
     if isinstance(tensor, CurvatureTensor):
-        tensor = tensor.array
-    t = np.asarray(tensor, dtype=float)
-    rank = t.ndim - 1
-    if rank == 0:
-        return np.abs(t)
-    # |T|^2 = <A, K A K>: for rank 2, A = T and K = g^-1 raise one slot per
-    # product; for rank 4, A = T[(ij), (kl)] and K = g^-1 (x) g^-1 raise a
-    # slot pair per product
-    n = ginv.shape[-1]
-    if rank == 2:
-        K = ginv
-    elif rank == 4:
-        K = (ginv[..., :, None, :, None] * ginv[..., None, :, None, :]).reshape(
-            ginv.shape[:-2] + (n * n, n * n))
+        A, K, c = tensor.block, pair_product_from_samples(ginv), 4.0
     else:
-        raise ValueError("tensor_norm handles ranks 0, 2 and 4")
-    A = t.reshape(t.shape[:1] + K.shape[-2:])
-    sq = np.einsum('...ij,...ij->...', A, K @ A @ K)
+        A = np.asarray(tensor, dtype=float)
+        if A.ndim == 1:
+            return np.abs(A)
+        if A.ndim != 3:
+            raise ValueError("tensor_norm handles scalars, 2-tensors and curvature tensors")
+        K, c = ginv, 1.0
+    sq = c * np.einsum('...ij,...ij->...', A, K @ A @ K)
     return np.sqrt(np.maximum(sq, 0.0))

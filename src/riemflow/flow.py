@@ -54,6 +54,7 @@ from .charts import (
     richardson_jet,
 )
 from .curvature import (
+    CurvatureTensor,
     kn_product,
     pair_product_from_samples,
     pair_trace,
@@ -82,7 +83,8 @@ MAX_HALVINGS = 20
 
 
 def solve_pair_trace(g, ginv, rhs4):
-    """Solve (v ^ g)_ijkl = rhs4 for the symmetric velocity v.
+    """Solve (v ^ g)_ijkl = rhs4 for the symmetric velocity v, with
+    ``rhs4`` given as its block on 2-forms.
 
     Contracting with ``g^{jl}`` gives ``(n-2) v + tr(v) g = W`` with
     ``W = g^{jl} rhs4_ijkl``; the trace of that equation fixes ``tr v``.
@@ -157,7 +159,7 @@ class Law:
     def rate(self, g, ginv, k, riem):
         """Metric velocity (order 1) or acceleration (order 2) at metric
         samples ``g`` with inverse ``ginv``, velocity samples ``k`` (order 2)
-        and curvature ``riem``."""
+        and the curvature block ``riem``."""
         if self.kind == "ricci":
             ric, _ = ricci_scalar_from_arrays(ginv, riem)
             return _combine([(-self.delta, lambda: ric)], ric, self.lead)
@@ -178,8 +180,7 @@ class Law:
         """:meth:`rate` at a field's samples and curvature."""
         g = field.samples
         k = None if velocity is None else np.asarray(velocity, dtype=float).reshape(g.shape)
-        riem = riemann(field).array
-        return self.rate(g, field.inverse, k, riem)
+        return self.rate(g, field.inverse, k, riemann(field).block)
 
     def residual(self, g, ginv, k, rate, riem):
         """Max norm of the law's G-level equation at the ``rate`` that
@@ -191,7 +192,7 @@ class Law:
         elif self.kind == "riemann-type":
             trv = np.einsum('...ik,...ik->...', ginv, rate)
             G = pair_product_from_samples(g)
-            rhs = self.alpha * riem + self.beta * trv[..., None, None, None, None] * G
+            rhs = self.alpha * riem + self.beta * trv[..., None, None] * G
             total = kn_product(rate, g) - rhs
         else:
             v = rate if self.order == 1 else k
@@ -307,8 +308,7 @@ class Trajectory:
 
 
 def _rel_eig_factors(g0_samples):
-    L0 = np.linalg.cholesky(g0_samples)
-    return np.linalg.inv(L0)
+    return np.linalg.inv(np.linalg.cholesky(g0_samples))
 
 
 def _relative_eigenvalues(g_samples, L0inv):
@@ -399,15 +399,15 @@ class _RK4System:
         return np.einsum('ab,bc,dc->ad', self._L0, state[i], self._L0)[None]
 
     def rhs(self, state):
-        """(d state/dt, curvature array, the law's rate at the samples, the
+        """(d state/dt, curvature block, the law's rate at the samples, the
         inverse metric there).  Raises :class:`NotPositiveDefinite` when the
         state's metric is not positive definite."""
         fld = self.field_of(state)
-        riem_arr = riemann(fld).array
+        riem = riemann(fld).block
         k = self.samples(state, 1) if self.wave else None
-        rate = self.law.rate(fld.samples, fld.inverse, k, riem_arr)
+        rate = self.law.rate(fld.samples, fld.inverse, k, riem)
         top = rate if self.grid else self._to_frame(rate[0])
-        return state[1:] + [top], riem_arr, rate, fld.inverse
+        return state[1:] + [top], riem, rate, fld.inverse
 
     def spd_ok(self, state):
         """Whether the state's metric passes :func:`require_spd`, the check
@@ -496,10 +496,10 @@ def _rk4_evolve(initial, law, order, velocity, dt_base, t_end, stride, collapse_
         reuses."""
         g = system.samples(state)
         first = system.rhs(state)
-        _, riem_arr, rate, ginv = first
+        _, riem, rate, ginv = first
         k = system.samples(state, 1) if system.wave else None
-        ric, scal = ricci_scalar_from_arrays(ginv, riem_arr)
-        riem_norm = tensor_norm(riem_arr, ginv)
+        ric, scal = ricci_scalar_from_arrays(ginv, riem)
+        riem_norm = tensor_norm(CurvatureTensor(riem), ginv)
         ric_norm = tensor_norm(ric, ginv)
         traj.times.append(t)
         traj.states.append(g.copy())
@@ -513,7 +513,7 @@ def _rk4_evolve(initial, law, order, velocity, dt_base, t_end, stride, collapse_
         d["sup_riem_norm"].append(float(riem_norm.max()))
         d["scalar_min"].append(float(scal.min()))
         d["scalar_max"].append(float(scal.max()))
-        d["eq_residual"].append(system.law.residual(g, ginv, k, rate, riem_arr))
+        d["eq_residual"].append(system.law.residual(g, ginv, k, rate, riem))
         d["det_g_min"].append(float(det.min()))
         if cross_G is not None and (len(traj.times) - 1) % cross_check_stride == 0:
             try:
@@ -631,7 +631,8 @@ def check_metric_equivalence(trajectory, m=None, which="ricci"):
     """Check e^{-2mt} g(0) <= g(t) <= e^{2mt} g(0) in the eigenvalue sense.
 
     ``which='ricci'`` bounds the metric itself with m = sup |Ric|;
-    ``which='riemann'`` bounds the pair product with m = sup |Riem|.
+    ``which='riemann'`` bounds the pair product, the block C_2(g) on
+    2-forms, with m = sup |Riem|.
     Semidefinite ordering is evaluated through generalized eigenvalues
     relative to the initial state; a margin down to -1e-9 passes.
     """
@@ -644,16 +645,10 @@ def check_metric_equivalence(trajectory, m=None, which="ricci"):
         key = "sup_ric_norm" if which == "ricci" else "sup_riem_norm"
         m = float(np.max(trajectory.diagnostic(key)))
 
-    if which == "ricci":
-        mats0 = states[0]
-        mats = states
-    elif which == "riemann":
-        mats0 = _pair_matrix(states[0])
-        mats = [_pair_matrix(s) for s in states]
-    else:
+    if which not in ("ricci", "riemann"):
         raise ValueError("which must be 'ricci' or 'riemann'")
-
-    L0inv = _rel_eig_factors(mats0)
+    mats = states if which == "ricci" else [pair_product_from_samples(s) for s in states]
+    L0inv = _rel_eig_factors(mats[0])
     worst = (math.inf, 0.0, 0)
     for t, mat in zip(times, mats):
         rel = _relative_eigenvalues(mat, L0inv)
@@ -668,19 +663,6 @@ def check_metric_equivalence(trajectory, m=None, which="ricci"):
                              worst_time=worst[1], worst_sample=worst[2])
 
 
-def _pair_matrix(g_samples):
-    """Pair product as a matrix on the (i<j) basis of 2-forms."""
-    G = pair_product_from_samples(g_samples)
-    n = g_samples.shape[-1]
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    D = len(pairs)
-    out = np.empty(g_samples.shape[:-2] + (D, D))
-    for a, (i, j) in enumerate(pairs):
-        for b, (k, l) in enumerate(pairs):
-            out[..., a, b] = G[..., i, j, k, l]
-    return out
-
-
 # ---------------------------------------------------------------------------
 # blow-up monitoring
 # ---------------------------------------------------------------------------
@@ -689,6 +671,7 @@ def _pair_matrix(g_samples):
 @dataclass
 class BlowUpReport:
     T_est: float
+    T_est_uncertainty: float   # of T_est, from estimate_singular_time
     exponent: float
     curve: tuple   # (T_est - t, sup |Riem|) over the fit window
 
@@ -747,7 +730,8 @@ def _three_point_singular_time(t, f):
 
 
 def monitor_blow_up(trajectory):
-    """Singular-time estimate and curvature growth exponent.
+    """Singular-time estimate, its uncertainty and the curvature growth
+    exponent.
 
     Requires a trajectory that stopped at collapse or the curvature cap;
     raises :class:`NoSingularity` otherwise.  The exponent is the least-squares
@@ -776,5 +760,5 @@ def monitor_blow_up(trajectory):
     x = np.log(gap[window])
     y = np.log(norms[window])
     slope = float(np.polyfit(x, y, 1)[0])
-    return BlowUpReport(T_est=float(T), exponent=slope,
+    return BlowUpReport(T_est=float(T), T_est_uncertainty=float(unc), exponent=slope,
                         curve=(gap[window], norms[window]))

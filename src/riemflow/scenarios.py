@@ -16,7 +16,9 @@ Flow/wave CSV columns:
 scalar_min, scalar_max, eq_residual, det_g_min``.
 
 Summary keys: ``termination, t_final, T_est, blowup_exponent, residuals,
-discrepancies`` plus the scenario id, wall time and a config echo.  The
+discrepancies`` plus the scenario id, wall time and a config echo; flows
+and waves add ``T_est_uncertainty`` and ``residuals.equation_max_relative``
+(max of eq_residual / sup_riem_norm where sup_riem_norm > 0).  The
 ``discrepancies`` list records where the commonly quoted constants disagree
 with the values computed under the implemented sign conventions (the
 constant-curvature factor of the round sphere, the sign of the scaled-flow
@@ -357,15 +359,21 @@ def run_scenario(cfg: ScenarioConfig):
         summary["termination"] = traj.termination
         summary["t_final"] = float(traj.times[-1])
         resid = traj.diagnostic("eq_residual")
-        summary["residuals"] = {"equation_max": float(np.nanmax(resid))}
+        riem = traj.diagnostic("sup_riem_norm")
+        curved = riem != 0.0       # a flat record has no scale: None if all are
+        summary["residuals"] = {"equation_max": float(np.nanmax(resid)),
+                                "equation_max_relative": float(np.nanmax(
+                                    resid[curved] / riem[curved])) if curved.any() else None}
         cc = traj.diagnostic("cross_check_error")
         if np.any(np.isfinite(cc)):
             summary["residuals"]["cross_check_max"] = float(np.nanmax(cc))
+        summary["T_est_uncertainty"] = None
         if traj.termination in ("collapse", "curvature_cap"):
             exit_code = 2
             try:
                 report = monitor_blow_up(traj)
                 summary["T_est"] = report.T_est
+                summary["T_est_uncertainty"] = report.T_est_uncertainty
                 summary["blowup_exponent"] = report.exponent
             except (NoSingularity, ValueError):
                 pass

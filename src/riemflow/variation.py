@@ -13,6 +13,7 @@ import numpy as np
 
 from .charts import MetricField, analytic_scalar_jet, grid_scalar_jet
 from .curvature import (
+    CurvatureTensor,
     christoffel_from_jets,
     kn_product,
     pair_product_from_samples,
@@ -95,13 +96,10 @@ def _direction_scale(field, h):
 
 
 def _operator(field, which):
-    if which == "Riem":
-        return riemann(field).array
-    if which == "Ric":
-        riem_arr = riemann(field).array
-        ric, _ = ricci_scalar_from_arrays(field.inverse, riem_arr)
-        return ric
-    raise ValueError("which must be 'Riem' or 'Ric'")
+    if which not in ("Riem", "Ric"):
+        raise ValueError("which must be 'Riem' or 'Ric'")
+    riem = riemann(field).block
+    return riem if which == "Riem" else ricci_scalar_from_arrays(field.inverse, riem)[0]
 
 
 def _central_quotient(field, h, op, eps):
@@ -133,7 +131,9 @@ def _central_quotient(field, h, op, eps):
 
 
 def directional_curvature_derivative(field, h, which="Riem", eps=None):
-    """Central-difference derivative of a curvature operator along ``h``.
+    """Central-difference derivative of a curvature operator along ``h``:
+    of the curvature block on 2-forms (``which='Riem'``) or of Ricci
+    (``which='Ric'``).
 
     ``eps`` is relative to the metric scale divided by the direction scale;
     it is halved automatically while the perturbed metric loses positive
@@ -175,28 +175,29 @@ def soliton_residual(field, data: SolitonData, gradient=True):
     ``R + lam G + (1/2) (L ^ g)`` with ``L_ik = nabla_i V_k + nabla_k V_i``
     for a lowered covector field ``V``.
 
-    Returns ``(residual, max_norm)`` where the norm contracts with one
-    inverse metric per index.
+    Returns ``(residual, max_norm)``: the residual as its block on 2-forms
+    and the max of its norm, which contracts with one inverse metric per
+    index.
     """
     field.validate_spd()
     g, dg, _ = field.jets()
     gam = christoffel_from_jets(g, dg, field.inverse)
-    riem_arr = riemann(field).array
+    riem = riemann(field).block
     G = pair_product_from_samples(g)
     lam = float(data.factor)
 
     if gradient:
         _, df, d2f = _jets(field, data.potential, (), "potential")
         hess = d2f - np.einsum('...lik,...l->...ik', gam, df)
-        resid = riem_arr + lam * G + kn_product(hess, g)
+        resid = riem + lam * G + kn_product(hess, g)
     else:
         V, dV, _ = _jets(field, data.covector, (field.dimension,), "covector field")
         # nabla_i V_k = d_i V_k - Gamma^m_ik V_m ; dV[..., k, i] = d_i V_k
         nablaV = np.swapaxes(dV, -1, -2) - np.einsum('...mik,...m->...ik', gam, V)
         lie = nablaV + np.swapaxes(nablaV, -1, -2)
-        resid = riem_arr + lam * G + 0.5 * kn_product(lie, g)
+        resid = riem + lam * G + 0.5 * kn_product(lie, g)
 
-    return resid, float(tensor_norm(resid, field.inverse).max())
+    return resid, float(tensor_norm(CurvatureTensor(resid), field.inverse).max())
 
 
 def classify_soliton(factor):

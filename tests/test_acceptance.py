@@ -118,7 +118,7 @@ def test_acceptance_01_curvature_kernel():
         fldg = MetricField.from_function(chart, fam.metric_function)
         g0, d1, d2 = analytic_scalar_jet(fam.metric_function,
                                          chart.sample_points, 2, 1e-3)
-        errs.append(np.abs(riemann(fldg).array
+        errs.append(np.abs(riemann(fldg).block
                            - riemann_from_jets(g0, d1, d2, np.linalg.inv(g0))).max())
     slopes = [np.log2(errs[i] / errs[i + 1]) for i in range(2)]
     checks["grid_order_4"] = all(abs(s - 4.0) <= 0.3 for s in slopes)
@@ -459,7 +459,7 @@ def test_acceptance_13_linearization_tangency():
     d_riem = directional_curvature_derivative(fld, fld.samples.copy(),
                                               which="Riem")
     checks["derivative_along_metric"] = (
-        np.abs(d_riem - riemann(fld).array).max() <= 1e-8)
+        np.abs(d_riem - riemann(fld).block).max() <= 1e-8)
     _report(13, f"linearization tangency at order {order:.2f}; homogeneity "
                 "identity of the curvature derivative",
             checks, time.perf_counter() - t0)

@@ -102,7 +102,7 @@ def test_recover_identity_metric():
 def test_recover_homogeneity(rng):
     g = rand_spd(3, rng)
     c = 1.9
-    G = bialternate_product(g).array[0]
+    G = bialternate_product(g).block[0]
     rec = recover_metric(c * c * G, 3)
     assert np.abs(rec - c * g).max() < 1e-9
 
@@ -115,8 +115,10 @@ def test_recover_rejects_dimension_two(rng):
 
 def test_recover_not_in_image(rng):
     g = rand_spd(3, rng)
-    G = bialternate_product(g).array[0].copy()
-    G[0, 1, 0, 1] *= 1.5  # break the pair-product structure
+    G = bialternate_product(g).block[0].copy()
+    # G_0102 != G_0201: no pair product is an asymmetric block (in n = 3 every
+    # SPD block is the pair product of some metric)
+    G[0, 1] *= 1.5
     with pytest.raises(NotInImage):
         recover_metric(G, 3)
 
@@ -125,14 +127,16 @@ def test_recover_refusals(rng):
     # broken pair symmetry, an indefinite metric (n = 3, and n = 4 with every
     # principal 3 x 3 block definite) and zero are not pair products of an
     # SPD metric
-    G = bialternate_product(rand_spd(4, rng)).array[0].copy()
-    G[0, 1, 0, 2] += 1e-6
+    G = bialternate_product(rand_spd(4, rng)).block[0].copy()
+    G[0, 1] += 1e-6  # G_0102
     indefinite = np.eye(4) - 0.3          # eigenvalues 1, 1, 1, -0.2
     assert np.all(np.linalg.eigvalsh(indefinite[:3, :3]) > 0)
-    for bad in (G, bialternate_product(np.diag([1.0, 1.0, -1.0])).array[0],
-                bialternate_product(indefinite).array[0], np.zeros((3, 3, 3, 3))):
+    for bad in (G, bialternate_product(np.diag([1.0, 1.0, -1.0])).block[0],
+                bialternate_product(indefinite).block[0], np.zeros((3, 3))):
         with pytest.raises(NotInImage):
             recover_metric(bad)
+    with pytest.raises(ValueError, match="dimension 4"):
+        recover_metric(bialternate_product(rand_spd(3, rng)), 4)   # a 3 x 3 block is n = 3
 
 
 def test_recover_negative_definite_gives_spd_root(rng):
@@ -180,11 +184,11 @@ def test_recover_ill_conditioned_batch():
 def test_recover_stacked_equals_per_sample(rng):
     for n in (3, 4, 5):
         g = np.stack([rand_spd(n, rng) for _ in range(6)])
-        G = bialternate_product(g).array
+        G = bialternate_product(g).block
         rec = recover_metric(G)
         assert rec.shape == (6, n, n)
         assert all(np.array_equal(rec[s], recover_metric(G[s])) for s in range(6))
-        assert np.array_equal(recover_metric(G.reshape(2, 3, n, n, n, n)),
+        assert np.array_equal(recover_metric(G.reshape((2, 3) + G.shape[1:])),
                               rec.reshape(2, 3, n, n))
 
 

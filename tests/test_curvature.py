@@ -24,6 +24,7 @@ from riemflow.curvature import (
     inverse_metric,
     kn_product,
     orthogonal_metric_curvature,
+    pair_product_from_samples,
     pair_trace,
     ricci_and_scalar,
     riemann,
@@ -172,7 +173,7 @@ def test_grid_curvature_converges_to_analytic():
     for N in (16, 32, 64):
         chart = GridChart(2, N, 2.0 * np.pi)
         fld = MetricField.from_function(chart, fam.metric_function)
-        Rg = riemann(fld).array
+        Rg = riemann(fld).block
         g0, d1, d2 = analytic_scalar_jet(fam.metric_function, chart.sample_points,
                                          2, 1e-3)
         Rref = riemann_from_jets(g0, d1, d2, np.linalg.inv(g0))
@@ -328,10 +329,10 @@ def test_lame_rejects_nonpositive():
 def test_tensor_norm_basics(rng):
     g = rand_spd(3, rng)[None]
     ginv = np.linalg.inv(g)
-    assert tensor_norm(np.zeros((1, 3, 3, 3, 3)), ginv)[0] == 0.0
+    assert tensor_norm(CurvatureTensor(np.zeros((1, 3, 3))), ginv)[0] == 0.0
     assert abs(tensor_norm(g, ginv)[0] - np.sqrt(3.0)) < 1e-12
     G = bialternate_product(np.eye(3))
-    assert abs(tensor_norm(G.array, np.eye(3)[None])[0] - np.sqrt(12.0)) < 1e-12
+    assert abs(tensor_norm(G, np.eye(3)[None])[0] - np.sqrt(12.0)) < 1e-12
     assert tensor_norm(np.array([-2.5]), ginv)[0] == 2.5  # rank-0 per sample
     with pytest.raises(ValueError):
         tensor_norm(np.zeros((1, 3, 3, 3)), ginv)
@@ -401,19 +402,87 @@ def _rel_err(a, b):
     return np.abs(a - b).max() / np.abs(b).max()
 
 
+def _pair_block(t):
+    """The entries t[..., i, j, k, l] with i < j and k < l of stacked n^4
+    arrays, as blocks on 2-forms."""
+    i, j = np.triu_indices(t.shape[-1], 1)
+    return t[..., i, j, :, :][..., i, j]
+
+
+def _random_blocks(S, n, rng):
+    N = n * (n - 1) // 2
+    return rng.normal(size=(S, N, N))
+
+
 @pytest.mark.parametrize("S", [1, 7])
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_batched_contractions_match_component_formulas(n, S):
     rng = np.random.default_rng(100 * n + S)
     g, dg, d2g = _random_jets(S, n, rng)
     ginv = np.linalg.inv(g)
-    assert _rel_err(riemann_from_jets(g, dg, d2g, ginv), _oracle_riemann(g, dg, d2g)) < 1e-12
+    R = CurvatureTensor(riemann_from_jets(g, dg, d2g, ginv))
+    assert _rel_err(R.array, _oracle_riemann(g, dg, d2g)) < 1e-12
     t2 = rng.normal(size=(S, n, n))
-    t4 = rng.normal(size=(S, n, n, n, n))
+    t4 = CurvatureTensor(_random_blocks(S, n, rng))
     assert _rel_err(tensor_norm(t2, ginv), _oracle_norm(t2, ginv)) < 1e-12
-    assert _rel_err(tensor_norm(t4, ginv), _oracle_norm(t4, ginv)) < 1e-12
-    assert _rel_err(pair_trace(ginv, t4),
-                    np.einsum('...jl,...ijkl->...ik', ginv, t4)) < 1e-12
+    assert _rel_err(tensor_norm(t4, ginv), _oracle_norm(t4.array, ginv)) < 1e-12
+    assert _rel_err(pair_trace(ginv, t4.block),
+                    np.einsum('...jl,...ijkl->...ik', ginv, t4.array)) < 1e-12
+
+
+@pytest.mark.parametrize("S", [1, 7])
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_pair_product_of_the_inverse_is_the_inverse(n, S):
+    # C_2(g)^-1 = C_2(g^-1), the identity behind the block norm
+    g = _random_jets(S, n, np.random.default_rng(200 * n + S))[0]
+    ginv = np.linalg.inv(g)
+    assert _rel_err(np.linalg.inv(pair_product_from_samples(g)),
+                    pair_product_from_samples(ginv)) < 1e-12
+
+
+def _oracle_kn(a, b):
+    """(a ^ b)_ijkl term by term."""
+    return (np.einsum('...ik,...jl->...ijkl', a, b) + np.einsum('...jl,...ik->...ijkl', a, b)
+            - np.einsum('...il,...jk->...ijkl', a, b) - np.einsum('...jk,...il->...ijkl', a, b))
+
+
+@pytest.mark.parametrize("S", [1, 7])
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_block_kn_product_matches_component_formula(n, S):
+    rng = np.random.default_rng(300 * n + S)
+    g = _random_jets(S, n, rng)[0]
+    a = rng.normal(size=(S, n, n))
+    assert _rel_err(CurvatureTensor(kn_product(a, g)).array, _oracle_kn(a, g)) < 1e-12
+    assert _rel_err(CurvatureTensor(pair_product_from_samples(g)).array,
+                    0.5 * _oracle_kn(g, g)) < 1e-12
+
+
+@pytest.mark.parametrize("S", [1, 7])
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_array_view_round_trip(n, S):
+    # the block survives its n^4 view bit for bit, and a curvature tensor's
+    # components survive their block to roundoff
+    rng = np.random.default_rng(400 * n + S)
+    B = _random_blocks(S, n, rng)
+    view = CurvatureTensor(B).array
+    assert view.shape == (S,) + (n,) * 4
+    assert np.array_equal(_pair_block(view), B)
+    oracle = _oracle_riemann(*_random_jets(S, n, rng))
+    assert _rel_err(CurvatureTensor(_pair_block(oracle)).array, oracle) < 1e-12
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_array_view_pair_symmetries_are_exact(n):
+    # the view's antisymmetry is exact: R_iikl = R_ijkk = 0 and
+    # R_ijkl = -R_jikl = -R_ijlk with no roundoff
+    fld, _ = torus_field(n, points=8, amplitude=0.1)
+    R = riemann(fld).array
+    assert np.abs(R).max() > 1e-3
+    diag = np.arange(n)
+    assert np.all(R[:, diag, diag] == 0.0)
+    assert np.all(R[:, :, :, diag, diag] == 0.0)
+    assert np.array_equal(R, -np.swapaxes(R, 1, 2))
+    assert np.array_equal(R, -np.swapaxes(R, 3, 4))
 
 
 def _einsum_christoffel(g, dg, ginv):
@@ -442,15 +511,16 @@ def _einsum_riemann(g, dg, d2g, ginv):
 @pytest.mark.parametrize("lead", [(), (1,), (512,), (2, 5)])
 @pytest.mark.parametrize("n", [3, 4])
 def test_kernel_axis_permutations_match_einsum_bitwise(n, lead):
-    # the kernels permute axes with transpose views for any leading shape;
-    # the arithmetic is the einsum oracle's, so the results are equal bit for bit
+    # the kernels permute axes with transpose views and gather the block for
+    # any leading shape; the arithmetic is the einsum oracle's, so the block
+    # equals the oracle's pair entries bit for bit
     rng = np.random.default_rng(10 * n + len(lead))
     S = int(np.prod(lead))
     g, dg, d2g = (a.reshape(lead + a.shape[1:]) for a in _random_jets(S, n, rng))
     ginv = np.linalg.inv(g)
     assert np.array_equal(christoffel_from_jets(g, dg, ginv), _einsum_christoffel(g, dg, ginv))
     assert np.array_equal(riemann_from_jets(g, dg, d2g, ginv),
-                          _einsum_riemann(g, dg, d2g, ginv))
+                          _pair_block(_einsum_riemann(g, dg, d2g, ginv)))
 
 
 def _pull_back(t, P):
@@ -463,10 +533,18 @@ def _pull_back(t, P):
 @settings(derandomize=True, deadline=None, max_examples=60)
 @given(frames())
 def test_tensor_norm_frame_invariant(case):
+    # a drawn 4-tensor enters through its pair block, and is pulled back as
+    # the n^4 view of that block
     g, P, t = case
     g_new = np.swapaxes(P, -1, -2) @ g @ P
-    before = tensor_norm(t, np.linalg.inv(g))
-    after = tensor_norm(_pull_back(t, P), np.linalg.inv(g_new))
+    if t.ndim == 5:
+        t = CurvatureTensor(_pair_block(t)).array
+        before = tensor_norm(CurvatureTensor(_pair_block(t)), np.linalg.inv(g))
+        after = tensor_norm(CurvatureTensor(_pair_block(_pull_back(t, P))),
+                            np.linalg.inv(g_new))
+    else:
+        before = tensor_norm(t, np.linalg.inv(g))
+        after = tensor_norm(_pull_back(t, P), np.linalg.inv(g_new))
     assert np.allclose(after, before, rtol=1e-11, atol=1e-13)
 
 
@@ -496,7 +574,7 @@ def _metric_jets(draw):
 @given(_metric_jets())
 def test_riemann_first_bianchi_identity(jets):
     g, dg, d2g = jets
-    R = riemann_from_jets(g, dg, d2g, np.linalg.inv(g))
+    R = CurvatureTensor(riemann_from_jets(g, dg, d2g, np.linalg.inv(g))).array
     cyclic = R + np.transpose(R, (0, 1, 3, 4, 2)) + np.transpose(R, (0, 1, 4, 2, 3))
     assert np.abs(cyclic).max() <= 1e-12 * max(np.abs(R).max(), 1.0)
 

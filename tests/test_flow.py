@@ -95,7 +95,7 @@ def test_scaled_flow_alpha_sign():
     fam = make_family("conformal-torus", 4, {"amplitude": 0.05, "mode": 1},
                       np.random.default_rng(9))
     fld = MetricField.from_function(GridChart(4, 8, 2.0 * np.pi), fam.metric_function)
-    g, ginv, riem = fld.samples, fld.inverse, riemann(fld).array
+    g, ginv, riem = fld.samples, fld.inverse, riemann(fld).block
     vel = resolve_law("ricci", 4, 1).rate_at(fld)
     n = 4
 
@@ -127,7 +127,7 @@ def test_residual_flat_zero():
     fld, _ = flat_grid_field(3)
     law = resolve_law("riemann-induced", 3, 1)
     assert law.residual(fld.samples, fld.inverse, None, np.zeros_like(fld.samples),
-                        riemann(fld).array) == 0.0
+                        riemann(fld).block) == 0.0
 
 
 def test_residual_dimension_three_is_roundoff():
@@ -138,7 +138,7 @@ def test_residual_dimension_three_is_roundoff():
         fld, _ = torus_field(3, points=points, amplitude=0.1)
         law = resolve_law("riemann-induced", 3, 1)
         vel = law.rate_at(fld)
-        res = law.residual(fld.samples, fld.inverse, None, vel, riemann(fld).array)
+        res = law.residual(fld.samples, fld.inverse, None, vel, riemann(fld).block)
         h = 2.0 * np.pi / points
         assert res < 1e-10
         assert res < 1.0 * h ** 4

@@ -1,4 +1,5 @@
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,7 @@ from riemflow.cli import main as cli_main
 from riemflow.errors import DegenerateCoefficients, ParseError, SchemaError, UnknownFamily
 from riemflow.families import _SAFE_FUNCS, make_family
 from riemflow.flow import integrate_flow
-from riemflow.scenarios import config_from_dict, load_config, run_scenario
+from riemflow.scenarios import CSV_COLUMNS, config_from_dict, load_config, run_scenario
 from riemflow.wave import integrate_wave
 
 
@@ -195,6 +196,39 @@ def test_scale_ode_collapse_config_stops_before_the_root(tmp_path):
     assert summary["t_final"] < summary["T_est"]
     assert abs(summary["T_est"] - UNIT_COLLAPSE_TIME) <= 1e-9
     assert summary["t_final"] < UNIT_COLLAPSE_TIME
+
+
+def _run_shipped(tmp_path, name):
+    """Summary and CSV text of ``configs/<name>.json`` run into ``tmp_path``."""
+    path = Path(__file__).resolve().parents[1] / "configs" / f"{name}.json"
+    cfg = json.loads(path.read_text())
+    cfg["output"] = {"csv": str(tmp_path / f"{name}.csv"),
+                     "summary": str(tmp_path / f"{name}.json")}
+    summary = run_scenario(load_config(_write(tmp_path, cfg)))
+    return summary, (tmp_path / f"{name}.csv").read_text()
+
+
+def test_blow_up_summary_reports_the_fit_uncertainty(tmp_path):
+    summary, _ = _run_shipped(tmp_path, "hyperbolic-collapse")
+    assert summary["termination"] == "collapse"
+    unc = summary["T_est_uncertainty"]
+    assert math.isfinite(unc) and unc > 0.0
+    written = json.loads((tmp_path / "hyperbolic-collapse.json").read_text())
+    assert written["T_est_uncertainty"] == unc
+
+
+def test_relative_equation_residual(tmp_path):
+    # max over records of eq_residual / sup_riem_norm, and None when every
+    # record is flat; the CSV columns stay as they are
+    summary, text = _run_shipped(tmp_path, "hyperbolic-collapse")
+    rows = np.array([[float(v) for v in line.split(",")] for line in text.splitlines()[1:]])
+    header = text.splitlines()[0].split(",")
+    assert tuple(header) == CSV_COLUMNS
+    ratio = rows[:, header.index("eq_residual")] / rows[:, header.index("sup_riem_norm")]
+    assert summary["residuals"]["equation_max_relative"] == pytest.approx(ratio.max(), rel=1e-12)
+    flat, _ = _run_shipped(tmp_path, "flat-torus-flow")
+    assert flat["residuals"]["equation_max_relative"] is None
+    assert flat["T_est_uncertainty"] is None
 
 
 def test_ricci_residual_scores_the_ricci_law(tmp_path):

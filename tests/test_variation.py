@@ -9,7 +9,7 @@ from conftest import (
     torus_field,
 )
 from riemflow.charts import AnalyticChart, GridChart, MetricField
-from riemflow.curvature import riemann
+from riemflow.curvature import CurvatureTensor, riemann
 from riemflow.errors import PerturbationTooLarge
 from riemflow.variation import (
     PerturbationField,
@@ -95,7 +95,7 @@ def test_derivative_homogeneity_identities():
     # degree one, the Ricci operator of degree zero
     fld, _ = torus_field(3, points=8, amplitude=0.08)
     d_riem = directional_curvature_derivative(fld, fld.samples.copy(), which="Riem")
-    assert np.abs(d_riem - riemann(fld).array).max() < 1e-8
+    assert np.abs(d_riem - riemann(fld).block).max() < 1e-8
     d_ric = directional_curvature_derivative(fld, fld.samples.copy(), which="Ric")
     assert np.abs(d_ric).max() < 1e-8
 
@@ -119,7 +119,7 @@ def test_derivative_flat_background_matches_second_differences(rng):
     _, _, d2h = grid_scalar_jet(hvals, chart)
     bracket = 0.5 * (np.einsum('sikjl->sijkl', d2h) + np.einsum('sjlik->sijkl', d2h)
                      - np.einsum('sjkil->sijkl', d2h) - np.einsum('siljk->sijkl', d2h))
-    assert np.abs(D - bracket).max() < 1e-7
+    assert np.abs(CurvatureTensor(D).array - bracket).max() < 1e-7
 
 
 def test_derivative_perturbation_too_large():
