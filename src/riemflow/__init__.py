@@ -36,7 +36,6 @@ from .errors import (
     NotInImage,
     NotPositiveDefinite,
     ParseError,
-    PerturbationTooLarge,
     PositivityLost,
     RiemflowError,
     SchemaError,

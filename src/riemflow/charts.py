@@ -28,11 +28,15 @@ A :class:`MetricField` couples a chart with metric samples (grid), a metric
 function (analytic) or an analytic 2-jet already known, and produces the
 2-jet ``(g, dg, d2g)`` that the curvature kernel consumes.  On grids the jet
 differentiates only the n(n+1)/2 components ``g_ij``, ``i <= j``, and
-mirrors them.  A field checks positivity with one batched
+mirrors their first derivatives.  A field checks positivity with one batched
 Cholesky (:func:`require_spd`; eigenvalues only on failure, to name the
 worst sample) and inverts its metric once (:attr:`MetricField.inverse`).
-Index conventions for jets: ``dg[..., i, j, k] = d_k g_ij`` and
-``d2g[..., i, j, k, l] = d_k d_l g_ij`` with the derivative pair symmetrised.
+Index conventions for metric jets: ``dg[..., i, j, k] = d_k g_ij`` and, over
+the components ``c = (i <= j)`` in ``np.triu_indices`` order,
+``d2g[..., c, k, l] = d_k d_l g_ij`` with the derivative pair symmetrised.
+Samples may be complex: fields, jets and inverses keep a complex dtype, so
+that a complex-step perturbation ``g + i e h`` keeps its imaginary part, and
+positivity is judged on the real part.
 """
 
 from dataclasses import dataclass, field as dataclass_field
@@ -43,6 +47,12 @@ import numpy as np
 from .errors import NotPositiveDefinite, StencilOutOfDomain
 
 DEFAULT_ANALYTIC_STEP = 1e-2
+
+
+def _real_or_complex(a):
+    """``a`` as a float64 array, or complex128 if it is complex."""
+    a = np.asarray(a)
+    return a.astype(np.result_type(a.dtype, float), copy=False)
 
 
 @dataclass(frozen=True)
@@ -186,9 +196,10 @@ def grid_scalar_jet(values, chart):
     """
     n = chart.dimension
     hs = chart.spacings
+    values = _real_or_complex(values)
     tail = values.shape[n:]
-    d1 = np.empty(values.shape + (n,))
-    d2 = np.empty(values.shape + (n, n))
+    d1 = np.empty(values.shape + (n,), values.dtype)
+    d2 = np.empty(values.shape + (n, n), values.dtype)
     for a in range(n):
         sh = _periodic_shifts(values, a)
         d1[..., a] = _grid_d1(sh, hs[a])
@@ -304,7 +315,7 @@ def analytic_scalar_jet(func, points, n, h):
     """
     points = np.asarray(points, dtype=float).reshape(-1, n)
     stencil = analytic_stencil(n, h)
-    vals = np.asarray(func(points[:, None, :] + stencil.offsets[None, :, :]), dtype=float)
+    vals = _real_or_complex(func(points[:, None, :] + stencil.offsets[None, :, :]))
     require_finite(vals, points, stencil.offsets)
     return richardson_jet(stencil, vals)
 
@@ -316,11 +327,13 @@ def analytic_scalar_jet(func, points, n, h):
 
 def require_spd(g):
     """Raise :class:`NotPositiveDefinite` unless every matrix of the stack
-    ``g`` (..., n, n) has a Cholesky factor.
+    ``g`` (..., n, n) has a Cholesky factor; a complex stack is judged by
+    its real part.
 
     The positivity test is the batched Cholesky alone.  Only when it fails
     are the eigenvalues computed, to name the sample with the smallest one.
     """
+    g = g.real
     try:
         np.linalg.cholesky(g)
     except np.linalg.LinAlgError:
@@ -343,6 +356,13 @@ def _symmetric_components(n):
     return flat, component
 
 
+def compact_hessian(d2g):
+    """A metric Hessian ``(S, n, n, n, n)`` in the layout of
+    :meth:`MetricField.jets`: over the components i <= j, (S, n(n+1)/2, n, n)."""
+    n = d2g.shape[-1]
+    return np.take(d2g.reshape(d2g.shape[:1] + (n * n, n, n)), _symmetric_components(n)[0], axis=1)
+
+
 @dataclass
 class MetricField:
     """Metric components attached to a chart.
@@ -363,7 +383,7 @@ class MetricField:
     def from_function(cls, chart, func):
         if chart.kind == "periodic-grid":
             pts = chart.sample_points.reshape(chart.grid_shape + (chart.dimension,))
-            vals = np.asarray(func(pts), dtype=float)
+            vals = _real_or_complex(func(pts))
             expected = chart.grid_shape + (chart.dimension, chart.dimension)
             if vals.shape != expected:
                 raise ValueError(f"metric function returned shape {vals.shape}, expected {expected}")
@@ -372,7 +392,7 @@ class MetricField:
 
     @classmethod
     def from_samples(cls, chart, values):
-        values = np.asarray(values, dtype=float)
+        values = _real_or_complex(values)
         if chart.kind != "periodic-grid":
             raise ValueError("analytic charts need a metric function; use from_function")
         expected = chart.grid_shape + (chart.dimension, chart.dimension)
@@ -384,7 +404,7 @@ class MetricField:
     def from_jets(cls, chart, g, dg, d2g):
         """Analytic-chart field given by its 2-jet at the chart's point, in the
         layout :meth:`jets` returns: ``g`` (1, n, n), ``dg`` (1, n, n, n) and
-        ``d2g`` (1, n, n, n, n)."""
+        ``d2g`` (1, n(n+1)/2, n, n)."""
         return cls(chart=chart, _samples=g, _jets=(g, dg, d2g))
 
     @property
@@ -400,7 +420,7 @@ class MetricField:
                 self._samples = self.values.reshape(-1, n, n)
             else:
                 pt = self.chart.point
-                self._samples = np.asarray(self.func(pt[None, :]), dtype=float).reshape(1, n, n)
+                self._samples = _real_or_complex(self.func(pt[None, :])).reshape(1, n, n)
         return self._samples
 
     @property
@@ -418,11 +438,12 @@ class MetricField:
         require_spd(self.samples)
 
     def jets(self):
-        """Return ``(g, dg, d2g)`` flattened over samples.
+        """Return ``(g, dg, d2g)`` flattened over samples, ``d2g`` over the
+        n(n+1)/2 components ``g_ij``, i <= j: shape (S, n(n+1)/2, n, n).
 
-        On grid charts only the n(n+1)/2 components ``g_ij``, i <= j, are
-        differentiated; their derivatives are mirrored to ``g_ji``.  A field
-        made by :meth:`from_jets` returns its jet.
+        On grid charts only those components are differentiated; their first
+        derivatives are mirrored to ``g_ji``.  A field made by
+        :meth:`from_jets` returns its jet.
         """
         if self._jets is not None:
             return self._jets
@@ -431,5 +452,6 @@ class MetricField:
             flat, component = _symmetric_components(n)
             upper = np.take(self.values.reshape(self.chart.grid_shape + (n * n,)), flat, axis=-1)
             _, d1, d2 = grid_scalar_jet(upper, self.chart)
-            return self.samples, np.take(d1, component, axis=1), np.take(d2, component, axis=1)
-        return analytic_scalar_jet(self.func, self.chart.point[None, :], n, self.chart.step)
+            return self.samples, np.take(d1, component, axis=1), d2
+        g, dg, d2g = analytic_scalar_jet(self.func, self.chart.point[None, :], n, self.chart.step)
+        return g, dg, compact_hessian(d2g)

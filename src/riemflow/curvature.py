@@ -37,7 +37,13 @@ from itertools import combinations
 
 import numpy as np
 
-from .charts import MetricField, analytic_scalar_jet, grid_scalar_jet, require_spd
+from .charts import (
+    MetricField,
+    _symmetric_components,
+    analytic_scalar_jet,
+    grid_scalar_jet,
+    require_spd,
+)
 from .errors import DimensionTooSmall, NonpositiveLame
 
 
@@ -92,6 +98,28 @@ def _block_index(n, patterns):
     letters = {"i": i[:, None], "j": j[:, None], "k": i[None, :], "l": j[None, :]}
     return _frozen(np.array([np.ravel_multi_index(np.broadcast_arrays(*(letters[c] for c in p)),
                                                   (n,) * len(p)).ravel() for p in patterns]))[0]
+
+
+@lru_cache(maxsize=None)
+def _hessian_index(n):
+    """Flat indices into a compact Hessian (n(n+1)/2, n, n), the ``d2g`` of
+    :meth:`MetricField.jets`, of the four second derivatives in the bracket
+    of each block entry: ``d2g[i, k, j, l]``, ``d2g[j, l, i, k]``,
+    ``d2g[j, k, i, l]`` and ``d2g[i, l, j, k]`` with the metric pair read as
+    its component.  Shape (4, N * N)."""
+    full = _block_index(n, ("ikjl", "jlik", "jkil", "iljk"))
+    component = _symmetric_components(n)[1].ravel()
+    return _frozen(component[full // n ** 2] * n ** 2 + full % n ** 2)[0]
+
+
+@lru_cache(maxsize=None)
+def _quadratic_index(n):
+    """Flat indices, per block entry, of the two terms ``M[(jk), (il)]`` and
+    ``M[(jl), (ik)]`` of R_ijkl's quadratic part in the product over the
+    rows (ab) with a >= 1 and the columns (ab) with a <= n - 2, the only
+    ones they read (i < j).  Shape (2, N * N)."""
+    full = _block_index(n, ("jkil", "jlik"))
+    return _frozen((full // (n * n) - n) * (n * n - n) + full % (n * n))[0]
 
 
 @lru_cache(maxsize=None)
@@ -206,26 +234,35 @@ def riemann(field: MetricField) -> CurvatureTensor:
     check of the field and with its cached inverse."""
     field.validate_spd()
     g, dg, d2g = field.jets()
-    return CurvatureTensor(riemann_from_jets(g, dg, d2g, field.inverse))
+    gam = christoffel_from_jets(g, dg, field.inverse)
+    del dg      # so that it is not alive with the quadratic term's products
+    return CurvatureTensor(_riemann_from_connection(g, gam, d2g))
 
 
 def riemann_from_jets(g, dg, d2g, ginv):
     """Curvature block, shape ``lead + (N, N)``, from the 2-jet
-    ``(g, dg, d2g)`` and ``ginv``, the inverse of ``g``."""
-    gam = christoffel_from_jets(g, dg, ginv)
+    ``(g, dg, d2g)`` in the layout of :meth:`MetricField.jets` (``d2g`` over
+    the components i <= j) and ``ginv``, the inverse of ``g``."""
+    return _riemann_from_connection(g, christoffel_from_jets(g, dg, ginv), d2g)
+
+
+def _riemann_from_connection(g, gam, d2g):
+    """Curvature block from ``g``, its Christoffel symbols ``gam`` and the
+    compact ``d2g``."""
     n = g.shape[-1]
     lead = gam.shape[:-3]
-    # 1/2 (d_j d_l g_ik + d_i d_k g_jl - d_i d_l g_jk - d_j d_k g_il)
-    # d2g[..., a, b, c, d] = d_c d_d g_ab, so that d_j d_l g_ik at [i, j, k, l]
-    # is d2g[i, k, j, l], and so on
-    t = d2g.reshape(lead + (n ** 4,))[..., _block_index(n, ("ikjl", "jlik", "jkil", "iljk"))]
-    riem = 0.5 * (t[..., 0, :] + t[..., 1, :] - t[..., 2, :] - t[..., 3, :])
     # quadratic term g_mn (Gamma^m_jk Gamma^n_il - Gamma^m_jl Gamma^n_ik): with
     # the lowered symbols Gamma_{m,il} = g_mn Gamma^n_il, one product gives
-    # M[(jk),(il)] = Gamma^m_jk Gamma_{m,il}; both terms are entries of M
+    # M[(jk),(il)] = Gamma^m_jk Gamma_{m,il}, over the rows j >= 1 and columns
+    # i <= n - 2 only; it is gathered, and freed, before the Hessian gather
     gam_m = gam.reshape(lead + (n, n * n))
-    M = (np.swapaxes(gam_m, -1, -2) @ (g @ gam_m)).reshape(lead + (n ** 4,))
-    m = M[..., _block_index(n, ("jkil", "jlik"))]
+    m = (np.swapaxes(gam_m[..., n:], -1, -2) @ (g @ gam_m[..., :-n])).reshape(
+        lead + (-1,))[..., _quadratic_index(n)]
+    # 1/2 (d_j d_l g_ik + d_i d_k g_jl - d_i d_l g_jk - d_j d_k g_il)
+    # d2g[..., (ab), c, d] = d_c d_d g_ab, so that d_j d_l g_ik at [i, j, k, l]
+    # is d2g[(ik), j, l], and so on
+    t = d2g.reshape(lead + (-1,))[..., _hessian_index(n)]
+    riem = 0.5 * (t[..., 0, :] + t[..., 1, :] - t[..., 2, :] - t[..., 3, :])
     riem -= m[..., 0, :]
     riem += m[..., 1, :]
     N = pair_count(n)

@@ -57,10 +57,6 @@ class NoSingularity(RiemflowError):
     """Blow-up monitoring was asked for on a trajectory that ended smoothly."""
 
 
-class PerturbationTooLarge(RiemflowError):
-    """Directional differentiation could not keep the perturbed metric SPD."""
-
-
 class PositivityLost(RiemflowError):
     """The conformal wave amplitude dropped below the positivity floor."""
 

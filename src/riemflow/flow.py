@@ -49,6 +49,7 @@ from .bialternate import recover_metric
 from .charts import (
     MetricField,
     analytic_stencil,
+    compact_hessian,
     require_finite,
     require_spd,
     richardson_jet,
@@ -339,14 +340,15 @@ def _frozen_frame_builder(field):
     basis = np.zeros((len(q), n, n))
     basis[q, rows, cols] = basis[q, cols, rows] = 1.0
     _, dg, d2g = richardson_jet(stencil, np.einsum('pab,qbc,pdc->qpad', L, basis, L))
-    jet_map = np.concatenate([dg.reshape(len(q), -1), d2g.reshape(len(q), -1)], axis=1)
+    jet_map = np.concatenate([dg.reshape(len(q), -1), compact_hessian(d2g).reshape(len(q), -1)],
+                             axis=1)
     L0 = L[0]
 
     def build(Y):
         d = Y[rows, cols] @ jet_map
         return MetricField.from_jets(chart, np.einsum('ab,bc,dc->ad', L0, Y, L0)[None],
                                      d[:n ** 3].reshape((1,) + (n,) * 3),
-                                     d[n ** 3:].reshape((1,) + (n,) * 4))
+                                     d[n ** 3:].reshape((1, len(q), n, n)))
 
     return build
 
@@ -586,18 +588,26 @@ def _rk4_step(system, state, dt, cross_G, pair_rate, first=None):
     is checked with ``system.spd_ok``.  ``first`` is ``system.rhs(state)``
     when already known.  Returns (ok, new state, new pair product,
     ``first``), the last ``None`` when computing it failed.  The pair
-    product ``cross_G`` advances at ``pair_rate`` Riem.
+    product ``cross_G`` advances at ``pair_rate`` Riem, with the stage
+    curvatures summed as they come, and only while it runs.
     """
+    riem_sum = None
+
+    def stage(rhs, weight):
+        """The stage's rate; its curvature joins ``riem_sum`` with ``weight``."""
+        nonlocal riem_sum
+        if cross_G is not None:
+            r = rhs[1] if weight == 1.0 else weight * rhs[1]
+            riem_sum = r if riem_sum is None else riem_sum + r
+        return rhs[0]
+
     try:
         if first is None:
             first = system.rhs(state)
-        k1, r1 = first[:2]
-        s2 = [y + 0.5 * dt * k for y, k in zip(state, k1)]
-        k2, r2 = system.rhs(s2)[:2]
-        s3 = [y + 0.5 * dt * k for y, k in zip(state, k2)]
-        k3, r3 = system.rhs(s3)[:2]
-        s4 = [y + dt * k for y, k in zip(state, k3)]
-        k4, r4 = system.rhs(s4)[:2]
+        k1 = stage(first, 1.0)
+        k2 = stage(system.rhs([y + 0.5 * dt * k for y, k in zip(state, k1)]), 2.0)
+        k3 = stage(system.rhs([y + 0.5 * dt * k for y, k in zip(state, k2)]), 2.0)
+        k4 = stage(system.rhs([y + dt * k for y, k in zip(state, k3)]), 1.0)
         new = [y + dt / 6.0 * (a + 2.0 * b + 2.0 * c + d)
                for y, a, b, c, d in zip(state, k1, k2, k3, k4)]
         if not system.spd_ok(new):
@@ -609,7 +619,7 @@ def _rk4_step(system, state, dt, cross_G, pair_rate, first=None):
     cross_new = cross_G
     if cross_G is not None:
         # pair product evolved directly with the same stage curvatures
-        cross_new = cross_G + dt / 6.0 * pair_rate * (r1 + 2.0 * r2 + 2.0 * r3 + r4)
+        cross_new = cross_G + dt / 6.0 * pair_rate * riem_sum
     return True, new, cross_new, first
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import nan_at
+from conftest import nan_at, upper_hessian
 from riemflow.charts import (
     AnalyticChart,
     GridChart,
@@ -280,6 +280,7 @@ def test_symmetric_component_jets_equal_full_jets(n):
     fld = MetricField.from_samples(chart, 0.05 * (A + np.swapaxes(A, -1, -2)) + 2.0 * np.eye(n))
     got = fld.jets()
     want = grid_scalar_jet(fld.values, chart)
+    want = want[:2] + (upper_hessian(want[2]),)
     assert [a.shape for a in got] == [a.shape for a in want]
     for a, b in zip(got, want):
         assert np.array_equal(a, b)
@@ -321,3 +322,64 @@ def test_inverse_is_cached_and_read_only():
     assert np.array_equal(ginv, np.linalg.inv(fld.samples))
     with pytest.raises(ValueError):
         ginv[0, 0, 0] = 1.0
+
+
+# ---------------------------------------------------------------------------
+# complex samples (the complex-step derivatives of riemflow.variation)
+# ---------------------------------------------------------------------------
+
+
+def _sym_field_values(chart, rng, diagonal):
+    A = rng.normal(size=chart.grid_shape + (3, 3))
+    return 0.05 * (A + np.swapaxes(A, -1, -2)) + diagonal * np.eye(3)
+
+
+def test_complex_samples_keep_their_imaginary_part():
+    # the jets are linear, so the jets of g + i h are those of g plus i times
+    # those of h; a cast to float would drop the imaginary part
+    rng = np.random.default_rng(7)
+    chart = GridChart(3, 8, 2.0 * np.pi)
+    g, h = _sym_field_values(chart, rng, 2.0), _sym_field_values(chart, rng, 0.0)
+    fld = MetricField.from_samples(chart, g + 1j * h)
+    assert fld.samples.dtype == np.complex128
+    assert np.array_equal(fld.samples.imag, h.reshape(fld.samples.shape))
+    parts = zip(fld.jets(), MetricField.from_samples(chart, g).jets(),
+                MetricField.from_samples(chart, h).jets())
+    for z, re, im in parts:
+        assert z.dtype == np.complex128
+        assert np.abs(z.real - re).max() <= 1e-14 * np.abs(re).max()
+        assert np.abs(z.imag - im).max() <= 1e-14 * np.abs(im).max()
+
+    def f(x):
+        return np.sin(x[..., 0]) * np.exp(x[..., 1]) + x[..., 2] ** 3
+
+    def f2(x):
+        return np.cos(x[..., 1] - x[..., 2])
+
+    points = np.array([[0.3, -0.2, 0.1], [0.5, 0.4, -0.6]])
+    z = analytic_scalar_jet(lambda x: f(x) + 1j * f2(x), points, 3, 1e-2)
+    for a, re, im in zip(z, analytic_scalar_jet(f, points, 3, 1e-2),
+                         analytic_scalar_jet(f2, points, 3, 1e-2)):
+        assert a.dtype == np.complex128
+        assert np.abs(a.real - re).max() <= 1e-14 * np.abs(re).max()
+        assert np.abs(a.imag - im).max() <= 1e-14 * np.abs(im).max()
+
+
+def test_complex_positivity_is_judged_on_the_real_part():
+    g = np.stack([2.0 * np.eye(3), np.diag([1.0, -0.5, 1.0]), np.diag([1.0, 1.0, -2.0])])
+    with pytest.raises(NotPositiveDefinite) as err:
+        require_spd(g - 10j * np.eye(3))
+    assert err.value.sample_index == 2
+    assert err.value.min_eigenvalue == -2.0
+    require_spd(g[:1] - 10j * np.eye(3))      # the real part alone is positive
+
+
+def test_real_input_stays_float64():
+    rng = np.random.default_rng(8)
+    chart = GridChart(3, 8, 2.0 * np.pi)
+    for values in (_sym_field_values(chart, rng, 2.0),
+                   np.broadcast_to(np.eye(3, dtype=int), chart.grid_shape + (3, 3))):
+        fld = MetricField.from_samples(chart, values)
+        assert all(a.dtype == np.float64 for a in (fld.samples, fld.inverse, *fld.jets()))
+    jet = analytic_scalar_jet(lambda x: x[..., 0] * x[..., 1], np.zeros((1, 3)), 3, 1e-2)
+    assert all(a.dtype == np.float64 for a in jet)

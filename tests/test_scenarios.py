@@ -341,6 +341,17 @@ def test_cli_soliton_subcommand(capsys):
     assert out["max_residual_norm"] < 1e-6
 
 
+def test_cli_linearize_subcommand(capsys):
+    # the two-run tangency check: the linearized flow against the central
+    # quotient of two nonlinear runs, whose error falls as eps^2
+    code = cli_main(["linearize", "--which", "riemann-induced"])
+    assert code == 0
+    out = json.loads(capsys.readouterr().out)
+    assert set(out) == {"which", "errors", "observed_order", "initial_rhs_max"}
+    assert out["which"] == "riemann-induced"
+    assert 1.95 <= out["observed_order"] <= 2.05
+
+
 def test_configs_directory_loads():
     import glob
     import os
