@@ -28,9 +28,15 @@ A :class:`MetricField` couples a chart with metric samples (grid), a metric
 function (analytic) or an analytic 2-jet already known, and produces the
 2-jet ``(g, dg, d2g)`` that the curvature kernel consumes.  On grids the jet
 differentiates only the n(n+1)/2 components ``g_ij``, ``i <= j``, and
-mirrors their first derivatives.  A field checks positivity with one batched
-Cholesky (:func:`require_spd`; eigenvalues only on failure, to name the
-worst sample) and inverts its metric once (:attr:`MetricField.inverse`).
+mirrors their first derivatives.  A field checks positivity and inverts its
+metric once, in one cofactor pass vectorised over the samples
+(:func:`spd_inverse`, cached as :attr:`MetricField.inverse`): one cached
+gather of each matrix's entries gives the adjugate and the leading principal
+minors as signed sums of products.  The minors decide positivity by
+Sylvester's criterion (eigenvalues only on failure, to name the worst
+sample), and the inverse is the adjugate over the determinant.  The minors
+lose about kappa^(n-1) eps to roundoff where an LU inverse loses kappa eps,
+kappa the condition number.
 Index conventions for metric jets: ``dg[..., i, j, k] = d_k g_ij`` and, over
 the components ``c = (i <= j)`` in ``np.triu_indices`` order,
 ``d2g[..., c, k, l] = d_k d_l g_ij`` with the derivative pair symmetrised.
@@ -41,12 +47,20 @@ positivity is judged on the real part.
 
 from dataclasses import dataclass, field as dataclass_field
 from functools import lru_cache
+from itertools import permutations
 
 import numpy as np
 
 from .errors import NotPositiveDefinite, StencilOutOfDomain
 
 DEFAULT_ANALYTIC_STEP = 1e-2
+
+
+def _frozen(*arrays):
+    """The arrays, made read-only (the cached index arrays)."""
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
 
 
 def _real_or_complex(a):
@@ -325,22 +339,93 @@ def analytic_scalar_jet(func, points, n, h):
 # ---------------------------------------------------------------------------
 
 
+def _parity(p):
+    """+1 for an even permutation ``p`` of range(len(p)), -1 for an odd one."""
+    return (-1) ** sum(a > b for k, a in enumerate(p) for b in p[k + 1:])
+
+
+@lru_cache(maxsize=None)
+def _cofactor_terms(n):
+    """The gather and the weights of one cofactor pass over n x n matrices.
+
+    The pass reads the rows of ``[a, re a, 1]``, where ``a`` holds the n^2
+    entries of the matrices, and has 1 + n^2 + n outputs, each a determinant
+    expanded by Leibniz: ``det a``; the adjugate ``adj[j, i] = (-1)^(i+j)
+    M_ij``, M_ij the minor without row i and column j (the (n-1)-th
+    compound, signed and transposed); and the leading principal minors of
+    order 1 .. n of ``re a``.  ``index`` (n, P) names the n factors of each
+    of the P products, a shorter product padded with the row of ones, and
+    ``weights`` (1 + n^2 + n, P) the sign each product takes in each output.
+    """
+    nn = n * n
+    every = range(n)
+    minors = [(every, every, 1, 0)]
+    minors += [([a for a in every if a != i], [b for b in every if b != j], (-1) ** (i + j), 0)
+               for j in every for i in every]
+    minors += [(range(k), range(k), 1, nn) for k in range(1, n + 1)]
+    index, out, signs = [], [], []
+    for k, (rows, cols, sign, base) in enumerate(minors):
+        for p in permutations(range(len(rows))):
+            index.append([base + r * n + cols[q] for r, q in zip(rows, p)]
+                         + [2 * nn] * (n - len(rows)))
+            out.append(k)
+            signs.append(sign * _parity(p))
+    weights = np.zeros((len(minors), len(index)))
+    weights[out, np.arange(len(index))] = signs
+    return _frozen(np.array(index, dtype=int).T.copy(), weights)
+
+
+def _cofactor_pass(g):
+    """One vectorised pass over the stack ``g`` (..., n, n): rows ``det g``,
+    the n^2 entries of ``adj g`` and the n leading principal minors of
+    ``g.real``, each over the S matrices, shape (1 + n^2 + n, S).  The pass
+    is a polynomial in the entries, so a complex ``g`` keeps its dtype and
+    the derivative of a complex step through it is exact."""
+    n = g.shape[-1]
+    nn = n * n
+    a = g.reshape(-1, nn).T
+    index, weights = _cofactor_terms(n)
+    rows = np.empty((2 * nn + 1, a.shape[1]), dtype=a.dtype if a.dtype.kind == "c" else float)
+    rows[:nn] = a
+    rows[nn:2 * nn] = a.real
+    rows[2 * nn] = 1.0
+    return weights.dot(np.multiply.reduce(rows.take(index, axis=0), axis=0))
+
+
+def _require_minors(g, cof):
+    """Raise :class:`NotPositiveDefinite` unless every leading principal
+    minor in ``cof``, the cofactor pass of ``g``, is positive, which by
+    Sylvester's criterion is positivity of ``g.real``.  Only then are the
+    eigenvalues computed, to name the sample with the smallest one."""
+    n = g.shape[-1]
+    if not np.minimum.reduce(cof[1 + n * n:].real, axis=None) > 0.0:
+        w = np.linalg.eigvalsh(g.real.reshape(-1, n, n))[:, 0]
+        worst = int(np.argmin(w))
+        raise NotPositiveDefinite(worst, float(w[worst]))
+
+
+def spd_inverse(g):
+    """The inverse of every matrix of the stack ``g`` (..., n, n), after the
+    positivity check of :func:`require_spd`, from one cofactor pass: the
+    adjugate over the determinant.  Its relative error is about
+    kappa^(n-1) eps, kappa the condition number."""
+    cof = _cofactor_pass(g)
+    _require_minors(g, cof)
+    n = g.shape[-1]
+    return np.ascontiguousarray((cof[1:1 + n * n] / cof[0]).T).reshape(g.shape)
+
+
 def require_spd(g):
     """Raise :class:`NotPositiveDefinite` unless every matrix of the stack
-    ``g`` (..., n, n) has a Cholesky factor; a complex stack is judged by
+    ``g`` (..., n, n) is positive definite; a complex stack is judged by
     its real part.
 
-    The positivity test is the batched Cholesky alone.  Only when it fails
-    are the eigenvalues computed, to name the sample with the smallest one.
+    The test is Sylvester's criterion on the leading principal minors of
+    one cofactor pass (:func:`spd_inverse` makes the same pass).  Only when
+    it fails are the eigenvalues computed, to name the sample with the
+    smallest one.  A sample with an entry that is not finite fails.
     """
-    g = g.real
-    try:
-        np.linalg.cholesky(g)
-    except np.linalg.LinAlgError:
-        n = g.shape[-1]
-        w = np.linalg.eigvalsh(g.reshape(-1, n, n))[:, 0]
-        worst = int(np.argmin(w))
-        raise NotPositiveDefinite(worst, float(w[worst])) from None
+    _require_minors(g, _cofactor_pass(g))
 
 
 @lru_cache(maxsize=None)
@@ -350,10 +435,7 @@ def _symmetric_components(n):
     rows, cols = np.triu_indices(n)
     component = np.empty((n, n), dtype=int)
     component[rows, cols] = component[cols, rows] = np.arange(len(rows))
-    flat = rows * n + cols
-    for a in (flat, component):
-        a.flags.writeable = False
-    return flat, component
+    return _frozen(rows * n + cols, component)
 
 
 def compact_hessian(d2g):
@@ -426,16 +508,17 @@ class MetricField:
     @property
     def inverse(self):
         """Inverse metric at the samples, shape (S, n, n), computed once and
-        read-only.  It does not check positivity; :meth:`validate_spd` does."""
+        read-only by :func:`spd_inverse`, whose pass also checks positivity:
+        raises :class:`NotPositiveDefinite` at the worst offending sample."""
         if self._inverse is None:
-            self._inverse = np.linalg.inv(self.samples)
+            self._inverse = spd_inverse(self.samples)
             self._inverse.flags.writeable = False
         return self._inverse
 
     def validate_spd(self):
         """Raise :class:`NotPositiveDefinite` at the worst offending sample
-        (see :func:`require_spd`)."""
-        require_spd(self.samples)
+        (see :func:`require_spd`); the same pass gives :attr:`inverse`."""
+        self.inverse
 
     def jets(self):
         """Return ``(g, dg, d2g)`` flattened over samples, ``d2g`` over the

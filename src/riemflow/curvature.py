@@ -39,10 +39,11 @@ import numpy as np
 
 from .charts import (
     MetricField,
+    _frozen,
     _symmetric_components,
     analytic_scalar_jet,
     grid_scalar_jet,
-    require_spd,
+    spd_inverse,
 )
 from .errors import DimensionTooSmall, NonpositiveLame
 
@@ -52,14 +53,12 @@ def inverse_metric(field_or_samples):
 
     Accepts a :class:`MetricField`, whose cached :attr:`~MetricField.inverse`
     is returned, or a stacked array ``(..., n, n)``.  Raises
-    :class:`NotPositiveDefinite` before inverting.
+    :class:`NotPositiveDefinite` when the metric is not positive definite
+    (one cofactor pass checks and inverts, :func:`~riemflow.charts.spd_inverse`).
     """
     if isinstance(field_or_samples, MetricField):
-        field_or_samples.validate_spd()
         return field_or_samples.inverse
-    g = np.asarray(field_or_samples, dtype=float)
-    require_spd(g)
-    return np.linalg.inv(g)
+    return spd_inverse(np.asarray(field_or_samples, dtype=float))
 
 
 def pair_count(n):
@@ -70,12 +69,6 @@ def pair_count(n):
 def _dimension_of(N):
     """The ``n`` with n(n-1)/2 = N."""
     return int(round((1.0 + math.sqrt(1.0 + 8.0 * N)) / 2.0))
-
-
-def _frozen(*arrays):
-    for a in arrays:
-        a.flags.writeable = False
-    return arrays
 
 
 @lru_cache(maxsize=None)

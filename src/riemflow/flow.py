@@ -51,7 +51,6 @@ from .charts import (
     analytic_stencil,
     compact_hessian,
     require_finite,
-    require_spd,
     richardson_jet,
 )
 from .curvature import (
@@ -368,6 +367,7 @@ class _RK4System:
         self.n = field.dimension
         self.wave = law.order == 2
         self.grid = self.chart.kind == "periodic-grid"
+        self._last = None
         g = field.samples
         if self.grid:
             self.state0 = [g.copy()]
@@ -389,10 +389,17 @@ class _RK4System:
         return 0.5 * (d + d.T)
 
     def field_of(self, state):
-        if self.grid:
-            vals = state[0].reshape(self.chart.grid_shape + (self.n, self.n))
-            return MetricField.from_samples(self.chart, vals)
-        return self._build(state[0])
+        """The metric field of a state.  The last one made is kept, so that
+        the rhs at a state :meth:`spd_ok` accepted reuses that check's pass,
+        which also gave the inverse."""
+        if self._last is None or self._last[0] is not state[0]:
+            if self.grid:
+                vals = state[0].reshape(self.chart.grid_shape + (self.n, self.n))
+                fld = MetricField.from_samples(self.chart, vals)
+            else:
+                fld = self._build(state[0])
+            self._last = (state[0], fld)
+        return self._last[1]
 
     def samples(self, state, i=0):
         """Metric (``i = 0``) or velocity (``i = 1``) samples of a state."""
@@ -412,10 +419,10 @@ class _RK4System:
         return state[1:] + [top], riem, rate, fld.inverse
 
     def spd_ok(self, state):
-        """Whether the state's metric passes :func:`require_spd`, the check
-        :meth:`rhs` makes."""
+        """Whether the state's metric is positive definite, by the check
+        :meth:`rhs` makes (:meth:`MetricField.validate_spd`)."""
         try:
-            require_spd(self.samples(state))
+            self.field_of(state).validate_spd()
             return True
         except NotPositiveDefinite:
             return False

@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from conftest import nan_at, upper_hessian
+from conftest import nan_at, unit_floats, upper_hessian
+from riemflow import charts
 from riemflow.charts import (
     AnalyticChart,
     GridChart,
@@ -10,8 +14,12 @@ from riemflow.charts import (
     analytic_stencil,
     grid_scalar_jet,
     require_spd,
+    spd_inverse,
 )
 from riemflow.errors import NotPositiveDefinite, StencilOutOfDomain
+from riemflow.variation import STEP
+
+EPS = np.finfo(float).eps
 
 
 def test_chart_validation():
@@ -291,37 +299,133 @@ def test_symmetric_component_jets_equal_full_jets(n):
 # ---------------------------------------------------------------------------
 
 
-def test_positivity_is_one_cholesky_with_eigenvalues_only_on_failure(monkeypatch):
+def test_positivity_is_one_cofactor_pass_with_eigenvalues_only_on_failure(monkeypatch):
     calls = []
 
     def counting(name, fn):
         return lambda *args: calls.append(name) or fn(*args)
 
-    for name in ("cholesky", "eigvalsh"):
+    monkeypatch.setattr(charts, "_cofactor_pass", counting("pass", charts._cofactor_pass))
+    for name in ("cholesky", "inv", "eigvalsh"):
         monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
     g = np.stack([np.eye(3), np.diag([1.0, 2.0, 3.0]), np.diag([1.0, -0.5, 2.0]),
                   np.diag([1.0, -2.0, 2.0])])
     require_spd(g[:2])
-    assert calls == ["cholesky"]
+    assert calls == ["pass"]
+    assert np.array_equal(spd_inverse(g[:2]), np.stack([np.eye(3), np.diag([1.0, 0.5, 1.0 / 3.0])]))
+    assert calls == ["pass"] * 2
     with pytest.raises(NotPositiveDefinite) as err:
         require_spd(g)
-    assert calls == ["cholesky", "cholesky", "eigvalsh"]
+    assert calls == ["pass"] * 3 + ["eigvalsh"]
     assert err.value.sample_index == 3
     assert err.value.min_eigenvalue == -2.0
 
 
-def test_inverse_is_cached_and_read_only():
+def test_inverse_is_cached_and_read_only(monkeypatch):
     chart = GridChart(2, 8, 2.0 * np.pi)
     x = chart.sample_points
     g = np.broadcast_to(np.eye(2), (chart.sample_count, 2, 2)).copy()
     g[:, 0, 0] = 2.0 + np.sin(x[:, 0])
     g[:, 0, 1] = g[:, 1, 0] = 0.3 * np.cos(x[:, 1])
     fld = MetricField.from_samples(chart, g.reshape(chart.grid_shape + (2, 2)))
+    passes = []
+    monkeypatch.setattr(charts, "_cofactor_pass",
+                        lambda g, f=charts._cofactor_pass: passes.append(1) or f(g))
+    fld.validate_spd()
     ginv = fld.inverse
     assert fld.inverse is ginv
-    assert np.array_equal(ginv, np.linalg.inv(fld.samples))
+    assert len(passes) == 1
+    # adjugate over determinant against LU: condition number below 4 here,
+    # so both agree to a few units in the last place
+    ref = np.linalg.inv(fld.samples)
+    assert np.abs(ginv - ref).max() <= 4.0 * EPS * np.abs(ref).max()
     with pytest.raises(ValueError):
         ginv[0, 0, 0] = 1.0
+
+
+@st.composite
+def symmetric_stacks(draw, max_cond=1e3, signed=False):
+    """One to four symmetric n x n matrices, n = 1 .. 4, of condition number
+    at most ``max_cond``: c Q diag(s_i max_cond^-t_i) Q^T with t_i in [0, 1],
+    Q the orthogonal factor of a drawn matrix, c = 10^[-3, 3] and the signs
+    s_i = +1, or drawn when ``signed``."""
+    n = draw(st.integers(1, 4))
+    S = draw(st.integers(1, 4))
+    Q, _ = np.linalg.qr(draw(arrays(float, (S, n, n), elements=unit_floats)))
+    lam = 10.0 ** draw(st.floats(-3.0, 3.0)) * max_cond ** -draw(
+        arrays(float, (S, n), elements=st.floats(0.0, 1.0)))
+    if signed:
+        lam = lam * draw(arrays(float, (S, n), elements=st.sampled_from([-1.0, 1.0])))
+    g = (Q * lam[:, None, :]) @ np.swapaxes(Q, -1, -2)
+    return 0.5 * (g + np.swapaxes(g, -1, -2))
+
+
+def _cofactor_bound(g):
+    """Per sample, 4 n kappa^(n-1) eps: the Leibniz minors of a cofactor pass
+    lose about kappa^(n-1) eps (kappa^2 eps at n = 3) where LU loses kappa
+    eps; the constant is at least twice the largest ratio seen over 4,000
+    draws per n."""
+    n = g.shape[-1]
+    return 4.0 * n * np.linalg.cond(g) ** (n - 1) * EPS
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(symmetric_stacks())
+def test_cofactor_inverse_matches_lu_to_a_condition_scaled_bound(g):
+    ref = np.linalg.inv(g)
+    got = spd_inverse(g)
+    assert got.shape == g.shape and got.dtype == np.float64
+    err = np.abs(got - ref).max(axis=(-2, -1)) / np.abs(ref).max(axis=(-2, -1))
+    assert np.all(err <= _cofactor_bound(g))
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(symmetric_stacks(signed=True))
+def test_sylvester_verdict_is_choleskys(g):
+    # every |eigenvalue| is at least 1e-3 of the largest, far above the
+    # roundoff of either test
+    def cholesky_ok(a):
+        try:
+            np.linalg.cholesky(a)
+            return True
+        except np.linalg.LinAlgError:
+            return False
+
+    for a in g:
+        try:
+            require_spd(a[None])
+            ok = True
+        except NotPositiveDefinite:
+            ok = False
+        assert ok == cholesky_ok(a)
+    if cholesky_ok(g):
+        return
+    with pytest.raises(NotPositiveDefinite) as err:
+        require_spd(g)
+    w = np.linalg.eigvalsh(g)[:, 0]
+    assert err.value.sample_index == np.argmin(w)
+    assert err.value.min_eigenvalue == w.min()
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(symmetric_stacks(), st.data())
+def test_complex_step_through_the_inverse_is_its_derivative(g, data):
+    # d(g^-1) along h is -g^-1 h g^-1, which Im spd_inverse(g + i STEP h) / STEP
+    # gives to the same condition-scaled bound, relative to the derivative's
+    # scale |g^-1|^2 |h| (the derivative itself is small where h lies along
+    # g's large eigenvalues); entries of h below 1e-3 are zeroed, so that
+    # STEP h does not underflow
+    h = data.draw(arrays(float, g.shape, elements=unit_floats.map(lambda x: x * (abs(x) > 1e-3))))
+    h = h + np.swapaxes(h, -1, -2)
+    got = spd_inverse(g + 1j * STEP * h)
+    assert got.dtype == np.complex128
+    ginv = np.linalg.inv(g)
+    scale = np.abs(ginv).max(axis=(-2, -1)) ** 2 * np.abs(h).max(axis=(-2, -1))
+    assume(np.all(scale > 0.0))
+    err = np.abs(got.imag / STEP + ginv @ h @ ginv).max(axis=(-2, -1)) / scale
+    assert np.all(err <= _cofactor_bound(g))
+    err_re = np.abs(got.real - ginv).max(axis=(-2, -1)) / np.abs(ginv).max(axis=(-2, -1))
+    assert np.all(err_re <= _cofactor_bound(g))
 
 
 # ---------------------------------------------------------------------------

@@ -494,12 +494,14 @@ def test_stage_that_loses_positivity_halves_the_step():
 
 
 def test_grid_flow_work_per_rhs(monkeypatch):
-    # each rhs takes one Cholesky (riemann's positivity check) and one
-    # inverse, which record() reuses; on top of that a run takes one Cholesky
-    # per accepted state (spd_ok), one for the initial check and one Cholesky
-    # and inverse for the relative-eigenvalue frame.  eigvalsh runs only for
-    # the relative eigenvalues, once per accepted state.
-    counts = dict.fromkeys(("inv", "cholesky", "eigvalsh", "rhs", "rel"), 0)
+    # each rhs takes one cofactor pass (riemann's positivity check, which
+    # also gives the inverse that record() reuses), except the one rhs at
+    # each accepted state, which reuses the pass of that state's spd_ok
+    # check; on top of that a run takes one pass for the initial check.  The
+    # only Cholesky and inverse of a run are those of the relative-eigenvalue
+    # frame, and eigvalsh runs only for the relative eigenvalues, once per
+    # accepted state.
+    counts = dict.fromkeys(("pass", "inv", "cholesky", "eigvalsh", "rhs", "rel"), 0)
 
     def counting(name, fn):
         def wrapper(*args, **kwargs):
@@ -509,6 +511,7 @@ def test_grid_flow_work_per_rhs(monkeypatch):
 
     for name in ("inv", "cholesky", "eigvalsh"):
         monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
+    monkeypatch.setattr(charts, "_cofactor_pass", counting("pass", charts._cofactor_pass))
     monkeypatch.setattr(flow, "riemann", counting("rhs", riemann))
     monkeypatch.setattr(flow, "_relative_eigenvalues",
                         counting("rel", flow._relative_eigenvalues))
@@ -517,8 +520,8 @@ def test_grid_flow_work_per_rhs(monkeypatch):
     traj = integrate_flow(fld, "riemann-induced", 1e-3, steps * 1e-3, stride=5)
     assert np.allclose(traj.times, [0.0, 5e-3, 1e-2], rtol=0, atol=1e-15)
     assert counts["rhs"] == 4 * steps + 1
-    assert counts["inv"] == counts["rhs"] + 1
-    assert counts["cholesky"] == counts["rhs"] + steps + 2
+    assert counts["pass"] == (counts["rhs"] - steps) + steps + 1
+    assert counts["inv"] == counts["cholesky"] == 1
     assert counts["eigvalsh"] == counts["rel"] == steps + 1
 
 
