@@ -46,7 +46,8 @@ class NotInImage(RiemflowError):
 
 
 class StepRejected(RiemflowError):
-    """Time step kept failing the positivity guard after the halving cap."""
+    """A fixed time step failed its positivity or finiteness check and, in a
+    flow or wave, no shorter step reached the collapse threshold."""
 
 
 class EmptyTrajectory(RiemflowError):

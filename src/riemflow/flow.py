@@ -34,10 +34,13 @@ scenario); general inhomogeneous dynamics belong on grid charts.  Its 2-jet
 is linear in ``Y``: each run takes the Richardson jets of ``L0 E L0^T`` for
 the n(n+1)/2 symmetric basis matrices ``E`` once, and each right-hand side
 combines them in one matrix product, with no stencil evaluated.  A stage
-whose state is not finite therefore fails its positivity check and the step
-halves, as on grids; a metric that is not finite at a stencil point is
-refused with :class:`~riemflow.errors.StencilOutOfDomain` when the run
-starts.
+whose state is not finite therefore fails its positivity check, as on
+grids; a metric that is not finite at a stencil point is refused with
+:class:`~riemflow.errors.StencilOutOfDomain` when the run starts.
+
+Every law steps at a fixed ``dt``.  A failed step whose bisection
+(:func:`bisect`) reaches a state below the collapse threshold is a collapse,
+and any other raises :class:`~riemflow.errors.StepRejected`.
 """
 
 import math
@@ -73,8 +76,20 @@ from .errors import (
 )
 
 COLLAPSE_EIG_FRACTION = 1e-6
-SOFT_COLLAPSE_FRACTION = 1e-2
-MAX_HALVINGS = 20
+
+
+def bisect(inside, lo, hi):
+    """Where ``inside`` turns from true at ``lo`` to false at ``hi`` (either
+    may be the larger), to the spacing of floats; ``inside`` may raise to
+    end the search early."""
+    mid = 0.5 * (lo + hi)
+    while lo != mid != hi:
+        if inside(mid):
+            lo = mid
+        else:
+            hi = mid
+        mid = 0.5 * (lo + hi)
+    return mid
 
 
 # ---------------------------------------------------------------------------
@@ -390,8 +405,8 @@ class _RK4System:
 
     def field_of(self, state):
         """The metric field of a state.  The last one made is kept, so that
-        the rhs at a state :meth:`spd_ok` accepted reuses that check's pass,
-        which also gave the inverse."""
+        the rhs at a state :func:`_rk4_step` accepted reuses that step's
+        positivity pass, which also gave the inverse."""
         if self._last is None or self._last[0] is not state[0]:
             if self.grid:
                 vals = state[0].reshape(self.chart.grid_shape + (self.n, self.n))
@@ -418,15 +433,6 @@ class _RK4System:
         top = rate if self.grid else self._to_frame(rate[0])
         return state[1:] + [top], riem, rate, fld.inverse
 
-    def spd_ok(self, state):
-        """Whether the state's metric is positive definite, by the check
-        :meth:`rhs` makes (:meth:`MetricField.validate_spd`)."""
-        try:
-            self.field_of(state).validate_spd()
-            return True
-        except NotPositiveDefinite:
-            return False
-
 
 def integrate_flow(initial, law, dt, t_end, *, stride=10,
                    collapse_threshold=COLLAPSE_EIG_FRACTION,
@@ -442,12 +448,13 @@ def integrate_flow(initial, law, dt, t_end, *, stride=10,
         ``('general', {'beta': .., 'gamma': .., 'delta': ..})``; see
         :func:`resolve_law` for the parameters each law takes.
     dt, t_end : float
-        Base step and horizon.
+        Fixed step (the last one ends at ``t_end``) and horizon.
     stride : int
-        Record every ``stride``-th accepted step (the last step is always
-        recorded).
+        Record every ``stride``-th step (the last step is always recorded).
     collapse_threshold : float
-        Relative eigenvalue floor; the run flags ``collapse`` below it.
+        Relative eigenvalue floor: the run ends with ``collapse`` at a state
+        below it, or at a failed step whose bisection reaches such a state
+        (a failed step that does not raises :class:`StepRejected`).
     curvature_cap : float, optional
         Stop with ``curvature_cap`` termination when sup |Riem| exceeds it.
     cross_check_stride : int, optional
@@ -460,6 +467,10 @@ def integrate_flow(initial, law, dt, t_end, *, stride=10,
     """
     return _rk4_evolve(initial, law, 1, None, dt, t_end, stride, collapse_threshold,
                        curvature_cap, cross_check_stride)
+
+
+class _Collapsed(Exception):
+    """A failed step's bisection reached a state below the threshold."""
 
 
 def _rk4_evolve(initial, law, order, velocity, dt_base, t_end, stride, collapse_threshold,
@@ -535,45 +546,42 @@ def _rk4_evolve(initial, law, order, velocity, dt_base, t_end, stride, collapse_
         return float(riem_norm.max()), first
 
     # ``first`` is the rhs at ``state`` once known, so that neither a record
-    # nor a halving retry evaluates it twice; ``rel`` holds the relative
-    # eigenvalues of ``state``
+    # nor a failed step's bisection evaluates it twice; ``rel`` holds the
+    # relative eigenvalues of ``state``
     rel = _relative_eigenvalues(g0, L0inv)
     sup_riem, first = record(t0, state, rel)
     t = t0
     steps = 0
-    dt_cur = dt_base
     termination = "t_end"
     while t < t_end - 1e-14:
-        dt = min(dt_cur, t_end - t)
-        halvings = 0
-        while True:
-            ok, new_state, cross_new, first = _rk4_step(system, state, dt, cross_G,
-                                                        pair_rate, first)
-            if ok:
+        dt = min(dt_base, t_end - t)
+        ok, new_state, cross_new, first = _rk4_step(system, state, dt, cross_G, pair_rate, first)
+        if not ok:
+            # bisect the failed step's end time, up to the first state below
+            # the threshold, which is a collapse and is not recorded
+            def inside(T):
+                passed, new, _, _ = _rk4_step(system, state, T - t, None, None, first)
+                if passed and (_relative_eigenvalues(system.samples(new), L0inv).min()
+                               < collapse_threshold):
+                    raise _Collapsed
+                return passed
+            try:
+                bisect(inside, t, t + dt)
+            except _Collapsed:
+                termination = "collapse"
                 break
-            halvings += 1
-            if halvings > MAX_HALVINGS:
-                if rel.min() < SOFT_COLLAPSE_FRACTION:
-                    termination = "collapse"
-                    break
-                raise StepRejected(
-                    f"step at t={t:.6g} still fails positivity after {MAX_HALVINGS} halvings")
-            dt *= 0.5
-            dt_cur = dt
-        if termination == "collapse":
-            break
+            raise StepRejected(f"the step at t={t:.6g} fails and no shorter one reaches the "
+                               "collapse threshold")
         state = new_state
         first = None
         cross_G = cross_new
         t += dt
         steps += 1
-        dt_cur = min(dt_cur * 2.0, dt_base)
         rel = _relative_eigenvalues(system.samples(state), L0inv)
         min_rel = float(rel.min())
         # keep a dense record of the approach to collapse for the monitors
         near_collapse = min_rel < max(0.1, 1e3 * collapse_threshold)
-        if (steps % stride == 0 or near_collapse or t >= t_end - 1e-14
-                or min_rel < collapse_threshold):
+        if steps % stride == 0 or near_collapse or t >= t_end - 1e-14:
             sup_riem, first = record(t, state, rel)
         if min_rel < collapse_threshold:
             termination = "collapse"
@@ -591,12 +599,13 @@ def _rk4_step(system, state, dt, cross_G, pair_rate, first=None):
     """One classical RK4 step with a positivity guard on every stage.
 
     Each stage's positivity check is the one its rhs makes (a stage that
-    raises :class:`NotPositiveDefinite` fails the step); the accepted state
-    is checked with ``system.spd_ok``.  ``first`` is ``system.rhs(state)``
-    when already known.  Returns (ok, new state, new pair product,
-    ``first``), the last ``None`` when computing it failed.  The pair
-    product ``cross_G`` advances at ``pair_rate`` Riem, with the stage
-    curvatures summed as they come, and only while it runs.
+    raises :class:`NotPositiveDefinite` fails the step); the new state's
+    field makes the same check, :meth:`MetricField.validate_spd`.
+    ``first`` is ``system.rhs(state)`` when already known.  Returns (ok,
+    new state, new pair product, ``first``), the last ``None`` when
+    computing it failed.  The pair product ``cross_G`` advances at
+    ``pair_rate`` Riem, with the stage curvatures summed as they come, and
+    only while it runs.
     """
     riem_sum = None
 
@@ -617,8 +626,7 @@ def _rk4_step(system, state, dt, cross_G, pair_rate, first=None):
         k4 = stage(system.rhs([y + dt * k for y, k in zip(state, k3)]), 1.0)
         new = [y + dt / 6.0 * (a + 2.0 * b + 2.0 * c + d)
                for y, a, b, c, d in zip(state, k1, k2, k3, k4)]
-        if not system.spd_ok(new):
-            return False, None, None, first
+        system.field_of(new).validate_spd()
     except (np.linalg.LinAlgError, FloatingPointError, NotPositiveDefinite):
         return False, None, None, first
     if not all(np.all(np.isfinite(a)) for a in new):
@@ -730,17 +738,13 @@ def _three_point_singular_time(t, f):
         a23 = (math.log(f2) - math.log(f3)) / (math.log(T - t2) - math.log(T - t3))
         return a12 - a23
 
-    # imported here, not at module level: scipy is the library's only use of
-    # it and would more than double the start-up time of the CLI
-    from scipy.optimize import brentq
-
     lo = t3 + 1e-15 * max(1.0, abs(t3))
     hi = max(newton * 2.0, t3 + 10.0 * (t3 - t1))
+    lo += (hi - lo) * 1e-12
     try:
-        mlo = mismatch(lo + (hi - lo) * 1e-12)
-        mhi = mismatch(hi)
-        if mlo * mhi <= 0:
-            return brentq(mismatch, lo + (hi - lo) * 1e-12, hi, xtol=1e-14)
+        mlo = mismatch(lo)
+        if mlo * mismatch(hi) <= 0:
+            return bisect(lambda T: mismatch(T) * mlo > 0.0, lo, hi)
     except (ValueError, ZeroDivisionError, OverflowError):
         pass
     return newton

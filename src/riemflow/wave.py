@@ -32,7 +32,7 @@ import numpy as np
 
 from .charts import MetricField
 from .errors import CFLViolated, PositivityLost
-from .flow import COLLAPSE_EIG_FRACTION, _rk4_evolve
+from .flow import COLLAPSE_EIG_FRACTION, _rk4_evolve, bisect
 
 # the 1+1 wave stops with PositivityLost when its factor falls to this floor
 POSITIVITY_FLOOR = 1e-8
@@ -124,14 +124,7 @@ def constant_curvature_wave_ode(lam, v, dt, t_end, record_stride=1):
         u_next, w_next = step(u, w, h)
         if u_next <= 0.0:
             # bisect between the times a step from t keeps u > 0 and ends at u <= 0
-            lo, hi = t, t + h
-            T = 0.5 * (lo + hi)
-            while lo != T != hi:
-                if step(u, w, T - t)[0] > 0.0:
-                    lo = T
-                else:
-                    hi = T
-                T = 0.5 * (lo + hi)
+            T = bisect(lambda T: step(u, w, T - t)[0] > 0.0, t, t + h)
             if nsteps % record_stride:  # the last step before the root is not recorded yet
                 records.append((t, u, w))
             break

@@ -29,6 +29,7 @@ from riemflow.errors import (
     NotInImage,
     NotPositiveDefinite,
     StencilOutOfDomain,
+    StepRejected,
 )
 from riemflow.families import make_family
 from riemflow.flow import (
@@ -405,8 +406,8 @@ def test_richardson_runs_once_per_analytic_run(monkeypatch):
 @pytest.mark.parametrize("stage", [np.nan, np.inf])
 @pytest.mark.parametrize("make", [hyperbolic_field, torus_field], ids=["analytic", "grid"])
 def test_non_finite_stage_fails_the_step(make, stage):
-    # a stage whose state is not finite fails the step, which the step loop
-    # then halves, on both chart kinds; the stencil was checked at the start
+    # a stage whose state is not finite fails the step, on both chart kinds;
+    # the stencil was checked at the start
     fld, _ = make(3)
     system = flow._RK4System(fld, resolve_law("riemann-induced", 3, 1))
     with np.errstate(invalid="ignore"):
@@ -453,8 +454,8 @@ def test_stencil_out_of_domain_in_time_loop():
 
 
 def test_each_state_rhs_evaluated_once(monkeypatch):
-    # a record's rhs is the next step's first stage: with every step recorded
-    # and no halving, N steps cost 4 N + 1 curvature evaluations, not 5 N + 1
+    # a record's rhs is the next step's first stage: with every step
+    # recorded, N steps cost 4 N + 1 curvature evaluations, not 5 N + 1
     calls = []
     monkeypatch.setattr(flow, "riemann", lambda f: calls.append(1) or riemann(f))
     fld, _ = hyperbolic_field(3)
@@ -471,10 +472,12 @@ def test_failed_first_stage_is_a_failed_step():
     assert flow._rk4_step(Failing(), [np.eye(3)], 1e-3, None, None) == (False, None, None, None)
 
 
-def test_stage_that_loses_positivity_halves_the_step():
+def test_failed_step_near_the_cone_boundary_is_a_collapse():
     # the homothetic collapse g(t) = (1 - t) g0: a first step of 1.2 reaches
     # -0.2 g0 at its fourth stage, whose curvature check raises
-    # NotPositiveDefinite; the step is halved to 0.6 and accepted
+    # NotPositiveDefinite, so the step fails; bisecting its length reaches a
+    # state below the collapse threshold just short of t = 1, and the run
+    # ends there without recording that state
     class Stage:
         def __init__(self):
             self.calls = 0
@@ -488,16 +491,33 @@ def test_stage_that_loses_positivity_halves_the_step():
     assert flow._rk4_step(Stage(), [np.eye(3)], 1e-3, None, None)[0] is False
     fld, _ = hyperbolic_field(3)
     traj = integrate_flow(fld, "riemann-induced", 1.5, 1.2, stride=1)
-    assert traj.times[1] == 0.6
-    assert abs(traj.diagnostic("min_rel_eig")[1] - 0.4) < 1e-6
     assert traj.termination == "collapse"
+    assert traj.times == [0.0]
+
+
+def test_failed_step_far_from_the_cone_boundary_is_rejected(monkeypatch):
+    # every curvature evaluation after the first step fails while the metric
+    # stays near g0, so no shorter step reaches the collapse threshold: the
+    # run raises StepRejected instead of calling the failure a collapse
+    calls = []
+
+    def failing(fld):
+        calls.append(1)
+        if len(calls) > 5:
+            raise FloatingPointError("overflow")
+        return riemann(fld)
+
+    monkeypatch.setattr(flow, "riemann", failing)
+    fld, _ = hyperbolic_field(3)
+    with pytest.raises(StepRejected, match="t=0.001"):
+        integrate_flow(fld, "riemann-induced", 1e-3, 0.1, stride=1)
 
 
 def test_grid_flow_work_per_rhs(monkeypatch):
     # each rhs takes one cofactor pass (riemann's positivity check, which
     # also gives the inverse that record() reuses), except the one rhs at
-    # each accepted state, which reuses the pass of that state's spd_ok
-    # check; on top of that a run takes one pass for the initial check.  The
+    # each accepted state, which reuses the pass of the step's check of that
+    # state; on top of that a run takes one pass for the initial check.  The
     # only Cholesky and inverse of a run are those of the relative-eigenvalue
     # frame, and eigvalsh runs only for the relative eigenvalues, once per
     # accepted state.

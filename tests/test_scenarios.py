@@ -364,7 +364,9 @@ def test_configs_directory_loads():
 
 
 def test_cli_import_leaves_scipy_optimize_unloaded():
-    # scipy.optimize is loaded only when a singular time is fitted
+    # the library never imports scipy: not with the CLI, and not through a
+    # collapse (a whole-step one and one found by bisecting a failed step),
+    # its blow-up fit or the scale ODE's root
     import os
     import subprocess
     import sys
@@ -372,10 +374,49 @@ def test_cli_import_leaves_scipy_optimize_unloaded():
     import riemflow
     src = os.path.dirname(os.path.dirname(os.path.abspath(riemflow.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    out = subprocess.run([sys.executable, "-c",
-                          "import sys, riemflow.cli; print('scipy.optimize' in sys.modules)"],
+    script = "\n".join([
+        "import sys, riemflow.cli",
+        "print('scipy.optimize' in sys.modules)",
+        "from riemflow.charts import AnalyticChart, MetricField",
+        "from riemflow.families import make_family",
+        "from riemflow.flow import integrate_flow, monitor_blow_up",
+        "from riemflow.wave import constant_curvature_wave_ode",
+        "fam = make_family('hyperbolic-poincare', 3)",
+        "fld = MetricField.from_function(AnalyticChart(3, [0.0] * 3, 1e-2), fam.metric_function)",
+        "assert integrate_flow(fld, 'riemann-induced', 1.5, 1.2).termination == 'collapse'",
+        "monitor_blow_up(integrate_flow(fld, 'riemann-induced', 1e-2, 2.0))",
+        "assert constant_curvature_wave_ode(1.0, 0.0, 1e-2, 3.0).collapse_time is not None",
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+    ])
+    out = subprocess.run([sys.executable, "-c", script],
                          env=env, capture_output=True, text=True, timeout=120, check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.split("\n")[:2] == ["False", "[]"]
+
+
+def test_library_source_imports_no_scipy():
+    import ast
+    paths = sorted((Path(__file__).resolve().parents[1] / "src" / "riemflow").glob("*.py"))
+    assert paths
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            assert not any(name.split(".")[0] == "scipy" for name in names), (path, node.lineno)
+
+
+def test_numpy_is_the_only_install_dependency():
+    # scipy is an oracle of the tests, demos and benchmark, so it is in the
+    # test extra
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    project = tomllib.loads(pyproject.read_text())["project"]
+    deps = project["dependencies"]
+    assert len(deps) == 1 and deps[0].startswith("numpy")
+    assert any(dep.startswith("scipy") for dep in project["optional-dependencies"]["test"])
 
 
 # ---------------------------------------------------------------------------

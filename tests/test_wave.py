@@ -211,6 +211,24 @@ def test_tensor_wave_matches_ode_collapsing():
     assert -0.7 < report.exponent < -0.3  # square-root collapse
 
 
+def test_off_origin_wave_collapse_matches_the_origin():
+    # the hyperbolic ball collapses homothetically at every chart point, so
+    # off the origin the wave must give the origin's blow-up exponent, no
+    # record at or past the exact collapse time, and a T_est within its
+    # stated uncertainty of that time
+    fam = make_family("hyperbolic-poincare", 3)
+    exponents = []
+    for point in ([0.0, 0.0, 0.0], [0.1329, 0.0034, 0.1429]):
+        fld = MetricField.from_function(AnalyticChart(3, point, 1e-2), fam.metric_function)
+        traj = integrate_wave(fld, "riemann-wave", 1e-3, 2.0, stride=10)
+        assert traj.termination == "collapse"
+        assert max(traj.times) < UNIT_COLLAPSE_TIME
+        report = monitor_blow_up(traj)
+        assert report.T_est_uncertainty >= abs(report.T_est - UNIT_COLLAPSE_TIME)
+        exponents.append(report.exponent)
+    assert abs(exponents[1] - exponents[0]) <= 1e-3
+
+
 def test_tensor_wave_matches_ode_growing():
     fld, fam = sphere_field(3)
     lam = fam.constant_curvature
