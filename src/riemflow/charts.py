@@ -12,7 +12,7 @@ Two chart backends are supported:
   vectorised :func:`richardson_jet` turns stencil values of shape
   ``(B, P) + tail`` into the jet, taking every difference before dividing
   so that equal values cancel exactly.  A jet that is linear in a few
-  coefficients, such as the frozen frame's ``L0 Y L0^T`` in
+  coefficients, such as the frozen frame's ``M g M^T`` in
   :mod:`riemflow.flow`, is built by applying it once to the images of a
   basis: each basis jet still has its differences taken first, so a
   derivative that cancels exactly on every basis image is exactly zero in

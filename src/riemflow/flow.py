@@ -24,23 +24,27 @@ steps flows and waves alike.
 ``riemann-wave`` at (alpha=1, delta=2), so the general law reproduces them
 bit for bit.
 
-On periodic grids the evolution is a genuine method-of-lines PDE solve.  On
-analytic single-point charts the state is the metric at the evaluation point
-expressed in the frame of the initial metric; the spatial field is
-reconstructed as ``g_t(x) = L0(x) Y(t) L0(x)^T`` with ``L0`` the pointwise
-Cholesky factor of the initial metric.  That reconstruction is exact for
-congruence-homogeneous evolutions (in particular every constant-curvature
-scenario); general inhomogeneous dynamics belong on grid charts.  Its 2-jet
-is linear in ``Y``: each run takes the Richardson jets of ``L0 E L0^T`` for
-the n(n+1)/2 symmetric basis matrices ``E`` once, and each right-hand side
-combines them in one matrix product, with no stencil evaluated.  A stage
-whose state is not finite therefore fails its positivity check, as on
-grids; a metric that is not finite at a stencil point is refused with
+The RK4 state is the metric samples, and for a wave the velocity samples
+too, on both chart kinds; each rate is symmetrized, so a symmetric state
+stays exactly symmetric.  On periodic grids the evolution is a genuine
+method-of-lines PDE solve.  On analytic single-point charts the state is the
+metric ``g`` at the evaluation point ``x0``, and the spatial field is carried
+in the frozen frame of the initial metric, ``g_t(x) = M(x) g(t) M(x)^T`` with
+``M(x) = L0(x) L0(x0)^-1`` and ``L0`` the pointwise Cholesky factor of the
+initial metric.  That reconstruction is exact for congruence-homogeneous
+evolutions (in particular every constant-curvature scenario); general
+inhomogeneous dynamics belong on grid charts.  Its 2-jet is linear in ``g``:
+each run takes the Richardson jets of ``M E M^T`` for the n(n+1)/2
+symmetric basis matrices ``E`` once, and each right-hand side combines them
+in one matrix product, with no stencil evaluated.  A stage whose state is
+not finite therefore fails its positivity check, as on grids; a metric that
+is not finite at a stencil point is refused with
 :class:`~riemflow.errors.StencilOutOfDomain` when the run starts.
 
-Every law steps at a fixed ``dt``.  A failed step whose bisection
-(:func:`bisect`) reaches a state below the collapse threshold is a collapse,
-and any other raises :class:`~riemflow.errors.StepRejected`.
+Every law steps at a fixed ``dt``, on the schedule of :func:`step_ends`.  A
+failed step whose bisection (:func:`bisect`) reaches a state below the
+collapse threshold is a collapse, and any other raises
+:class:`~riemflow.errors.StepRejected`.
 """
 
 import math
@@ -327,20 +331,30 @@ def _rel_eig_factors(g0_samples):
 
 
 def _relative_eigenvalues(g_samples, L0inv):
-    M = np.einsum('...ab,...bc,...dc->...ad', L0inv, g_samples, L0inv)
-    return np.linalg.eigvalsh(M)
+    return np.linalg.eigvalsh(L0inv @ g_samples @ np.swapaxes(L0inv, -1, -2))
+
+
+def step_ends(t0, t_end, dt):
+    """The end times of the fixed steps of ``dt`` from ``t0`` to ``t_end``:
+    ``t0 + k dt`` for k = 1 .. N-1 and then ``t_end`` itself, with
+    N = ceil((t_end - t0) / dt - 1e-9), so that no step shorter than 1e-9 of
+    ``dt`` is taken.  Empty when ``t_end`` is not past ``t0``."""
+    count = math.ceil((t_end - t0) / dt - 1e-9)
+    return [t0 + k * dt for k in range(1, count)] + [t_end] if count > 0 else []
 
 
 def _frozen_frame_builder(field):
-    """Field builder for an analytic chart: g_Y(x) = L0(x) Y L0(x)^T, with
-    ``L0`` taken once from ``field`` at the points of the chart's stencil.
+    """Field builder for an analytic chart: ``build(g)`` is the field
+    g(x) = M(x) g M(x)^T with M(x) = L0(x) L0(x0)^-1, ``L0`` the Cholesky
+    factor of ``field`` at the points of the chart's stencil and ``x0`` the
+    chart's point, where M is set to I exactly.
 
-    The jet of g_Y is linear in the components ``Y_ij``, i <= j, so
-    :func:`richardson_jet` runs once, here, on the images ``L0 E_q L0^T`` of
-    the symmetric basis matrices ``E_q``; each field's derivatives are then
-    one product of those components with the basis jets.  Its sample is
-    ``L0 Y L0^T`` at the chart's point.  The stencil's values are checked
-    for finiteness here, once.
+    The jet of that field is linear in the components ``g_ij``, i <= j, of
+    the metric sample ``g``, shape (1, n, n), so :func:`richardson_jet` runs
+    once, here, on the images ``M E_q M^T`` of the symmetric basis matrices
+    ``E_q``; each field's derivatives are then one product of those
+    components with the basis jets, and its sample is ``g`` itself.  The
+    stencil's values are checked for finiteness here, once.
     """
     chart = field.chart
     n = chart.dimension
@@ -349,89 +363,66 @@ def _frozen_frame_builder(field):
     g0 = np.asarray(field.func(point[:, None, :] + stencil.offsets[None, :, :]), dtype=float)
     require_finite(g0, point, stencil.offsets)
     L = np.linalg.cholesky(g0[0])
+    M = L @ np.linalg.inv(L[0])
+    M[0] = np.eye(n)
     rows, cols = np.triu_indices(n)
     q = np.arange(len(rows))
     basis = np.zeros((len(q), n, n))
     basis[q, rows, cols] = basis[q, cols, rows] = 1.0
-    _, dg, d2g = richardson_jet(stencil, np.einsum('pab,qbc,pdc->qpad', L, basis, L))
+    _, dg, d2g = richardson_jet(stencil, np.einsum('pab,qbc,pdc->qpad', M, basis, M))
     jet_map = np.concatenate([dg.reshape(len(q), -1), compact_hessian(d2g).reshape(len(q), -1)],
                              axis=1)
-    L0 = L[0]
 
-    def build(Y):
-        d = Y[rows, cols] @ jet_map
-        return MetricField.from_jets(chart, np.einsum('ab,bc,dc->ad', L0, Y, L0)[None],
-                                     d[:n ** 3].reshape((1,) + (n,) * 3),
+    def build(g):
+        d = g[0, rows, cols] @ jet_map
+        return MetricField.from_jets(chart, g, d[:n ** 3].reshape((1,) + (n,) * 3),
                                      d[n ** 3:].reshape((1, len(q), n, n)))
 
     return build
 
 
 class _RK4System:
-    """RK4 state of a law: one array per time derivative of the metric below
-    the law's order, ``[g]`` for a flow and ``[g, k]`` for a wave.
-
-    On grid charts the arrays are the samples themselves; on analytic charts
-    they are (n, n) matrices in the frame of the initial metric at the
-    evaluation point, ``g = L0 Y L0^T``.
+    """RK4 state of a law: the metric samples and, for a wave, the velocity
+    samples, ``[g]`` or ``[g, k]``, on either chart kind.  Only the field of
+    a state depends on the chart: grid samples are differentiated on the
+    grid, and an analytic chart's sample through the frozen frame of
+    :func:`_frozen_frame_builder`.
     """
 
     def __init__(self, field, law, velocity=None):
-        self.chart = field.chart
+        chart = self.chart = field.chart
         self.law = law
-        self.n = field.dimension
         self.wave = law.order == 2
-        self.grid = self.chart.kind == "periodic-grid"
         self._last = None
         g = field.samples
-        if self.grid:
-            self.state0 = [g.copy()]
+        self.state0 = [g.copy()]
+        if self.wave:
+            self.state0.append(np.asarray(velocity, dtype=float).reshape(g.shape).copy())
+        if chart.kind == "periodic-grid":
+            # the builder holds the chart and the shape only, not the system
+            shape = chart.grid_shape + g.shape[1:]
+            self._build = lambda s: MetricField.from_samples(chart, s.reshape(shape))
         else:
             self._build = _frozen_frame_builder(field)
-            self._L0 = np.linalg.cholesky(g[0])
-            self._L0inv = np.linalg.inv(self._L0)
-            self.state0 = [np.eye(self.n)]
-        if self.wave:
-            k = np.asarray(velocity, dtype=float)
-            if self.grid:
-                self.state0.append(k.reshape(g.shape).copy())
-            else:
-                self.state0.append(self._to_frame(
-                    k if k.shape == (self.n, self.n) else k.reshape(g.shape)[0]))
-
-    def _to_frame(self, x):
-        d = self._L0inv @ x @ self._L0inv.T
-        return 0.5 * (d + d.T)
 
     def field_of(self, state):
         """The metric field of a state.  The last one made is kept, so that
         the rhs at a state :func:`_rk4_step` accepted reuses that step's
         positivity pass, which also gave the inverse."""
         if self._last is None or self._last[0] is not state[0]:
-            if self.grid:
-                vals = state[0].reshape(self.chart.grid_shape + (self.n, self.n))
-                fld = MetricField.from_samples(self.chart, vals)
-            else:
-                fld = self._build(state[0])
-            self._last = (state[0], fld)
+            self._last = (state[0], self._build(state[0]))
         return self._last[1]
-
-    def samples(self, state, i=0):
-        """Metric (``i = 0``) or velocity (``i = 1``) samples of a state."""
-        if self.grid:
-            return state[i]
-        return np.einsum('ab,bc,dc->ad', self._L0, state[i], self._L0)[None]
 
     def rhs(self, state):
         """(d state/dt, curvature block, the law's rate at the samples, the
-        inverse metric there).  Raises :class:`NotPositiveDefinite` when the
-        state's metric is not positive definite."""
+        inverse metric there).  The rate is symmetrized, so a symmetric
+        state stays exactly symmetric.  Raises :class:`NotPositiveDefinite`
+        when the state's metric is not positive definite."""
         fld = self.field_of(state)
         riem = riemann(fld).block
-        k = self.samples(state, 1) if self.wave else None
-        rate = self.law.rate(fld.samples, fld.inverse, k, riem)
-        top = rate if self.grid else self._to_frame(rate[0])
-        return state[1:] + [top], riem, rate, fld.inverse
+        rate = self.law.rate(fld.samples, fld.inverse, state[1] if self.wave else None, riem)
+        rate = 0.5 * (rate + np.swapaxes(rate, -1, -2))
+        return state[1:] + [rate], riem, rate, fld.inverse
 
 
 def integrate_flow(initial, law, dt, t_end, *, stride=10,
@@ -448,7 +439,9 @@ def integrate_flow(initial, law, dt, t_end, *, stride=10,
         ``('general', {'beta': .., 'gamma': .., 'delta': ..})``; see
         :func:`resolve_law` for the parameters each law takes.
     dt, t_end : float
-        Fixed step (the last one ends at ``t_end``) and horizon.
+        Fixed step and horizon: the steps end at ``t0 + k dt`` and the last
+        one exactly at ``t_end`` (:func:`step_ends`).  A ``t_end`` not past
+        the start time takes no step.
     stride : int
         Record every ``stride``-th step (the last step is always recorded).
     collapse_threshold : float
@@ -473,7 +466,7 @@ class _Collapsed(Exception):
     """A failed step's bisection reached a state below the threshold."""
 
 
-def _rk4_evolve(initial, law, order, velocity, dt_base, t_end, stride, collapse_threshold,
+def _rk4_evolve(initial, law, order, velocity, dt, t_end, stride, collapse_threshold,
                 curvature_cap, cross_check_stride):
     """The trajectory of :func:`integrate_flow` (``order`` 1) or
     ``integrate_wave`` (``order`` 2) from a field or a state; a state's own
@@ -482,7 +475,7 @@ def _rk4_evolve(initial, law, order, velocity, dt_base, t_end, stride, collapse_
         t0, fld = 0.0, initial
     else:
         t0, fld, velocity = initial.t, initial.field, getattr(initial, "velocity", velocity)
-    if dt_base <= 0:
+    if dt <= 0:
         raise ValueError("dt must be positive")
     if stride < 1:
         raise ValueError("stride must be at least 1")
@@ -494,8 +487,8 @@ def _rk4_evolve(initial, law, order, velocity, dt_base, t_end, stride, collapse_
     if cross_check_stride and pair_rate is None:
         raise ValueError(f"cross_check_stride needs a first-order family law with gamma = 0; "
                          f"law {system.law.name!r} gives the pair product no rate c Riem")
-    state = [a.copy() for a in system.state0]
-    g0 = system.samples(state).copy()
+    state = system.state0
+    g0 = state[0].copy()
     L0inv = _rel_eig_factors(g0)
     det0 = np.linalg.det(g0)
     n = g0.shape[-1]
@@ -514,10 +507,10 @@ def _rk4_evolve(initial, law, order, velocity, dt_base, t_end, stride, collapse_
         """Append a record of ``state``, whose relative eigenvalues are
         ``rel``; returns sup |Riem| and the state's rhs, which the next step
         reuses."""
-        g = system.samples(state)
+        g = state[0]
         first = system.rhs(state)
         _, riem, rate, ginv = first
-        k = system.samples(state, 1) if system.wave else None
+        k = state[1] if system.wave else None
         ric, scal = ricci_scalar_from_arrays(ginv, riem)
         riem_norm = tensor_norm(CurvatureTensor(riem), ginv)
         ric_norm = tensor_norm(ric, ginv)
@@ -551,22 +544,21 @@ def _rk4_evolve(initial, law, order, velocity, dt_base, t_end, stride, collapse_
     rel = _relative_eigenvalues(g0, L0inv)
     sup_riem, first = record(t0, state, rel)
     t = t0
-    steps = 0
     termination = "t_end"
-    while t < t_end - 1e-14:
-        dt = min(dt_base, t_end - t)
-        ok, new_state, cross_new, first = _rk4_step(system, state, dt, cross_G, pair_rate, first)
+    ends = step_ends(t0, t_end, dt)
+    for steps, t_next in enumerate(ends, 1):
+        ok, new_state, cross_new, first = _rk4_step(system, state, t_next - t, cross_G,
+                                                    pair_rate, first)
         if not ok:
             # bisect the failed step's end time, up to the first state below
             # the threshold, which is a collapse and is not recorded
             def inside(T):
                 passed, new, _, _ = _rk4_step(system, state, T - t, None, None, first)
-                if passed and (_relative_eigenvalues(system.samples(new), L0inv).min()
-                               < collapse_threshold):
+                if passed and _relative_eigenvalues(new[0], L0inv).min() < collapse_threshold:
                     raise _Collapsed
                 return passed
             try:
-                bisect(inside, t, t + dt)
+                bisect(inside, t, t_next)
             except _Collapsed:
                 termination = "collapse"
                 break
@@ -575,13 +567,12 @@ def _rk4_evolve(initial, law, order, velocity, dt_base, t_end, stride, collapse_
         state = new_state
         first = None
         cross_G = cross_new
-        t += dt
-        steps += 1
-        rel = _relative_eigenvalues(system.samples(state), L0inv)
+        t = t_next
+        rel = _relative_eigenvalues(state[0], L0inv)
         min_rel = float(rel.min())
         # keep a dense record of the approach to collapse for the monitors
         near_collapse = min_rel < max(0.1, 1e3 * collapse_threshold)
-        if steps % stride == 0 or near_collapse or t >= t_end - 1e-14:
+        if steps % stride == 0 or near_collapse or steps == len(ends):
             sup_riem, first = record(t, state, rel)
         if min_rel < collapse_threshold:
             termination = "collapse"
@@ -589,7 +580,7 @@ def _rk4_evolve(initial, law, order, velocity, dt_base, t_end, stride, collapse_
         if curvature_cap is not None and sup_riem > curvature_cap:
             termination = "curvature_cap"
             break
-    if traj.times[-1] < t - 1e-15:
+    if traj.times[-1] != t:
         record(t, state, rel)
     traj.termination = termination
     return traj

@@ -37,7 +37,7 @@ import numpy as np
 from .charts import AnalyticChart, GridChart, MetricField
 from .errors import NoSingularity, ParseError, SchemaError, whole_number
 from .families import make_family
-from .flow import integrate_flow, monitor_blow_up, resolve_law
+from .flow import integrate_flow, monitor_blow_up, resolve_law, step_ends
 from .wave import (
     constant_curvature_wave_ode,
     conformally_flat_wave_solve,
@@ -330,7 +330,7 @@ def run_scenario(cfg: ScenarioConfig):
             u1 = -amp * (2.0 * math.pi * mode / L) * np.cos(2.0 * math.pi * mode * x / L)
         # the solver takes whole steps: use the largest step not above dt
         # that divides t_end, so the run ends exactly at t_end
-        dt = cfg.t_end / math.ceil(cfg.t_end / cfg.dt - 1e-9)
+        dt = cfg.t_end / len(step_ends(0.0, cfg.t_end, cfg.dt))
         result = conformally_flat_wave_solve(u0, u1, dt, cfg.t_end, length=L,
                                              stride=cfg.stride)
         rows = [[t, u.min(), u.max(), 0.5 * (u.max() - u.min())]

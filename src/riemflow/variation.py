@@ -25,7 +25,7 @@ from .curvature import (
     tensor_norm,
 )
 from .errors import StepRejected
-from .flow import _rk4_step, _RK4System, resolve_law
+from .flow import _rk4_step, _RK4System, resolve_law, step_ends
 
 # the imaginary step: far below roundoff of g, so Im F(g + i STEP h) / STEP is
 # F's derivative along h to roundoff, and far above underflow
@@ -179,19 +179,19 @@ def integrate_linearized_flow(field, h, which, dt, t_end):
 
     The flow's RK4 steps the complex samples g + i STEP h; each stage's
     imaginary part is STEP times the linearized stage, so ``Im g(t_end) /
-    STEP`` is the RK4 deformation ``h(t_end)``, which is returned.  Grid
-    charts only.  Used by the two-run tangency checks.
+    STEP`` is the RK4 deformation ``h(t_end)``, which is returned.  It
+    takes the steps of :func:`riemflow.flow.integrate_flow` at the same
+    ``dt`` and ``t_end``.  Grid charts only.  Used by the two-run tangency
+    checks.
     """
     if field.chart.kind != "periodic-grid":
         raise ValueError("the coupled linearized integration runs on grid charts")
     system = _RK4System(_perturbed_field(field, h, 1j * STEP),
                         resolve_law(which, field.dimension, 1))
-    state = system.state0
-    t = 0.0
-    while t < t_end - 1e-14:
-        step = min(dt, t_end - t)
-        ok, state, _, _ = _rk4_step(system, state, step, None, None)
+    state, t = system.state0, 0.0
+    for t_next in step_ends(0.0, t_end, dt):
+        ok, state, _, _ = _rk4_step(system, state, t_next - t, None, None)
         if not ok:
             raise StepRejected(f"the RK4 step at t={t:.6g} fails its positivity or finiteness check")
-        t += step
+        t = t_next
     return state[0].imag / STEP

@@ -32,7 +32,7 @@ import numpy as np
 
 from .charts import MetricField
 from .errors import CFLViolated, PositivityLost
-from .flow import COLLAPSE_EIG_FRACTION, _rk4_evolve, bisect
+from .flow import COLLAPSE_EIG_FRACTION, _rk4_evolve, bisect, step_ends
 
 # the 1+1 wave stops with PositivityLost when its factor falls to this floor
 POSITIVITY_FLOOR = 1e-8
@@ -42,7 +42,7 @@ POSITIVITY_FLOOR = 1e-8
 class WaveState:
     t: float
     field: MetricField
-    velocity: np.ndarray   # metric velocity samples (S, n, n), or (n, n) frame
+    velocity: np.ndarray   # metric velocity samples (S, n, n)
 
 
 def integrate_wave(initial, law, dt, t_end, *, velocity=None, stride=10,
@@ -51,7 +51,9 @@ def integrate_wave(initial, law, dt, t_end, *, velocity=None, stride=10,
     """Integrate a second-order law via RK4 on the (metric, velocity) pair.
 
     ``initial`` is a :class:`WaveState` or a :class:`MetricField` together
-    with a ``velocity`` array (defaulting to zero).  Laws: ``riemann-wave``,
+    with a ``velocity`` array of the metric's samples (defaulting to zero).
+    The steps are fixed at ``dt``, the last one ending exactly at ``t_end``
+    (:func:`riemflow.flow.step_ends`).  Laws: ``riemann-wave``,
     ``ricci-wave`` or ``('general', {...})``; a general law with
     ``alpha = 0`` is the first-order flow and ignores the velocity, so flow
     trajectories are reproduced exactly.  ``cross_check_stride`` is refused
@@ -84,13 +86,14 @@ def constant_curvature_wave_ode(lam, v, dt, t_end, record_stride=1):
     The steps are taken in u = f^2 and u' = 2 f f'.  Since
     (f^2)'' = 2 (f'^2 + f f''), the equation becomes u'' = -2 lam sqrt(u),
     which is regular at collapse: u' stays finite and u crosses zero at a
-    simple root.  Steps are fixed at ``dt``, the last one shortened to end
-    at ``t_end``; a negative ``t_end`` integrates backwards.  When a step
-    ends at u <= 0 (``lam > 0`` collapses in finite time), its length is
-    bisected to the root, which is returned as ``collapse_time``, and the
-    run stops there.  Records hold f = sqrt(u) and f' = u' / (2 f) every
-    ``record_stride`` steps, at ``t_end`` and at the last step before the
-    root, so none lies at or past it.
+    simple root.  Steps are fixed at ``dt``, the last one ending exactly at
+    ``t_end`` (:func:`riemflow.flow.step_ends`); a negative ``t_end``
+    integrates backwards.  When a step ends at u <= 0 (``lam > 0``
+    collapses in finite time), its length is bisected to the root, which is
+    returned as ``collapse_time``, and the run stops there.  Records hold
+    f = sqrt(u) and f' = u' / (2 f) every ``record_stride`` steps, at
+    ``t_end`` and at the last step before the root, so none lies at or past
+    it.
 
     The quadratic ``1 + v t - lam t^2 / 6`` solves this exactly only when
     ``v^2 = -2 lam / 3``; the constant residual ``v^2 + 2 lam / 3`` is
@@ -117,20 +120,19 @@ def constant_curvature_wave_ode(lam, v, dt, t_end, record_stride=1):
 
     u, w, t = 1.0, 2.0 * v, 0.0
     records = [(t, u, w)]
-    nsteps = 0
     T = None
-    while direction * (t_end - t) > 1e-15:
-        h = direction * min(dt, abs(t_end - t))
-        u_next, w_next = step(u, w, h)
+    ends = step_ends(0.0, abs(t_end), dt)
+    for nsteps, t_next in enumerate(ends, 1):
+        t_next *= direction
+        u_next, w_next = step(u, w, t_next - t)
         if u_next <= 0.0:
             # bisect between the times a step from t keeps u > 0 and ends at u <= 0
-            T = bisect(lambda T: step(u, w, T - t)[0] > 0.0, t, t + h)
-            if nsteps % record_stride:  # the last step before the root is not recorded yet
+            T = bisect(lambda T: step(u, w, T - t)[0] > 0.0, t, t_next)
+            if (nsteps - 1) % record_stride:  # the last step before the root is not recorded yet
                 records.append((t, u, w))
             break
-        u, w, t = u_next, w_next, t + h
-        nsteps += 1
-        if nsteps % record_stride == 0 or direction * (t_end - t) <= 1e-15:
+        u, w, t = u_next, w_next, t_next
+        if nsteps % record_stride == 0 or nsteps == len(ends):
             records.append((t, u, w))
 
     times, us, ws = np.array(records).T

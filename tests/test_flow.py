@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -327,8 +330,8 @@ def test_sandwich_empty_trajectory():
 
 @pytest.mark.parametrize("family", ["hyperbolic-poincare", "sphere-stereographic"])
 def test_frozen_frame_field_matches_function_field(family):
-    # the field built from L0 taken once has the sample of the closed-form
-    # field L0(x) Y L0(x)^T bit for bit, and its curvature to the roundoff
+    # the field built from the sample of the closed-form field
+    # L0(x) Y L0(x)^T has that sample bit for bit, and its curvature to the roundoff
     # floor of the jet's second differences, 64 eps / h^2 relative: its jet
     # is a combination of basis jets, not the jet of the combined values
     fam = make_family(family, 3)
@@ -344,7 +347,7 @@ def test_frozen_frame_field_matches_function_field(family):
             return np.einsum('...ab,bc,...dc->...ad', L, Y, L)
 
         ref = MetricField.from_function(chart, metric)
-        got = build(Y)
+        got = build(metric(chart.point[None]))
         assert np.array_equal(got.samples, ref.samples)
         want = riemann(ref).array
         gap = np.abs(riemann(got).array - want).max()
@@ -368,8 +371,9 @@ def test_frozen_frame_jets_match_richardson_on_stencil_values(family, n):
         L = np.linalg.cholesky(fam.metric_function(point + stencil.offsets))
         for _ in range(5):
             Y = rand_spd(n, rng)
-            got = build(Y).jets()
-            want = richardson_jet(stencil, np.einsum('pab,bc,pdc->pad', L, Y, L)[None])
+            vals = np.einsum('pab,bc,pdc->pad', L, Y, L)
+            got = build(vals[:1]).jets()
+            want = richardson_jet(stencil, vals[None])
             want = want[:2] + (upper_hessian(want[2]),)
             assert np.array_equal(got[0], want[0])
             floor = 64 * np.finfo(float).eps / h ** 2 * np.abs(want[0]).max()
@@ -462,6 +466,68 @@ def test_each_state_rhs_evaluated_once(monkeypatch):
     traj = integrate_flow(fld, "riemann-induced", 1e-3, 0.02, stride=1)
     assert len(traj.times) == 21
     assert len(calls) == 4 * 20 + 1
+
+
+def test_step_ends():
+    assert flow.step_ends(0.0, 0.3, 0.1) == [0.1, 0.2, 0.3]
+    assert flow.step_ends(0.5, 1.0, 0.2) == [0.5 + 0.2, 0.5 + 2 * 0.2, 1.0]
+    # a last step shorter than 1e-9 of dt is not taken
+    assert flow.step_ends(0.0, 3.0 + 1e-13, 1e-3)[-2:] == [2999 * 1e-3, 3.0 + 1e-13]
+    assert flow.step_ends(1.0, 1.0, 0.1) == flow.step_ends(1.0, 0.5, 0.1) == []
+
+
+def test_flow_records_end_at_t_end_without_drift():
+    # steps end at k dt and the last one exactly at t_end: 77 of them, though
+    # 7.7 / 0.1 is 77.00000000000001, and none only roundoff long
+    fld, _ = sphere_field(3)
+    traj = integrate_flow(fld, "riemann-induced", 0.1, 7.7, stride=1)
+    assert traj.termination == "t_end"
+    assert traj.times == [0.1 * k for k in range(77)] + [7.7]
+
+
+@pytest.mark.parametrize("make", [hyperbolic_field, torus_field], ids=["analytic", "grid"])
+def test_rk4_system_has_no_reference_cycle(make):
+    # with the cyclic collector off, a system is freed as soon as it is
+    # dropped, so no run's arrays outlive the run
+    fld, _ = make(3)
+    gc.disable()
+    try:
+        system = flow._RK4System(fld, resolve_law("riemann-induced", 3, 1))
+        system.rhs(system.state0)
+        ref = weakref.ref(system)
+        del system
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+def _assert_states_symmetric(traj):
+    for g in traj.states:
+        assert np.array_equal(g, np.swapaxes(g, -1, -2))
+
+
+def test_off_origin_flow_keeps_an_exactly_symmetric_state():
+    # away from the origin the frame is not a multiple of I, so only the
+    # symmetrized rate keeps g = g^T exactly; an asymmetric state's residual
+    # and collapse fit drift by orders of magnitude
+    fam = make_family("hyperbolic-poincare", 3)
+    chart = AnalyticChart(3, [0.1329, 0.0034, 0.1429], 1e-2)
+    fld = MetricField.from_function(chart, fam.metric_function)
+    traj = integrate_flow(fld, "riemann-induced", 1e-3, 2.0, stride=10)
+    assert traj.termination == "collapse"
+    _assert_states_symmetric(traj)
+    ratio = traj.diagnostic("eq_residual") / traj.diagnostic("sup_riem_norm")
+    assert ratio.max() <= 1e-12
+    report = monitor_blow_up(traj)
+    assert abs(report.T_est - 1.0) <= 1e-8
+    assert abs(report.exponent + 1.0) <= 1e-3
+
+
+def test_grid_flow_keeps_an_exactly_symmetric_state():
+    fld, _ = torus_field(3)
+    traj = integrate_flow(fld, "riemann-induced", 1e-2, 0.2, stride=5)
+    assert len(traj.states) == 5
+    _assert_states_symmetric(traj)
 
 
 def test_failed_first_stage_is_a_failed_step():

@@ -8,11 +8,12 @@ from conftest import (
     sphere_field,
     torus_field,
 )
+from riemflow import flow, variation
 from riemflow.charts import AnalyticChart, GridChart, MetricField
 from riemflow.curvature import CurvatureTensor, ricci_and_scalar, riemann
 from riemflow.errors import StepRejected
 from riemflow.families import make_family
-from riemflow.flow import resolve_law
+from riemflow.flow import _rk4_step as flow_rk4_step, resolve_law
 from riemflow.variation import (
     PerturbationField,
     SolitonData,
@@ -224,6 +225,21 @@ def test_two_run_tangency_central_order(which, rng):
         quotient = (tp.states[-1] - tm.states[-1]) / (2.0 * eps)
         errs.append(np.abs(quotient - hlin).max())
     assert np.log2(errs[0] / errs[1]) > 1.7
+
+
+def test_linearized_flow_takes_the_flow_steps(monkeypatch, rng):
+    # both runs step on one schedule: 0.07 / 0.01 is 7.000000000000001
+    lengths = {flow: [], variation: []}
+    for module, seen in lengths.items():
+        def counting(system, state, dt, *rest, seen=seen):
+            seen.append(dt)
+            return flow_rk4_step(system, state, dt, *rest)
+        monkeypatch.setattr(module, "_rk4_step", counting)
+    fld, _ = torus_field(3, points=8, amplitude=0.05)
+    integrate_linearized_flow(fld, _sym_perturbation(fld.samples.shape, rng), "ricci", 0.01, 0.07)
+    flow.integrate_flow(fld, "ricci", 0.01, 0.07)
+    assert len(lengths[flow]) == 7
+    assert lengths[variation] == lengths[flow]
 
 
 # ---------------------------------------------------------------------------

@@ -190,6 +190,13 @@ def test_scale_ode_time_reversal():
     assert np.abs(fwd.scales - bwd.scales).max() < 1e-9
 
 
+def test_scale_ode_steps_end_at_t_end_without_drift():
+    # 3000 steps ending at k dt, the last at 3.0 exactly, and no further
+    # step only roundoff long
+    res = constant_curvature_wave_ode(-6.0, 2.0, 1e-3, 3.0)
+    assert res.times.tolist() == [1e-3 * k for k in range(3000)] + [3.0]
+
+
 # ---------------------------------------------------------------------------
 # tensor wave vs scale ODE
 # ---------------------------------------------------------------------------
