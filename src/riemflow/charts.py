@@ -26,9 +26,10 @@ Two chart backends are supported:
 
 A :class:`MetricField` couples a chart with metric samples (grid), a metric
 function (analytic) or an analytic 2-jet already known, and produces the
-2-jet ``(g, dg, d2g)`` that the curvature kernel consumes.  On grids the jet
-differentiates only the n(n+1)/2 components ``g_ij``, ``i <= j``, and
-mirrors their first derivatives.  A field checks positivity and inverts its
+2-jet ``(g, dg, d2g)`` that the curvature kernel consumes (any callable's
+2-jet is :func:`function_jet`).  On grids the jet differentiates only the
+n(n+1)/2 components ``g_ij``, ``i <= j``, and mirrors their first
+derivatives.  A field checks positivity and inverts its
 metric once, in one cofactor pass vectorised over the samples
 (:func:`spd_inverse`, cached as :attr:`MetricField.inverse`): one cached
 gather of each matrix's entries gives the adjugate and the leading principal
@@ -334,6 +335,15 @@ def analytic_scalar_jet(func, points, n, h):
     return richardson_jet(stencil, vals)
 
 
+def function_jet(func, chart):
+    """2-jet, laid out as by :func:`grid_scalar_jet`, of a callable mapping
+    points ``(..., n)`` to ``(...,) + tail`` at a chart's samples."""
+    n = chart.dimension
+    if chart.kind == "periodic-grid":
+        return grid_scalar_jet(func(chart.sample_points.reshape(chart.grid_shape + (n,))), chart)
+    return analytic_scalar_jet(func, chart.point[None, :], n, chart.step)
+
+
 # ---------------------------------------------------------------------------
 # metric fields
 # ---------------------------------------------------------------------------
@@ -536,5 +546,5 @@ class MetricField:
             upper = np.take(self.values.reshape(self.chart.grid_shape + (n * n,)), flat, axis=-1)
             _, d1, d2 = grid_scalar_jet(upper, self.chart)
             return self.samples, np.take(d1, component, axis=1), d2
-        g, dg, d2g = analytic_scalar_jet(self.func, self.chart.point[None, :], n, self.chart.step)
+        g, dg, d2g = function_jet(self.func, self.chart)
         return g, dg, compact_hessian(d2g)

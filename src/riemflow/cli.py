@@ -17,12 +17,12 @@ import sys
 import numpy as np
 
 from .bialternate import bialternate_product, recover_metric, verify_recovery_identity
-from .charts import AnalyticChart, GridChart, MetricField
+from .charts import MetricField
 from .curvature import ricci_and_scalar, riemann, tensor_norm, weyl
 from .errors import RiemflowError
 from .families import make_family
 from .flow import integrate_flow
-from .scenarios import ScenarioConfig, config_from_dict, load_config, run_scenario
+from .scenarios import _build_chart, config_from_dict, load_config, run_scenario
 from .variation import (
     SolitonData,
     classify_soliton,
@@ -63,15 +63,18 @@ def _family_params(args):
     return params
 
 
+def _chart_spec(args):
+    """The scenario chart spec of the chart arguments."""
+    if args.grid:
+        return {"dimension": args.dimension, "kind": "periodic-grid", "points_per_axis": args.grid}
+    return {"dimension": args.dimension, "kind": "analytic-point",
+            "point": args.point or [0.0] * args.dimension, "step": args.step}
+
+
 def _build_field(args):
     rng = np.random.default_rng(args.seed)
     family = make_family(args.family, args.dimension, _family_params(args), rng)
-    if args.grid:
-        chart = GridChart(args.dimension, args.grid,
-                          family.default_lengths or (2.0 * np.pi,) * args.dimension)
-    else:
-        point = args.point if args.point else [0.0] * args.dimension
-        chart = AnalyticChart(args.dimension, np.asarray(point), args.step)
+    chart = _build_chart(_chart_spec(args), family)
     return family, MetricField.from_function(chart, family.metric_function)
 
 
@@ -99,21 +102,21 @@ def _scenario_from_args(args, law_name, law_params=None, extra=None):
     raw = {
         "id": args.id,
         "family": {"name": args.family, "params": _family_params(args)},
-        "chart": {"dimension": args.dimension},
+        "chart": _chart_spec(args),
         "law": {"name": law_name, **(law_params or {})},
         "integrator": {"dt": args.dt, "t_end": args.t_end, "stride": args.stride},
         "output": {"csv": args.csv, "summary": args.summary},
         "seed": args.seed,
     }
-    if args.grid:
-        raw["chart"].update({"kind": "periodic-grid", "points_per_axis": args.grid})
-    else:
-        raw["chart"].update({"kind": "analytic-point",
-                             "point": args.point or [0.0] * args.dimension,
-                             "step": args.step})
     if extra:
         raw.update(extra)
     return config_from_dict(raw, default_id=args.id)
+
+
+def _report(summary, keys=("id", "termination", "t_final", "T_est", "blowup_exponent")):
+    """Print ``keys`` of a run's summary and return its exit code."""
+    print(json.dumps({k: summary[k] for k in keys}, indent=2, sort_keys=True))
+    return summary["exit_code"]
 
 
 def _integration_args(p, t_end=1.0):
@@ -138,23 +141,13 @@ def _cmd_flow(args):
     _finalize_output_args(args, f"flow-{args.family}-n{args.dimension}")
     params = {key: value for key, value in (("alpha", args.alpha), ("beta", args.beta))
               if value is not None}
-    cfg = _scenario_from_args(args, args.law, params)
-    summary = run_scenario(cfg)
-    print(json.dumps({k: summary[k] for k in
-                      ("id", "termination", "t_final", "T_est", "blowup_exponent")},
-                     indent=2, sort_keys=True))
-    return summary["exit_code"]
+    return _report(run_scenario(_scenario_from_args(args, args.law, params)))
 
 
 def _cmd_wave(args):
     _finalize_output_args(args, f"wave-{args.family}-n{args.dimension}")
-    cfg = _scenario_from_args(args, args.law, None,
-                              extra={"initial_velocity_scale": args.velocity_scale})
-    summary = run_scenario(cfg)
-    print(json.dumps({k: summary[k] for k in
-                      ("id", "termination", "t_final", "T_est", "blowup_exponent")},
-                     indent=2, sort_keys=True))
-    return summary["exit_code"]
+    return _report(run_scenario(_scenario_from_args(
+        args, args.law, None, extra={"initial_velocity_scale": args.velocity_scale})))
 
 
 def _cmd_scale_ode(args):
@@ -167,10 +160,8 @@ def _cmd_scale_ode(args):
         "output": {"csv": args.csv, "summary": args.summary},
         "seed": args.seed,
     }
-    summary = run_scenario(config_from_dict(raw, default_id=args.id))
-    print(json.dumps({k: summary[k] for k in ("id", "termination", "T_est", "residuals")},
-                     indent=2, sort_keys=True))
-    return summary["exit_code"]
+    return _report(run_scenario(config_from_dict(raw, default_id=args.id)),
+                   ("id", "termination", "T_est", "residuals"))
 
 
 def _cmd_conformal_wave(args):
@@ -185,10 +176,8 @@ def _cmd_conformal_wave(args):
         "output": {"csv": args.csv, "summary": args.summary},
         "seed": args.seed,
     }
-    summary = run_scenario(config_from_dict(raw, default_id=args.id))
-    print(json.dumps({k: summary[k] for k in ("id", "termination", "t_final", "residuals")},
-                     indent=2, sort_keys=True))
-    return summary["exit_code"]
+    return _report(run_scenario(config_from_dict(raw, default_id=args.id)),
+                   ("id", "termination", "t_final", "residuals"))
 
 
 def _cmd_soliton(args):
@@ -217,7 +206,7 @@ def _cmd_linearize(args):
     rng = np.random.default_rng(args.seed)
     family = make_family("conformal-torus", args.dimension,
                          {"amplitude": args.amplitude, "mode": args.mode}, rng)
-    chart = GridChart(args.dimension, args.grid or 8, family.default_lengths)
+    chart = _build_chart({"kind": "periodic-grid", "points_per_axis": args.grid}, family)
     fld = MetricField.from_function(chart, family.metric_function)
     h = rng.normal(size=fld.values.shape)
     h = 0.5 * (h + np.swapaxes(h, -1, -2)) * 0.1
@@ -265,13 +254,7 @@ def _cmd_run(args):
             summaries = list(pool.map(run_scenario, configs))
     else:
         summaries = [run_scenario(cfg) for cfg in configs]
-    code = 0
-    for summary in summaries:
-        print(json.dumps({k: summary[k] for k in
-                          ("id", "termination", "t_final", "T_est", "blowup_exponent")},
-                         indent=2, sort_keys=True))
-        code = max(code, summary["exit_code"])
-    return code
+    return max(_report(summary) for summary in summaries)
 
 
 def build_parser():

@@ -41,8 +41,7 @@ from .charts import (
     MetricField,
     _frozen,
     _symmetric_components,
-    analytic_scalar_jet,
-    grid_scalar_jet,
+    function_jet,
     spd_inverse,
 )
 from .errors import DimensionTooSmall, NonpositiveLame
@@ -346,12 +345,7 @@ def orthogonal_metric_curvature(lame_coefficients, chart) -> CurvatureTensor:
     n = chart.dimension
     if len(lame_coefficients) != n:
         raise ValueError("need one coefficient function per axis")
-    if chart.kind == "periodic-grid":
-        pts = chart.sample_points.reshape(chart.grid_shape + (n,))
-        jets = [grid_scalar_jet(np.asarray(f(pts), dtype=float), chart) for f in lame_coefficients]
-    else:
-        jets = [analytic_scalar_jet(f, chart.point[None, :], n, chart.step)
-                for f in lame_coefficients]
+    jets = [function_jet(f, chart) for f in lame_coefficients]
     H = np.stack([j[0] for j in jets], axis=-1)          # (S, n)
     dH = np.stack([j[1] for j in jets], axis=-2)         # (S, n, n): dH[:, i, a] = d_a H_i
     d2H = np.stack([j[2] for j in jets], axis=-3)        # (S, n, n, n)

@@ -6,10 +6,10 @@ Four first-order laws are integrated on the metric components:
 * ``riemann-induced``:   the unique velocity solving the pair-trace
                          contraction of dG/dt = -2 Riem(g), namely
                          (n-2) v + tr(v) g = g^{jl} (-2 R)_ijkl
-* ``riemann-type``:      dG/dt = alpha Riem + beta (d ln det g / dt) G,
-                         solved for the metric velocity; well posed unless
-                         beta = 2/n, where the contracted equation no longer
-                         fixes tr(v)
+* ``riemann-type``:      dG/dt = alpha Riem + beta tr_g(v) G, the general
+                         family at (beta, delta, trace) = (1, -alpha, -beta);
+                         degenerate at beta = 2/n, where the contracted
+                         equation no longer fixes tr_g(v)
 * ``general``:           the first-order member of the general family,
                          beta dG/dt + gamma G + delta Riem = 0
 
@@ -19,14 +19,14 @@ or a ``(name, params)`` pair, into a frozen :class:`Law` record once, at
 integrator entry, and rejects parameters the law does not take.  The record
 gives the rate (velocity or acceleration), ``Law.rate_at(field[, velocity])``
 at a field, and the equation residual, ``Law.residual``; one RK4 system
-steps flows and waves alike.
-``riemann-induced`` is the general family at (beta=1, delta=2) and
-``riemann-wave`` at (alpha=1, delta=2), so the general law reproduces them
-bit for bit.
+steps flows and waves alike.  Every law but the Ricci ones (which run at
+n = 2 too) is a row of the general family: ``riemann-induced`` at (beta=1,
+delta=2), ``riemann-wave`` at (alpha=1, delta=2), bit for bit.
 
 The RK4 state is the metric samples, and for a wave the velocity samples
-too, on both chart kinds; each rate is symmetrized, so a symmetric state
-stays exactly symmetric.  On periodic grids the evolution is a genuine
+too, on both chart kinds, and while the cross-check runs the pair product
+last; each rate is symmetrized, so a symmetric state stays exactly
+symmetric.  On periodic grids the evolution is a genuine
 method-of-lines PDE solve.  On analytic single-point charts the state is the
 metric ``g`` at the evaluation point ``x0``, and the spatial field is carried
 in the frozen frame of the initial metric, ``g_t(x) = M(x) g(t) M(x)^T`` with
@@ -101,20 +101,22 @@ def bisect(inside, lo, hi):
 # ---------------------------------------------------------------------------
 
 
-def solve_pair_trace(g, ginv, rhs4):
-    """Solve (v ^ g)_ijkl = rhs4 for the symmetric velocity v, with
-    ``rhs4`` given as its block on 2-forms.
+def solve_pair_trace(g, ginv, rhs4, coupling=1.0):
+    """Solve (v ^ g)_ijkl + t tr_g(v) G_ijkl = rhs4 for the symmetric
+    velocity v, with ``rhs4`` given as its block on 2-forms and the trace
+    term given by the contracted coupling ``c = 1 + t (n-1)``.
 
-    Contracting with ``g^{jl}`` gives ``(n-2) v + tr(v) g = W`` with
-    ``W = g^{jl} rhs4_ijkl``; the trace of that equation fixes ``tr v``.
+    Contracting with ``g^{jl}`` gives ``(n-2) v + c tr(v) g = W`` with
+    ``W = g^{jl} rhs4_ijkl``; the trace of that equation fixes ``tr v``
+    unless ``(n-2) + n c = 0``.
     """
     n = g.shape[-1]
     if n < 3:
         raise DimensionTooSmall("the pair-trace inversion needs n >= 3")
     W = pair_trace(ginv, rhs4)
     trW = np.einsum('...ik,...ik->...', ginv, W)
-    trv = trW / (2.0 * (n - 1))
-    return (W - trv[..., None, None] * g) / (n - 2)
+    trv = trW / ((n - 2) + n * coupling)
+    return (W - coupling * trv[..., None, None] * g) / (n - 2)
 
 
 def _combine(terms, like, lead=1.0):
@@ -135,23 +137,16 @@ def _combine(terms, like, lead=1.0):
     return total if lead == 1.0 else total / lead
 
 
-def _trace_coupling(beta, n):
-    """c and the tr(v) coefficient of the contracted riemann-type equation
-    (n-2) v + c tr(v) g = alpha Ric, c = 1 - beta (n-1); zero iff beta = 2/n."""
-    c = 1.0 - beta * (n - 1.0)
-    return c, (n - 2.0) + n * c
-
-
 @dataclass(frozen=True)
 class Law:
     """A resolved evolution law: its name, order (1 flow, 2 wave), kind and
     coefficients.
 
-    ``family``: alpha (a ^ g + 2 k (.) k) + beta (k ^ g) + gamma G
-    + delta Riem = 0, the G-level general family, solved for the acceleration
-    ``a`` (order 2) or the velocity ``k`` (order 1).  ``ricci``: the
-    metric-level alpha a + beta k + delta Ric = 0.  ``riemann-type``:
-    (k ^ g) = alpha Riem + beta tr(k) G.
+    ``family``: alpha (a ^ g + 2 k (.) k) + beta (k ^ g) + trace tr_g(k) G
+    + gamma G + delta Riem = 0, the G-level general family, solved for the
+    acceleration ``a`` (order 2) or the velocity ``k`` (order 1); only a
+    first-order law has a ``trace`` term.  ``ricci``: the metric-level
+    alpha a + beta k + delta Ric = 0, which also runs at n = 2.
     """
 
     name: str
@@ -161,17 +156,23 @@ class Law:
     beta: float = 0.0
     gamma: float = 0.0
     delta: float = 0.0
+    trace: float = 0.0
 
     @property
     def lead(self):
         """The coefficient of the highest time derivative."""
         return self.alpha if self.order == 2 else self.beta
 
+    def coupling(self, n):
+        """c in the contracted family equation (n-2) k + c tr_g(k) g = W,
+        1 + trace (n-1) / lead (see :func:`solve_pair_trace`)."""
+        return 1.0 + self.trace * (n - 1) / self.lead
+
     @property
     def pair_rate_factor(self):
-        """c in dG/dt = c Riem, for first-order family laws with gamma = 0;
-        ``None`` for the laws whose pair product has no such rate."""
-        if self.kind == "family" and self.order == 1 and self.gamma == 0.0:
+        """c in dG/dt = c Riem, for first-order family laws with
+        gamma = trace = 0; ``None`` for the other laws."""
+        if self.kind == "family" and self.order == 1 and self.gamma == self.trace == 0.0:
             return -(self.delta / self.beta)
         return None
 
@@ -182,18 +183,13 @@ class Law:
         if self.kind == "ricci":
             ric, _ = ricci_scalar_from_arrays(ginv, riem)
             return _combine([(-self.delta, lambda: ric)], ric, self.lead)
-        if self.kind == "riemann-type":
-            n = g.shape[-1]
-            S, scal = ricci_scalar_from_arrays(ginv, riem)
-            c, denom = _trace_coupling(self.beta, n)
-            trv = self.alpha * scal / denom
-            return (self.alpha * S - c * trv[..., None, None] * g) / (n - 2.0)
         terms = [(-self.gamma, lambda: pair_product_from_samples(g)),
                  (-self.delta, lambda: riem)]
         if self.order == 2:
             terms = [(-2.0 * self.alpha, lambda: pair_product_from_samples(k)),
                      (-self.beta, lambda: kn_product(k, g))] + terms
-        return solve_pair_trace(g, ginv, _combine(terms, riem, self.lead))
+        return solve_pair_trace(g, ginv, _combine(terms, riem, self.lead),
+                                self.coupling(g.shape[-1]))
 
     def rate_at(self, field, velocity=None):
         """:meth:`rate` at a field's samples and curvature."""
@@ -208,28 +204,28 @@ class Law:
             ric, _ = ricci_scalar_from_arrays(ginv, riem)
             total = kn_product(_combine([(self.lead, lambda: rate), (self.delta, lambda: ric)],
                                         ric), g)
-        elif self.kind == "riemann-type":
-            trv = np.einsum('...ik,...ik->...', ginv, rate)
-            G = pair_product_from_samples(g)
-            rhs = self.alpha * riem + self.beta * trv[..., None, None] * G
-            total = kn_product(rate, g) - rhs
         else:
             v = rate if self.order == 1 else k
             total = _combine([
                 (self.alpha, lambda: kn_product(rate, g) + 2.0 * pair_product_from_samples(k)),
                 (self.beta, lambda: kn_product(v, g)),
+                (self.trace, lambda: np.einsum('...ik,...ik->...', ginv, v)[..., None, None]
+                 * pair_product_from_samples(g)),
                 (self.gamma, lambda: pair_product_from_samples(g)),
                 (self.delta, lambda: riem)], riem)
         return float(np.abs(total).max())
 
 
-# (name, order) -> (kind, parameter names, defaults); a parameter without a
-# default is required, and defaults are functions of the dimension n
+# (name, order) -> (kind, parameter names, defaults[, to_family]); a parameter
+# without a default is required, defaults are functions of the dimension n,
+# and ``to_family`` maps the law's parameters to the family's coefficients
 _LAWS = {
     ("ricci", 1): ("ricci", (), lambda n: {"beta": 1.0, "delta": 2.0}),
     ("riemann-induced", 1): ("family", (), lambda n: {"beta": 1.0, "delta": 2.0}),
-    ("riemann-type", 1): ("riemann-type", ("alpha", "beta"),
-                          lambda n: {"alpha": -2.0 * (n - 2), "beta": 1.0 / (n - 1)}),
+    # (k ^ g) = alpha Riem + beta tr_g(k) G
+    ("riemann-type", 1): ("family", ("alpha", "beta"),
+                          lambda n: {"alpha": -2.0 * (n - 2), "beta": 1.0 / (n - 1)},
+                          lambda alpha, beta: {"beta": 1.0, "delta": -alpha, "trace": -beta}),
     ("general", 1): ("family", ("beta", "gamma", "delta"),
                      lambda n: {"gamma": 0.0, "delta": 0.0}),
     ("ricci-wave", 2): ("ricci", (), lambda n: {"alpha": 1.0, "delta": 2.0}),
@@ -248,7 +244,8 @@ def resolve_law(law, n, order):
     take, a missing required one or a non-numeric value;
     :class:`DimensionTooSmall` when a law that inverts the pair trace meets
     ``n < 3``; :class:`DegenerateCoefficients` when the leading coefficient
-    vanishes or riemann-type has ``beta = 2/n``.  A general wave with
+    vanishes or the contracted equation does not fix the trace of the
+    velocity (riemann-type at ``beta = 2/n``).  A general wave with
     ``alpha = 0`` resolves to the first-order flow.
     """
     if isinstance(law, Law):
@@ -258,7 +255,7 @@ def resolve_law(law, n, order):
     name, params = (law[0], dict(law[1] or {})) if isinstance(law, (tuple, list)) else (law, {})
     if (name, order) not in _LAWS:
         raise ValueError(f"unknown {('flow', 'wave')[order - 1]} law {name!r}")
-    kind, names, defaults = _LAWS[name, order]
+    kind, names, defaults, *to_family = _LAWS[name, order]
     if kind != "ricci" and n < 3:
         raise DimensionTooSmall(f"law {name!r} needs n >= 3")
     coeffs = defaults(n)
@@ -273,14 +270,18 @@ def resolve_law(law, n, order):
     missing = [key for key in names if key not in coeffs]
     if missing:
         raise ValueError(f"law {name!r} needs parameter {missing[0]!r}")
+    if to_family:
+        coeffs = to_family[0](**coeffs)
     if kind == "family":
         if order == 2 and coeffs["alpha"] == 0.0:
             order = 1
         if coeffs["alpha" if order == 2 else "beta"] == 0.0:
             raise DegenerateCoefficients(f"law {name!r} needs alpha != 0 or beta != 0")
-    if kind == "riemann-type" and abs(_trace_coupling(coeffs["beta"], n)[1]) < 1e-14:
-        raise DegenerateCoefficients(f"law {name!r} is degenerate at beta = 2/n = {2.0 / n:g}")
-    return Law(name, order, kind, **coeffs)
+    law = Law(name, order, kind, **coeffs)
+    if kind == "family" and abs((n - 2) + n * law.coupling(n)) < 1e-14:
+        raise DegenerateCoefficients(f"law {name!r} is degenerate: its contracted equation "
+                                     "does not fix the trace of the velocity")
+    return law
 
 
 # ---------------------------------------------------------------------------
@@ -383,21 +384,29 @@ def _frozen_frame_builder(field):
 
 class _RK4System:
     """RK4 state of a law: the metric samples and, for a wave, the velocity
-    samples, ``[g]`` or ``[g, k]``, on either chart kind.  Only the field of
-    a state depends on the chart: grid samples are differentiated on the
-    grid, and an analytic chart's sample through the frozen frame of
+    samples, ``[g]`` or ``[g, k]``, on either chart kind, and with
+    ``cross_check`` the pair product ``G = C_2(g)`` last, evolved directly
+    at the law's ``pair_rate_factor`` times Riem.  Only the field of a state
+    depends on the chart: grid samples are differentiated on the grid, and
+    an analytic chart's sample through the frozen frame of
     :func:`_frozen_frame_builder`.
     """
 
-    def __init__(self, field, law, velocity=None):
+    def __init__(self, field, law, velocity=None, cross_check=False):
         chart = self.chart = field.chart
         self.law = law
         self.wave = law.order == 2
+        self.pair_rate = law.pair_rate_factor if cross_check else None
+        if cross_check and self.pair_rate is None:
+            raise ValueError(f"cross_check_stride needs a first-order family law with "
+                             f"gamma = trace = 0, not {law.name!r}")
         self._last = None
         g = field.samples
         self.state0 = [g.copy()]
         if self.wave:
             self.state0.append(np.asarray(velocity, dtype=float).reshape(g.shape).copy())
+        if cross_check:
+            self.state0.append(pair_product_from_samples(g).copy())
         if chart.kind == "periodic-grid":
             # the builder holds the chart and the shape only, not the system
             shape = chart.grid_shape + g.shape[1:]
@@ -420,9 +429,13 @@ class _RK4System:
         when the state's metric is not positive definite."""
         fld = self.field_of(state)
         riem = riemann(fld).block
-        rate = self.law.rate(fld.samples, fld.inverse, state[1] if self.wave else None, riem)
+        k = state[1] if self.wave else None
+        rate = self.law.rate(fld.samples, fld.inverse, k, riem)
         rate = 0.5 * (rate + np.swapaxes(rate, -1, -2))
-        return state[1:] + [rate], riem, rate, fld.inverse
+        d = [rate] if k is None else [k, rate]
+        if self.pair_rate is not None:
+            d.append(self.pair_rate * riem)
+        return d, riem, rate, fld.inverse
 
 
 def integrate_flow(initial, law, dt, t_end, *, stride=10,
@@ -440,8 +453,8 @@ def integrate_flow(initial, law, dt, t_end, *, stride=10,
         :func:`resolve_law` for the parameters each law takes.
     dt, t_end : float
         Fixed step and horizon: the steps end at ``t0 + k dt`` and the last
-        one exactly at ``t_end`` (:func:`step_ends`).  A ``t_end`` not past
-        the start time takes no step.
+        one exactly at ``t_end`` (:func:`step_ends`).  A ``t_end`` at the
+        start time takes no step, and one before it raises ``ValueError``.
     stride : int
         Record every ``stride``-th step (the last step is always recorded).
     collapse_threshold : float
@@ -454,9 +467,10 @@ def integrate_flow(initial, law, dt, t_end, *, stride=10,
         Every so many records, also evolve the pair product directly, at
         dG/dt = -(delta/beta) Riem, and record how far the metric recovered
         from it is from the evolved one (``inf`` when the recovery fails).
-        Only first-order family laws with gamma = 0 (``riemann-induced`` and
-        such ``general`` laws) give the pair product that rate; any other law
-        raises ``ValueError``.
+        Only first-order family laws with gamma = 0 and no trace term
+        (``riemann-induced``, such ``general`` laws and ``riemann-type``
+        with beta = 0) give the pair product that rate; any other law raises
+        ``ValueError``.
     """
     return _rk4_evolve(initial, law, 1, None, dt, t_end, stride, collapse_threshold,
                        curvature_cap, cross_check_stride)
@@ -475,18 +489,14 @@ def _rk4_evolve(initial, law, order, velocity, dt, t_end, stride, collapse_thres
         t0, fld = 0.0, initial
     else:
         t0, fld, velocity = initial.t, initial.field, getattr(initial, "velocity", velocity)
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    _check_schedule(t0, t_end, dt)
     if stride < 1:
         raise ValueError("stride must be at least 1")
     fld.validate_spd()
     if order == 2 and velocity is None:
         velocity = np.zeros_like(fld.samples)
-    system = _RK4System(fld, resolve_law(law, fld.dimension, order), velocity)
-    pair_rate = system.law.pair_rate_factor
-    if cross_check_stride and pair_rate is None:
-        raise ValueError(f"cross_check_stride needs a first-order family law with gamma = 0; "
-                         f"law {system.law.name!r} gives the pair product no rate c Riem")
+    system = _RK4System(fld, resolve_law(law, fld.dimension, order), velocity,
+                        bool(cross_check_stride))
     state = system.state0
     g0 = state[0].copy()
     L0inv = _rel_eig_factors(g0)
@@ -498,10 +508,6 @@ def _rk4_evolve(initial, law, order, velocity, dt, t_end, stride, collapse_thres
                           "f_est", "min_rel_eig", "max_rel_eig", "sup_ric_norm",
                           "sup_riem_norm", "scalar_min", "scalar_max",
                           "eq_residual", "det_g_min", "cross_check_error")})
-
-    cross_G = None
-    if cross_check_stride:
-        cross_G = pair_product_from_samples(g0).copy()
 
     def record(t, state, rel):
         """Append a record of ``state``, whose relative eigenvalues are
@@ -528,9 +534,9 @@ def _rk4_evolve(initial, law, order, velocity, dt, t_end, stride, collapse_thres
         d["scalar_max"].append(float(scal.max()))
         d["eq_residual"].append(system.law.residual(g, ginv, k, rate, riem))
         d["det_g_min"].append(float(det.min()))
-        if cross_G is not None and (len(traj.times) - 1) % cross_check_stride == 0:
+        if cross_check_stride and (len(traj.times) - 1) % cross_check_stride == 0:
             try:
-                err = float(np.abs(recover_metric(cross_G, n) - g).max())
+                err = float(np.abs(recover_metric(state[-1], n) - g).max())
             except NotInImage:
                 err = math.inf
             d["cross_check_error"].append(err)
@@ -547,16 +553,15 @@ def _rk4_evolve(initial, law, order, velocity, dt, t_end, stride, collapse_thres
     termination = "t_end"
     ends = step_ends(t0, t_end, dt)
     for steps, t_next in enumerate(ends, 1):
-        ok, new_state, cross_new, first = _rk4_step(system, state, t_next - t, cross_G,
-                                                    pair_rate, first)
-        if not ok:
+        new_state, first = _rk4_step(system, state, t_next - t, first)
+        if new_state is None:
             # bisect the failed step's end time, up to the first state below
             # the threshold, which is a collapse and is not recorded
             def inside(T):
-                passed, new, _, _ = _rk4_step(system, state, T - t, None, None, first)
-                if passed and _relative_eigenvalues(new[0], L0inv).min() < collapse_threshold:
+                new = _rk4_step(system, state, T - t, first)[0]
+                if new and _relative_eigenvalues(new[0], L0inv).min() < collapse_threshold:
                     raise _Collapsed
-                return passed
+                return bool(new)
             try:
                 bisect(inside, t, t_next)
             except _Collapsed:
@@ -566,7 +571,6 @@ def _rk4_evolve(initial, law, order, velocity, dt, t_end, stride, collapse_thres
                                "collapse threshold")
         state = new_state
         first = None
-        cross_G = cross_new
         t = t_next
         rel = _relative_eigenvalues(state[0], L0inv)
         min_rel = float(rel.min())
@@ -586,47 +590,40 @@ def _rk4_evolve(initial, law, order, velocity, dt, t_end, stride, collapse_thres
     return traj
 
 
-def _rk4_step(system, state, dt, cross_G, pair_rate, first=None):
+def _rk4_step(system, state, dt, first=None):
     """One classical RK4 step with a positivity guard on every stage.
 
     Each stage's positivity check is the one its rhs makes (a stage that
     raises :class:`NotPositiveDefinite` fails the step); the new state's
     field makes the same check, :meth:`MetricField.validate_spd`.
-    ``first`` is ``system.rhs(state)`` when already known.  Returns (ok,
-    new state, new pair product, ``first``), the last ``None`` when
-    computing it failed.  The pair product ``cross_G`` advances at
-    ``pair_rate`` Riem, with the stage curvatures summed as they come, and
-    only while it runs.
+    ``first`` is ``system.rhs(state)`` when already known.  Returns (new
+    state, ``first``): the state is ``None`` when the step fails, and
+    ``first`` is ``None`` when computing it failed.
     """
-    riem_sum = None
-
-    def stage(rhs, weight):
-        """The stage's rate; its curvature joins ``riem_sum`` with ``weight``."""
-        nonlocal riem_sum
-        if cross_G is not None:
-            r = rhs[1] if weight == 1.0 else weight * rhs[1]
-            riem_sum = r if riem_sum is None else riem_sum + r
-        return rhs[0]
-
     try:
         if first is None:
             first = system.rhs(state)
-        k1 = stage(first, 1.0)
-        k2 = stage(system.rhs([y + 0.5 * dt * k for y, k in zip(state, k1)]), 2.0)
-        k3 = stage(system.rhs([y + 0.5 * dt * k for y, k in zip(state, k2)]), 2.0)
-        k4 = stage(system.rhs([y + dt * k for y, k in zip(state, k3)]), 1.0)
+        k1 = first[0]
+        k2 = system.rhs([y + 0.5 * dt * k for y, k in zip(state, k1)])[0]
+        k3 = system.rhs([y + 0.5 * dt * k for y, k in zip(state, k2)])[0]
+        k4 = system.rhs([y + dt * k for y, k in zip(state, k3)])[0]
         new = [y + dt / 6.0 * (a + 2.0 * b + 2.0 * c + d)
                for y, a, b, c, d in zip(state, k1, k2, k3, k4)]
         system.field_of(new).validate_spd()
     except (np.linalg.LinAlgError, FloatingPointError, NotPositiveDefinite):
-        return False, None, None, first
+        return None, first
     if not all(np.all(np.isfinite(a)) for a in new):
-        return False, None, None, first
-    cross_new = cross_G
-    if cross_G is not None:
-        # pair product evolved directly with the same stage curvatures
-        cross_new = cross_G + dt / 6.0 * pair_rate * riem_sum
-    return True, new, cross_new, first
+        return None, first
+    return new, first
+
+
+def _check_schedule(t0, t_end, dt):
+    """Refuse a step ``dt`` that is not positive or a ``t_end`` before the
+    start time ``t0`` with ``ValueError``."""
+    if dt <= 0:
+        raise ValueError("dt must be positive")
+    if t_end < t0:
+        raise ValueError(f"t_end = {t_end:g} is before the start time t = {t0:g}")
 
 
 # ---------------------------------------------------------------------------

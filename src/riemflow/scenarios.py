@@ -276,7 +276,7 @@ def _family_discrepancies(cfg, family, law):
                 "note": "finite collapse horizon 1/factor versus the commonly "
                         "stated 1/(n-1)",
             })
-    if law.kind == "riemann-type":
+    if law.name == "riemann-type":
         n = cfg.dimension
         notes.append({
             "id": "scaled-flow-alpha-sign",
@@ -364,9 +364,6 @@ def run_scenario(cfg: ScenarioConfig):
         summary["residuals"] = {"equation_max": float(np.nanmax(resid)),
                                 "equation_max_relative": float(np.nanmax(
                                     resid[curved] / riem[curved])) if curved.any() else None}
-        cc = traj.diagnostic("cross_check_error")
-        if np.any(np.isfinite(cc)):
-            summary["residuals"]["cross_check_max"] = float(np.nanmax(cc))
         summary["T_est_uncertainty"] = None
         if traj.termination in ("collapse", "curvature_cap"):
             exit_code = 2

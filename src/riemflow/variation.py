@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .charts import MetricField, analytic_scalar_jet, grid_scalar_jet
+from .charts import MetricField, function_jet, grid_scalar_jet
 from .curvature import (
     CurvatureTensor,
     christoffel_from_jets,
@@ -25,7 +25,7 @@ from .curvature import (
     tensor_norm,
 )
 from .errors import StepRejected
-from .flow import _rk4_step, _RK4System, resolve_law, step_ends
+from .flow import _check_schedule, _rk4_step, _RK4System, resolve_law, step_ends
 
 # the imaginary step: far below roundoff of g, so Im F(g + i STEP h) / STEP is
 # F's derivative along h to roundoff, and far above underflow
@@ -119,17 +119,12 @@ def _jets(field, func_or_samples, tail, what):
     """2-jets of a scalar (``tail = ()``) or covector (``tail = (n,)``) field
     given as samples (grid charts) or a callable."""
     chart = field.chart
-    n = field.dimension
-    if chart.kind == "periodic-grid":
-        if callable(func_or_samples):
-            pts = chart.sample_points.reshape(chart.grid_shape + (n,))
-            vals = np.asarray(func_or_samples(pts), dtype=float)
-        else:
-            vals = np.asarray(func_or_samples, dtype=float).reshape(chart.grid_shape + tail)
-        return grid_scalar_jet(vals, chart)
-    if not callable(func_or_samples):
+    if callable(func_or_samples):
+        return function_jet(func_or_samples, chart)
+    if chart.kind != "periodic-grid":
         raise TypeError(f"analytic charts need the {what} as a callable")
-    return analytic_scalar_jet(func_or_samples, chart.point[None, :], n, chart.step)
+    vals = np.asarray(func_or_samples, dtype=float).reshape(chart.grid_shape + tail)
+    return grid_scalar_jet(vals, chart)
 
 
 def soliton_residual(field, data: SolitonData, gradient=True):
@@ -181,17 +176,19 @@ def integrate_linearized_flow(field, h, which, dt, t_end):
     imaginary part is STEP times the linearized stage, so ``Im g(t_end) /
     STEP`` is the RK4 deformation ``h(t_end)``, which is returned.  It
     takes the steps of :func:`riemflow.flow.integrate_flow` at the same
-    ``dt`` and ``t_end``.  Grid charts only.  Used by the two-run tangency
-    checks.
+    ``dt`` and ``t_end`` and refuses the same ones, ``dt <= 0`` and
+    ``t_end < 0``, with ``ValueError``.  Grid charts only.  Used by the
+    two-run tangency checks.
     """
     if field.chart.kind != "periodic-grid":
         raise ValueError("the coupled linearized integration runs on grid charts")
+    _check_schedule(0.0, t_end, dt)
     system = _RK4System(_perturbed_field(field, h, 1j * STEP),
                         resolve_law(which, field.dimension, 1))
     state, t = system.state0, 0.0
     for t_next in step_ends(0.0, t_end, dt):
-        ok, state, _, _ = _rk4_step(system, state, t_next - t, None, None)
-        if not ok:
+        state, _ = _rk4_step(system, state, t_next - t)
+        if state is None:
             raise StepRejected(f"the RK4 step at t={t:.6g} fails its positivity or finiteness check")
         t = t_next
     return state[0].imag / STEP

@@ -12,6 +12,7 @@ from riemflow.charts import (
     MetricField,
     analytic_scalar_jet,
     analytic_stencil,
+    function_jet,
     grid_scalar_jet,
     require_spd,
     spd_inverse,
@@ -292,6 +293,22 @@ def test_symmetric_component_jets_equal_full_jets(n):
     assert [a.shape for a in got] == [a.shape for a in want]
     for a, b in zip(got, want):
         assert np.array_equal(a, b)
+
+
+def test_function_jet_is_the_chart_kind_s_jet():
+    # a callable's jet is the grid stencil over a grid chart's points and the
+    # Richardson stencil at an analytic chart's point, bit for bit
+    def f(x):
+        x = np.asarray(x)
+        return np.stack([np.sin(x[..., 0]) * np.cos(2.0 * x[..., 1]), np.cos(x[..., 2])], axis=-1)
+
+    grid = GridChart(3, 8, 2.0 * np.pi)
+    values = f(grid.sample_points.reshape(grid.grid_shape + (3,)))
+    point = AnalyticChart(3, [0.1, -0.2, 0.3], 0.02)
+    for got, want in ((function_jet(f, grid), grid_scalar_jet(values, grid)),
+                      (function_jet(f, point), analytic_scalar_jet(f, point.point, 3, 0.02))):
+        assert [a.shape for a in got] == [a.shape for a in want]
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,13 @@ from riemflow.charts import (
     analytic_stencil,
     richardson_jet,
 )
-from riemflow.curvature import riemann, weyl
+from riemflow.curvature import (
+    kn_product,
+    pair_product_from_samples,
+    ricci_and_scalar,
+    riemann,
+    weyl,
+)
 from riemflow.errors import (
     DimensionTooSmall,
     EmptyTrajectory,
@@ -111,6 +117,32 @@ def test_scaled_flow_alpha_sign():
 
     assert mismatch(-2.0 * (n - 2)) < 1e-12
     assert mismatch(2.0 * (n - 2)) > 1e-2
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_riemann_type_rate_matches_its_closed_form(n):
+    # (v ^ g) = alpha Riem + beta tr(v) G contracts to
+    # (n-2) v + c tr(v) g = alpha Ric with c = 1 - beta (n-1), whose trace
+    # gives tr(v) = alpha R / ((n-2) + n c); at n = 3 the contraction loses
+    # nothing, so v solves the equation itself
+    alpha, beta = 0.7, 0.3
+    fld, _ = torus_field(n, amplitude=0.08)
+    g, ginv = fld.samples, fld.inverse
+    riem = riemann(fld)
+    ric, scal = ricci_and_scalar(fld, riem)
+    c = 1.0 - beta * (n - 1)
+    trv = alpha * scal / ((n - 2) + n * c)
+    want = (alpha * ric - c * trv[:, None, None] * g) / (n - 2)
+    assert np.abs(scal).max() > 1e-2
+    law = resolve_law(("riemann-type", {"alpha": alpha, "beta": beta}), n, 1)
+    got = law.rate_at(fld)
+    assert np.abs(got - want).max() < 1e-13 * np.abs(want).max()
+    if n == 3:
+        trace = np.einsum('sik,sik->s', ginv, got)
+        left = kn_product(got, g) - alpha * riem.block \
+            - beta * trace[:, None, None] * pair_product_from_samples(g)
+        assert np.abs(left).max() < 1e-13
+        assert law.residual(g, ginv, None, got, riem.block) < 1e-13
 
 
 def test_riemann_type_integration_matches_ricci_flow():
@@ -261,6 +293,23 @@ def test_curvature_cap_termination():
     assert traj.times[-1] < 1.0
     report = monitor_blow_up(traj)
     assert abs(report.T_est - 1.0) < 1e-2
+
+
+def test_a_t_end_before_the_start_is_refused():
+    # like dt <= 0: a run never reports a horizon it did not reach; a t_end
+    # at the start is reached with no step
+    from riemflow.flow import FlowState
+    from riemflow.wave import WaveState
+    fld, _ = flat_grid_field(3)
+    for run in (lambda: integrate_flow(FlowState(t=0.5, field=fld), "ricci", 0.1, 0.2),
+                lambda: integrate_wave(WaveState(t=0.5, field=fld,
+                                                 velocity=np.zeros_like(fld.samples)),
+                                       "riemann-wave", 0.1, 0.2),
+                lambda: integrate_flow(fld, "riemann-induced", 0.1, -1.0)):
+        with pytest.raises(ValueError, match="t_end"):
+            run()
+    traj = integrate_flow(FlowState(t=0.5, field=fld), "ricci", 0.1, 0.5)
+    assert traj.times == [0.5] and traj.termination == "t_end"
 
 
 def test_integrate_accepts_flow_state():
@@ -415,8 +464,8 @@ def test_non_finite_stage_fails_the_step(make, stage):
     fld, _ = make(3)
     system = flow._RK4System(fld, resolve_law("riemann-induced", 3, 1))
     with np.errstate(invalid="ignore"):
-        ok, new, cross, first = flow._rk4_step(system, system.state0, stage, None, None)
-    assert not ok and new is None and cross is None
+        new, first = flow._rk4_step(system, system.state0, stage)
+    assert new is None
     assert first is not None
 
 
@@ -535,7 +584,7 @@ def test_failed_first_stage_is_a_failed_step():
         def rhs(self, state):
             raise np.linalg.LinAlgError("singular")
 
-    assert flow._rk4_step(Failing(), [np.eye(3)], 1e-3, None, None) == (False, None, None, None)
+    assert flow._rk4_step(Failing(), [np.eye(3)], 1e-3) == (None, None)
 
 
 def test_failed_step_near_the_cone_boundary_is_a_collapse():
@@ -554,7 +603,7 @@ def test_failed_step_near_the_cone_boundary_is_a_collapse():
                 raise NotPositiveDefinite(0, -1.0)
             return [np.zeros_like(state[0])], None, None, None
 
-    assert flow._rk4_step(Stage(), [np.eye(3)], 1e-3, None, None)[0] is False
+    assert flow._rk4_step(Stage(), [np.eye(3)], 1e-3)[0] is None
     fld, _ = hyperbolic_field(3)
     traj = integrate_flow(fld, "riemann-induced", 1.5, 1.2, stride=1)
     assert traj.termination == "collapse"
@@ -624,6 +673,21 @@ def test_cross_check_refused_for_laws_without_a_pair_rate():
     for law in ("riemann-wave", "ricci-wave", ("general", {"alpha": 1.0, "delta": 2.0})):
         with pytest.raises(ValueError, match="cross_check_stride"):
             integrate_wave(fld, law, 1e-3, 0.5, cross_check_stride=5)
+
+
+def test_riemann_type_without_trace_term_is_cross_checked():
+    # at beta = 0 riemann-type is dG/dt = alpha Riem, so its pair product
+    # may be evolved directly; at alpha = -2 it is riemann-induced
+    fld, _ = hyperbolic_field(3)
+    traj = integrate_flow(fld, ("riemann-type", {"alpha": -1.5, "beta": 0.0}), 1e-3, 0.3,
+                          stride=10, cross_check_stride=2)
+    cc = traj.diagnostic("cross_check_error")
+    assert np.isfinite(cc).sum() >= 10
+    assert np.nanmax(cc) < 1e-8
+    induced = integrate_flow(fld, "riemann-induced", 1e-3, 0.3, stride=10)
+    same = integrate_flow(fld, ("riemann-type", {"alpha": -2.0, "beta": 0.0}), 1e-3, 0.3,
+                          stride=10)
+    assert np.array_equal(same.states, induced.states)
 
 
 def test_cross_check_uses_the_law_rate():

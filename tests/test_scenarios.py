@@ -6,11 +6,18 @@ import numpy as np
 import pytest
 
 from conftest import UNIT_COLLAPSE_TIME, flat_grid_field
+from riemflow import cli
 from riemflow.cli import main as cli_main
 from riemflow.errors import DegenerateCoefficients, ParseError, SchemaError, UnknownFamily
 from riemflow.families import _SAFE_FUNCS, make_family
 from riemflow.flow import integrate_flow
-from riemflow.scenarios import CSV_COLUMNS, config_from_dict, load_config, run_scenario
+from riemflow.scenarios import (
+    CSV_COLUMNS,
+    _build_chart,
+    config_from_dict,
+    load_config,
+    run_scenario,
+)
 from riemflow.wave import integrate_wave
 
 
@@ -339,6 +346,22 @@ def test_cli_soliton_subcommand(capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["classification"] == "shrinking"
     assert out["max_residual_norm"] < 1e-6
+
+
+@pytest.mark.parametrize("chart_args", [["--grid", "8"],
+                                        ["--point", "0.1", "0.2", "0.0", "--step", "0.02"]])
+def test_cli_field_and_scenario_share_the_chart(chart_args):
+    # a one-shot report samples the chart that a run of the same arguments
+    # integrates on: both build it from one chart spec
+    args = cli.build_parser().parse_args(["flow", "--family", "conformal-torus", "--id", "x",
+                                          *chart_args])
+    family, fld = cli._build_field(args)
+    chart = _build_chart(cli._scenario_from_args(args, args.law).chart_spec, family)
+    assert type(fld.chart) is type(chart)
+    for key, value in vars(chart).items():
+        assert np.array_equal(getattr(fld.chart, key), value)
+    if chart.kind == "periodic-grid":
+        assert chart.lengths == family.periods
 
 
 def test_cli_linearize_subcommand(capsys):

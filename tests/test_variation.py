@@ -227,6 +227,15 @@ def test_two_run_tangency_central_order(which, rng):
     assert np.log2(errs[0] / errs[1]) > 1.7
 
 
+def test_linearized_flow_refuses_the_flow_s_bad_schedules(rng):
+    # a t_end before the start and a dt that is not positive, as the flow does
+    fld, _ = torus_field(3, points=8, amplitude=0.05)
+    h = _sym_perturbation(fld.samples.shape, rng)
+    for dt, t_end, message in ((0.01, -1.0, "t_end"), (0.0, 0.1, "dt")):
+        with pytest.raises(ValueError, match=message):
+            integrate_linearized_flow(fld, h, "ricci", dt, t_end)
+
+
 def test_linearized_flow_takes_the_flow_steps(monkeypatch, rng):
     # both runs step on one schedule: 0.07 / 0.01 is 7.000000000000001
     lengths = {flow: [], variation: []}
