@@ -5,11 +5,12 @@ evolution law, integrator settings and output paths.  A document is checked
 when it is loaded, before any run starts: unknown keys, parameters the law
 or the family does not take or cannot use, a fraction where a whole number
 is needed (``dimension``, ``stride``, ``points_per_axis``, ``mode``,
-``points``), a chart that cannot be built and grid ``lengths`` other than a
-conformal torus's periods are refused with :class:`SchemaError`.  A grid
-chart without ``lengths`` takes the family's.  Runs write a
-time-series CSV plus a JSON summary; with a fixed seed the CSV bytes are
-reproducible on one platform.
+``points``), a chart that cannot be built, grid ``lengths`` other than a
+conformal torus's periods, and a conformal wave of fewer than 3 ``points``
+or a ``length`` that is not positive and finite are refused with
+:class:`SchemaError`.  A grid chart without ``lengths`` takes the family's.
+Runs write a time-series CSV plus a JSON summary; with a fixed seed the CSV
+bytes are reproducible on one platform.
 
 Flow/wave CSV columns:
 ``t, f_est, min_rel_eig, max_rel_eig, sup_ric_norm, sup_riem_norm,
@@ -130,10 +131,7 @@ def config_from_dict(raw, default_id="scenario"):
     # its own family, whose random phases come from the scenario seed
     metric_family = make_family(family_name, dimension, family_params,
                                 np.random.default_rng(0))
-    try:
-        _build_chart(chart, metric_family)
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"bad chart: {exc}", key="chart") from None
+    _build_chart(chart, metric_family)
 
     law = raw.get("law")
     if isinstance(law, str):
@@ -209,7 +207,15 @@ def _build_chart(spec, family):
     """The chart of ``spec`` for a :class:`~riemflow.families.MetricFamily`.
     A grid chart's periods default to the family's ``default_lengths``, and
     a family with fixed ``periods`` refuses others (``SchemaError`` on
-    ``lengths``)."""
+    ``lengths``).  A spec the chart classes refuse raises ``SchemaError``
+    on ``chart``, for scenarios and the CLI alike."""
+    try:
+        return _chart_of(spec, family)
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"bad chart: {exc}", key="chart") from None
+
+
+def _chart_of(spec, family):
     dimension = family.dimension
     kind = spec.get("kind")
     if kind is None:
@@ -388,7 +394,9 @@ def _other_law_params(law_name, law_params):
     """The parameters of a scale-ode or conformal-wave scenario over their
     defaults in :data:`OTHER_LAWS`, each converted to its default's type;
     :class:`SchemaError` for a name without a default, a value that does
-    not convert or a fraction where the default is a whole number."""
+    not convert, a fraction where the default is a whole number, and for
+    a conformal wave of fewer than 3 points or a length that is not
+    positive and finite."""
     defaults = OTHER_LAWS[law_name]
     extra = set(law_params) - set(defaults)
     if extra:
@@ -403,8 +411,13 @@ def _other_law_params(law_name, law_params):
             except (TypeError, ValueError):
                 raise SchemaError(f"{law_name} parameter must be a number",
                                   key=key) from None
-    if law_name == "conformal-wave" and params["velocity"] not in _VELOCITIES:
-        raise SchemaError("velocity must be 'zero' or 'right-mover'", key="velocity")
+    if law_name == "conformal-wave":
+        if params["velocity"] not in _VELOCITIES:
+            raise SchemaError("velocity must be 'zero' or 'right-mover'", key="velocity")
+        if params["points"] < 3:
+            raise SchemaError("conformal-wave needs at least 3 points", key="points")
+        if not 0.0 < params["length"] < math.inf:
+            raise SchemaError("length must be positive and finite", key="length")
     return params
 
 

@@ -159,13 +159,18 @@ class ConformalWaveResult:
 def conformally_flat_wave_solve(u0, u1, dt, t_end, length=None, stride=1):
     """Leapfrog solve of  u_t^2 + u_x^2 + u (u_tt - u_xx) = 0  on a circle.
 
-    ``u0`` and ``u1`` sample the initial factor and its rate on a uniform
-    periodic grid.  The time-centred velocity makes the update quadratic in
-    the new level; the root continuous with the linear update is taken.
-    The run takes ``t_end / dt`` steps and ends exactly at ``t_end``, so
-    ``dt`` must divide ``t_end`` (to 1e-9 of a step); otherwise
-    :class:`ValueError` is raised.  Raises :class:`CFLViolated` when
-    ``dt > 0.5 dx`` and :class:`PositivityLost` when the factor reaches
+    ``u0`` and ``u1`` are 1-D arrays of one shape, at least 3 finite
+    points, sampling the initial factor and its rate on a uniform periodic
+    grid of period ``length`` (a positive number, default the point count).
+    The centred stencils read their periodic neighbours from one ghost-cell
+    buffer, the field with its last point copied before it and its first
+    after.  The time-centred velocity makes the update quadratic in the
+    new level; the root continuous with the linear update is taken.  A
+    step allocates no array of the grid's size.  The run takes
+    ``t_end / dt`` steps and ends exactly at ``t_end``, so ``dt`` must
+    divide ``t_end`` (to 1e-9 of a step).  Inputs outside these terms raise
+    :class:`ValueError`.  Raises :class:`CFLViolated` when ``dt > 0.5 dx``
+    and :class:`PositivityLost` when the factor reaches
     ``POSITIVITY_FLOOR``.
     """
     if dt <= 0:
@@ -175,40 +180,69 @@ def conformally_flat_wave_solve(u0, u1, dt, t_end, length=None, stride=1):
     nsteps = round(t_end / dt)
     if nsteps < 1 or abs(t_end / dt - nsteps) > 1e-9:
         raise ValueError(f"dt={dt!r} does not divide t_end={t_end!r} into whole steps")
-    u_prev = np.asarray(u0, dtype=float).copy()
-    rate0 = np.asarray(u1, dtype=float).copy()
+    u_prev = np.array(u0, dtype=float)
+    rate0 = np.array(u1, dtype=float)
+    if u_prev.ndim != 1 or len(u_prev) < 3:
+        raise ValueError(f"u0 must be a 1-D array of at least 3 points, got shape "
+                         f"{u_prev.shape}")
+    if rate0.shape != u_prev.shape:
+        raise ValueError(f"u1 has shape {rate0.shape}, u0 has shape {u_prev.shape}")
+    if not (np.isfinite(u_prev).all() and np.isfinite(rate0).all()):
+        raise ValueError("u0 and u1 must be finite")
     N = len(u_prev)
     if length is None:
         length = float(N)
+    if not 0.0 < length < math.inf:
+        raise ValueError(f"length must be positive and finite, got {length!r}")
     dx = length / N
     if dt > 0.5 * dx:
         raise CFLViolated(f"dt={dt:.3e} exceeds 0.5*dx={0.5 * dx:.3e}")
     if np.min(u_prev) <= POSITIVITY_FLOOR:
         raise PositivityLost(0.0, int(np.argmin(u_prev)), float(np.min(u_prev)))
 
-    def lap(u):
-        return (np.roll(u, -1) + np.roll(u, 1) - 2.0 * u) / (dx * dx)
+    # work arrays: ghost[2:] and ghost[:-2] are the right and left neighbours
+    ghost = np.empty(N + 2)
+    right, left = ghost[2:], ghost[:-2]
+    two_u, lap, g2, c = (np.empty(N) for _ in range(4))
 
-    def grad(u):
-        return (np.roll(u, -1) - np.roll(u, 1)) / (2.0 * dx)
-
-    def accel(u, ut):
-        return lap(u) - (ut * ut + grad(u) ** 2) / u
+    def stencil(u):
+        # two_u = 2u, lap = u_xx and g2 = u_x^2 by centred differences
+        ghost[1:-1] = u
+        ghost[0], ghost[-1] = u[-1], u[0]
+        np.multiply(u, 2.0, out=two_u)
+        np.add(right, left, out=lap)
+        np.subtract(lap, two_u, out=lap)
+        np.divide(lap, dx * dx, out=lap)
+        np.subtract(right, left, out=g2)
+        np.divide(g2, 2.0 * dx, out=g2)
+        np.square(g2, out=g2)
 
     # second-order bootstrap for the first level
-    u_cur = u_prev + dt * rate0 + 0.5 * dt * dt * accel(u_prev, rate0)
+    stencil(u_prev)
+    u_cur = u_prev + dt * rate0 + 0.5 * dt * dt * (lap - (rate0 * rate0 + g2) / u_prev)
     times = [0.0, dt]
     history = [u_prev.copy(), u_cur.copy()]
 
     t = dt
     for step_index in range(nsteps - 1):
-        # centred update: solve  B^2/(4u) + B + C = 0  for B = u_new - u_prev
-        C = 2.0 * u_prev - 2.0 * u_cur - dt * dt * (lap(u_cur) - grad(u_cur) ** 2 / u_cur)
-        disc = 1.0 - C / u_cur
+        # centred update: solve  B^2/(4u) + B + C = 0  for B = u_new - u_prev,
+        # C = 2 u_prev - 2 u - dt^2 (u_xx - u_x^2 / u); disc = 1 - C / u
+        stencil(u_cur)
+        g2 /= u_cur
+        lap -= g2
+        lap *= dt * dt
+        np.multiply(u_prev, 2.0, out=c)
+        c -= two_u
+        c -= lap
+        c /= u_cur
+        disc = np.subtract(1.0, c, out=c)
         if np.min(disc) <= 0.0:
             raise PositivityLost(t, int(np.argmin(disc)), float(np.min(u_cur)))
-        B = 2.0 * u_cur * (np.sqrt(disc) - 1.0)
-        u_new = u_prev + B
+        # B = 2u (sqrt(disc) - 1); the new level takes the retiring one's buffer
+        B = np.sqrt(disc, out=c)
+        B -= 1.0
+        B *= two_u
+        u_new = np.add(u_prev, B, out=u_prev)
         if np.min(u_new) <= POSITIVITY_FLOOR:
             raise PositivityLost(t + dt, int(np.argmin(u_new)), float(np.min(u_new)))
         u_prev, u_cur = u_cur, u_new
@@ -218,4 +252,3 @@ def conformally_flat_wave_solve(u0, u1, dt, t_end, length=None, stride=1):
             history.append(u_cur.copy())
     return ConformalWaveResult(times=np.asarray(times), u=np.asarray(history),
                                length=length)
-

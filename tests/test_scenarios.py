@@ -306,6 +306,20 @@ def test_cli_curvature_subcommand(capsys):
     assert abs(out["scalar_range"][0] + 6.0) < 1e-5
 
 
+@pytest.mark.parametrize("argv", [
+    ["curvature", "--family", "flat", "--grid", "4"],
+    ["soliton", "--family", "flat", "--grid", "4"],
+    ["linearize", "--grid", "4"],
+], ids=["curvature", "soliton", "linearize"])
+def test_cli_field_commands_refuse_a_bad_chart(argv, capsys):
+    # the same SchemaError as a scenario's chart, printed without a traceback
+    assert cli_main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: bad chart: grid charts need at least 8 points "
+                            "per axis (key: 'chart')\n")
+
+
 def test_cli_identity_check(capsys):
     assert cli_main(["identity-check", "-n", "3", "--count", "3"]) == 0
     out = json.loads(capsys.readouterr().out)
@@ -501,10 +515,16 @@ def test_cli_run_refuses_a_dunder_expression(tmp_path, capsys):
     ({"law": {"name": "scale-ode", "lamda": 1.0}}, "lamda"),
     ({"law": {"name": "scale-ode", "lam": "one"}}, "lam"),
     ({"law": {"name": "conformal-wave", "velocity": "left-mover"}}, "velocity"),
+    ({"law": {"name": "conformal-wave", "points": 0}}, "points"),
+    ({"law": {"name": "conformal-wave", "points": 2}}, "points"),
+    ({"law": {"name": "conformal-wave", "length": -1.0}}, "length"),
+    ({"law": {"name": "conformal-wave", "length": 0}}, "length"),
     ({"tolerances": {"identity": 1e-12}}, "tolerances"),
 ], ids=["grid-points", "family-parameter", "lame-table-length", "torus-phases",
         "scale-ode-parameter",
-        "scale-ode-value", "conformal-velocity", "tolerances"])
+        "scale-ode-value", "conformal-velocity", "conformal-no-points",
+        "conformal-two-points", "conformal-negative-length", "conformal-zero-length",
+        "tolerances"])
 def test_config_errors_are_refused_at_load(tmp_path, overrides, key):
     with pytest.raises(SchemaError) as err:
         config_from_dict(_base_cfg(tmp_path, **overrides))

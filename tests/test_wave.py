@@ -368,3 +368,103 @@ def test_conformal_wave_positivity_lost():
     u1 = np.full(N, -10.0)  # crushes the factor within a step or two
     with pytest.raises(PositivityLost):
         conformally_flat_wave_solve(u0, u1, 0.1 / N, 1.0, length=1.0)
+
+
+def _roll_stepper(u0, u1, dt, t_end, length, stride):
+    # the np.roll leapfrog the ghost-cell solver replaced, as an oracle:
+    # records and PositivityLost arguments must match it bit for bit
+    u_prev = np.asarray(u0, dtype=float).copy()
+    rate0 = np.asarray(u1, dtype=float).copy()
+    nsteps = round(t_end / dt)
+    dx = length / len(u_prev)
+
+    def lap(u):
+        return (np.roll(u, -1) + np.roll(u, 1) - 2.0 * u) / (dx * dx)
+
+    def grad(u):
+        return (np.roll(u, -1) - np.roll(u, 1)) / (2.0 * dx)
+
+    u_cur = u_prev + dt * rate0 + 0.5 * dt * dt * (
+        lap(u_prev) - (rate0 * rate0 + grad(u_prev) ** 2) / u_prev)
+    times, history = [0.0, dt], [u_prev.copy(), u_cur.copy()]
+    t = dt
+    for step_index in range(nsteps - 1):
+        C = 2.0 * u_prev - 2.0 * u_cur - dt * dt * (lap(u_cur) - grad(u_cur) ** 2 / u_cur)
+        disc = 1.0 - C / u_cur
+        if np.min(disc) <= 0.0:
+            raise PositivityLost(t, int(np.argmin(disc)), float(np.min(u_cur)))
+        u_new = u_prev + 2.0 * u_cur * (np.sqrt(disc) - 1.0)
+        if np.min(u_new) <= 1e-8:
+            raise PositivityLost(t + dt, int(np.argmin(u_new)), float(np.min(u_new)))
+        u_prev, u_cur = u_cur, u_new
+        t = (step_index + 2) * dt
+        if (step_index + 1) % stride == 0 or step_index == nsteps - 2:
+            times.append(t)
+            history.append(u_cur.copy())
+    return np.asarray(times), np.asarray(history)
+
+
+def _sine_data(N, L, amplitude, velocity):
+    k = 2.0 * np.pi / L
+    x = np.arange(N) * (L / N)
+    u0 = 1.0 + amplitude * np.sin(k * x)
+    u1 = np.zeros(N) if velocity == "zero" else -amplitude * k * np.cos(k * x)
+    return u0, u1
+
+
+@pytest.mark.parametrize("stride", [1, 7, 256])
+@pytest.mark.parametrize("velocity", ["zero", "right-mover"])
+def test_conformal_wave_matches_the_roll_stepper_bitwise(velocity, stride):
+    N, L = 128, 1.0
+    u0, u1 = _sine_data(N, L, 0.05, velocity)
+    dt = 0.25 * L / N
+    t_end = 600 * dt
+    res = conformally_flat_wave_solve(u0, u1, dt, t_end, length=L, stride=stride)
+    times, history = _roll_stepper(u0, u1, dt, t_end, L, stride)
+    assert np.array_equal(res.times, times)
+    assert np.array_equal(res.u, history)
+
+
+def test_conformal_wave_loses_positivity_where_the_roll_stepper_does():
+    N, L = 2048, 1.0
+    u0, u1 = _sine_data(N, L, 0.2, "right-mover")
+    dt = 0.5 * L / N
+    with pytest.raises(PositivityLost) as oracle:
+        _roll_stepper(u0, u1, dt, 1.0, L, 1)
+    with pytest.raises(PositivityLost) as err:
+        conformally_flat_wave_solve(u0, u1, dt, 1.0, length=L)
+    assert (err.value.t, err.value.x_index, err.value.value) == \
+        (oracle.value.t, oracle.value.x_index, oracle.value.value)
+    assert abs(err.value.t - 0.529) < 1e-3
+
+
+def test_conformal_wave_leaves_its_inputs_and_records_unaliased():
+    N = 64
+    u0, u1 = _sine_data(N, 1.0, 0.05, "right-mover")
+    u0_before, u1_before = u0.copy(), u1.copy()
+    res = conformally_flat_wave_solve(u0, u1, 0.25 / N, 0.5, length=1.0, stride=5)
+    assert np.array_equal(u0, u0_before) and np.array_equal(u1, u1_before)
+    rows = list(res.u)
+    for i, row in enumerate(rows):
+        assert not np.shares_memory(row, u0) and not np.shares_memory(row, u1)
+        for other in rows[i + 1:]:
+            assert not np.shares_memory(row, other)
+    # a record aliasing a work array would repeat the last level
+    assert not np.array_equal(res.u[-2], res.u[-1])
+
+
+@pytest.mark.parametrize("u0, u1, length", [
+    (np.ones((4, 16)), np.zeros((4, 16)), 1.0),
+    (np.ones(16), np.zeros(1), 1.0),
+    (np.ones(16), np.zeros(15), 1.0),
+    (np.where(np.arange(16) == 3, np.nan, 1.0), np.zeros(16), 1.0),
+    (np.ones(16), np.where(np.arange(16) == 3, np.inf, 0.0), 1.0),
+    (np.ones(16), np.zeros(16), -1.0),
+    (np.ones(16), np.zeros(16), 0.0),
+    (np.ones(16), np.zeros(16), np.nan),
+    (np.ones(2), np.zeros(2), 1.0),
+], ids=["2d-u0", "u1-length-1", "u1-short", "nan-u0", "inf-u1", "negative-length",
+        "zero-length", "nan-length", "two-points"])
+def test_conformal_wave_refuses_inputs_of_another_problem(u0, u1, length):
+    with pytest.raises(ValueError):
+        conformally_flat_wave_solve(u0, u1, 1e-3, 1e-2, length=length)
