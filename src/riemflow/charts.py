@@ -1,6 +1,8 @@
 """Coordinate charts, metric fields and finite-difference jets.
 
-Two chart backends are supported:
+Two chart backends are supported, and they alone know their kind: a chart's
+``jet(func)`` is the 2-jet of a callable at its samples, and its
+``evolving(field)`` maps an evolution's metric samples to fields.
 
 * :class:`AnalyticChart` -- a single evaluation point together with a
   user-supplied metric function.  Derivatives are taken with second-order
@@ -11,24 +13,24 @@ Two chart backends are supported:
   axis and of the four corner points per scale and axis pair.  One
   vectorised :func:`richardson_jet` turns stencil values of shape
   ``(B, P) + tail`` into the jet, taking every difference before dividing
-  so that equal values cancel exactly.  A jet that is linear in a few
-  coefficients, such as the frozen frame's ``M g M^T`` in
-  :mod:`riemflow.flow`, is built by applying it once to the images of a
-  basis: each basis jet still has its differences taken first, so a
-  derivative that cancels exactly on every basis image is exactly zero in
-  the combination (a weight matrix over the stencil values would add
-  weights first and lose that cancellation).
+  so that equal values cancel exactly.  The jet of an evolving field, in
+  the frozen frame ``M g M^T`` of :meth:`AnalyticChart.evolving`, is linear
+  in ``g`` and built by applying it once to the images of a basis: each
+  basis jet still has its differences taken first, so a derivative that
+  cancels exactly on every basis image is exactly zero in the combination
+  (a weight matrix over the stencil values would add weights first and
+  lose that cancellation).
 * :class:`GridChart` -- a periodic grid over a flat torus.  Derivatives are
   taken with fourth-order central stencils and periodic wrap-around, so no
   boundary conditions ever enter.  The +/-1 and +/-2 shifts along an axis
   are slices of one copy padded with two periodic layers per side, shared
   by that axis's first and second derivative.
 
-A :class:`MetricField` couples a chart with metric samples (grid), a metric
-function (analytic) or an analytic 2-jet already known, and produces the
-2-jet ``(g, dg, d2g)`` that the curvature kernel consumes (any callable's
-2-jet is :func:`function_jet`).  On grids the jet differentiates only the
-n(n+1)/2 components ``g_ij``, ``i <= j``, and mirrors their first
+A :class:`MetricField` couples a chart with metric samples (S, n, n) and
+the source of their 2-jet ``(g, dg, d2g)``, which the curvature kernel
+consumes: the metric function, the jet itself (an analytic chart's evolving
+fields) or, on grids, the samples.  A grid jet of samples differentiates
+only the n(n+1)/2 components ``g_ij``, ``i <= j``, and mirrors their first
 derivatives.  A field checks positivity and inverts its
 metric once, in one cofactor pass vectorised over the samples
 (:func:`spd_inverse`, cached as :attr:`MetricField.inverse`): one cached
@@ -108,6 +110,55 @@ class AnalyticChart:
     def sample_points(self):
         return self.point[None, :]
 
+    def jet(self, func):
+        """The 2-jet of ``func``, mapping points ``(..., n)`` to ``(...,) +
+        tail``, at the point (:func:`analytic_scalar_jet`); a single sample
+        cannot be differentiated, so samples raise ``TypeError``."""
+        if not callable(func):
+            raise TypeError("an analytic chart differentiates callables, not samples")
+        return analytic_scalar_jet(func, self.point[None, :], self.dimension, self.step)
+
+    def evolving(self, field):
+        """Field builder of the frozen frame: ``build(g)`` is the field
+        g(x) = M(x) g M(x)^T with M(x) = L0(x) L0(x0)^-1, ``L0`` the Cholesky
+        factor of ``field`` at the points of the stencil and ``x0`` the
+        point, where M is set to I exactly.  That is exact for
+        congruence-homogeneous evolutions, such as every constant-curvature
+        scenario; inhomogeneous dynamics belong on grid charts.
+
+        The jet of that field is linear in the components ``g_ij``, i <= j, of
+        the metric sample ``g``, shape (1, n, n), so :func:`richardson_jet` runs
+        once, here, on the images ``M E_q M^T`` of the symmetric basis matrices
+        ``E_q``; each field's derivatives are then one product of those
+        components with the basis jets, and its sample is ``g`` itself.  The
+        stencil's values are checked for finiteness here, once.  The frame is
+        real, so a complex field (a complex-step run) raises ``ValueError``.
+        """
+        if np.iscomplexobj(field.samples):
+            raise ValueError("the frozen frame is real: complex-step runs need a grid chart")
+        n = self.dimension
+        stencil = analytic_stencil(n, self.step)
+        point = self.point[None, :]
+        g0 = np.asarray(field.func(point[:, None, :] + stencil.offsets[None, :, :]), dtype=float)
+        require_finite(g0, point, stencil.offsets)
+        L = np.linalg.cholesky(g0[0])
+        M = L @ np.linalg.inv(L[0])
+        M[0] = np.eye(n)
+        rows, cols = np.triu_indices(n)
+        q = np.arange(len(rows))
+        basis = np.zeros((len(q), n, n))
+        basis[q, rows, cols] = basis[q, cols, rows] = 1.0
+        _, dg, d2g = richardson_jet(stencil, np.einsum('pab,qbc,pdc->qpad', M, basis, M))
+        jet_map = np.concatenate([dg.reshape(len(q), -1), compact_hessian(d2g).reshape(len(q), -1)],
+                                 axis=1)
+
+        def build(g):
+            d = g[0, rows, cols] @ jet_map
+            return MetricField(self, g, _jets=(g, d[:n ** 3].reshape((1,) + (n,) * 3),
+                                               d[n ** 3:].reshape((1, len(q), n, n))))
+
+        return build
+
 
 @dataclass(frozen=True)
 class GridChart:
@@ -173,6 +224,19 @@ class GridChart:
         axes = [np.arange(p) * h for p, h in zip(self.points_per_axis, self.spacings)]
         mesh = np.meshgrid(*axes, indexing="ij")
         return np.stack([m.reshape(-1) for m in mesh], axis=-1)
+
+    def jet(self, func):
+        """The 2-jet, laid out as by :func:`grid_scalar_jet`, of ``func``
+        at the grid points: a callable mapping points ``(..., n)`` to
+        ``(...,) + tail``, or its samples ``(S,) + tail``."""
+        values = (func(self.sample_points.reshape(self.grid_shape + (self.dimension,)))
+                  if callable(func) else np.reshape(func, self.grid_shape + np.shape(func)[1:]))
+        return grid_scalar_jet(values, self)
+
+    def evolving(self, field):
+        """Field builder of a grid: ``build(g)`` is the field of the samples
+        ``g`` (S, n, n)."""
+        return lambda g: MetricField(self, g)
 
 
 # ---------------------------------------------------------------------------
@@ -335,15 +399,6 @@ def analytic_scalar_jet(func, points, n, h):
     return richardson_jet(stencil, vals)
 
 
-def function_jet(func, chart):
-    """2-jet, laid out as by :func:`grid_scalar_jet`, of a callable mapping
-    points ``(..., n)`` to ``(...,) + tail`` at a chart's samples."""
-    n = chart.dimension
-    if chart.kind == "periodic-grid":
-        return grid_scalar_jet(func(chart.sample_points.reshape(chart.grid_shape + (n,))), chart)
-    return analytic_scalar_jet(func, chart.point[None, :], n, chart.step)
-
-
 # ---------------------------------------------------------------------------
 # metric fields
 # ---------------------------------------------------------------------------
@@ -457,63 +512,52 @@ def compact_hessian(d2g):
 
 @dataclass
 class MetricField:
-    """Metric components attached to a chart.
+    """Metric samples (S, n, n) on a chart, and the source of their 2-jet.
 
-    Use :meth:`from_function` for closed-form metrics (both chart kinds),
-    :meth:`from_samples` for component arrays on a grid chart, or
-    :meth:`from_jets` for an analytic chart's 2-jet.
+    Use :meth:`from_function` for closed-form metrics (both chart kinds) or
+    :meth:`from_samples` for component arrays on a grid chart; a chart's
+    ``evolving`` builds the fields of an evolution.
     """
 
     chart: object
+    samples: np.ndarray
     func: object = None
-    values: np.ndarray = None
-    _samples: np.ndarray = dataclass_field(default=None, repr=False)
     _inverse: np.ndarray = dataclass_field(default=None, repr=False)
     _jets: tuple = dataclass_field(default=None, repr=False)
 
     @classmethod
     def from_function(cls, chart, func):
-        if chart.kind == "periodic-grid":
-            pts = chart.sample_points.reshape(chart.grid_shape + (chart.dimension,))
-            vals = _real_or_complex(func(pts))
-            expected = chart.grid_shape + (chart.dimension, chart.dimension)
-            if vals.shape != expected:
-                raise ValueError(f"metric function returned shape {vals.shape}, expected {expected}")
-            return cls(chart=chart, func=func, values=vals)
-        return cls(chart=chart, func=func)
+        """The field of ``func``, mapping points ``(..., n)`` to ``(..., n,
+        n)``; ``ValueError`` for another shape at the chart's points."""
+        n = chart.dimension
+        samples = _real_or_complex(func(chart.sample_points))
+        expected = (chart.sample_count, n, n)
+        if samples.shape != expected:
+            raise ValueError(f"metric function returned shape {samples.shape}, expected {expected}")
+        return cls(chart, samples, func)
 
     @classmethod
     def from_samples(cls, chart, values):
+        """The grid-chart field of ``values``, laid out on the grid,
+        ``grid_shape + (n, n)``, or as samples, (S, n, n)."""
         values = _real_or_complex(values)
         if chart.kind != "periodic-grid":
             raise ValueError("analytic charts need a metric function; use from_function")
-        expected = chart.grid_shape + (chart.dimension, chart.dimension)
-        if values.shape != expected:
-            raise ValueError(f"samples have shape {values.shape}, expected {expected}")
-        return cls(chart=chart, values=values)
-
-    @classmethod
-    def from_jets(cls, chart, g, dg, d2g):
-        """Analytic-chart field given by its 2-jet at the chart's point, in the
-        layout :meth:`jets` returns: ``g`` (1, n, n), ``dg`` (1, n, n, n) and
-        ``d2g`` (1, n(n+1)/2, n, n)."""
-        return cls(chart=chart, _samples=g, _jets=(g, dg, d2g))
+        n = chart.dimension
+        expected = chart.grid_shape + (n, n)
+        flat = (chart.sample_count, n, n)
+        if values.shape not in (expected, flat):
+            raise ValueError(f"samples have shape {values.shape}, expected {expected} or {flat}")
+        return cls(chart, values.reshape(-1, n, n))
 
     @property
     def dimension(self):
         return self.chart.dimension
 
     @property
-    def samples(self):
-        """Metric components at the chart's sample points, shape (S, n, n)."""
-        if self._samples is None:
-            n = self.dimension
-            if self.chart.kind == "periodic-grid":
-                self._samples = self.values.reshape(-1, n, n)
-            else:
-                pt = self.chart.point
-                self._samples = _real_or_complex(self.func(pt[None, :])).reshape(1, n, n)
-        return self._samples
+    def values(self):
+        """The samples laid out on a grid chart, shape ``grid_shape + (n, n)``."""
+        return self.samples.reshape(self.chart.grid_shape + self.samples.shape[1:])
 
     @property
     def inverse(self):
@@ -534,17 +578,17 @@ class MetricField:
         """Return ``(g, dg, d2g)`` flattened over samples, ``d2g`` over the
         n(n+1)/2 components ``g_ij``, i <= j: shape (S, n(n+1)/2, n, n).
 
-        On grid charts only those components are differentiated; their first
-        derivatives are mirrored to ``g_ji``.  A field made by
-        :meth:`from_jets` returns its jet.
+        The jet is the one the field was made with, else the chart's jet of
+        its function, else that of its samples, of which only those
+        components are differentiated; their first derivatives are mirrored
+        to ``g_ji``.
         """
         if self._jets is not None:
             return self._jets
+        if self.func is not None:
+            g, dg, d2g = self.chart.jet(self.func)
+            return g, dg, compact_hessian(d2g)
         n = self.dimension
-        if self.chart.kind == "periodic-grid":
-            flat, component = _symmetric_components(n)
-            upper = np.take(self.values.reshape(self.chart.grid_shape + (n * n,)), flat, axis=-1)
-            _, d1, d2 = grid_scalar_jet(upper, self.chart)
-            return self.samples, np.take(d1, component, axis=1), d2
-        g, dg, d2g = function_jet(self.func, self.chart)
-        return g, dg, compact_hessian(d2g)
+        flat, component = _symmetric_components(n)
+        _, d1, d2 = self.chart.jet(np.take(self.samples.reshape(-1, n * n), flat, axis=1))
+        return self.samples, np.take(d1, component, axis=1), d2

@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from .bialternate import bialternate_product, recover_metric, verify_recovery_identity
-from .charts import MetricField
+from .charts import DEFAULT_ANALYTIC_STEP, MetricField
 from .curvature import ricci_and_scalar, riemann, tensor_norm, weyl
 from .errors import RiemflowError
 from .families import make_family
@@ -48,7 +48,7 @@ def _chart_args(p):
                    help="points per axis; selects a periodic-grid chart")
     p.add_argument("--point", type=float, nargs="*", default=None,
                    help="analytic chart evaluation point (defaults to origin)")
-    p.add_argument("--step", type=float, default=1e-2,
+    p.add_argument("--step", type=float, default=DEFAULT_ANALYTIC_STEP,
                    help="analytic finite-difference step")
 
 

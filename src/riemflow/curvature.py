@@ -41,7 +41,6 @@ from .charts import (
     MetricField,
     _frozen,
     _symmetric_components,
-    function_jet,
     spd_inverse,
 )
 from .errors import DimensionTooSmall, NonpositiveLame
@@ -345,7 +344,7 @@ def orthogonal_metric_curvature(lame_coefficients, chart) -> CurvatureTensor:
     n = chart.dimension
     if len(lame_coefficients) != n:
         raise ValueError("need one coefficient function per axis")
-    jets = [function_jet(f, chart) for f in lame_coefficients]
+    jets = [chart.jet(f) for f in lame_coefficients]
     H = np.stack([j[0] for j in jets], axis=-1)          # (S, n)
     dH = np.stack([j[1] for j in jets], axis=-2)         # (S, n, n): dH[:, i, a] = d_a H_i
     d2H = np.stack([j[2] for j in jets], axis=-3)        # (S, n, n, n)

@@ -26,19 +26,15 @@ delta=2), ``riemann-wave`` at (alpha=1, delta=2), bit for bit.
 The RK4 state is the metric samples, and for a wave the velocity samples
 too, on both chart kinds, and while the cross-check runs the pair product
 last; each rate is symmetrized, so a symmetric state stays exactly
-symmetric.  On periodic grids the evolution is a genuine
-method-of-lines PDE solve.  On analytic single-point charts the state is the
-metric ``g`` at the evaluation point ``x0``, and the spatial field is carried
-in the frozen frame of the initial metric, ``g_t(x) = M(x) g(t) M(x)^T`` with
-``M(x) = L0(x) L0(x0)^-1`` and ``L0`` the pointwise Cholesky factor of the
-initial metric.  That reconstruction is exact for congruence-homogeneous
-evolutions (in particular every constant-curvature scenario); general
-inhomogeneous dynamics belong on grid charts.  Its 2-jet is linear in ``g``:
-each run takes the Richardson jets of ``M E M^T`` for the n(n+1)/2
-symmetric basis matrices ``E`` once, and each right-hand side combines them
-in one matrix product, with no stencil evaluated.  A stage whose state is
-not finite therefore fails its positivity check, as on grids; a metric that
-is not finite at a stencil point is refused with
+symmetric.  The chart's ``evolving`` map turns a state's metric samples into
+a field.  On periodic grids the field is the samples, and the evolution is
+a genuine method-of-lines PDE solve.  On analytic single-point charts the
+state is the metric at the evaluation point, and the spatial field is
+carried in the frozen frame of the initial metric
+(:meth:`~riemflow.charts.AnalyticChart.evolving`), whose jets are taken
+once per run; general inhomogeneous dynamics belong on grid charts.  A stage
+whose state is not finite fails its positivity check, on both chart kinds;
+a metric that is not finite at a stencil point is refused with
 :class:`~riemflow.errors.StencilOutOfDomain` when the run starts.
 
 Every law steps at a fixed ``dt``, on the schedule of :func:`step_ends`.  A
@@ -53,13 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bialternate import recover_metric
-from .charts import (
-    MetricField,
-    analytic_stencil,
-    compact_hessian,
-    require_finite,
-    richardson_jet,
-)
+from .charts import MetricField
 from .curvature import (
     CurvatureTensor,
     kn_product,
@@ -344,52 +334,12 @@ def step_ends(t0, t_end, dt):
     return [t0 + k * dt for k in range(1, count)] + [t_end] if count > 0 else []
 
 
-def _frozen_frame_builder(field):
-    """Field builder for an analytic chart: ``build(g)`` is the field
-    g(x) = M(x) g M(x)^T with M(x) = L0(x) L0(x0)^-1, ``L0`` the Cholesky
-    factor of ``field`` at the points of the chart's stencil and ``x0`` the
-    chart's point, where M is set to I exactly.
-
-    The jet of that field is linear in the components ``g_ij``, i <= j, of
-    the metric sample ``g``, shape (1, n, n), so :func:`richardson_jet` runs
-    once, here, on the images ``M E_q M^T`` of the symmetric basis matrices
-    ``E_q``; each field's derivatives are then one product of those
-    components with the basis jets, and its sample is ``g`` itself.  The
-    stencil's values are checked for finiteness here, once.
-    """
-    chart = field.chart
-    n = chart.dimension
-    stencil = analytic_stencil(n, chart.step)
-    point = chart.point[None, :]
-    g0 = np.asarray(field.func(point[:, None, :] + stencil.offsets[None, :, :]), dtype=float)
-    require_finite(g0, point, stencil.offsets)
-    L = np.linalg.cholesky(g0[0])
-    M = L @ np.linalg.inv(L[0])
-    M[0] = np.eye(n)
-    rows, cols = np.triu_indices(n)
-    q = np.arange(len(rows))
-    basis = np.zeros((len(q), n, n))
-    basis[q, rows, cols] = basis[q, cols, rows] = 1.0
-    _, dg, d2g = richardson_jet(stencil, np.einsum('pab,qbc,pdc->qpad', M, basis, M))
-    jet_map = np.concatenate([dg.reshape(len(q), -1), compact_hessian(d2g).reshape(len(q), -1)],
-                             axis=1)
-
-    def build(g):
-        d = g[0, rows, cols] @ jet_map
-        return MetricField.from_jets(chart, g, d[:n ** 3].reshape((1,) + (n,) * 3),
-                                     d[n ** 3:].reshape((1, len(q), n, n)))
-
-    return build
-
-
 class _RK4System:
     """RK4 state of a law: the metric samples and, for a wave, the velocity
     samples, ``[g]`` or ``[g, k]``, on either chart kind, and with
     ``cross_check`` the pair product ``G = C_2(g)`` last, evolved directly
     at the law's ``pair_rate_factor`` times Riem.  Only the field of a state
-    depends on the chart: grid samples are differentiated on the grid, and
-    an analytic chart's sample through the frozen frame of
-    :func:`_frozen_frame_builder`.
+    depends on the chart, through its ``evolving`` map.
     """
 
     def __init__(self, field, law, velocity=None, cross_check=False):
@@ -407,12 +357,8 @@ class _RK4System:
             self.state0.append(np.asarray(velocity, dtype=float).reshape(g.shape).copy())
         if cross_check:
             self.state0.append(pair_product_from_samples(g).copy())
-        if chart.kind == "periodic-grid":
-            # the builder holds the chart and the shape only, not the system
-            shape = chart.grid_shape + g.shape[1:]
-            self._build = lambda s: MetricField.from_samples(chart, s.reshape(shape))
-        else:
-            self._build = _frozen_frame_builder(field)
+        # the builder holds the chart, not the system
+        self._build = chart.evolving(field)
 
     def field_of(self, state):
         """The metric field of a state.  The last one made is kept, so that

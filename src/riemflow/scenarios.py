@@ -35,10 +35,10 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from .charts import AnalyticChart, GridChart, MetricField
+from .charts import DEFAULT_ANALYTIC_STEP, AnalyticChart, GridChart, MetricField
 from .errors import NoSingularity, ParseError, SchemaError, whole_number
 from .families import make_family
-from .flow import integrate_flow, monitor_blow_up, resolve_law, step_ends
+from .flow import COLLAPSE_EIG_FRACTION, integrate_flow, monitor_blow_up, resolve_law, step_ends
 from .wave import (
     constant_curvature_wave_ode,
     conformally_flat_wave_solve,
@@ -163,7 +163,7 @@ def config_from_dict(raw, default_id="scenario"):
 
     stop = dict(raw.get("stop", {}))
     _require_known(stop, {"collapse_threshold", "curvature_cap"}, "stop")
-    collapse_threshold = float(stop.get("collapse_threshold", 1e-6))
+    collapse_threshold = float(stop.get("collapse_threshold", COLLAPSE_EIG_FRACTION))
     curvature_cap = stop.get("curvature_cap")
     if curvature_cap is not None:
         curvature_cap = float(curvature_cap)
@@ -219,11 +219,10 @@ def _chart_of(spec, family):
     dimension = family.dimension
     kind = spec.get("kind")
     if kind is None:
-        kind = "periodic-grid" if family.name in ("flat", "conformal-torus") \
-            else "analytic-point"
+        kind = "periodic-grid" if family.default_lengths else "analytic-point"
     if kind == "analytic-point":
         point = np.asarray(spec.get("point", [0.0] * dimension), dtype=float)
-        return AnalyticChart(dimension, point, float(spec.get("step", 1e-2)))
+        return AnalyticChart(dimension, point, float(spec.get("step", DEFAULT_ANALYTIC_STEP)))
     if kind == "periodic-grid":
         ppa = spec.get("points_per_axis", 16)
         ppa = (whole_number(ppa, "points_per_axis") if np.isscalar(ppa)
@@ -233,8 +232,25 @@ def _chart_of(spec, family):
         if family.periods is not None and chart.lengths != family.periods:
             raise SchemaError(f"chart lengths {list(chart.lengths)} are not the "
                               f"{family.name} periods {list(family.periods)}", key="lengths")
+        _require_periodic(chart, family)
         return chart
     raise SchemaError(f"unknown chart kind {kind!r}", key="kind")
+
+
+def _require_periodic(chart, family):
+    """Refuse (``SchemaError`` on ``chart``) a grid on which the family's
+    metric is not finite, or differs by more than 1e-9 of max |g| from its
+    values one period further along some axis."""
+    shifts = np.vstack([np.zeros(chart.dimension), np.diag(chart.lengths)])
+    with np.errstate(all="ignore"):
+        g, *images = [np.asarray(family.metric_function(chart.sample_points + shift), dtype=float)
+                      for shift in shifts]
+        for axis, image in enumerate(images, 1):
+            gap = np.abs(image - g).max() / np.abs(g).max()
+            if not gap <= 1e-9:   # nan where a value is not finite
+                raise SchemaError(f"bad chart: the {family.name} metric is not finite and "
+                                  f"periodic on the grid: one period along axis {axis} changes "
+                                  f"it by {gap:.3g} of max |g|", key="chart")
 
 
 def _fmt(x):

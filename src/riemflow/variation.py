@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .charts import MetricField, function_jet, grid_scalar_jet
+from .charts import MetricField
 from .curvature import (
     CurvatureTensor,
     christoffel_from_jets,
@@ -36,8 +36,8 @@ STEP = 1e-30
 class PerturbationField:
     """Symmetric deformation direction h_ij with index raising on demand.
 
-    ``direction`` is a samples array (grid charts) or a callable (analytic
-    charts).  The raised variant satisfies the first-order relation
+    ``direction`` is a samples array (grid charts) or a callable (fields
+    made from a function).  The raised variant satisfies the first-order relation
     ``d(g^{jk})/d eps = -h^{jk}`` along ``g + eps h``.
     """
 
@@ -71,22 +71,20 @@ class SolitonData:
 
 
 def _perturbed_field(field, h, eps):
-    """Metric field for g + eps h, matching the chart backend; a complex
+    """Metric field for g + eps h, from the field's function and a callable
+    ``h`` or from its samples and samples ``h`` (grid charts); a complex
     ``eps`` gives complex samples."""
     if isinstance(h, PerturbationField):
         h = h.direction
-    chart = field.chart
-    if chart.kind == "periodic-grid":
-        h_arr = np.asarray(h, dtype=float).reshape(field.values.shape)
-        return MetricField.from_samples(chart, field.values + eps * h_arr)
     if callable(h):
         base = field.func
 
         def metric(x):
             return np.asarray(base(x), dtype=float) + eps * np.asarray(h(x), dtype=float)
 
-        return MetricField.from_function(chart, metric)
-    raise TypeError("analytic charts need the direction as a callable h(x)")
+        return MetricField.from_function(field.chart, metric)
+    h = np.asarray(h, dtype=float).reshape(field.samples.shape)
+    return MetricField.from_samples(field.chart, field.samples + eps * h)
 
 
 def _operator(field, which):
@@ -115,16 +113,13 @@ def linearized_flow_rhs(field, h, which="ricci"):
     return _complex_step(field, h, law.rate_at)
 
 
-def _jets(field, func_or_samples, tail, what):
+def _jets(field, func_or_samples, tail):
     """2-jets of a scalar (``tail = ()``) or covector (``tail = (n,)``) field
-    given as samples (grid charts) or a callable."""
-    chart = field.chart
+    given as a callable, or as samples on a grid chart."""
     if callable(func_or_samples):
-        return function_jet(func_or_samples, chart)
-    if chart.kind != "periodic-grid":
-        raise TypeError(f"analytic charts need the {what} as a callable")
-    vals = np.asarray(func_or_samples, dtype=float).reshape(chart.grid_shape + tail)
-    return grid_scalar_jet(vals, chart)
+        return field.chart.jet(func_or_samples)
+    shape = (field.chart.sample_count,) + tail
+    return field.chart.jet(np.asarray(func_or_samples, dtype=float).reshape(shape))
 
 
 def soliton_residual(field, data: SolitonData, gradient=True):
@@ -147,11 +142,11 @@ def soliton_residual(field, data: SolitonData, gradient=True):
     lam = float(data.factor)
 
     if gradient:
-        _, df, d2f = _jets(field, data.potential, (), "potential")
+        _, df, d2f = _jets(field, data.potential, ())
         hess = d2f - np.einsum('...lik,...l->...ik', gam, df)
         resid = riem + lam * G + kn_product(hess, g)
     else:
-        V, dV, _ = _jets(field, data.covector, (field.dimension,), "covector field")
+        V, dV, _ = _jets(field, data.covector, (field.dimension,))
         # nabla_i V_k = d_i V_k - Gamma^m_ik V_m ; dV[..., k, i] = d_i V_k
         nablaV = np.swapaxes(dV, -1, -2) - np.einsum('...mik,...m->...ik', gam, V)
         lie = nablaV + np.swapaxes(nablaV, -1, -2)
@@ -177,11 +172,10 @@ def integrate_linearized_flow(field, h, which, dt, t_end):
     STEP`` is the RK4 deformation ``h(t_end)``, which is returned.  It
     takes the steps of :func:`riemflow.flow.integrate_flow` at the same
     ``dt`` and ``t_end`` and refuses the same ones, ``dt <= 0`` and
-    ``t_end < 0``, with ``ValueError``.  Grid charts only.  Used by the
+    ``t_end < 0``, with ``ValueError``.  Grid charts only: the analytic
+    chart's frozen frame is real and refuses a complex field.  Used by the
     two-run tangency checks.
     """
-    if field.chart.kind != "periodic-grid":
-        raise ValueError("the coupled linearized integration runs on grid charts")
     _check_schedule(0.0, t_end, dt)
     system = _RK4System(_perturbed_field(field, h, 1j * STEP),
                         resolve_law(which, field.dimension, 1))

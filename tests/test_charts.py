@@ -12,7 +12,6 @@ from riemflow.charts import (
     MetricField,
     analytic_scalar_jet,
     analytic_stencil,
-    function_jet,
     grid_scalar_jet,
     require_spd,
     spd_inverse,
@@ -135,6 +134,15 @@ def test_grid_samples_roundtrip():
     fld = MetricField.from_function(chart, g)
     again = MetricField.from_samples(chart, fld.values)
     assert np.array_equal(fld.samples, again.samples)
+
+
+@pytest.mark.parametrize("chart", [AnalyticChart(3, [0.1, -0.2, 0.3]), GridChart(3, 8, 2.0 * np.pi)],
+                         ids=["analytic", "grid"])
+def test_from_function_refuses_a_metric_that_ignores_the_batch_shape(chart):
+    # one matrix for a batch of points is refused when the field is made, on
+    # both chart kinds, not later inside a jet
+    with pytest.raises(ValueError, match="returned shape"):
+        MetricField.from_function(chart, lambda x: np.eye(3))
 
 
 # ---------------------------------------------------------------------------
@@ -305,8 +313,8 @@ def test_function_jet_is_the_chart_kind_s_jet():
     grid = GridChart(3, 8, 2.0 * np.pi)
     values = f(grid.sample_points.reshape(grid.grid_shape + (3,)))
     point = AnalyticChart(3, [0.1, -0.2, 0.3], 0.02)
-    for got, want in ((function_jet(f, grid), grid_scalar_jet(values, grid)),
-                      (function_jet(f, point), analytic_scalar_jet(f, point.point, 3, 0.02))):
+    for got, want in ((grid.jet(f), grid_scalar_jet(values, grid)),
+                      (point.jet(f), analytic_scalar_jet(f, point.point, 3, 0.02))):
         assert [a.shape for a in got] == [a.shape for a in want]
         assert all(np.array_equal(a, b) for a, b in zip(got, want))
 

@@ -7,6 +7,7 @@ import pytest
 
 from conftest import UNIT_COLLAPSE_TIME, flat_grid_field
 from riemflow import cli
+from riemflow.charts import AnalyticChart, GridChart
 from riemflow.cli import main as cli_main
 from riemflow.errors import DegenerateCoefficients, ParseError, SchemaError, UnknownFamily
 from riemflow.families import _SAFE_FUNCS, make_family
@@ -320,6 +321,40 @@ def test_cli_field_commands_refuse_a_bad_chart(argv, capsys):
                             "per axis (key: 'chart')\n")
 
 
+@pytest.mark.parametrize("argv, family, gap", [
+    (["curvature", "--family", "hyperbolic-poincare", "--grid", "8"], "hyperbolic-poincare", "1"),
+    (["curvature", "--family", "sphere-stereographic", "--grid", "8"], "sphere-stereographic",
+     "0.999"),
+    (["soliton", "--family", "hyperbolic-poincare", "--grid", "8"], "hyperbolic-poincare", "1"),
+], ids=["curvature-hyperbolic", "curvature-sphere", "soliton-hyperbolic"])
+def test_cli_refuses_a_grid_on_which_the_metric_is_not_periodic(argv, family, gap, capsys):
+    # the periodic stencils would difference across the seam of a metric that
+    # is not periodic on the torus and report garbage curvature
+    assert cli_main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: bad chart: the {family} metric is not finite and periodic "
+                            f"on the grid: one period along axis 1 changes it by {gap} of max "
+                            "|g| (key: 'chart')\n")
+
+
+def test_a_periodic_diagonal_lame_grid_runs(tmp_path, capsys):
+    lame = {"name": "diagonal-lame", "params": {"expressions": ["2 + sin(x1)", "1", "1"]}}
+    assert run_scenario(config_from_dict(_base_cfg(tmp_path, family=lame)))["termination"] \
+        == "t_end"
+    assert cli_main(["curvature", "--family", "diagonal-lame", "--lame", "2 + sin(x1)", "1", "1",
+                     "--grid", "8"]) == 0
+    assert json.loads(capsys.readouterr().out)["sup_riem_norm"] < 1e-12
+
+
+@pytest.mark.parametrize("family, chart_class", [
+    ("flat", GridChart), ("conformal-torus", GridChart), ("sphere-stereographic", AnalyticChart),
+    ("hyperbolic-poincare", AnalyticChart)])
+def test_default_chart_kind_follows_the_family_s_default_lengths(family, chart_class):
+    # a family with default grid lengths is sampled on a grid, any other at a point
+    assert type(_build_chart({}, make_family(family, 3))) is chart_class
+
+
 def test_cli_identity_check(capsys):
     assert cli_main(["identity-check", "-n", "3", "--count", "3"]) == 0
     out = json.loads(capsys.readouterr().out)
@@ -520,11 +555,12 @@ def test_cli_run_refuses_a_dunder_expression(tmp_path, capsys):
     ({"law": {"name": "conformal-wave", "length": -1.0}}, "length"),
     ({"law": {"name": "conformal-wave", "length": 0}}, "length"),
     ({"tolerances": {"identity": 1e-12}}, "tolerances"),
+    ({"family": {"name": "sphere-stereographic"}}, "chart"),
 ], ids=["grid-points", "family-parameter", "lame-table-length", "torus-phases",
         "scale-ode-parameter",
         "scale-ode-value", "conformal-velocity", "conformal-no-points",
         "conformal-two-points", "conformal-negative-length", "conformal-zero-length",
-        "tolerances"])
+        "tolerances", "non-periodic-grid"])
 def test_config_errors_are_refused_at_load(tmp_path, overrides, key):
     with pytest.raises(SchemaError) as err:
         config_from_dict(_base_cfg(tmp_path, **overrides))

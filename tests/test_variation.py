@@ -236,6 +236,15 @@ def test_linearized_flow_refuses_the_flow_s_bad_schedules(rng):
             integrate_linearized_flow(fld, h, "ricci", dt, t_end)
 
 
+def test_linearized_flow_refuses_an_analytic_chart():
+    # the frozen frame is real, so a complex-step run would drop the
+    # direction's imaginary part: refused for callable and sample directions
+    fld, _ = hyperbolic_field(3)
+    for h in (lambda x: 0.1 * fld.func(x), 0.1 * fld.samples):
+        with pytest.raises(ValueError):
+            integrate_linearized_flow(fld, h, "ricci", 0.01, 0.02)
+
+
 def test_linearized_flow_takes_the_flow_steps(monkeypatch, rng):
     # both runs step on one schedule: 0.07 / 0.01 is 7.000000000000001
     lengths = {flow: [], variation: []}
