@@ -470,27 +470,15 @@ def _require_minors(g, cof):
 
 
 def spd_inverse(g):
-    """The inverse of every matrix of the stack ``g`` (..., n, n), after the
-    positivity check of :func:`require_spd`, from one cofactor pass: the
-    adjugate over the determinant.  Its relative error is about
+    """The inverse of every matrix of the stack ``g`` (..., n, n) from one
+    cofactor pass, the adjugate over the determinant, after the positivity
+    check of :func:`_require_minors` on the same pass, which a sample with an
+    entry that is not finite fails.  Its relative error is about
     kappa^(n-1) eps, kappa the condition number."""
     cof = _cofactor_pass(g)
     _require_minors(g, cof)
     n = g.shape[-1]
     return np.ascontiguousarray((cof[1:1 + n * n] / cof[0]).T).reshape(g.shape)
-
-
-def require_spd(g):
-    """Raise :class:`NotPositiveDefinite` unless every matrix of the stack
-    ``g`` (..., n, n) is positive definite; a complex stack is judged by
-    its real part.
-
-    The test is Sylvester's criterion on the leading principal minors of
-    one cofactor pass (:func:`spd_inverse` makes the same pass).  Only when
-    it fails are the eigenvalues computed, to name the sample with the
-    smallest one.  A sample with an entry that is not finite fails.
-    """
-    _require_minors(g, _cofactor_pass(g))
 
 
 @lru_cache(maxsize=None)
@@ -571,7 +559,7 @@ class MetricField:
 
     def validate_spd(self):
         """Raise :class:`NotPositiveDefinite` at the worst offending sample
-        (see :func:`require_spd`); the same pass gives :attr:`inverse`."""
+        (see :func:`spd_inverse`); the same pass gives :attr:`inverse`."""
         self.inverse
 
     def jets(self):

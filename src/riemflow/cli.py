@@ -4,6 +4,12 @@ Subcommands: ``curvature`` (one-shot tensor report), ``flow``, ``wave``,
 ``scale-ode``, ``conformal-wave``, ``soliton``, ``linearize``,
 ``identity-check`` and ``run <config.json> [...]``.
 
+``flow``, ``wave``, ``scale-ode`` and ``conformal-wave`` write a scenario
+document, which their summary echoes, and run it as ``run`` runs a file,
+with the library's defaults (``scenarios.INTEGRATOR_DEFAULTS`` and
+``OTHER_LAWS``, ``families.DEFAULTS``).  A family option the family does
+not take is refused.
+
 Exit status: 0 for a smooth completion, 2 when a finite-time singularity was
 detected (an expected scientific outcome, not an error) and 1 for internal
 errors.
@@ -20,9 +26,17 @@ from .bialternate import bialternate_product, recover_metric, verify_recovery_id
 from .charts import DEFAULT_ANALYTIC_STEP, MetricField
 from .curvature import ricci_and_scalar, riemann, tensor_norm, weyl
 from .errors import RiemflowError
-from .families import make_family
+from .families import DEFAULTS, make_family
 from .flow import integrate_flow
-from .scenarios import _build_chart, config_from_dict, load_config, run_scenario
+from .scenarios import (
+    INTEGRATOR_DEFAULTS,
+    OTHER_LAWS,
+    VELOCITIES,
+    _build_chart,
+    config_from_dict,
+    load_config,
+    run_scenario,
+)
 from .variation import (
     SolitonData,
     classify_soliton,
@@ -32,18 +46,15 @@ from .variation import (
 )
 
 
-def _family_args(p, default_family="sphere-stereographic"):
-    p.add_argument("--family", default=default_family)
+def _field_args(p):
+    """The options of a metric family and of the chart it is sampled on."""
+    p.add_argument("--family", default="sphere-stereographic")
     p.add_argument("--dimension", "-n", type=int, default=3)
-    p.add_argument("--amplitude", type=float, default=0.05,
-                   help="conformal-torus amplitude")
-    p.add_argument("--mode", type=int, default=1, help="conformal-torus mode")
-    p.add_argument("--lame", nargs="*", default=None,
+    p.add_argument("--amplitude", type=float, help="conformal-torus amplitude")
+    p.add_argument("--mode", type=int, help="conformal-torus mode")
+    p.add_argument("--lame", nargs="*", dest="expressions", metavar="LAME",
                    help="diagonal-lame coefficient expressions, one per axis")
     p.add_argument("--seed", type=int, default=0)
-
-
-def _chart_args(p):
     p.add_argument("--grid", type=int, default=None,
                    help="points per axis; selects a periodic-grid chart")
     p.add_argument("--point", type=float, nargs="*", default=None,
@@ -52,15 +63,15 @@ def _chart_args(p):
                    help="analytic finite-difference step")
 
 
+def _given(args, keys):
+    """The options among ``keys`` that were given, by name."""
+    return {key: getattr(args, key) for key in keys if getattr(args, key) is not None}
+
+
 def _family_params(args):
-    params = {}
-    if args.family == "conformal-torus":
-        params = {"amplitude": args.amplitude, "mode": args.mode}
-    elif args.family == "diagonal-lame":
-        if not args.lame:
-            raise SystemExit("diagonal-lame needs --lame expressions")
-        params = {"expressions": list(args.lame)}
-    return params
+    """The family's :data:`~riemflow.families.DEFAULTS` under every family
+    option given; :func:`make_family` refuses one the family does not take."""
+    return {**DEFAULTS.get(args.family, {}), **_given(args, ("amplitude", "mode", "expressions"))}
 
 
 def _chart_spec(args):
@@ -98,86 +109,38 @@ def _cmd_curvature(args):
     return 0
 
 
-def _scenario_from_args(args, law_name, law_params=None, extra=None):
-    raw = {
-        "id": args.id,
-        "family": {"name": args.family, "params": _family_params(args)},
-        "chart": _chart_spec(args),
-        "law": {"name": law_name, **(law_params or {})},
-        "integrator": {"dt": args.dt, "t_end": args.t_end, "stride": args.stride},
-        "output": {"csv": args.csv, "summary": args.summary},
-        "seed": args.seed,
-    }
-    if extra:
-        raw.update(extra)
-    return config_from_dict(raw, default_id=args.id)
+_REPORT = ("id", "termination", "t_final", "T_est", "blowup_exponent")
 
 
-def _report(summary, keys=("id", "termination", "t_final", "T_est", "blowup_exponent")):
+def _report(summary, keys=_REPORT):
     """Print ``keys`` of a run's summary and return its exit code."""
     print(json.dumps({k: summary[k] for k in keys}, indent=2, sort_keys=True))
     return summary["exit_code"]
 
 
-def _integration_args(p, t_end=1.0):
-    p.add_argument("--dt", type=float, default=1e-3)
-    p.add_argument("--t-end", type=float, default=t_end)
-    p.add_argument("--stride", type=int, default=10)
-    p.add_argument("--csv", default=None)
-    p.add_argument("--summary", default=None)
-    p.add_argument("--id", default=None)
-
-
-def _finalize_output_args(args, stem):
-    if args.id is None:
-        args.id = stem
-    if args.csv is None:
-        args.csv = f"{args.id}.csv"
-    if args.summary is None:
-        args.summary = f"{args.id}.json"
-
-
-def _cmd_flow(args):
-    _finalize_output_args(args, f"flow-{args.family}-n{args.dimension}")
-    params = {key: value for key, value in (("alpha", args.alpha), ("beta", args.beta))
-              if value is not None}
-    return _report(run_scenario(_scenario_from_args(args, args.law, params)))
-
-
-def _cmd_wave(args):
-    _finalize_output_args(args, f"wave-{args.family}-n{args.dimension}")
-    return _report(run_scenario(_scenario_from_args(
-        args, args.law, None, extra={"initial_velocity_scale": args.velocity_scale})))
-
-
-def _cmd_scale_ode(args):
-    _finalize_output_args(args, f"scale-ode-lam{args.lam:g}")
-    raw = {
-        "id": args.id,
-        "family": {"name": "flat"},
-        "law": {"name": "scale-ode", "lam": args.lam, "v": args.v},
-        "integrator": {"dt": args.dt, "t_end": args.t_end, "stride": args.stride},
-        "output": {"csv": args.csv, "summary": args.summary},
+def _scenario(args):
+    """The scenario config of a run subcommand's arguments: the document
+    part its subparser's ``part`` writes, the integrator, output and seed
+    options, and the id ``--id`` gives or else its ``stem`` formats."""
+    scenario_id = args.stem.format(**vars(args)) if args.id is None else args.id
+    return config_from_dict({
+        "id": scenario_id,
+        **args.part(args),
+        "integrator": {key: getattr(args, key) for key in INTEGRATOR_DEFAULTS},
+        "output": {"csv": f"{scenario_id}.csv" if args.csv is None else args.csv,
+                   "summary": f"{scenario_id}.json" if args.summary is None else args.summary},
         "seed": args.seed,
-    }
-    return _report(run_scenario(config_from_dict(raw, default_id=args.id)),
-                   ("id", "termination", "T_est", "residuals"))
+    })
 
 
-def _cmd_conformal_wave(args):
-    _finalize_output_args(args, "conformal-wave")
-    raw = {
-        "id": args.id,
-        "family": {"name": "flat"},
-        "law": {"name": "conformal-wave", "amplitude": args.amplitude,
-                "mode": args.mode, "points": args.points, "length": args.length,
-                "velocity": args.velocity},
-        "integrator": {"dt": args.dt, "t_end": args.t_end, "stride": args.stride},
-        "output": {"csv": args.csv, "summary": args.summary},
-        "seed": args.seed,
-    }
-    return _report(run_scenario(config_from_dict(raw, default_id=args.id)),
-                   ("id", "termination", "t_final", "residuals"))
+def _cmd_scenario(args):
+    return _report(run_scenario(_scenario(args)), args.report)
+
+
+def _field_part(args, law_params, **extra):
+    """The family, chart and law of a flow or wave document, and ``extra``."""
+    return {"family": {"name": args.family, "params": _family_params(args)},
+            "chart": _chart_spec(args), "law": {"name": args.law, **law_params}, **extra}
 
 
 def _cmd_soliton(args):
@@ -187,10 +150,8 @@ def _cmd_soliton(args):
         lam = -(family.constant_curvature or 0.0)
     if args.potential == "zero":
         potential = lambda x: np.zeros(np.asarray(x).shape[:-1])  # noqa: E731
-    elif args.potential == "quadratic":
-        potential = lambda x: -lam * np.sum(np.asarray(x) ** 2, axis=-1) / 4.0  # noqa: E731
     else:
-        raise SystemExit("potential must be 'zero' or 'quadratic'")
+        potential = lambda x: -lam * np.sum(np.asarray(x) ** 2, axis=-1) / 4.0  # noqa: E731
     _, norm = soliton_residual(fld, SolitonData(factor=lam, potential=potential))
     report = {
         "family": args.family,
@@ -204,8 +165,7 @@ def _cmd_soliton(args):
 
 def _cmd_linearize(args):
     rng = np.random.default_rng(args.seed)
-    family = make_family("conformal-torus", args.dimension,
-                         {"amplitude": args.amplitude, "mode": args.mode}, rng)
+    family = make_family("conformal-torus", args.dimension, _given(args, ("amplitude", "mode")), rng)
     chart = _build_chart({"kind": "periodic-grid", "points_per_axis": args.grid}, family)
     fld = MetricField.from_function(chart, family.metric_function)
     h = rng.normal(size=fld.values.shape)
@@ -257,6 +217,40 @@ def _cmd_run(args):
     return max(_report(summary) for summary in summaries)
 
 
+def _run_parser(sub, name, help, add_options, part, stem, report=_REPORT, **defaults):
+    """The subparser of a run subcommand: ``add_options`` adds its options
+    ahead of the integrator and output ones, ``part`` writes its part of the
+    document and ``stem`` its default id from the parsed arguments, and it
+    prints the summary's ``report`` keys.  ``defaults`` may set ``t_end``'s."""
+    p = sub.add_parser(name, help=help)
+    add_options(p)
+    for key, default in INTEGRATOR_DEFAULTS.items():
+        p.add_argument("--" + key.replace("_", "-"), type=type(default), default=default)
+    for key in ("csv", "summary", "id"):
+        p.add_argument(f"--{key}")
+    p.set_defaults(func=_cmd_scenario, part=part, stem=stem, report=report, **defaults)
+    return p
+
+
+def _reduced_run_parser(sub, law, help, options, **defaults):
+    """The run subparser of ``law``, one of :data:`OTHER_LAWS`, on the flat
+    family: per parameter an option with its default there, plus ``--seed``;
+    ``options`` holds more keywords of a parameter's option."""
+    params = OTHER_LAWS[law]
+
+    def add_options(p):
+        for key, default in params.items():
+            p.add_argument(f"--{key}", type=type(default), default=default,
+                           **options.get(key, {}))
+        p.add_argument("--seed", type=int, default=0)
+
+    def part(args):
+        return {"family": {"name": "flat"},
+                "law": {"name": law, **{key: getattr(args, key) for key in params}}}
+
+    return _run_parser(sub, law, help, add_options, part, **defaults)
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="riemflow",
@@ -264,50 +258,35 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("curvature", help="one-shot curvature report")
-    _family_args(p)
-    _chart_args(p)
+    _field_args(p)
     p.set_defaults(func=_cmd_curvature)
 
-    p = sub.add_parser("flow", help="integrate a first-order law")
-    _family_args(p)
-    _chart_args(p)
-    _integration_args(p)
+    p = _run_parser(sub, "flow", "integrate a first-order law", _field_args,
+                    lambda args: _field_part(args, _given(args, ("alpha", "beta"))),
+                    "flow-{family}-n{dimension}")
     p.add_argument("--law", default="riemann-flow",
                    choices=["ricci-flow", "riemann-flow", "riemann-type"])
     p.add_argument("--alpha", type=float, default=None)
     p.add_argument("--beta", type=float, default=None)
-    p.set_defaults(func=_cmd_flow)
 
-    p = sub.add_parser("wave", help="integrate a second-order law")
-    _family_args(p)
-    _chart_args(p)
-    _integration_args(p, t_end=0.5)
+    p = _run_parser(sub, "wave", "integrate a second-order law", _field_args,
+                    lambda args: _field_part(
+                        args, {}, initial_velocity_scale=args.velocity_scale),
+                    "wave-{family}-n{dimension}", t_end=0.5)
     p.add_argument("--law", default="riemann-wave",
                    choices=["ricci-wave", "riemann-wave"])
     p.add_argument("--velocity-scale", type=float, default=0.0,
                    help="initial metric velocity as a multiple of the metric")
-    p.set_defaults(func=_cmd_wave)
 
-    p = sub.add_parser("scale-ode", help="constant-curvature scale equation")
-    p.add_argument("--lam", type=float, required=True)
-    p.add_argument("--v", type=float, default=0.0)
-    p.add_argument("--seed", type=int, default=0)
-    _integration_args(p, t_end=5.0)
-    p.set_defaults(func=_cmd_scale_ode)
-
-    p = sub.add_parser("conformal-wave", help="1+1 conformally flat wave")
-    p.add_argument("--amplitude", type=float, default=1e-4)
-    p.add_argument("--mode", type=int, default=1)
-    p.add_argument("--points", type=int, default=256)
-    p.add_argument("--length", type=float, default=1.0)
-    p.add_argument("--velocity", default="zero", choices=["zero", "right-mover"])
-    p.add_argument("--seed", type=int, default=0)
-    _integration_args(p, t_end=1.0)
-    p.set_defaults(func=_cmd_conformal_wave)
+    _reduced_run_parser(sub, "scale-ode", "constant-curvature scale equation",
+                        {"lam": {"required": True}}, stem="scale-ode-lam{lam:g}",
+                        report=("id", "termination", "T_est", "residuals"), t_end=5.0)
+    _reduced_run_parser(sub, "conformal-wave", "1+1 conformally flat wave",
+                        {"velocity": {"choices": VELOCITIES}}, stem="conformal-wave",
+                        report=("id", "termination", "t_final", "residuals"))
 
     p = sub.add_parser("soliton", help="generalized-fixed-point residual")
-    _family_args(p)
-    _chart_args(p)
+    _field_args(p)
     p.add_argument("--lam", type=float, default=None,
                    help="soliton constant (defaults to minus the family factor)")
     p.add_argument("--potential", default="zero", choices=["zero", "quadratic"])
@@ -317,8 +296,8 @@ def build_parser():
     p.add_argument("--which", default="ricci", choices=["ricci", "riemann-induced"])
     p.add_argument("--dimension", "-n", type=int, default=3)
     p.add_argument("--grid", type=int, default=8)
-    p.add_argument("--amplitude", type=float, default=0.05)
-    p.add_argument("--mode", type=int, default=1)
+    p.add_argument("--amplitude", type=float)
+    p.add_argument("--mode", type=int)
     p.add_argument("--eps", type=float, default=1e-2)
     p.add_argument("--dt", type=float, default=5e-3)
     p.add_argument("--t-end", type=float, default=0.1)

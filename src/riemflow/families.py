@@ -65,15 +65,7 @@ def _flat(n):
         return np.broadcast_to(eye, x.shape[:-1] + (n, n)).copy()
 
     return MetricFamily("flat", n, metric, constant_curvature=0.0,
-                        lame=tuple(_const_one() for _ in range(n)),
                         default_lengths=(2.0 * math.pi,) * n)
-
-
-def _const_one():
-    def H(x):
-        x = np.asarray(x, dtype=float)
-        return np.ones(x.shape[:-1])
-    return H
 
 
 def _conformal_ball(n, sign, name, curvature):
@@ -183,8 +175,8 @@ def make_family(name, dimension, params=None, rng=None):
     dimension : int
         Chart dimension.
     params : dict, optional
-        Family parameters (``amplitude``, ``mode``, ``phases`` for the
-        conformal torus; ``expressions`` for diagonal-lame).
+        Family parameters over :data:`DEFAULTS` (``amplitude``, ``mode``,
+        ``phases`` for the conformal torus; ``expressions`` for diagonal-lame).
     rng : numpy.random.Generator, optional
         Source for the conformal torus phases when none are given.
 
@@ -199,6 +191,7 @@ def make_family(name, dimension, params=None, rng=None):
     unknown = sorted(set(params) - set(allowed))
     if unknown:
         raise SchemaError(f"unknown {name} parameter", key=unknown[0])
+    params = {**DEFAULTS.get(name, {}), **params}
     if name == "flat":
         return _flat(dimension)
     if name == "sphere-stereographic":
@@ -211,8 +204,7 @@ def make_family(name, dimension, params=None, rng=None):
             gen = rng if rng is not None else np.random.default_rng(0)
             phases = gen.uniform(0.0, 2.0 * math.pi, size=dimension)
         try:
-            return _conformal_torus(dimension, float(params.get("amplitude", 0.05)),
-                                    params.get("mode", 1), phases,
+            return _conformal_torus(dimension, float(params["amplitude"]), params["mode"], phases,
                                     params.get("lengths", (2.0 * math.pi,) * dimension))
         except (TypeError, ValueError) as exc:
             raise SchemaError(f"conformal-torus parameters: {exc}", key="params") from None
@@ -226,3 +218,5 @@ def make_family(name, dimension, params=None, rng=None):
 _PARAMETERS = {"flat": (), "sphere-stereographic": (), "hyperbolic-poincare": (),
                "conformal-torus": ("amplitude", "mode", "lengths", "phases"),
                "diagonal-lame": ("expressions",)}
+# the defaults of the family parameters whose default is a constant
+DEFAULTS = {"conformal-torus": {"amplitude": 0.05, "mode": 1}}

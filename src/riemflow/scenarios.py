@@ -9,6 +9,8 @@ is needed (``dimension``, ``stride``, ``points_per_axis``, ``mode``,
 conformal torus's periods, and a conformal wave of fewer than 3 ``points``
 or a ``length`` that is not positive and finite are refused with
 :class:`SchemaError`.  A grid chart without ``lengths`` takes the family's.
+The law is parsed once, at load, into the config's :class:`~riemflow.flow.Law`
+record or, for the laws of :data:`OTHER_LAWS`, typed parameters.
 Runs write a time-series CSV plus a JSON summary; with a fixed seed the CSV
 bytes are reproducible on one platform.
 
@@ -53,7 +55,9 @@ WAVE_LAWS = {"ricci-wave": "ricci-wave", "riemann-wave": "riemann-wave",
 OTHER_LAWS = {"scale-ode": {"lam": 0.0, "v": 0.0},
               "conformal-wave": {"amplitude": 1e-4, "mode": 1, "points": 256,
                                  "length": 1.0, "velocity": "zero"}}
-_VELOCITIES = ("zero", "right-mover")
+VELOCITIES = ("zero", "right-mover")
+# the integrator settings of a scenario that gives none
+INTEGRATOR_DEFAULTS = {"dt": 1e-3, "t_end": 1.0, "stride": 10}
 
 CSV_COLUMNS = ("t", "f_est", "min_rel_eig", "max_rel_eig", "sup_ric_norm",
                "sup_riem_norm", "scalar_min", "scalar_max", "eq_residual",
@@ -68,7 +72,7 @@ class ScenarioConfig:
     dimension: int
     chart_spec: dict
     law_name: str
-    law_params: dict
+    law: object           # a flow or wave law's Law record, else its solver's parameters
     dt: float
     t_end: float
     stride: int
@@ -145,15 +149,19 @@ def config_from_dict(raw, default_id="scenario"):
         raise SchemaError(f"unknown law {law_name!r}; choose from {sorted(known)}",
                           key="law")
     if law_name in OTHER_LAWS:
-        _other_law_params(law_name, law_params)
+        law = _other_law_params(law_name, law_params)
     else:
-        _resolved_law(law_name, law_params, dimension)
+        try:
+            law = resolve_law(({**FLOW_LAWS, **WAVE_LAWS}[law_name], law_params), dimension,
+                              1 if law_name in FLOW_LAWS else 2)
+        except ValueError as exc:
+            raise SchemaError(f"{law_name}: {exc}", key="law") from None
 
-    integ = dict(raw.get("integrator", {}))
-    _require_known(integ, {"dt", "t_end", "stride"}, "integrator")
-    dt = float(integ.get("dt", 1e-3))
-    t_end = float(integ.get("t_end", 1.0))
-    stride = whole_number(integ.get("stride", 10), "stride")
+    integ = {**INTEGRATOR_DEFAULTS, **dict(raw.get("integrator", {}))}
+    _require_known(integ, INTEGRATOR_DEFAULTS, "integrator")
+    dt = float(integ["dt"])
+    t_end = float(integ["t_end"])
+    stride = whole_number(integ["stride"], "stride")
     if dt <= 0:
         raise SchemaError("dt must be positive", key="dt")
     if t_end <= 0:
@@ -179,7 +187,7 @@ def config_from_dict(raw, default_id="scenario"):
         dimension=dimension,
         chart_spec=chart,
         law_name=law_name,
-        law_params=law_params,
+        law=law,
         dt=dt,
         t_end=t_end,
         stride=stride,
@@ -191,16 +199,6 @@ def config_from_dict(raw, default_id="scenario"):
         seed=int(raw.get("seed", 0)),
         raw=dict(raw),
     )
-
-
-def _resolved_law(law_name, law_params, dimension):
-    """The library's law record of a flow or wave scenario law."""
-    order = 1 if law_name in FLOW_LAWS else 2
-    try:
-        return resolve_law(({**FLOW_LAWS, **WAVE_LAWS}[law_name], law_params), dimension,
-                           order)
-    except ValueError as exc:
-        raise SchemaError(f"{law_name}: {exc}", key="law") from None
 
 
 def _build_chart(spec, family):
@@ -275,7 +273,7 @@ def _trajectory_rows(traj):
     return rows
 
 
-def _family_discrepancies(cfg, family, law):
+def _family_discrepancies(cfg, family):
     notes = []
     lam = family.constant_curvature
     if lam is not None and lam != 0.0:
@@ -298,7 +296,7 @@ def _family_discrepancies(cfg, family, law):
                 "note": "finite collapse horizon 1/factor versus the commonly "
                         "stated 1/(n-1)",
             })
-    if law.name == "riemann-type":
+    if cfg.law.name == "riemann-type":
         n = cfg.dimension
         notes.append({
             "id": "scaled-flow-alpha-sign",
@@ -327,8 +325,7 @@ def run_scenario(cfg: ScenarioConfig):
     exit_code = 0
 
     if cfg.law_name == "scale-ode":
-        params = _other_law_params(cfg.law_name, cfg.law_params)
-        lam, v = params["lam"], params["v"]
+        lam, v = cfg.law["lam"], cfg.law["v"]
         result = constant_curvature_wave_ode(lam, v, cfg.dt, cfg.t_end,
                                              record_stride=cfg.stride)
         rows = [[t, f, fp] for t, f, fp in zip(result.times, result.scales, result.rates)]
@@ -342,11 +339,10 @@ def run_scenario(cfg: ScenarioConfig):
         summary["discrepancies"] = _scale_ode_notes(lam, v)
         exit_code = 2 if collapsed else 0
     elif cfg.law_name == "conformal-wave":
-        params = _other_law_params(cfg.law_name, cfg.law_params)
-        amp, mode, N, L = (params[key] for key in ("amplitude", "mode", "points", "length"))
+        amp, mode, N, L = (cfg.law[key] for key in ("amplitude", "mode", "points", "length"))
         x = np.arange(N) * (L / N)
         u0 = 1.0 + amp * np.sin(2.0 * math.pi * mode * x / L)
-        if params["velocity"] == "zero":
+        if cfg.law["velocity"] == "zero":
             u1 = np.zeros(N)
         else:
             u1 = -amp * (2.0 * math.pi * mode / L) * np.cos(2.0 * math.pi * mode * x / L)
@@ -366,14 +362,13 @@ def run_scenario(cfg: ScenarioConfig):
         family = make_family(cfg.family_name, cfg.dimension, cfg.family_params, rng)
         chart = _build_chart(cfg.chart_spec, family)
         fld = MetricField.from_function(chart, family.metric_function)
-        law = _resolved_law(cfg.law_name, cfg.law_params, cfg.dimension)
         if cfg.law_name in FLOW_LAWS:
-            traj = integrate_flow(fld, law, cfg.dt, cfg.t_end, stride=cfg.stride,
+            traj = integrate_flow(fld, cfg.law, cfg.dt, cfg.t_end, stride=cfg.stride,
                                   collapse_threshold=cfg.collapse_threshold,
                                   curvature_cap=cfg.curvature_cap)
         else:
             v0 = cfg.initial_velocity_scale * fld.samples
-            traj = integrate_wave(fld, law, cfg.dt, cfg.t_end, velocity=v0,
+            traj = integrate_wave(fld, cfg.law, cfg.dt, cfg.t_end, velocity=v0,
                                   stride=cfg.stride,
                                   collapse_threshold=cfg.collapse_threshold,
                                   curvature_cap=cfg.curvature_cap)
@@ -396,7 +391,7 @@ def run_scenario(cfg: ScenarioConfig):
                 summary["blowup_exponent"] = report.exponent
             except (NoSingularity, ValueError):
                 pass
-        summary["discrepancies"] = _family_discrepancies(cfg, family, law)
+        summary["discrepancies"] = _family_discrepancies(cfg, family)
 
     summary["wall_time_s"] = time.perf_counter() - t_start
     summary["exit_code"] = exit_code
@@ -428,7 +423,7 @@ def _other_law_params(law_name, law_params):
                 raise SchemaError(f"{law_name} parameter must be a number",
                                   key=key) from None
     if law_name == "conformal-wave":
-        if params["velocity"] not in _VELOCITIES:
+        if params["velocity"] not in VELOCITIES:
             raise SchemaError("velocity must be 'zero' or 'right-mover'", key="velocity")
         if params["points"] < 3:
             raise SchemaError("conformal-wave needs at least 3 points", key="points")

@@ -72,10 +72,12 @@ class SolitonData:
 
 def _perturbed_field(field, h, eps):
     """Metric field for g + eps h, from the field's function and a callable
-    ``h`` or from its samples and samples ``h`` (grid charts); a complex
-    ``eps`` gives complex samples."""
+    ``h``, else from its samples and samples of ``h`` (grid charts); a
+    complex ``eps`` gives complex samples."""
     if isinstance(h, PerturbationField):
         h = h.direction
+    if callable(h) and field.func is None:
+        h = h(field.chart.sample_points)
     if callable(h):
         base = field.func
 

@@ -13,7 +13,6 @@ from riemflow.charts import (
     analytic_scalar_jet,
     analytic_stencil,
     grid_scalar_jet,
-    require_spd,
     spd_inverse,
 )
 from riemflow.errors import NotPositiveDefinite, StencilOutOfDomain
@@ -335,12 +334,12 @@ def test_positivity_is_one_cofactor_pass_with_eigenvalues_only_on_failure(monkey
         monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
     g = np.stack([np.eye(3), np.diag([1.0, 2.0, 3.0]), np.diag([1.0, -0.5, 2.0]),
                   np.diag([1.0, -2.0, 2.0])])
-    require_spd(g[:2])
+    spd_inverse(g[:2])
     assert calls == ["pass"]
     assert np.array_equal(spd_inverse(g[:2]), np.stack([np.eye(3), np.diag([1.0, 0.5, 1.0 / 3.0])]))
     assert calls == ["pass"] * 2
     with pytest.raises(NotPositiveDefinite) as err:
-        require_spd(g)
+        spd_inverse(g)
     assert calls == ["pass"] * 3 + ["eigvalsh"]
     assert err.value.sample_index == 3
     assert err.value.min_eigenvalue == -2.0
@@ -418,7 +417,7 @@ def test_sylvester_verdict_is_choleskys(g):
 
     for a in g:
         try:
-            require_spd(a[None])
+            spd_inverse(a[None])
             ok = True
         except NotPositiveDefinite:
             ok = False
@@ -426,7 +425,7 @@ def test_sylvester_verdict_is_choleskys(g):
     if cholesky_ok(g):
         return
     with pytest.raises(NotPositiveDefinite) as err:
-        require_spd(g)
+        spd_inverse(g)
     w = np.linalg.eigvalsh(g)[:, 0]
     assert err.value.sample_index == np.argmin(w)
     assert err.value.min_eigenvalue == w.min()
@@ -497,10 +496,10 @@ def test_complex_samples_keep_their_imaginary_part():
 def test_complex_positivity_is_judged_on_the_real_part():
     g = np.stack([2.0 * np.eye(3), np.diag([1.0, -0.5, 1.0]), np.diag([1.0, 1.0, -2.0])])
     with pytest.raises(NotPositiveDefinite) as err:
-        require_spd(g - 10j * np.eye(3))
+        spd_inverse(g - 10j * np.eye(3))
     assert err.value.sample_index == 2
     assert err.value.min_eigenvalue == -2.0
-    require_spd(g[:1] - 10j * np.eye(3))      # the real part alone is positive
+    spd_inverse(g[:1] - 10j * np.eye(3))      # the real part alone is positive
 
 
 def test_real_input_stays_float64():

@@ -338,6 +338,50 @@ def test_cli_refuses_a_grid_on_which_the_metric_is_not_periodic(argv, family, ga
                             "|g| (key: 'chart')\n")
 
 
+@pytest.mark.parametrize("argv, error", [
+    (["curvature", "--family", "flat", "--grid", "8", "--amplitude", "0.3", "--mode", "2"],
+     "unknown flat parameter (key: 'amplitude')"),
+    (["curvature", "--family", "sphere-stereographic", "--lame", "2", "1", "1"],
+     "unknown sphere-stereographic parameter (key: 'expressions')"),
+    (["curvature", "--family", "diagonal-lame"],
+     "diagonal-lame needs an 'expressions' list (key: 'expressions')"),
+    (["flow", "--family", "flat", "--amplitude", "0.3"],
+     "unknown flat parameter (key: 'amplitude')"),
+], ids=["flat-amplitude", "sphere-lame", "lame-without-expressions", "flow-flat-amplitude"])
+def test_cli_refuses_a_family_option_the_family_does_not_take(argv, error, tmp_path, capsys,
+                                                               monkeypatch):
+    # every family option given reaches make_family, which refuses it as it
+    # refuses a scenario file's, before a run writes anything
+    monkeypatch.chdir(tmp_path)
+    assert cli_main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {error}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["flow", "--family", "conformal-torus", "--grid", "8", "--t-end", "0.02", "--stride", "2"],
+    ["wave", "--family", "hyperbolic-poincare", "--velocity-scale", "0.1", "--t-end", "0.05"],
+    ["scale-ode", "--lam", "-6", "--v", "2", "--t-end", "0.5"],
+    ["conformal-wave", "--points", "64", "--velocity", "right-mover", "--t-end", "0.1"],
+], ids=["flow", "wave", "scale-ode", "conformal-wave"])
+def test_a_run_subcommand_runs_the_scenario_its_summary_echoes(argv, tmp_path, capsys,
+                                                               monkeypatch):
+    # the subcommand writes a scenario document: `riemflow run` of the
+    # summary's echo, with only the output moved, writes the same CSV bytes
+    monkeypatch.chdir(tmp_path)
+    code = cli_main(argv)
+    (summary_path,) = tmp_path.glob("*.json")
+    config = json.loads(summary_path.read_text())["config"]
+    rerun = dict(config, output={"csv": "rerun.csv", "summary": "rerun.json"})
+    assert cli_main(["run", _write(tmp_path, rerun, "rerun-config.json")]) == code
+    capsys.readouterr()
+    csv = (tmp_path / config["output"]["csv"]).read_bytes()
+    assert csv.count(b"\n") > 2
+    assert (tmp_path / "rerun.csv").read_bytes() == csv
+
+
 def test_a_periodic_diagonal_lame_grid_runs(tmp_path, capsys):
     lame = {"name": "diagonal-lame", "params": {"expressions": ["2 + sin(x1)", "1", "1"]}}
     assert run_scenario(config_from_dict(_base_cfg(tmp_path, family=lame)))["termination"] \
@@ -405,7 +449,7 @@ def test_cli_field_and_scenario_share_the_chart(chart_args):
     args = cli.build_parser().parse_args(["flow", "--family", "conformal-torus", "--id", "x",
                                           *chart_args])
     family, fld = cli._build_field(args)
-    chart = _build_chart(cli._scenario_from_args(args, args.law).chart_spec, family)
+    chart = _build_chart(cli._scenario(args).chart_spec, family)
     assert type(fld.chart) is type(chart)
     for key, value in vars(chart).items():
         assert np.array_equal(getattr(fld.chart, key), value)

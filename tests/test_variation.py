@@ -68,6 +68,30 @@ def test_perturbation_field_accepted_by_derivative(rng):
     assert np.array_equal(d_plain, d_wrapped)
 
 
+@pytest.mark.parametrize("family", ["flat", "conformal-torus"])
+def test_callable_direction_on_a_field_made_from_samples(family):
+    # a field made from samples has no function: a callable direction is
+    # sampled at the chart's points, as a field made from a function's is
+    metric = make_family(family, 3, {}, np.random.default_rng(1)).metric_function
+    chart = GridChart(3, 8, 2.0 * np.pi)
+
+    def h(x):
+        x = np.asarray(x)
+        out = np.zeros(x.shape[:-1] + (3, 3))
+        out[..., 0, 0] = np.sin(x[..., 1]) + 0.5
+        out[..., 1, 2] = out[..., 2, 1] = 0.2 * np.cos(x[..., 0])
+        out[..., 2, 2] = 0.1
+        return out
+
+    sampled = MetricField.from_samples(chart, metric(chart.sample_points))
+    for which in ("Riem", "Ric"):
+        d = directional_curvature_derivative(sampled, h, which)
+        assert np.array_equal(d, directional_curvature_derivative(
+            sampled, h(chart.sample_points), which))
+        assert np.array_equal(d, directional_curvature_derivative(
+            MetricField.from_function(chart, metric), h, which))
+
+
 # ---------------------------------------------------------------------------
 # directional derivatives
 # ---------------------------------------------------------------------------

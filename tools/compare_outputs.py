@@ -1,0 +1,72 @@
+"""Compare what two source trees write for the scenario files in configs/.
+
+Usage: ``python tools/compare_outputs.py SRC_A SRC_B``
+
+``SRC_A`` and ``SRC_B`` are roots of riemflow checkouts.  Each tree runs
+every ``configs/*.json`` of its own through ``riemflow run``, one process per
+file with the tree's ``src`` on the import path, in a temporary directory of
+its own.  The script compares the exit status, stdout and every file the run
+wrote: CSV files byte for byte, JSON summaries as parsed without
+``wall_time_s``.  It prints each config and file that differs and exits 1 if
+any does, else 0.
+"""
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+
+def run_config(root, name):
+    """Run ``configs/<name>`` of the tree at ``root``; its exit status,
+    stdout and the files it wrote, by name, JSON files parsed without
+    ``wall_time_s``."""
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    with tempfile.TemporaryDirectory() as out_dir:
+        result = subprocess.run(
+            [sys.executable, "-m", "riemflow.cli", "run", str(root / "configs" / name)],
+            cwd=out_dir, env=env, capture_output=True, text=True, timeout=600)
+        files = {}
+        for path in sorted(Path(out_dir).iterdir()):
+            if path.suffix == ".json":
+                summary = json.loads(path.read_text())
+                summary.pop("wall_time_s", None)
+                files[path.name] = summary
+            else:
+                files[path.name] = path.read_bytes()
+    return {"exit status": result.returncode, "stdout": result.stdout}, files
+
+
+def compare_config(root_a, root_b, name):
+    """What differs between the two trees' runs of ``configs/<name>``."""
+    if not all((root / "configs" / name).is_file() for root in (root_a, root_b)):
+        return ["in one tree only"]
+    (streams_a, files_a), (streams_b, files_b) = (run_config(root, name)
+                                                  for root in (root_a, root_b))
+    return ([key for key in streams_a if streams_a[key] != streams_b[key]]
+            + [file for file in sorted(set(files_a) | set(files_b))
+               if files_a.get(file) != files_b.get(file)])
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("src_a", type=Path)
+    parser.add_argument("src_b", type=Path)
+    args = parser.parse_args(argv)
+    roots = (args.src_a.resolve(), args.src_b.resolve())
+    names = sorted({path.name for root in roots for path in (root / "configs").glob("*.json")})
+    failed = 0
+    for name in names:
+        differences = compare_config(*roots, name)
+        print(f"{name}: " + (f"differs: {', '.join(differences)}" if differences else "same"),
+              flush=True)
+        failed += bool(differences)
+    print(f"{len(names) - failed} of {len(names)} configs give the same outputs")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
