@@ -10,9 +10,9 @@ with the library's defaults (``scenarios.INTEGRATOR_DEFAULTS`` and
 ``OTHER_LAWS``, ``families.DEFAULTS``).  A family option the family does
 not take is refused.
 
-Exit status: 0 for a smooth completion, 2 when a finite-time singularity was
-detected (an expected scientific outcome, not an error) and 1 for internal
-errors.
+Exit status: 0 for a smooth completion (and ``--help``), 2 when a finite-time
+singularity was detected (an expected scientific outcome, not an error) and
+1 for errors: a refused option or document, or a failed run.
 """
 
 import argparse
@@ -319,8 +319,11 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse's usage error exits 2, which here means a collapse
+        return 1 if exc.code else 0
     try:
         return args.func(args)
     except RiemflowError as exc:

@@ -1,5 +1,7 @@
-"""Exception types shared across the library, and the schema check of the
-whole-number parameters of configurations."""
+"""Exception types shared across the library, and the schema checks of the
+whole-number and finite numeric parameters of configurations."""
+
+import math
 
 
 class RiemflowError(Exception):
@@ -91,10 +93,10 @@ class SchemaError(RiemflowError):
         super().__init__(message if key is None else f"{message} (key: {key!r})")
 
 
-def whole_number(value, key):
+def whole_number(value, key, least=None):
     """``value`` as an int; :class:`SchemaError` naming ``key`` unless it is
     a whole number, such as 2, 2.0 or "2" (not 2.5, which ``int`` would
-    truncate)."""
+    truncate), and not below ``least`` when that is given."""
     try:
         number = int(value)
         whole = number == float(value)
@@ -102,6 +104,23 @@ def whole_number(value, key):
         whole = False
     if not whole:
         raise SchemaError(f"{key} must be a whole number, got {value!r}", key=key)
+    if least is not None and number < least:
+        raise SchemaError(f"{key} must be at least {least}", key=key)
+    return number
+
+
+def finite_number(value, key, positive=False):
+    """``value`` as a float; :class:`SchemaError` naming ``key`` unless it
+    is a finite number, such as 0.5 or "0.5" (not NaN or infinity), and
+    above 0 when ``positive`` is set."""
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        number = math.nan
+    if not math.isfinite(number):
+        raise SchemaError(f"{key} must be a finite number, got {value!r}", key=key)
+    if positive and number <= 0.0:
+        raise SchemaError(f"{key} must be positive", key=key)
     return number
 
 

@@ -32,15 +32,17 @@ a genuine method-of-lines PDE solve.  On analytic single-point charts the
 state is the metric at the evaluation point, and the spatial field is
 carried in the frozen frame of the initial metric
 (:meth:`~riemflow.charts.AnalyticChart.evolving`), whose jets are taken
-once per run; general inhomogeneous dynamics belong on grid charts.  A stage
-whose state is not finite fails its positivity check, on both chart kinds;
-a metric that is not finite at a stencil point is refused with
+once per run; general inhomogeneous dynamics belong on grid charts.  A
+metric that is not finite at a stencil point is refused with
 :class:`~riemflow.errors.StencilOutOfDomain` when the run starts.
 
-Every law steps at a fixed ``dt``, on the schedule of :func:`step_ends`.  A
-failed step whose bisection (:func:`bisect`) reaches a state below the
-collapse threshold is a collapse, and any other raises
-:class:`~riemflow.errors.StepRejected`.
+Every law steps at a fixed ``dt``, on the schedule of :func:`step_ends`.
+A stage or new state that is not finite or not positive definite fails the
+step; else it returns the new state with its right-hand side, evaluated
+once as that state's positivity check, which its record, the curvature-cap
+check (at every step) and the next step read.  A failed step whose bisection
+(:func:`bisect`) reaches a state below the collapse threshold is a
+collapse, and any other raises :class:`~riemflow.errors.StepRejected`.
 """
 
 import math
@@ -231,7 +233,7 @@ def resolve_law(law, n, order):
     :func:`integrate_flow`, 2 for ``integrate_wave``).
 
     Raises ``ValueError`` for an unknown name, a parameter the law does not
-    take, a missing required one or a non-numeric value;
+    take, a missing required one or a value that is not a finite number;
     :class:`DimensionTooSmall` when a law that inverts the pair trace meets
     ``n < 3``; :class:`DegenerateCoefficients` when the leading coefficient
     vanishes or the contracted equation does not fix the trace of the
@@ -256,7 +258,9 @@ def resolve_law(law, n, order):
         try:
             coeffs[key] = float(params[key])
         except (TypeError, ValueError):
-            raise ValueError(f"parameter {key!r} of law {name!r} must be a number") from None
+            coeffs[key] = math.nan
+        if not math.isfinite(coeffs[key]):
+            raise ValueError(f"parameter {key!r} of law {name!r} must be a finite number")
     missing = [key for key in names if key not in coeffs]
     if missing:
         raise ValueError(f"law {name!r} needs parameter {missing[0]!r}")
@@ -350,7 +354,6 @@ class _RK4System:
         if cross_check and self.pair_rate is None:
             raise ValueError(f"cross_check_stride needs a first-order family law with "
                              f"gamma = trace = 0, not {law.name!r}")
-        self._last = None
         g = field.samples
         self.state0 = [g.copy()]
         if self.wave:
@@ -360,20 +363,12 @@ class _RK4System:
         # the builder holds the chart, not the system
         self._build = chart.evolving(field)
 
-    def field_of(self, state):
-        """The metric field of a state.  The last one made is kept, so that
-        the rhs at a state :func:`_rk4_step` accepted reuses that step's
-        positivity pass, which also gave the inverse."""
-        if self._last is None or self._last[0] is not state[0]:
-            self._last = (state[0], self._build(state[0]))
-        return self._last[1]
-
     def rhs(self, state):
         """(d state/dt, curvature block, the law's rate at the samples, the
         inverse metric there).  The rate is symmetrized, so a symmetric
         state stays exactly symmetric.  Raises :class:`NotPositiveDefinite`
         when the state's metric is not positive definite."""
-        fld = self.field_of(state)
+        fld = self._build(state[0])
         riem = riemann(fld).block
         k = state[1] if self.wave else None
         rate = self.law.rate(fld.samples, fld.inverse, k, riem)
@@ -408,7 +403,8 @@ def integrate_flow(initial, law, dt, t_end, *, stride=10,
         below it, or at a failed step whose bisection reaches such a state
         (a failed step that does not raises :class:`StepRejected`).
     curvature_cap : float, optional
-        Stop with ``curvature_cap`` termination when sup |Riem| exceeds it.
+        Stop with ``curvature_cap`` termination at the first step, recorded
+        or not, whose state has sup |Riem| above it; that state is recorded.
     cross_check_stride : int, optional
         Every so many records, also evolve the pair product directly, at
         dG/dt = -(delta/beta) Riem, and record how far the metric recovered
@@ -435,9 +431,7 @@ def _rk4_evolve(initial, law, order, velocity, dt, t_end, stride, collapse_thres
         t0, fld = 0.0, initial
     else:
         t0, fld, velocity = initial.t, initial.field, getattr(initial, "velocity", velocity)
-    _check_schedule(t0, t_end, dt)
-    if stride < 1:
-        raise ValueError("stride must be at least 1")
+    _check_schedule(t0, t_end, dt, stride)
     fld.validate_spd()
     if order == 2 and velocity is None:
         velocity = np.zeros_like(fld.samples)
@@ -455,17 +449,16 @@ def _rk4_evolve(initial, law, order, velocity, dt, t_end, stride, collapse_thres
                           "sup_riem_norm", "scalar_min", "scalar_max",
                           "eq_residual", "det_g_min", "cross_check_error")})
 
-    def record(t, state, rel):
-        """Append a record of ``state``, whose relative eigenvalues are
-        ``rel``; returns sup |Riem| and the state's rhs, which the next step
-        reuses."""
+    def sup_riem(rhs):
+        return float(tensor_norm(CurvatureTensor(rhs[1]), rhs[3]).max())
+
+    def record(t, state, rhs, rel):
+        """Append a record of ``state``, whose rhs is ``rhs`` and relative
+        eigenvalues are ``rel``."""
         g = state[0]
-        first = system.rhs(state)
-        _, riem, rate, ginv = first
+        _, riem, rate, ginv = rhs
         k = state[1] if system.wave else None
         ric, scal = ricci_scalar_from_arrays(ginv, riem)
-        riem_norm = tensor_norm(CurvatureTensor(riem), ginv)
-        ric_norm = tensor_norm(ric, ginv)
         traj.times.append(t)
         traj.states.append(g.copy())
         traj.velocities.append((rate if k is None else k).copy())
@@ -474,40 +467,38 @@ def _rk4_evolve(initial, law, order, velocity, dt, t_end, stride, collapse_thres
         d["f_est"].append(float(np.mean((det / det0) ** (1.0 / n))))
         d["min_rel_eig"].append(float(rel.min()))
         d["max_rel_eig"].append(float(rel.max()))
-        d["sup_ric_norm"].append(float(ric_norm.max()))
-        d["sup_riem_norm"].append(float(riem_norm.max()))
+        d["sup_ric_norm"].append(float(tensor_norm(ric, ginv).max()))
+        d["sup_riem_norm"].append(sup_riem(rhs))
         d["scalar_min"].append(float(scal.min()))
         d["scalar_max"].append(float(scal.max()))
         d["eq_residual"].append(system.law.residual(g, ginv, k, rate, riem))
         d["det_g_min"].append(float(det.min()))
+        err = math.nan
         if cross_check_stride and (len(traj.times) - 1) % cross_check_stride == 0:
             try:
                 err = float(np.abs(recover_metric(state[-1], n) - g).max())
             except NotInImage:
                 err = math.inf
-            d["cross_check_error"].append(err)
-        else:
-            d["cross_check_error"].append(float("nan"))
-        return float(riem_norm.max()), first
+        d["cross_check_error"].append(err)
 
-    # ``first`` is the rhs at ``state`` once known, so that neither a record
-    # nor a failed step's bisection evaluates it twice; ``rel`` holds the
-    # relative eigenvalues of ``state``
+    # ``rhs`` is the rhs at ``state``, evaluated once, here or by the step
+    # that accepted it; ``rel`` holds the relative eigenvalues of ``state``
+    rhs = system.rhs(state)
     rel = _relative_eigenvalues(g0, L0inv)
-    sup_riem, first = record(t0, state, rel)
+    record(t0, state, rhs, rel)
     t = t0
     termination = "t_end"
     ends = step_ends(t0, t_end, dt)
     for steps, t_next in enumerate(ends, 1):
-        new_state, first = _rk4_step(system, state, t_next - t, first)
-        if new_state is None:
+        step = _rk4_step(system, state, t_next - t, rhs)
+        if step is None:
             # bisect the failed step's end time, up to the first state below
             # the threshold, which is a collapse and is not recorded
             def inside(T):
-                new = _rk4_step(system, state, T - t, first)[0]
-                if new and _relative_eigenvalues(new[0], L0inv).min() < collapse_threshold:
+                trial = _rk4_step(system, state, T - t, rhs)
+                if trial and _relative_eigenvalues(trial[0][0], L0inv).min() < collapse_threshold:
                     raise _Collapsed
-                return bool(new)
+                return trial is not None
             try:
                 bisect(inside, t, t_next)
             except _Collapsed:
@@ -515,23 +506,21 @@ def _rk4_evolve(initial, law, order, velocity, dt, t_end, stride, collapse_thres
                 break
             raise StepRejected(f"the step at t={t:.6g} fails and no shorter one reaches the "
                                "collapse threshold")
-        state = new_state
-        first = None
-        t = t_next
+        (state, rhs), t = step, t_next
         rel = _relative_eigenvalues(state[0], L0inv)
         min_rel = float(rel.min())
         # keep a dense record of the approach to collapse for the monitors
         near_collapse = min_rel < max(0.1, 1e3 * collapse_threshold)
         if steps % stride == 0 or near_collapse or steps == len(ends):
-            sup_riem, first = record(t, state, rel)
+            record(t, state, rhs, rel)
         if min_rel < collapse_threshold:
             termination = "collapse"
             break
-        if curvature_cap is not None and sup_riem > curvature_cap:
+        if curvature_cap is not None and sup_riem(rhs) > curvature_cap:
             termination = "curvature_cap"
             break
     if traj.times[-1] != t:
-        record(t, state, rel)
+        record(t, state, rhs, rel)
     traj.termination = termination
     return traj
 
@@ -540,36 +529,34 @@ def _rk4_step(system, state, dt, first=None):
     """One classical RK4 step with a positivity guard on every stage.
 
     Each stage's positivity check is the one its rhs makes (a stage that
-    raises :class:`NotPositiveDefinite` fails the step); the new state's
-    field makes the same check, :meth:`MetricField.validate_spd`.
-    ``first`` is ``system.rhs(state)`` when already known.  Returns (new
-    state, ``first``): the state is ``None`` when the step fails, and
-    ``first`` is ``None`` when computing it failed.
+    raises :class:`NotPositiveDefinite` fails the step), and so is the new
+    state's: its rhs is evaluated here, once, after a check that it is
+    finite.  ``first`` is ``system.rhs(state)`` when already known.
+    Returns ``None`` when the step fails, else the new state and its rhs.
     """
     try:
-        if first is None:
-            first = system.rhs(state)
-        k1 = first[0]
+        k1 = (system.rhs(state) if first is None else first)[0]
         k2 = system.rhs([y + 0.5 * dt * k for y, k in zip(state, k1)])[0]
         k3 = system.rhs([y + 0.5 * dt * k for y, k in zip(state, k2)])[0]
         k4 = system.rhs([y + dt * k for y, k in zip(state, k3)])[0]
         new = [y + dt / 6.0 * (a + 2.0 * b + 2.0 * c + d)
                for y, a, b, c, d in zip(state, k1, k2, k3, k4)]
-        system.field_of(new).validate_spd()
+        if all(np.all(np.isfinite(a)) for a in new):
+            return new, system.rhs(new)
     except (np.linalg.LinAlgError, FloatingPointError, NotPositiveDefinite):
-        return None, first
-    if not all(np.all(np.isfinite(a)) for a in new):
-        return None, first
-    return new, first
+        pass
+    return None
 
 
-def _check_schedule(t0, t_end, dt):
-    """Refuse a step ``dt`` that is not positive or a ``t_end`` before the
-    start time ``t0`` with ``ValueError``."""
-    if dt <= 0:
+def _check_schedule(t0, t_end, dt, stride=1, stride_name="stride"):
+    """Refuse with ``ValueError`` a step ``dt`` that is not positive, a
+    ``t_end`` before the start time ``t0`` and a record stride below 1."""
+    if not dt > 0:
         raise ValueError("dt must be positive")
     if t_end < t0:
         raise ValueError(f"t_end = {t_end:g} is before the start time t = {t0:g}")
+    if stride < 1:
+        raise ValueError(f"{stride_name} must be at least 1")
 
 
 # ---------------------------------------------------------------------------

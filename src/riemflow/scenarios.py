@@ -3,12 +3,13 @@
 A scenario is a JSON document selecting a metric family, a chart, an
 evolution law, integrator settings and output paths.  A document is checked
 when it is loaded, before any run starts: unknown keys, parameters the law
-or the family does not take or cannot use, a fraction where a whole number
-is needed (``dimension``, ``stride``, ``points_per_axis``, ``mode``,
-``points``), a chart that cannot be built, grid ``lengths`` other than a
-conformal torus's periods, and a conformal wave of fewer than 3 ``points``
-or a ``length`` that is not positive and finite are refused with
-:class:`SchemaError`.  A grid chart without ``lengths`` takes the family's.
+or the family does not take or cannot use, a number that is not finite, a
+fraction where a whole number is needed (``dimension``, ``stride``,
+``points_per_axis``, ``mode``, ``points``, ``seed``), a negative ``seed``,
+a chart that cannot be built, grid ``lengths`` other than a conformal
+torus's periods, and a conformal wave of fewer than 3 ``points`` or a
+``length`` that is not positive are refused with :class:`SchemaError`, on
+the key at fault.  A grid chart without ``lengths`` takes the family's.
 The law is parsed once, at load, into the config's :class:`~riemflow.flow.Law`
 record or, for the laws of :data:`OTHER_LAWS`, typed parameters.
 Runs write a time-series CSV plus a JSON summary; with a fixed seed the CSV
@@ -38,7 +39,7 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from .charts import DEFAULT_ANALYTIC_STEP, AnalyticChart, GridChart, MetricField
-from .errors import NoSingularity, ParseError, SchemaError, whole_number
+from .errors import NoSingularity, ParseError, SchemaError, finite_number, whole_number
 from .families import make_family
 from .flow import COLLAPSE_EIG_FRACTION, integrate_flow, monitor_blow_up, resolve_law, step_ends
 from .wave import (
@@ -128,9 +129,8 @@ def config_from_dict(raw, default_id="scenario"):
     chart = dict(raw.get("chart", {}))
     _require_known(chart, {"dimension", "kind", "point", "step",
                            "points_per_axis", "lengths"}, "chart")
-    dimension = whole_number(chart.get("dimension", family.get("dimension", 3)), "dimension")
-    if dimension < 2:
-        raise SchemaError("chart dimension must be at least 2", key="dimension")
+    dimension = whole_number(chart.get("dimension", family.get("dimension", 3)), "dimension",
+                             least=2)
     # built once here to refuse a bad family or chart at load; the run builds
     # its own family, whose random phases come from the scenario seed
     metric_family = make_family(family_name, dimension, family_params,
@@ -159,22 +159,17 @@ def config_from_dict(raw, default_id="scenario"):
 
     integ = {**INTEGRATOR_DEFAULTS, **dict(raw.get("integrator", {}))}
     _require_known(integ, INTEGRATOR_DEFAULTS, "integrator")
-    dt = float(integ["dt"])
-    t_end = float(integ["t_end"])
-    stride = whole_number(integ["stride"], "stride")
-    if dt <= 0:
-        raise SchemaError("dt must be positive", key="dt")
-    if t_end <= 0:
-        raise SchemaError("t_end must be positive", key="t_end")
-    if stride < 1:
-        raise SchemaError("stride must be at least 1", key="stride")
+    dt = finite_number(integ["dt"], "dt", positive=True)
+    t_end = finite_number(integ["t_end"], "t_end", positive=True)
+    stride = whole_number(integ["stride"], "stride", least=1)
 
     stop = dict(raw.get("stop", {}))
     _require_known(stop, {"collapse_threshold", "curvature_cap"}, "stop")
-    collapse_threshold = float(stop.get("collapse_threshold", COLLAPSE_EIG_FRACTION))
+    collapse_threshold = finite_number(stop.get("collapse_threshold", COLLAPSE_EIG_FRACTION),
+                                       "collapse_threshold")
     curvature_cap = stop.get("curvature_cap")
     if curvature_cap is not None:
-        curvature_cap = float(curvature_cap)
+        curvature_cap = finite_number(curvature_cap, "curvature_cap")
 
     output = dict(raw.get("output", {}))
     _require_known(output, {"csv", "summary"}, "output")
@@ -193,10 +188,11 @@ def config_from_dict(raw, default_id="scenario"):
         stride=stride,
         collapse_threshold=collapse_threshold,
         curvature_cap=curvature_cap,
-        initial_velocity_scale=float(raw.get("initial_velocity_scale", 0.0)),
+        initial_velocity_scale=finite_number(raw.get("initial_velocity_scale", 0.0),
+                                             "initial_velocity_scale"),
         csv_path=output.get("csv", f"{scenario_id}.csv"),
         summary_path=output.get("summary", f"{scenario_id}.json"),
-        seed=int(raw.get("seed", 0)),
+        seed=whole_number(raw.get("seed", 0), "seed", least=0),
         raw=dict(raw),
     )
 
@@ -258,19 +254,9 @@ def _fmt(x):
 
 
 def _write_csv(path, columns, rows):
-    lines = [",".join(columns)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
+    lines = [",".join(columns)] + [",".join(_fmt(v) for v in row) for row in rows]
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
-
-
-def _trajectory_rows(traj):
-    d = traj.diagnostics
-    rows = []
-    for idx, t in enumerate(traj.times):
-        rows.append([t] + [d[c][idx] for c in CSV_COLUMNS[1:]])
-    return rows
 
 
 def _family_discrepancies(cfg, family):
@@ -372,7 +358,8 @@ def run_scenario(cfg: ScenarioConfig):
                                   stride=cfg.stride,
                                   collapse_threshold=cfg.collapse_threshold,
                                   curvature_cap=cfg.curvature_cap)
-        _write_csv(cfg.csv_path, CSV_COLUMNS, _trajectory_rows(traj))
+        _write_csv(cfg.csv_path, CSV_COLUMNS,
+                   zip(traj.times, *(traj.diagnostics[c] for c in CSV_COLUMNS[1:])))
         summary["termination"] = traj.termination
         summary["t_final"] = float(traj.times[-1])
         resid = traj.diagnostic("eq_residual")
@@ -403,11 +390,11 @@ def run_scenario(cfg: ScenarioConfig):
 
 def _other_law_params(law_name, law_params):
     """The parameters of a scale-ode or conformal-wave scenario over their
-    defaults in :data:`OTHER_LAWS`, each converted to its default's type;
-    :class:`SchemaError` for a name without a default, a value that does
-    not convert, a fraction where the default is a whole number, and for
-    a conformal wave of fewer than 3 points or a length that is not
-    positive and finite."""
+    defaults in :data:`OTHER_LAWS`, numbers converted to their default's
+    type; :class:`SchemaError` for a name without a default, a value that
+    is not a finite number where the default is a number, a fraction where
+    it is a whole number, and for a conformal wave of fewer than 3 points,
+    a length that is not positive or a velocity not in :data:`VELOCITIES`."""
     defaults = OTHER_LAWS[law_name]
     extra = set(law_params) - set(defaults)
     if extra:
@@ -416,19 +403,15 @@ def _other_law_params(law_name, law_params):
     for key, default in defaults.items():
         if type(default) is int:
             params[key] = whole_number(params[key], key)
-        else:
-            try:
-                params[key] = type(default)(params[key])
-            except (TypeError, ValueError):
-                raise SchemaError(f"{law_name} parameter must be a number",
-                                  key=key) from None
+        elif type(default) is float:
+            params[key] = finite_number(params[key], key)
     if law_name == "conformal-wave":
         if params["velocity"] not in VELOCITIES:
             raise SchemaError("velocity must be 'zero' or 'right-mover'", key="velocity")
         if params["points"] < 3:
             raise SchemaError("conformal-wave needs at least 3 points", key="points")
-        if not 0.0 < params["length"] < math.inf:
-            raise SchemaError("length must be positive and finite", key="length")
+        if params["length"] <= 0.0:
+            raise SchemaError("length must be positive", key="length")
     return params
 
 

@@ -181,10 +181,10 @@ def integrate_linearized_flow(field, h, which, dt, t_end):
     _check_schedule(0.0, t_end, dt)
     system = _RK4System(_perturbed_field(field, h, 1j * STEP),
                         resolve_law(which, field.dimension, 1))
-    state, t = system.state0, 0.0
+    state, rhs, t = system.state0, None, 0.0
     for t_next in step_ends(0.0, t_end, dt):
-        state, _ = _rk4_step(system, state, t_next - t)
-        if state is None:
+        step = _rk4_step(system, state, t_next - t, rhs)
+        if step is None:
             raise StepRejected(f"the RK4 step at t={t:.6g} fails its positivity or finiteness check")
-        t = t_next
+        (state, rhs), t = step, t_next
     return state[0].imag / STEP

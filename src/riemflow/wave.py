@@ -32,7 +32,7 @@ import numpy as np
 
 from .charts import MetricField
 from .errors import CFLViolated, PositivityLost
-from .flow import COLLAPSE_EIG_FRACTION, _rk4_evolve, bisect, step_ends
+from .flow import COLLAPSE_EIG_FRACTION, _check_schedule, _rk4_evolve, bisect, step_ends
 
 # the 1+1 wave stops with PositivityLost when its factor falls to this floor
 POSITIVITY_FLOOR = 1e-8
@@ -99,10 +99,7 @@ def constant_curvature_wave_ode(lam, v, dt, t_end, record_stride=1):
     ``v^2 = -2 lam / 3``; the constant residual ``v^2 + 2 lam / 3`` is
     reported so callers can see how far a given (lam, v) pair is from it.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    if record_stride < 1:
-        raise ValueError("record_stride must be at least 1")
+    _check_schedule(0.0, abs(t_end), dt, record_stride, "record_stride")
     direction = 1.0 if t_end >= 0 else -1.0
     c, sqrt = -2.0 * lam, math.sqrt
 
@@ -173,10 +170,7 @@ def conformally_flat_wave_solve(u0, u1, dt, t_end, length=None, stride=1):
     and :class:`PositivityLost` when the factor reaches
     ``POSITIVITY_FLOOR``.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    if stride < 1:
-        raise ValueError("stride must be at least 1")
+    _check_schedule(0.0, t_end, dt, stride)
     nsteps = round(t_end / dt)
     if nsteps < 1 or abs(t_end / dt - nsteps) > 1e-9:
         raise ValueError(f"dt={dt!r} does not divide t_end={t_end!r} into whole steps")

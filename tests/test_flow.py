@@ -294,6 +294,17 @@ def test_curvature_cap_termination():
     assert abs(report.T_est - 1.0) < 1e-2
 
 
+def test_curvature_cap_stop_does_not_depend_on_the_stride():
+    # the cap is checked at every accepted state, recorded or not: the run
+    # stops at the first step past it, where it is also recorded
+    fld, _ = hyperbolic_field(3)
+    runs = [integrate_flow(fld, "riemann-induced", 1e-3, 1.0, stride=stride, curvature_cap=10.0)
+            for stride in (1, 100)]
+    assert [traj.termination for traj in runs] == ["curvature_cap"] * 2
+    assert runs[0].times[-1] == runs[1].times[-1] == pytest.approx(0.654)
+    assert runs[0].diagnostic("sup_riem_norm")[-2] <= 10.0 < runs[1].diagnostic("sup_riem_norm")[-1]
+
+
 def test_a_t_end_before_the_start_is_refused():
     # like dt <= 0: a run never reports a horizon it did not reach; a t_end
     # at the start is reached with no step
@@ -462,9 +473,7 @@ def test_non_finite_stage_fails_the_step(make, stage):
     fld, _ = make(3)
     system = flow._RK4System(fld, resolve_law("riemann-induced", 3, 1))
     with np.errstate(invalid="ignore"):
-        new, first = flow._rk4_step(system, system.state0, stage)
-    assert new is None
-    assert first is not None
+        assert flow._rk4_step(system, system.state0, stage) is None
 
 
 def test_stencil_values_out_of_domain_refused_at_start():
@@ -582,7 +591,7 @@ def test_failed_first_stage_is_a_failed_step():
         def rhs(self, state):
             raise np.linalg.LinAlgError("singular")
 
-    assert flow._rk4_step(Failing(), [np.eye(3)], 1e-3) == (None, None)
+    assert flow._rk4_step(Failing(), [np.eye(3)], 1e-3) is None
 
 
 def test_failed_step_near_the_cone_boundary_is_a_collapse():
@@ -601,7 +610,7 @@ def test_failed_step_near_the_cone_boundary_is_a_collapse():
                 raise NotPositiveDefinite(0, -1.0)
             return [np.zeros_like(state[0])], None, None, None
 
-    assert flow._rk4_step(Stage(), [np.eye(3)], 1e-3)[0] is None
+    assert flow._rk4_step(Stage(), [np.eye(3)], 1e-3) is None
     fld, _ = hyperbolic_field(3)
     traj = integrate_flow(fld, "riemann-induced", 1.5, 1.2, stride=1)
     assert traj.termination == "collapse"

@@ -287,6 +287,28 @@ def test_cli_error_exit_code(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv, option", [
+    (["scale-ode"], "--lam"),
+    (["conformal-wave", "--velocity", "left"], "--velocity"),
+    (["flow", "--bogus"], "--bogus"),
+], ids=["missing-option", "bad-choice", "unknown-option"])
+def test_cli_usage_error_exits_1_not_the_collapse_status(tmp_path, monkeypatch, capsys, argv,
+                                                         option):
+    # 2 means a detected singularity, so a mistyped command line must not
+    # read as one; the usage message stays on stderr and nothing runs
+    monkeypatch.chdir(tmp_path)
+    assert cli_main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("usage: riemflow") and option in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_cli_help_exits_0(capsys):
+    assert cli_main(["--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: riemflow")
+
+
 def test_cli_jobs_flag(tmp_path, capsys):
     paths = []
     for k in range(2):
@@ -600,11 +622,22 @@ def test_cli_run_refuses_a_dunder_expression(tmp_path, capsys):
     ({"law": {"name": "conformal-wave", "length": 0}}, "length"),
     ({"tolerances": {"identity": 1e-12}}, "tolerances"),
     ({"family": {"name": "sphere-stereographic"}}, "chart"),
+    ({"seed": -1}, "seed"),
+    ({"integrator": {"dt": float("nan"), "t_end": 0.5}}, "dt"),
+    ({"integrator": {"dt": 0.05, "t_end": float("inf")}}, "t_end"),
+    ({"law": {"name": "scale-ode", "lam": float("nan")}}, "lam"),
+    ({"law": {"name": "conformal-wave", "length": float("inf")}}, "length"),
+    ({"law": {"name": "general-flow", "beta": float("nan")}}, "law"),
+    ({"stop": {"curvature_cap": float("nan")}}, "curvature_cap"),
+    ({"stop": {"collapse_threshold": float("inf")}}, "collapse_threshold"),
+    ({"initial_velocity_scale": float("-inf")}, "initial_velocity_scale"),
 ], ids=["grid-points", "family-parameter", "lame-table-length", "torus-phases",
         "scale-ode-parameter",
         "scale-ode-value", "conformal-velocity", "conformal-no-points",
         "conformal-two-points", "conformal-negative-length", "conformal-zero-length",
-        "tolerances", "non-periodic-grid"])
+        "tolerances", "non-periodic-grid", "negative-seed", "nan-dt", "infinite-t-end",
+        "nan-scale-ode-value", "conformal-infinite-length", "nan-law-parameter",
+        "nan-curvature-cap", "infinite-collapse-threshold", "infinite-velocity-scale"])
 def test_config_errors_are_refused_at_load(tmp_path, overrides, key):
     with pytest.raises(SchemaError) as err:
         config_from_dict(_base_cfg(tmp_path, **overrides))
@@ -620,7 +653,8 @@ def test_config_errors_are_refused_at_load(tmp_path, overrides, key):
                                              "points_per_axis": [8, v, 8]}}, 8.5),
     ("dimension", lambda v: {"chart": {"dimension": v, "kind": "periodic-grid",
                                        "points_per_axis": 8}}, 3.5),
-], ids=["torus-mode", "wave-mode", "points", "stride", "points-per-axis", "dimension"])
+    ("seed", lambda v: {"seed": v}, 2.7),
+], ids=["torus-mode", "wave-mode", "points", "stride", "points-per-axis", "dimension", "seed"])
 def test_fractional_counts_are_refused(tmp_path, key, overrides, fraction):
     # a whole-number parameter given a fraction is refused, not truncated;
     # the same value as a whole float loads

@@ -1,14 +1,15 @@
-"""Compare what two source trees write for the scenario files in configs/.
+"""Compare what two source trees write for the scenario files in configs/
+and print for the scripts in demos/.
 
 Usage: ``python tools/compare_outputs.py SRC_A SRC_B``
 
 ``SRC_A`` and ``SRC_B`` are roots of riemflow checkouts.  Each tree runs
-every ``configs/*.json`` of its own through ``riemflow run``, one process per
-file with the tree's ``src`` on the import path, in a temporary directory of
-its own.  The script compares the exit status, stdout and every file the run
-wrote: CSV files byte for byte, JSON summaries as parsed without
-``wall_time_s``.  It prints each config and file that differs and exits 1 if
-any does, else 0.
+every ``configs/*.json`` of its own through ``riemflow run`` and every
+``demos/*.py`` of its own, one process per file with the tree's ``src`` on
+the import path, in a temporary directory of its own.  The script compares
+the exit status, stdout and every file the run wrote: CSV files byte for
+byte, JSON summaries as parsed without ``wall_time_s``.  It prints each
+file and output that differs and exits 1 if any does, else 0.
 """
 
 import argparse
@@ -19,15 +20,18 @@ import sys
 import tempfile
 from pathlib import Path
 
+# what each kind of file is run with, after the interpreter
+KINDS = {"configs": ("*.json", ["-m", "riemflow.cli", "run"]), "demos": ("*.py", [])}
 
-def run_config(root, name):
-    """Run ``configs/<name>`` of the tree at ``root``; its exit status,
+
+def run_file(root, kind, name):
+    """Run ``<kind>/<name>`` of the tree at ``root``; its exit status,
     stdout and the files it wrote, by name, JSON files parsed without
     ``wall_time_s``."""
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
     with tempfile.TemporaryDirectory() as out_dir:
         result = subprocess.run(
-            [sys.executable, "-m", "riemflow.cli", "run", str(root / "configs" / name)],
+            [sys.executable, *KINDS[kind][1], str(root / kind / name)],
             cwd=out_dir, env=env, capture_output=True, text=True, timeout=600)
         files = {}
         for path in sorted(Path(out_dir).iterdir()):
@@ -40,11 +44,11 @@ def run_config(root, name):
     return {"exit status": result.returncode, "stdout": result.stdout}, files
 
 
-def compare_config(root_a, root_b, name):
-    """What differs between the two trees' runs of ``configs/<name>``."""
-    if not all((root / "configs" / name).is_file() for root in (root_a, root_b)):
+def compare_file(root_a, root_b, kind, name):
+    """What differs between the two trees' runs of ``<kind>/<name>``."""
+    if not all((root / kind / name).is_file() for root in (root_a, root_b)):
         return ["in one tree only"]
-    (streams_a, files_a), (streams_b, files_b) = (run_config(root, name)
+    (streams_a, files_a), (streams_b, files_b) = (run_file(root, kind, name)
                                                   for root in (root_a, root_b))
     return ([key for key in streams_a if streams_a[key] != streams_b[key]]
             + [file for file in sorted(set(files_a) | set(files_b))
@@ -57,14 +61,17 @@ def main(argv=None):
     parser.add_argument("src_b", type=Path)
     args = parser.parse_args(argv)
     roots = (args.src_a.resolve(), args.src_b.resolve())
-    names = sorted({path.name for root in roots for path in (root / "configs").glob("*.json")})
     failed = 0
-    for name in names:
-        differences = compare_config(*roots, name)
-        print(f"{name}: " + (f"differs: {', '.join(differences)}" if differences else "same"),
-              flush=True)
-        failed += bool(differences)
-    print(f"{len(names) - failed} of {len(names)} configs give the same outputs")
+    for kind, (pattern, _) in KINDS.items():
+        names = sorted({path.name for root in roots for path in (root / kind).glob(pattern)})
+        differing = 0
+        for name in names:
+            differences = compare_file(*roots, kind, name)
+            print(f"{kind}/{name}: "
+                  + (f"differs: {', '.join(differences)}" if differences else "same"), flush=True)
+            differing += bool(differences)
+        print(f"{len(names) - differing} of {len(names)} {kind} give the same outputs", flush=True)
+        failed += differing
     return 1 if failed else 0
 
 
