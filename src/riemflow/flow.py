@@ -1,27 +1,28 @@
 """First-order metric evolutions driven by curvature, and the law table.
 
-Four first-order laws are integrated on the metric components:
+Every law, flow or wave, is a row of one G-level equation for its rate
+``r``, a flow's velocity or a wave's acceleration (``k`` its velocity):
 
-* ``ricci``:             dg/dt = -2 Ric(g)
-* ``riemann-induced``:   the unique velocity solving the pair-trace
-                         contraction of dG/dt = -2 Riem(g), namely
-                         (n-2) v + tr(v) g = g^{jl} (-2 R)_ijkl
-* ``riemann-type``:      dG/dt = alpha Riem + beta tr_g(v) G, the general
-                         family at (beta, delta, trace) = (1, -alpha, -beta);
-                         degenerate at beta = 2/n, where the contracted
-                         equation no longer fixes tr_g(v)
-* ``general``:           the first-order member of the general family,
-                         beta dG/dt + gamma G + delta Riem = 0
+    lead (r ^ g) + quad (k (.) k) + beta (k ^ g) + trace tr_g(r) G
+        + gamma G + delta Riem + ricci (Ric ^ g) = 0,
 
-Every law, first or second order, is one row of a table, and the table is
-the library's only way to evaluate a law.  :func:`resolve_law` turns a name,
-or a ``(name, params)`` pair, into a frozen :class:`Law` record once, at
-integrator entry, and rejects parameters the law does not take.  The record
-gives the rate (velocity or acceleration), ``Law.rate_at(field[, velocity])``
-at a field, and the equation residual, ``Law.residual``; one RK4 system
-steps flows and waves alike.  Every law but the Ricci ones (which run at
-n = 2 too) is a row of the general family: ``riemann-induced`` at (beta=1,
-delta=2), ``riemann-wave`` at (alpha=1, delta=2), bit for bit.
+``lead`` being a wave's alpha or a flow's beta, whose beta term it is.  The
+first-order rows are Ricci-Bourguignon flows dg/dt = a (Ric - rho R g) + b g
+(Catino, Cremaschi, Djadli, Mantegazza and Mazzieri, Pacific J. Math. 2017):
+``ricci`` is -2 Ric (rho = 0); ``riemann-induced``, the pair-trace solution
+of dG/dt = -2 Riem, is -2 times the Schouten tensor (Ric - R g/(2(n-1)))
+/ (n-2), at their short-time existence bound rho = 1/(2(n-1));
+``riemann-type``, dG/dt = alpha Riem + beta tr_g(v) G, has rho = c / ((n-2)
++ n c), c = :meth:`Law.coupling`, so its defaults are Ricci flow and its
+refused beta = 2/n is rho = inf; ``general`` is beta dG/dt + gamma G +
+delta Riem = 0.  The waves are ``ricci-wave``, d2g/dt2 = -2 Ric,
+``riemann-wave`` and the ``general`` wave.  :func:`resolve_law` turns a
+name, or a ``(name, params)`` pair, into a frozen :class:`Law` record once,
+at integrator entry, and rejects parameters the law does not take.  The
+record gives the rate, ``Law.rate_at(field[, velocity])`` at a field, and
+the residual, ``Law.residual``, from one term list: the Ricci term is
+solved at metric level and the rest through the pair trace, which needs
+n >= 3, so only the Ricci rows run at n = 2.  One RK4 system steps them all.
 
 The RK4 state is the metric samples, and for a wave the velocity samples
 too, on both chart kinds, and while the cross-check runs the pair product
@@ -131,24 +132,19 @@ def _combine(terms, like, lead=1.0):
 
 @dataclass(frozen=True)
 class Law:
-    """A resolved evolution law: its name, order (1 flow, 2 wave), kind and
-    coefficients.
-
-    ``family``: alpha (a ^ g + 2 k (.) k) + beta (k ^ g) + trace tr_g(k) G
-    + gamma G + delta Riem = 0, the G-level general family, solved for the
-    acceleration ``a`` (order 2) or the velocity ``k`` (order 1); only a
-    first-order law has a ``trace`` term.  ``ricci``: the metric-level
-    alpha a + beta k + delta Ric = 0, which also runs at n = 2.
-    """
+    """A resolved evolution law: its name, order (1 flow, 2 wave) and its
+    row of the law equation (see the module docstring); only a first-order
+    law has a ``trace`` term."""
 
     name: str
     order: int
-    kind: str
     alpha: float = 0.0
     beta: float = 0.0
     gamma: float = 0.0
     delta: float = 0.0
     trace: float = 0.0
+    ricci: float = 0.0
+    quad: float = 0.0
 
     @property
     def lead(self):
@@ -156,32 +152,37 @@ class Law:
         return self.alpha if self.order == 2 else self.beta
 
     def coupling(self, n):
-        """c in the contracted family equation (n-2) k + c tr_g(k) g = W,
+        """c in the contracted equation (n-2) r + c tr_g(r) g = W,
         1 + trace (n-1) / lead (see :func:`solve_pair_trace`)."""
         return 1.0 + self.trace * (n - 1) / self.lead
 
     @property
     def pair_rate_factor(self):
-        """c in dG/dt = c Riem, for first-order family laws with
-        gamma = trace = 0; ``None`` for the other laws."""
-        if self.kind == "family" and self.order == 1 and self.gamma == self.trace == 0.0:
+        """c in dG/dt = c Riem, for first-order laws with gamma = trace =
+        ricci = 0; ``None`` for the other laws."""
+        if self.order == 1 and self.gamma == self.trace == self.ricci == 0.0:
             return -(self.delta / self.beta)
         return None
+
+    def _terms(self, g, k, riem):
+        """The (coefficient, term) pairs of the equation's terms that hold
+        neither the rate nor Ric: quad (k (.) k), beta (k ^ g) of a wave,
+        gamma G and delta Riem."""
+        return [(self.quad, lambda: pair_product_from_samples(k)),
+                (self.beta if self.order == 2 else 0.0, lambda: kn_product(k, g)),
+                (self.gamma, lambda: pair_product_from_samples(g)),
+                (self.delta, lambda: riem)]
 
     def rate(self, g, ginv, k, riem):
         """Metric velocity (order 1) or acceleration (order 2) at metric
         samples ``g`` with inverse ``ginv``, velocity samples ``k`` (order 2)
-        and the curvature block ``riem``."""
-        if self.kind == "ricci":
-            ric, _ = ricci_scalar_from_arrays(ginv, riem)
-            return _combine([(-self.delta, lambda: ric)], ric, self.lead)
-        terms = [(-self.gamma, lambda: pair_product_from_samples(g)),
-                 (-self.delta, lambda: riem)]
-        if self.order == 2:
-            terms = [(-2.0 * self.alpha, lambda: pair_product_from_samples(k)),
-                     (-self.beta, lambda: kn_product(k, g))] + terms
-        return solve_pair_trace(g, ginv, _combine(terms, riem, self.lead),
-                                self.coupling(g.shape[-1]))
+        and the curvature block ``riem``: -(ricci/lead) Ric plus the
+        pair-trace solve of :meth:`_terms`, skipped when they all vanish."""
+        terms = [(-c, term) for c, term in self._terms(g, k, riem) if c != 0.0]
+        return _combine([
+            (-self.ricci / self.lead, lambda: ricci_scalar_from_arrays(ginv, riem)[0]),
+            (1.0 if terms else 0.0, lambda: solve_pair_trace(
+                g, ginv, _combine(terms, riem, self.lead), self.coupling(g.shape[-1])))], g)
 
     def rate_at(self, field, velocity=None):
         """:meth:`rate` at a field's samples and curvature."""
@@ -190,39 +191,32 @@ class Law:
         return self.rate(g, field.inverse, k, riemann(field).block)
 
     def residual(self, g, ginv, k, rate, riem):
-        """Max norm of the law's G-level equation at the ``rate`` that
-        :meth:`rate` gave for the same samples."""
-        if self.kind == "ricci":
-            ric, _ = ricci_scalar_from_arrays(ginv, riem)
-            total = kn_product(_combine([(self.lead, lambda: rate), (self.delta, lambda: ric)],
-                                        ric), g)
-        else:
-            v = rate if self.order == 1 else k
-            total = _combine([
-                (self.alpha, lambda: kn_product(rate, g) + 2.0 * pair_product_from_samples(k)),
-                (self.beta, lambda: kn_product(v, g)),
-                (self.trace, lambda: np.einsum('...ik,...ik->...', ginv, v)[..., None, None]
-                 * pair_product_from_samples(g)),
-                (self.gamma, lambda: pair_product_from_samples(g)),
-                (self.delta, lambda: riem)], riem)
+        """Max norm of the law's equation at the ``rate`` that :meth:`rate`
+        gave for the same samples."""
+        total = _combine([
+            (self.lead, lambda: kn_product(rate, g)),
+            (self.trace, lambda: np.einsum('...ik,...ik->...', ginv, rate)[..., None, None]
+             * pair_product_from_samples(g)),
+            *self._terms(g, k, riem),
+            (self.ricci, lambda: kn_product(ricci_scalar_from_arrays(ginv, riem)[0], g))], riem)
         return float(np.abs(total).max())
 
 
-# (name, order) -> (kind, parameter names, defaults[, to_family]); a parameter
+# (name, order) -> (parameter names, defaults[, to_row]); a parameter
 # without a default is required, defaults are functions of the dimension n,
-# and ``to_family`` maps the law's parameters to the family's coefficients
+# ``to_row`` maps the law's parameters to the equation's coefficients, and
+# ``quad`` defaults to 2 alpha
 _LAWS = {
-    ("ricci", 1): ("ricci", (), lambda n: {"beta": 1.0, "delta": 2.0}),
-    ("riemann-induced", 1): ("family", (), lambda n: {"beta": 1.0, "delta": 2.0}),
+    ("ricci", 1): ((), lambda n: {"beta": 1.0, "ricci": 2.0}),
+    ("riemann-induced", 1): ((), lambda n: {"beta": 1.0, "delta": 2.0}),
     # (k ^ g) = alpha Riem + beta tr_g(k) G
-    ("riemann-type", 1): ("family", ("alpha", "beta"),
+    ("riemann-type", 1): (("alpha", "beta"),
                           lambda n: {"alpha": -2.0 * (n - 2), "beta": 1.0 / (n - 1)},
                           lambda alpha, beta: {"beta": 1.0, "delta": -alpha, "trace": -beta}),
-    ("general", 1): ("family", ("beta", "gamma", "delta"),
-                     lambda n: {"gamma": 0.0, "delta": 0.0}),
-    ("ricci-wave", 2): ("ricci", (), lambda n: {"alpha": 1.0, "delta": 2.0}),
-    ("riemann-wave", 2): ("family", (), lambda n: {"alpha": 1.0, "delta": 2.0}),
-    ("general", 2): ("family", ("alpha", "beta", "gamma", "delta"),
+    ("general", 1): (("beta", "gamma", "delta"), lambda n: {"gamma": 0.0, "delta": 0.0}),
+    ("ricci-wave", 2): ((), lambda n: {"alpha": 1.0, "ricci": 2.0, "quad": 0.0}),
+    ("riemann-wave", 2): ((), lambda n: {"alpha": 1.0, "delta": 2.0}),
+    ("general", 2): (("alpha", "beta", "gamma", "delta"),
                      lambda n: {"alpha": 1.0, "beta": 0.0, "gamma": 0.0, "delta": 2.0}),
 }
 
@@ -234,11 +228,11 @@ def resolve_law(law, n, order):
 
     Raises ``ValueError`` for an unknown name, a parameter the law does not
     take, a missing required one or a value that is not a finite number;
-    :class:`DimensionTooSmall` when a law that inverts the pair trace meets
-    ``n < 3``; :class:`DegenerateCoefficients` when the leading coefficient
-    vanishes or the contracted equation does not fix the trace of the
-    velocity (riemann-type at ``beta = 2/n``).  A general wave with
-    ``alpha = 0`` resolves to the first-order flow.
+    :class:`DimensionTooSmall` when a law without a Ricci term, which inverts
+    the pair trace, meets ``n < 3``; :class:`DegenerateCoefficients` when the
+    leading coefficient vanishes or the contracted equation does not fix the
+    trace of the velocity (riemann-type at ``beta = 2/n``).  A general wave
+    with ``alpha = 0`` resolves to the first-order flow.
     """
     if isinstance(law, Law):
         if law.order > order:
@@ -247,10 +241,10 @@ def resolve_law(law, n, order):
     name, params = (law[0], dict(law[1] or {})) if isinstance(law, (tuple, list)) else (law, {})
     if (name, order) not in _LAWS:
         raise ValueError(f"unknown {('flow', 'wave')[order - 1]} law {name!r}")
-    kind, names, defaults, *to_family = _LAWS[name, order]
-    if kind != "ricci" and n < 3:
-        raise DimensionTooSmall(f"law {name!r} needs n >= 3")
+    names, defaults, *to_row = _LAWS[name, order]
     coeffs = defaults(n)
+    if n < 3 and "ricci" not in coeffs:
+        raise DimensionTooSmall(f"law {name!r} needs n >= 3")
     for key in params:
         if key not in names:
             raise ValueError(f"law {name!r} takes no parameter {key!r}"
@@ -264,15 +258,13 @@ def resolve_law(law, n, order):
     missing = [key for key in names if key not in coeffs]
     if missing:
         raise ValueError(f"law {name!r} needs parameter {missing[0]!r}")
-    if to_family:
-        coeffs = to_family[0](**coeffs)
-    if kind == "family":
-        if order == 2 and coeffs["alpha"] == 0.0:
-            order = 1
-        if coeffs["alpha" if order == 2 else "beta"] == 0.0:
-            raise DegenerateCoefficients(f"law {name!r} needs alpha != 0 or beta != 0")
-    law = Law(name, order, kind, **coeffs)
-    if kind == "family" and abs((n - 2) + n * law.coupling(n)) < 1e-14:
+    if to_row:
+        coeffs = to_row[0](**coeffs)
+    coeffs.setdefault("quad", 2.0 * coeffs.get("alpha", 0.0))
+    law = Law(name, 2 if coeffs.get("alpha", 0.0) != 0.0 else 1, **coeffs)
+    if law.lead == 0.0:
+        raise DegenerateCoefficients(f"law {name!r} needs alpha != 0 or beta != 0")
+    if abs((n - 2) + n * law.coupling(n)) < 1e-14:
         raise DegenerateCoefficients(f"law {name!r} is degenerate: its contracted equation "
                                      "does not fix the trace of the velocity")
     return law
@@ -333,9 +325,10 @@ def step_ends(t0, t_end, dt):
     """The end times of the fixed steps of ``dt`` from ``t0`` to ``t_end``:
     ``t0 + k dt`` for k = 1 .. N-1 and then ``t_end`` itself, with
     N = ceil((t_end - t0) / dt - 1e-9), so that no step shorter than 1e-9 of
-    ``dt`` is taken.  Empty when ``t_end`` is not past ``t0``."""
+    ``dt`` is taken, and at least one step when ``t_end`` is past ``t0``.
+    Empty when it is not."""
     count = math.ceil((t_end - t0) / dt - 1e-9)
-    return [t0 + k * dt for k in range(1, count)] + [t_end] if count > 0 else []
+    return [t0 + k * dt for k in range(1, count)] + [t_end] if t_end > t0 else []
 
 
 class _RK4System:
@@ -352,8 +345,8 @@ class _RK4System:
         self.wave = law.order == 2
         self.pair_rate = law.pair_rate_factor if cross_check else None
         if cross_check and self.pair_rate is None:
-            raise ValueError(f"cross_check_stride needs a first-order family law with "
-                             f"gamma = trace = 0, not {law.name!r}")
+            raise ValueError(f"cross_check_stride needs a first-order law with "
+                             f"gamma = trace = ricci = 0, not {law.name!r}")
         g = field.samples
         self.state0 = [g.copy()]
         if self.wave:
@@ -395,7 +388,8 @@ def integrate_flow(initial, law, dt, t_end, *, stride=10,
     dt, t_end : float
         Fixed step and horizon: the steps end at ``t0 + k dt`` and the last
         one exactly at ``t_end`` (:func:`step_ends`).  A ``t_end`` at the
-        start time takes no step, and one before it raises ``ValueError``.
+        start time takes no step, and one before it or not finite raises
+        ``ValueError``.
     stride : int
         Record every ``stride``-th step (the last step is always recorded).
     collapse_threshold : float
@@ -409,7 +403,7 @@ def integrate_flow(initial, law, dt, t_end, *, stride=10,
         Every so many records, also evolve the pair product directly, at
         dG/dt = -(delta/beta) Riem, and record how far the metric recovered
         from it is from the evolved one (``inf`` when the recovery fails).
-        Only first-order family laws with gamma = 0 and no trace term
+        Only first-order laws with gamma = 0 and no trace or Ricci term
         (``riemann-induced``, such ``general`` laws and ``riemann-type``
         with beta = 0) give the pair product that rate; any other law raises
         ``ValueError``.
@@ -550,9 +544,12 @@ def _rk4_step(system, state, dt, first=None):
 
 def _check_schedule(t0, t_end, dt, stride=1, stride_name="stride"):
     """Refuse with ``ValueError`` a step ``dt`` that is not positive, a
-    ``t_end`` before the start time ``t0`` and a record stride below 1."""
+    ``t_end`` that is not finite or is before the start time ``t0`` and a
+    record stride below 1."""
     if not dt > 0:
         raise ValueError("dt must be positive")
+    if not math.isfinite(t_end):
+        raise ValueError(f"t_end must be finite, got {t_end!r}")
     if t_end < t0:
         raise ValueError(f"t_end = {t_end:g} is before the start time t = {t0:g}")
     if stride < 1:

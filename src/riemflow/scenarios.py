@@ -72,6 +72,7 @@ class ScenarioConfig:
     family_params: dict
     dimension: int
     chart_spec: dict
+    chart: object         # the chart of chart_spec, built at load
     law_name: str
     law: object           # a flow or wave law's Law record, else its solver's parameters
     dt: float
@@ -131,11 +132,11 @@ def config_from_dict(raw, default_id="scenario"):
                            "points_per_axis", "lengths"}, "chart")
     dimension = whole_number(chart.get("dimension", family.get("dimension", 3)), "dimension",
                              least=2)
-    # built once here to refuse a bad family or chart at load; the run builds
-    # its own family, whose random phases come from the scenario seed
+    # built here to refuse a bad family or chart at load; the run keeps the
+    # chart and builds its own family, whose random phases the seed sets
     metric_family = make_family(family_name, dimension, family_params,
                                 np.random.default_rng(0))
-    _build_chart(chart, metric_family)
+    built_chart = _build_chart(chart, metric_family)
 
     law = raw.get("law")
     if isinstance(law, str):
@@ -181,6 +182,7 @@ def config_from_dict(raw, default_id="scenario"):
         family_params=family_params,
         dimension=dimension,
         chart_spec=chart,
+        chart=built_chart,
         law_name=law_name,
         law=law,
         dt=dt,
@@ -346,8 +348,7 @@ def run_scenario(cfg: ScenarioConfig):
         summary["dt_used"] = dt
     else:
         family = make_family(cfg.family_name, cfg.dimension, cfg.family_params, rng)
-        chart = _build_chart(cfg.chart_spec, family)
-        fld = MetricField.from_function(chart, family.metric_function)
+        fld = MetricField.from_function(cfg.chart, family.metric_function)
         if cfg.law_name in FLOW_LAWS:
             traj = integrate_flow(fld, cfg.law, cfg.dt, cfg.t_end, stride=cfg.stride,
                                   collapse_threshold=cfg.collapse_threshold,

@@ -173,8 +173,8 @@ def integrate_linearized_flow(field, h, which, dt, t_end):
     imaginary part is STEP times the linearized stage, so ``Im g(t_end) /
     STEP`` is the RK4 deformation ``h(t_end)``, which is returned.  It
     takes the steps of :func:`riemflow.flow.integrate_flow` at the same
-    ``dt`` and ``t_end`` and refuses the same ones, ``dt <= 0`` and
-    ``t_end < 0``, with ``ValueError``.  Grid charts only: the analytic
+    ``dt`` and ``t_end`` and refuses the same ones, ``dt <= 0`` and a
+    ``t_end`` below 0 or not finite, with ``ValueError``.  Grid charts only: the analytic
     chart's frozen frame is real and refuses a complex field.  Used by the
     two-run tangency checks.
     """

@@ -1,4 +1,5 @@
 import gc
+import math
 import weakref
 
 import numpy as np
@@ -25,10 +26,14 @@ from riemflow.charts import (
     richardson_jet,
 )
 from riemflow.curvature import (
+    CurvatureTensor,
     kn_product,
     pair_product_from_samples,
     ricci_and_scalar,
+    ricci_scalar_from_arrays,
     riemann,
+    riemann_from_jets,
+    tensor_norm,
     weyl,
 )
 from riemflow.errors import (
@@ -48,7 +53,12 @@ from riemflow.flow import (
     monitor_blow_up,
     resolve_law,
 )
-from riemflow.wave import integrate_wave
+from riemflow.variation import integrate_linearized_flow
+from riemflow.wave import (
+    conformally_flat_wave_solve,
+    constant_curvature_wave_ode,
+    integrate_wave,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -153,6 +163,79 @@ def test_riemann_type_integration_matches_ricci_flow():
                         5e-3, 0.05, stride=2)
     diff = max(np.abs(a - b).max() for a, b in zip(t1.states, t2.states))
     assert diff < 1e-13
+
+
+# Ricci-Bourguignon form dg/dt = a (Ric - rho R g) + b g of the first-order
+# rows, (law, a, rho, b) at dimension n
+def _ricci_bourguignon_rows(n):
+    def coupled(beta):
+        c = 1.0 - beta * (n - 1)
+        return c / ((n - 2) + n * c)
+    schouten = 1.0 / (2.0 * (n - 1))
+    rows = [("ricci", -2.0, 0.0, 0.0), ("riemann-induced", -2.0 / (n - 2), schouten, 0.0)]
+    for alpha, beta in ((-2.0 * (n - 2), 1.0 / (n - 1)), (1.5, 0.1), (-0.7, 0.45)):
+        rows.append((("riemann-type", {"alpha": alpha, "beta": beta}),
+                     alpha / (n - 2), coupled(beta), 0.0))
+    for beta, gamma, delta in ((1.0, 0.0, 2.0), (0.8, -0.3, 1.1), (-1.3, 0.6, -2.0)):
+        rows.append((("general", {"beta": beta, "gamma": gamma, "delta": delta}),
+                     -delta / (beta * (n - 2)), schouten, -gamma / (2.0 * beta)))
+    return rows
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+@pytest.mark.parametrize("kind", ["grid", "analytic"])
+def test_first_order_rows_are_ricci_bourguignon_flows(kind, n):
+    # each first-order row of the law table is a Ricci-Bourguignon flow:
+    # riemann-induced is -2/(n-2) times the Schouten tensor, riemann-type has
+    # rho = c / ((n-2) + n c), and its defaults are Ricci flow
+    if kind == "grid":
+        fam = make_family("conformal-torus", n, {"amplitude": 0.1, "mode": 1},
+                          np.random.default_rng(n))
+        chart = GridChart(n, 8, 2.0 * np.pi)
+        fld = MetricField.from_samples(chart, fam.metric_function(chart.sample_points))
+    else:
+        lame = ["1 + 0.3*cos(x1)", "1 + 0.2*sin(x1 + x2)", "1.2 + 0.25*cos(x2)*sin(x3)",
+                "1 + 0.1*x1*x4", "0.9 + 0.2*cos(x5)"]
+        fam = make_family("diagonal-lame", n, {"expressions": lame[:n]})
+        fld = MetricField.from_function(AnalyticChart(n, [0.3, -0.2, 0.5, 0.1, 0.4][:n], 1e-2),
+                                        fam.metric_function)
+    # grid samples, whose jet is taken of the n(n+1)/2 components only, and an
+    # inverse of their own: the cofactor pass of MetricField.inverse would
+    # take over a gigabyte on the 8^5 grid; the identities hold sample by
+    # sample, so every 8th one is checked, which keeps the pair traces small
+    g, dg, d2g = fld.jets()
+    ginv = np.linalg.inv(g)
+    riem = riemann_from_jets(g, dg, d2g, ginv)[::8]
+    g, ginv = g[::8], ginv[::8]
+    ric, scal = ricci_scalar_from_arrays(ginv, riem)
+    assert np.abs(scal).max() > 1e-2
+    for law, a, rho, b in _ricci_bourguignon_rows(n):
+        rate = resolve_law(law, n, 1).rate(g, ginv, None, riem)
+        want = a * (ric - rho * scal[:, None, None] * g) + b * g
+        assert np.abs(rate - want).max() <= 1e-13 * np.abs(want).max(), law
+
+
+def test_every_law_row_solves_its_own_equation():
+    # at n = 3 the pair trace loses nothing, so each row's rate solves its
+    # G-level equation to roundoff, the waves at an anisotropic velocity;
+    # the Ricci rows' rate is -2 Ric itself, which solves it exactly
+    fld, _ = torus_field(3, points=8, amplitude=0.1)
+    g, ginv, riem = fld.samples, fld.inverse, riemann(fld).block
+    a = np.random.default_rng(5).normal(size=g.shape)
+    k = 0.1 * g + 0.05 * (a + np.swapaxes(a, -1, -2))
+    scale = float(tensor_norm(CurvatureTensor(riem), ginv).max())
+    params = {("riemann-type", 1): {"alpha": 1.5, "beta": 0.1},
+              ("general", 1): {"beta": 0.8, "gamma": -0.3, "delta": 1.1},
+              ("general", 2): {"alpha": 0.7, "beta": 0.4, "gamma": 0.3, "delta": 2.0}}
+    for name, order in flow._LAWS:
+        law = resolve_law((name, params.get((name, order))), 3, order)
+        velocity = k if order == 2 else None
+        rate = law.rate(g, ginv, velocity, riem)
+        residual = law.residual(g, ginv, velocity, rate, riem)
+        if name.startswith("ricci"):
+            assert residual == 0.0, name
+        else:
+            assert residual <= 1e-14 * scale, (name, order)
 
 
 # ---------------------------------------------------------------------------
@@ -320,6 +403,29 @@ def test_a_t_end_before_the_start_is_refused():
             run()
     traj = integrate_flow(FlowState(t=0.5, field=fld), "ricci", 0.1, 0.5)
     assert traj.times == [0.5] and traj.termination == "t_end"
+
+
+@pytest.mark.parametrize("t_end", [math.inf, math.nan], ids=["inf", "nan"])
+@pytest.mark.parametrize("run", [
+    lambda t_end: integrate_flow(sphere_field(3)[0], "riemann-induced", 1e-3, t_end),
+    lambda t_end: integrate_wave(sphere_field(3)[0], "riemann-wave", 1e-3, t_end),
+    lambda t_end: constant_curvature_wave_ode(1.0, 0.0, 1e-3, t_end),
+    lambda t_end: conformally_flat_wave_solve(np.ones(8), np.zeros(8), 1e-3, t_end),
+    lambda t_end: integrate_linearized_flow(torus_field(3)[0], np.zeros((512, 3, 3)),
+                                            "ricci", 1e-3, t_end),
+], ids=["flow", "wave", "scale-ode", "conformal-wave", "linearized"])
+def test_a_t_end_that_is_not_finite_is_refused(run, t_end):
+    with pytest.raises(ValueError, match="t_end must be finite"):
+        run(t_end)
+
+
+def test_a_step_longer_than_the_run_takes_one_step():
+    # the run still ends at t_end, with one step of t_end - t0
+    fld, _ = hyperbolic_field(3)
+    traj = integrate_flow(fld, "riemann-induced", 1e9, 0.5)
+    assert traj.times == [0.0, 0.5] and traj.termination == "t_end"
+    ode = constant_curvature_wave_ode(1.0, 0.0, 1e9, 0.5)
+    assert list(ode.times) == [0.0, 0.5]
 
 
 def test_integrate_accepts_flow_state():
@@ -530,6 +636,8 @@ def test_step_ends():
     # a last step shorter than 1e-9 of dt is not taken
     assert flow.step_ends(0.0, 3.0 + 1e-13, 1e-3)[-2:] == [2999 * 1e-3, 3.0 + 1e-13]
     assert flow.step_ends(1.0, 1.0, 0.1) == flow.step_ends(1.0, 0.5, 0.1) == []
+    # a step longer than the run is one step to t_end, not none
+    assert flow.step_ends(0.0, 0.5, 1e9) == [0.5]
 
 
 def test_flow_records_end_at_t_end_without_drift():

@@ -51,6 +51,19 @@ def test_minimal_config_defaults():
     assert cfg.collapse_threshold == 1e-6
 
 
+def test_scenario_chart_is_built_once(tmp_path, monkeypatch):
+    # the chart built at load to check the document is the one the run uses
+    from riemflow import scenarios
+    calls = []
+    build = scenarios._build_chart
+    monkeypatch.setattr(scenarios, "_build_chart",
+                        lambda *args: calls.append(args) or build(*args))
+    cfg = config_from_dict(_base_cfg(tmp_path, family={"name": "conformal-torus"}))
+    assert isinstance(cfg.chart, GridChart) and cfg.chart.grid_shape == (8, 8, 8)
+    assert run_scenario(cfg)["termination"] == "t_end"
+    assert len(calls) == 1
+
+
 def test_negative_dt_rejected():
     with pytest.raises(SchemaError):
         config_from_dict({"family": "flat", "law": "riemann-flow",
@@ -302,6 +315,15 @@ def test_cli_usage_error_exits_1_not_the_collapse_status(tmp_path, monkeypatch, 
     assert out == ""
     assert err.startswith("usage: riemflow") and option in err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_cli_conformal_wave_step_longer_than_the_run_is_an_error(tmp_path, monkeypatch, capsys):
+    # one step of t_end, refused by the CFL guard, not a division by zero
+    monkeypatch.chdir(tmp_path)
+    assert cli_main(["conformal-wave", "--dt", "1e9", "--t-end", "0.5"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: dt=5.000e-01 exceeds 0.5*dx") and "Traceback" not in err
 
 
 def test_cli_help_exits_0(capsys):

@@ -118,7 +118,7 @@ def test_general_form_constant_curvature_residual():
     fldS, famS = sphere_field(3)
     lam = famS.constant_curvature
     # the algebraic member gamma G + delta Riem = 0 of the general family
-    law = Law("general", 2, "family", 0.0, 0.0, 1.0, -1.0 / lam)
+    law = Law("general", 2, 0.0, 0.0, 1.0, -1.0 / lam)
     assert law.residual(fldS.samples, fldS.inverse, None, None, riemann(fldS).block) < 1e-6
     fldT, _ = torus_field(3, points=8, amplitude=0.08)
     assert law.residual(fldT.samples, fldT.inverse, None, None, riemann(fldT).block) > 1e-1

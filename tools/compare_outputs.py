@@ -9,7 +9,9 @@ every ``configs/*.json`` of its own through ``riemflow run`` and every
 the import path, in a temporary directory of its own.  The script compares
 the exit status, stdout and every file the run wrote: CSV files byte for
 byte, JSON summaries as parsed without ``wall_time_s``.  It prints each
-file and output that differs and exits 1 if any does, else 0.
+file and output that differs, then the line count of ``src/riemflow/*.py``
+in each tree (as ``wc -l`` counts it), and exits 1 if any output differs,
+else 0.
 """
 
 import argparse
@@ -55,6 +57,11 @@ def compare_file(root_a, root_b, kind, name):
                if files_a.get(file) != files_b.get(file)])
 
 
+def line_total(root):
+    """The newline count of ``src/riemflow/*.py`` in the tree at ``root``."""
+    return sum(path.read_bytes().count(b"\n") for path in (root / "src" / "riemflow").glob("*.py"))
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("src_a", type=Path)
@@ -72,6 +79,9 @@ def main(argv=None):
             differing += bool(differences)
         print(f"{len(names) - differing} of {len(names)} {kind} give the same outputs", flush=True)
         failed += differing
+    lines = [line_total(root) for root in roots]
+    print(f"src/riemflow lines: {lines[0]} in {args.src_a}, {lines[1]} in {args.src_b} "
+          f"({lines[1] - lines[0]:+d})", flush=True)
     return 1 if failed else 0
 
 
