@@ -19,7 +19,9 @@ Two chart backends are supported, and they alone know their kind: a chart's
   basis jet still has its differences taken first, so a derivative that
   cancels exactly on every basis image is exactly zero in the combination
   (a weight matrix over the stencil values would add weights first and
-  lose that cancellation).
+  lose that cancellation).  The curvature's parts linear in the jet
+  (:func:`curvature_parts`) are taken of the basis jets too, so that one
+  product per field gives both its jet and those parts.
 * :class:`GridChart` -- a periodic grid over a flat torus.  Derivatives are
   taken with fourth-order central stencils and periodic wrap-around, so no
   boundary conditions ever enter.  The +/-1 and +/-2 shifts along an axis
@@ -27,11 +29,13 @@ Two chart backends are supported, and they alone know their kind: a chart's
   by that axis's first and second derivative.
 
 A :class:`MetricField` couples a chart with metric samples (S, n, n) and
-the source of their 2-jet ``(g, dg, d2g)``, which the curvature kernel
-consumes: the metric function, the jet itself (an analytic chart's evolving
-fields) or, on grids, the samples.  A grid jet of samples differentiates
-only the n(n+1)/2 components ``g_ij``, ``i <= j``, and mirrors their first
-derivatives.  A field checks positivity and inverts its
+the source of their 2-jet ``(g, dg, d2g)``: the metric function, the jet
+itself (an analytic chart's evolving fields) or, on grids, the samples.  The
+curvature kernel reads the jet's lowered Christoffel symbols and Hessian
+bracket (:meth:`MetricField.curvature_parts`), which an evolving analytic
+field carries and any other field takes of its jet.  A grid jet of samples
+differentiates only the n(n+1)/2 components ``g_ij``, ``i <= j``, and
+mirrors their first derivatives.  A field checks positivity and inverts its
 metric once, in one cofactor pass vectorised over the samples
 (:func:`spd_inverse`, cached as :attr:`MetricField.inverse`): one cached
 gather of each matrix's entries gives the adjugate and the leading principal
@@ -57,6 +61,10 @@ import numpy as np
 from .errors import NotPositiveDefinite, StencilOutOfDomain
 
 DEFAULT_ANALYTIC_STEP = 1e-2
+
+# the most factors one chunk of the cofactor pass gathers (32 MiB of float64);
+# a 12^3 grid at n = 3 gathers 171k, so every shipped grid is one chunk
+COFACTOR_GATHER = 2 ** 22
 
 
 def _frozen(*arrays):
@@ -129,8 +137,9 @@ class AnalyticChart:
         The jet of that field is linear in the components ``g_ij``, i <= j, of
         the metric sample ``g``, shape (1, n, n), so :func:`richardson_jet` runs
         once, here, on the images ``M E_q M^T`` of the symmetric basis matrices
-        ``E_q``; each field's derivatives are then one product of those
-        components with the basis jets, and its sample is ``g`` itself.  The
+        ``E_q``, and so does :func:`curvature_parts`, on the basis jets.  Each
+        field's jets and curvature parts are then one product of those
+        components with the basis images, and its sample is ``g`` itself.  The
         stencil's values are checked for finiteness here, once.  The frame is
         real, so a complex field (a complex-step run) raises ``ValueError``.
         """
@@ -149,13 +158,16 @@ class AnalyticChart:
         basis = np.zeros((len(q), n, n))
         basis[q, rows, cols] = basis[q, cols, rows] = 1.0
         _, dg, d2g = richardson_jet(stencil, np.einsum('pab,qbc,pdc->qpad', M, basis, M))
-        jet_map = np.concatenate([dg.reshape(len(q), -1), compact_hessian(d2g).reshape(len(q), -1)],
-                                 axis=1)
+        d2g = compact_hessian(d2g)
+        parts = (dg, d2g, *curvature_parts(dg, d2g))
+        jet_map = np.concatenate([p.reshape(len(q), -1) for p in parts], axis=1)
+        ends = np.cumsum([0] + [p[0].size for p in parts])
+        pieces = [(slice(a, b), (1,) + p.shape[1:]) for a, b, p in zip(ends, ends[1:], parts)]
 
         def build(g):
             d = g[0, rows, cols] @ jet_map
-            return MetricField(self, g, _jets=(g, d[:n ** 3].reshape((1,) + (n,) * 3),
-                                               d[n ** 3:].reshape((1, len(q), n, n))))
+            dg, d2g, low, bracket = [d[s].reshape(shape) for s, shape in pieces]
+            return MetricField(self, g, _jets=(g, dg, d2g), _parts=(low, bracket))
 
         return build
 
@@ -443,13 +455,20 @@ def _cofactor_terms(n):
 def _cofactor_pass(g):
     """One vectorised pass over the stack ``g`` (..., n, n): rows ``det g``,
     the n^2 entries of ``adj g`` and the n leading principal minors of
-    ``g.real``, each over the S matrices, shape (1 + n^2 + n, S).  The pass
-    is a polynomial in the entries, so a complex ``g`` keeps its dtype and
-    the derivative of a complex step through it is exact."""
+    ``g.real``, each over the S matrices, shape (1 + n^2 + n, S), evaluated
+    over chunks of samples that gather at most :data:`COFACTOR_GATHER`
+    factors each.  The pass is a polynomial in the entries, so a complex
+    ``g`` keeps its dtype and the derivative of a complex step through it is
+    exact."""
     n = g.shape[-1]
     nn = n * n
-    a = g.reshape(-1, nn).T
     index, weights = _cofactor_terms(n)
+    step = max(1, COFACTOR_GATHER // index.size)
+    if g.size > step * nn:
+        g = g.reshape(-1, n, n)
+        return np.concatenate([_cofactor_pass(g[s:s + step]) for s in range(0, len(g), step)],
+                              axis=1)
+    a = g.reshape(-1, nn).T
     rows = np.empty((2 * nn + 1, a.shape[1]), dtype=a.dtype if a.dtype.kind == "c" else float)
     rows[:nn] = a
     rows[nn:2 * nn] = a.real
@@ -498,6 +517,54 @@ def compact_hessian(d2g):
     return np.take(d2g.reshape(d2g.shape[:1] + (n * n, n, n)), _symmetric_components(n)[0], axis=1)
 
 
+@lru_cache(maxsize=None)
+def _block_index(n, patterns):
+    """Flat indices into ``(n,) * len(pattern)`` arrays: for each pattern and
+    each block entry (P, Q) = ((i<j), (k<l)) on 2-forms, the component its
+    letters name (``'ikjl'`` names ``a[i, k, j, l]``).  Shape
+    (len(patterns), N * N), N = n(n-1)/2."""
+    i, j = np.triu_indices(n, 1)
+    letters = {"i": i[:, None], "j": j[:, None], "k": i[None, :], "l": j[None, :]}
+    return _frozen(np.array([np.ravel_multi_index(np.broadcast_arrays(*(letters[c] for c in p)),
+                                                  (n,) * len(p)).ravel() for p in patterns]))[0]
+
+
+@lru_cache(maxsize=None)
+def _hessian_index(n):
+    """Flat indices into a compact Hessian (n(n+1)/2, n, n), the ``d2g`` of
+    :meth:`MetricField.jets`, of the four second derivatives in the bracket
+    of each block entry: ``d2g[i, k, j, l]``, ``d2g[j, l, i, k]``,
+    ``d2g[j, k, i, l]`` and ``d2g[i, l, j, k]`` with the metric pair read as
+    its component.  Shape (4, N * N)."""
+    full = _block_index(n, ("ikjl", "jlik", "jkil", "iljk"))
+    component = _symmetric_components(n)[1].ravel()
+    return _frozen(component[full // n ** 2] * n ** 2 + full % n ** 2)[0]
+
+
+def lowered_christoffel(dg):
+    """The lowered Christoffel symbols ``low[..., l, j, k] = Gamma_{l,jk} =
+    1/2 (d_k g_lj + d_j g_lk - d_l g_jk)`` of the first derivatives ``dg``
+    (..., n, n, n) of :meth:`MetricField.jets`."""
+    # dg[..., a, b, c] = d_c g_ab
+    return 0.5 * (dg + np.swapaxes(dg, -2, -1) - np.swapaxes(np.swapaxes(dg, -1, -2), -2, -3))
+
+
+def curvature_parts(dg, d2g):
+    """The parts of the curvature linear in a metric's 2-jet, in the layout
+    of :meth:`MetricField.jets`: the lowered Christoffel symbols
+    (:func:`lowered_christoffel`) and the Hessian bracket, the block on
+    2-forms, lead + (N, N), of
+    1/2 (d_j d_l g_ik + d_i d_k g_jl - d_i d_l g_jk - d_j d_k g_il)."""
+    n = dg.shape[-1]
+    lead = d2g.shape[:-3]
+    # d2g[..., (ab), c, d] = d_c d_d g_ab, so that d_j d_l g_ik at [i, j, k, l]
+    # is d2g[(ik), j, l], and so on
+    t = d2g.reshape(lead + (-1,))[..., _hessian_index(n)]
+    bracket = 0.5 * (t[..., 0, :] + t[..., 1, :] - t[..., 2, :] - t[..., 3, :])
+    N = n * (n - 1) // 2
+    return lowered_christoffel(dg), bracket.reshape(lead + (N, N))
+
+
 @dataclass
 class MetricField:
     """Metric samples (S, n, n) on a chart, and the source of their 2-jet.
@@ -512,6 +579,7 @@ class MetricField:
     func: object = None
     _inverse: np.ndarray = dataclass_field(default=None, repr=False)
     _jets: tuple = dataclass_field(default=None, repr=False)
+    _parts: tuple = dataclass_field(default=None, repr=False)
 
     @classmethod
     def from_function(cls, chart, func):
@@ -580,3 +648,12 @@ class MetricField:
         flat, component = _symmetric_components(n)
         _, d1, d2 = self.chart.jet(np.take(self.samples.reshape(-1, n * n), flat, axis=1))
         return self.samples, np.take(d1, component, axis=1), d2
+
+    def curvature_parts(self):
+        """The lowered Christoffel symbols and the Hessian bracket of the
+        field's 2-jet (:func:`curvature_parts`): those the field was made
+        with, else those of :meth:`jets`."""
+        if self._parts is not None:
+            return self._parts
+        _, dg, d2g = self.jets()
+        return curvature_parts(dg, d2g)

@@ -13,7 +13,15 @@ The block entries are gathered from the component formula
              - g_mn (Gamma^m_jk Gamma^n_il - Gamma^m_jl Gamma^n_ik),
 
 including its sign convention, through cached index arrays, each exactly as
-the full component array computes it.  Under this convention the unit
+the full component array computes it.  The kernel reads two parts linear in
+the jet (:func:`~riemflow.charts.curvature_parts`): the Hessian bracket and
+the lowered Christoffel symbols ``Gamma_{l,jk} = 1/2 (d_k g_lj + d_j g_lk -
+d_l g_jk)``.  The quadratic term ``g_mn Gamma^m_jk Gamma^n_il = Gamma^m_jk
+Gamma_{m,il}`` is one product of the raised symbols ``g^{ml} Gamma_{l,jk}``
+with the lowered ones, so the kernel reads the inverse metric and not g.
+It serves both chart kinds: a grid field's parts come from its stencil jet,
+and an analytic chart's evolving field carries them from its frozen frame.
+Under this convention the unit
 sphere has sectional factor -1 and hyperbolic space +1 (pinned once by a
 symbolic differentiation oracle; see ``tools/pin_constants.py`` and the
 frozen values in the test suite).  Ricci is the pair trace ``R_ik = g^{jl}
@@ -39,8 +47,10 @@ import numpy as np
 
 from .charts import (
     MetricField,
+    _block_index,
     _frozen,
-    _symmetric_components,
+    curvature_parts,
+    lowered_christoffel,
     spd_inverse,
 )
 from .errors import DimensionTooSmall, NonpositiveLame
@@ -78,29 +88,6 @@ def _pairs(n):
     number[i, j] = number[j, i] = np.arange(len(i))
     sign[i, j], sign[j, i] = 1, -1
     return _frozen(number, sign)
-
-
-@lru_cache(maxsize=None)
-def _block_index(n, patterns):
-    """Flat indices into ``(n,) * len(pattern)`` arrays: for each pattern and
-    each block entry (P, Q) = ((i<j), (k<l)), the component its letters name
-    (``'ikjl'`` names ``a[i, k, j, l]``).  Shape (len(patterns), N * N)."""
-    i, j = np.triu_indices(n, 1)
-    letters = {"i": i[:, None], "j": j[:, None], "k": i[None, :], "l": j[None, :]}
-    return _frozen(np.array([np.ravel_multi_index(np.broadcast_arrays(*(letters[c] for c in p)),
-                                                  (n,) * len(p)).ravel() for p in patterns]))[0]
-
-
-@lru_cache(maxsize=None)
-def _hessian_index(n):
-    """Flat indices into a compact Hessian (n(n+1)/2, n, n), the ``d2g`` of
-    :meth:`MetricField.jets`, of the four second derivatives in the bracket
-    of each block entry: ``d2g[i, k, j, l]``, ``d2g[j, l, i, k]``,
-    ``d2g[j, k, i, l]`` and ``d2g[i, l, j, k]`` with the metric pair read as
-    its component.  Shape (4, N * N)."""
-    full = _block_index(n, ("ikjl", "jlik", "jkil", "iljk"))
-    component = _symmetric_components(n)[1].ravel()
-    return _frozen(component[full // n ** 2] * n ** 2 + full % n ** 2)[0]
 
 
 @lru_cache(maxsize=None)
@@ -209,55 +196,46 @@ def christoffel(field: MetricField) -> ConnectionField:
 
 
 def christoffel_from_jets(g, dg, ginv):
-    """Christoffel symbols from the 1-jet ``(g, dg)`` and ``ginv``, the
-    inverse of ``g``."""
-    # Gamma^i_jk = 1/2 g^{il} (d_k g_lj + d_j g_lk - d_l g_jk)
-    # with dg[..., a, b, c] = d_c g_ab:
-    #   term[l, j, k] = dg[l, j, k] + dg[l, k, j] - dg[j, k, l]
-    # contracted as one batched product g^{il} term[l, (jk)]
-    term = dg + np.swapaxes(dg, -2, -1) - np.swapaxes(np.swapaxes(dg, -1, -2), -2, -3)
-    n = g.shape[-1]
-    return 0.5 * (ginv @ term.reshape(term.shape[:-2] + (n * n,))).reshape(term.shape)
+    """Christoffel symbols ``Gamma^i_jk = g^{il} Gamma_{l,jk}`` from the
+    1-jet ``(g, dg)`` and ``ginv``, the inverse of ``g``: one batched product
+    with the lowered symbols (:func:`~riemflow.charts.lowered_christoffel`)."""
+    low = lowered_christoffel(dg)
+    n = ginv.shape[-1]
+    return (ginv @ low.reshape(low.shape[:-2] + (n * n,))).reshape(low.shape)
 
 
 def riemann(field: MetricField) -> CurvatureTensor:
     """Curvature block from the component formula, after one positivity
-    check of the field and with its cached inverse."""
+    check of the field, with its cached inverse and its
+    :meth:`~riemflow.charts.MetricField.curvature_parts`."""
     field.validate_spd()
-    g, dg, d2g = field.jets()
-    gam = christoffel_from_jets(g, dg, field.inverse)
-    del dg      # so that it is not alive with the quadratic term's products
-    return CurvatureTensor(_riemann_from_connection(g, gam, d2g))
+    return CurvatureTensor(_riemann_from_parts(*field.curvature_parts(), field.inverse))
 
 
 def riemann_from_jets(g, dg, d2g, ginv):
     """Curvature block, shape ``lead + (N, N)``, from the 2-jet
     ``(g, dg, d2g)`` in the layout of :meth:`MetricField.jets` (``d2g`` over
-    the components i <= j) and ``ginv``, the inverse of ``g``."""
-    return _riemann_from_connection(g, christoffel_from_jets(g, dg, ginv), d2g)
+    the components i <= j) and ``ginv``, the inverse of ``g``; ``g`` itself
+    does not enter."""
+    return _riemann_from_parts(*curvature_parts(dg, d2g), ginv)
 
 
-def _riemann_from_connection(g, gam, d2g):
-    """Curvature block from ``g``, its Christoffel symbols ``gam`` and the
-    compact ``d2g``."""
-    n = g.shape[-1]
-    lead = gam.shape[:-3]
-    # quadratic term g_mn (Gamma^m_jk Gamma^n_il - Gamma^m_jl Gamma^n_ik): with
-    # the lowered symbols Gamma_{m,il} = g_mn Gamma^n_il, one product gives
-    # M[(jk),(il)] = Gamma^m_jk Gamma_{m,il}, over the rows j >= 1 and columns
-    # i <= n - 2 only; it is gathered, and freed, before the Hessian gather
-    gam_m = gam.reshape(lead + (n, n * n))
-    m = (np.swapaxes(gam_m[..., n:], -1, -2) @ (g @ gam_m[..., :-n])).reshape(
+def _riemann_from_parts(low, bracket, ginv):
+    """Curvature block from the lowered Christoffel symbols ``low``, the
+    Hessian bracket (:func:`~riemflow.charts.curvature_parts`) and the
+    inverse metric ``ginv``."""
+    n = ginv.shape[-1]
+    lead = bracket.shape[:-2]
+    # quadratic term g_mn (Gamma^m_jk Gamma^n_il - Gamma^m_jl Gamma^n_ik): one
+    # product of the raised symbols Gamma^m_jk = g^{ml} Gamma_{l,jk} with the
+    # lowered ones gives M[(jk),(il)] = Gamma^m_jk Gamma_{m,il}, over the rows
+    # j >= 1 and columns i <= n - 2 only
+    low = low.reshape(lead + (n, n * n))
+    m = (np.swapaxes(ginv @ low[..., n:], -1, -2) @ low[..., :-n]).reshape(
         lead + (-1,))[..., _quadratic_index(n)]
-    # 1/2 (d_j d_l g_ik + d_i d_k g_jl - d_i d_l g_jk - d_j d_k g_il)
-    # d2g[..., (ab), c, d] = d_c d_d g_ab, so that d_j d_l g_ik at [i, j, k, l]
-    # is d2g[(ik), j, l], and so on
-    t = d2g.reshape(lead + (-1,))[..., _hessian_index(n)]
-    riem = 0.5 * (t[..., 0, :] + t[..., 1, :] - t[..., 2, :] - t[..., 3, :])
-    riem -= m[..., 0, :]
+    riem = bracket.reshape(lead + (-1,)) - m[..., 0, :]
     riem += m[..., 1, :]
-    N = pair_count(n)
-    return riem.reshape(lead + (N, N))
+    return riem.reshape(bracket.shape)
 
 
 def ricci_and_scalar(field: MetricField, riem: CurvatureTensor):

@@ -47,7 +47,7 @@ collapse, and any other raises :class:`~riemflow.errors.StepRejected`.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
@@ -112,29 +112,44 @@ def solve_pair_trace(g, ginv, rhs4, coupling=1.0):
     return (W - coupling * trv[..., None, None] * g) / (n - 2)
 
 
-def _combine(terms, like, lead=1.0):
-    """Sum of ``c * term()`` over the ``(c, term)`` pairs with c != 0, added
-    in order and divided by ``lead``.
+def _combine(terms, args, like, lead=1.0):
+    """Sum of ``c * _TERMS[name](*args)`` over the ``(c, name)`` pairs,
+    added in order and divided by ``lead``.
 
-    Zero terms are never built and unit factors never applied; ``1.0 * x``
-    and ``x / 1.0`` are exact, so skipping them changes no bit.  With every
-    term skipped the sum is zeros shaped like ``like``.
+    Unit factors are never applied; ``1.0 * x`` and ``x / 1.0`` are exact,
+    so skipping them changes no bit.  With no terms the sum is zeros shaped
+    like ``like``.
     """
     total = None
-    for c, term in terms:
-        if c != 0.0:
-            x = term() if c == 1.0 else c * term()
-            total = x if total is None else total + x
+    for c, name in terms:
+        x = _TERMS[name](*args) if c == 1.0 else c * _TERMS[name](*args)
+        total = x if total is None else total + x
     if total is None:
         return np.zeros_like(like)
     return total if lead == 1.0 else total / lead
+
+
+# the terms of the law equation by coefficient, as functions of the metric,
+# its inverse, the velocity, the rate and the curvature block; ``lead`` is
+# (r ^ g) and ``beta`` a wave's (k ^ g)
+_TERMS = {
+    "lead": lambda g, ginv, k, r, riem: kn_product(r, g),
+    "trace": lambda g, ginv, k, r, riem: (np.einsum('...ik,...ik->...', ginv, r)[..., None, None]
+                                          * pair_product_from_samples(g)),
+    "quad": lambda g, ginv, k, r, riem: pair_product_from_samples(k),
+    "beta": lambda g, ginv, k, r, riem: kn_product(k, g),
+    "gamma": lambda g, ginv, k, r, riem: pair_product_from_samples(g),
+    "delta": lambda g, ginv, k, r, riem: riem,
+    "ricci": lambda g, ginv, k, r, riem: kn_product(pair_trace(ginv, riem), g),
+}
 
 
 @dataclass(frozen=True)
 class Law:
     """A resolved evolution law: its name, order (1 flow, 2 wave) and its
     row of the law equation (see the module docstring); only a first-order
-    law has a ``trace`` term."""
+    law has a ``trace`` term.  The row's nonzero terms are listed once, when
+    the record is made."""
 
     name: str
     order: int
@@ -145,6 +160,17 @@ class Law:
     trace: float = 0.0
     ricci: float = 0.0
     quad: float = 0.0
+    # the nonzero (coefficient, term) pairs of the equation, and negated those
+    # of its sources, the terms that hold neither the rate nor Ric
+    _equation: tuple = dataclass_field(init=False, repr=False, compare=False)
+    _sources: tuple = dataclass_field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        row = [(self.lead, "lead"), (self.trace, "trace"), (self.quad, "quad"),
+               (self.beta if self.order == 2 else 0.0, "beta"), (self.gamma, "gamma"),
+               (self.delta, "delta"), (self.ricci, "ricci")]
+        object.__setattr__(self, "_equation", tuple((c, name) for c, name in row if c != 0.0))
+        object.__setattr__(self, "_sources", tuple((-c, name) for c, name in row[2:-1] if c != 0.0))
 
     @property
     def lead(self):
@@ -164,25 +190,20 @@ class Law:
             return -(self.delta / self.beta)
         return None
 
-    def _terms(self, g, k, riem):
-        """The (coefficient, term) pairs of the equation's terms that hold
-        neither the rate nor Ric: quad (k (.) k), beta (k ^ g) of a wave,
-        gamma G and delta Riem."""
-        return [(self.quad, lambda: pair_product_from_samples(k)),
-                (self.beta if self.order == 2 else 0.0, lambda: kn_product(k, g)),
-                (self.gamma, lambda: pair_product_from_samples(g)),
-                (self.delta, lambda: riem)]
-
     def rate(self, g, ginv, k, riem):
         """Metric velocity (order 1) or acceleration (order 2) at metric
         samples ``g`` with inverse ``ginv``, velocity samples ``k`` (order 2)
         and the curvature block ``riem``: -(ricci/lead) Ric plus the
-        pair-trace solve of :meth:`_terms`, skipped when they all vanish."""
-        terms = [(-c, term) for c, term in self._terms(g, k, riem) if c != 0.0]
-        return _combine([
-            (-self.ricci / self.lead, lambda: ricci_scalar_from_arrays(ginv, riem)[0]),
-            (1.0 if terms else 0.0, lambda: solve_pair_trace(
-                g, ginv, _combine(terms, riem, self.lead), self.coupling(g.shape[-1])))], g)
+        pair-trace solve of the sources, skipped when there are none."""
+        total = None
+        if self.ricci != 0.0:
+            c = -self.ricci / self.lead
+            total = pair_trace(ginv, riem) if c == 1.0 else c * pair_trace(ginv, riem)
+        if self._sources:
+            v = solve_pair_trace(g, ginv, _combine(self._sources, (g, ginv, k, None, riem), riem,
+                                                   self.lead), self.coupling(g.shape[-1]))
+            total = v if total is None else total + v
+        return np.zeros_like(g) if total is None else total
 
     def rate_at(self, field, velocity=None):
         """:meth:`rate` at a field's samples and curvature."""
@@ -193,12 +214,7 @@ class Law:
     def residual(self, g, ginv, k, rate, riem):
         """Max norm of the law's equation at the ``rate`` that :meth:`rate`
         gave for the same samples."""
-        total = _combine([
-            (self.lead, lambda: kn_product(rate, g)),
-            (self.trace, lambda: np.einsum('...ik,...ik->...', ginv, rate)[..., None, None]
-             * pair_product_from_samples(g)),
-            *self._terms(g, k, riem),
-            (self.ricci, lambda: kn_product(ricci_scalar_from_arrays(ginv, riem)[0], g))], riem)
+        total = _combine(self._equation, (g, ginv, k, rate, riem), riem)
         return float(np.abs(total).max())
 
 

@@ -502,7 +502,8 @@ def _einsum_riemann(g, dg, d2g, ginv):
     n = g.shape[-1]
     lead = gam.shape[:-3]
     gam_m = gam.reshape(lead + (n, n * n))
-    M = (np.swapaxes(gam_m, -1, -2) @ (g @ gam_m)).reshape(lead + (n,) * 4)
+    low = 0.5 * (dg + np.swapaxes(dg, -2, -1) - np.moveaxis(dg, -1, -3))
+    M = (np.swapaxes(gam_m, -1, -2) @ low.reshape(lead + (n, n * n))).reshape(lead + (n,) * 4)
     first = np.moveaxis(M, -2, -4)
     riem -= first
     riem += np.swapaxes(first, -1, -2)

@@ -549,6 +549,24 @@ def test_frozen_frame_jets_match_richardson_on_stencil_values(family, n):
                 assert np.all(got[1] == 0.0) and np.all(want[1] == 0.0)
 
 
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("family", ["hyperbolic-poincare", "sphere-stereographic"])
+def test_frozen_frame_curvature_is_that_of_its_jets(family, n):
+    # the builder's one product per field gives the curvature's linear parts
+    # with the jets; off the origin, where the Christoffel symbols do not
+    # vanish, the curvature from those parts is the curvature of the jets
+    fam = make_family(family, n)
+    rng = np.random.default_rng(20 + n)
+    chart = AnalyticChart(n, rng.uniform(-0.3, 0.3, n))
+    build = chart.evolving(MetricField.from_function(chart, fam.metric_function))
+    for _ in range(5):
+        fld = build(rand_spd(n, rng)[None])
+        g, dg, d2g = fld.jets()
+        assert np.abs(dg).max() > 0.1 * np.abs(g).max()
+        want = riemann_from_jets(g, dg, d2g, fld.inverse)
+        assert np.abs(riemann(fld).block - want).max() <= 1e-13 * np.abs(want).max()
+
+
 def test_richardson_runs_once_per_analytic_run(monkeypatch):
     # the frozen frame differentiates the basis images once, when the run
     # starts; no right-hand side takes a stencil jet

@@ -9,18 +9,28 @@ every ``configs/*.json`` of its own through ``riemflow run`` and every
 the import path, in a temporary directory of its own.  The script compares
 the exit status, stdout and every file the run wrote: CSV files byte for
 byte, JSON summaries as parsed without ``wall_time_s``.  It prints each
-file and output that differs, then the line count of ``src/riemflow/*.py``
-in each tree (as ``wc -l`` counts it), and exits 1 if any output differs,
+file and output that differs, and under it how much: for a CSV file with
+the same header and row count, the largest absolute difference of each
+column that differs and the largest relative one, to the column's largest
+magnitude; for a summary, each key that differs, with
+both values.  Then it prints the line count of ``src/riemflow/*.py`` in
+each tree (as ``wc -l`` counts it), and exits 1 if any output differs,
 else 0.
 """
 
 import argparse
+import csv
+import io
 import json
+import math
 import os
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+# the value of a summary key in the summary that lacks it
+MISSING = "(missing)"
 
 # what each kind of file is run with, after the interpreter
 KINDS = {"configs": ("*.json", ["-m", "riemflow.cli", "run"]), "demos": ("*.py", [])}
@@ -46,15 +56,72 @@ def run_file(root, kind, name):
     return {"exit status": result.returncode, "stdout": result.stdout}, files
 
 
+def csv_sizes(data_a, data_b):
+    """Per column of two CSV files with the same header and row count that
+    differs: (name, largest absolute difference, that over the column's
+    largest magnitude in either file); ``None`` for files of another shape
+    or with a cell that is not a number."""
+    tables = [list(csv.reader(io.StringIO(data.decode()))) for data in (data_a, data_b)]
+    if len(tables[0]) != len(tables[1]) or not tables[0] or tables[0][0] != tables[1][0]:
+        return None
+    try:
+        columns = [list(zip(*([float(x) for x in row] for row in table[1:]))) for table in tables]
+    except ValueError:
+        return None
+    sizes = []
+    for name, a, b in zip(tables[0][0], *columns):
+        gap = max(gap_of(x, y) for x, y in zip(a, b))
+        if gap:
+            sizes.append((name, gap, gap / max(abs(x) for x in a + b if not math.isnan(x))))
+    return sizes
+
+
+def gap_of(x, y):
+    """|x - y|, 0 for equal values or two NaNs and inf for one NaN."""
+    if x == y or (math.isnan(x) and math.isnan(y)):
+        return 0.0
+    return math.inf if math.isnan(x) or math.isnan(y) else abs(x - y)
+
+
+def differing_keys(a, b, path=""):
+    """The dotted keys, with both values, at which two parsed summaries
+    differ; a key one of them lacks has the value ``MISSING`` there."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        return [entry for key in sorted(set(a) | set(b), key=str)
+                for entry in differing_keys(a.get(key, MISSING), b.get(key, MISSING),
+                                            f"{path}{key}.")]
+    if isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        return [entry for k, (x, y) in enumerate(zip(a, b))
+                for entry in differing_keys(x, y, f"{path}{k}.")]
+    return [] if a == b else [(path[:-1], a, b)]
+
+
+def size_lines(file, data_a, data_b):
+    """Lines that say how much a file that differs between the trees
+    differs."""
+    if isinstance(data_a, dict) and isinstance(data_b, dict):
+        return [f"{file}: key {key}: {a if a is MISSING else repr(a)} -> "
+                f"{b if b is MISSING else repr(b)}" for key, a, b in differing_keys(data_a, data_b)]
+    if isinstance(data_a, bytes) and isinstance(data_b, bytes) and file.endswith(".csv"):
+        sizes = csv_sizes(data_a, data_b)
+        if sizes is not None:
+            return [f"{file}: column {name}: largest difference {gap:.3g}, relative {rel:.3g}"
+                    for name, gap, rel in sizes]
+    return []
+
+
 def compare_file(root_a, root_b, kind, name):
-    """What differs between the two trees' runs of ``<kind>/<name>``."""
+    """What differs between the two trees' runs of ``<kind>/<name>``, and
+    lines that say how much (:func:`size_lines`)."""
     if not all((root / kind / name).is_file() for root in (root_a, root_b)):
-        return ["in one tree only"]
+        return ["in one tree only"], []
     (streams_a, files_a), (streams_b, files_b) = (run_file(root, kind, name)
                                                   for root in (root_a, root_b))
-    return ([key for key in streams_a if streams_a[key] != streams_b[key]]
-            + [file for file in sorted(set(files_a) | set(files_b))
-               if files_a.get(file) != files_b.get(file)])
+    files = [file for file in sorted(set(files_a) | set(files_b))
+             if files_a.get(file) != files_b.get(file)]
+    return ([key for key in streams_a if streams_a[key] != streams_b[key]] + files,
+            [line for file in files for line in size_lines(file, files_a.get(file),
+                                                           files_b.get(file))])
 
 
 def line_total(root):
@@ -73,9 +140,11 @@ def main(argv=None):
         names = sorted({path.name for root in roots for path in (root / kind).glob(pattern)})
         differing = 0
         for name in names:
-            differences = compare_file(*roots, kind, name)
+            differences, sizes = compare_file(*roots, kind, name)
             print(f"{kind}/{name}: "
                   + (f"differs: {', '.join(differences)}" if differences else "same"), flush=True)
+            for line in sizes:
+                print(f"  {line}", flush=True)
             differing += bool(differences)
         print(f"{len(names) - differing} of {len(names)} {kind} give the same outputs", flush=True)
         failed += differing
