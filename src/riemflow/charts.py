@@ -26,7 +26,8 @@ Two chart backends are supported, and they alone know their kind: a chart's
   taken with fourth-order central stencils and periodic wrap-around, so no
   boundary conditions ever enter.  The +/-1 and +/-2 shifts along an axis
   are slices of one copy padded with two periodic layers per side, shared
-  by that axis's first and second derivative.
+  by that axis's first and second derivative.  The stencils write into the
+  jet's slots in place, in the order of the plain sums, bit for bit.
 
 A :class:`MetricField` couples a chart with metric samples (S, n, n) and
 the source of their 2-jet ``(g, dg, d2g)``: the metric function, the jet
@@ -40,10 +41,10 @@ metric once, in one cofactor pass vectorised over the samples
 (:func:`spd_inverse`, cached as :attr:`MetricField.inverse`): one cached
 gather of each matrix's entries gives the adjugate and the leading principal
 minors as signed sums of products.  The minors decide positivity by
-Sylvester's criterion (eigenvalues only on failure, to name the worst
-sample), and the inverse is the adjugate over the determinant.  The minors
-lose about kappa^(n-1) eps to roundoff where an LU inverse loses kappa eps,
-kappa the condition number.
+Sylvester's criterion (:func:`positive_minors`; eigenvalues only on
+failure, to name the worst sample), and the inverse is the adjugate over
+the determinant.  The minors lose about kappa^(n-1) eps to roundoff where
+an LU inverse loses kappa eps, kappa the condition number.
 Index conventions for metric jets: ``dg[..., i, j, k] = d_k g_ij`` and, over
 the components ``c = (i <= j)`` in ``np.triu_indices`` order,
 ``d2g[..., c, k, l] = d_k d_l g_ij`` with the derivative pair symmetrised.
@@ -267,15 +268,31 @@ def _periodic_shifts(values, axis):
     return lambda s: padded[lead + (slice(2 + s, 2 + s + N),)]
 
 
-def _grid_d1(sh, h):
-    """Fourth-order periodic first derivative from the shifts ``sh`` of
-    :func:`_periodic_shifts`."""
-    return (-sh(2) + 8.0 * sh(1) - 8.0 * sh(-1) + sh(-2)) / (12.0 * h)
+def _grid_d1(sh, h, out, work):
+    """Fourth-order periodic first derivative (-s(2) + 8 s(1) - 8 s(-1) +
+    s(-2)) / (12 h) from the shifts ``s = sh`` of :func:`_periodic_shifts`,
+    summed in the pair of arrays ``work`` and written to ``out``.  The sum
+    starts from 8 s(1) - s(2), which is -s(2) + 8 s(1) exactly, and adds
+    the other terms in order, so it is that expression bit for bit."""
+    acc, term = work
+    np.multiply(sh(1), 8.0, out=acc)
+    acc -= sh(2)
+    acc -= np.multiply(sh(-1), 8.0, out=term)
+    acc += sh(-2)
+    np.divide(acc, 12.0 * h, out=out)
 
 
-def _grid_d2(sh, h):
-    """Fourth-order periodic pure second derivative from the shifts ``sh``."""
-    return (-sh(2) + 16.0 * sh(1) - 30.0 * sh(0) + 16.0 * sh(-1) - sh(-2)) / (12.0 * h * h)
+def _grid_d2(sh, h, out, work):
+    """Fourth-order periodic pure second derivative (-s(2) + 16 s(1) - 30
+    s(0) + 16 s(-1) - s(-2)) / (12 h^2) from the shifts ``s = sh``, as
+    :func:`_grid_d1` sums and writes it."""
+    acc, term = work
+    np.multiply(sh(1), 16.0, out=acc)
+    acc -= sh(2)
+    acc -= np.multiply(sh(0), 30.0, out=term)
+    acc += np.multiply(sh(-1), 16.0, out=term)
+    acc -= sh(-2)
+    np.divide(acc, 12.0 * h * h, out=out)
 
 
 def grid_scalar_jet(values, chart):
@@ -283,7 +300,9 @@ def grid_scalar_jet(values, chart):
 
     ``values`` has shape ``grid_shape + tail``; the returned derivative arrays
     append one (resp. two) axes of length ``n`` after the tail.  Each axis is
-    padded once and shared by its first and second derivative.
+    padded once and shared by its first and second derivative.  The stencils
+    sum in two work arrays of the values' dtype, so a complex-step field
+    keeps its imaginary part, and write straight into the jet's slots.
     """
     n = chart.dimension
     hs = chart.spacings
@@ -291,14 +310,14 @@ def grid_scalar_jet(values, chart):
     tail = values.shape[n:]
     d1 = np.empty(values.shape + (n,), values.dtype)
     d2 = np.empty(values.shape + (n, n), values.dtype)
+    work = np.empty_like(values), np.empty_like(values)
     for a in range(n):
         sh = _periodic_shifts(values, a)
-        d1[..., a] = _grid_d1(sh, hs[a])
-        d2[..., a, a] = _grid_d2(sh, hs[a])
+        _grid_d1(sh, hs[a], d1[..., a], work)
+        _grid_d2(sh, hs[a], d2[..., a, a], work)
         for b in range(a + 1, n):
-            mixed = _grid_d1(_periodic_shifts(d1[..., a], b), hs[b])
-            d2[..., a, b] = mixed
-            d2[..., b, a] = mixed
+            _grid_d1(_periodic_shifts(d1[..., a], b), hs[b], d2[..., a, b], work)
+            d2[..., b, a] = d2[..., a, b]
     flat = (chart.sample_count,) + tail
     return (values.reshape(flat),
             d1.reshape(flat + (n,)),
@@ -476,13 +495,24 @@ def _cofactor_pass(g):
     return weights.dot(np.multiply.reduce(rows.take(index, axis=0), axis=0))
 
 
-def _require_minors(g, cof):
-    """Raise :class:`NotPositiveDefinite` unless every leading principal
-    minor in ``cof``, the cofactor pass of ``g``, is positive, which by
-    Sylvester's criterion is positivity of ``g.real``.  Only then are the
-    eigenvalues computed, to name the sample with the smallest one."""
+def positive_minors(g, cof=None):
+    """Whether every leading principal minor of every matrix of ``g.real``
+    is positive, which by Sylvester's criterion is positivity of ``g.real``,
+    read from ``cof``, the cofactor pass of ``g`` (taken here when not
+    given).  A sample with an entry that is not finite fails."""
     n = g.shape[-1]
-    if not np.minimum.reduce(cof[1 + n * n:].real, axis=None) > 0.0:
+    if cof is None:
+        cof = _cofactor_pass(g)
+    return bool(np.minimum.reduce(cof[1 + n * n:].real, axis=None) > 0.0)
+
+
+def _require_minors(g, cof):
+    """Raise :class:`NotPositiveDefinite` unless ``g.real`` has
+    :func:`positive_minors` by ``cof``, the cofactor pass of ``g``.  Only
+    then are the eigenvalues computed, to name the sample with the smallest
+    one."""
+    n = g.shape[-1]
+    if not positive_minors(g, cof):
         w = np.linalg.eigvalsh(g.real.reshape(-1, n, n))[:, 0]
         worst = int(np.argmin(w))
         raise NotPositiveDefinite(worst, float(w[worst]))

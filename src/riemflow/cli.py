@@ -7,8 +7,10 @@ Subcommands: ``curvature`` (one-shot tensor report), ``flow``, ``wave``,
 ``flow``, ``wave``, ``scale-ode`` and ``conformal-wave`` write a scenario
 document, which their summary echoes, and run it as ``run`` runs a file,
 with the library's defaults (``scenarios.INTEGRATOR_DEFAULTS`` and
-``OTHER_LAWS``, ``families.DEFAULTS``).  A family option the family does
-not take is refused.
+``OTHER_LAWS``, ``families.DEFAULTS``).  The document leaves out the seed,
+the output paths, the analytic point and the wave's velocity scale when
+their options are not given, so the scenario's own defaults apply.  A
+family option the family does not take is refused.
 
 Exit status: 0 for a smooth completion (and ``--help``), 2 when a finite-time
 singularity was detected (an expected scientific outcome, not an error) and
@@ -29,6 +31,7 @@ from .errors import RiemflowError
 from .families import DEFAULTS, make_family
 from .flow import integrate_flow
 from .scenarios import (
+    DEFAULT_SEED,
     INTEGRATOR_DEFAULTS,
     OTHER_LAWS,
     VELOCITIES,
@@ -54,7 +57,7 @@ def _field_args(p):
     p.add_argument("--mode", type=int, help="conformal-torus mode")
     p.add_argument("--lame", nargs="*", dest="expressions", metavar="LAME",
                    help="diagonal-lame coefficient expressions, one per axis")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int)
     p.add_argument("--grid", type=int, default=None,
                    help="points per axis; selects a periodic-grid chart")
     p.add_argument("--point", type=float, nargs="*", default=None,
@@ -75,15 +78,16 @@ def _family_params(args):
 
 
 def _chart_spec(args):
-    """The scenario chart spec of the chart arguments."""
+    """The scenario chart spec of the chart arguments; without a ``--point``
+    the scenario's own default, the origin, applies."""
     if args.grid:
         return {"dimension": args.dimension, "kind": "periodic-grid", "points_per_axis": args.grid}
-    return {"dimension": args.dimension, "kind": "analytic-point",
-            "point": args.point or [0.0] * args.dimension, "step": args.step}
+    return {"dimension": args.dimension, "kind": "analytic-point", "step": args.step,
+            **({"point": args.point} if args.point else {})}
 
 
 def _build_field(args):
-    rng = np.random.default_rng(args.seed)
+    rng = np.random.default_rng(DEFAULT_SEED if args.seed is None else args.seed)
     family = make_family(args.family, args.dimension, _family_params(args), rng)
     chart = _build_chart(_chart_spec(args), family)
     return family, MetricField.from_function(chart, family.metric_function)
@@ -120,16 +124,16 @@ def _report(summary, keys=_REPORT):
 
 def _scenario(args):
     """The scenario config of a run subcommand's arguments: the document
-    part its subparser's ``part`` writes, the integrator, output and seed
-    options, and the id ``--id`` gives or else its ``stem`` formats."""
-    scenario_id = args.stem.format(**vars(args)) if args.id is None else args.id
+    part its subparser's ``part`` writes, the integrator options, the
+    output and seed options that were given (the scenario's defaults apply
+    to the others), and the id ``--id`` gives or else its ``stem`` formats."""
+    output = _given(args, ("csv", "summary"))
     return config_from_dict({
-        "id": scenario_id,
+        "id": args.stem.format(**vars(args)) if args.id is None else args.id,
         **args.part(args),
         "integrator": {key: getattr(args, key) for key in INTEGRATOR_DEFAULTS},
-        "output": {"csv": f"{scenario_id}.csv" if args.csv is None else args.csv,
-                   "summary": f"{scenario_id}.json" if args.summary is None else args.summary},
-        "seed": args.seed,
+        **({"output": output} if output else {}),
+        **_given(args, ("seed",)),
     })
 
 
@@ -242,7 +246,7 @@ def _reduced_run_parser(sub, law, help, options, **defaults):
         for key, default in params.items():
             p.add_argument(f"--{key}", type=type(default), default=default,
                            **options.get(key, {}))
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=int)
 
     def part(args):
         return {"family": {"name": "flat"},
@@ -271,11 +275,11 @@ def build_parser():
 
     p = _run_parser(sub, "wave", "integrate a second-order law", _field_args,
                     lambda args: _field_part(
-                        args, {}, initial_velocity_scale=args.velocity_scale),
+                        args, {}, **_given(args, ("initial_velocity_scale",))),
                     "wave-{family}-n{dimension}", t_end=0.5)
     p.add_argument("--law", default="riemann-wave",
                    choices=["ricci-wave", "riemann-wave"])
-    p.add_argument("--velocity-scale", type=float, default=0.0,
+    p.add_argument("--velocity-scale", type=float, dest="initial_velocity_scale",
                    help="initial metric velocity as a multiple of the metric")
 
     _reduced_run_parser(sub, "scale-ode", "constant-curvature scale equation",

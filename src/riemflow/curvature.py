@@ -46,6 +46,7 @@ from itertools import combinations
 import numpy as np
 
 from .charts import (
+    COFACTOR_GATHER,
     MetricField,
     _block_index,
     _frozen,
@@ -267,10 +268,17 @@ def _pair_trace_terms(n):
 def pair_trace(ginv, block):
     """Pair trace ``W_ik = g^{jl} T_ijkl`` of stacked blocks ``(..., N, N)``:
     a gather of the (n-1)^2 nonzero terms of each (i, k), summed by one
-    product with their signs."""
+    product with their signs.  Stacks of one shape are taken in chunks of
+    samples that gather at most :data:`~riemflow.charts.COFACTOR_GATHER`
+    terms each, so every shipped grid is one chunk."""
     n = ginv.shape[-1]
     lead = block.shape[:-2]
     entries, inverse, sums = _pair_trace_terms(n)
+    step = max(1, COFACTOR_GATHER // len(entries))
+    if ginv.shape[:-2] == lead and math.prod(lead) > step:
+        ginv, block = ginv.reshape(-1, n, n), block.reshape((-1,) + block.shape[-2:])
+        return np.concatenate([pair_trace(ginv[s:s + step], block[s:s + step])
+                               for s in range(0, len(block), step)]).reshape(lead + (n, n))
     terms = (block.reshape(lead + (-1,))[..., entries]
              * ginv.reshape(ginv.shape[:-2] + (n * n,))[..., inverse])
     return (terms @ sums).reshape(lead + (n, n))

@@ -44,6 +44,11 @@ once as that state's positivity check, which its record, the curvature-cap
 check (at every step) and the next step read.  A failed step whose bisection
 (:func:`bisect`) reaches a state below the collapse threshold is a
 collapse, and any other raises :class:`~riemflow.errors.StepRejected`.
+The relative eigenvalues of a state, which only its record reads, are
+computed for the records alone; any other accepted state is shown to be
+far from the record and collapse thresholds by the leading minors of one
+cofactor pass (:func:`~riemflow.charts.positive_minors`), and one that is
+not is decomposed.
 """
 
 import math
@@ -52,7 +57,7 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from .bialternate import recover_metric
-from .charts import MetricField
+from .charts import MetricField, positive_minors
 from .curvature import (
     CurvatureTensor,
     kn_product,
@@ -491,8 +496,15 @@ def _rk4_evolve(initial, law, order, velocity, dt, t_end, stride, collapse_thres
                 err = math.inf
         d["cross_check_error"].append(err)
 
+    # a state with every relative eigenvalue above ``near`` is recorded only
+    # on the stride; one cofactor pass of g - 2 near g0 shows min_rel > 2 near
+    # (so neither a record nor a collapse) without an eigendecomposition
+    near = max(0.1, 1e3 * collapse_threshold)
+    shift = 2.0 * near * g0
+
     # ``rhs`` is the rhs at ``state``, evaluated once, here or by the step
-    # that accepted it; ``rel`` holds the relative eigenvalues of ``state``
+    # that accepted it; ``rel`` holds the relative eigenvalues of ``state``,
+    # or None when they were not needed
     rhs = system.rhs(state)
     rel = _relative_eigenvalues(g0, L0inv)
     record(t0, state, rhs, rel)
@@ -517,20 +529,22 @@ def _rk4_evolve(initial, law, order, velocity, dt, t_end, stride, collapse_thres
             raise StepRejected(f"the step at t={t:.6g} fails and no shorter one reaches the "
                                "collapse threshold")
         (state, rhs), t = step, t_next
-        rel = _relative_eigenvalues(state[0], L0inv)
-        min_rel = float(rel.min())
-        # keep a dense record of the approach to collapse for the monitors
-        near_collapse = min_rel < max(0.1, 1e3 * collapse_threshold)
-        if steps % stride == 0 or near_collapse or steps == len(ends):
-            record(t, state, rhs, rel)
-        if min_rel < collapse_threshold:
-            termination = "collapse"
-            break
+        rel = None
+        due = steps % stride == 0 or steps == len(ends)
+        if due or not positive_minors(state[0] - shift):
+            rel = _relative_eigenvalues(state[0], L0inv)
+            min_rel = float(rel.min())
+            # keep a dense record of the approach to collapse for the monitors
+            if due or min_rel < near:
+                record(t, state, rhs, rel)
+            if min_rel < collapse_threshold:
+                termination = "collapse"
+                break
         if curvature_cap is not None and sup_riem(rhs) > curvature_cap:
             termination = "curvature_cap"
             break
     if traj.times[-1] != t:
-        record(t, state, rhs, rel)
+        record(t, state, rhs, _relative_eigenvalues(state[0], L0inv) if rel is None else rel)
     traj.termination = termination
     return traj
 

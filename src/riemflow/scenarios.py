@@ -57,6 +57,8 @@ OTHER_LAWS = {"scale-ode": {"lam": 0.0, "v": 0.0},
               "conformal-wave": {"amplitude": 1e-4, "mode": 1, "points": 256,
                                  "length": 1.0, "velocity": "zero"}}
 VELOCITIES = ("zero", "right-mover")
+# the seed of the family's random phases in a scenario that gives none
+DEFAULT_SEED = 0
 # the integrator settings of a scenario that gives none
 INTEGRATOR_DEFAULTS = {"dt": 1e-3, "t_end": 1.0, "stride": 10}
 
@@ -194,7 +196,7 @@ def config_from_dict(raw, default_id="scenario"):
                                              "initial_velocity_scale"),
         csv_path=output.get("csv", f"{scenario_id}.csv"),
         summary_path=output.get("summary", f"{scenario_id}.json"),
-        seed=whole_number(raw.get("seed", 0), "seed", least=0),
+        seed=whole_number(raw.get("seed", DEFAULT_SEED), "seed", least=0),
         raw=dict(raw),
     )
 

@@ -230,14 +230,14 @@ def conformally_flat_wave_solve(u0, u1, dt, t_end, length=None, stride=1):
         c -= lap
         c /= u_cur
         disc = np.subtract(1.0, c, out=c)
-        if np.min(disc) <= 0.0:
+        if disc.min() <= 0.0:
             raise PositivityLost(t, int(np.argmin(disc)), float(np.min(u_cur)))
         # B = 2u (sqrt(disc) - 1); the new level takes the retiring one's buffer
         B = np.sqrt(disc, out=c)
         B -= 1.0
         B *= two_u
         u_new = np.add(u_prev, B, out=u_prev)
-        if np.min(u_new) <= POSITIVITY_FLOOR:
+        if u_new.min() <= POSITIVITY_FLOOR:
             raise PositivityLost(t + dt, int(np.argmin(u_new)), float(np.min(u_new)))
         u_prev, u_cur = u_cur, u_new
         t = (step_index + 2) * dt

@@ -269,7 +269,7 @@ def _roll_jet(values, chart):
     n = chart.dimension
     hs = chart.spacings
     first = np.stack([d1(values, a, hs[a]) for a in range(n)], axis=-1)
-    second = np.empty(values.shape + (n, n))
+    second = np.empty(values.shape + (n, n), values.dtype)
     for a in range(n):
         second[..., a, a] = d2(values, a, hs[a])
         for b in range(a + 1, n):
@@ -285,6 +285,11 @@ def test_grid_jet_bitwise_equals_roll_oracle(n):
     for tail in ((), (n,), (n, n)):
         values = rng.normal(size=chart.grid_shape + tail)
         for a, b in zip(grid_scalar_jet(values, chart), _roll_jet(values, chart)):
+            assert np.array_equal(a, b)
+        # a complex-step run's samples take the same stencils, in their dtype
+        values = values + 1j * rng.normal(size=values.shape)
+        for a, b in zip(grid_scalar_jet(values, chart), _roll_jet(values, chart)):
+            assert a.dtype == b.dtype == complex
             assert np.array_equal(a, b)
 
 

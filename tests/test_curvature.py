@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -429,6 +431,27 @@ def test_batched_contractions_match_component_formulas(n, S):
     assert _rel_err(tensor_norm(t4, ginv), _oracle_norm(t4.array, ginv)) < 1e-12
     assert _rel_err(pair_trace(ginv, t4.block),
                     np.einsum('...jl,...ijkl->...ik', ginv, t4.array)) < 1e-12
+
+
+def test_pair_trace_gathers_in_bounded_chunks():
+    # an 8^5 grid at n = 5: gathered at once, the 400 terms per sample of
+    # block and inverse entries and their products would take 300 MiB; in
+    # chunks of COFACTOR_GATHER terms the trace stays near 96 MiB
+    rng = np.random.default_rng(6)
+    S, n = 8 ** 5, 5
+    a = rng.normal(size=(S, n, n))
+    ginv = a @ np.swapaxes(a, -1, -2) + np.eye(n)
+    t4 = CurvatureTensor(_random_blocks(S, n, rng))
+    tracemalloc.start()
+    try:
+        got = pair_trace(ginv, t4.block)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 128 * 2 ** 20
+    every = slice(None, None, 97)
+    assert _rel_err(got[every], np.einsum('...jl,...ijkl->...ik', ginv[every],
+                                          CurvatureTensor(t4.block[every]).array)) < 1e-12
 
 
 @pytest.mark.parametrize("S", [1, 7])

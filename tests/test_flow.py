@@ -47,6 +47,7 @@ from riemflow.errors import (
 )
 from riemflow.families import make_family
 from riemflow.flow import (
+    COLLAPSE_EIG_FRACTION,
     check_metric_equivalence,
     homothety_flow_solution,
     integrate_flow,
@@ -386,6 +387,41 @@ def test_curvature_cap_stop_does_not_depend_on_the_stride():
     assert [traj.termination for traj in runs] == ["curvature_cap"] * 2
     assert runs[0].times[-1] == runs[1].times[-1] == pytest.approx(0.654)
     assert runs[0].diagnostic("sup_riem_norm")[-2] <= 10.0 < runs[1].diagnostic("sup_riem_norm")[-1]
+
+
+def test_a_cap_stop_between_records_records_its_own_state():
+    # the run stops at the cap at step 17, between the records of stride 7:
+    # the record of that state holds its own relative eigenvalues, those the
+    # stride-1 run records there, not those of the last record before it
+    fld, _ = hyperbolic_field(3)
+    cap = 1.2 * float(tensor_norm(riemann(fld), fld).max())
+    dense, sparse = (integrate_flow(fld, "riemann-induced", 1e-2, 1.0, stride=stride,
+                                    curvature_cap=cap) for stride in (1, 7))
+    assert dense.termination == sparse.termination == "curvature_cap"
+    stop = len(dense.times) - 1
+    assert stop % 7 and sparse.times[-1] == dense.times[-1]
+    assert sparse.times[-2] == dense.times[7 * (stop // 7)]
+    for key in ("min_rel_eig", "max_rel_eig"):
+        assert sparse.diagnostic(key)[-1] == dense.diagnostic(key)[-1]
+    assert sparse.diagnostic("min_rel_eig")[-1] < sparse.diagnostic("min_rel_eig")[-2]
+
+
+@pytest.mark.parametrize("collapse_threshold", [COLLAPSE_EIG_FRACTION, 3e-4])
+def test_a_collapsing_run_records_its_stride_its_approach_and_its_last_step(collapse_threshold):
+    # of a stride-1 run's records, a stride-10 run keeps exactly the steps on
+    # its stride, those below max(0.1, 1e3 collapse_threshold) and the last
+    fld, _ = hyperbolic_field(3)
+    dense, sparse = (integrate_flow(fld, "riemann-induced", 1e-3, 2.0, stride=stride,
+                                    collapse_threshold=collapse_threshold)
+                     for stride in (1, 10))
+    assert dense.termination == sparse.termination == "collapse"
+    near = max(0.1, 1e3 * collapse_threshold)
+    rel = dense.diagnostic("min_rel_eig")
+    kept = [k for k in range(len(rel)) if k % 10 == 0 or rel[k] < near or k == len(rel) - 1]
+    assert 0 < sum(rel < near) < len(kept) < len(rel)
+    assert sparse.times == [dense.times[k] for k in kept]
+    for key, values in dense.diagnostics.items():
+        assert np.array_equal(sparse.diagnostic(key), np.asarray(values)[kept], equal_nan=True)
 
 
 def test_a_t_end_before_the_start_is_refused():
@@ -765,10 +801,11 @@ def test_grid_flow_work_per_rhs(monkeypatch):
     # each rhs takes one cofactor pass (riemann's positivity check, which
     # also gives the inverse that record() reuses), except the one rhs at
     # each accepted state, which reuses the pass of the step's check of that
-    # state; on top of that a run takes one pass for the initial check.  The
-    # only Cholesky and inverse of a run are those of the relative-eigenvalue
-    # frame, and eigvalsh runs only for the relative eigenvalues, once per
-    # accepted state.
+    # state; on top of that a run takes one pass for the initial check, and
+    # each accepted state that is not recorded one for its Sylvester test
+    # against the records' threshold.  The only Cholesky and inverse of a
+    # run are those of the relative-eigenvalue frame, and eigvalsh runs only
+    # for the relative eigenvalues, once per record.
     counts = dict.fromkeys(("pass", "inv", "cholesky", "eigvalsh", "rhs", "rel"), 0)
 
     def counting(name, fn):
@@ -787,10 +824,11 @@ def test_grid_flow_work_per_rhs(monkeypatch):
     steps = 10
     traj = integrate_flow(fld, "riemann-induced", 1e-3, steps * 1e-3, stride=5)
     assert np.allclose(traj.times, [0.0, 5e-3, 1e-2], rtol=0, atol=1e-15)
+    records = len(traj.times)
     assert counts["rhs"] == 4 * steps + 1
-    assert counts["pass"] == (counts["rhs"] - steps) + steps + 1
+    assert counts["pass"] == (counts["rhs"] - steps) + steps + 1 + (steps + 1 - records)
     assert counts["inv"] == counts["cholesky"] == 1
-    assert counts["eigvalsh"] == counts["rel"] == steps + 1
+    assert counts["eigvalsh"] == counts["rel"] == records
 
 
 # ---------------------------------------------------------------------------

@@ -417,13 +417,45 @@ def test_a_run_subcommand_runs_the_scenario_its_summary_echoes(argv, tmp_path, c
     monkeypatch.chdir(tmp_path)
     code = cli_main(argv)
     (summary_path,) = tmp_path.glob("*.json")
+    (csv_path,) = tmp_path.glob("*.csv")
     config = json.loads(summary_path.read_text())["config"]
     rerun = dict(config, output={"csv": "rerun.csv", "summary": "rerun.json"})
     assert cli_main(["run", _write(tmp_path, rerun, "rerun-config.json")]) == code
     capsys.readouterr()
-    csv = (tmp_path / config["output"]["csv"]).read_bytes()
+    csv = csv_path.read_bytes()
     assert csv.count(b"\n") > 2
     assert (tmp_path / "rerun.csv").read_bytes() == csv
+
+
+@pytest.mark.parametrize("argv, defaults, omitted", [
+    (["flow", "--family", "hyperbolic-poincare", "--t-end", "0.02"],
+     ["--point", "0", "0", "0", "--seed", "0"], {"seed", "point"}),
+    (["wave", "--family", "conformal-torus", "--grid", "8", "--t-end", "0.02"],
+     ["--velocity-scale", "0", "--seed", "0"], {"seed", "initial_velocity_scale"}),
+    (["conformal-wave", "--points", "64", "--t-end", "0.1"], ["--seed", "0"], {"seed"}),
+], ids=["flow", "wave", "conformal-wave"])
+def test_a_run_subcommand_leaves_out_the_defaults_it_was_not_given(argv, defaults, omitted,
+                                                                   tmp_path, capsys, monkeypatch):
+    # the document leaves out the options that were not given, and the
+    # scenario's defaults for them give the outputs that giving them does
+    runs = []
+    for name, extra in (("left-out", []),
+                        ("given", [*defaults, "--csv", "run.csv", "--summary", "run.json"])):
+        (tmp_path / name).mkdir()
+        monkeypatch.chdir(tmp_path / name)
+        code = cli_main([*argv, "--id", "run", *extra])
+        runs.append((code, Path("run.csv").read_bytes(), json.loads(Path("run.json").read_text())))
+    capsys.readouterr()
+    (code, csv, summary), (given_code, given_csv, given_summary) = runs
+
+    def keys(config):
+        return {*config, *config.get("chart", {})}
+
+    assert not keys(summary.pop("config")) & (omitted | {"output"})
+    assert omitted <= keys(given_summary.pop("config"))
+    assert (code, csv) == (given_code, given_csv) and csv.count(b"\n") > 2
+    del summary["wall_time_s"], given_summary["wall_time_s"]
+    assert summary == given_summary
 
 
 def test_a_periodic_diagonal_lame_grid_runs(tmp_path, capsys):
