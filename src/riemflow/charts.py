@@ -44,7 +44,10 @@ minors as signed sums of products.  The minors decide positivity by
 Sylvester's criterion (:func:`positive_minors`; eigenvalues only on
 failure, to name the worst sample), and the inverse is the adjugate over
 the determinant.  The minors lose about kappa^(n-1) eps to roundoff where
-an LU inverse loses kappa eps, kappa the condition number.
+an LU inverse loses kappa eps, kappa the condition number.  The fixed
+gathers of the kernels go through :func:`take_last`: ``ndarray.take`` for
+a stack of one sample, where its fixed cost per call is the lower, and fancy
+indexing for more, which it gathers faster.
 Index conventions for metric jets: ``dg[..., i, j, k] = d_k g_ij`` and, over
 the components ``c = (i <= j)`` in ``np.triu_indices`` order,
 ``d2g[..., c, k, l] = d_k d_l g_ij`` with the derivative pair symmetrised.
@@ -73,6 +76,15 @@ def _frozen(*arrays):
     for a in arrays:
         a.flags.writeable = False
     return arrays
+
+
+def take_last(a, index):
+    """``a[..., index]``, gathered by ``ndarray.take`` when the stack ``a``
+    holds one sample (every axis but the last of length 1) and by fancy
+    indexing otherwise: ``take`` has the lower fixed cost per call, fancy
+    indexing the faster gather over many samples.  Both copy the same
+    values, bit for bit."""
+    return a.take(index, axis=-1) if a.size == a.shape[-1] else a[..., index]
 
 
 def _real_or_complex(a):
@@ -140,9 +152,10 @@ class AnalyticChart:
         once, here, on the images ``M E_q M^T`` of the symmetric basis matrices
         ``E_q``, and so does :func:`curvature_parts`, on the basis jets.  Each
         field's jets and curvature parts are then one product of those
-        components with the basis images, and its sample is ``g`` itself.  The
-        stencil's values are checked for finiteness here, once.  The frame is
-        real, so a complex field (a complex-step run) raises ``ValueError``.
+        components, gathered from ``g`` by one flat ``take``, with the basis
+        images, and its sample is ``g`` itself.  The stencil's values are
+        checked for finiteness here, once.  The frame is real, so a complex
+        field (a complex-step run) raises ``ValueError``.
         """
         if np.iscomplexobj(field.samples):
             raise ValueError("the frozen frame is real: complex-step runs need a grid chart")
@@ -158,6 +171,7 @@ class AnalyticChart:
         q = np.arange(len(rows))
         basis = np.zeros((len(q), n, n))
         basis[q, rows, cols] = basis[q, cols, rows] = 1.0
+        flat = _symmetric_components(n)[0]
         _, dg, d2g = richardson_jet(stencil, np.einsum('pab,qbc,pdc->qpad', M, basis, M))
         d2g = compact_hessian(d2g)
         parts = (dg, d2g, *curvature_parts(dg, d2g))
@@ -166,7 +180,7 @@ class AnalyticChart:
         pieces = [(slice(a, b), (1,) + p.shape[1:]) for a, b, p in zip(ends, ends[1:], parts)]
 
         def build(g):
-            d = g[0, rows, cols] @ jet_map
+            d = g.take(flat) @ jet_map
             dg, d2g, low, bracket = [d[s].reshape(shape) for s, shape in pieces]
             return MetricField(self, g, _jets=(g, dg, d2g), _parts=(low, bracket))
 
@@ -452,6 +466,8 @@ def _cofactor_terms(n):
     order 1 .. n of ``re a``.  ``index`` (n, P) names the n factors of each
     of the P products, a shorter product padded with the row of ones, and
     ``weights`` (1 + n^2 + n, P) the sign each product takes in each output.
+    ``real`` is ``index`` for real ``a``, which is its own real part: it
+    reads the rows of ``[a, 1]``.
     """
     nn = n * n
     every = range(n)
@@ -468,7 +484,8 @@ def _cofactor_terms(n):
             signs.append(sign * _parity(p))
     weights = np.zeros((len(minors), len(index)))
     weights[out, np.arange(len(index))] = signs
-    return _frozen(np.array(index, dtype=int).T.copy(), weights)
+    index = np.array(index, dtype=int).T.copy()
+    return _frozen(index, np.where(index == 2 * nn, nn, index % nn), weights)
 
 
 def _cofactor_pass(g):
@@ -478,20 +495,23 @@ def _cofactor_pass(g):
     over chunks of samples that gather at most :data:`COFACTOR_GATHER`
     factors each.  The pass is a polynomial in the entries, so a complex
     ``g`` keeps its dtype and the derivative of a complex step through it is
-    exact."""
+    exact; a real ``g`` is its own real part, read from the same rows."""
     n = g.shape[-1]
     nn = n * n
-    index, weights = _cofactor_terms(n)
+    index, real, weights = _cofactor_terms(n)
     step = max(1, COFACTOR_GATHER // index.size)
     if g.size > step * nn:
         g = g.reshape(-1, n, n)
         return np.concatenate([_cofactor_pass(g[s:s + step]) for s in range(0, len(g), step)],
                               axis=1)
     a = g.reshape(-1, nn).T
-    rows = np.empty((2 * nn + 1, a.shape[1]), dtype=a.dtype if a.dtype.kind == "c" else float)
+    if a.dtype.kind == "c":
+        rows = np.empty((2 * nn + 1, a.shape[1]), dtype=a.dtype)
+        rows[nn:2 * nn] = a.real
+    else:
+        rows, index = np.empty((nn + 1, a.shape[1])), real
     rows[:nn] = a
-    rows[nn:2 * nn] = a.real
-    rows[2 * nn] = 1.0
+    rows[-1] = 1.0
     return weights.dot(np.multiply.reduce(rows.take(index, axis=0), axis=0))
 
 

@@ -53,6 +53,7 @@ from .charts import (
     curvature_parts,
     lowered_christoffel,
     spd_inverse,
+    take_last,
 )
 from .errors import DimensionTooSmall, NonpositiveLame
 
@@ -232,8 +233,8 @@ def _riemann_from_parts(low, bracket, ginv):
     # lowered ones gives M[(jk),(il)] = Gamma^m_jk Gamma_{m,il}, over the rows
     # j >= 1 and columns i <= n - 2 only
     low = low.reshape(lead + (n, n * n))
-    m = (np.swapaxes(ginv @ low[..., n:], -1, -2) @ low[..., :-n]).reshape(
-        lead + (-1,))[..., _quadratic_index(n)]
+    m = take_last((np.swapaxes(ginv @ low[..., n:], -1, -2) @ low[..., :-n]).reshape(
+        lead + (-1,)), _quadratic_index(n))
     riem = bracket.reshape(lead + (-1,)) - m[..., 0, :]
     riem += m[..., 1, :]
     return riem.reshape(bracket.shape)
@@ -279,8 +280,8 @@ def pair_trace(ginv, block):
         ginv, block = ginv.reshape(-1, n, n), block.reshape((-1,) + block.shape[-2:])
         return np.concatenate([pair_trace(ginv[s:s + step], block[s:s + step])
                                for s in range(0, len(block), step)]).reshape(lead + (n, n))
-    terms = (block.reshape(lead + (-1,))[..., entries]
-             * ginv.reshape(ginv.shape[:-2] + (n * n,))[..., inverse])
+    terms = (take_last(block.reshape(lead + (-1,)), entries)
+             * take_last(ginv.reshape(ginv.shape[:-2] + (n * n,)), inverse))
     return (terms @ sums).reshape(lead + (n, n))
 
 
@@ -301,8 +302,8 @@ def _compound(a, b):
     """Block of ``(a (.) b)_ijkl = a_ik b_jl - a_il b_jk`` for stacked
     ``(..., n, n)`` inputs."""
     n, N = a.shape[-1], pair_count(a.shape[-1])
-    x = a.reshape(a.shape[:-2] + (n * n,))[..., _block_index(n, ("ik", "il"))]
-    y = b.reshape(b.shape[:-2] + (n * n,))[..., _block_index(n, ("jl", "jk"))]
+    x = take_last(a.reshape(a.shape[:-2] + (n * n,)), _block_index(n, ("ik", "il")))
+    y = take_last(b.reshape(b.shape[:-2] + (n * n,)), _block_index(n, ("jl", "jk")))
     out = x[..., 0, :] * y[..., 0, :] - x[..., 1, :] * y[..., 1, :]
     return out.reshape(out.shape[:-1] + (N, N))
 

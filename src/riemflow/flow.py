@@ -41,14 +41,16 @@ Every law steps at a fixed ``dt``, on the schedule of :func:`step_ends`.
 A stage or new state that is not finite or not positive definite fails the
 step; else it returns the new state with its right-hand side, evaluated
 once as that state's positivity check, which its record, the curvature-cap
-check (at every step) and the next step read.  A failed step whose bisection
-(:func:`bisect`) reaches a state below the collapse threshold is a
-collapse, and any other raises :class:`~riemflow.errors.StepRejected`.
-The relative eigenvalues of a state, which only its record reads, are
-computed for the records alone; any other accepted state is shown to be
-far from the record and collapse thresholds by the leading minors of one
-cofactor pass (:func:`~riemflow.charts.positive_minors`), and one that is
-not is decomposed.
+check (at every step, with sup |Riem| taken once per state) and the next
+step read.  A failed step whose bisection (:func:`bisect`) reaches a state
+below the collapse threshold is a collapse, and any other raises
+:class:`~riemflow.errors.StepRejected`.  The relative eigenvalues of a
+state, which only its record reads, are computed for the records alone;
+any other accepted state is shown to be far from the record and collapse
+thresholds by the trace tr(g^-1 g0), read off the inverse its right-hand
+side holds, or else by the leading minors of one cofactor pass
+(:func:`~riemflow.charts.positive_minors`), and one that is shown by
+neither is decomposed.
 """
 
 import math
@@ -114,7 +116,9 @@ def solve_pair_trace(g, ginv, rhs4, coupling=1.0):
     W = pair_trace(ginv, rhs4)
     trW = np.einsum('...ik,...ik->...', ginv, W)
     trv = trW / ((n - 2) + n * coupling)
-    return (W - coupling * trv[..., None, None] * g) / (n - 2)
+    # unit factors are skipped, exactly, as :func:`_combine` skips them
+    v = W - (trv if coupling == 1.0 else coupling * trv)[..., None, None] * g
+    return v if n == 3 else v / (n - 2)
 
 
 def _combine(terms, args, like, lead=1.0):
@@ -386,7 +390,7 @@ class _RK4System:
         riem = riemann(fld).block
         k = state[1] if self.wave else None
         rate = self.law.rate(fld.samples, fld.inverse, k, riem)
-        rate = 0.5 * (rate + np.swapaxes(rate, -1, -2))
+        rate = 0.5 * (rate + rate.swapaxes(-1, -2))
         d = [rate] if k is None else [k, rate]
         if self.pair_rate is not None:
             d.append(self.pair_rate * riem)
@@ -467,9 +471,10 @@ def _rk4_evolve(initial, law, order, velocity, dt, t_end, stride, collapse_thres
     def sup_riem(rhs):
         return float(tensor_norm(CurvatureTensor(rhs[1]), rhs[3]).max())
 
-    def record(t, state, rhs, rel):
-        """Append a record of ``state``, whose rhs is ``rhs`` and relative
-        eigenvalues are ``rel``."""
+    def record(t, state, rhs, rel, sup=None):
+        """Append a record of ``state``, whose rhs is ``rhs``, relative
+        eigenvalues are ``rel`` and sup |Riem| is ``sup`` (taken here when
+        not given)."""
         g = state[0]
         _, riem, rate, ginv = rhs
         k = state[1] if system.wave else None
@@ -483,7 +488,7 @@ def _rk4_evolve(initial, law, order, velocity, dt, t_end, stride, collapse_thres
         d["min_rel_eig"].append(float(rel.min()))
         d["max_rel_eig"].append(float(rel.max()))
         d["sup_ric_norm"].append(float(tensor_norm(ric, ginv).max()))
-        d["sup_riem_norm"].append(sup_riem(rhs))
+        d["sup_riem_norm"].append(sup_riem(rhs) if sup is None else sup)
         d["scalar_min"].append(float(scal.min()))
         d["scalar_max"].append(float(scal.max()))
         d["eq_residual"].append(system.law.residual(g, ginv, k, rate, riem))
@@ -497,10 +502,18 @@ def _rk4_evolve(initial, law, order, velocity, dt, t_end, stride, collapse_thres
         d["cross_check_error"].append(err)
 
     # a state with every relative eigenvalue above ``near`` is recorded only
-    # on the stride; one cofactor pass of g - 2 near g0 shows min_rel > 2 near
-    # (so neither a record nor a collapse) without an eigendecomposition
+    # on the stride.  Two tests show min_rel > 2 near (so neither a record nor
+    # a collapse) without an eigendecomposition: tr(g^-1 g0) < 1/(2 near),
+    # read off the inverse the state's rhs holds, since 1/min_rel, the
+    # largest eigenvalue of g^-1 g0, is at most that trace; else one cofactor
+    # pass of g - 2 near g0
     near = max(0.1, 1e3 * collapse_threshold)
     shift = 2.0 * near * g0
+
+    def far(state, rhs):
+        """Whether every relative eigenvalue of ``state`` is above 2 near."""
+        trace = np.einsum('...ij,...ji->...', rhs[3].real, g0.real)
+        return trace.max() < 0.5 / near or positive_minors(state[0] - shift)
 
     # ``rhs`` is the rhs at ``state``, evaluated once, here or by the step
     # that accepted it; ``rel`` holds the relative eigenvalues of ``state``,
@@ -508,6 +521,9 @@ def _rk4_evolve(initial, law, order, velocity, dt, t_end, stride, collapse_thres
     rhs = system.rhs(state)
     rel = _relative_eigenvalues(g0, L0inv)
     record(t0, state, rhs, rel)
+    # sup |Riem| of ``state``, taken once per accepted state for the cap check
+    # and its record, or None without a cap
+    sup = None
     t = t0
     termination = "t_end"
     ends = step_ends(t0, t_end, dt)
@@ -530,21 +546,23 @@ def _rk4_evolve(initial, law, order, velocity, dt, t_end, stride, collapse_thres
                                "collapse threshold")
         (state, rhs), t = step, t_next
         rel = None
+        sup = None if curvature_cap is None else sup_riem(rhs)
         due = steps % stride == 0 or steps == len(ends)
-        if due or not positive_minors(state[0] - shift):
+        if due or not far(state, rhs):
             rel = _relative_eigenvalues(state[0], L0inv)
             min_rel = float(rel.min())
             # keep a dense record of the approach to collapse for the monitors
             if due or min_rel < near:
-                record(t, state, rhs, rel)
+                record(t, state, rhs, rel, sup)
             if min_rel < collapse_threshold:
                 termination = "collapse"
                 break
-        if curvature_cap is not None and sup_riem(rhs) > curvature_cap:
+        if sup is not None and sup > curvature_cap:
             termination = "curvature_cap"
             break
     if traj.times[-1] != t:
-        record(t, state, rhs, _relative_eigenvalues(state[0], L0inv) if rel is None else rel)
+        record(t, state, rhs, _relative_eigenvalues(state[0], L0inv) if rel is None else rel,
+               sup)
     traj.termination = termination
     return traj
 
@@ -565,7 +583,7 @@ def _rk4_step(system, state, dt, first=None):
         k4 = system.rhs([y + dt * k for y, k in zip(state, k3)])[0]
         new = [y + dt / 6.0 * (a + 2.0 * b + 2.0 * c + d)
                for y, a, b, c, d in zip(state, k1, k2, k3, k4)]
-        if all(np.all(np.isfinite(a)) for a in new):
+        if all(np.isfinite(a).all() for a in new):
             return new, system.rhs(new)
     except (np.linalg.LinAlgError, FloatingPointError, NotPositiveDefinite):
         pass

@@ -392,6 +392,46 @@ def test_cofactor_pass_gathers_in_bounded_chunks():
     assert np.all(np.abs(got - ref).max(axis=(-2, -1)) <= 1e-12 * np.abs(ref).max(axis=(-2, -1)))
 
 
+@pytest.mark.parametrize("shape", [(1, 9), (1, 1, 9), (9,), (1728, 9), (12, 12, 9), (3, 1, 9)])
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_take_last_is_fancy_indexing_bit_for_bit(shape, dtype):
+    # one-sample stacks go through ndarray.take, grid stacks through fancy
+    # indexing; both copy the same values, for 1-D and 2-D index arrays
+    rng = np.random.default_rng(len(shape) + shape[0])
+    a = rng.normal(size=shape).astype(dtype)
+    if dtype is complex:
+        a += 1j * rng.normal(size=shape)
+    a = np.where(a.real > 2.0, np.nan, a)
+    for index in (np.array([8, 0, 3, 3]), rng.integers(0, 9, size=(2, 5))):
+        got, ref = charts.take_last(a, index), a[..., index]
+        assert got.shape == ref.shape and got.dtype == ref.dtype
+        assert got.tobytes() == ref.tobytes()
+        assert not np.shares_memory(got, a)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_real_cofactor_pass_reads_the_factors_of_the_complex_layout(n):
+    # a real stack gathers from its entries and a row of ones, where a complex
+    # one reads [a, re a, 1]: the same factor for every slot of every product
+    index, real, _ = charts._cofactor_terms(n)
+    a = np.random.default_rng(n).normal(size=(n * n, 7))
+    full = np.concatenate([a, a, np.ones((1, 7))])
+    short = np.concatenate([a, np.ones((1, 7))])
+    assert np.array_equal(full.take(index, axis=0), short.take(real, axis=0))
+
+
+@pytest.mark.parametrize("S", [1, 1728])
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_spd_inverse_is_c_contiguous(S, dtype):
+    # a strided inverse (the transposed cofactor rows) makes the products that
+    # read it round differently from the contiguous one
+    rng = np.random.default_rng(S)
+    a = rng.normal(size=(S, 3, 3))
+    g = (a @ np.swapaxes(a, -1, -2) + np.eye(3)).astype(dtype)
+    ginv = spd_inverse(g)
+    assert ginv.flags.c_contiguous and ginv.dtype == g.dtype
+
+
 @st.composite
 def symmetric_stacks(draw, max_cond=1e3, signed=False):
     """One to four symmetric n x n matrices, n = 1 .. 4, of condition number

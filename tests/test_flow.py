@@ -406,6 +406,54 @@ def test_a_cap_stop_between_records_records_its_own_state():
     assert sparse.diagnostic("min_rel_eig")[-1] < sparse.diagnostic("min_rel_eig")[-2]
 
 
+def test_a_capped_run_takes_sup_riem_once_per_accepted_state(monkeypatch):
+    # 500 steps, 51 records: each record takes |Ric| and |Riem|, and the cap
+    # check reuses the |Riem| of a recorded state, so the cap adds one norm
+    # per step that is not recorded; the records do not move
+    calls = []
+    monkeypatch.setattr(flow, "tensor_norm",
+                        lambda *args, f=flow.tensor_norm: calls.append(1) or f(*args))
+    fld, _ = hyperbolic_field(3)
+    runs, counts = [], []
+    for cap in (None, 1e6):
+        calls.clear()
+        runs.append(integrate_flow(fld, "riemann-induced", 1e-3, 0.5, stride=10, curvature_cap=cap))
+        counts.append(len(calls))
+    free, capped = runs
+    assert len(free.times) == len(capped.times) == 51
+    assert counts == [102, 552]
+    assert free.times == capped.times and free.termination == capped.termination == "t_end"
+    for key in free.diagnostics:
+        assert np.array_equal(free.diagnostic(key), capped.diagnostic(key), equal_nan=True)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("near", [0.1, 0.3])
+def test_the_trace_test_shows_every_relative_eigenvalue_above_twice_near(n, near):
+    # lambda_max(g^-1 g0) <= tr(g^-1 g0), so a trace below 1/(2 near) puts
+    # every eigenvalue of g0^-1 g above 2 near.  Random pairs are scaled so
+    # that about half pass; the other half, L0 diag(lam) L0^T with one lam
+    # within 2% of 2 near and the rest large, meet the bound almost exactly
+    rng = np.random.default_rng(10 * n + int(10 * near))
+    passed, closest = 0, math.inf
+    for k in range(400):
+        g0 = rand_spd(n, rng, spread=1.0)
+        if k % 2:
+            g = rand_spd(n, rng, spread=1.0)
+            g *= np.trace(np.linalg.solve(g, g0)) * 2.0 * near * rng.uniform(0.5, 1.5)
+        else:
+            L0 = np.linalg.cholesky(g0)
+            lam = np.concatenate([[2.0 * near * rng.uniform(0.98, 1.02)], np.full(n - 1, 1e4)])
+            g = (L0 * lam) @ L0.T
+        trace = np.einsum('...ij,...ji->...', charts.spd_inverse(g[None]), g0[None])[0]
+        rel = flow._relative_eigenvalues(g, flow._rel_eig_factors(g0))
+        if trace < 0.5 / near:
+            passed += 1
+            assert rel.min() > 2.0 * near
+            closest = min(closest, rel.min() / (2.0 * near))
+    assert 100 < passed < 300 and closest < 1.01
+
+
 @pytest.mark.parametrize("collapse_threshold", [COLLAPSE_EIG_FRACTION, 3e-4])
 def test_a_collapsing_run_records_its_stride_its_approach_and_its_last_step(collapse_threshold):
     # of a stride-1 run's records, a stride-10 run keeps exactly the steps on
@@ -801,11 +849,13 @@ def test_grid_flow_work_per_rhs(monkeypatch):
     # each rhs takes one cofactor pass (riemann's positivity check, which
     # also gives the inverse that record() reuses), except the one rhs at
     # each accepted state, which reuses the pass of the step's check of that
-    # state; on top of that a run takes one pass for the initial check, and
-    # each accepted state that is not recorded one for its Sylvester test
-    # against the records' threshold.  The only Cholesky and inverse of a
-    # run are those of the relative-eigenvalue frame, and eigvalsh runs only
-    # for the relative eigenvalues, once per record.
+    # state; on top of that a run takes one pass for the initial check.  An
+    # accepted state that is not recorded takes no pass: this slow flow
+    # stays near g0, so the trace test tr(g^-1 g0) < 1/(2 near) on the
+    # inverse its rhs holds clears every one of them before the Sylvester
+    # pass.  The only Cholesky and inverse of a run are those of the
+    # relative-eigenvalue frame, and eigvalsh runs only for the relative
+    # eigenvalues, once per record.
     counts = dict.fromkeys(("pass", "inv", "cholesky", "eigvalsh", "rhs", "rel"), 0)
 
     def counting(name, fn):
@@ -826,7 +876,7 @@ def test_grid_flow_work_per_rhs(monkeypatch):
     assert np.allclose(traj.times, [0.0, 5e-3, 1e-2], rtol=0, atol=1e-15)
     records = len(traj.times)
     assert counts["rhs"] == 4 * steps + 1
-    assert counts["pass"] == (counts["rhs"] - steps) + steps + 1 + (steps + 1 - records)
+    assert counts["pass"] == (counts["rhs"] - steps) + steps + 1 == 42
     assert counts["inv"] == counts["cholesky"] == 1
     assert counts["eigvalsh"] == counts["rel"] == records
 

@@ -1,5 +1,9 @@
+import argparse
 import importlib.util
+import json
 from pathlib import Path
+
+import pytest
 
 spec = importlib.util.spec_from_file_location(
     "compare_outputs", Path(__file__).resolve().parents[1] / "tools" / "compare_outputs.py")
@@ -26,3 +30,50 @@ def test_compare_outputs_names_the_summary_keys_that_differ():
         "run.json: key extra: (missing) -> None",
         "run.json: key residuals.equation_max: 2e-16 -> 3e-16",
         "run.json: key steps.1: 2 -> 4"]
+
+
+spec = importlib.util.spec_from_file_location(
+    "bench_pairs", Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py")
+bench_pairs = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(bench_pairs)
+
+METRICS = [{"name": "solve_s", "unit": "s", "better": "lower", "bound": 0.2},
+           {"name": "rate", "unit": "1/s", "better": "higher", "bound": 0.1}]
+
+
+def test_bench_pairs_summarizes_synthetic_pairs():
+    # five pairs; medians and quartiles interpolate between order statistics,
+    # a tie counts for neither side, and "higher" metrics are better when larger
+    parent = [1.0, 2.0, 3.0, 4.0, 5.0]
+    change = [0.5, 2.0, 2.5, 3.0, 6.0]
+    pairs = [{"seed": s, "first": ("parent", "change")[s % 2],
+              "parent": {"solve_s": p, "rate": 1.0 / p}, "change": {"solve_s": c, "rate": 1.0 / c}}
+             for s, (p, c) in enumerate(zip(parent, change))]
+    solve, rate = bench_pairs.summarize({"w": pairs}, METRICS)
+    assert solve == {"workload": "w", "metric": "solve_s", "pairs": 5,
+                     "parent_median": 3.0, "parent_q1": 2.0, "parent_q3": 4.0,
+                     "change_median": 2.5, "change_q1": 2.0, "change_q3": 3.0,
+                     "ratio": 2.5 / 3.0, "change_better_pairs": 3}
+    assert rate["change_better_pairs"] == 3
+    assert rate["parent_median"] == 1.0 / 3.0 and rate["change_median"] == 1.0 / 2.5
+    assert bench_pairs.table_lines([solve], METRICS)[2] == (
+        "| w | solve_s | 3 [2, 4] | 2.5 [2, 3] | 0.833 | 3/5 | 0.2 |")
+
+
+def test_bench_pairs_reproduces_a_committed_summary():
+    # BENCH_23.json was assembled by hand in the same layout
+    root = Path(__file__).resolve().parents[1]
+    bench = json.loads((root / "BENCH_23.json").read_text())
+    metrics = json.loads((root / "BENCHMARK.json").read_text())["end_to_end"]
+    got = bench_pairs.summarize(bench["workloads"], metrics)
+    assert len(got) == len(bench["summary"])
+    for row in bench["summary"]:
+        mine = next(r for r in got if (r["workload"], r["metric"]) == (row["workload"], row["metric"]))
+        assert mine == pytest.approx(row, rel=1e-12)
+
+
+def test_bench_pairs_reads_a_seed_range():
+    assert bench_pairs.seed_range("4400-4403") == [4400, 4401, 4402, 4403]
+    assert bench_pairs.seed_range("7") == [7]
+    with pytest.raises(argparse.ArgumentTypeError):
+        bench_pairs.seed_range("5-4")
