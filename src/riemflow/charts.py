@@ -41,7 +41,7 @@ metric once, in one cofactor pass vectorised over the samples
 (:func:`spd_inverse`, cached as :attr:`MetricField.inverse`): one cached
 gather of each matrix's entries gives the adjugate and the leading principal
 minors as signed sums of products.  The minors decide positivity by
-Sylvester's criterion (:func:`positive_minors`; eigenvalues only on
+Sylvester's criterion (:func:`_require_minors`; eigenvalues only on
 failure, to name the worst sample), and the inverse is the adjugate over
 the determinant.  The minors lose about kappa^(n-1) eps to roundoff where
 an LU inverse loses kappa eps, kappa the condition number.  The fixed
@@ -515,24 +515,15 @@ def _cofactor_pass(g):
     return weights.dot(np.multiply.reduce(rows.take(index, axis=0), axis=0))
 
 
-def positive_minors(g, cof=None):
-    """Whether every leading principal minor of every matrix of ``g.real``
-    is positive, which by Sylvester's criterion is positivity of ``g.real``,
-    read from ``cof``, the cofactor pass of ``g`` (taken here when not
-    given).  A sample with an entry that is not finite fails."""
-    n = g.shape[-1]
-    if cof is None:
-        cof = _cofactor_pass(g)
-    return bool(np.minimum.reduce(cof[1 + n * n:].real, axis=None) > 0.0)
-
-
 def _require_minors(g, cof):
-    """Raise :class:`NotPositiveDefinite` unless ``g.real`` has
-    :func:`positive_minors` by ``cof``, the cofactor pass of ``g``.  Only
-    then are the eigenvalues computed, to name the sample with the smallest
+    """Raise :class:`NotPositiveDefinite` unless every leading principal
+    minor of every matrix of ``g.real``, read from ``cof``, the cofactor pass
+    of ``g``, is positive, which by Sylvester's criterion is positivity of
+    ``g.real``; a sample with an entry that is not finite fails.  Only then
+    are the eigenvalues computed, to name the sample with the smallest
     one."""
     n = g.shape[-1]
-    if not positive_minors(g, cof):
+    if not np.minimum.reduce(cof[1 + n * n:].real, axis=None) > 0.0:
         w = np.linalg.eigvalsh(g.real.reshape(-1, n, n))[:, 0]
         worst = int(np.argmin(w))
         raise NotPositiveDefinite(worst, float(w[worst]))

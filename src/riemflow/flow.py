@@ -48,9 +48,7 @@ below the collapse threshold is a collapse, and any other raises
 state, which only its record reads, are computed for the records alone;
 any other accepted state is shown to be far from the record and collapse
 thresholds by the trace tr(g^-1 g0), read off the inverse its right-hand
-side holds, or else by the leading minors of one cofactor pass
-(:func:`~riemflow.charts.positive_minors`), and one that is shown by
-neither is decomposed.
+side holds, and one that is not shown so is decomposed.
 """
 
 import math
@@ -59,7 +57,7 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from .bialternate import recover_metric
-from .charts import MetricField, positive_minors
+from .charts import MetricField
 from .curvature import (
     CurvatureTensor,
     kn_product,
@@ -502,18 +500,17 @@ def _rk4_evolve(initial, law, order, velocity, dt, t_end, stride, collapse_thres
         d["cross_check_error"].append(err)
 
     # a state with every relative eigenvalue above ``near`` is recorded only
-    # on the stride.  Two tests show min_rel > 2 near (so neither a record nor
-    # a collapse) without an eigendecomposition: tr(g^-1 g0) < 1/(2 near),
-    # read off the inverse the state's rhs holds, since 1/min_rel, the
-    # largest eigenvalue of g^-1 g0, is at most that trace; else one cofactor
-    # pass of g - 2 near g0
+    # on the stride.  tr(g^-1 g0) < 1/(2 near), read off the inverse the
+    # state's rhs holds, shows min_rel > 2 near (so neither a record nor a
+    # collapse) without an eigendecomposition, since 1/min_rel, the largest
+    # eigenvalue of g^-1 g0, is at most that trace
     near = max(0.1, 1e3 * collapse_threshold)
-    shift = 2.0 * near * g0
 
-    def far(state, rhs):
-        """Whether every relative eigenvalue of ``state`` is above 2 near."""
+    def far(rhs):
+        """Whether the trace test shows every relative eigenvalue of the
+        state whose rhs is ``rhs`` above 2 near."""
         trace = np.einsum('...ij,...ji->...', rhs[3].real, g0.real)
-        return trace.max() < 0.5 / near or positive_minors(state[0] - shift)
+        return trace.max() < 0.5 / near
 
     # ``rhs`` is the rhs at ``state``, evaluated once, here or by the step
     # that accepted it; ``rel`` holds the relative eigenvalues of ``state``,
@@ -548,7 +545,7 @@ def _rk4_evolve(initial, law, order, velocity, dt, t_end, stride, collapse_thres
         rel = None
         sup = None if curvature_cap is None else sup_riem(rhs)
         due = steps % stride == 0 or steps == len(ends)
-        if due or not far(state, rhs):
+        if due or not far(rhs):
             rel = _relative_eigenvalues(state[0], L0inv)
             min_rel = float(rel.min())
             # keep a dense record of the approach to collapse for the monitors

@@ -852,10 +852,10 @@ def test_grid_flow_work_per_rhs(monkeypatch):
     # state; on top of that a run takes one pass for the initial check.  An
     # accepted state that is not recorded takes no pass: this slow flow
     # stays near g0, so the trace test tr(g^-1 g0) < 1/(2 near) on the
-    # inverse its rhs holds clears every one of them before the Sylvester
-    # pass.  The only Cholesky and inverse of a run are those of the
-    # relative-eigenvalue frame, and eigvalsh runs only for the relative
-    # eigenvalues, once per record.
+    # inverse its rhs holds clears every one of them without an
+    # eigendecomposition.  The only Cholesky and inverse of a run are those
+    # of the relative-eigenvalue frame, and eigvalsh runs only for the
+    # relative eigenvalues, once per record.
     counts = dict.fromkeys(("pass", "inv", "cholesky", "eigvalsh", "rhs", "rel"), 0)
 
     def counting(name, fn):

@@ -3,11 +3,11 @@
 Usage::
 
     python tools/bench_pairs.py PARENT CHANGE --workload W [--workload W ...] \\
-        --seeds A-B --out BENCH_<n>.json [--seconds 6]
+        --seeds A-B --out BENCH_<n>.json
 
 ``PARENT`` and ``CHANGE`` are roots of riemflow checkouts.  For each workload
 and each seed from A to B, one pair: ``python3 perfbench/run.py --workload W
---seconds S --seed SEED --trace 0`` runs in each tree, one process at a time,
+--seconds 6 --seed SEED --trace 0`` runs in each tree, one process at a time,
 the parent first in the first pair and the change first in the next, and so
 on alternately.  Each tree runs its own benchmark files, which a comparison
 needs to be the same in both.
@@ -31,7 +31,9 @@ import sys
 from pathlib import Path
 
 SIDES = ("parent", "change")
-COMMAND = "python3 perfbench/run.py --workload W --seconds {seconds:g} --seed S --trace 0"
+# every run's length, the same on both sides
+SECONDS = 6
+COMMAND = f"python3 perfbench/run.py --workload W --seconds {SECONDS} --seed S --trace 0"
 
 
 def seed_range(text):
@@ -43,13 +45,13 @@ def seed_range(text):
     return seeds
 
 
-def run_side(root, workload, seed, seconds):
+def run_side(root, workload, seed):
     """One untraced benchmark run of ``workload`` in the tree at ``root``:
     its ``correct``, ``attempted`` and ``failed`` and each metric's value,
     and the machine the benchmark reported."""
     env = {key: value for key, value in os.environ.items() if key != "PYTHONPATH"}
     proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", workload, "--seconds", str(seconds),
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seconds", str(SECONDS),
          "--seed", str(seed), "--trace", "0"],
         cwd=root, env=env, stdout=subprocess.PIPE, text=True)
     lines = proc.stdout.strip().splitlines()
@@ -120,7 +122,6 @@ def main(argv=None):
     parser.add_argument("change", type=Path)
     parser.add_argument("--workload", action="append", required=True)
     parser.add_argument("--seeds", type=seed_range, required=True)
-    parser.add_argument("--seconds", type=float, default=6.0)
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
     roots = {"parent": args.parent.resolve(), "change": args.change.resolve()}
@@ -133,7 +134,7 @@ def main(argv=None):
             order = SIDES if k % 2 == 0 else SIDES[::-1]
             pair = {"seed": seed, "first": order[0]}
             for side in order:
-                pair[side], machine = run_side(roots[side], workload, seed, args.seconds)
+                pair[side], machine = run_side(roots[side], workload, seed)
                 print(f"{workload} seed {seed} {side}: "
                       + ", ".join(f"{m['name']} {pair[side][m['name']]:.4g}" for m in metrics),
                       flush=True)
@@ -145,10 +146,10 @@ def main(argv=None):
     args.out.write_text(json.dumps({
         "parent_commit": commit_of(roots["parent"]),
         "machine": machine,
-        "description": (f"Paired runs of perfbench/run.py --seconds {args.seconds:g} --trace 0, "
+        "description": (f"Paired runs of perfbench/run.py --seconds {SECONDS} --trace 0, "
                         "parent then change or change then parent alternately, one seed per "
                         f"pair ({seeds}); each side from its own copy of the tree."),
-        "command": COMMAND.format(seconds=args.seconds),
+        "command": COMMAND,
         "workloads": workloads,
         "summary": summary,
         "all_correct": all(run["correct"] for run in runs),
