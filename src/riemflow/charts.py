@@ -34,9 +34,10 @@ the source of their 2-jet ``(g, dg, d2g)``: the metric function, the jet
 itself (an analytic chart's evolving fields) or, on grids, the samples.  The
 curvature kernel reads the jet's lowered Christoffel symbols and Hessian
 bracket (:meth:`MetricField.curvature_parts`), which an evolving analytic
-field carries and any other field takes of its jet.  A grid jet of samples
-differentiates only the n(n+1)/2 components ``g_ij``, ``i <= j``, and
-mirrors their first derivatives.  A field checks positivity and inverts its
+field carries and any other field takes of its jet.  Every metric jet, on
+either chart kind and in the frozen frame, differentiates only the n(n+1)/2
+components ``g_ij``, ``i <= j``, and mirrors their first derivatives once.
+A field checks positivity and inverts its
 metric once, in one cofactor pass vectorised over the samples
 (:func:`spd_inverse`, cached as :attr:`MetricField.inverse`): one cached
 gather of each matrix's entries gives the adjugate and the leading principal
@@ -102,9 +103,9 @@ class AnalyticChart:
     dimension : int
         Chart dimension ``n >= 2``.
     point : array_like
-        Coordinates of the evaluation point, shape ``(n,)``.
+        Coordinates of the evaluation point, shape ``(n,)``, finite.
     step : float
-        Base finite-difference step ``h > 0``.
+        Base finite-difference step ``h > 0``, finite.
     """
 
     dimension: int
@@ -114,9 +115,11 @@ class AnalyticChart:
     def __post_init__(self):
         if self.dimension < 2:
             raise ValueError("chart dimension must be at least 2")
-        if self.step <= 0:
-            raise ValueError("finite-difference step must be positive")
+        if not (np.isfinite(self.step) and self.step > 0):
+            raise ValueError(f"finite-difference step must be positive and finite, got {self.step}")
         pt = np.asarray(self.point, dtype=float).reshape(self.dimension)
+        if not np.all(np.isfinite(pt)):
+            raise ValueError(f"evaluation point must be finite, got {pt}")
         object.__setattr__(self, "point", pt)
 
     @property
@@ -149,33 +152,35 @@ class AnalyticChart:
 
         The jet of that field is linear in the components ``g_ij``, i <= j, of
         the metric sample ``g``, shape (1, n, n), so :func:`richardson_jet` runs
-        once, here, on the images ``M E_q M^T`` of the symmetric basis matrices
-        ``E_q``, and so does :func:`curvature_parts`, on the basis jets.  Each
-        field's jets and curvature parts are then one product of those
-        components, gathered from ``g`` by one flat ``take``, with the basis
-        images, and its sample is ``g`` itself.  The stencil's values are
-        checked for finiteness here, once.  The frame is real, so a complex
-        field (a complex-step run) raises ``ValueError``.
+        once, here, on the components of the images ``M E_q M^T`` of the
+        symmetric basis matrices ``E_q``, and so does :func:`curvature_parts`,
+        on the basis jets.  Each field's jets and curvature parts are then one
+        product of those components, gathered from ``g`` by one flat ``take``,
+        with the basis images, and its sample is ``g`` itself.  The stencil's
+        values are checked here, once: :class:`StencilOutOfDomain` names the
+        first point where they are not finite, else the least positive
+        definite one.  The frame is real, so a complex field (a complex-step
+        run) raises ``ValueError``.
         """
         if np.iscomplexobj(field.samples):
             raise ValueError("the frozen frame is real: complex-step runs need a grid chart")
         n = self.dimension
         stencil = analytic_stencil(n, self.step)
-        point = self.point[None, :]
-        g0 = np.asarray(field.func(point[:, None, :] + stencil.offsets[None, :, :]), dtype=float)
-        require_finite(g0, point, stencil.offsets)
-        L = np.linalg.cholesky(g0[0])
+        g0 = stencil_values(field.func, self.point[None, :], stencil)[0]
+        try:
+            L = np.linalg.cholesky(g0)
+        except np.linalg.LinAlgError:
+            worst = np.argmin(np.linalg.eigvalsh(g0)[:, 0])
+            raise StencilOutOfDomain(self.point + stencil.offsets[worst]) from None
         M = L @ np.linalg.inv(L[0])
         M[0] = np.eye(n)
-        rows, cols = np.triu_indices(n)
-        q = np.arange(len(rows))
-        basis = np.zeros((len(q), n, n))
-        basis[q, rows, cols] = basis[q, cols, rows] = 1.0
-        flat = _symmetric_components(n)[0]
-        _, dg, d2g = richardson_jet(stencil, np.einsum('pab,qbc,pdc->qpad', M, basis, M))
-        d2g = compact_hessian(d2g)
+        flat, component = _symmetric_components(n)
+        basis = (component == np.arange(len(flat))[:, None, None]).astype(float)
+        images = np.einsum('pab,qbc,pdc->qpad', M, basis, M).reshape(len(flat), -1, n * n)
+        _, dg, d2g = richardson_jet(stencil, images[..., flat])
+        dg = np.take(dg, component, axis=1)
         parts = (dg, d2g, *curvature_parts(dg, d2g))
-        jet_map = np.concatenate([p.reshape(len(q), -1) for p in parts], axis=1)
+        jet_map = np.concatenate([p.reshape(len(flat), -1) for p in parts], axis=1)
         ends = np.cumsum([0] + [p[0].size for p in parts])
         pieces = [(slice(a, b), (1,) + p.shape[1:]) for a, b, p in zip(ends, ends[1:], parts)]
 
@@ -399,13 +404,16 @@ def analytic_stencil(n, h):
     return AnalyticStencil(*arrays)
 
 
-def require_finite(vals, points, offsets):
-    """Raise :class:`StencilOutOfDomain` at the first stencil point
-    ``points[b] + offsets[p]`` whose values ``vals[b, p]`` are not finite."""
+def stencil_values(func, points, stencil):
+    """``func`` at the points of ``stencil`` around each of ``points`` (B, n),
+    shape ``(B, P) + tail``, float64 or complex128; :class:`StencilOutOfDomain`
+    at the first stencil point whose values are not finite."""
+    vals = _real_or_complex(func(points[:, None, :] + stencil.offsets[None, :, :]))
     if not np.all(np.isfinite(vals)):
         finite = np.isfinite(vals).reshape(vals.shape[0], vals.shape[1], -1).all(axis=-1)
         b, p = np.argwhere(~finite)[0]
-        raise StencilOutOfDomain(points[b] + offsets[p])
+        raise StencilOutOfDomain(points[b] + stencil.offsets[p])
+    return vals
 
 
 def richardson_jet(stencil, vals):
@@ -439,9 +447,7 @@ def analytic_scalar_jet(func, points, n, h):
     """
     points = np.asarray(points, dtype=float).reshape(-1, n)
     stencil = analytic_stencil(n, h)
-    vals = _real_or_complex(func(points[:, None, :] + stencil.offsets[None, :, :]))
-    require_finite(vals, points, stencil.offsets)
-    return richardson_jet(stencil, vals)
+    return richardson_jet(stencil, stencil_values(func, points, stencil))
 
 
 # ---------------------------------------------------------------------------
@@ -520,11 +526,14 @@ def _require_minors(g, cof):
     minor of every matrix of ``g.real``, read from ``cof``, the cofactor pass
     of ``g``, is positive, which by Sylvester's criterion is positivity of
     ``g.real``; a sample with an entry that is not finite fails.  Only then
-    are the eigenvalues computed, to name the sample with the smallest
-    one."""
+    are the eigenvalues of the finite samples computed, to name the first
+    sample that is not finite, else the one with the smallest eigenvalue."""
     n = g.shape[-1]
     if not np.minimum.reduce(cof[1 + n * n:].real, axis=None) > 0.0:
-        w = np.linalg.eigvalsh(g.real.reshape(-1, n, n))[:, 0]
+        g = g.real.reshape(-1, n, n)
+        finite = np.isfinite(g).all(axis=(1, 2))
+        w = np.full(len(g), np.nan)
+        w[finite] = np.linalg.eigvalsh(g[finite])[:, 0]
         worst = int(np.argmin(w))
         raise NotPositiveDefinite(worst, float(w[worst]))
 
@@ -549,13 +558,6 @@ def _symmetric_components(n):
     component = np.empty((n, n), dtype=int)
     component[rows, cols] = component[cols, rows] = np.arange(len(rows))
     return _frozen(rows * n + cols, component)
-
-
-def compact_hessian(d2g):
-    """A metric Hessian ``(S, n, n, n, n)`` in the layout of
-    :meth:`MetricField.jets`: over the components i <= j, (S, n(n+1)/2, n, n)."""
-    n = d2g.shape[-1]
-    return np.take(d2g.reshape(d2g.shape[:1] + (n * n, n, n)), _symmetric_components(n)[0], axis=1)
 
 
 @lru_cache(maxsize=None)
@@ -675,19 +677,17 @@ class MetricField:
         """Return ``(g, dg, d2g)`` flattened over samples, ``d2g`` over the
         n(n+1)/2 components ``g_ij``, i <= j: shape (S, n(n+1)/2, n, n).
 
-        The jet is the one the field was made with, else the chart's jet of
-        its function, else that of its samples, of which only those
-        components are differentiated; their first derivatives are mirrored
-        to ``g_ji``.
+        ``g`` is the samples.  The rest is the jet the field was made with, else
+        the chart's jet of those components of its function or, without one,
+        of its samples, with their first derivatives mirrored to ``g_ji``.
         """
         if self._jets is not None:
             return self._jets
-        if self.func is not None:
-            g, dg, d2g = self.chart.jet(self.func)
-            return g, dg, compact_hessian(d2g)
         n = self.dimension
         flat, component = _symmetric_components(n)
-        _, d1, d2 = self.chart.jet(np.take(self.samples.reshape(-1, n * n), flat, axis=1))
+        source = (np.take(self.samples.reshape(-1, n * n), flat, axis=1) if self.func is None else
+                  lambda x: np.take(np.reshape(self.func(x), x.shape[:-1] + (n * n,)), flat, -1))
+        _, d1, d2 = self.chart.jet(source)
         return self.samples, np.take(d1, component, axis=1), d2
 
     def curvature_parts(self):

@@ -8,8 +8,8 @@ Subcommands: ``curvature`` (one-shot tensor report), ``flow``, ``wave``,
 document, which their summary echoes, and run it as ``run`` runs a file,
 with the library's defaults (``scenarios.INTEGRATOR_DEFAULTS`` and
 ``OTHER_LAWS``, ``families.DEFAULTS``).  The document leaves out the seed,
-the output paths, the analytic point and the wave's velocity scale when
-their options are not given, so the scenario's own defaults apply.  A
+the output paths, the analytic point and step and the wave's velocity scale
+when their options are not given, so the scenario's own defaults apply.  A
 family option the family does not take is refused.
 
 Exit status: 0 for a smooth completion (and ``--help``), 2 when a finite-time
@@ -25,7 +25,7 @@ import sys
 import numpy as np
 
 from .bialternate import bialternate_product, recover_metric, verify_recovery_identity
-from .charts import DEFAULT_ANALYTIC_STEP, MetricField
+from .charts import MetricField
 from .curvature import ricci_and_scalar, riemann, tensor_norm, weyl
 from .errors import RiemflowError
 from .families import DEFAULTS, make_family
@@ -62,8 +62,7 @@ def _field_args(p):
                    help="points per axis; selects a periodic-grid chart")
     p.add_argument("--point", type=float, nargs="*", default=None,
                    help="analytic chart evaluation point (defaults to origin)")
-    p.add_argument("--step", type=float, default=DEFAULT_ANALYTIC_STEP,
-                   help="analytic finite-difference step")
+    p.add_argument("--step", type=float, help="analytic finite-difference step")
 
 
 def _given(args, keys):
@@ -79,10 +78,10 @@ def _family_params(args):
 
 def _chart_spec(args):
     """The scenario chart spec of the chart arguments; without a ``--point``
-    the scenario's own default, the origin, applies."""
+    or a ``--step`` the scenario's own defaults apply."""
     if args.grid:
         return {"dimension": args.dimension, "kind": "periodic-grid", "points_per_axis": args.grid}
-    return {"dimension": args.dimension, "kind": "analytic-point", "step": args.step,
+    return {"dimension": args.dimension, "kind": "analytic-point", **_given(args, ("step",)),
             **({"point": args.point} if args.point else {})}
 
 

@@ -331,10 +331,8 @@ def orthogonal_metric_curvature(lame_coefficients, chart) -> CurvatureTensor:
     n = chart.dimension
     if len(lame_coefficients) != n:
         raise ValueError("need one coefficient function per axis")
-    jets = [chart.jet(f) for f in lame_coefficients]
-    H = np.stack([j[0] for j in jets], axis=-1)          # (S, n)
-    dH = np.stack([j[1] for j in jets], axis=-2)         # (S, n, n): dH[:, i, a] = d_a H_i
-    d2H = np.stack([j[2] for j in jets], axis=-3)        # (S, n, n, n)
+    # H (S, n), dH[:, i, a] = d_a H_i and d2H[:, i, a, b] = d_a d_b H_i
+    H, dH, d2H = chart.jet(lambda x: np.stack([f(x) for f in lame_coefficients], axis=-1))
     if np.min(H) <= 0.0:
         raise NonpositiveLame(f"smallest coefficient value {np.min(H):.3e}")
 

@@ -25,7 +25,8 @@ class StencilOutOfDomain(RiemflowError):
 
     def __init__(self, point):
         self.point = point
-        super().__init__(f"metric sampler returned non-finite values near {point}")
+        super().__init__(f"metric sampler values are not finite, or not positive definite, "
+                         f"at the stencil point {point}")
 
 
 class DimensionTooSmall(RiemflowError):

@@ -34,8 +34,8 @@ state is the metric at the evaluation point, and the spatial field is
 carried in the frozen frame of the initial metric
 (:meth:`~riemflow.charts.AnalyticChart.evolving`), whose jets are taken
 once per run; general inhomogeneous dynamics belong on grid charts.  A
-metric that is not finite at a stencil point is refused with
-:class:`~riemflow.errors.StencilOutOfDomain` when the run starts.
+metric that is not finite and positive definite at a stencil point is
+refused with :class:`~riemflow.errors.StencilOutOfDomain` at the start.
 
 Every law steps at a fixed ``dt``, on the schedule of :func:`step_ends`.
 A stage or new state that is not finite or not positive definite fails the

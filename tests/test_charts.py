@@ -15,9 +15,11 @@ from riemflow.charts import (
     analytic_scalar_jet,
     analytic_stencil,
     grid_scalar_jet,
+    richardson_jet,
     spd_inverse,
 )
 from riemflow.errors import NotPositiveDefinite, StencilOutOfDomain
+from riemflow.families import make_family
 from riemflow.variation import STEP
 
 EPS = np.finfo(float).eps
@@ -28,6 +30,13 @@ def test_chart_validation():
         AnalyticChart(1, [0.0])
     with pytest.raises(ValueError):
         AnalyticChart(2, [0.0, 0.0], step=0.0)
+    # NaN and infinity pass ``step <= 0``; neither is a step, nor a coordinate
+    for step in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="step must be positive and finite"):
+            AnalyticChart(2, [0.0, 0.0], step=step)
+    for point in ([np.nan, 0.0], [0.0, -np.inf]):
+        with pytest.raises(ValueError, match="point must be finite"):
+            AnalyticChart(2, point)
     with pytest.raises(ValueError):
         GridChart(2, 4, 1.0)
     with pytest.raises(ValueError):
@@ -236,6 +245,16 @@ def test_stencil_is_cached_and_read_only():
         st.offsets[0, 0] = 1.0
 
 
+def test_frozen_frame_names_the_stencil_point_where_the_metric_is_singular():
+    # g_11 = x1^2 vanishes at x1 = 0, which the stencil reaches from x1 = h:
+    # the Cholesky factor fails there, and the error names that point
+    fam = make_family("diagonal-lame", 3, {"expressions": ["x1", "1", "1"]})
+    chart = AnalyticChart(3, [0.01, 0.0, 0.0], 0.01)
+    with pytest.raises(StencilOutOfDomain) as err:
+        chart.evolving(MetricField.from_function(chart, fam.metric_function))
+    assert np.array_equal(err.value.point, np.zeros(3))
+
+
 def test_function_field_out_of_domain_names_the_stencil_point():
     def g(x):
         x = np.asarray(x)
@@ -293,20 +312,47 @@ def test_grid_jet_bitwise_equals_roll_oracle(n):
             assert np.array_equal(a, b)
 
 
-@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_symmetric_component_jets_equal_full_jets(n):
-    # the metric jets differentiate the n(n+1)/2 components g_ij, i <= j, and
-    # mirror them; on an exactly symmetric field that is the full jet, bit for bit
+    # every metric jet differentiates the n(n+1)/2 components g_ij, i <= j,
+    # and mirrors them; on an exactly symmetric field that is the full n^2
+    # jet, bit for bit: grid samples, function fields on both chart kinds and
+    # the frozen frame's basis fields (no grid at n = 5, where the 8^5 full
+    # Hessian alone takes 164 MB)
+    def check(got, want):
+        want = want[:2] + (upper_hessian(want[2]),)
+        assert [a.shape for a in got] == [a.shape for a in want]
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+
     rng = np.random.default_rng(n)
-    chart = GridChart(n, 8, 2.0 * np.pi)
-    A = rng.normal(size=chart.grid_shape + (n, n))
-    fld = MetricField.from_samples(chart, 0.05 * (A + np.swapaxes(A, -1, -2)) + 2.0 * np.eye(n))
-    got = fld.jets()
-    want = grid_scalar_jet(fld.values, chart)
-    want = want[:2] + (upper_hessian(want[2]),)
-    assert [a.shape for a in got] == [a.shape for a in want]
-    for a, b in zip(got, want):
-        assert np.array_equal(a, b)
+    C = rng.integers(-2, 3, size=(n, n, n)).astype(float)
+    C = C + C.transpose(1, 0, 2)
+
+    def metric(x):
+        # exactly symmetric, 2 pi periodic, with every entry varying
+        return 0.05 * np.sin(np.einsum('...k,abk->...ab', np.asarray(x), C)) + 2.0 * np.eye(n)
+
+    point = AnalyticChart(n, rng.uniform(-0.3, 0.3, n), 0.02)
+    charts = [point]
+    if n < 5:
+        grid = GridChart(n, 8, 2.0 * np.pi)
+        A = rng.normal(size=grid.grid_shape + (n, n))
+        fld = MetricField.from_samples(grid, 0.05 * (A + np.swapaxes(A, -1, -2)) + 2.0 * np.eye(n))
+        check(fld.jets(), grid_scalar_jet(fld.values, grid))
+        charts.append(grid)
+    for chart in charts:
+        check(MetricField.from_function(chart, metric).jets(), chart.jet(metric))
+    # the frame's field of a basis matrix E is its image M E M^T at the stencil
+    stencil = analytic_stencil(n, point.step)
+    build = point.evolving(MetricField.from_function(point, metric))
+    L = np.linalg.cholesky(metric(point.point + stencil.offsets))
+    M = L @ np.linalg.inv(L[0])
+    M[0] = np.eye(n)
+    for i, j in zip(*np.triu_indices(n)):
+        E = np.zeros((1, n, n))
+        E[0, i, j] = E[0, j, i] = 1.0
+        check(build(E).jets(), richardson_jet(stencil, np.einsum('pab,bc,pdc->pad', M, E[0], M)[None]))
 
 
 def test_function_jet_is_the_chart_kind_s_jet():
@@ -430,6 +476,22 @@ def test_spd_inverse_is_c_contiguous(S, dtype):
     g = (a @ np.swapaxes(a, -1, -2) + np.eye(3)).astype(dtype)
     ginv = spd_inverse(g)
     assert ginv.flags.c_contiguous and ginv.dtype == g.dtype
+
+
+def test_spd_inverse_names_a_sample_that_is_not_finite():
+    # one NaN entry in a stack of two SPD matrices fails the check at its
+    # sample, with eigenvalue NaN, rather than a LAPACK error from the
+    # eigenvalues or the other sample's smallest eigenvalue
+    rng = np.random.default_rng(7)
+    for _ in range(40):
+        n = int(rng.integers(2, 5))
+        a = rng.normal(size=(2, n, n))
+        g = a @ np.swapaxes(a, -1, -2) + np.eye(n)
+        s, i, j = rng.integers(2), rng.integers(n), rng.integers(n)
+        g[s, i, j] = np.nan
+        with pytest.raises(NotPositiveDefinite) as err:
+            spd_inverse(g)
+        assert err.value.sample_index == s and np.isnan(err.value.min_eigenvalue)
 
 
 @st.composite

@@ -365,6 +365,29 @@ def test_cli_field_commands_refuse_a_bad_chart(argv, capsys):
                             "per axis (key: 'chart')\n")
 
 
+@pytest.mark.parametrize("argv, error", [
+    (["curvature", "--family", "hyperbolic-poincare", "--step", "inf"],
+     "bad chart: finite-difference step must be positive and finite, got inf (key: 'chart')"),
+    (["curvature", "--point", "nan", "0", "0"],
+     "bad chart: evaluation point must be finite, got [nan  0.  0.] (key: 'chart')"),
+    (["flow", "--family", "diagonal-lame", "--lame", "x1", "1", "1", "--point", "0.01", "0", "0",
+      "--t-end", "0.002"],
+     "metric sampler values are not finite, or not positive definite, at the stencil point "
+     "[0. 0. 0.]"),
+], ids=["infinite-step", "nan-point", "singular-stencil-point"])
+def test_cli_refuses_an_analytic_chart_outside_the_metric_s_domain(argv, error, tmp_path, capsys,
+                                                                    monkeypatch):
+    # a step or point that is not finite is a bad chart, and a metric that is
+    # singular at a stencil point is named there, not a LAPACK traceback; the
+    # frozen frame refuses it before a run writes anything
+    monkeypatch.chdir(tmp_path)
+    assert cli_main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {error}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("argv, family, gap", [
     (["curvature", "--family", "hyperbolic-poincare", "--grid", "8"], "hyperbolic-poincare", "1"),
     (["curvature", "--family", "sphere-stereographic", "--grid", "8"], "sphere-stereographic",
@@ -429,7 +452,7 @@ def test_a_run_subcommand_runs_the_scenario_its_summary_echoes(argv, tmp_path, c
 
 @pytest.mark.parametrize("argv, defaults, omitted", [
     (["flow", "--family", "hyperbolic-poincare", "--t-end", "0.02"],
-     ["--point", "0", "0", "0", "--seed", "0"], {"seed", "point"}),
+     ["--point", "0", "0", "0", "--step", "0.01", "--seed", "0"], {"seed", "point", "step"}),
     (["wave", "--family", "conformal-torus", "--grid", "8", "--t-end", "0.02"],
      ["--velocity-scale", "0", "--seed", "0"], {"seed", "initial_velocity_scale"}),
     (["conformal-wave", "--points", "64", "--t-end", "0.1"], ["--seed", "0"], {"seed"}),
@@ -685,13 +708,18 @@ def test_cli_run_refuses_a_dunder_expression(tmp_path, capsys):
     ({"stop": {"curvature_cap": float("nan")}}, "curvature_cap"),
     ({"stop": {"collapse_threshold": float("inf")}}, "collapse_threshold"),
     ({"initial_velocity_scale": float("-inf")}, "initial_velocity_scale"),
+    ({"family": {"name": "hyperbolic-poincare"},
+      "chart": {"kind": "analytic-point", "step": float("inf")}}, "chart"),
+    ({"family": {"name": "hyperbolic-poincare"},
+      "chart": {"kind": "analytic-point", "point": [float("nan"), 0.0, 0.0]}}, "chart"),
 ], ids=["grid-points", "family-parameter", "lame-table-length", "torus-phases",
         "scale-ode-parameter",
         "scale-ode-value", "conformal-velocity", "conformal-no-points",
         "conformal-two-points", "conformal-negative-length", "conformal-zero-length",
         "tolerances", "non-periodic-grid", "negative-seed", "nan-dt", "infinite-t-end",
         "nan-scale-ode-value", "conformal-infinite-length", "nan-law-parameter",
-        "nan-curvature-cap", "infinite-collapse-threshold", "infinite-velocity-scale"])
+        "nan-curvature-cap", "infinite-collapse-threshold", "infinite-velocity-scale",
+        "infinite-analytic-step", "nan-analytic-point"])
 def test_config_errors_are_refused_at_load(tmp_path, overrides, key):
     with pytest.raises(SchemaError) as err:
         config_from_dict(_base_cfg(tmp_path, **overrides))

@@ -1,6 +1,7 @@
 import argparse
 import importlib.util
 import json
+import shlex
 from pathlib import Path
 
 import pytest
@@ -30,6 +31,35 @@ def test_compare_outputs_names_the_summary_keys_that_differ():
         "run.json: key extra: (missing) -> None",
         "run.json: key residuals.equation_max: 2e-16 -> 3e-16",
         "run.json: key steps.1: 2 -> 4"]
+
+
+def test_compare_outputs_runs_the_one_shot_commands(tmp_path):
+    # every command runs through each tree's own riemflow.cli, and its exit
+    # status and stdout are compared; two stand-in trees print the same
+    # arguments and exit with different statuses
+    roots = []
+    for name, status in (("a", 0), ("b", 3)):
+        package = tmp_path / name / "src" / "riemflow"
+        package.mkdir(parents=True)
+        (package / "__init__.py").write_text("")
+        (package / "cli.py").write_text(f"import sys\nprint(sys.argv[1:])\nsys.exit({status})\n")
+        roots.append(tmp_path / name)
+    (a, runs_a), (b, runs_b) = ((root, compare_outputs.KINDS["commands"](root)) for root in roots)
+    assert list(runs_a) == [shlex.join(command) for command in compare_outputs.COMMANDS]
+    assert compare_outputs.run_file(a, runs_a["identity-check"]) == (
+        {"exit status": 0, "stdout": "['identity-check']\n"}, {})
+    assert compare_outputs.compare_file(a, runs_a["linearize"], a, runs_a["linearize"]) == ([], [])
+    assert compare_outputs.compare_file(a, runs_a["linearize"], b, runs_b["linearize"]) == (
+        ["exit status"], [])
+    assert compare_outputs.compare_file(a, runs_a["linearize"], b, None) == (
+        ["in one tree only"], [])
+    # the curvature report on each family, and on a grid each periodic one
+    reports = [command[1:] for command in compare_outputs.COMMANDS if command[0] == "curvature"]
+    kinds = {(args[args.index("--family") + 1], "--grid" in args) for args in reports}
+    assert kinds == {("flat", False), ("flat", True), ("sphere-stereographic", False),
+                     ("hyperbolic-poincare", False), ("conformal-torus", False),
+                     ("conformal-torus", True), ("diagonal-lame", False), ("diagonal-lame", True)}
+    assert {"soliton", "linearize", "identity-check"} <= {c[0] for c in compare_outputs.COMMANDS}
 
 
 spec = importlib.util.spec_from_file_location(

@@ -1,19 +1,22 @@
-"""Compare what two source trees write for the scenario files in configs/
-and print for the scripts in demos/.
+"""Compare what two source trees write for the scenario files in configs/,
+print for the scripts in demos/ and print for a fixed set of one-shot
+commands.
 
 Usage: ``python tools/compare_outputs.py SRC_A SRC_B``
 
 ``SRC_A`` and ``SRC_B`` are roots of riemflow checkouts.  Each tree runs
-every ``configs/*.json`` of its own through ``riemflow run`` and every
-``demos/*.py`` of its own, one process per file with the tree's ``src`` on
-the import path, in a temporary directory of its own.  The script compares
-the exit status, stdout and every file the run wrote: CSV files byte for
-byte, JSON summaries as parsed without ``wall_time_s``.  It prints each
-file and output that differs, and under it how much: for a CSV file with
-the same header and row count, the largest absolute difference of each
-column that differs and the largest relative one, to the column's largest
-magnitude; for a summary, each key that differs, with
-both values.  Then it prints the line count of ``src/riemflow/*.py`` in
+every ``configs/*.json`` of its own through ``riemflow run``, every
+``demos/*.py`` of its own and every command of :data:`COMMANDS` (the
+one-shot ``curvature`` report on each family and chart kind, ``soliton``,
+``linearize`` and ``identity-check``, which no config reaches), one process
+per run with the tree's ``src`` on the import path, in a temporary directory
+of its own.  The script compares the exit status, stdout and every file the
+run wrote: CSV files byte for byte, JSON summaries as parsed without
+``wall_time_s``.  It prints each file and output that differs, and under it
+how much: for a CSV file with the same header and row count, the largest
+absolute difference of each column that differs and the largest relative
+one, to the column's largest magnitude; for a summary, each key that
+differs, with both values.  Then it prints the line count of ``src/riemflow/*.py`` in
 each tree (as ``wc -l`` counts it), and exits 1 if any output differs,
 else 0.
 """
@@ -24,6 +27,7 @@ import io
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -32,18 +36,39 @@ from pathlib import Path
 # the value of a summary key in the summary that lacks it
 MISSING = "(missing)"
 
-# what each kind of file is run with, after the interpreter
-KINDS = {"configs": ("*.json", ["-m", "riemflow.cli", "run"]), "demos": ("*.py", [])}
+CLI = ["-m", "riemflow.cli"]
+POINT = ["--point", "0.1", "-0.2", "0.3"]
+
+# the one-shot commands, run as ``python -m riemflow.cli <command>``: the
+# curvature report on each family and each chart kind it can be sampled on
+COMMANDS = [["curvature", *args] for args in (
+    ["--family", "flat"], ["--family", "flat", "--grid", "8"],
+    ["--family", "sphere-stereographic", *POINT],
+    ["--family", "hyperbolic-poincare", "-n", "4", "--point", "0.1", "-0.2", "0.3", "0.05",
+     "--step", "0.02"],
+    ["--family", "conformal-torus", *POINT], ["--family", "conformal-torus", "--grid", "8"],
+    ["--family", "diagonal-lame", "--lame", "2 + sin(x1)", "1 + x1 * x2", "1", *POINT],
+    ["--family", "diagonal-lame", "--lame", "2 + sin(x1)", "1", "1", "--grid", "8"])] + [
+    ["soliton", "--family", "hyperbolic-poincare", *POINT], ["linearize"], ["identity-check"]]
+
+# per kind, the runs of the tree at a root: name -> arguments after the
+# interpreter
+KINDS = {
+    "configs": lambda root: {path.name: [*CLI, "run", str(path)]
+                             for path in sorted((root / "configs").glob("*.json"))},
+    "demos": lambda root: {path.name: [str(path)] for path in sorted((root / "demos").glob("*.py"))},
+    "commands": lambda root: {shlex.join(command): [*CLI, *command] for command in COMMANDS},
+}
 
 
-def run_file(root, kind, name):
-    """Run ``<kind>/<name>`` of the tree at ``root``; its exit status,
-    stdout and the files it wrote, by name, JSON files parsed without
+def run_file(root, args):
+    """Run ``args`` with the tree at ``root``; its exit status, stdout and
+    the files it wrote, by name, JSON files parsed without
     ``wall_time_s``."""
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
     with tempfile.TemporaryDirectory() as out_dir:
         result = subprocess.run(
-            [sys.executable, *KINDS[kind][1], str(root / kind / name)],
+            [sys.executable, *args],
             cwd=out_dir, env=env, capture_output=True, text=True, timeout=600)
         files = {}
         for path in sorted(Path(out_dir).iterdir()):
@@ -110,13 +135,15 @@ def size_lines(file, data_a, data_b):
     return []
 
 
-def compare_file(root_a, root_b, kind, name):
-    """What differs between the two trees' runs of ``<kind>/<name>``, and
-    lines that say how much (:func:`size_lines`)."""
-    if not all((root / kind / name).is_file() for root in (root_a, root_b)):
+def compare_file(root_a, args_a, root_b, args_b):
+    """What differs between the run of ``args_a`` with the tree at
+    ``root_a`` and that of ``args_b`` with the tree at ``root_b``, and lines
+    that say how much (:func:`size_lines`); ``None`` for a run one tree
+    lacks."""
+    if args_a is None or args_b is None:
         return ["in one tree only"], []
-    (streams_a, files_a), (streams_b, files_b) = (run_file(root, kind, name)
-                                                  for root in (root_a, root_b))
+    (streams_a, files_a), (streams_b, files_b) = (run_file(root_a, args_a),
+                                                  run_file(root_b, args_b))
     files = [file for file in sorted(set(files_a) | set(files_b))
              if files_a.get(file) != files_b.get(file)]
     return ([key for key in streams_a if streams_a[key] != streams_b[key]] + files,
@@ -136,11 +163,13 @@ def main(argv=None):
     args = parser.parse_args(argv)
     roots = (args.src_a.resolve(), args.src_b.resolve())
     failed = 0
-    for kind, (pattern, _) in KINDS.items():
-        names = sorted({path.name for root in roots for path in (root / kind).glob(pattern)})
+    for kind, runs_of in KINDS.items():
+        runs = [runs_of(root) for root in roots]
+        names = list(dict.fromkeys([*runs[0], *runs[1]]))
         differing = 0
         for name in names:
-            differences, sizes = compare_file(*roots, kind, name)
+            differences, sizes = compare_file(roots[0], runs[0].get(name),
+                                              roots[1], runs[1].get(name))
             print(f"{kind}/{name}: "
                   + (f"differs: {', '.join(differences)}" if differences else "same"), flush=True)
             for line in sizes:
