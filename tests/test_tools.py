@@ -60,6 +60,12 @@ def test_compare_outputs_runs_the_one_shot_commands(tmp_path):
                      ("hyperbolic-poincare", False), ("conformal-torus", False),
                      ("conformal-torus", True), ("diagonal-lame", False), ("diagonal-lame", True)}
     assert {"soliton", "linearize", "identity-check"} <= {c[0] for c in compare_outputs.COMMANDS}
+    # the step loop's failed-step paths, which no config reaches: a collapse
+    # found by bisecting the first step, a coarse wave collapse and a
+    # scale-ODE root off the record stride
+    assert {"flow --family hyperbolic-poincare --dt 1.5 --t-end 1.2 --stride 1",
+            "wave --family hyperbolic-poincare --dt 0.3 --t-end 2.0 --stride 1",
+            "scale-ode --lam 1 --dt 0.25 --t-end 3 --stride 3"} <= set(runs_a)
 
 
 spec = importlib.util.spec_from_file_location(

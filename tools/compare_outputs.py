@@ -8,7 +8,8 @@ Usage: ``python tools/compare_outputs.py SRC_A SRC_B``
 every ``configs/*.json`` of its own through ``riemflow run``, every
 ``demos/*.py`` of its own and every command of :data:`COMMANDS` (the
 one-shot ``curvature`` report on each family and chart kind, ``soliton``,
-``linearize`` and ``identity-check``, which no config reaches), one process
+``linearize``, ``identity-check`` and three runs of the step loop's
+failed-step paths, which no config reaches), one process
 per run with the tree's ``src`` on the import path, in a temporary directory
 of its own.  The script compares the exit status, stdout and every file the
 run wrote: CSV files byte for byte, JSON summaries as parsed without
@@ -49,7 +50,12 @@ COMMANDS = [["curvature", *args] for args in (
     ["--family", "conformal-torus", *POINT], ["--family", "conformal-torus", "--grid", "8"],
     ["--family", "diagonal-lame", "--lame", "2 + sin(x1)", "1 + x1 * x2", "1", *POINT],
     ["--family", "diagonal-lame", "--lame", "2 + sin(x1)", "1", "1", "--grid", "8"])] + [
-    ["soliton", "--family", "hyperbolic-poincare", *POINT], ["linearize"], ["identity-check"]]
+    ["soliton", "--family", "hyperbolic-poincare", *POINT], ["linearize"], ["identity-check"]] + [
+    # step-loop paths no config reaches: a collapse found by bisecting the
+    # first step, a coarse wave collapse and a scale-ODE root off the stride
+    ["flow", "--family", "hyperbolic-poincare", "--dt", "1.5", "--t-end", "1.2", "--stride", "1"],
+    ["wave", "--family", "hyperbolic-poincare", "--dt", "0.3", "--t-end", "2.0", "--stride", "1"],
+    ["scale-ode", "--lam", "1", "--dt", "0.25", "--t-end", "3", "--stride", "3"]]
 
 # per kind, the runs of the tree at a root: name -> arguments after the
 # interpreter
