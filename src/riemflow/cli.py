@@ -10,7 +10,8 @@ with the library's defaults (``scenarios.INTEGRATOR_DEFAULTS`` and
 ``OTHER_LAWS``, ``families.DEFAULTS``).  The document leaves out the seed,
 the output paths, the analytic point and step and the wave's velocity scale
 when their options are not given, so the scenario's own defaults apply.  A
-family option the family does not take is refused.
+family option the family does not take is refused, and so is a one-shot
+report with a value that is not finite.
 
 Exit status: 0 for a smooth completion (and ``--help``), 2 when a finite-time
 singularity was detected (an expected scientific outcome, not an error) and
@@ -27,7 +28,7 @@ import numpy as np
 from .bialternate import bialternate_product, recover_metric, verify_recovery_identity
 from .charts import MetricField
 from .curvature import ricci_and_scalar, riemann, tensor_norm, weyl
-from .errors import RiemflowError
+from .errors import RiemflowError, finite_number
 from .families import DEFAULTS, make_family
 from .flow import integrate_flow
 from .scenarios import (
@@ -92,6 +93,15 @@ def _build_field(args):
     return family, MetricField.from_function(chart, family.metric_function)
 
 
+def _print_report(report):
+    """Print a one-shot report as JSON; one with a value that is not finite,
+    which strict JSON cannot hold, is refused before anything is printed."""
+    for key, value in sorted(report.items()):
+        if not isinstance(value, str) and not np.isfinite(value).all():
+            raise RiemflowError(f"the report's {key} is not finite, got {value}")
+    print(json.dumps(report, indent=2, sort_keys=True))
+
+
 def _cmd_curvature(args):
     family, fld = _build_field(args)
     riem = riemann(fld)
@@ -108,7 +118,7 @@ def _cmd_curvature(args):
         report["sup_weyl_norm"] = float(tensor_norm(weyl(fld, riem), fld).max())
     if family.constant_curvature is not None:
         report["constant_curvature_factor"] = family.constant_curvature
-    print(json.dumps(report, indent=2, sort_keys=True))
+    _print_report(report)
     return 0
 
 
@@ -162,11 +172,14 @@ def _cmd_soliton(args):
         "classification": classify_soliton(lam),
         "max_residual_norm": norm,
     }
-    print(json.dumps(report, indent=2, sort_keys=True))
+    _print_report(report)
     return 0
 
 
 def _cmd_linearize(args):
+    # a run that takes no step has no tangency order
+    finite_number(args.dt, "dt", positive=True)
+    finite_number(args.t_end, "t_end", positive=True)
     rng = np.random.default_rng(args.seed)
     family = make_family("conformal-torus", args.dimension, _given(args, ("amplitude", "mode")), rng)
     chart = _build_chart({"kind": "periodic-grid", "points_per_axis": args.grid}, family)
@@ -188,7 +201,7 @@ def _cmd_linearize(args):
     order = float(np.log2(errs[0] / errs[1])) if errs[1] > 0 else float("inf")
     report = {"which": args.which, "errors": errs, "observed_order": order,
               "initial_rhs_max": float(np.abs(lin).max())}
-    print(json.dumps(report, indent=2, sort_keys=True))
+    _print_report(report)
     return 0
 
 
@@ -206,7 +219,7 @@ def _cmd_identity_check(args):
     report = {"dimension": args.dimension, "count": args.count,
               "max_identity_residual": worst_identity,
               "max_roundtrip_error": worst_roundtrip}
-    print(json.dumps(report, indent=2, sort_keys=True))
+    _print_report(report)
     return 0
 
 

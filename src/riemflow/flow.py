@@ -37,15 +37,16 @@ once per run; general inhomogeneous dynamics belong on grid charts.  A
 metric that is not finite and positive definite at a stencil point is
 refused with :class:`~riemflow.errors.StencilOutOfDomain` at the start.
 
-Every law steps at a fixed ``dt``, on the schedule of :func:`step_ends`.
-A stage or new state that is not finite or not positive definite fails the
-step; else it returns the new state with its right-hand side, evaluated
-once as that state's positivity check, which its record, the curvature-cap
-check (at every step, with sup |Riem| taken once per state) and the next
-step read.  A failed step whose bisection (:func:`bisect`) reaches a state
-below the collapse threshold is a collapse, and any other raises
-:class:`~riemflow.errors.StepRejected`.  The relative eigenvalues of a
-state, which only its record reads, are computed for the records alone;
+One fixed-step loop, :func:`_march`, steps the laws, the scale ODE
+(:mod:`riemflow.wave`) and the linearized flow on the schedule of
+:func:`step_ends`, each with its own step function, and passes each state's
+right-hand side, evaluated once, on as the next step's first stage; it
+bisects a failed step's length (:func:`bisect`) and returns the bracket.  A
+law's step fails at a stage or new state that is not finite or not positive
+definite.  A failed step whose bisection reaches a state below the collapse
+threshold is a collapse, whose bracket the trajectory keeps, and any other
+raises :class:`~riemflow.errors.StepRejected`.  The relative eigenvalues of
+a state, which only its record reads, are computed for the records alone;
 any other accepted state is shown to be far from the record and collapse
 thresholds by the trace tr(g^-1 g0), read off the inverse its right-hand
 side holds, and one that is not shown so is decomposed.
@@ -81,17 +82,17 @@ COLLAPSE_EIG_FRACTION = 1e-6
 
 
 def bisect(inside, lo, hi):
-    """Where ``inside`` turns from true at ``lo`` to false at ``hi`` (either
-    may be the larger), to the spacing of floats; ``inside`` may raise to
-    end the search early."""
+    """The bracket ``(lo, hi)``, narrowed to the spacing of floats, of where
+    ``inside`` turns from true at ``lo`` to false at ``hi`` (either may be the
+    larger); a point where ``inside`` gives None ends the search as ``hi``."""
     mid = 0.5 * (lo + hi)
     while lo != mid != hi:
-        if inside(mid):
-            lo = mid
-        else:
-            hi = mid
+        side = inside(mid)
+        lo, hi = (mid, hi) if side else (lo, mid)
+        if side is None:
+            break
         mid = 0.5 * (lo + hi)
-    return mid
+    return lo, hi
 
 
 # ---------------------------------------------------------------------------
@@ -331,6 +332,7 @@ class Trajectory:
     velocities: list                  # d(state)/dt samples at records
     diagnostics: dict
     termination: str = "t_end"
+    collapse_bracket: tuple = None    # (lo, hi) of a collapse in a failed step
 
     def diagnostic(self, key):
         return np.asarray(self.diagnostics[key], dtype=float)
@@ -435,10 +437,6 @@ def integrate_flow(initial, law, dt, t_end, *, stride=10,
                        curvature_cap, cross_check_stride)
 
 
-class _Collapsed(Exception):
-    """A failed step's bisection reached a state below the threshold."""
-
-
 def _rk4_evolve(initial, law, order, velocity, dt, t_end, stride, collapse_threshold,
                 curvature_cap, cross_check_stride):
     """The trajectory of :func:`integrate_flow` (``order`` 1) or
@@ -469,11 +467,12 @@ def _rk4_evolve(initial, law, order, velocity, dt, t_end, stride, collapse_thres
     def sup_riem(rhs):
         return float(tensor_norm(CurvatureTensor(rhs[1]), rhs[3]).max())
 
-    def record(t, state, rhs, rel, sup=None):
+    def record(t, state, rhs, rel=None, sup=None):
         """Append a record of ``state``, whose rhs is ``rhs``, relative
-        eigenvalues are ``rel`` and sup |Riem| is ``sup`` (taken here when
-        not given)."""
+        eigenvalues are ``rel`` and sup |Riem| is ``sup`` (each taken here
+        when not given), and return ``rhs``."""
         g = state[0]
+        rel = _relative_eigenvalues(g, L0inv) if rel is None else rel
         _, riem, rate, ginv = rhs
         k = state[1] if system.wave else None
         ric, scal = ricci_scalar_from_arrays(ginv, riem)
@@ -498,6 +497,7 @@ def _rk4_evolve(initial, law, order, velocity, dt, t_end, stride, collapse_thres
             except NotInImage:
                 err = math.inf
         d["cross_check_error"].append(err)
+        return rhs
 
     # a state with every relative eigenvalue above ``near`` is recorded only
     # on the stride.  tr(g^-1 g0) < 1/(2 near), read off the inverse the
@@ -512,56 +512,58 @@ def _rk4_evolve(initial, law, order, velocity, dt, t_end, stride, collapse_thres
         trace = np.einsum('...ij,...ji->...', rhs[3].real, g0.real)
         return trace.max() < 0.5 / near
 
-    # ``rhs`` is the rhs at ``state``, evaluated once, here or by the step
-    # that accepted it; ``rel`` holds the relative eigenvalues of ``state``,
-    # or None when they were not needed
-    rhs = system.rhs(state)
-    rel = _relative_eigenvalues(g0, L0inv)
-    record(t0, state, rhs, rel)
-    # sup |Riem| of ``state``, taken once per accepted state for the cap check
-    # and its record, or None without a cap
-    sup = None
-    t = t0
-    termination = "t_end"
-    ends = step_ends(t0, t_end, dt)
-    for steps, t_next in enumerate(ends, 1):
-        step = _rk4_step(system, state, t_next - t, rhs)
-        if step is None:
-            # bisect the failed step's end time, up to the first state below
-            # the threshold, which is a collapse and is not recorded
-            def inside(T):
-                trial = _rk4_step(system, state, T - t, rhs)
-                if trial and _relative_eigenvalues(trial[0][0], L0inv).min() < collapse_threshold:
-                    raise _Collapsed
-                return trial is not None
-            try:
-                bisect(inside, t, t_next)
-            except _Collapsed:
-                termination = "collapse"
-                break
-            raise StepRejected(f"the step at t={t:.6g} fails and no shorter one reaches the "
-                               "collapse threshold")
-        (state, rhs), t = step, t_next
-        rel = None
+    def accept(t, state, rhs, due):
+        """Check and record an accepted state; true when the run ends there."""
         sup = None if curvature_cap is None else sup_riem(rhs)
-        due = steps % stride == 0 or steps == len(ends)
-        if due or not far(rhs):
-            rel = _relative_eigenvalues(state[0], L0inv)
-            min_rel = float(rel.min())
-            # keep a dense record of the approach to collapse for the monitors
-            if due or min_rel < near:
-                record(t, state, rhs, rel, sup)
-            if min_rel < collapse_threshold:
-                termination = "collapse"
-                break
-        if sup is not None and sup > curvature_cap:
-            termination = "curvature_cap"
-            break
-    if traj.times[-1] != t:
-        record(t, state, rhs, _relative_eigenvalues(state[0], L0inv) if rel is None else rel,
-               sup)
-    traj.termination = termination
+        rel = None if not due and far(rhs) else _relative_eigenvalues(state[0], L0inv)
+        min_rel = math.inf if rel is None else rel.min()
+        if min_rel < collapse_threshold:
+            traj.termination = "collapse"
+        elif sup is not None and sup > curvature_cap:
+            traj.termination = "curvature_cap"
+        # keep a dense record of the approach to collapse for the monitors
+        if due or min_rel < near or traj.termination != "t_end":
+            record(t, state, rhs, rel, sup)
+        return traj.termination != "t_end"
+
+    # only the loop holds the initial state's rhs, so it is freed after a step
+    t, state, rhs, traj.collapse_bracket = _march(
+        lambda y, h, first: _rk4_step(system, y, h, first), state,
+        record(t0, state, system.rhs(state)), t0, step_ends(t0, t_end, dt), stride, accept,
+        lambda y: _relative_eigenvalues(y[0], L0inv).min() < collapse_threshold)
+    traj.termination = "collapse" if traj.collapse_bracket else traj.termination
+    if traj.times[-1] != t:  # the last state before a failed step
+        record(t, state, rhs)
     return traj
+
+
+def _march(step, state, rhs, t, ends, stride=1, accept=None, event=None):
+    """Step ``state`` at ``t``, whose rhs is ``rhs`` (or None), to each time
+    of ``ends`` by ``step(state, h, rhs)``, which gives the new state and its
+    rhs, or None when it fails; ``accept(t, state, rhs, due)``, ``due`` every
+    ``stride``-th step and at the last, may end the run by returning true.
+    A failed step is bisected up to a trial state where ``event`` holds
+    (else :class:`StepRejected`), or without one to the spacing of floats.
+    Returns the last ``(t, state, rhs)`` and the failed step's bracket."""
+    for steps, t_next in enumerate(ends, 1):
+        new = step(state, t_next - t, rhs)
+        if new is None:
+            reached = []
+            def inside(T):
+                trial = step(state, T - t, rhs)
+                if trial is not None and event and event(trial[0]):
+                    reached.append(T)
+                    return None
+                return trial is not None
+            bracket = bisect(inside, t, t_next)
+            if event and not reached:
+                raise StepRejected(f"the step at t={t:.6g} fails and no shorter one reaches the "
+                                   "collapse threshold")
+            return t, state, rhs, bracket
+        (state, rhs), t = new, t_next
+        if accept and accept(t, state, rhs, steps % stride == 0 or steps == len(ends)):
+            break
+    return t, state, rhs, None
 
 
 def _rk4_step(system, state, dt, first=None):
@@ -707,7 +709,8 @@ def _three_point_singular_time(t, f):
     try:
         mlo = mismatch(lo)
         if mlo * mismatch(hi) <= 0:
-            return bisect(lambda T: mismatch(T) * mlo > 0.0, lo, hi)
+            lo, hi = bisect(lambda T: mismatch(T) * mlo > 0.0, lo, hi)
+            return 0.5 * (lo + hi)
     except (ValueError, ZeroDivisionError, OverflowError):
         pass
     return newton

@@ -25,7 +25,7 @@ from .curvature import (
     tensor_norm,
 )
 from .errors import StepRejected
-from .flow import _check_schedule, _rk4_step, _RK4System, resolve_law, step_ends
+from .flow import _check_schedule, _march, _rk4_step, _RK4System, resolve_law, step_ends
 
 # the imaginary step: far below roundoff of g, so Im F(g + i STEP h) / STEP is
 # F's derivative along h to roundoff, and far above underflow
@@ -169,22 +169,21 @@ def classify_soliton(factor):
 def integrate_linearized_flow(field, h, which, dt, t_end):
     """RK4 on the coupled pair (g, h): the base flow plus its linearization.
 
-    The flow's RK4 steps the complex samples g + i STEP h; each stage's
-    imaginary part is STEP times the linearized stage, so ``Im g(t_end) /
-    STEP`` is the RK4 deformation ``h(t_end)``, which is returned.  It
-    takes the steps of :func:`riemflow.flow.integrate_flow` at the same
-    ``dt`` and ``t_end`` and refuses the same ones, ``dt <= 0`` and a
-    ``t_end`` below 0 or not finite, with ``ValueError``.  Grid charts only: the analytic
-    chart's frozen frame is real and refuses a complex field.  Used by the
-    two-run tangency checks.
+    The flow's RK4 steps the complex samples g + i STEP h in the flows' loop,
+    with no records; each stage's imaginary part is STEP times the
+    linearized stage, so ``Im g(t_end) / STEP`` is the RK4 deformation
+    ``h(t_end)``, which is returned.  The steps and the refusals (``dt <=
+    0``, a ``t_end`` below 0 or not finite: ``ValueError``) are those of
+    :func:`riemflow.flow.integrate_flow`, and a failed step raises
+    :class:`StepRejected`.  Grid charts only: the analytic chart's frozen
+    frame is real and refuses a complex field.  Used by the two-run
+    tangency checks.
     """
     _check_schedule(0.0, t_end, dt)
     system = _RK4System(_perturbed_field(field, h, 1j * STEP),
                         resolve_law(which, field.dimension, 1))
-    state, rhs, t = system.state0, None, 0.0
-    for t_next in step_ends(0.0, t_end, dt):
-        step = _rk4_step(system, state, t_next - t, rhs)
-        if step is None:
-            raise StepRejected(f"the RK4 step at t={t:.6g} fails its positivity or finiteness check")
-        (state, rhs), t = step, t_next
+    t, state, _, failed = _march(lambda y, h, first: _rk4_step(system, y, h, first),
+                                 system.state0, None, 0.0, step_ends(0.0, t_end, dt))
+    if failed:
+        raise StepRejected(f"the RK4 step at t={t:.6g} fails its positivity or finiteness check")
     return state[0].imag / STEP

@@ -22,7 +22,8 @@ with one RK4 system, so the general law reproduces the Riemann flow and wave
 trajectories bit for bit.
 
 The constant-curvature scale ODE is stepped in u = f^2, which stays regular
-at collapse, and its collapse time is the root of u on the last step.
+at collapse, by the flows' fixed-step loop with a scalar RK4 step; its
+collapse time is the middle of the bracket of the step that ends at u <= 0.
 """
 
 import math
@@ -32,7 +33,7 @@ import numpy as np
 
 from .charts import MetricField
 from .errors import CFLViolated, PositivityLost
-from .flow import COLLAPSE_EIG_FRACTION, _check_schedule, _rk4_evolve, bisect, step_ends
+from .flow import COLLAPSE_EIG_FRACTION, _check_schedule, _march, _rk4_evolve, step_ends
 
 # the 1+1 wave stops with PositivityLost when its factor falls to this floor
 POSITIVITY_FLOOR = 1e-8
@@ -100,37 +101,33 @@ def constant_curvature_wave_ode(lam, v, dt, t_end, record_stride=1):
     reported so callers can see how far a given (lam, v) pair is from it.
     """
     _check_schedule(0.0, abs(t_end), dt, record_stride, "record_stride")
-    direction = 1.0 if t_end >= 0 else -1.0
     c, sqrt = -2.0 * lam, math.sqrt
 
-    def step(u, w, h):
-        # a stage past the root continues with u'' = 0
-        a1 = c * sqrt(u)
+    def step(state, h, a1):
+        # a stage past the root continues with u'' = 0; a step to u <= 0 fails
+        u, w = state
         u2, w2 = u + 0.5 * h * w, w + 0.5 * h * a1
         a2 = c * sqrt(u2) if u2 > 0.0 else 0.0
         u3, w3 = u + 0.5 * h * w2, w + 0.5 * h * a2
         a3 = c * sqrt(u3) if u3 > 0.0 else 0.0
         u4, w4 = u + h * w3, w + h * a3
         a4 = c * sqrt(u4) if u4 > 0.0 else 0.0
-        return (u + h / 6.0 * (w + 2.0 * w2 + 2.0 * w3 + w4),
-                w + h / 6.0 * (a1 + 2.0 * a2 + 2.0 * a3 + a4))
-
-    u, w, t = 1.0, 2.0 * v, 0.0
-    records = [(t, u, w)]
-    T = None
-    ends = step_ends(0.0, abs(t_end), dt)
-    for nsteps, t_next in enumerate(ends, 1):
-        t_next *= direction
-        u_next, w_next = step(u, w, t_next - t)
+        u_next = u + h / 6.0 * (w + 2.0 * w2 + 2.0 * w3 + w4)
         if u_next <= 0.0:
-            # bisect between the times a step from t keeps u > 0 and ends at u <= 0
-            T = bisect(lambda T: step(u, w, T - t)[0] > 0.0, t, t_next)
-            if (nsteps - 1) % record_stride:  # the last step before the root is not recorded yet
-                records.append((t, u, w))
-            break
-        u, w, t = u_next, w_next, t_next
-        if nsteps % record_stride == 0 or nsteps == len(ends):
-            records.append((t, u, w))
+            return None
+        return (u_next, w + h / 6.0 * (a1 + 2.0 * a2 + 2.0 * a3 + a4)), c * sqrt(u_next)
+
+    records = [(0.0, 1.0, 2.0 * v)]   # u = 1 and u' = 2 v, so u'' = c
+
+    def accept(t, state, _, due):
+        if due:
+            records.append((t, *state))
+
+    ends = [math.copysign(t, t_end) for t in step_ends(0.0, abs(t_end), dt)]
+    t, state, _, bracket = _march(step, records[0][1:], c, 0.0, ends, record_stride, accept)
+    if records[-1][0] != t:  # the last step before the root
+        records.append((t, *state))
+    T = None if bracket is None else 0.5 * (bracket[0] + bracket[1])
 
     times, us, ws = np.array(records).T
     scales = np.sqrt(us)

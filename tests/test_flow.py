@@ -825,6 +825,24 @@ def test_failed_step_near_the_cone_boundary_is_a_collapse():
     traj = integrate_flow(fld, "riemann-induced", 1.5, 1.2, stride=1)
     assert traj.termination == "collapse"
     assert traj.times == [0.0]
+    lo, hi = traj.collapse_bracket
+    assert 0.0 < lo < hi < 1.2
+
+
+def test_collapse_bracket_is_set_only_by_a_failed_step():
+    # the wave's step from t = 1.056 fails; its bisection stops at the first
+    # trial state below the threshold, at the bracket's upper end
+    fld, _ = hyperbolic_field(3)
+    wave = integrate_wave(fld, "riemann-wave", 1e-3, 2.0, stride=10)
+    lo, hi = wave.collapse_bracket
+    assert wave.termination == "collapse"
+    assert wave.times[-1] <= lo < hi and hi - lo <= 1e-8
+    assert lo == pytest.approx(1.0562299, abs=1e-7)
+    # a run to t_end, and a flow collapse at an accepted state at t = 1.0
+    accepted = integrate_flow(fld, "riemann-induced", 1e-3, 2.0, stride=10)
+    assert accepted.termination == "collapse" and accepted.times[-1] == pytest.approx(1.0)
+    for traj in (integrate_flow(fld, "riemann-induced", 1e-3, 0.1), accepted):
+        assert traj.collapse_bracket is None
 
 
 def test_failed_step_far_from_the_cone_boundary_is_rejected(monkeypatch):

@@ -374,12 +374,19 @@ def test_cli_field_commands_refuse_a_bad_chart(argv, capsys):
       "--t-end", "0.002"],
      "metric sampler values are not finite, or not positive definite, at the stencil point "
      "[0. 0. 0.]"),
-], ids=["infinite-step", "nan-point", "singular-stencil-point"])
+    (["curvature", "--family", "hyperbolic-poincare", "--step", "1e-300"],
+     "the report's R_1212_first_sample is not finite, got nan"),
+    (["soliton", "--family", "hyperbolic-poincare", "--step", "1e-300"],
+     "the report's max_residual_norm is not finite, got nan"),
+], ids=["infinite-step", "nan-point", "singular-stencil-point", "curvature-underflowing-step",
+        "soliton-underflowing-step"])
 def test_cli_refuses_an_analytic_chart_outside_the_metric_s_domain(argv, error, tmp_path, capsys,
                                                                     monkeypatch):
     # a step or point that is not finite is a bad chart, and a metric that is
     # singular at a stencil point is named there, not a LAPACK traceback; the
-    # frozen frame refuses it before a run writes anything
+    # frozen frame refuses it before a run writes anything.  A step whose
+    # square underflows gives a report of NaN, which is refused before it is
+    # printed, since strict JSON cannot hold it
     monkeypatch.chdir(tmp_path)
     assert cli_main(argv) == 1
     captured = capsys.readouterr()
@@ -565,6 +572,21 @@ def test_cli_linearize_subcommand(capsys):
     assert set(out) == {"which", "errors", "observed_order", "initial_rhs_max"}
     assert out["which"] == "riemann-induced"
     assert 1.95 <= out["observed_order"] <= 2.05
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["--t-end", "0"], "t_end must be positive (key: 't_end')"),
+    (["--t-end", "-1"], "t_end must be positive (key: 't_end')"),
+    (["--dt", "0"], "dt must be positive (key: 'dt')"),
+], ids=["no-step", "negative-t-end", "zero-dt"])
+def test_cli_linearize_refuses_a_run_without_steps(argv, error, capsys):
+    # a run that takes no step compares roundoff with roundoff, whose
+    # "order" means nothing; a schedule the flow refuses is refused here too,
+    # as one line and exit 1, not a traceback
+    assert cli_main(["linearize", *argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {error}\n"
 
 
 def test_configs_directory_loads():
