@@ -85,13 +85,11 @@ def bisect(inside, lo, hi):
     """The bracket ``(lo, hi)``, narrowed to the spacing of floats, of where
     ``inside`` turns from true at ``lo`` to false at ``hi`` (either may be the
     larger); a point where ``inside`` gives None ends the search as ``hi``."""
-    mid = 0.5 * (lo + hi)
-    while lo != mid != hi:
+    while lo != (mid := 0.5 * (lo + hi)) != hi:
         side = inside(mid)
         lo, hi = (mid, hi) if side else (lo, mid)
         if side is None:
             break
-        mid = 0.5 * (lo + hi)
     return lo, hi
 
 

@@ -123,7 +123,9 @@ def constant_curvature_wave_ode(lam, v, dt, t_end, record_stride=1):
         if due:
             records.append((t, *state))
 
-    ends = [math.copysign(t, t_end) for t in step_ends(0.0, abs(t_end), dt)]
+    ends = step_ends(0.0, abs(t_end), dt)
+    if t_end < 0.0:  # integrate backwards
+        ends = [-t for t in ends]
     t, state, _, bracket = _march(step, records[0][1:], c, 0.0, ends, record_stride, accept)
     if records[-1][0] != t:  # the last step before the root
         records.append((t, *state))
