@@ -66,6 +66,12 @@ def test_compare_outputs_runs_the_one_shot_commands(tmp_path):
     assert {"flow --family hyperbolic-poincare --dt 1.5 --t-end 1.2 --stride 1",
             "wave --family hyperbolic-poincare --dt 0.3 --t-end 2.0 --stride 1",
             "scale-ode --lam 1 --dt 0.25 --t-end 3 --stride 3"} <= set(runs_a)
+    # every shipped analytic config runs at the origin; these step the frozen
+    # frame off it, a wave with a velocity at n = 3 and a flow at n = 4
+    assert {"wave --family hyperbolic-poincare --point 0.13 0.003 0.14 --dt 1e-2 --t-end 2 "
+            "--stride 5 --velocity-scale 0.3",
+            "flow --family hyperbolic-poincare -n 4 --point 0.1 -0.2 0.3 0.05 --dt 1e-2 "
+            "--t-end 1 --stride 5"} <= set(runs_a)
 
 
 spec = importlib.util.spec_from_file_location(

@@ -8,8 +8,9 @@ Usage: ``python tools/compare_outputs.py SRC_A SRC_B``
 every ``configs/*.json`` of its own through ``riemflow run``, every
 ``demos/*.py`` of its own and every command of :data:`COMMANDS` (the
 one-shot ``curvature`` report on each family and chart kind, ``soliton``,
-``linearize``, ``identity-check`` and three runs of the step loop's
-failed-step paths, which no config reaches), one process
+``linearize``, ``identity-check``, three runs of the step loop's
+failed-step paths and two analytic evolutions off the origin, which no
+config reaches), one process
 per run with the tree's ``src`` on the import path, in a temporary directory
 of its own.  The script compares the exit status, stdout and every file the
 run wrote: CSV files byte for byte, JSON summaries as parsed without
@@ -55,7 +56,13 @@ COMMANDS = [["curvature", *args] for args in (
     # first step, a coarse wave collapse and a scale-ODE root off the stride
     ["flow", "--family", "hyperbolic-poincare", "--dt", "1.5", "--t-end", "1.2", "--stride", "1"],
     ["wave", "--family", "hyperbolic-poincare", "--dt", "0.3", "--t-end", "2.0", "--stride", "1"],
-    ["scale-ode", "--lam", "1", "--dt", "0.25", "--t-end", "3", "--stride", "3"]]
+    ["scale-ode", "--lam", "1", "--dt", "0.25", "--t-end", "3", "--stride", "3"]] + [
+    # analytic evolutions off the origin, where the frozen frame is not the
+    # identity at the stencil points: a wave with a velocity and an n = 4 flow
+    ["wave", "--family", "hyperbolic-poincare", "--point", "0.13", "0.003", "0.14", "--dt", "1e-2",
+     "--t-end", "2", "--stride", "5", "--velocity-scale", "0.3"],
+    ["flow", "--family", "hyperbolic-poincare", "-n", "4", "--point", "0.1", "-0.2", "0.3", "0.05",
+     "--dt", "1e-2", "--t-end", "1", "--stride", "5"]]
 
 # per kind, the runs of the tree at a root: name -> arguments after the
 # interpreter
