@@ -39,13 +39,14 @@ either chart kind and in the frozen frame, differentiates only the n(n+1)/2
 components ``g_ij``, ``i <= j``, and mirrors their first derivatives once.
 A field checks positivity and inverts its
 metric once, in one cofactor pass vectorised over the samples
-(:func:`spd_inverse`, cached as :attr:`MetricField.inverse`): one cached
-gather of each matrix's entries gives the adjugate and the leading principal
-minors as signed sums of products.  The minors decide positivity by
-Sylvester's criterion (:func:`_require_minors`; eigenvalues only on
-failure, to name the worst sample), and the inverse is the adjugate over
-the determinant.  The minors lose about kappa^(n-1) eps to roundoff where
-an LU inverse loses kappa eps, kappa the condition number.  The fixed
+(:func:`spd_inverse`, cached as :attr:`MetricField.inverse` or given to the
+field made with it): one gather of each matrix's entries, its tables bound
+once per n (:func:`_inverse_kernel`), gives the adjugate and the leading
+principal minors as signed sums of products.  The minors decide positivity
+by Sylvester's criterion (eigenvalues only on failure, to name the worst
+sample), and the inverse is the adjugate over the determinant.  The minors
+lose about kappa^(n-1) eps to roundoff where an LU inverse loses kappa eps,
+kappa the condition number.  The fixed
 gathers of the kernels go through :func:`take_last`: ``ndarray.take`` for
 a stack of one sample, where its fixed cost per call is the lower, and fancy
 indexing for more, which it gathers faster.
@@ -105,7 +106,8 @@ class AnalyticChart:
     point : array_like
         Coordinates of the evaluation point, shape ``(n,)``, finite.
     step : float
-        Base finite-difference step ``h > 0``, finite.
+        Base finite-difference step ``h > 0``, finite, with ``(h/2)^2`` a
+        normal float, so that no stencil denominator underflows.
     """
 
     dimension: int
@@ -117,6 +119,9 @@ class AnalyticChart:
             raise ValueError("chart dimension must be at least 2")
         if not (np.isfinite(self.step) and self.step > 0):
             raise ValueError(f"finite-difference step must be positive and finite, got {self.step}")
+        if (0.5 * self.step) ** 2 < np.finfo(float).tiny:
+            raise ValueError(f"finite-difference step {self.step} is too small: its half squared "
+                             "is below the smallest normal float")
         pt = np.asarray(self.point, dtype=float).reshape(self.dimension)
         if not np.all(np.isfinite(pt)):
             raise ValueError(f"evaluation point must be finite, got {pt}")
@@ -143,12 +148,13 @@ class AnalyticChart:
         return analytic_scalar_jet(func, self.point[None, :], self.dimension, self.step)
 
     def evolving(self, field):
-        """Field builder of the frozen frame: ``build(g)`` is the field
-        g(x) = M(x) g M(x)^T with M(x) = L0(x) L0(x0)^-1, ``L0`` the Cholesky
-        factor of ``field`` at the points of the stencil and ``x0`` the
-        point, where M is set to I exactly.  That is exact for
-        congruence-homogeneous evolutions, such as every constant-curvature
-        scenario; inhomogeneous dynamics belong on grid charts.
+        """Field builder of the frozen frame: ``build(g, inverse=None)`` is
+        the field g(x) = M(x) g M(x)^T, made with the ``inverse`` of ``g`` if
+        given, where M(x) = L0(x) L0(x0)^-1, ``L0`` the Cholesky factor of
+        ``field`` at the points of the stencil and ``x0`` the point, where M
+        is set to I exactly.  That is exact for congruence-homogeneous
+        evolutions, such as every constant-curvature scenario; inhomogeneous
+        dynamics belong on grid charts.
 
         The jet of that field is linear in the components ``g_ij``, i <= j, of
         the metric sample ``g``, shape (1, n, n), so :func:`richardson_jet` runs
@@ -156,11 +162,11 @@ class AnalyticChart:
         symmetric basis matrices ``E_q``, and so does :func:`curvature_parts`,
         on the basis jets.  Each field's jets and curvature parts are then one
         product of those components, gathered from ``g`` by one flat ``take``,
-        with the basis images, and its sample is ``g`` itself.  The stencil's
+        with the basis images (one of the parts' columns alone rounds
+        differently); its jets are cut from it only when read.  The stencil's
         values are checked here, once: :class:`StencilOutOfDomain` names the
         first point where they are not finite, else the least positive
-        definite one.  The frame is real, so a complex field (a complex-step
-        run) raises ``ValueError``.
+        definite one.  A complex field (a complex-step run) raises ``ValueError``.
         """
         if np.iscomplexobj(field.samples):
             raise ValueError("the frozen frame is real: complex-step runs need a grid chart")
@@ -179,15 +185,17 @@ class AnalyticChart:
         images = np.einsum('pab,qbc,pdc->qpad', M, basis, M).reshape(len(flat), -1, n * n)
         _, dg, d2g = richardson_jet(stencil, images[..., flat])
         dg = np.take(dg, component, axis=1)
-        parts = (dg, d2g, *curvature_parts(dg, d2g))
-        jet_map = np.concatenate([p.reshape(len(flat), -1) for p in parts], axis=1)
-        ends = np.cumsum([0] + [p[0].size for p in parts])
-        pieces = [(slice(a, b), (1,) + p.shape[1:]) for a, b, p in zip(ends, ends[1:], parts)]
+        pieces = (dg, d2g, *curvature_parts(dg, d2g))
+        jet_map = np.concatenate([p.reshape(len(flat), -1) for p in pieces], axis=1)
+        ends = np.cumsum([0] + [p[0].size for p in pieces]).tolist()
+        (dg, dg_shape), (d2g, d2g_shape), (low, low_shape), (bracket, bracket_shape) = [
+            (slice(a, b), (1,) + p.shape[1:]) for a, b, p in zip(ends, ends[1:], pieces)]
 
-        def build(g):
+        def build(g, inverse=None):
             d = g.take(flat) @ jet_map
-            dg, d2g, low, bracket = [d[s].reshape(shape) for s, shape in pieces]
-            return MetricField(self, g, _jets=(g, dg, d2g), _parts=(low, bracket))
+            return MetricField(self, g, None, inverse,
+                               lambda: (g, d[dg].reshape(dg_shape), d[d2g].reshape(d2g_shape)),
+                               (d[low].reshape(low_shape), d[bracket].reshape(bracket_shape)))
 
         return build
 
@@ -266,9 +274,9 @@ class GridChart:
         return grid_scalar_jet(values, self)
 
     def evolving(self, field):
-        """Field builder of a grid: ``build(g)`` is the field of the samples
-        ``g`` (S, n, n)."""
-        return lambda g: MetricField(self, g)
+        """Field builder of a grid: ``build(g, inverse=None)`` is the field of
+        the samples ``g`` (S, n, n), made with their ``inverse`` if given."""
+        return lambda g, inverse=None: MetricField(self, g, None, inverse)
 
 
 # ---------------------------------------------------------------------------
@@ -494,22 +502,17 @@ def _cofactor_terms(n):
     return _frozen(index, np.where(index == 2 * nn, nn, index % nn), weights)
 
 
-def _cofactor_pass(g):
-    """One vectorised pass over the stack ``g`` (..., n, n): rows ``det g``,
-    the n^2 entries of ``adj g`` and the n leading principal minors of
-    ``g.real``, each over the S matrices, shape (1 + n^2 + n, S), evaluated
-    over chunks of samples that gather at most :data:`COFACTOR_GATHER`
-    factors each.  The pass is a polynomial in the entries, so a complex
-    ``g`` keeps its dtype and the derivative of a complex step through it is
-    exact; a real ``g`` is its own real part, read from the same rows."""
-    n = g.shape[-1]
-    nn = n * n
-    index, real, weights = _cofactor_terms(n)
-    step = max(1, COFACTOR_GATHER // index.size)
-    if g.size > step * nn:
-        g = g.reshape(-1, n, n)
-        return np.concatenate([_cofactor_pass(g[s:s + step]) for s in range(0, len(g), step)],
-                              axis=1)
+def _cofactor_pass(g, terms):
+    """One vectorised pass over the stack ``g`` (..., n, n) with the
+    :func:`_inverse_kernel`'s ``terms``: rows ``det g``, the n^2 entries of
+    ``adj g`` and the n leading principal minors of ``g.real``, each over the
+    S matrices, (1 + n^2 + n, S), in chunks of at most :data:`COFACTOR_GATHER`
+    factors.  A polynomial in the entries, it keeps a complex ``g``'s dtype
+    and a complex step through it exact; a real ``g`` is its own real part."""
+    index, real, weights, chunk, nn = terms
+    if len(g) > chunk:
+        return np.concatenate([_cofactor_pass(g[s:s + chunk], terms)
+                               for s in range(0, len(g), chunk)], axis=1)
     a = g.reshape(-1, nn).T
     if a.dtype.kind == "c":
         rows = np.empty((2 * nn + 1, a.shape[1]), dtype=a.dtype)
@@ -521,33 +524,36 @@ def _cofactor_pass(g):
     return weights.dot(np.multiply.reduce(rows.take(index, axis=0), axis=0))
 
 
-def _require_minors(g, cof):
-    """Raise :class:`NotPositiveDefinite` unless every leading principal
-    minor of every matrix of ``g.real``, read from ``cof``, the cofactor pass
-    of ``g``, is positive, which by Sylvester's criterion is positivity of
-    ``g.real``; a sample with an entry that is not finite fails.  Only then
-    are the eigenvalues of the finite samples computed, to name the first
-    sample that is not finite, else the one with the smallest eigenvalue."""
-    n = g.shape[-1]
-    if not np.minimum.reduce(cof[1 + n * n:].real, axis=None) > 0.0:
-        g = g.real.reshape(-1, n, n)
-        finite = np.isfinite(g).all(axis=(1, 2))
-        w = np.full(len(g), np.nan)
-        w[finite] = np.linalg.eigvalsh(g[finite])[:, 0]
-        worst = int(np.argmin(w))
-        raise NotPositiveDefinite(worst, float(w[worst]))
-
-
 def spd_inverse(g):
-    """The inverse of every matrix of the stack ``g`` (..., n, n) from one
-    cofactor pass, the adjugate over the determinant, after the positivity
-    check of :func:`_require_minors` on the same pass, which a sample with an
-    entry that is not finite fails.  Its relative error is about
-    kappa^(n-1) eps, kappa the condition number."""
-    cof = _cofactor_pass(g)
-    _require_minors(g, cof)
-    n = g.shape[-1]
-    return np.ascontiguousarray((cof[1:1 + n * n] / cof[0]).T).reshape(g.shape)
+    """The inverse of every matrix of the stack ``g`` (..., n, n), C-contiguous: the adjugate
+    over the determinant of one cofactor pass, which checks positivity (:func:`_inverse_kernel`),
+    with a relative error of about kappa^(n-1) eps, kappa the condition number."""
+    return _inverse_kernel(g.shape[-1])(g)
+
+
+@lru_cache(maxsize=None)
+def _inverse_kernel(n):
+    """:func:`spd_inverse` of n x n stacks, the pass's tables bound.  Unless
+    every leading principal minor of ``g.real`` is positive (Sylvester), the
+    eigenvalues of the finite samples name the first sample that is not
+    finite, else the least, in :class:`NotPositiveDefinite`."""
+    nn, (index, real, weights) = n * n, _cofactor_terms(n)
+    terms = index, real, weights, max(1, COFACTOR_GATHER // index.size), nn
+
+    def inverse(g):
+        cof = _cofactor_pass(g, terms)
+        minors = cof[1 + nn:].real
+        # the least minor or the first NaN, where argmin finds it
+        if not minors.item(minors.argmin()) > 0.0:
+            g = g.real.reshape(-1, n, n)
+            finite = np.isfinite(g).all(axis=(1, 2))
+            w = np.full(len(g), np.nan)
+            w[finite] = np.linalg.eigvalsh(g[finite])[:, 0]
+            worst = int(np.argmin(w))
+            raise NotPositiveDefinite(worst, float(w[worst]))
+        return np.ascontiguousarray((cof[1:1 + nn] / cof[0]).T).reshape(g.shape)
+
+    return inverse
 
 
 @lru_cache(maxsize=None)
@@ -593,19 +599,18 @@ def lowered_christoffel(dg):
 
 
 def curvature_parts(dg, d2g):
-    """The parts of the curvature linear in a metric's 2-jet, in the layout
-    of :meth:`MetricField.jets`: the lowered Christoffel symbols
-    (:func:`lowered_christoffel`) and the Hessian bracket, the block on
-    2-forms, lead + (N, N), of
+    """The parts of the curvature linear in a metric's 2-jet, of stacks
+    (S, ...) in the layout of :meth:`MetricField.jets`, laid out as the
+    curvature kernel reads them: the lowered Christoffel symbols
+    (:func:`lowered_christoffel`), (S, n, n^2), and the Hessian bracket, the
+    block on 2-forms, flattened to (S, N^2), of
     1/2 (d_j d_l g_ik + d_i d_k g_jl - d_i d_l g_jk - d_j d_k g_il)."""
     n = dg.shape[-1]
-    lead = d2g.shape[:-3]
     # d2g[..., (ab), c, d] = d_c d_d g_ab, so that d_j d_l g_ik at [i, j, k, l]
     # is d2g[(ik), j, l], and so on
-    t = d2g.reshape(lead + (-1,))[..., _hessian_index(n)]
+    t = d2g.reshape(len(d2g), -1)[..., _hessian_index(n)]
     bracket = 0.5 * (t[..., 0, :] + t[..., 1, :] - t[..., 2, :] - t[..., 3, :])
-    N = n * (n - 1) // 2
-    return lowered_christoffel(dg), bracket.reshape(lead + (N, N))
+    return lowered_christoffel(dg).reshape(-1, n, n * n), bracket
 
 
 @dataclass
@@ -660,9 +665,10 @@ class MetricField:
 
     @property
     def inverse(self):
-        """Inverse metric at the samples, shape (S, n, n), computed once and
-        read-only by :func:`spd_inverse`, whose pass also checks positivity:
-        raises :class:`NotPositiveDefinite` at the worst offending sample."""
+        """Inverse metric at the samples, shape (S, n, n): the one the field
+        was made with, else computed once and read-only by
+        :func:`spd_inverse`, whose pass also checks positivity: raises
+        :class:`NotPositiveDefinite` at the worst offending sample."""
         if self._inverse is None:
             self._inverse = spd_inverse(self.samples)
             self._inverse.flags.writeable = False
@@ -677,10 +683,12 @@ class MetricField:
         """Return ``(g, dg, d2g)`` flattened over samples, ``d2g`` over the
         n(n+1)/2 components ``g_ij``, i <= j: shape (S, n(n+1)/2, n, n).
 
-        ``g`` is the samples.  The rest is the jet the field was made with, else
-        the chart's jet of those components of its function or, without one,
-        of its samples, with their first derivatives mirrored to ``g_ji``.
+        ``g`` is the samples.  The rest is the jet the field was made with (or
+        its maker's, when first read), else the chart's jet of those components
+        of its function or, without one, of its samples, mirrored to ``g_ji``.
         """
+        if callable(self._jets):
+            self._jets = self._jets()
         if self._jets is not None:
             return self._jets
         n = self.dimension

@@ -94,10 +94,10 @@ def _build_field(args):
 
 
 def _print_report(report):
-    """Print a one-shot report as JSON; one with a value that is not finite,
-    which strict JSON cannot hold, is refused before anything is printed."""
+    """Print a one-shot report as JSON, None as null; one with a value that is
+    not finite, which strict JSON cannot hold, is refused before anything is printed."""
     for key, value in sorted(report.items()):
-        if not isinstance(value, str) and not np.isfinite(value).all():
+        if not isinstance(value, (str, type(None))) and not np.isfinite(value).all():
             raise RiemflowError(f"the report's {key} is not finite, got {value}")
     print(json.dumps(report, indent=2, sort_keys=True))
 
@@ -190,7 +190,8 @@ def _cmd_linearize(args):
     lin = linearized_flow_rhs(fld, h.reshape(fld.samples.shape), which=args.which)
     hlin = integrate_linearized_flow(fld, h.reshape(fld.samples.shape), args.which,
                                      args.dt, args.t_end)
-    errs = []
+    # an order is fitted only to errors 100 times their quotient's roundoff
+    errs, resolved = [], True
     for eps in (args.eps, 0.5 * args.eps):
         plus = MetricField.from_samples(chart, fld.values + eps * h)
         minus = MetricField.from_samples(chart, fld.values - eps * h)
@@ -198,7 +199,9 @@ def _cmd_linearize(args):
         tm = integrate_flow(minus, args.which, args.dt, args.t_end, stride=10 ** 9)
         quotient = (tp.states[-1] - tm.states[-1]) / (2.0 * eps)
         errs.append(float(np.abs(quotient - hlin).max()))
-    order = float(np.log2(errs[0] / errs[1])) if errs[1] > 0 else float("inf")
+        roundoff = np.finfo(float).eps * np.abs([tp.states[-1], tm.states[-1]]).max() / (2.0 * eps)
+        resolved = resolved and errs[-1] > 100.0 * roundoff
+    order = float(np.log2(errs[0] / errs[1])) if resolved else None
     report = {"which": args.which, "errors": errs, "observed_order": order,
               "initial_rhs_max": float(np.abs(lin).max())}
     _print_report(report)

@@ -93,16 +93,6 @@ def _pairs(n):
 
 
 @lru_cache(maxsize=None)
-def _quadratic_index(n):
-    """Flat indices, per block entry, of the two terms ``M[(jk), (il)]`` and
-    ``M[(jl), (ik)]`` of R_ijkl's quadratic part in the product over the
-    rows (ab) with a >= 1 and the columns (ab) with a <= n - 2, the only
-    ones they read (i < j).  Shape (2, N * N)."""
-    full = _block_index(n, ("jkil", "jlik"))
-    return _frozen((full // (n * n) - n) * (n * n - n) + full % (n * n))[0]
-
-
-@lru_cache(maxsize=None)
 def _component_index(n):
     """Index of each R_ijkl, row-major over (n, n, n, n), into the flat
     ``[B, -B, 0]``: its signed block entry, or the zero when i = j or k = l."""
@@ -211,7 +201,8 @@ def riemann(field: MetricField) -> CurvatureTensor:
     check of the field, with its cached inverse and its
     :meth:`~riemflow.charts.MetricField.curvature_parts`."""
     field.validate_spd()
-    return CurvatureTensor(_riemann_from_parts(*field.curvature_parts(), field.inverse))
+    kernel = _riemann_kernel(field.dimension)
+    return CurvatureTensor(kernel(*field.curvature_parts(), field.inverse))
 
 
 def riemann_from_jets(g, dg, d2g, ginv):
@@ -219,25 +210,32 @@ def riemann_from_jets(g, dg, d2g, ginv):
     ``(g, dg, d2g)`` in the layout of :meth:`MetricField.jets` (``d2g`` over
     the components i <= j) and ``ginv``, the inverse of ``g``; ``g`` itself
     does not enter."""
-    return _riemann_from_parts(*curvature_parts(dg, d2g), ginv)
+    n, lead = ginv.shape[-1], ginv.shape[:-2]
+    parts = curvature_parts(dg.reshape((-1,) + dg.shape[-3:]), d2g.reshape((-1,) + d2g.shape[-3:]))
+    block = _riemann_kernel(n)(*parts, ginv.reshape(-1, n, n))
+    return block.reshape(lead + block.shape[1:])
 
 
-def _riemann_from_parts(low, bracket, ginv):
-    """Curvature block from the lowered Christoffel symbols ``low``, the
-    Hessian bracket (:func:`~riemflow.charts.curvature_parts`) and the
-    inverse metric ``ginv``."""
-    n = ginv.shape[-1]
-    lead = bracket.shape[:-2]
-    # quadratic term g_mn (Gamma^m_jk Gamma^n_il - Gamma^m_jl Gamma^n_ik): one
-    # product of the raised symbols Gamma^m_jk = g^{ml} Gamma_{l,jk} with the
-    # lowered ones gives M[(jk),(il)] = Gamma^m_jk Gamma_{m,il}, over the rows
-    # j >= 1 and columns i <= n - 2 only
-    low = low.reshape(lead + (n, n * n))
-    m = take_last((np.swapaxes(ginv @ low[..., n:], -1, -2) @ low[..., :-n]).reshape(
-        lead + (-1,)), _quadratic_index(n))
-    riem = bracket.reshape(lead + (-1,)) - m[..., 0, :]
-    riem += m[..., 1, :]
-    return riem.reshape(bracket.shape)
+@lru_cache(maxsize=None)
+def _riemann_kernel(n):
+    """The curvature block (S, N, N) from the parts of
+    :func:`~riemflow.charts.curvature_parts` and the inverse metric (S, n, n)."""
+    full = _block_index(n, ("jkil", "jlik"))
+    quadratic = (full // (n * n) - n) * (n * n - n) + full % (n * n)
+    shape = (-1,) + (pair_count(n),) * 2
+
+    def riemann(low, bracket, ginv):
+        # quadratic term g_mn (Gamma^m_jk Gamma^n_il - Gamma^m_jl Gamma^n_ik): one
+        # product of the raised symbols Gamma^m_jk = g^{ml} Gamma_{l,jk} with the
+        # lowered ones gives M[(jk),(il)] = Gamma^m_jk Gamma_{m,il}, over the rows
+        # j >= 1 and columns i <= n - 2 only, which ``quadratic`` gathers
+        m = take_last(((ginv @ low[..., n:]).swapaxes(-1, -2) @ low[..., :-n]).reshape(
+            len(low), -1), quadratic)
+        riem = bracket - m[..., 0, :]
+        riem += m[..., 1, :]
+        return riem.reshape(shape)
+
+    return riemann
 
 
 def ricci_and_scalar(field: MetricField, riem: CurvatureTensor):
@@ -252,37 +250,36 @@ def ricci_scalar_from_arrays(ginv, riem_block):
     return ric, scal
 
 
+def pair_trace(ginv, block):
+    """Pair trace ``W_ik = g^{jl} T_ijkl`` of stacked blocks ``(..., N, N)``
+    (:func:`_pair_trace_kernel`)."""
+    n, lead = ginv.shape[-1], block.shape[:-2]
+    W = _pair_trace_kernel(n)(ginv.reshape(-1, n, n), block.reshape((-1,) + block.shape[-2:]))
+    return W.reshape(lead + (n, n))
+
+
 @lru_cache(maxsize=None)
-def _pair_trace_terms(n):
-    """The terms of ``W_ik = g^{jl} T_ijkl`` with j != i and l != k: their
-    flat block entries and ``g^{jl}`` indices, and the (terms, n * n) matrix
-    of their signs that sums them into W."""
+def _pair_trace_kernel(n):
+    """Pair trace of stacks (S, n, n) and (S, N, N): a gather of the terms
+    with j != i and l != k, summed by one product with their signs, in
+    chunks of samples that gather at most
+    :data:`~riemflow.charts.COFACTOR_GATHER` terms, one on every shipped grid."""
     i, j, k, l = np.indices((n,) * 4).reshape(4, -1)
     term = (i != j) & (k != l)
     signed = _component_index(n)[term]                    # into [B, -B, 0]
-    N2 = pair_count(n) ** 2
-    sums = np.zeros((len(signed), n * n))
-    sums[np.arange(len(signed)), (i * n + k)[term]] = np.where(signed < N2, 1.0, -1.0)
-    return _frozen(signed % N2, (j * n + l)[term], sums)
+    NN, sums = pair_count(n) ** 2, np.zeros((len(signed), n * n))
+    sums[np.arange(len(signed)), (i * n + k)[term]] = np.where(signed < NN, 1.0, -1.0)
+    entries, inverse, chunk = signed % NN, (j * n + l)[term], COFACTOR_GATHER // len(signed)
 
+    def trace(ginv, block):
+        if len(block) > chunk and len(ginv) == len(block):
+            return np.concatenate([trace(ginv[s:s + chunk], block[s:s + chunk])
+                                   for s in range(0, len(block), chunk)])
+        terms = take_last(block.reshape(-1, NN), entries) * take_last(ginv.reshape(-1, n * n),
+                                                                      inverse)
+        return (terms @ sums).reshape(-1, n, n)
 
-def pair_trace(ginv, block):
-    """Pair trace ``W_ik = g^{jl} T_ijkl`` of stacked blocks ``(..., N, N)``:
-    a gather of the (n-1)^2 nonzero terms of each (i, k), summed by one
-    product with their signs.  Stacks of one shape are taken in chunks of
-    samples that gather at most :data:`~riemflow.charts.COFACTOR_GATHER`
-    terms each, so every shipped grid is one chunk."""
-    n = ginv.shape[-1]
-    lead = block.shape[:-2]
-    entries, inverse, sums = _pair_trace_terms(n)
-    step = max(1, COFACTOR_GATHER // len(entries))
-    if ginv.shape[:-2] == lead and math.prod(lead) > step:
-        ginv, block = ginv.reshape(-1, n, n), block.reshape((-1,) + block.shape[-2:])
-        return np.concatenate([pair_trace(ginv[s:s + step], block[s:s + step])
-                               for s in range(0, len(block), step)]).reshape(lead + (n, n))
-    terms = (take_last(block.reshape(lead + (-1,)), entries)
-             * take_last(ginv.reshape(ginv.shape[:-2] + (n * n,)), inverse))
-    return (terms @ sums).reshape(lead + (n, n))
+    return trace
 
 
 def weyl(field: MetricField, riem: CurvatureTensor) -> CurvatureTensor:
@@ -300,12 +297,24 @@ def weyl(field: MetricField, riem: CurvatureTensor) -> CurvatureTensor:
 
 def _compound(a, b):
     """Block of ``(a (.) b)_ijkl = a_ik b_jl - a_il b_jk`` for stacked
-    ``(..., n, n)`` inputs."""
-    n, N = a.shape[-1], pair_count(a.shape[-1])
-    x = take_last(a.reshape(a.shape[:-2] + (n * n,)), _block_index(n, ("ik", "il")))
-    y = take_last(b.reshape(b.shape[:-2] + (n * n,)), _block_index(n, ("jl", "jk")))
-    out = x[..., 0, :] * y[..., 0, :] - x[..., 1, :] * y[..., 1, :]
-    return out.reshape(out.shape[:-1] + (N, N))
+    ``(..., n, n)`` inputs (:func:`_compound_kernel`)."""
+    n = a.shape[-1]
+    block = _compound_kernel(n)(a.reshape(-1, n, n), b.reshape(-1, n, n))
+    return block.reshape(np.broadcast_shapes(a.shape[:-2], b.shape[:-2]) + block.shape[1:])
+
+
+@lru_cache(maxsize=None)
+def _compound_kernel(n):
+    """Block (S, N, N) of ``a (.) b`` for stacks ``(S, n, n)``."""
+    first, second = _block_index(n, ("ik", "il")), _block_index(n, ("jl", "jk"))
+    shape, nn = (-1,) + (pair_count(n),) * 2, n * n
+
+    def compound(a, b):
+        x = take_last(a.reshape(-1, nn), first)
+        y = take_last(b.reshape(-1, nn), second)
+        return (x[..., 0, :] * y[..., 0, :] - x[..., 1, :] * y[..., 1, :]).reshape(shape)
+
+    return compound
 
 
 def pair_product_from_samples(g):

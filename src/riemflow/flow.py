@@ -53,17 +53,18 @@ side holds, and one that is not shown so is decomposed.
 """
 
 import math
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .bialternate import recover_metric
-from .charts import MetricField
+from .charts import MetricField, _inverse_kernel
 from .curvature import (
     CurvatureTensor,
-    kn_product,
+    _compound_kernel,
+    _pair_trace_kernel,
     pair_product_from_samples,
-    pair_trace,
     ricci_scalar_from_arrays,
     riemann,
     tensor_norm,
@@ -105,57 +106,49 @@ def solve_pair_trace(g, ginv, rhs4, coupling=1.0):
 
     Contracting with ``g^{jl}`` gives ``(n-2) v + c tr(v) g = W`` with
     ``W = g^{jl} rhs4_ijkl``; the trace of that equation fixes ``tr v``
-    unless ``(n-2) + n c = 0``.
+    unless ``(n-2) + n c = 0``.  ``g`` and ``ginv`` are stacks (S, n, n).
     """
-    n = g.shape[-1]
+    return _pair_trace_solver(g.shape[-1], coupling)(g, ginv, rhs4)
+
+
+def _pair_trace_solver(n, coupling):
+    """:func:`solve_pair_trace` at ``coupling``, its kernel and denominator bound."""
     if n < 3:
         raise DimensionTooSmall("the pair-trace inversion needs n >= 3")
-    W = pair_trace(ginv, rhs4)
-    trW = np.einsum('...ik,...ik->...', ginv, W)
-    trv = trW / ((n - 2) + n * coupling)
-    # unit factors are skipped, exactly, as :func:`_combine` skips them
-    v = W - (trv if coupling == 1.0 else coupling * trv)[..., None, None] * g
-    return v if n == 3 else v / (n - 2)
+    trace, den = _pair_trace_kernel(n), (n - 2) + n * coupling
+
+    def solve(g, ginv, rhs4):
+        W = trace(ginv, rhs4)
+        trv = np.einsum('...ik,...ik->...', ginv, W) / den
+        # unit factors are skipped, exactly, as :func:`_combine` skips them
+        v = W - (trv if coupling == 1.0 else coupling * trv)[..., None, None] * g
+        return v if n == 3 else v / (n - 2)
+
+    return solve
 
 
 def _combine(terms, args, like, lead=1.0):
-    """Sum of ``c * _TERMS[name](*args)`` over the ``(c, name)`` pairs,
-    added in order and divided by ``lead``.
+    """Sum of ``c * term(*args)`` over the ``(c, term)`` pairs, added in
+    order and divided by ``lead``.
 
     Unit factors are never applied; ``1.0 * x`` and ``x / 1.0`` are exact,
     so skipping them changes no bit.  With no terms the sum is zeros shaped
     like ``like``.
     """
     total = None
-    for c, name in terms:
-        x = _TERMS[name](*args) if c == 1.0 else c * _TERMS[name](*args)
+    for c, term in terms:
+        x = term(*args) if c == 1.0 else c * term(*args)
         total = x if total is None else total + x
     if total is None:
         return np.zeros_like(like)
     return total if lead == 1.0 else total / lead
 
 
-# the terms of the law equation by coefficient, as functions of the metric,
-# its inverse, the velocity, the rate and the curvature block; ``lead`` is
-# (r ^ g) and ``beta`` a wave's (k ^ g)
-_TERMS = {
-    "lead": lambda g, ginv, k, r, riem: kn_product(r, g),
-    "trace": lambda g, ginv, k, r, riem: (np.einsum('...ik,...ik->...', ginv, r)[..., None, None]
-                                          * pair_product_from_samples(g)),
-    "quad": lambda g, ginv, k, r, riem: pair_product_from_samples(k),
-    "beta": lambda g, ginv, k, r, riem: kn_product(k, g),
-    "gamma": lambda g, ginv, k, r, riem: pair_product_from_samples(g),
-    "delta": lambda g, ginv, k, r, riem: riem,
-    "ricci": lambda g, ginv, k, r, riem: kn_product(pair_trace(ginv, riem), g),
-}
-
-
 @dataclass(frozen=True)
 class Law:
     """A resolved evolution law: its name, order (1 flow, 2 wave) and its
     row of the law equation (see the module docstring); only a first-order
-    law has a ``trace`` term.  The row's nonzero terms are listed once, when
-    the record is made."""
+    law has a ``trace`` term."""
 
     name: str
     order: int
@@ -166,22 +159,29 @@ class Law:
     trace: float = 0.0
     ricci: float = 0.0
     quad: float = 0.0
-    # the nonzero (coefficient, term) pairs of the equation, and negated those
-    # of its sources, the terms that hold neither the rate nor Ric
-    _equation: tuple = dataclass_field(init=False, repr=False, compare=False)
-    _sources: tuple = dataclass_field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        row = [(self.lead, "lead"), (self.trace, "trace"), (self.quad, "quad"),
-               (self.beta if self.order == 2 else 0.0, "beta"), (self.gamma, "gamma"),
-               (self.delta, "delta"), (self.ricci, "ricci")]
-        object.__setattr__(self, "_equation", tuple((c, name) for c, name in row if c != 0.0))
-        object.__setattr__(self, "_sources", tuple((-c, name) for c, name in row[2:-1] if c != 0.0))
 
     @property
     def lead(self):
         """The coefficient of the highest time derivative."""
         return self.alpha if self.order == 2 else self.beta
+
+    def row(self, n):
+        """The (coefficient, term) pairs of the law's row, in the module
+        docstring's order, each term a function of stacks (g, ginv, k, rate,
+        Riem) with the kernels of dimension ``n`` bound; a flow's beta is its lead."""
+        compound, trace = _compound_kernel(n), _pair_trace_kernel(n)
+
+        def kn(a, b):
+            return compound(a, b) + compound(b, a)
+
+        return [(self.lead, lambda g, ginv, k, r, riem: kn(r, g)),
+                (self.trace, lambda g, ginv, k, r, riem: (
+                    np.einsum('...ik,...ik->...', ginv, r)[..., None, None] * compound(g, g))),
+                (self.quad, lambda g, ginv, k, r, riem: compound(k, k)),
+                (self.beta if self.order == 2 else 0.0, lambda g, ginv, k, r, riem: kn(k, g)),
+                (self.gamma, lambda g, ginv, k, r, riem: compound(g, g)),
+                (self.delta, lambda g, ginv, k, r, riem: riem),
+                (self.ricci, lambda g, ginv, k, r, riem: kn(trace(ginv, riem), g))]
 
     def coupling(self, n):
         """c in the contracted equation (n-2) r + c tr_g(r) g = W,
@@ -198,18 +198,9 @@ class Law:
 
     def rate(self, g, ginv, k, riem):
         """Metric velocity (order 1) or acceleration (order 2) at metric
-        samples ``g`` with inverse ``ginv``, velocity samples ``k`` (order 2)
-        and the curvature block ``riem``: -(ricci/lead) Ric plus the
-        pair-trace solve of the sources, skipped when there are none."""
-        total = None
-        if self.ricci != 0.0:
-            c = -self.ricci / self.lead
-            total = pair_trace(ginv, riem) if c == 1.0 else c * pair_trace(ginv, riem)
-        if self._sources:
-            v = solve_pair_trace(g, ginv, _combine(self._sources, (g, ginv, k, None, riem), riem,
-                                                   self.lead), self.coupling(g.shape[-1]))
-            total = v if total is None else total + v
-        return np.zeros_like(g) if total is None else total
+        samples ``g`` (S, n, n) with inverse ``ginv``, velocity samples ``k``
+        (order 2) and the curvature block ``riem`` (:func:`_rate_kernel`)."""
+        return _rate_kernel(self, g.shape[-1])(g, ginv, k, riem)
 
     def rate_at(self, field, velocity=None):
         """:meth:`rate` at a field's samples and curvature."""
@@ -220,8 +211,31 @@ class Law:
     def residual(self, g, ginv, k, rate, riem):
         """Max norm of the law's equation at the ``rate`` that :meth:`rate`
         gave for the same samples."""
-        total = _combine(self._equation, (g, ginv, k, rate, riem), riem)
+        total = _combine([(c, term) for c, term in self.row(g.shape[-1]) if c != 0.0],
+                         (g, ginv, k, rate, riem), riem)
         return float(np.abs(total).max())
+
+
+@lru_cache(maxsize=64)
+def _rate_kernel(law, n):
+    """:meth:`Law.rate` in dimension ``n``, resolved once: -(ricci/lead) Ric
+    plus the pair-trace solve at :meth:`Law.coupling` of the sources, the
+    row's terms without the rate or Ric, negated; skipped without sources."""
+    trace, lead = _pair_trace_kernel(n), law.lead
+    ricci = -law.ricci / lead if law.ricci != 0.0 else None
+    sources = [(-c, term) for c, term in law.row(n)[2:-1] if c != 0.0]
+    solve = _pair_trace_solver(n, law.coupling(n)) if sources else None
+
+    def rate(g, ginv, k, riem):
+        total = None
+        if ricci is not None:
+            total = trace(ginv, riem) if ricci == 1.0 else ricci * trace(ginv, riem)
+        if solve:
+            v = solve(g, ginv, _combine(sources, (g, ginv, k, None, riem), riem, lead))
+            total = v if total is None else total + v
+        return np.zeros_like(g) if total is None else total
+
+    return rate
 
 
 # (name, order) -> (parameter names, defaults[, to_row]); a parameter
@@ -359,7 +373,10 @@ class _RK4System:
     samples, ``[g]`` or ``[g, k]``, on either chart kind, and with
     ``cross_check`` the pair product ``G = C_2(g)`` last, evolved directly
     at the law's ``pair_rate_factor`` times Riem.  Only the field of a state
-    depends on the chart, through its ``evolving`` map.
+    depends on the chart, through its ``evolving`` map.  The inverse kernel
+    and the law's rate are bound here, once per run, so that a right-hand
+    side is :func:`riemann`, :attr:`MetricField.inverse` and :meth:`Law.rate`
+    of the state's field made with its inverse, bit for bit.
     """
 
     def __init__(self, field, law, velocity=None, cross_check=False):
@@ -376,23 +393,26 @@ class _RK4System:
             self.state0.append(np.asarray(velocity, dtype=float).reshape(g.shape).copy())
         if cross_check:
             self.state0.append(pair_product_from_samples(g).copy())
-        # the builder holds the chart, not the system
+        # the builder and the kernels hold the chart, not the system
         self._build = chart.evolving(field)
+        n = field.dimension
+        self._inverse, self._rate = _inverse_kernel(n), _rate_kernel(law, n)
 
     def rhs(self, state):
         """(d state/dt, curvature block, the law's rate at the samples, the
         inverse metric there).  The rate is symmetrized, so a symmetric
         state stays exactly symmetric.  Raises :class:`NotPositiveDefinite`
         when the state's metric is not positive definite."""
-        fld = self._build(state[0])
-        riem = riemann(fld).block
+        g = state[0]
+        ginv = self._inverse(g)
+        riem = riemann(self._build(g, ginv)).block
         k = state[1] if self.wave else None
-        rate = self.law.rate(fld.samples, fld.inverse, k, riem)
+        rate = self._rate(g, ginv, k, riem)
         rate = 0.5 * (rate + rate.swapaxes(-1, -2))
         d = [rate] if k is None else [k, rate]
         if self.pair_rate is not None:
             d.append(self.pair_rate * riem)
-        return d, riem, rate, fld.inverse
+        return d, riem, rate, ginv
 
 
 def integrate_flow(initial, law, dt, t_end, *, stride=10,

@@ -34,6 +34,12 @@ def test_chart_validation():
     for step in (np.nan, np.inf):
         with pytest.raises(ValueError, match="step must be positive and finite"):
             AnalyticChart(2, [0.0, 0.0], step=step)
+    # a step whose half squared is not a normal float underflows a stencil
+    # denominator; the smallest step kept is about 3e-154
+    for step in (1e-300, 2.9e-154):
+        with pytest.raises(ValueError, match="half squared is below the smallest normal float"):
+            AnalyticChart(2, [0.0, 0.0], step=step)
+    AnalyticChart(2, [0.0, 0.0], step=3e-154)
     for point in ([np.nan, 0.0], [0.0, -np.inf]):
         with pytest.raises(ValueError, match="point must be finite"):
             AnalyticChart(2, point)
@@ -407,7 +413,7 @@ def test_inverse_is_cached_and_read_only(monkeypatch):
     fld = MetricField.from_samples(chart, g.reshape(chart.grid_shape + (2, 2)))
     passes = []
     monkeypatch.setattr(charts, "_cofactor_pass",
-                        lambda g, f=charts._cofactor_pass: passes.append(1) or f(g))
+                        lambda *args, f=charts._cofactor_pass: passes.append(1) or f(*args))
     fld.validate_spd()
     ginv = fld.inverse
     assert fld.inverse is ginv

@@ -54,7 +54,7 @@ from riemflow.flow import (
     monitor_blow_up,
     resolve_law,
 )
-from riemflow.variation import integrate_linearized_flow
+from riemflow.variation import STEP, integrate_linearized_flow
 from riemflow.wave import (
     conformally_flat_wave_solve,
     constant_curvature_wave_ode,
@@ -730,6 +730,55 @@ def test_each_state_rhs_evaluated_once(monkeypatch):
     traj = integrate_flow(fld, "riemann-induced", 1e-3, 0.02, stride=1)
     assert len(traj.times) == 21
     assert len(calls) == 4 * 20 + 1
+
+
+# every row of the law table, each coefficient nonzero somewhere
+LAW_ROWS = [("ricci", 1), ("riemann-induced", 1), ("riemann-type", 1),
+            (("general", {"beta": 1.0, "gamma": 0.3, "delta": -0.7}), 1),
+            ("ricci-wave", 2), ("riemann-wave", 2),
+            (("general", {"alpha": 1.0, "beta": 0.4, "gamma": 0.3, "delta": 2.0}), 2)]
+
+
+@pytest.mark.parametrize("kind", ["analytic", "grid", "complex-grid"])
+@pytest.mark.parametrize("n", [3, 4])
+def test_rk4_rhs_is_the_public_composition_bit_for_bit(n, kind):
+    # the system binds its kernels once per run; its rhs must still be
+    # riemann(field), field.inverse and Law.rate of the state's field, then
+    # the symmetrization, bit for bit: off the origin of an analytic chart
+    # (the frozen frame's field), on an 8^n grid and on a complex-step grid
+    # field, for every law row, waves with an anisotropic velocity
+    rng = np.random.default_rng(10 * n + len(kind))
+    if kind == "analytic":
+        chart = AnalyticChart(n, [0.1, -0.2, 0.3, 0.05][:n])
+        fld = MetricField.from_function(chart, make_family("hyperbolic-poincare", n).metric_function)
+    else:
+        fld, _ = torus_field(n)
+    noise = rng.normal(size=fld.samples.shape)
+    g = fld.samples + 0.05 * (noise + np.swapaxes(noise, -1, -2))
+    if kind == "complex-grid":
+        g = g + 1j * STEP * np.swapaxes(noise, -1, -2) @ noise
+    field_of = (fld.chart.evolving(fld) if kind == "analytic"
+                else lambda g: MetricField.from_samples(fld.chart, g))
+    velocity = rng.normal(size=g.shape)
+    velocity = 0.3 * (velocity + np.swapaxes(velocity, -1, -2))
+    for row, order in LAW_ROWS:
+        law = resolve_law(row, n, order)
+        k = velocity if law.order == 2 else None
+        cross = law.pair_rate_factor is not None
+        system = flow._RK4System(MetricField.from_samples(fld.chart, g) if kind != "analytic"
+                                 else fld, law, k, cross_check=cross)
+        state = [g] + ([k] if k is not None else []) + ([None] if cross else [])
+        d, riem, rate, ginv = system.rhs(state)
+        field = field_of(g)
+        want_riem, want_ginv = riemann(field).block, field.inverse
+        want = law.rate(g, want_ginv, k, want_riem)
+        want = 0.5 * (want + want.swapaxes(-1, -2))
+        pairs = [(riem, want_riem), (ginv, want_ginv), (rate, want), (d[order - 1], want)]
+        pairs += [(d[0], k)] if k is not None else []
+        pairs += [(d[-1], law.pair_rate_factor * want_riem)] if cross else []
+        for got, ref in pairs:
+            assert got.dtype == ref.dtype and got.shape == ref.shape
+            assert got.tobytes() == ref.tobytes(), (row, order)
 
 
 def test_step_ends():

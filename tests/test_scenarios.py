@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -375,9 +378,11 @@ def test_cli_field_commands_refuse_a_bad_chart(argv, capsys):
      "metric sampler values are not finite, or not positive definite, at the stencil point "
      "[0. 0. 0.]"),
     (["curvature", "--family", "hyperbolic-poincare", "--step", "1e-300"],
-     "the report's R_1212_first_sample is not finite, got nan"),
+     "bad chart: finite-difference step 1e-300 is too small: its half squared is below the "
+     "smallest normal float (key: 'chart')"),
     (["soliton", "--family", "hyperbolic-poincare", "--step", "1e-300"],
-     "the report's max_residual_norm is not finite, got nan"),
+     "bad chart: finite-difference step 1e-300 is too small: its half squared is below the "
+     "smallest normal float (key: 'chart')"),
 ], ids=["infinite-step", "nan-point", "singular-stencil-point", "curvature-underflowing-step",
         "soliton-underflowing-step"])
 def test_cli_refuses_an_analytic_chart_outside_the_metric_s_domain(argv, error, tmp_path, capsys,
@@ -385,13 +390,21 @@ def test_cli_refuses_an_analytic_chart_outside_the_metric_s_domain(argv, error, 
     # a step or point that is not finite is a bad chart, and a metric that is
     # singular at a stencil point is named there, not a LAPACK traceback; the
     # frozen frame refuses it before a run writes anything.  A step whose
-    # square underflows gives a report of NaN, which is refused before it is
-    # printed, since strict JSON cannot hold it
+    # half squared underflows is a bad chart too, refused before a stencil
+    # divides by it.  The error is the command's only line of stderr: the
+    # command runs once more in a process of its own, where no warning
+    # filter of the test runner hides numpy's warnings
     monkeypatch.chdir(tmp_path)
     assert cli_main(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {error}\n"
+    assert list(tmp_path.iterdir()) == []
+    src = Path(cli.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-m", "riemflow.cli", *argv], cwd=tmp_path,
+                          env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True,
+                          text=True, timeout=120)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", f"error: {error}\n")
     assert list(tmp_path.iterdir()) == []
 
 
@@ -587,6 +600,17 @@ def test_cli_linearize_refuses_a_run_without_steps(argv, error, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {error}\n"
+
+
+def test_cli_linearize_fits_no_order_to_roundoff(capsys):
+    # one step of 1e-12 leaves errors of 2e-14 and 4e-14, the roundoff of the
+    # central quotients, eps max |g| / (2 e): their "order" of -1.06 meant
+    # nothing and is null.  At 1e-6 the errors, 3e-11 and 8e-12, stand well
+    # above it and give the order 2
+    for t_end, order in (("1e-12", None), ("1e-6", 2.0)):
+        assert cli_main(["linearize", "--t-end", t_end, "--dt", t_end]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["observed_order"] == pytest.approx(order, abs=1e-2)
 
 
 def test_configs_directory_loads():
