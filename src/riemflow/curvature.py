@@ -12,19 +12,19 @@ The block entries are gathered from the component formula
     R_ijkl = 1/2 (d_j d_l g_ik + d_i d_k g_jl - d_i d_l g_jk - d_j d_k g_il)
              - g_mn (Gamma^m_jk Gamma^n_il - Gamma^m_jl Gamma^n_ik),
 
-including its sign convention, through cached index arrays, each exactly as
-the full component array computes it.  The kernel reads two parts linear in
-the jet (:func:`~riemflow.charts.curvature_parts`): the Hessian bracket and
-the lowered Christoffel symbols ``Gamma_{l,jk} = 1/2 (d_k g_lj + d_j g_lk -
-d_l g_jk)``.  The quadratic term ``g_mn Gamma^m_jk Gamma^n_il = Gamma^m_jk
-Gamma_{m,il}`` is one product of the raised symbols ``g^{ml} Gamma_{l,jk}``
-with the lowered ones, so the kernel reads the inverse metric and not g.
-It serves both chart kinds: a grid field's parts come from its stencil jet,
-and an analytic chart's evolving field carries them from its frozen frame.
-Under this convention the unit
-sphere has sectional factor -1 and hyperbolic space +1 (pinned once by a
-symbolic differentiation oracle; see ``tools/pin_constants.py`` and the
-frozen values in the test suite).  Ricci is the pair trace ``R_ik = g^{jl}
+including its sign convention, through index arrays bound once per n, each
+exactly as the full component array computes it.  The kernel reads two
+parts linear in the jet (:func:`~riemflow.charts.curvature_parts`): the
+Hessian bracket and the lowered Christoffel symbols ``Gamma_{l,jk} = 1/2
+(d_k g_lj + d_j g_lk - d_l g_jk)``.  The quadratic term ``g_mn Gamma^m_jk
+Gamma^n_il = Gamma^m_jk Gamma_{m,il}`` is one product of the raised symbols
+``g^{ml} Gamma_{l,jk}`` with the lowered ones, so the kernel reads the
+inverse metric and not g.  It serves both chart kinds: a grid field's parts
+come from its stencil jet, and an analytic chart's evolving field carries
+them from its frozen frame.  Under this convention the unit sphere has
+sectional factor -1 and hyperbolic space +1 (pinned once by a symbolic
+differentiation oracle; see ``tools/pin_constants.py`` and the frozen
+values in the test suite).  Ricci is the pair trace ``R_ik = g^{jl}
 R_ijkl``; the contraction over the first and last slots is its negative.
 The pair trace is the one under which the dimension-3 decomposition, the
 conformally flat decomposition and the trace-free Weyl tensor all hold.
@@ -35,7 +35,8 @@ products: the pair trace sums the (n-1)^2 nonzero terms of each (i, k),
 ``|T|^2 = 4 <B, C_2(g^-1) B C_2(g^-1)>`` (:func:`tensor_norm`).  They agree
 with the literal component formulas (the test suite's oracle, which reads
 the n^4 view :attr:`CurvatureTensor.array`) to roundoff.  The kernels take
-the inverse metric, so that a right-hand side inverts its metric once.
+the inverse metric, so that a right-hand side inverts its metric once; each
+is built once per n, its tables bound, and the public functions wrap it.
 """
 
 import math
@@ -197,9 +198,8 @@ def christoffel_from_jets(g, dg, ginv):
 
 
 def riemann(field: MetricField) -> CurvatureTensor:
-    """Curvature block from the component formula, after one positivity
-    check of the field, with its cached inverse and its
-    :meth:`~riemflow.charts.MetricField.curvature_parts`."""
+    """Curvature block from the component formula, after the field's one
+    positivity check, with its inverse and its curvature parts."""
     field.validate_spd()
     kernel = _riemann_kernel(field.dimension)
     return CurvatureTensor(kernel(*field.curvature_parts(), field.inverse))

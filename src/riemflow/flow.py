@@ -393,7 +393,7 @@ class _RK4System:
             self.state0.append(np.asarray(velocity, dtype=float).reshape(g.shape).copy())
         if cross_check:
             self.state0.append(pair_product_from_samples(g).copy())
-        # the builder and the kernels hold the chart, not the system
+        # the builder holds the chart, not the system
         self._build = chart.evolving(field)
         n = field.dimension
         self._inverse, self._rate = _inverse_kernel(n), _rate_kernel(law, n)
