@@ -28,7 +28,7 @@ import numpy as np
 from .bialternate import bialternate_product, recover_metric, verify_recovery_identity
 from .charts import MetricField
 from .curvature import ricci_and_scalar, riemann, tensor_norm, weyl
-from .errors import RiemflowError, finite_number
+from .errors import RiemflowError, finite_number, whole_number
 from .families import DEFAULTS, make_family
 from .flow import integrate_flow
 from .scenarios import (
@@ -177,9 +177,10 @@ def _cmd_soliton(args):
 
 
 def _cmd_linearize(args):
-    # a run that takes no step has no tangency order
+    # a run that takes no step has no tangency order, and a zero eps no quotient
     finite_number(args.dt, "dt", positive=True)
     finite_number(args.t_end, "t_end", positive=True)
+    finite_number(args.eps, "eps", positive=True)
     rng = np.random.default_rng(args.seed)
     family = make_family("conformal-torus", args.dimension, _given(args, ("amplitude", "mode")), rng)
     chart = _build_chart({"kind": "periodic-grid", "points_per_axis": args.grid}, family)
@@ -209,6 +210,9 @@ def _cmd_linearize(args):
 
 
 def _cmd_identity_check(args):
+    # no sample checks nothing, and recovery needs n >= 3
+    whole_number(args.count, "count", least=1)
+    whole_number(args.dimension, "dimension", least=3)
     rng = np.random.default_rng(args.seed)
     worst_identity = 0.0
     worst_roundtrip = 0.0
@@ -227,9 +231,12 @@ def _cmd_identity_check(args):
 
 
 def _cmd_run(args):
+    jobs = whole_number(args.jobs, "jobs", least=1)
     configs = [load_config(path) for path in args.configs]
-    if args.jobs > 1 and len(configs) > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    # the pool starts all its workers at the first task: no more than there are configs
+    workers = min(jobs, len(configs))
+    if workers > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             summaries = list(pool.map(run_scenario, configs))
     else:
         summaries = [run_scenario(cfg) for cfg in configs]

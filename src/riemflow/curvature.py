@@ -251,18 +251,17 @@ def ricci_scalar_from_arrays(ginv, riem_block):
 
 
 def pair_trace(ginv, block):
-    """Pair trace ``W_ik = g^{jl} T_ijkl`` of stacked blocks ``(..., N, N)``
+    """Pair trace ``W_ik = g^{jl} T_ijkl`` of stacked blocks ``(..., S, N, N)``
     (:func:`_pair_trace_kernel`)."""
-    n, lead = ginv.shape[-1], block.shape[:-2]
-    W = _pair_trace_kernel(n)(ginv.reshape(-1, n, n), block.reshape((-1,) + block.shape[-2:]))
-    return W.reshape(lead + (n, n))
+    return _pair_trace_kernel(ginv.shape[-1])(ginv, block)
 
 
 @lru_cache(maxsize=None)
 def _pair_trace_kernel(n):
-    """Pair trace of stacks (S, n, n) and (S, N, N): a gather of the terms
-    with j != i and l != k, summed by one product with their signs, in
-    chunks of samples that gather at most
+    """Pair trace of stacks (..., S, n, n) and (..., S, N, N): a gather of
+    the terms with j != i and l != k, summed by one product with their signs
+    per stack of S samples, so that the sum of a stack does not depend on
+    the stacks beside it, in chunks of samples that gather at most
     :data:`~riemflow.charts.COFACTOR_GATHER` terms, one on every shipped grid."""
     i, j, k, l = np.indices((n,) * 4).reshape(4, -1)
     term = (i != j) & (k != l)
@@ -272,12 +271,16 @@ def _pair_trace_kernel(n):
     entries, inverse, chunk = signed % NN, (j * n + l)[term], COFACTOR_GATHER // len(signed)
 
     def trace(ginv, block):
-        if len(block) > chunk and len(ginv) == len(block):
-            return np.concatenate([trace(ginv[s:s + chunk], block[s:s + chunk])
-                                   for s in range(0, len(block), chunk)])
+        count = block.shape[-3]
+        if count > chunk and ginv.shape[-3] == count:
+            return np.concatenate([trace(ginv[..., s:s + chunk, :, :], block[..., s:s + chunk, :, :])
+                                   for s in range(0, count, chunk)], axis=-3)
         terms = take_last(block.reshape(-1, NN), entries) * take_last(ginv.reshape(-1, n * n),
                                                                       inverse)
-        return (terms @ sums).reshape(-1, n, n)
+        if block.ndim == 3:
+            return (terms @ sums).reshape(-1, n, n)
+        lead = block.shape[:-2]
+        return (terms.reshape(lead + (-1,)) @ sums).reshape(lead + (n, n))
 
     return trace
 
@@ -295,24 +298,20 @@ def weyl(field: MetricField, riem: CurvatureTensor) -> CurvatureTensor:
                            / ((n - 1) * (n - 2)))
 
 
-def _compound(a, b):
-    """Block of ``(a (.) b)_ijkl = a_ik b_jl - a_il b_jk`` for stacked
-    ``(..., n, n)`` inputs (:func:`_compound_kernel`)."""
-    n = a.shape[-1]
-    block = _compound_kernel(n)(a.reshape(-1, n, n), b.reshape(-1, n, n))
-    return block.reshape(np.broadcast_shapes(a.shape[:-2], b.shape[:-2]) + block.shape[1:])
-
-
 @lru_cache(maxsize=None)
 def _compound_kernel(n):
-    """Block (S, N, N) of ``a (.) b`` for stacks ``(S, n, n)``."""
+    """Block (..., N, N) of ``(a (.) b)_ijkl = a_ik b_jl - a_il b_jk`` for
+    stacks ``(..., n, n)`` of one shape, or one of them a single matrix."""
     first, second = _block_index(n, ("ik", "il")), _block_index(n, ("jl", "jk"))
     shape, nn = (-1,) + (pair_count(n),) * 2, n * n
 
     def compound(a, b):
         x = take_last(a.reshape(-1, nn), first)
         y = take_last(b.reshape(-1, nn), second)
-        return (x[..., 0, :] * y[..., 0, :] - x[..., 1, :] * y[..., 1, :]).reshape(shape)
+        block = x[..., 0, :] * y[..., 0, :] - x[..., 1, :] * y[..., 1, :]
+        if a.ndim == b.ndim == 3:
+            return block.reshape(shape)
+        return block.reshape(np.broadcast_shapes(a.shape[:-2], b.shape[:-2]) + shape[1:])
 
     return compound
 
@@ -320,13 +319,14 @@ def _compound_kernel(n):
 def pair_product_from_samples(g):
     """The pair product on stacked samples: the second compound ``C_2(g)``,
     whose block entries are the minors ``g_ik g_jl - g_il g_jk``."""
-    return _compound(g, g)
+    return _compound_kernel(g.shape[-1])(g, g)
 
 
 def kn_product(a, b):
     """Block of ``(a ^ b)_ijkl = a_ik b_jl + a_jl b_ik - a_il b_jk - a_jk b_il``,
     the bialternate sum ``a (.) b + b (.) a``."""
-    return _compound(a, b) + _compound(b, a)
+    compound = _compound_kernel(a.shape[-1])
+    return compound(a, b) + compound(b, a)
 
 
 def orthogonal_metric_curvature(lame_coefficients, chart) -> CurvatureTensor:

@@ -49,7 +49,9 @@ raises :class:`~riemflow.errors.StepRejected`.  The relative eigenvalues of
 a state, which only its record reads, are computed for the records alone;
 any other accepted state is shown to be far from the record and collapse
 thresholds by the trace tr(g^-1 g0), read off the inverse its right-hand
-side holds, and one that is not shown so is decomposed.
+side holds, and one that is not shown so is decomposed.  A record's other
+diagnostics are taken in batches of records, one pass over their stack per
+column (:data:`RECORD_BATCH_SAMPLES`), each exactly as for the record alone.
 """
 
 import math
@@ -80,6 +82,11 @@ from .errors import (
 )
 
 COLLAPSE_EIG_FRACTION = 1e-6
+
+# the queued samples at which a run's records take their diagnostics, in one
+# pass over their stack: 8^3, the smallest shipped grid, so that a grid run
+# takes one pass per record and a one-sample run one per 512 records
+RECORD_BATCH_SAMPLES = 512
 
 
 def bisect(inside, lo, hi):
@@ -210,10 +217,11 @@ class Law:
 
     def residual(self, g, ginv, k, rate, riem):
         """Max norm of the law's equation at the ``rate`` that :meth:`rate`
-        gave for the same samples."""
+        gave for the same samples, over each stack (S, N, N) of samples: a
+        number for one stack, an array of them for stacks (..., S, N, N)."""
         total = _combine([(c, term) for c, term in self.row(g.shape[-1]) if c != 0.0],
                          (g, ginv, k, rate, riem), riem)
-        return float(np.abs(total).max())
+        return np.abs(total).max(axis=(-3, -2, -1))
 
 
 @lru_cache(maxsize=64)
@@ -482,40 +490,58 @@ def _rk4_evolve(initial, law, order, velocity, dt, t_end, stride, collapse_thres
                           "sup_riem_norm", "scalar_min", "scalar_max",
                           "eq_residual", "det_g_min", "cross_check_error")})
 
-    def sup_riem(rhs):
-        return float(tensor_norm(CurvatureTensor(rhs[1]), rhs[3]).max())
+    def sup_riem(riem, ginv):  # over the samples of each stack
+        return tensor_norm(CurvatureTensor(riem), ginv).max(axis=-1)
+
+    # per record not yet flushed: g, g^-1, Riem, the rate, k (None for a
+    # flow), its relative eigenvalues and sup |Riem| (None when not taken)
+    queue = []
 
     def record(t, state, rhs, rel=None, sup=None):
         """Append a record of ``state``, whose rhs is ``rhs``, relative
-        eigenvalues are ``rel`` and sup |Riem| is ``sup`` (each taken here
-        when not given), and return ``rhs``."""
-        g = state[0]
-        rel = _relative_eigenvalues(g, L0inv) if rel is None else rel
+        eigenvalues are ``rel`` and sup |Riem| is ``sup``, and queue its
+        diagnostics for :func:`flush`; return ``rhs``."""
         _, riem, rate, ginv = rhs
-        k = state[1] if system.wave else None
-        ric, scal = ricci_scalar_from_arrays(ginv, riem)
         traj.times.append(t)
-        traj.states.append(g.copy())
-        traj.velocities.append((rate if k is None else k).copy())
-        d = traj.diagnostics
-        det = np.linalg.det(g)
-        d["f_est"].append(float(np.mean((det / det0) ** (1.0 / n))))
-        d["min_rel_eig"].append(float(rel.min()))
-        d["max_rel_eig"].append(float(rel.max()))
-        d["sup_ric_norm"].append(float(tensor_norm(ric, ginv).max()))
-        d["sup_riem_norm"].append(sup_riem(rhs) if sup is None else sup)
-        d["scalar_min"].append(float(scal.min()))
-        d["scalar_max"].append(float(scal.max()))
-        d["eq_residual"].append(system.law.residual(g, ginv, k, rate, riem))
-        d["det_g_min"].append(float(det.min()))
+        traj.states.append(state[0].copy())
+        traj.velocities.append((state[1] if system.wave else rate).copy())
         err = math.nan
         if cross_check_stride and (len(traj.times) - 1) % cross_check_stride == 0:
             try:
-                err = float(np.abs(recover_metric(state[-1], n) - g).max())
+                err = float(np.abs(recover_metric(state[-1], n) - state[0]).max())
             except NotInImage:
                 err = math.inf
-        d["cross_check_error"].append(err)
+        traj.diagnostics["cross_check_error"].append(err)
+        queue.append((traj.states[-1], ginv, riem, rate,
+                      traj.velocities[-1] if system.wave else None, rel, sup))
+        if len(queue) * len(g0) >= RECORD_BATCH_SAMPLES:
+            flush()
         return rhs
+
+    def flush():
+        """Append the other diagnostics of the queued records, in record
+        order, each column taken for all of them in one pass over their
+        stack, and empty the queue."""
+        gs, ginvs, riems, rates, ks, rels, sups = zip(*queue)
+        queue.clear()
+        g, ginv, riem, rate = map(np.stack, (gs, ginvs, riems, rates))
+        k = np.stack(ks) if system.wave else None
+        rel = np.stack(_fill(rels, lambda i: _relative_eigenvalues(g[i], L0inv)))
+        ric, scal = ricci_scalar_from_arrays(ginv, riem)
+        det = np.linalg.det(g)
+        columns = {
+            "f_est": np.mean((det / det0) ** (1.0 / n), axis=-1),
+            "min_rel_eig": rel.min(axis=(-2, -1)),
+            "max_rel_eig": rel.max(axis=(-2, -1)),
+            "sup_ric_norm": tensor_norm(ric.reshape(-1, n, n), ginv.reshape(-1, n, n)).reshape(
+                det.shape).max(axis=-1),
+            "sup_riem_norm": np.array(_fill(sups, lambda i: sup_riem(riem[i], ginv[i]))),
+            "scalar_min": scal.min(axis=-1),
+            "scalar_max": scal.max(axis=-1),
+            "eq_residual": system.law.residual(g, ginv, k, rate, riem),
+            "det_g_min": det.min(axis=-1)}
+        for key, column in columns.items():
+            traj.diagnostics[key].extend(column.tolist())
 
     # a state with every relative eigenvalue above ``near`` is recorded only
     # on the stride.  tr(g^-1 g0) < 1/(2 near), read off the inverse the
@@ -532,7 +558,7 @@ def _rk4_evolve(initial, law, order, velocity, dt, t_end, stride, collapse_thres
 
     def accept(t, state, rhs, due):
         """Check and record an accepted state; true when the run ends there."""
-        sup = None if curvature_cap is None else sup_riem(rhs)
+        sup = None if curvature_cap is None else float(sup_riem(rhs[1], rhs[3]))
         rel = None if not due and far(rhs) else _relative_eigenvalues(state[0], L0inv)
         min_rel = math.inf if rel is None else rel.min()
         if min_rel < collapse_threshold:
@@ -552,7 +578,17 @@ def _rk4_evolve(initial, law, order, velocity, dt, t_end, stride, collapse_thres
     traj.termination = "collapse" if traj.collapse_bracket else traj.termination
     if traj.times[-1] != t:  # the last state before a failed step
         record(t, state, rhs)
+    if queue:
+        flush()
     return traj
+
+
+def _fill(values, take):
+    """``values`` as a list, each None replaced in order by the entries of
+    ``take(indices)``, taken once for the indices of the Nones."""
+    missing = [i for i, value in enumerate(values) if value is None]
+    taken = iter(take(missing) if missing else ())
+    return [next(taken) if value is None else value for value in values]
 
 
 def _march(step, state, rhs, t, ends, stride=1, accept=None, event=None):

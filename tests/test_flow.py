@@ -217,6 +217,12 @@ def test_first_order_rows_are_ricci_bourguignon_flows(kind, n):
         assert np.abs(rate - want).max() <= 1e-13 * np.abs(want).max(), law
 
 
+# parameters of the law rows that take them, one set per row
+_ROW_PARAMS = {("riemann-type", 1): {"alpha": 1.5, "beta": 0.1},
+               ("general", 1): {"beta": 0.8, "gamma": -0.3, "delta": 1.1},
+               ("general", 2): {"alpha": 0.7, "beta": 0.4, "gamma": 0.3, "delta": 2.0}}
+
+
 def test_every_law_row_solves_its_own_equation():
     # at n = 3 the pair trace loses nothing, so each row's rate solves its
     # G-level equation to roundoff, the waves at an anisotropic velocity;
@@ -226,11 +232,8 @@ def test_every_law_row_solves_its_own_equation():
     a = np.random.default_rng(5).normal(size=g.shape)
     k = 0.1 * g + 0.05 * (a + np.swapaxes(a, -1, -2))
     scale = float(tensor_norm(CurvatureTensor(riem), ginv).max())
-    params = {("riemann-type", 1): {"alpha": 1.5, "beta": 0.1},
-              ("general", 1): {"beta": 0.8, "gamma": -0.3, "delta": 1.1},
-              ("general", 2): {"alpha": 0.7, "beta": 0.4, "gamma": 0.3, "delta": 2.0}}
     for name, order in flow._LAWS:
-        law = resolve_law((name, params.get((name, order))), 3, order)
+        law = resolve_law((name, _ROW_PARAMS.get((name, order))), 3, order)
         velocity = k if order == 2 else None
         rate = law.rate(g, ginv, velocity, riem)
         residual = law.residual(g, ginv, velocity, rate, riem)
@@ -407,10 +410,76 @@ def test_a_cap_stop_between_records_records_its_own_state():
     assert sparse.diagnostic("min_rel_eig")[-1] < sparse.diagnostic("min_rel_eig")[-2]
 
 
+def _columns_one_record_at_a_time(traj, fld, law, velocity):
+    """Each record's diagnostic columns as they are taken for that record
+    alone: its right-hand side rebuilt from its stored state (and velocity,
+    for a wave), each column a reduction of its own samples."""
+    system = flow._RK4System(fld, law, velocity)
+    g0 = traj.states[0]
+    L0inv, det0, n = flow._rel_eig_factors(g0), np.linalg.det(g0), g0.shape[-1]
+    columns = {key: [] for key in traj.diagnostics if key != "cross_check_error"}
+    for g, v in zip(traj.states, traj.velocities):
+        _, riem, rate, ginv = system.rhs([g, v] if system.wave else [g])
+        if not system.wave:
+            assert np.array_equal(rate, v)
+        rel = flow._relative_eigenvalues(g, L0inv)
+        ric, scal = ricci_scalar_from_arrays(ginv, riem)
+        det = np.linalg.det(g)
+        for key, value in (
+                ("f_est", np.mean((det / det0) ** (1.0 / n))), ("min_rel_eig", rel.min()),
+                ("max_rel_eig", rel.max()), ("sup_ric_norm", tensor_norm(ric, ginv).max()),
+                ("sup_riem_norm", tensor_norm(CurvatureTensor(riem), ginv).max()),
+                ("scalar_min", scal.min()), ("scalar_max", scal.max()),
+                ("eq_residual", law.residual(g, ginv, v if system.wave else None, rate, riem)),
+                ("det_g_min", det.min())):
+            columns[key].append(float(value))
+    return columns
+
+
+def _off_origin_field(n):
+    lame = ["1 + 0.3*cos(x1)", "1 + 0.2*sin(x1 + x2)", "1.2 + 0.25*cos(x2)*sin(x3)",
+            "1 + 0.1*x1*x4"]
+    fam = make_family("diagonal-lame", n, {"expressions": lame[:n]})
+    return MetricField.from_function(AnalyticChart(n, [0.3, -0.2, 0.5, 0.1][:n], 1e-2),
+                                     fam.metric_function)
+
+
+@pytest.mark.parametrize("chart", ["point-3", "point-4", "grid-3", "grid-2"])
+def test_batched_record_diagnostics_match_one_record_at_a_time(chart):
+    # records take their diagnostics in batches of RECORD_BATCH_SAMPLES
+    # samples: 512 one-sample records, one 8^3 grid record, eight 8^2 grid
+    # records.  Every law row, at a point off the origin over 521 steps (two
+    # batches), on an 8^3 grid (the Ricci rows also on 8^2, the only grids
+    # below a batch), gives each record the columns it has alone, bit for
+    # bit: a batch's pair trace takes one product per record.  The waves run
+    # under a cap that is never reached, so a record reuses the |Riem| the
+    # cap took, except the first, which the batch takes
+    kind, n = chart.split("-")[0], int(chart.split("-")[1])
+    if kind == "point":
+        fld, dt, steps = _off_origin_field(n), 1.0 / 8192, 521
+    else:
+        fld, dt, steps = torus_field(n, amplitude=0.1)[0], 1e-3, 3 if n == 3 else 20
+    a = np.random.default_rng(7).normal(size=fld.samples.shape)
+    velocity = 0.1 * fld.samples + 0.05 * (a + np.swapaxes(a, -1, -2))
+    for name, order in flow._LAWS:
+        if n == 2 and not name.startswith("ricci"):
+            continue
+        law = resolve_law((name, _ROW_PARAMS.get((name, order))), n, order)
+        traj = flow._rk4_evolve(fld, law, order, velocity if order == 2 else None, dt,
+                                steps * dt, 1, COLLAPSE_EIG_FRACTION,
+                                1e12 if order == 2 else None, None)
+        assert len(traj.times) == steps + 1 and traj.termination == "t_end"
+        want = _columns_one_record_at_a_time(traj, fld, law, velocity if order == 2 else None)
+        for key, column in want.items():
+            assert traj.diagnostics[key] == column, (name, order, key)
+
+
 def test_a_capped_run_takes_sup_riem_once_per_accepted_state(monkeypatch):
-    # 500 steps, 51 records: each record takes |Ric| and |Riem|, and the cap
-    # check reuses the |Riem| of a recorded state, so the cap adds one norm
-    # per step that is not recorded; the records do not move
+    # 500 steps, 51 one-sample records, whose diagnostics are taken in one
+    # batch: one norm call for |Ric| and one for the |Riem| not yet taken.
+    # The cap takes |Riem| at every accepted state, and the records reuse it,
+    # so the capped run adds 500 calls and leaves one record (t = 0) to the
+    # batch; the records do not move
     calls = []
     monkeypatch.setattr(flow, "tensor_norm",
                         lambda *args, f=flow.tensor_norm: calls.append(1) or f(*args))
@@ -422,7 +491,7 @@ def test_a_capped_run_takes_sup_riem_once_per_accepted_state(monkeypatch):
         counts.append(len(calls))
     free, capped = runs
     assert len(free.times) == len(capped.times) == 51
-    assert counts == [102, 552]
+    assert counts == [2, 502]
     assert free.times == capped.times and free.termination == capped.termination == "t_end"
     for key in free.diagnostics:
         assert np.array_equal(free.diagnostic(key), capped.diagnostic(key), equal_nan=True)

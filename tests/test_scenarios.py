@@ -347,6 +347,46 @@ def test_cli_jobs_flag(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cli_run_starts_no_more_workers_than_configs(tmp_path, monkeypatch, capsys):
+    # a process pool starts all its workers at the first task, so --jobs is
+    # capped at the number of configs; a recording stand-in runs them here
+    workers = []
+
+    class Pool:
+        def __init__(self, max_workers):
+            workers.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", Pool)
+    paths = [_write(tmp_path, _base_cfg(tmp_path, id=f"job{k}", output={
+        "csv": str(tmp_path / f"j{k}.csv"), "summary": str(tmp_path / f"j{k}.json")}),
+        f"job{k}.json") for k in range(3)]
+    for jobs, want in (("5000", [3]), ("2", [2]), ("1", [])):
+        workers.clear()
+        assert cli_main(["run", *paths, "--jobs", jobs]) == 0
+        assert workers == want
+    assert cli_main(["run", paths[0], "--jobs", "8"]) == 0
+    assert workers == []
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_cli_run_refuses_fewer_than_one_job(tmp_path, capsys, jobs):
+    path = _write(tmp_path, _base_cfg(tmp_path))
+    assert cli_main(["run", path, "--jobs", jobs]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: jobs must be at least 1 (key: 'jobs')\n")
+    assert not (tmp_path / "out.csv").exists()
+
+
 def test_cli_curvature_subcommand(capsys):
     assert cli_main(["curvature", "--family", "sphere-stereographic", "-n", "3"]) == 0
     out = json.loads(capsys.readouterr().out)
@@ -524,6 +564,21 @@ def test_cli_identity_check(capsys):
     assert out["max_roundtrip_error"] < 1e-10
 
 
+@pytest.mark.parametrize("argv, error", [
+    (["--count", "0"], "count must be at least 1 (key: 'count')"),
+    (["--count", "-3"], "count must be at least 1 (key: 'count')"),
+    (["-n", "0"], "dimension must be at least 3 (key: 'dimension')"),
+    (["-n", "1"], "dimension must be at least 3 (key: 'dimension')"),
+    (["-n", "2"], "dimension must be at least 3 (key: 'dimension')"),
+])
+def test_cli_identity_check_refuses_no_samples_and_small_dimensions(argv, error, capsys):
+    # no sample would pass with a residual of 0, and below n = 3 there is no
+    # recovery to check: one line on stderr, not a pass or a traceback
+    assert cli_main(["identity-check", *argv]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {error}\n")
+
+
 def test_cli_flow_subcommand(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     code = cli_main(["flow", "--family", "flat", "-n", "3", "--grid", "8",
@@ -600,6 +655,20 @@ def test_cli_linearize_refuses_a_run_without_steps(argv, error, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {error}\n"
+
+
+@pytest.mark.parametrize("eps, error", [
+    ("0", "eps must be positive (key: 'eps')"),
+    ("-0.01", "eps must be positive (key: 'eps')"),
+    ("nan", "eps must be a finite number, got nan (key: 'eps')"),
+    ("inf", "eps must be a finite number, got inf (key: 'eps')"),
+])
+def test_cli_linearize_refuses_an_eps_that_is_not_positive_and_finite(eps, error, capsys):
+    # a zero eps divides by zero and a NaN one reads as a metric that is not
+    # positive definite; both are refused before any run, as one line
+    assert cli_main(["linearize", "--eps", eps]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {error}\n")
 
 
 def test_cli_linearize_fits_no_order_to_roundoff(capsys):

@@ -72,6 +72,10 @@ def test_compare_outputs_runs_the_one_shot_commands(tmp_path):
             "--stride 5 --velocity-scale 0.3",
             "flow --family hyperbolic-poincare -n 4 --point 0.1 -0.2 0.3 0.05 --dt 1e-2 "
             "--t-end 1 --stride 5"} <= set(runs_a)
+    # 2,001 one-sample records cross three of the record batches' boundaries
+    assert ("flow --family sphere-stereographic --point 0.1 -0.2 0.3 --dt 1e-3 --t-end 2 "
+            "--stride 1") in runs_a
+    assert len(runs_a) == 17
 
 
 spec = importlib.util.spec_from_file_location(

@@ -9,8 +9,8 @@ every ``configs/*.json`` of its own through ``riemflow run``, every
 ``demos/*.py`` of its own and every command of :data:`COMMANDS` (the
 one-shot ``curvature`` report on each family and chart kind, ``soliton``,
 ``linearize``, ``identity-check``, three runs of the step loop's
-failed-step paths and two analytic evolutions off the origin, which no
-config reaches), one process
+failed-step paths, two analytic evolutions off the origin, which no
+config reaches, and a one-sample flow recorded at every step), one process
 per run with the tree's ``src`` on the import path, in a temporary directory
 of its own.  The script compares the exit status, stdout and every file the
 run wrote: CSV files byte for byte, JSON summaries as parsed without
@@ -62,7 +62,11 @@ COMMANDS = [["curvature", *args] for args in (
     ["wave", "--family", "hyperbolic-poincare", "--point", "0.13", "0.003", "0.14", "--dt", "1e-2",
      "--t-end", "2", "--stride", "5", "--velocity-scale", "0.3"],
     ["flow", "--family", "hyperbolic-poincare", "-n", "4", "--point", "0.1", "-0.2", "0.3", "0.05",
-     "--dt", "1e-2", "--t-end", "1", "--stride", "5"]]
+     "--dt", "1e-2", "--t-end", "1", "--stride", "5"]] + [
+    # 2,001 one-sample records, which the flow's diagnostics take in batches
+    # of at most 512: a run across batch boundaries
+    ["flow", "--family", "sphere-stereographic", *POINT, "--dt", "1e-3", "--t-end", "2",
+     "--stride", "1"]]
 
 # per kind, the runs of the tree at a root: name -> arguments after the
 # interpreter
