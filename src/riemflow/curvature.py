@@ -251,8 +251,8 @@ def ricci_scalar_from_arrays(ginv, riem_block):
 
 
 def pair_trace(ginv, block):
-    """Pair trace ``W_ik = g^{jl} T_ijkl`` of stacked blocks ``(..., S, N, N)``
-    (:func:`_pair_trace_kernel`)."""
+    """Pair trace ``W_ik = g^{jl} T_ijkl`` of a block (N, N) or stacked
+    blocks ``(..., S, N, N)`` (:func:`_pair_trace_kernel`)."""
     return _pair_trace_kernel(ginv.shape[-1])(ginv, block)
 
 
@@ -271,7 +271,7 @@ def _pair_trace_kernel(n):
     entries, inverse, chunk = signed % NN, (j * n + l)[term], COFACTOR_GATHER // len(signed)
 
     def trace(ginv, block):
-        count = block.shape[-3]
+        count = block.shape[-3] if block.ndim > 2 else 1
         if count > chunk and ginv.shape[-3] == count:
             return np.concatenate([trace(ginv[..., s:s + chunk, :, :], block[..., s:s + chunk, :, :])
                                    for s in range(0, count, chunk)], axis=-3)

@@ -431,6 +431,11 @@ def test_batched_contractions_match_component_formulas(n, S):
     assert _rel_err(tensor_norm(t4, ginv), _oracle_norm(t4.array, ginv)) < 1e-12
     assert _rel_err(pair_trace(ginv, t4.block),
                     np.einsum('...jl,...ijkl->...ik', ginv, t4.array)) < 1e-12
+    # one block without a sample axis, and a stack of stacks, one product each
+    assert _rel_err(pair_trace(ginv[0], t4.block[0]), pair_trace(ginv, t4.block)[0]) < 1e-14
+    stacked = pair_trace(np.stack([ginv, ginv[::-1]]), np.stack([t4.block, t4.block[::-1]]))
+    assert np.array_equal(stacked, np.stack([pair_trace(ginv, t4.block),
+                                             pair_trace(ginv[::-1], t4.block[::-1])]))
 
 
 def test_pair_trace_gathers_in_bounded_chunks():
