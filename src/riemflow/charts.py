@@ -40,16 +40,19 @@ components ``g_ij``, ``i <= j``, and mirrors their first derivatives once.
 A field checks positivity and inverts its
 metric once, in one cofactor pass vectorised over the samples
 (:func:`spd_inverse`, cached as :attr:`MetricField.inverse` or given to the
-field made with it): one gather of each matrix's entries, its tables bound
-once per n (:func:`_inverse_kernel`), gives the adjugate and the leading
-principal minors as signed sums of products.  The minors decide positivity
-by Sylvester's criterion (eigenvalues only on failure, to name the worst
-sample), and the inverse is the adjugate over the determinant.  The minors
-lose about kappa^(n-1) eps to roundoff where an LU inverse loses kappa eps,
-kappa the condition number.  The fixed
-gathers of the kernels go through :func:`take_last`: ``ndarray.take`` for
-a stack of one sample, where its fixed cost per call is the lower, and fancy
-indexing for more, which it gathers faster.
+field made with it): one gather of each matrix's entries gives the adjugate
+and the leading principal minors as signed sums of products.  Its kernel
+(:func:`_inverse_kernel`) is bound to a stack's sample count and dtype, with
+the pass's tables, the buffer the entries are copied into and the layout of
+the result decided once; an evolution binds it once per run.  The minors
+decide positivity by Sylvester's criterion (eigenvalues only on failure, to
+name the worst sample), and the inverse is the adjugate over the
+determinant.  The minors lose about kappa^(n-1) eps to roundoff where an LU
+inverse loses kappa eps, kappa the condition number.  The fixed gathers of
+the curvature kernels are chosen when a kernel is bound to its stacks'
+shape: ``ndarray.take`` of the flat array for a stack of one sample, where
+its fixed cost per call is the lower, and fancy indexing (:func:`take_last`)
+for more, which it gathers faster.
 Index conventions for metric jets: ``dg[..., i, j, k] = d_k g_ij`` and, over
 the components ``c = (i <= j)`` in ``np.triu_indices`` order,
 ``d2g[..., c, k, l] = d_k d_l g_ij`` with the derivative pair symmetrised.
@@ -192,7 +195,7 @@ class AnalyticChart:
             (slice(a, b), (1,) + p.shape[1:]) for a, b, p in zip(ends, ends[1:], pieces)]
 
         def build(g, inverse=None):
-            d = g.take(flat) @ jet_map
+            d = g.take(flat).dot(jet_map)
             return MetricField(self, g, None, inverse,
                                lambda: (g, d[dg].reshape(dg_shape), d[d2g].reshape(d2g_shape)),
                                (d[low].reshape(low_shape), d[bracket].reshape(bracket_shape)))
@@ -502,25 +505,17 @@ def _cofactor_terms(n):
     return _frozen(index, np.where(index == 2 * nn, nn, index % nn), weights)
 
 
-def _cofactor_pass(g, terms):
-    """One vectorised pass over the stack ``g`` (..., n, n) with the
-    :func:`_inverse_kernel`'s ``terms``: rows ``det g``, the n^2 entries of
-    ``adj g`` and the n leading principal minors of ``g.real``, each over the
-    S matrices, (1 + n^2 + n, S), in chunks of at most :data:`COFACTOR_GATHER`
-    factors.  A polynomial in the entries, it keeps a complex ``g``'s dtype
-    and a complex step through it exact; a real ``g`` is its own real part."""
-    index, real, weights, chunk, nn = terms
-    if len(g) > chunk:
-        return np.concatenate([_cofactor_pass(g[s:s + chunk], terms)
-                               for s in range(0, len(g), chunk)], axis=1)
-    a = g.reshape(-1, nn).T
-    if a.dtype.kind == "c":
-        rows = np.empty((2 * nn + 1, a.shape[1]), dtype=a.dtype)
-        rows[nn:2 * nn] = a.real
-    else:
-        rows, index = np.empty((nn + 1, a.shape[1])), real
-    rows[:nn] = a
-    rows[-1] = 1.0
+def _cofactor_pass(rows, index, weights, chunk):
+    """One vectorised pass over ``rows`` (R, S), the rows ``[a, re a, 1]`` of
+    S matrices ``a`` (``[a, 1]`` for real ones, read by the ``real`` table of
+    :func:`_cofactor_terms`): rows ``det a``, the n^2 entries of ``adj a`` and
+    the n leading principal minors of ``re a``, (1 + n^2 + n, S), in chunks of
+    at most ``chunk`` matrices, :data:`COFACTOR_GATHER` factors.  A
+    polynomial in the entries, it keeps a complex ``a``'s dtype and a complex
+    step through it exact."""
+    if rows.shape[1] > chunk:
+        return np.concatenate([_cofactor_pass(rows[:, s:s + chunk], index, weights, chunk)
+                               for s in range(0, rows.shape[1], chunk)], axis=1)
     return weights.dot(np.multiply.reduce(rows.take(index, axis=0), axis=0))
 
 
@@ -528,30 +523,49 @@ def spd_inverse(g):
     """The inverse of every matrix of the stack ``g`` (..., n, n), C-contiguous: the adjugate
     over the determinant of one cofactor pass, which checks positivity (:func:`_inverse_kernel`),
     with a relative error of about kappa^(n-1) eps, kappa the condition number."""
-    return _inverse_kernel(g.shape[-1])(g)
+    n = g.shape[-1]
+    dtype = g.dtype if g.dtype.kind == "c" else np.dtype(float)
+    inverse = _inverse_kernel(n, g.size // (n * n), dtype)
+    return inverse(g.reshape(-1, n, n)).reshape(g.shape)
 
 
-@lru_cache(maxsize=None)
-def _inverse_kernel(n):
-    """:func:`spd_inverse` of n x n stacks, the pass's tables bound.  Unless
-    every leading principal minor of ``g.real`` is positive (Sylvester), the
-    eigenvalues of the finite samples name the first sample that is not
-    finite, else the least, in :class:`NotPositiveDefinite`."""
+def _inverse_kernel(n, count, dtype):
+    """:func:`spd_inverse` of stacks (count, n, n) of ``dtype``, float64 or
+    complex, bound once: the pass's tables, and the buffer its rows are
+    copied into, its row of ones written here.  The kernel owns that buffer,
+    so it is made for one run, not cached.  Unless every leading principal
+    minor of ``g.real`` is positive (Sylvester), the eigenvalues of the finite
+    samples name the first sample that is not finite, else the least, in
+    :class:`NotPositiveDefinite`."""
     nn, (index, real, weights) = n * n, _cofactor_terms(n)
-    terms = index, real, weights, max(1, COFACTOR_GATHER // index.size), nn
+    complex_ = np.dtype(dtype).kind == "c"
+    # the rows [a, re a, 1] of the pass, (R, count), and the stacks (count, n, n)
+    # of their first n^2 and next n^2 rows, into which each call copies g
+    rows = np.empty(((2 if complex_ else 1) * nn + 1, count), dtype)
+    rows[-1] = 1.0
+    entries = rows[:nn].T.reshape(count, n, n)
+    real_parts = rows[nn:2 * nn].T.reshape(count, n, n) if complex_ else None
+    terms = (rows, index if complex_ else real, weights, max(1, COFACTOR_GATHER // index.size))
+    shape, single = (count, n, n), count == 1
 
     def inverse(g):
-        cof = _cofactor_pass(g, terms)
+        entries[...] = g
+        if complex_:
+            real_parts[...] = g.real
+        cof = _cofactor_pass(*terms)
         minors = cof[1 + nn:].real
         # the least minor or the first NaN, where argmin finds it
         if not minors.item(minors.argmin()) > 0.0:
-            g = g.real.reshape(-1, n, n)
+            g = g.real
             finite = np.isfinite(g).all(axis=(1, 2))
             w = np.full(len(g), np.nan)
             w[finite] = np.linalg.eigvalsh(g[finite])[:, 0]
             worst = int(np.argmin(w))
             raise NotPositiveDefinite(worst, float(w[worst]))
-        return np.ascontiguousarray((cof[1:1 + nn] / cof[0]).T).reshape(g.shape)
+        # the adjugate's rows are the samples' columns: one sample's column is
+        # already its C-contiguous inverse, more are transposed and copied
+        inv = cof[1:1 + nn] / cof[0]
+        return inv.reshape(shape) if single else np.ascontiguousarray(inv.T).reshape(shape)
 
     return inverse
 

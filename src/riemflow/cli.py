@@ -21,6 +21,7 @@ singularity was detected (an expected scientific outcome, not an error) and
 import argparse
 import concurrent.futures
 import json
+import re
 import sys
 
 import numpy as np
@@ -277,8 +278,18 @@ def _reduced_run_parser(sub, law, help, options, **defaults):
     return _run_parser(sub, law, help, add_options, part, **defaults)
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, which also reads a negative number in scientific
+    notation (``-1e-2``) as a value, not as an option; its subparsers are of
+    this class too."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="riemflow",
         description="curvature-driven metric flows and waves via the pair product metric")
     sub = parser.add_subparsers(dest="command", required=True)

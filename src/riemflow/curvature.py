@@ -36,7 +36,9 @@ products: the pair trace sums the (n-1)^2 nonzero terms of each (i, k),
 with the literal component formulas (the test suite's oracle, which reads
 the n^4 view :attr:`CurvatureTensor.array`) to roundoff.  The kernels take
 the inverse metric, so that a right-hand side inverts its metric once; each
-is built once per n, its tables bound, and the public functions wrap it.
+is built once per n and shape of its stacks, with its tables, its gather
+(:func:`_gather`) and the form of its product decided then, and the public
+functions wrap it.
 """
 
 import math
@@ -45,6 +47,11 @@ from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
+
+try:  # the C einsum that np.einsum calls when it does not optimize, without its dispatch
+    from numpy._core.multiarray import c_einsum as _einsum
+except ImportError:  # numpy older or newer than this layout: the public function
+    _einsum = np.einsum
 
 from .charts import (
     COFACTOR_GATHER,
@@ -201,8 +208,9 @@ def riemann(field: MetricField) -> CurvatureTensor:
     """Curvature block from the component formula, after the field's one
     positivity check, with its inverse and its curvature parts."""
     field.validate_spd()
-    kernel = _riemann_kernel(field.dimension)
-    return CurvatureTensor(kernel(*field.curvature_parts(), field.inverse))
+    ginv = field.inverse
+    kernel = _riemann_kernel(ginv.shape[-1], len(ginv))
+    return CurvatureTensor(kernel(*field.curvature_parts(), ginv))
 
 
 def riemann_from_jets(g, dg, d2g, ginv):
@@ -212,25 +220,38 @@ def riemann_from_jets(g, dg, d2g, ginv):
     does not enter."""
     n, lead = ginv.shape[-1], ginv.shape[:-2]
     parts = curvature_parts(dg.reshape((-1,) + dg.shape[-3:]), d2g.reshape((-1,) + d2g.shape[-3:]))
-    block = _riemann_kernel(n)(*parts, ginv.reshape(-1, n, n))
+    block = _riemann_kernel(n, math.prod(lead))(*parts, ginv.reshape(-1, n, n))
     return block.reshape(lead + block.shape[1:])
 
 
-@lru_cache(maxsize=None)
-def _riemann_kernel(n):
-    """The curvature block (S, N, N) from the parts of
-    :func:`~riemflow.charts.curvature_parts` and the inverse metric (S, n, n)."""
+def _gather(lead, index):
+    """The gather ``a -> a[..., index]`` over the last two axes of ``a``
+    flattened, bound to stacks of shape ``lead``: ``ndarray.take`` of the
+    whole array, by the index with one axis per axis of ``lead``, when the
+    stack holds one sample, which has the lower fixed cost per call, and
+    otherwise :func:`~riemflow.charts.take_last` of the samples, whose fancy
+    indexing gathers faster over many.  Both copy the same values, bit for
+    bit."""
+    if math.prod(lead) == 1:
+        index = index.reshape((1,) * len(lead) + index.shape)
+        return lambda a: a.take(index)
+    return lambda a: take_last(a.reshape(-1, a.shape[-2] * a.shape[-1]), index)
+
+
+@lru_cache(maxsize=64)
+def _riemann_kernel(n, count):
+    """The curvature block (count, N, N) from the parts of
+    :func:`~riemflow.charts.curvature_parts` and the inverse metric (count, n, n)."""
     full = _block_index(n, ("jkil", "jlik"))
     quadratic = (full // (n * n) - n) * (n * n - n) + full % (n * n)
-    shape = (-1,) + (pair_count(n),) * 2
+    shape, gather = (count,) + (pair_count(n),) * 2, _gather((count,), quadratic)
 
     def riemann(low, bracket, ginv):
         # quadratic term g_mn (Gamma^m_jk Gamma^n_il - Gamma^m_jl Gamma^n_ik): one
         # product of the raised symbols Gamma^m_jk = g^{ml} Gamma_{l,jk} with the
         # lowered ones gives M[(jk),(il)] = Gamma^m_jk Gamma_{m,il}, over the rows
         # j >= 1 and columns i <= n - 2 only, which ``quadratic`` gathers
-        m = take_last(((ginv @ low[..., n:]).swapaxes(-1, -2) @ low[..., :-n]).reshape(
-            len(low), -1), quadratic)
+        m = gather((ginv @ low[..., n:]).swapaxes(-1, -2) @ low[..., :-n])
         riem = bracket - m[..., 0, :]
         riem += m[..., 1, :]
         return riem.reshape(shape)
@@ -246,43 +267,52 @@ def ricci_and_scalar(field: MetricField, riem: CurvatureTensor):
 
 def ricci_scalar_from_arrays(ginv, riem_block):
     ric = pair_trace(ginv, riem_block)
-    scal = np.einsum('...ik,...ik->...', ginv, ric)
+    scal = _einsum('...ik,...ik->...', ginv, ric)
     return ric, scal
 
 
 def pair_trace(ginv, block):
     """Pair trace ``W_ik = g^{jl} T_ijkl`` of a block (N, N) or stacked
     blocks ``(..., S, N, N)`` (:func:`_pair_trace_kernel`)."""
-    return _pair_trace_kernel(ginv.shape[-1])(ginv, block)
+    lead = np.broadcast_shapes(ginv.shape[:-2], block.shape[:-2])
+    return _pair_trace_kernel(ginv.shape[-1], lead)(ginv, block)
 
 
-@lru_cache(maxsize=None)
-def _pair_trace_kernel(n):
-    """Pair trace of stacks (..., S, n, n) and (..., S, N, N): a gather of
-    the terms with j != i and l != k, summed by one product with their signs
-    per stack of S samples, so that the sum of a stack does not depend on
-    the stacks beside it, in chunks of samples that gather at most
-    :data:`~riemflow.charts.COFACTOR_GATHER` terms, one on every shipped grid."""
+@lru_cache(maxsize=256)
+def _pair_trace_kernel(n, lead):
+    """Pair trace of stacks ``lead + (n, n)`` and ``lead + (N, N)``, ``lead``
+    (..., S) or (): a gather of the terms with j != i and l != k, summed by one
+    product with their signs per stack of S samples, so that the sum of a
+    stack does not depend on the stacks beside it, in chunks of samples that
+    gather at most :data:`~riemflow.charts.COFACTOR_GATHER` terms, one on
+    every shipped grid."""
     i, j, k, l = np.indices((n,) * 4).reshape(4, -1)
     term = (i != j) & (k != l)
     signed = _component_index(n)[term]                    # into [B, -B, 0]
     NN, sums = pair_count(n) ** 2, np.zeros((len(signed), n * n))
     sums[np.arange(len(signed)), (i * n + k)[term]] = np.where(signed < NN, 1.0, -1.0)
     entries, inverse, chunk = signed % NN, (j * n + l)[term], COFACTOR_GATHER // len(signed)
+    terms_of, inverse_of = _gather(lead, entries), _gather(lead, inverse)
+    count, terms_shape, shape = lead[-1] if lead else 1, lead + (-1,), lead + (n, n)
+    # one stack's product is ndarray.dot, the BLAS product of matmul with less
+    # dispatch; stacks of stacks take matmul's product per stack
+    product = np.matmul if len(lead) > 1 else np.ndarray.dot
 
     def trace(ginv, block):
-        count = block.shape[-3] if block.ndim > 2 else 1
-        if count > chunk and ginv.shape[-3] == count:
-            return np.concatenate([trace(ginv[..., s:s + chunk, :, :], block[..., s:s + chunk, :, :])
-                                   for s in range(0, count, chunk)], axis=-3)
-        terms = take_last(block.reshape(-1, NN), entries) * take_last(ginv.reshape(-1, n * n),
-                                                                      inverse)
-        if block.ndim == 3:
-            return (terms @ sums).reshape(-1, n, n)
-        lead = block.shape[:-2]
-        return (terms.reshape(lead + (-1,)) @ sums).reshape(lead + (n, n))
+        terms = terms_of(block) * inverse_of(ginv)
+        return product(terms.reshape(terms_shape), sums).reshape(shape)
 
-    return trace
+    if count <= chunk:
+        return trace
+
+    def chunked(ginv, block):
+        if ginv.shape[:-2] != block.shape[:-2]:
+            return trace(ginv, block)
+        return np.concatenate([pair_trace(ginv[..., s:s + chunk, :, :],
+                                          block[..., s:s + chunk, :, :])
+                               for s in range(0, count, chunk)], axis=-3)
+
+    return chunked
 
 
 def weyl(field: MetricField, riem: CurvatureTensor) -> CurvatureTensor:
@@ -298,20 +328,18 @@ def weyl(field: MetricField, riem: CurvatureTensor) -> CurvatureTensor:
                            / ((n - 1) * (n - 2)))
 
 
-@lru_cache(maxsize=None)
-def _compound_kernel(n):
-    """Block (..., N, N) of ``(a (.) b)_ijkl = a_ik b_jl - a_il b_jk`` for
-    stacks ``(..., n, n)`` of one shape, or one of them a single matrix."""
+@lru_cache(maxsize=256)
+def _compound_kernel(n, lead):
+    """Block ``lead + (N, N)`` of ``(a (.) b)_ijkl = a_ik b_jl - a_il b_jk``
+    for stacks ``lead + (n, n)``, or one of them a single matrix."""
     first, second = _block_index(n, ("ik", "il")), _block_index(n, ("jl", "jk"))
-    shape, nn = (-1,) + (pair_count(n),) * 2, n * n
+    shape = lead + (pair_count(n),) * 2
+    first, second = _gather(lead, first), _gather(lead, second)
 
     def compound(a, b):
-        x = take_last(a.reshape(-1, nn), first)
-        y = take_last(b.reshape(-1, nn), second)
-        block = x[..., 0, :] * y[..., 0, :] - x[..., 1, :] * y[..., 1, :]
-        if a.ndim == b.ndim == 3:
-            return block.reshape(shape)
-        return block.reshape(np.broadcast_shapes(a.shape[:-2], b.shape[:-2]) + shape[1:])
+        # the products a_ik b_jl and a_il b_jk of every entry, in one call
+        p = first(a) * second(b)
+        return (p[..., 0, :] - p[..., 1, :]).reshape(shape)
 
     return compound
 
@@ -319,13 +347,13 @@ def _compound_kernel(n):
 def pair_product_from_samples(g):
     """The pair product on stacked samples: the second compound ``C_2(g)``,
     whose block entries are the minors ``g_ik g_jl - g_il g_jk``."""
-    return _compound_kernel(g.shape[-1])(g, g)
+    return _compound_kernel(g.shape[-1], g.shape[:-2])(g, g)
 
 
 def kn_product(a, b):
     """Block of ``(a ^ b)_ijkl = a_ik b_jl + a_jl b_ik - a_il b_jk - a_jk b_il``,
     the bialternate sum ``a (.) b + b (.) a``."""
-    compound = _compound_kernel(a.shape[-1])
+    compound = _compound_kernel(a.shape[-1], np.broadcast_shapes(a.shape[:-2], b.shape[:-2]))
     return compound(a, b) + compound(b, a)
 
 
@@ -391,5 +419,5 @@ def tensor_norm(tensor, field_or_ginv):
         if A.ndim != 3:
             raise ValueError("tensor_norm handles scalars, 2-tensors and curvature tensors")
         K, c = ginv, 1.0
-    sq = c * np.einsum('...ij,...ij->...', A, K @ A @ K)
+    sq = c * _einsum('...ij,...ij->...', A, K @ A @ K)
     return np.sqrt(np.maximum(sq, 0.0))

@@ -28,7 +28,11 @@ The RK4 state is the metric samples, and for a wave the velocity samples
 too, on both chart kinds, and while the cross-check runs the pair product
 last; each rate is symmetrized, so a symmetric state stays exactly
 symmetric.  The chart's ``evolving`` map turns a state's metric samples into
-a field.  On periodic grids the field is the samples, and the evolution is
+a field.  Everything fixed for a run is bound once, when the RK4 system is
+made: the inverse kernel of the state's sample count and dtype, the law's
+rate of its stacks' shape, with the law's row, coupling and sources, and the
+kernels those use, so that a right-hand side makes its numpy calls and
+little else.  On periodic grids the field is the samples, and the evolution is
 a genuine method-of-lines PDE solve.  On analytic single-point charts the
 state is the metric at the evaluation point, and the spatial field is
 carried in the frozen frame of the initial metric
@@ -56,7 +60,7 @@ column (:data:`RECORD_BATCH_SAMPLES`), each exactly as for the record alone.
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -65,6 +69,7 @@ from .charts import MetricField, _inverse_kernel
 from .curvature import (
     CurvatureTensor,
     _compound_kernel,
+    _einsum,
     _pair_trace_kernel,
     pair_product_from_samples,
     ricci_scalar_from_arrays,
@@ -115,40 +120,53 @@ def solve_pair_trace(g, ginv, rhs4, coupling=1.0):
     ``W = g^{jl} rhs4_ijkl``; the trace of that equation fixes ``tr v``
     unless ``(n-2) + n c = 0``.  ``g`` and ``ginv`` are stacks (S, n, n).
     """
-    return _pair_trace_solver(g.shape[-1], coupling)(g, ginv, rhs4)
+    shape = np.broadcast_shapes(ginv.shape[:-2], rhs4.shape[:-2])
+    return _pair_trace_solver(g.shape[-1], coupling, shape)(g, ginv, rhs4)
 
 
-def _pair_trace_solver(n, coupling):
-    """:func:`solve_pair_trace` at ``coupling``, its kernel and denominator bound."""
+def _pair_trace_solver(n, coupling, shape):
+    """:func:`solve_pair_trace` at ``coupling`` of stacks ``shape + (n, n)``,
+    its kernel and denominator bound."""
     if n < 3:
         raise DimensionTooSmall("the pair-trace inversion needs n >= 3")
-    trace, den = _pair_trace_kernel(n), (n - 2) + n * coupling
+    trace, den = _pair_trace_kernel(n, shape), (n - 2) + n * coupling
 
     def solve(g, ginv, rhs4):
         W = trace(ginv, rhs4)
-        trv = np.einsum('...ik,...ik->...', ginv, W) / den
-        # unit factors are skipped, exactly, as :func:`_combine` skips them
+        trv = _einsum('...ik,...ik->...', ginv, W) / den
+        # unit factors are skipped, exactly, as :func:`_sum_of` skips them
         v = W - (trv if coupling == 1.0 else coupling * trv)[..., None, None] * g
         return v if n == 3 else v / (n - 2)
 
     return solve
 
 
-def _combine(terms, args, like, lead=1.0):
-    """Sum of ``c * term(*args)`` over the ``(c, term)`` pairs, added in
-    order and divided by ``lead``.
+def _sum_of(terms, divisor=1.0):
+    """The function ``args -> (sum of c * term(*args)) / divisor`` over the
+    ``(c, term)`` pairs, added in order, or None without terms.
 
     Unit factors are never applied; ``1.0 * x`` and ``x / 1.0`` are exact,
-    so skipping them changes no bit.  With no terms the sum is zeros shaped
-    like ``like``.
+    so skipping them changes no bit.  Which factors apply is decided here,
+    once, and a sum of one term with no factor is that term.
     """
-    total = None
-    for c, term in terms:
-        x = term(*args) if c == 1.0 else c * term(*args)
-        total = x if total is None else total + x
-    if total is None:
-        return np.zeros_like(like)
-    return total if lead == 1.0 else total / lead
+    if not terms:
+        return None
+    first, *rest = [term if c == 1.0 else partial(_scaled, c, term) for c, term in terms]
+    if not rest and divisor == 1.0:
+        return first
+
+    def total(*args):
+        x = first(*args)
+        for term in rest:
+            x = x + term(*args)
+        return x if divisor == 1.0 else x / divisor
+
+    return total
+
+
+def _scaled(c, term, *args):
+    """``c * term(*args)``."""
+    return c * term(*args)
 
 
 @dataclass(frozen=True)
@@ -172,18 +190,19 @@ class Law:
         """The coefficient of the highest time derivative."""
         return self.alpha if self.order == 2 else self.beta
 
-    def row(self, n):
+    def row(self, n, shape):
         """The (coefficient, term) pairs of the law's row, in the module
         docstring's order, each term a function of stacks (g, ginv, k, rate,
-        Riem) with the kernels of dimension ``n`` bound; a flow's beta is its lead."""
-        compound, trace = _compound_kernel(n), _pair_trace_kernel(n)
+        Riem) of shape ``shape + (n, n)`` or ``shape + (N, N)`` with the
+        kernels of those stacks bound; a flow's beta is its lead."""
+        compound, trace = _compound_kernel(n, shape), _pair_trace_kernel(n, shape)
 
         def kn(a, b):
             return compound(a, b) + compound(b, a)
 
         return [(self.lead, lambda g, ginv, k, r, riem: kn(r, g)),
                 (self.trace, lambda g, ginv, k, r, riem: (
-                    np.einsum('...ik,...ik->...', ginv, r)[..., None, None] * compound(g, g))),
+                    _einsum('...ik,...ik->...', ginv, r)[..., None, None] * compound(g, g))),
                 (self.quad, lambda g, ginv, k, r, riem: compound(k, k)),
                 (self.beta if self.order == 2 else 0.0, lambda g, ginv, k, r, riem: kn(k, g)),
                 (self.gamma, lambda g, ginv, k, r, riem: compound(g, g)),
@@ -207,7 +226,7 @@ class Law:
         """Metric velocity (order 1) or acceleration (order 2) at metric
         samples ``g`` (S, n, n) with inverse ``ginv``, velocity samples ``k``
         (order 2) and the curvature block ``riem`` (:func:`_rate_kernel`)."""
-        return _rate_kernel(self, g.shape[-1])(g, ginv, k, riem)
+        return _rate_kernel(self, g.shape[-1], g.shape[:-2])(g, ginv, k, riem)
 
     def rate_at(self, field, velocity=None):
         """:meth:`rate` at a field's samples and curvature."""
@@ -219,31 +238,26 @@ class Law:
         """Max norm of the law's equation at the ``rate`` that :meth:`rate`
         gave for the same samples, over each stack (S, N, N) of samples: a
         number for one stack, an array of them for stacks (..., S, N, N)."""
-        total = _combine([(c, term) for c, term in self.row(g.shape[-1]) if c != 0.0],
-                         (g, ginv, k, rate, riem), riem)
+        row = self.row(g.shape[-1], g.shape[:-2])
+        total = _sum_of([(c, term) for c, term in row if c != 0.0])(g, ginv, k, rate, riem)
         return np.abs(total).max(axis=(-3, -2, -1))
 
 
 @lru_cache(maxsize=64)
-def _rate_kernel(law, n):
-    """:meth:`Law.rate` in dimension ``n``, resolved once: -(ricci/lead) Ric
-    plus the pair-trace solve at :meth:`Law.coupling` of the sources, the
-    row's terms without the rate or Ric, negated; skipped without sources."""
-    trace, lead = _pair_trace_kernel(n), law.lead
-    ricci = -law.ricci / lead if law.ricci != 0.0 else None
-    sources = [(-c, term) for c, term in law.row(n)[2:-1] if c != 0.0]
-    solve = _pair_trace_solver(n, law.coupling(n)) if sources else None
-
-    def rate(g, ginv, k, riem):
-        total = None
-        if ricci is not None:
-            total = trace(ginv, riem) if ricci == 1.0 else ricci * trace(ginv, riem)
-        if solve:
-            v = solve(g, ginv, _combine(sources, (g, ginv, k, None, riem), riem, lead))
-            total = v if total is None else total + v
-        return np.zeros_like(g) if total is None else total
-
-    return rate
+def _rate_kernel(law, n, shape):
+    """:meth:`Law.rate` of stacks ``shape + (n, n)``, resolved once:
+    -(ricci/lead) Ric plus the pair-trace solve at :meth:`Law.coupling` of
+    the sources, the row's terms without the rate or Ric, negated, over the
+    lead; each part left out when its coefficients are zero, and zeros
+    without either."""
+    trace = _pair_trace_kernel(n, shape)
+    parts = ([(-law.ricci / law.lead, lambda g, ginv, k, riem: trace(ginv, riem))]
+             if law.ricci else [])
+    source = _sum_of([(-c, term) for c, term in law.row(n, shape)[2:-1] if c != 0.0], law.lead)
+    if source:
+        solve = _pair_trace_solver(n, law.coupling(n), shape)
+        parts.append((1.0, lambda g, ginv, k, riem: solve(g, ginv, source(g, ginv, k, None, riem))))
+    return _sum_of(parts) or (lambda g, ginv, k, riem: np.zeros_like(g))
 
 
 # (name, order) -> (parameter names, defaults[, to_row]); a parameter
@@ -381,10 +395,11 @@ class _RK4System:
     samples, ``[g]`` or ``[g, k]``, on either chart kind, and with
     ``cross_check`` the pair product ``G = C_2(g)`` last, evolved directly
     at the law's ``pair_rate_factor`` times Riem.  Only the field of a state
-    depends on the chart, through its ``evolving`` map.  The inverse kernel
-    and the law's rate are bound here, once per run, so that a right-hand
-    side is :func:`riemann`, :attr:`MetricField.inverse` and :meth:`Law.rate`
-    of the state's field made with its inverse, bit for bit.
+    depends on the chart, through its ``evolving`` map.  The inverse kernel,
+    for the state's sample count and dtype, and the law's rate, for its
+    stacks' shape, are bound here, once per run, so that a right-hand side
+    is :func:`riemann`, :attr:`MetricField.inverse` and :meth:`Law.rate` of
+    the state's field made with its inverse, bit for bit.
     """
 
     def __init__(self, field, law, velocity=None, cross_check=False):
@@ -403,8 +418,9 @@ class _RK4System:
             self.state0.append(pair_product_from_samples(g).copy())
         # the builder holds the chart, not the system
         self._build = chart.evolving(field)
-        n = field.dimension
-        self._inverse, self._rate = _inverse_kernel(n), _rate_kernel(law, n)
+        n, dtype = field.dimension, g.dtype if g.dtype.kind == "c" else np.dtype(float)
+        self._inverse = _inverse_kernel(n, len(g), dtype)
+        self._rate = _rate_kernel(law, n, g.shape[:-2])
 
     def rhs(self, state):
         """(d state/dt, curvature block, the law's rate at the samples, the
@@ -550,11 +566,12 @@ def _rk4_evolve(initial, law, order, velocity, dt, t_end, stride, collapse_thres
     # eigenvalue of g^-1 g0, is at most that trace
     near = max(0.1, 1e3 * collapse_threshold)
 
+    g0_real = g0.real
+
     def far(rhs):
         """Whether the trace test shows every relative eigenvalue of the
         state whose rhs is ``rhs`` above 2 near."""
-        trace = np.einsum('...ij,...ji->...', rhs[3].real, g0.real)
-        return trace.max() < 0.5 / near
+        return _einsum('...ij,...ji->...', rhs[3].real, g0_real).max() < 0.5 / near
 
     def accept(t, state, rhs, due):
         """Check and record an accepted state; true when the run ends there."""
@@ -572,7 +589,7 @@ def _rk4_evolve(initial, law, order, velocity, dt, t_end, stride, collapse_thres
 
     # only the loop holds the initial state's rhs, so it is freed after a step
     t, state, rhs, traj.collapse_bracket = _march(
-        lambda y, h, first: _rk4_step(system, y, h, first), state,
+        partial(_rk4_step, system), state,
         record(t0, state, system.rhs(state)), t0, step_ends(t0, t_end, dt), stride, accept,
         lambda y: _relative_eigenvalues(y[0], L0inv).min() < collapse_threshold)
     traj.termination = "collapse" if traj.collapse_bracket else traj.termination
@@ -629,15 +646,16 @@ def _rk4_step(system, state, dt, first=None):
     finite.  ``first`` is ``system.rhs(state)`` when already known.
     Returns ``None`` when the step fails, else the new state and its rhs.
     """
+    rhs, half, sixth = system.rhs, 0.5 * dt, dt / 6.0
     try:
-        k1 = (system.rhs(state) if first is None else first)[0]
-        k2 = system.rhs([y + 0.5 * dt * k for y, k in zip(state, k1)])[0]
-        k3 = system.rhs([y + 0.5 * dt * k for y, k in zip(state, k2)])[0]
-        k4 = system.rhs([y + dt * k for y, k in zip(state, k3)])[0]
-        new = [y + dt / 6.0 * (a + 2.0 * b + 2.0 * c + d)
+        k1 = (rhs(state) if first is None else first)[0]
+        k2 = rhs([y + half * k for y, k in zip(state, k1)])[0]
+        k3 = rhs([y + half * k for y, k in zip(state, k2)])[0]
+        k4 = rhs([y + dt * k for y, k in zip(state, k3)])[0]
+        new = [y + sixth * (a + 2.0 * b + 2.0 * c + d)
                for y, a, b, c, d in zip(state, k1, k2, k3, k4)]
-        if all(np.isfinite(a).all() for a in new):
-            return new, system.rhs(new)
+        if all([np.isfinite(y).all() for y in new]):
+            return new, rhs(new)
     except (np.linalg.LinAlgError, FloatingPointError, NotPositiveDefinite):
         pass
     return None

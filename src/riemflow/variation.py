@@ -11,6 +11,7 @@ The tests check both against central quotients and two-run tangency.
 """
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -182,8 +183,8 @@ def integrate_linearized_flow(field, h, which, dt, t_end):
     _check_schedule(0.0, t_end, dt)
     system = _RK4System(_perturbed_field(field, h, 1j * STEP),
                         resolve_law(which, field.dimension, 1))
-    t, state, _, failed = _march(lambda y, h, first: _rk4_step(system, y, h, first),
-                                 system.state0, None, 0.0, step_ends(0.0, t_end, dt))
+    t, state, _, failed = _march(partial(_rk4_step, system), system.state0, None, 0.0,
+                                 step_ends(0.0, t_end, dt))
     if failed:
         raise StepRejected(f"the RK4 step at t={t:.6g} fails its positivity or finiteness check")
     return state[0].imag / STEP

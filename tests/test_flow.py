@@ -809,26 +809,29 @@ LAW_ROWS = [("ricci", 1), ("riemann-induced", 1), ("riemann-type", 1),
             (("general", {"alpha": 1.0, "beta": 0.4, "gamma": 0.3, "delta": 2.0}), 2)]
 
 
-@pytest.mark.parametrize("kind", ["analytic", "grid", "complex-grid"])
+@pytest.mark.parametrize("kind", ["analytic", "origin", "grid", "complex-grid"])
 @pytest.mark.parametrize("n", [3, 4])
 def test_rk4_rhs_is_the_public_composition_bit_for_bit(n, kind):
     # the system binds its kernels once per run; its rhs must still be
     # riemann(field), field.inverse and Law.rate of the state's field, then
     # the symmetrization, bit for bit: off the origin of an analytic chart
-    # (the frozen frame's field), on an 8^n grid and on a complex-step grid
-    # field, for every law row, waves with an anisotropic velocity.  A
+    # (the frozen frame's field), at its origin, where the frame's M is
+    # exactly I (the benchmark's point), on an 8^n grid and on a complex-step
+    # grid field, for every law row, waves with an anisotropic velocity.  A
     # roundoff-level shortcut changes only some states' bits (a frame product
-    # over fewer columns, one in six at n = 3), so the analytic chart takes
+    # over fewer columns, one in six at n = 3), so an analytic chart takes
     # a dozen states
     rng = np.random.default_rng(10 * n + len(kind))
-    if kind == "analytic":
-        chart = AnalyticChart(n, [0.1, -0.2, 0.3, 0.05][:n])
+    analytic = kind in ("analytic", "origin")
+    if analytic:
+        point = [0.1, -0.2, 0.3, 0.05][:n] if kind == "analytic" else np.zeros(n)
+        chart = AnalyticChart(n, point)
         fld = MetricField.from_function(chart, make_family("hyperbolic-poincare", n).metric_function)
         field_of = chart.evolving(fld)
     else:
         fld, _ = torus_field(n)
         field_of = partial(MetricField.from_samples, fld.chart)
-    for _ in range(12 if kind == "analytic" else 1):
+    for _ in range(12 if analytic else 1):
         noise = rng.normal(size=fld.samples.shape)
         g = fld.samples + 0.05 * (noise + np.swapaxes(noise, -1, -2))
         if kind == "complex-grid":
@@ -839,7 +842,7 @@ def test_rk4_rhs_is_the_public_composition_bit_for_bit(n, kind):
             law = resolve_law(row, n, order)
             k = velocity if law.order == 2 else None
             cross = law.pair_rate_factor is not None
-            system = flow._RK4System(fld if kind == "analytic" else field_of(g), law, k,
+            system = flow._RK4System(fld if analytic else field_of(g), law, k,
                                      cross_check=cross)
             state = [g] + ([k] if k is not None else []) + ([None] if cross else [])
             d, riem, rate, ginv = system.rhs(state)

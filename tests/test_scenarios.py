@@ -671,6 +671,39 @@ def test_cli_linearize_refuses_an_eps_that_is_not_positive_and_finite(eps, error
     assert (captured.out, captured.err) == ("", f"error: {error}\n")
 
 
+@pytest.mark.parametrize("argv, same_as", [
+    (["curvature", "--family", "hyperbolic-poincare", "--point", "-1e-1", "0", "0"],
+     ["curvature", "--family", "hyperbolic-poincare", "--point", "-0.1", "0", "0"]),
+    (["scale-ode", "--lam", "-1e2", "--t-end", "0.1"],
+     ["scale-ode", "--lam", "-100", "--t-end", "0.1"]),
+], ids=["curvature-point", "scale-ode-lam"])
+def test_cli_reads_a_negative_number_in_scientific_notation_as_a_value(argv, same_as, tmp_path,
+                                                                       capsys, monkeypatch):
+    # argparse alone takes -1e-1 for an option and stops with a usage error;
+    # every subcommand reads it as the number, as it reads -0.1
+    monkeypatch.chdir(tmp_path)
+    outputs = []
+    for args in (argv, same_as):
+        assert cli_main(args) == 0
+        outputs.append(capsys.readouterr())
+    assert outputs[0] == outputs[1] and outputs[0].err == ""
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["linearize", "--eps", "-1e-2"], "eps must be positive (key: 'eps')"),
+    (["flow", "--dt", "-1e-3"], "dt must be positive (key: 'dt')"),
+], ids=["linearize-eps", "flow-dt"])
+def test_cli_refuses_a_negative_value_in_scientific_notation_by_its_key(argv, error, tmp_path,
+                                                                       capsys, monkeypatch):
+    # the value reaches the schema, whose refusal names the key, and is not
+    # argparse's "expected one argument"
+    monkeypatch.chdir(tmp_path)
+    assert cli_main(argv) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {error}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_cli_linearize_fits_no_order_to_roundoff(capsys):
     # one step of 1e-12 leaves errors of 2e-14 and 4e-14, the roundoff of the
     # central quotients, eps max |g| / (2 e): their "order" of -1.06 meant

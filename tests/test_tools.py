@@ -75,7 +75,9 @@ def test_compare_outputs_runs_the_one_shot_commands(tmp_path):
     # 2,001 one-sample records cross three of the record batches' boundaries
     assert ("flow --family sphere-stereographic --point 0.1 -0.2 0.3 --dt 1e-3 --t-end 2 "
             "--stride 1") in runs_a
-    assert len(runs_a) == 17
+    # a negative coordinate in scientific notation is a value, not an option
+    assert "curvature --family hyperbolic-poincare --point -1e-1 0 0" in runs_a
+    assert len(runs_a) == 18
 
 
 spec = importlib.util.spec_from_file_location(

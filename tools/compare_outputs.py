@@ -10,7 +10,8 @@ every ``configs/*.json`` of its own through ``riemflow run``, every
 one-shot ``curvature`` report on each family and chart kind, ``soliton``,
 ``linearize``, ``identity-check``, three runs of the step loop's
 failed-step paths, two analytic evolutions off the origin, which no
-config reaches, and a one-sample flow recorded at every step), one process
+config reaches, a one-sample flow recorded at every step and a point given
+in scientific notation), one process
 per run with the tree's ``src`` on the import path, in a temporary directory
 of its own.  The script compares the exit status, stdout and every file the
 run wrote: CSV files byte for byte, JSON summaries as parsed without
@@ -66,7 +67,10 @@ COMMANDS = [["curvature", *args] for args in (
     # 2,001 one-sample records, which the flow's diagnostics take in batches
     # of at most 512: a run across batch boundaries
     ["flow", "--family", "sphere-stereographic", *POINT, "--dt", "1e-3", "--t-end", "2",
-     "--stride", "1"]]
+     "--stride", "1"]] + [
+    # a negative coordinate in scientific notation, which argparse alone
+    # would take for an option
+    ["curvature", "--family", "hyperbolic-poincare", "--point", "-1e-1", "0", "0"]]
 
 # per kind, the runs of the tree at a root: name -> arguments after the
 # interpreter
