@@ -524,21 +524,21 @@ def spd_inverse(g):
     over the determinant of one cofactor pass, which checks positivity (:func:`_inverse_kernel`),
     with a relative error of about kappa^(n-1) eps, kappa the condition number."""
     n = g.shape[-1]
-    dtype = g.dtype if g.dtype.kind == "c" else np.dtype(float)
-    inverse = _inverse_kernel(n, g.size // (n * n), dtype)
+    inverse = _inverse_kernel(n, g.size // (n * n), g.dtype)
     return inverse(g.reshape(-1, n, n)).reshape(g.shape)
 
 
 def _inverse_kernel(n, count, dtype):
-    """:func:`spd_inverse` of stacks (count, n, n) of ``dtype``, float64 or
-    complex, bound once: the pass's tables, and the buffer its rows are
-    copied into, its row of ones written here.  The kernel owns that buffer,
-    so it is made for one run, not cached.  Unless every leading principal
-    minor of ``g.real`` is positive (Sylvester), the eigenvalues of the finite
-    samples name the first sample that is not finite, else the least, in
-    :class:`NotPositiveDefinite`."""
+    """:func:`spd_inverse` of stacks (count, n, n) of ``dtype``, bound once:
+    the pass's tables, and the buffer its rows are copied into, of a complex
+    ``dtype`` or else float64, its row of ones written here.  The kernel owns
+    that buffer, so it is made for one run, not cached.  Unless every leading
+    principal minor of ``g.real`` is positive (Sylvester), the eigenvalues of
+    the finite samples name the first sample that is not finite, else the
+    least, in :class:`NotPositiveDefinite`."""
     nn, (index, real, weights) = n * n, _cofactor_terms(n)
     complex_ = np.dtype(dtype).kind == "c"
+    dtype = dtype if complex_ else np.dtype(float)
     # the rows [a, re a, 1] of the pass, (R, count), and the stacks (count, n, n)
     # of their first n^2 and next n^2 rows, into which each call copies g
     rows = np.empty(((2 if complex_ else 1) * nn + 1, count), dtype)

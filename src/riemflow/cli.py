@@ -280,12 +280,13 @@ def _reduced_run_parser(sub, law, help, options, **defaults):
 
 class _Parser(argparse.ArgumentParser):
     """argparse's parser, which also reads a negative number in scientific
-    notation (``-1e-2``) as a value, not as an option; its subparsers are of
-    this class too."""
+    notation (``-1e-2``) and ``-inf`` as values, not as options, so that
+    the schema refuses them by name; its subparsers are of this class too."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+        self._negative_number_matcher = re.compile(
+            r"^-((\d+\.?\d*|\.\d+)([eE][-+]?\d+)?|inf(inity)?|nan)$", re.IGNORECASE)
 
 
 def build_parser():

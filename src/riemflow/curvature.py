@@ -48,11 +48,6 @@ from itertools import combinations
 
 import numpy as np
 
-try:  # the C einsum that np.einsum calls when it does not optimize, without its dispatch
-    from numpy._core.multiarray import c_einsum as _einsum
-except ImportError:  # numpy older or newer than this layout: the public function
-    _einsum = np.einsum
-
 from .charts import (
     COFACTOR_GATHER,
     MetricField,
@@ -64,6 +59,11 @@ from .charts import (
     take_last,
 )
 from .errors import DimensionTooSmall, NonpositiveLame
+
+try:  # the C einsum that np.einsum calls when it does not optimize, without its dispatch
+    from numpy._core.multiarray import c_einsum as _einsum
+except ImportError:  # numpy older or newer than this layout: the public function
+    _einsum = np.einsum
 
 
 def inverse_metric(field_or_samples):

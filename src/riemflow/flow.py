@@ -418,8 +418,8 @@ class _RK4System:
             self.state0.append(pair_product_from_samples(g).copy())
         # the builder holds the chart, not the system
         self._build = chart.evolving(field)
-        n, dtype = field.dimension, g.dtype if g.dtype.kind == "c" else np.dtype(float)
-        self._inverse = _inverse_kernel(n, len(g), dtype)
+        n = field.dimension
+        self._inverse = _inverse_kernel(n, len(g), g.dtype)
         self._rate = _rate_kernel(law, n, g.shape[:-2])
 
     def rhs(self, state):

@@ -692,11 +692,13 @@ def test_cli_reads_a_negative_number_in_scientific_notation_as_a_value(argv, sam
 @pytest.mark.parametrize("argv, error", [
     (["linearize", "--eps", "-1e-2"], "eps must be positive (key: 'eps')"),
     (["flow", "--dt", "-1e-3"], "dt must be positive (key: 'dt')"),
-], ids=["linearize-eps", "flow-dt"])
-def test_cli_refuses_a_negative_value_in_scientific_notation_by_its_key(argv, error, tmp_path,
-                                                                       capsys, monkeypatch):
-    # the value reaches the schema, whose refusal names the key, and is not
-    # argparse's "expected one argument"
+    (["linearize", "--eps", "-inf"], "eps must be a finite number, got -inf (key: 'eps')"),
+], ids=["linearize-eps", "flow-dt", "linearize-minus-inf"])
+def test_cli_refuses_a_negative_value_argparse_took_for_an_option(argv, error, tmp_path, capsys,
+                                                                  monkeypatch):
+    # a negative number in scientific notation, or -inf, reaches the schema,
+    # whose refusal names the key, and is not argparse's "expected one
+    # argument"
     monkeypatch.chdir(tmp_path)
     assert cli_main(argv) == 1
     captured = capsys.readouterr()
