@@ -278,6 +278,19 @@ def pair_trace(ginv, block):
     return _pair_trace_kernel(ginv.shape[-1], lead)(ginv, block)
 
 
+@lru_cache(maxsize=None)
+def _pair_trace_terms(n):
+    """The pair trace's tables: of each term with j != i and l != k, its
+    block entry and its ``g^{jl}`` in the flattened stacks, and the signs
+    (K, n^2) that sum the terms of each (i, k); and the samples per chunk."""
+    i, j, k, l = np.indices((n,) * 4).reshape(4, -1)
+    term = (i != j) & (k != l)
+    signed = _component_index(n)[term]                    # into [B, -B, 0]
+    NN, sums = pair_count(n) ** 2, np.zeros((len(signed), n * n))
+    sums[np.arange(len(signed)), (i * n + k)[term]] = np.where(signed < NN, 1.0, -1.0)
+    return _frozen(signed % NN, (j * n + l)[term], sums) + (COFACTOR_GATHER // len(signed),)
+
+
 @lru_cache(maxsize=256)
 def _pair_trace_kernel(n, lead):
     """Pair trace of stacks ``lead + (n, n)`` and ``lead + (N, N)``, ``lead``
@@ -286,12 +299,7 @@ def _pair_trace_kernel(n, lead):
     stack does not depend on the stacks beside it, in chunks of samples that
     gather at most :data:`~riemflow.charts.COFACTOR_GATHER` terms, one on
     every shipped grid."""
-    i, j, k, l = np.indices((n,) * 4).reshape(4, -1)
-    term = (i != j) & (k != l)
-    signed = _component_index(n)[term]                    # into [B, -B, 0]
-    NN, sums = pair_count(n) ** 2, np.zeros((len(signed), n * n))
-    sums[np.arange(len(signed)), (i * n + k)[term]] = np.where(signed < NN, 1.0, -1.0)
-    entries, inverse, chunk = signed % NN, (j * n + l)[term], COFACTOR_GATHER // len(signed)
+    entries, inverse, sums, chunk = _pair_trace_terms(n)
     terms_of, inverse_of = _gather(lead, entries), _gather(lead, inverse)
     count, terms_shape, shape = lead[-1] if lead else 1, lead + (-1,), lead + (n, n)
     # one stack's product is ndarray.dot, the BLAS product of matmul with less
