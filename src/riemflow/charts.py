@@ -51,8 +51,8 @@ determinant.  The minors lose about kappa^(n-1) eps to roundoff where an LU
 inverse loses kappa eps, kappa the condition number.  The fixed gathers of
 the curvature kernels are chosen when a kernel is bound to its stacks'
 shape: ``ndarray.take`` of the flat array for a stack of one sample, where
-its fixed cost per call is the lower, and fancy indexing (:func:`take_last`)
-for more, which it gathers faster.
+its fixed cost per call is the lower, and fancy indexing for more, which
+gathers faster.
 Index conventions for metric jets: ``dg[..., i, j, k] = d_k g_ij`` and, over
 the components ``c = (i <= j)`` in ``np.triu_indices`` order,
 ``d2g[..., c, k, l] = d_k d_l g_ij`` with the derivative pair symmetrised.
@@ -81,15 +81,6 @@ def _frozen(*arrays):
     for a in arrays:
         a.flags.writeable = False
     return arrays
-
-
-def take_last(a, index):
-    """``a[..., index]``, gathered by ``ndarray.take`` when the stack ``a``
-    holds one sample (every axis but the last of length 1) and by fancy
-    indexing otherwise: ``take`` has the lower fixed cost per call, fancy
-    indexing the faster gather over many samples.  Both copy the same
-    values, bit for bit."""
-    return a.take(index, axis=-1) if a.size == a.shape[-1] else a[..., index]
 
 
 def _real_or_complex(a):
@@ -280,6 +271,24 @@ class GridChart:
         """Field builder of a grid: ``build(g, inverse=None)`` is the field of
         the samples ``g`` (S, n, n), made with their ``inverse`` if given."""
         return lambda g, inverse=None: MetricField(self, g, None, inverse)
+
+
+def _require_periodic(chart, func, name, symbol):
+    """Refuse with ``ValueError`` a function ``func`` of the points, named
+    ``name`` and written ``symbol`` in the message, that is not finite on the
+    grid ``chart`` or changes by more than 1e-9 of its largest magnitude one
+    period further along an axis."""
+    shifts = np.vstack([np.zeros(chart.dimension), np.diag(chart.lengths)])
+    with np.errstate(all="ignore"):
+        values, *images = [np.asarray(func(chart.sample_points + shift), dtype=float)
+                           for shift in shifts]
+        scale = np.abs(values).max()
+        for axis, image in enumerate(images, 1):
+            gap = np.abs(image - values).max()
+            if not gap <= 1e-9 * scale:   # false where a value is not finite
+                raise ValueError(f"the {name} is not finite and periodic on the grid: one "
+                                 f"period along axis {axis} changes it by {gap / scale:.3g} of "
+                                 f"max |{symbol}|")
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ import numpy as np
 from .bialternate import bialternate_product, recover_metric, verify_recovery_identity
 from .charts import MetricField
 from .curvature import ricci_and_scalar, riemann, tensor_norm, weyl
-from .errors import RiemflowError, finite_number, whole_number
+from .errors import RiemflowError, SchemaError, finite_number, whole_number
 from .families import DEFAULTS, make_family
 from .flow import integrate_flow
 from .scenarios import (
@@ -166,7 +166,10 @@ def _cmd_soliton(args):
         potential = lambda x: np.zeros(np.asarray(x).shape[:-1])  # noqa: E731
     else:
         potential = lambda x: -lam * np.sum(np.asarray(x) ** 2, axis=-1) / 4.0  # noqa: E731
-    _, norm = soliton_residual(fld, SolitonData(factor=lam, potential=potential))
+    try:
+        _, norm = soliton_residual(fld, SolitonData(factor=lam, potential=potential))
+    except ValueError as exc:   # a potential that is not periodic on the grid
+        raise SchemaError(str(exc), key="potential") from None
     report = {
         "family": args.family,
         "factor": lam,

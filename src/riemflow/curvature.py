@@ -56,7 +56,6 @@ from .charts import (
     curvature_parts,
     lowered_christoffel,
     spd_inverse,
-    take_last,
 )
 from .errors import DimensionTooSmall, NonpositiveLame
 
@@ -229,13 +228,12 @@ def _gather(lead, index):
     flattened, bound to stacks of shape ``lead``: ``ndarray.take`` of the
     whole array, by the index with one axis per axis of ``lead``, when the
     stack holds one sample, which has the lower fixed cost per call, and
-    otherwise :func:`~riemflow.charts.take_last` of the samples, whose fancy
-    indexing gathers faster over many.  Both copy the same values, bit for
-    bit."""
+    otherwise fancy indexing of the samples, which gathers faster over many.
+    Both copy the same values, bit for bit."""
     if math.prod(lead) == 1:
         index = index.reshape((1,) * len(lead) + index.shape)
         return lambda a: a.take(index)
-    return lambda a: take_last(a.reshape(-1, a.shape[-2] * a.shape[-1]), index)
+    return lambda a: a.reshape(-1, a.shape[-2] * a.shape[-1])[:, index]
 
 
 @lru_cache(maxsize=64)

@@ -509,14 +509,14 @@ def _rk4_evolve(initial, law, order, velocity, dt, t_end, stride, collapse_thres
     def sup_riem(riem, ginv):  # over the samples of each stack
         return tensor_norm(CurvatureTensor(riem), ginv).max(axis=-1)
 
-    # per record not yet flushed: g, g^-1, Riem, the rate, k (None for a
-    # flow), its relative eigenvalues and sup |Riem| (None when not taken)
+    # per record not yet flushed, what the trajectory does not keep: its g^-1,
+    # Riem, rate and relative eigenvalues
     queue = []
 
-    def record(t, state, rhs, rel=None, sup=None):
-        """Append a record of ``state``, whose rhs is ``rhs``, relative
-        eigenvalues are ``rel`` and sup |Riem| is ``sup``, and queue its
-        diagnostics for :func:`flush`; return ``rhs``."""
+    def record(t, state, rhs, rel):
+        """Append a record of ``state``, whose rhs is ``rhs`` and relative
+        eigenvalues are ``rel``, and queue its diagnostics for
+        :func:`flush`; return ``rhs``."""
         _, riem, rate, ginv = rhs
         traj.times.append(t)
         traj.states.append(state[0].copy())
@@ -528,8 +528,7 @@ def _rk4_evolve(initial, law, order, velocity, dt, t_end, stride, collapse_thres
             except NotInImage:
                 err = math.inf
         traj.diagnostics["cross_check_error"].append(err)
-        queue.append((traj.states[-1], ginv, riem, rate,
-                      traj.velocities[-1] if system.wave else None, rel, sup))
+        queue.append((ginv, riem, rate, rel))
         if len(queue) * len(g0) >= RECORD_BATCH_SAMPLES:
             flush()
         return rhs
@@ -538,11 +537,10 @@ def _rk4_evolve(initial, law, order, velocity, dt, t_end, stride, collapse_thres
         """Append the other diagnostics of the queued records, in record
         order, each column taken for all of them in one pass over their
         stack, and empty the queue."""
-        gs, ginvs, riems, rates, ks, rels, sups = zip(*queue)
+        ginv, riem, rate, rel = map(np.stack, zip(*queue))
+        g = np.stack(traj.states[-len(queue):])
+        k = np.stack(traj.velocities[-len(queue):]) if system.wave else None
         queue.clear()
-        g, ginv, riem, rate = map(np.stack, (gs, ginvs, riems, rates))
-        k = np.stack(ks) if system.wave else None
-        rel = np.stack(_fill(rels, lambda i: _relative_eigenvalues(g[i], L0inv)))
         ric, scal = ricci_scalar_from_arrays(ginv, riem)
         det = np.linalg.det(g)
         columns = {
@@ -551,7 +549,7 @@ def _rk4_evolve(initial, law, order, velocity, dt, t_end, stride, collapse_thres
             "max_rel_eig": rel.max(axis=(-2, -1)),
             "sup_ric_norm": tensor_norm(ric.reshape(-1, n, n), ginv.reshape(-1, n, n)).reshape(
                 det.shape).max(axis=-1),
-            "sup_riem_norm": np.array(_fill(sups, lambda i: sup_riem(riem[i], ginv[i]))),
+            "sup_riem_norm": sup_riem(riem, ginv),
             "scalar_min": scal.min(axis=-1),
             "scalar_max": scal.max(axis=-1),
             "eq_residual": system.law.residual(g, ginv, k, rate, riem),
@@ -575,37 +573,32 @@ def _rk4_evolve(initial, law, order, velocity, dt, t_end, stride, collapse_thres
 
     def accept(t, state, rhs, due):
         """Check and record an accepted state; true when the run ends there."""
-        sup = None if curvature_cap is None else float(sup_riem(rhs[1], rhs[3]))
-        rel = None if not due and far(rhs) else _relative_eigenvalues(state[0], L0inv)
-        min_rel = math.inf if rel is None else rel.min()
+        capped = curvature_cap is not None and float(sup_riem(rhs[1], rhs[3])) > curvature_cap
+        if not (due or capped) and far(rhs):
+            return False
+        rel = _relative_eigenvalues(state[0], L0inv)
+        min_rel = rel.min()
         if min_rel < collapse_threshold:
             traj.termination = "collapse"
-        elif sup is not None and sup > curvature_cap:
+        elif capped:
             traj.termination = "curvature_cap"
         # keep a dense record of the approach to collapse for the monitors
         if due or min_rel < near or traj.termination != "t_end":
-            record(t, state, rhs, rel, sup)
+            record(t, state, rhs, rel)
         return traj.termination != "t_end"
 
     # only the loop holds the initial state's rhs, so it is freed after a step
     t, state, rhs, traj.collapse_bracket = _march(
         partial(_rk4_step, system), state,
-        record(t0, state, system.rhs(state)), t0, step_ends(t0, t_end, dt), stride, accept,
+        record(t0, state, system.rhs(state), _relative_eigenvalues(state[0], L0inv)), t0,
+        step_ends(t0, t_end, dt), stride, accept,
         lambda y: _relative_eigenvalues(y[0], L0inv).min() < collapse_threshold)
     traj.termination = "collapse" if traj.collapse_bracket else traj.termination
     if traj.times[-1] != t:  # the last state before a failed step
-        record(t, state, rhs)
+        record(t, state, rhs, _relative_eigenvalues(state[0], L0inv))
     if queue:
         flush()
     return traj
-
-
-def _fill(values, take):
-    """``values`` as a list, each None replaced in order by the entries of
-    ``take(indices)``, taken once for the indices of the Nones."""
-    missing = [i for i, value in enumerate(values) if value is None]
-    taken = iter(take(missing) if missing else ())
-    return [next(taken) if value is None else value for value in values]
 
 
 def _march(step, state, rhs, t, ends, stride=1, accept=None, event=None):
@@ -743,10 +736,12 @@ def estimate_singular_time(times, scales):
     uncertainty.
 
     Fits ``scale ~ C (T - t)^alpha`` through three late samples, solving for
-    ``T`` by bisection; falls back to a Newton step from the last two samples
-    when the fit degenerates.  Returns ``(T, uncertainty)``, where the
-    uncertainty is the spread between the fit and the same fit without the
-    last sample, a practical proxy for the resolution of ``T``.
+    ``T`` by bisection between the last sample and past a Newton step from
+    the last two; raises :class:`NoSingularity` when the fit has no root
+    there, as for a scale that does not decay.  Returns ``(T,
+    uncertainty)``, where the uncertainty is the spread between the fit and
+    the same fit without the last sample, a practical proxy for the
+    resolution of ``T``.
     """
     t = np.asarray(times, dtype=float)
     f = np.asarray(scales, dtype=float)
@@ -763,12 +758,8 @@ def _three_point_singular_time(t, f):
     i3 = len(t) - 1
     i1 = max(0, i3 - 8)
     i2 = (i1 + i3) // 2
-    if i2 == i1 or i2 == i3:
-        i1, i2, i3 = len(t) - 3, len(t) - 2, len(t) - 1
     t1, t2, t3 = t[i1], t[i2], t[i3]
     f1, f2, f3 = f[i1], f[i2], f[i3]
-
-    newton = t3 + f3 * (t3 - t2) / max(f2 - f3, 1e-300)
 
     def mismatch(T):
         a12 = (math.log(f1) - math.log(f2)) / (math.log(T - t1) - math.log(T - t2))
@@ -776,7 +767,8 @@ def _three_point_singular_time(t, f):
         return a12 - a23
 
     lo = t3 + 1e-15 * max(1.0, abs(t3))
-    hi = max(newton * 2.0, t3 + 10.0 * (t3 - t1))
+    # past twice the Newton step from the last two samples
+    hi = max((t3 + f3 * (t3 - t2) / max(f2 - f3, 1e-300)) * 2.0, t3 + 10.0 * (t3 - t1))
     lo += (hi - lo) * 1e-12
     try:
         mlo = mismatch(lo)
@@ -785,7 +777,8 @@ def _three_point_singular_time(t, f):
             return 0.5 * (lo + hi)
     except (ValueError, ZeroDivisionError, OverflowError):
         pass
-    return newton
+    raise NoSingularity(f"the scale fit through t = {t1:.6g}, {t2:.6g}, {t3:.6g} has no "
+                        "singular time: its mismatch does not change sign, or a logarithm fails")
 
 
 def monitor_blow_up(trajectory):
@@ -793,9 +786,9 @@ def monitor_blow_up(trajectory):
     exponent.
 
     Requires a trajectory that stopped at collapse or the curvature cap;
-    raises :class:`NoSingularity` otherwise.  The exponent is the least-squares
-    slope of ``log sup|Riem|`` against ``log (T - t)`` over the final decade
-    of ``T - t``.
+    raises :class:`NoSingularity` otherwise, or when :func:`estimate_singular_time`
+    finds none.  The exponent is the least-squares slope of ``log sup|Riem|``
+    against ``log (T - t)`` over the final decade of ``T - t``.
     """
     if trajectory.termination not in ("collapse", "curvature_cap"):
         raise NoSingularity(f"trajectory ended with {trajectory.termination!r}")

@@ -15,7 +15,7 @@ from functools import partial
 
 import numpy as np
 
-from .charts import MetricField
+from .charts import MetricField, _require_periodic
 from .curvature import (
     CurvatureTensor,
     christoffel_from_jets,
@@ -116,10 +116,13 @@ def linearized_flow_rhs(field, h, which="ricci"):
     return _complex_step(field, h, law.rate_at)
 
 
-def _jets(field, func_or_samples, tail):
-    """2-jets of a scalar (``tail = ()``) or covector (``tail = (n,)``) field
-    given as a callable, or as samples on a grid chart."""
+def _jets(field, func_or_samples, tail, name, symbol):
+    """2-jets of a scalar (``tail = ()``) or covector (``tail = (n,)``) field,
+    the ``name`` ``symbol``, given as a callable (on a grid chart a periodic
+    one, else ``ValueError``) or as samples on a grid chart."""
     if callable(func_or_samples):
+        if field.chart.kind == "periodic-grid":
+            _require_periodic(field.chart, func_or_samples, name, symbol)
         return field.chart.jet(func_or_samples)
     shape = (field.chart.sample_count,) + tail
     return field.chart.jet(np.asarray(func_or_samples, dtype=float).reshape(shape))
@@ -135,7 +138,8 @@ def soliton_residual(field, data: SolitonData, gradient=True):
 
     Returns ``(residual, max_norm)``: the residual as its block on 2-forms
     and the max of its norm, which contracts with one inverse metric per
-    index.
+    index.  On a grid chart a potential or covector given as a callable
+    must be periodic, or ``ValueError`` is raised.
     """
     field.validate_spd()
     g, dg, _ = field.jets()
@@ -145,11 +149,11 @@ def soliton_residual(field, data: SolitonData, gradient=True):
     lam = float(data.factor)
 
     if gradient:
-        _, df, d2f = _jets(field, data.potential, ())
+        _, df, d2f = _jets(field, data.potential, (), "potential", "f")
         hess = d2f - np.einsum('...lik,...l->...ik', gam, df)
         resid = riem + lam * G + kn_product(hess, g)
     else:
-        V, dV, _ = _jets(field, data.covector, (field.dimension,))
+        V, dV, _ = _jets(field, data.covector, (field.dimension,), "covector", "V")
         # nabla_i V_k = d_i V_k - Gamma^m_ik V_m ; dV[..., k, i] = d_i V_k
         nablaV = np.swapaxes(dV, -1, -2) - np.einsum('...mik,...m->...ik', gam, V)
         lie = nablaV + np.swapaxes(nablaV, -1, -2)

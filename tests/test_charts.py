@@ -18,6 +18,7 @@ from riemflow.charts import (
     richardson_jet,
     spd_inverse,
 )
+from riemflow.curvature import _gather
 from riemflow.errors import NotPositiveDefinite, StencilOutOfDomain
 from riemflow.families import make_family
 from riemflow.variation import STEP
@@ -444,20 +445,25 @@ def test_cofactor_pass_gathers_in_bounded_chunks():
     assert np.all(np.abs(got - ref).max(axis=(-2, -1)) <= 1e-12 * np.abs(ref).max(axis=(-2, -1)))
 
 
-@pytest.mark.parametrize("shape", [(1, 9), (1, 1, 9), (9,), (1728, 9), (12, 12, 9), (3, 1, 9)])
+@pytest.mark.parametrize("shape", [((1,), (1,)), ((1, 1), (1, 1)), ((), ()), ((5,), (5,)),
+                                   ((3, 4), (3, 4)), ((5,), ())])
 @pytest.mark.parametrize("dtype", [float, complex])
 def test_take_last_is_fancy_indexing_bit_for_bit(shape, dtype):
-    # one-sample stacks go through ndarray.take, grid stacks through fancy
-    # indexing; both copy the same values, for 1-D and 2-D index arrays
-    rng = np.random.default_rng(len(shape) + shape[0])
-    a = rng.normal(size=shape).astype(dtype)
+    # the kernels' gather of the last two axes flattened, bound to stacks of
+    # shape ``lead`` (curvature._gather) and given a stack ``a`` of shape
+    # ``stack + (3, 3)``: ndarray.take for one sample, fancy indexing for
+    # more, also of a single matrix broadcast against a stack (the last
+    # case); both copy the values of a[..., index], for 1-D and 2-D indices
+    lead, stack = shape
+    rng = np.random.default_rng(len(lead) + sum(stack))
+    a = rng.normal(size=stack + (3, 3)).astype(dtype)
     if dtype is complex:
-        a += 1j * rng.normal(size=shape)
+        a += 1j * rng.normal(size=a.shape)
     a = np.where(a.real > 2.0, np.nan, a)
     for index in (np.array([8, 0, 3, 3]), rng.integers(0, 9, size=(2, 5))):
-        got, ref = charts.take_last(a, index), a[..., index]
-        assert got.shape == ref.shape and got.dtype == ref.dtype
-        assert got.tobytes() == ref.tobytes()
+        got, ref = _gather(lead, index)(a), a.reshape(stack + (-1,))[..., index]
+        assert got.shape[-index.ndim:] == index.shape and got.size == ref.size
+        assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
         assert not np.shares_memory(got, a)
 
 

@@ -348,6 +348,16 @@ def test_ricci_flow_on_sphere_has_no_singularity():
         monitor_blow_up(traj)
 
 
+@pytest.mark.parametrize("scale", [lambda t: 1.0 + t, lambda t: np.ones_like(t)],
+                         ids=["rising", "constant"])
+def test_a_scale_that_does_not_decay_has_no_singular_time(scale):
+    # the fit's mismatch has no root past the last sample (or a logarithm
+    # fails): no singular time, not a Newton step of about 1e299
+    t = np.linspace(0.0, 1.0, 12)
+    with pytest.raises(NoSingularity):
+        flow.estimate_singular_time(t, scale(t))
+
+
 def test_rk4_temporal_order():
     # exponential pair-product decay: beta dG/dt + gamma G = 0 on a flat
     # torus gives f(t) = exp(-gamma t / (2 beta)) exactly
@@ -476,10 +486,9 @@ def test_batched_record_diagnostics_match_one_record_at_a_time(chart):
 
 def test_a_capped_run_takes_sup_riem_once_per_accepted_state(monkeypatch):
     # 500 steps, 51 one-sample records, whose diagnostics are taken in one
-    # batch: one norm call for |Ric| and one for the |Riem| not yet taken.
-    # The cap takes |Riem| at every accepted state, and the records reuse it,
-    # so the capped run adds 500 calls and leaves one record (t = 0) to the
-    # batch; the records do not move
+    # batch: one norm call for |Ric| and one for |Riem|.  The cap takes
+    # |Riem| at every accepted state for its check alone, so the capped run
+    # adds 500 calls; the records do not move
     calls = []
     monkeypatch.setattr(flow, "tensor_norm",
                         lambda *args, f=flow.tensor_norm: calls.append(1) or f(*args))
@@ -969,6 +978,20 @@ def test_collapse_bracket_is_set_only_by_a_failed_step():
     assert accepted.termination == "collapse" and accepted.times[-1] == pytest.approx(1.0)
     for traj in (integrate_flow(fld, "riemann-induced", 1e-3, 0.1), accepted):
         assert traj.collapse_bracket is None
+
+
+def test_the_last_state_before_a_failed_step_is_recorded_after_the_loop():
+    # the state at t = 0.9 is off the stride and its least relative
+    # eigenvalue, 0.1 + 4.5e-9, is not below near = 0.1, so the loop does not
+    # record it; the step from it fails and its bisection reaches the collapse
+    # threshold, and the run records that state once, after the loop
+    fld, _ = hyperbolic_field(3)
+    traj = integrate_flow(fld, "riemann-induced", 0.3, 2.0, stride=10)
+    assert traj.termination == "collapse" and traj.collapse_bracket is not None
+    assert traj.times == [0.0, pytest.approx(0.9, abs=1e-15)]
+    rel = flow._relative_eigenvalues(traj.states[-1], flow._rel_eig_factors(traj.states[0]))
+    assert traj.diagnostic("min_rel_eig")[-1] == rel.min() > 0.1
+    assert all(len(column) == 2 for column in traj.diagnostics.values())
 
 
 def test_failed_step_far_from_the_cone_boundary_is_rejected(monkeypatch):

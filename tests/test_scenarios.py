@@ -147,6 +147,15 @@ def test_riemann_type_degenerate_beta():
             integrate_flow(fld, ("riemann-type", {"beta": 2.0 / n}), 0.1, 0.2)
 
 
+def test_riemann_type_scenario_reports_the_scaled_flow_alpha_sign(tmp_path):
+    summary = run_scenario(load_config(_write(tmp_path, _base_cfg(tmp_path, law="riemann-type"))))
+    assert summary["termination"] == "t_end"
+    assert [d for d in summary["discrepancies"] if d["id"] == "scaled-flow-alpha-sign"] == [{
+        "id": "scaled-flow-alpha-sign", "computed": -2.0, "commonly_stated": 2.0,
+        "note": "leading coefficient that actually converts the scaled pair-product flow into "
+                "the classical first-order law"}]
+
+
 def test_parse_error(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
@@ -613,6 +622,21 @@ def test_cli_soliton_subcommand(capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["classification"] == "shrinking"
     assert out["max_residual_norm"] < 1e-6
+
+
+def test_cli_soliton_refuses_a_potential_that_is_not_periodic_on_the_grid(capsys):
+    # -lam |x|^2 / 4 differenced across the seam of an 8^3 torus would give a
+    # residual of 136.25
+    argv = ["soliton", "--family", "flat", "--grid", "8", "--potential", "quadratic", "--lam", "1"]
+    assert cli_main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: the potential is not finite and periodic on the grid: one "
+                            "period along axis 1 changes it by 1.2 of max |f| (key: 'potential')\n")
+    # on the analytic chart the same soliton closes, and on the grid the zero potential
+    for argv in (argv[:3] + argv[5:], argv[:5]):
+        assert cli_main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["max_residual_norm"] == 0.0
 
 
 @pytest.mark.parametrize("chart_args", [["--grid", "8"],

@@ -77,7 +77,10 @@ def test_compare_outputs_runs_the_one_shot_commands(tmp_path):
             "--stride 1") in runs_a
     # a negative coordinate in scientific notation is a value, not an option
     assert "curvature --family hyperbolic-poincare --point -1e-1 0 0" in runs_a
-    assert len(runs_a) == 18
+    # the last accepted state before a failed step, recorded after the loop
+    assert "flow --family hyperbolic-poincare --dt 0.3 --t-end 2 --stride 10" in runs_a
+    assert "soliton --family flat --potential quadratic --lam 1" in runs_a
+    assert len(runs_a) == 20
 
 
 spec = importlib.util.spec_from_file_location(

@@ -4,6 +4,7 @@ import pytest
 from conftest import (
     HYPERBOLIC_FACTOR,
     SPHERE_FACTOR,
+    flat_grid_field,
     hyperbolic_field,
     sphere_field,
     torus_field,
@@ -351,6 +352,32 @@ def test_soliton_gradient_and_vector_paths_agree():
     r2, _ = soliton_residual(fld, SolitonData(factor=0.2, covector=covector),
                              gradient=False)
     assert np.abs(r1 - r2).max() < 1e-9
+
+
+def _periodic_potential(x):
+    x = np.asarray(x)
+    return 0.3 * np.sin(x[..., 0]) + 0.2 * np.cos(x[..., 1] + x[..., 2])
+
+
+def test_soliton_grid_potential_as_samples_or_callable_is_the_same_bit_for_bit():
+    fld, _ = torus_field(3)
+    samples = _periodic_potential(fld.chart.sample_points)
+    (r1, n1), (r2, n2) = (soliton_residual(fld, SolitonData(factor=0.4, potential=potential))
+                          for potential in (_periodic_potential, samples))
+    assert r1.tobytes() == r2.tobytes() and n1 == n2 > 0.0
+
+
+@pytest.mark.parametrize("gradient", [True, False], ids=["potential", "covector"])
+def test_soliton_refuses_a_callable_that_is_not_periodic_on_a_grid(gradient):
+    # the stencils would difference -lam |x|^2 / 4, or V = x, across the seam
+    # of the torus: the flat Gaussian soliton, whose residual is 0 on an
+    # analytic chart, would read 136 on an 8^3 grid
+    fld, _ = flat_grid_field(3)
+    data = (SolitonData(factor=1.0, potential=lambda x: -np.sum(np.asarray(x) ** 2, axis=-1) / 4.0)
+            if gradient else SolitonData(factor=1.0, covector=lambda x: np.asarray(x)))
+    name = "potential" if gradient else "covector"
+    with pytest.raises(ValueError, match=f"the {name} is not finite and periodic on the grid"):
+        soliton_residual(fld, data, gradient=gradient)
 
 
 def test_soliton_residual_scale_invariant_norm():

@@ -21,6 +21,7 @@ from riemflow.families import make_family
 from riemflow.curvature import riemann
 from riemflow.flow import Law, integrate_flow, monitor_blow_up, resolve_law
 from riemflow.wave import (
+    POSITIVITY_FLOOR,
     conformally_flat_wave_solve,
     constant_curvature_wave_ode,
     integrate_wave,
@@ -368,6 +369,25 @@ def test_conformal_wave_positivity_lost():
     u1 = np.full(N, -10.0)  # crushes the factor within a step or two
     with pytest.raises(PositivityLost):
         conformally_flat_wave_solve(u0, u1, 0.1 / N, 1.0, length=1.0)
+
+
+def test_conformal_wave_refuses_a_start_at_the_positivity_floor():
+    u0 = np.ones(16)
+    u0[5] = POSITIVITY_FLOOR
+    with pytest.raises(PositivityLost) as err:
+        conformally_flat_wave_solve(u0, np.zeros(16), 0.01, 0.1, length=1.0)
+    assert (err.value.t, err.value.x_index, err.value.value) == (0.0, 5, POSITIVITY_FLOOR)
+
+
+def test_conformal_wave_stops_at_a_new_level_at_the_positivity_floor():
+    # a uniform factor falling at rate 2.1: every level up to t = 0.2 is
+    # above 0.4 and each step's quadratic has a root, but the level at
+    # t = 0.25 is below zero
+    with pytest.raises(PositivityLost) as err:
+        conformally_flat_wave_solve(np.ones(8), np.full(8, -2.1), 0.05, 1.0, length=1.0)
+    assert err.value.t == pytest.approx(0.25) and err.value.value <= POSITIVITY_FLOOR
+    levels = conformally_flat_wave_solve(np.ones(8), np.full(8, -2.1), 0.05, 0.2, length=1.0)
+    assert levels.u.min() > 0.4
 
 
 def _roll_stepper(u0, u1, dt, t_end, length, stride):

@@ -10,8 +10,9 @@ every ``configs/*.json`` of its own through ``riemflow run``, every
 one-shot ``curvature`` report on each family and chart kind, ``soliton``,
 ``linearize``, ``identity-check``, three runs of the step loop's
 failed-step paths, two analytic evolutions off the origin, which no
-config reaches, a one-sample flow recorded at every step and a point given
-in scientific notation), one process
+config reaches, a one-sample flow recorded at every step, a point given
+in scientific notation, a flow that records its last state after a failed
+step and the flat metric's Gaussian soliton), one process
 per run with the tree's ``src`` on the import path, in a temporary directory
 of its own.  The script compares the exit status, stdout and every file the
 run wrote: CSV files byte for byte, JSON summaries as parsed without
@@ -70,7 +71,11 @@ COMMANDS = [["curvature", *args] for args in (
      "--stride", "1"]] + [
     # a negative coordinate in scientific notation, which argparse alone
     # would take for an option
-    ["curvature", "--family", "hyperbolic-poincare", "--point", "-1e-1", "0", "0"]]
+    ["curvature", "--family", "hyperbolic-poincare", "--point", "-1e-1", "0", "0"]] + [
+    # the last accepted state before a failed step, which the run records
+    # after its loop, and the Gaussian soliton of the flat metric
+    ["flow", "--family", "hyperbolic-poincare", "--dt", "0.3", "--t-end", "2", "--stride", "10"],
+    ["soliton", "--family", "flat", "--potential", "quadratic", "--lam", "1"]]
 
 # per kind, the runs of the tree at a root: name -> arguments after the
 # interpreter
