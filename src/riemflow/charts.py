@@ -27,7 +27,10 @@ Two chart backends are supported, and they alone know their kind: a chart's
   boundary conditions ever enter.  The +/-1 and +/-2 shifts along an axis
   are slices of one copy padded with two periodic layers per side, shared
   by that axis's first and second derivative.  The stencils write into the
-  jet's slots in place, in the order of the plain sums, bit for bit.
+  jet's slots in place, in the order of the plain sums, bit for bit.  Those
+  slots and the stencils' work arrays belong to a kernel
+  (:func:`_grid_jet_kernel`), which an evolution binds once per run
+  (:meth:`GridChart.evolving`).
 
 A :class:`MetricField` couples a chart with metric samples (S, n, n) and
 the source of their 2-jet ``(g, dg, d2g)``: the metric function, the jet
@@ -269,8 +272,30 @@ class GridChart:
 
     def evolving(self, field):
         """Field builder of a grid: ``build(g, inverse=None)`` is the field of
-        the samples ``g`` (S, n, n), made with their ``inverse`` if given."""
-        return lambda g, inverse=None: MetricField(self, g, None, inverse)
+        the samples ``g`` (S, n, n) of ``field``'s dtype, made with their
+        ``inverse`` if given and with its curvature parts, taken at once.
+
+        The arrays of the 2-jet are bound here, once per run: the components
+        ``g_ij``, i <= j, the :func:`_grid_jet_kernel` of their jet, and the
+        first derivatives mirrored to ``g_ji``.  Each build overwrites them,
+        so no field hands them out: its curvature parts are fresh arrays, and
+        its :meth:`MetricField.jets` are taken again of its samples."""
+        n, dtype = self.dimension, field.samples.dtype
+        flat, component = _symmetric_components(n)
+        values = np.empty(self.grid_shape + (len(flat),), dtype)
+        rows = values.reshape(-1, len(flat))
+        jet = _grid_jet_kernel(self, (len(flat),), dtype)
+        dg = np.empty((self.sample_count, n, n, n), dtype)
+
+        def build(g, inverse=None):
+            # mode 'clip' (the indices are in range) lets take write into
+            # ``out`` directly, where 'raise' copies through a temporary
+            g.reshape(-1, n * n).take(flat, axis=1, out=rows, mode="clip")
+            _, d1, d2 = jet(values)
+            d1.take(component, axis=1, out=dg, mode="clip")
+            return MetricField(self, g, None, inverse, None, curvature_parts(dg, d2))
+
+        return build
 
 
 def _require_periodic(chart, func, name, symbol):
@@ -338,29 +363,40 @@ def grid_scalar_jet(values, chart):
     """Value, gradient and symmetrised Hessian of grid-sampled components.
 
     ``values`` has shape ``grid_shape + tail``; the returned derivative arrays
-    append one (resp. two) axes of length ``n`` after the tail.  Each axis is
-    padded once and shared by its first and second derivative.  The stencils
-    sum in two work arrays of the values' dtype, so a complex-step field
-    keeps its imaginary part, and write straight into the jet's slots.
+    append one (resp. two) axes of length ``n`` after the tail.  The jet is
+    that of a fresh :func:`_grid_jet_kernel`, so its arrays are the caller's.
     """
-    n = chart.dimension
-    hs = chart.spacings
     values = _real_or_complex(values)
-    tail = values.shape[n:]
-    d1 = np.empty(values.shape + (n,), values.dtype)
-    d2 = np.empty(values.shape + (n, n), values.dtype)
-    work = np.empty_like(values), np.empty_like(values)
-    for a in range(n):
-        sh = _periodic_shifts(values, a)
-        _grid_d1(sh, hs[a], d1[..., a], work)
-        _grid_d2(sh, hs[a], d2[..., a, a], work)
-        for b in range(a + 1, n):
-            _grid_d1(_periodic_shifts(d1[..., a], b), hs[b], d2[..., a, b], work)
-            d2[..., b, a] = d2[..., a, b]
+    return _grid_jet_kernel(chart, values.shape[chart.dimension:], values.dtype)(values)
+
+
+def _grid_jet_kernel(chart, tail, dtype):
+    """:func:`grid_scalar_jet` of values ``grid_shape + tail`` (a tuple) of
+    ``dtype``, bound once: the jet's derivative arrays and the pair of work
+    arrays the stencils sum in, of the values' dtype, so that a complex-step
+    field keeps its imaginary part.  Each axis is padded once and shared by its first and
+    second derivative, and the stencils write straight into the jet's slots.
+    The kernel owns those arrays, and each call overwrites the jet of the
+    last, so it is made for one run, not cached."""
+    n, hs = chart.dimension, chart.spacings
+    shape = chart.grid_shape + tail
+    d1 = np.empty(shape + (n,), dtype)
+    d2 = np.empty(shape + (n, n), dtype)
+    work = np.empty(shape, dtype), np.empty(shape, dtype)
     flat = (chart.sample_count,) + tail
-    return (values.reshape(flat),
-            d1.reshape(flat + (n,)),
-            d2.reshape(flat + (n, n)))
+    jet = d1.reshape(flat + (n,)), d2.reshape(flat + (n, n))
+
+    def kernel(values):
+        for a in range(n):
+            sh = _periodic_shifts(values, a)
+            _grid_d1(sh, hs[a], d1[..., a], work)
+            _grid_d2(sh, hs[a], d2[..., a, a], work)
+            for b in range(a + 1, n):
+                _grid_d1(_periodic_shifts(d1[..., a], b), hs[b], d2[..., a, b], work)
+                d2[..., b, a] = d2[..., a, b]
+        return (values.reshape(flat),) + jet
+
+    return kernel
 
 
 # ---------------------------------------------------------------------------

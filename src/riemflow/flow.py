@@ -32,8 +32,10 @@ a field.  Everything fixed for a run is bound once, when the RK4 system is
 made: the inverse kernel of the state's sample count and dtype, the law's
 rate of its stacks' shape, with the law's row, coupling and sources, and the
 kernels those use, so that a right-hand side makes its numpy calls and
-little else.  On periodic grids the field is the samples, and the evolution is
-a genuine method-of-lines PDE solve.  On analytic single-point charts the
+little else.  On periodic grids the field is the samples, whose jet is taken
+in arrays the chart's ``evolving`` map binds once per run
+(:meth:`~riemflow.charts.GridChart.evolving`), and the evolution is a
+genuine method-of-lines PDE solve.  On analytic single-point charts the
 state is the metric at the evaluation point, and the spatial field is
 carried in the frozen frame of the initial metric
 (:meth:`~riemflow.charts.AnalyticChart.evolving`), whose jets are taken

@@ -213,6 +213,8 @@ def conformally_flat_wave_solve(u0, u1, dt, t_end, length=None, stride=1):
     # second-order bootstrap for the first level
     stencil(u_prev)
     u_cur = u_prev + dt * rate0 + 0.5 * dt * dt * (lap - (rate0 * rate0 + g2) / u_prev)
+    if u_cur.min() <= POSITIVITY_FLOOR:
+        raise PositivityLost(dt, int(np.argmin(u_cur)), float(np.min(u_cur)))
     times = [0.0, dt]
     history = [u_prev.copy(), u_cur.copy()]
 

@@ -1,5 +1,6 @@
 import gc
 import math
+import tracemalloc
 import weakref
 from functools import partial
 
@@ -900,6 +901,62 @@ def test_rk4_system_has_no_reference_cycle(make):
         assert ref() is None
     finally:
         gc.enable()
+
+
+def _grid_states(complex_step):
+    """A system of the riemann-induced flow on an 8^3 grid, real or with a
+    complex-step field, and two different states of it."""
+    fld, _ = torus_field(3)
+    rng = np.random.default_rng(31)
+    noise = rng.normal(size=(2,) + fld.samples.shape)
+    states = fld.samples + 0.02 * (noise + np.swapaxes(noise, -1, -2))
+    if complex_step:
+        states = states + 1j * STEP * np.swapaxes(noise, -1, -2) @ noise
+    fld = MetricField.from_samples(fld.chart, states[0])
+    return flow._RK4System(fld, resolve_law("riemann-induced", 3, 1)), fld, list(states)
+
+
+@pytest.mark.parametrize("complex_step", [False, True], ids=["real", "complex"])
+def test_grid_rhs_and_fields_share_no_memory_with_the_jet_workspace(complex_step):
+    # the grid jet's arrays are bound once per run and overwritten by each
+    # build, so nothing an rhs or a field hands out may be one of them
+    system, _, states = _grid_states(complex_step)
+    _, *first = system.rhs([states[0]])
+    kept = [a.copy() for a in first]
+    _, *second = system.rhs([states[1]])
+    for got, was, other in zip(first, kept, second):
+        assert got.tobytes() == was.tobytes()
+        assert not np.array_equal(got, other)
+        for a in second:
+            assert not np.shares_memory(got, a)
+    build = system.chart.evolving(MetricField.from_samples(system.chart, states[0]))
+    fields = [build(g) for g in states]
+    for g, field in zip(states, fields):
+        ref = MetricField.from_samples(system.chart, g)
+        for got, want in zip(field.jets() + field.curvature_parts(),
+                             ref.jets() + ref.curvature_parts()):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    parts = [field.jets()[1:] + field.curvature_parts() for field in fields]
+    assert not any(np.shares_memory(a, b) for a in parts[0] for b in parts[1])
+
+
+@pytest.mark.parametrize("complex_step", [False, True], ids=["real", "complex"])
+def test_grid_rhs_allocates_no_jet_per_call(complex_step):
+    # tracemalloc traces numpy's allocations, so a warm rhs's traced peak is
+    # deterministic.  Taking the jet in fresh arrays, one warm rhs on this 8^3
+    # grid peaked at 842,752 bytes real and 1,682,304 complex; with the
+    # arrays bound once per run it must peak at least d2's size below that
+    system, fld, states = _grid_states(complex_step)
+    before = 1_682_304 if complex_step else 842_752
+    d2_bytes = fld.jets()[2].nbytes
+    system.rhs([states[0]])
+    tracemalloc.start()
+    try:
+        system.rhs([states[1]])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= before - d2_bytes
 
 
 def _assert_states_symmetric(traj):

@@ -128,3 +128,32 @@ def test_bench_pairs_reads_a_seed_range():
     assert bench_pairs.seed_range("7") == [7]
     with pytest.raises(argparse.ArgumentTypeError):
         bench_pairs.seed_range("5-4")
+
+
+def test_bench_pairs_counts_the_minor_faults_of_a_run(tmp_path):
+    # a stand-in tree whose benchmark writes its results and writes 16 MiB
+    # in a child process of its own: the faults of the run's processes are
+    # counted, grandchildren included
+    bench = tmp_path / "perfbench"
+    bench.mkdir()
+    (bench / "run.py").write_text(
+        "import json, subprocess, sys\n"
+        "from pathlib import Path\n"
+        "subprocess.run([sys.executable, '-c', 'b\"x\" * 2 ** 24'], check=True)\n"
+        "out = Path('.perfbench_out/results')\n"
+        "out.mkdir(parents=True)\n"
+        "(out / 'w-seed3-trace0.json').write_text(json.dumps({'machine': 'm'}))\n"
+        "print(json.dumps({'correct': True, 'attempted': 1, 'failed': 0,\n"
+        "                  'metrics': {'solve_s': {'value': 0.5}}}))\n")
+    run, machine = bench_pairs.run_side(tmp_path, "w", 3)
+    assert machine == "m"
+    assert run["solve_s"] == 0.5 and run["correct"] and run["failed"] == 0
+    assert run["minor_faults"] >= 16 * 2 ** 20 // 4096
+
+
+def test_bench_pairs_prints_the_median_faults_per_workload():
+    pairs = [{"parent": {"minor_faults": p}, "change": {"minor_faults": c}}
+             for p, c in ((900, 40), (1000, 60), (1200, 50))]
+    assert bench_pairs.fault_lines({"w": pairs, "v": pairs[:2]}) == [
+        "w: median minor faults per run: parent 1000, change 50",
+        "v: median minor faults per run: parent 950, change 50"]

@@ -406,6 +406,8 @@ def _roll_stepper(u0, u1, dt, t_end, length, stride):
 
     u_cur = u_prev + dt * rate0 + 0.5 * dt * dt * (
         lap(u_prev) - (rate0 * rate0 + grad(u_prev) ** 2) / u_prev)
+    if np.min(u_cur) <= 1e-8:
+        raise PositivityLost(dt, int(np.argmin(u_cur)), float(np.min(u_cur)))
     times, history = [0.0, dt], [u_prev.copy(), u_cur.copy()]
     t = dt
     for step_index in range(nsteps - 1):
@@ -456,6 +458,20 @@ def test_conformal_wave_loses_positivity_where_the_roll_stepper_does():
     assert (err.value.t, err.value.x_index, err.value.value) == \
         (oracle.value.t, oracle.value.x_index, oracle.value.value)
     assert abs(err.value.t - 0.529) < 1e-3
+
+
+def test_conformal_wave_checks_the_floor_on_the_bootstrap_level():
+    # a uniform u0 = 1, u1 = -15 bootstraps to 1 - 0.75 - 0.28125 = -0.03125
+    # at t = dt: the first level is below the floor before any leapfrog step
+    u0, u1 = np.ones(8), np.full(8, -15.0)
+    with pytest.raises(PositivityLost) as oracle:
+        _roll_stepper(u0, u1, 0.05, 1.0, 1.0, 1)
+    with pytest.raises(PositivityLost) as err:
+        conformally_flat_wave_solve(u0, u1, 0.05, 1.0, length=1.0)
+    assert (err.value.t, err.value.x_index, err.value.value) == \
+        (oracle.value.t, oracle.value.x_index, oracle.value.value)
+    assert err.value.t == 0.05 and err.value.x_index == 0
+    assert err.value.value == pytest.approx(-0.03125, rel=1e-12)
 
 
 def test_conformal_wave_leaves_its_inputs_and_records_unaliased():

@@ -14,17 +14,23 @@ needs to be the same in both.
 
 The file written holds every run (``workloads``: per workload, per pair, the
 seed, the side that ran first, and per side ``correct``, ``attempted``,
-``failed`` and the end-to-end metrics) and one ``summary`` row per workload
-and end-to-end metric of the change tree's ``BENCHMARK.json``: each side's
-median and quartiles, the ratio of the medians (change over parent) and the
-pairs in which the change was better, a tie counting for neither.  The
-script then prints that summary as a Markdown table, with each metric's
-bound.  It exits 1 when an operation failed its checks, else 0.
+``failed``, the end-to-end metrics and ``minor_faults``) and one ``summary``
+row per workload and end-to-end metric of the change tree's
+``BENCHMARK.json``: each side's median and quartiles, the ratio of the
+medians (change over parent) and the pairs in which the change was better, a
+tie counting for neither.  ``minor_faults`` is the minor page faults of the
+run's processes (``ru_minflt`` of ``RUSAGE_CHILDREN`` over the run): it spans
+the benchmark's set-up probes, the worker's warm-up and all its rounds, not
+the timed rounds alone.  The script then prints that summary as a Markdown
+table, with each metric's bound, and under it each side's median
+``minor_faults`` per workload.  It exits 1 when an operation failed its
+checks, else 0.
 """
 
 import argparse
 import json
 import os
+import resource
 import statistics
 import subprocess
 import sys
@@ -47,13 +53,16 @@ def seed_range(text):
 
 def run_side(root, workload, seed):
     """One untraced benchmark run of ``workload`` in the tree at ``root``:
-    its ``correct``, ``attempted`` and ``failed`` and each metric's value,
-    and the machine the benchmark reported."""
+    its ``correct``, ``attempted`` and ``failed``, each metric's value and
+    the minor page faults of its processes, and the machine the benchmark
+    reported."""
     env = {key: value for key, value in os.environ.items() if key != "PYTHONPATH"}
+    faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seconds", str(SECONDS),
          "--seed", str(seed), "--trace", "0"],
         cwd=root, env=env, stdout=subprocess.PIPE, text=True)
+    faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - faults
     lines = proc.stdout.strip().splitlines()
     if proc.returncode not in (0, 1) or not lines:
         raise RuntimeError(f"perfbench/run.py in {root} exited with {proc.returncode}")
@@ -62,6 +71,7 @@ def run_side(root, workload, seed):
                          / f"{workload}-seed{seed}-trace0.json").read_text())
     run = {key: result[key] for key in ("correct", "attempted", "failed")}
     run.update((name, metric["value"]) for name, metric in result["metrics"].items())
+    run["minor_faults"] = faults
     return run, report["machine"]
 
 
@@ -105,6 +115,18 @@ def table_lines(summary, metrics):
         lines.append(f"| {row['workload']} | {row['metric']} | {sides[0]} | {sides[1]} "
                      f"| {row['ratio']:.3f} | {row['change_better_pairs']}/{row['pairs']} "
                      f"| {bounds[row['metric']]:g} |")
+    return lines
+
+
+def fault_lines(workloads):
+    """Per workload of ``workloads`` (name -> pairs), each side's median
+    ``minor_faults`` per run."""
+    lines = []
+    for workload, pairs in workloads.items():
+        parent, change = (statistics.median([pair[side]["minor_faults"] for pair in pairs])
+                          for side in SIDES)
+        lines.append(f"{workload}: median minor faults per run: parent {parent:.0f}, "
+                     f"change {change:.0f}")
     return lines
 
 
@@ -158,7 +180,7 @@ def main(argv=None):
         "failed": {side: sum(pair[side]["failed"] for pairs in workloads.values()
                              for pair in pairs) for side in SIDES},
     }, indent=2) + "\n")
-    print("\n".join(table_lines(summary, metrics)))
+    print("\n".join(table_lines(summary, metrics) + [""] + fault_lines(workloads)))
     return 0 if all(run["correct"] and not run["failed"] for run in runs) else 1
 
 
