@@ -27,10 +27,11 @@ Two chart backends are supported, and they alone know their kind: a chart's
   boundary conditions ever enter.  The +/-1 and +/-2 shifts along an axis
   are slices of one copy padded with two periodic layers per side, shared
   by that axis's first and second derivative.  The stencils write into the
-  jet's slots in place, in the order of the plain sums, bit for bit.  Those
-  slots and the stencils' work arrays belong to a kernel
-  (:func:`_grid_jet_kernel`), which an evolution binds once per run
-  (:meth:`GridChart.evolving`).
+  jet's slots in place, in the order of the plain sums, bit for bit, and of
+  the Hessian only the entries k <= l; the public jet
+  (:func:`grid_scalar_jet`) mirrors them after.  Those slots and the
+  stencils' work arrays belong to a kernel (:func:`_grid_jet_kernel`), which
+  an evolution binds once per run (:meth:`GridChart.evolving`).
 
 A :class:`MetricField` couples a chart with metric samples (S, n, n) and
 the source of their 2-jet ``(g, dg, d2g)``: the metric function, the jet
@@ -39,7 +40,11 @@ curvature kernel reads the jet's lowered Christoffel symbols and Hessian
 bracket (:meth:`MetricField.curvature_parts`), which an evolving analytic
 field carries and any other field takes of its jet.  Every metric jet, on
 either chart kind and in the frozen frame, differentiates only the n(n+1)/2
-components ``g_ij``, ``i <= j``, and mirrors their first derivatives once.
+components ``g_ij``, ``i <= j``.  The parts read the jet as it is taken:
+the first derivatives of the components, not mirrored, and the entries
+k <= l of each Hessian, through cached gather tables
+(:func:`_christoffel_index`, :func:`_hessian_index`).  :meth:`MetricField.jets`
+mirrors the first derivatives to ``g_ji`` once per field, and keeps the jet.
 A field checks positivity and inverts its
 metric once, in one cofactor pass vectorised over the samples
 (:func:`spd_inverse`, cached as :attr:`MetricField.inverse` or given to the
@@ -180,9 +185,8 @@ class AnalyticChart:
         flat, component = _symmetric_components(n)
         basis = (component == np.arange(len(flat))[:, None, None]).astype(float)
         images = np.einsum('pab,qbc,pdc->qpad', M, basis, M).reshape(len(flat), -1, n * n)
-        _, dg, d2g = richardson_jet(stencil, images[..., flat])
-        dg = np.take(dg, component, axis=1)
-        pieces = (dg, d2g, *curvature_parts(dg, d2g))
+        _, d1, d2g = richardson_jet(stencil, images[..., flat])
+        pieces = (np.take(d1, component, axis=1), d2g, *curvature_parts(d1, d2g))
         jet_map = np.concatenate([p.reshape(len(flat), -1) for p in pieces], axis=1)
         ends = np.cumsum([0] + [p[0].size for p in pieces]).tolist()
         (dg, dg_shape), (d2g, d2g_shape), (low, low_shape), (bracket, bracket_shape) = [
@@ -276,24 +280,25 @@ class GridChart:
         ``inverse`` if given and with its curvature parts, taken at once.
 
         The arrays of the 2-jet are bound here, once per run: the components
-        ``g_ij``, i <= j, the :func:`_grid_jet_kernel` of their jet, and the
-        first derivatives mirrored to ``g_ji``.  Each build overwrites them,
-        so no field hands them out: its curvature parts are fresh arrays, and
-        its :meth:`MetricField.jets` are taken again of its samples."""
+        ``g_ij``, i <= j, and the :func:`_grid_jet_kernel` of their jet.  Each
+        build copies ``g``'s components in, runs the kernel and reads its
+        first derivatives and the k <= l entries of its Hessian, as the kernel
+        writes them, into the field's :func:`curvature_parts`.  Each build
+        overwrites those arrays, so no field hands them out: its curvature
+        parts are fresh arrays, and its :meth:`MetricField.jets` are taken
+        again of its samples."""
         n, dtype = self.dimension, field.samples.dtype
-        flat, component = _symmetric_components(n)
+        flat = _symmetric_components(n)[0]
         values = np.empty(self.grid_shape + (len(flat),), dtype)
         rows = values.reshape(-1, len(flat))
         jet = _grid_jet_kernel(self, (len(flat),), dtype)
-        dg = np.empty((self.sample_count, n, n, n), dtype)
 
         def build(g, inverse=None):
             # mode 'clip' (the indices are in range) lets take write into
             # ``out`` directly, where 'raise' copies through a temporary
             g.reshape(-1, n * n).take(flat, axis=1, out=rows, mode="clip")
             _, d1, d2 = jet(values)
-            d1.take(component, axis=1, out=dg, mode="clip")
-            return MetricField(self, g, None, inverse, None, curvature_parts(dg, d2))
+            return MetricField(self, g, None, inverse, None, curvature_parts(d1, d2))
 
         return build
 
@@ -364,10 +369,14 @@ def grid_scalar_jet(values, chart):
 
     ``values`` has shape ``grid_shape + tail``; the returned derivative arrays
     append one (resp. two) axes of length ``n`` after the tail.  The jet is
-    that of a fresh :func:`_grid_jet_kernel`, so its arrays are the caller's.
+    that of a fresh :func:`_grid_jet_kernel`, so its arrays are the caller's,
+    with the Hessian's k > l entries mirrored from its k < l ones here.
     """
     values = _real_or_complex(values)
-    return _grid_jet_kernel(chart, values.shape[chart.dimension:], values.dtype)(values)
+    jet = _grid_jet_kernel(chart, values.shape[chart.dimension:], values.dtype)(values)
+    lower, upper = np.tril_indices(chart.dimension, -1)
+    jet[2][..., lower, upper] = jet[2][..., upper, lower]
+    return jet
 
 
 def _grid_jet_kernel(chart, tail, dtype):
@@ -375,9 +384,11 @@ def _grid_jet_kernel(chart, tail, dtype):
     ``dtype``, bound once: the jet's derivative arrays and the pair of work
     arrays the stencils sum in, of the values' dtype, so that a complex-step
     field keeps its imaginary part.  Each axis is padded once and shared by its first and
-    second derivative, and the stencils write straight into the jet's slots.
-    The kernel owns those arrays, and each call overwrites the jet of the
-    last, so it is made for one run, not cached."""
+    second derivative, and the stencils write straight into the jet's slots:
+    every first derivative, and of the Hessian only the entries k <= l, which
+    is all :func:`curvature_parts` reads; the k > l entries hold whatever the
+    arrays held.  The kernel owns those arrays, and each call overwrites the
+    jet of the last, so it is made for one run, not cached."""
     n, hs = chart.dimension, chart.spacings
     shape = chart.grid_shape + tail
     d1 = np.empty(shape + (n,), dtype)
@@ -393,7 +404,6 @@ def _grid_jet_kernel(chart, tail, dtype):
             _grid_d2(sh, hs[a], d2[..., a, a], work)
             for b in range(a + 1, n):
                 _grid_d1(_periodic_shifts(d1[..., a], b), hs[b], d2[..., a, b], work)
-                d2[..., b, a] = d2[..., a, b]
         return (values.reshape(flat),) + jet
 
     return kernel
@@ -638,38 +648,75 @@ def _block_index(n, patterns):
 
 
 @lru_cache(maxsize=None)
+def _christoffel_index(n):
+    """Flat indices into first derivatives (n(n+1)/2, n) of the components
+    ``g_ij``, i <= j, unmirrored, of the three terms of each lowered symbol
+    ``[l, j, k]``: ``d_k g_lj``, ``d_j g_lk`` and ``d_l g_jk``.  Shape
+    (3, n^3)."""
+    component = _symmetric_components(n)[1]
+    l, j, k = np.indices((n, n, n)).reshape(3, -1)
+    return _frozen(np.array([component[l, j] * n + k, component[l, k] * n + j,
+                             component[j, k] * n + l]))[0]
+
+
+@lru_cache(maxsize=None)
 def _hessian_index(n):
     """Flat indices into a compact Hessian (n(n+1)/2, n, n), the ``d2g`` of
     :meth:`MetricField.jets`, of the four second derivatives in the bracket
     of each block entry: ``d2g[i, k, j, l]``, ``d2g[j, l, i, k]``,
     ``d2g[j, k, i, l]`` and ``d2g[i, l, j, k]`` with the metric pair read as
-    its component.  Shape (4, N * N)."""
+    its component and the derivative pair as its entry ``c <= d``, so that
+    only the upper entries of each Hessian are read.  Shape (4, N * N)."""
     full = _block_index(n, ("ikjl", "jlik", "jkil", "iljk"))
     component = _symmetric_components(n)[1].ravel()
-    return _frozen(component[full // n ** 2] * n ** 2 + full % n ** 2)[0]
+    c, d = full % n ** 2 // n, full % n
+    return _frozen(component[full // n ** 2] * n ** 2 + np.minimum(c, d) * n + np.maximum(c, d))[0]
 
 
-def lowered_christoffel(dg):
+def _unmirrored(dg):
+    """The first derivatives (..., n(n+1)/2, n) of the components ``g_ij``, i
+    <= j, in ``np.triu_indices`` order, of the mirrored ones ``dg`` (..., n,
+    n, n) of :meth:`MetricField.jets`: the layout the jets are taken in."""
+    n = dg.shape[-1]
+    return np.take(dg.reshape(dg.shape[:-3] + (n * n, n)), _symmetric_components(n)[0], axis=-2)
+
+
+def _half_sum(a, index):
+    """``((a[..., i0] + a[..., i1]) - a[..., i2] - ...) * 0.5`` over the rows
+    of ``index``, summed in place in the first gather, a fresh array."""
+    out = a[..., index[0]]
+    out += a[..., index[1]]
+    for i in index[2:]:
+        out -= a[..., i]
+    out *= 0.5
+    return out
+
+
+def lowered_christoffel(d1):
     """The lowered Christoffel symbols ``low[..., l, j, k] = Gamma_{l,jk} =
-    1/2 (d_k g_lj + d_j g_lk - d_l g_jk)`` of the first derivatives ``dg``
-    (..., n, n, n) of :meth:`MetricField.jets`."""
-    # dg[..., a, b, c] = d_c g_ab
-    return 0.5 * (dg + np.swapaxes(dg, -2, -1) - np.swapaxes(np.swapaxes(dg, -1, -2), -2, -3))
+    1/2 (d_k g_lj + d_j g_lk - d_l g_jk)``, (..., n, n, n), of the first
+    derivatives ``d1`` (..., n(n+1)/2, n) of the components ``g_ij``, i <=
+    j, unmirrored, as the chart jets take them (:func:`_unmirrored` of the
+    mirrored ones of :meth:`MetricField.jets`)."""
+    n, lead = d1.shape[-1], d1.shape[:-2]
+    return _half_sum(d1.reshape(lead + (-1,)), _christoffel_index(n)).reshape(lead + (n, n, n))
 
 
-def curvature_parts(dg, d2g):
-    """The parts of the curvature linear in a metric's 2-jet, of stacks
-    (S, ...) in the layout of :meth:`MetricField.jets`, laid out as the
-    curvature kernel reads them: the lowered Christoffel symbols
+def curvature_parts(d1, d2g):
+    """The parts of the curvature linear in a metric's 2-jet, of stacks (S,
+    ...) of the first derivatives ``d1`` (S, n(n+1)/2, n) of the components
+    ``g_ij``, i <= j, unmirrored, and their Hessians ``d2g`` (S, n(n+1)/2, n,
+    n), of which only the entries k <= l are read: the jet as the chart jets
+    take it, before any mirroring.  The parts are fresh arrays laid out as
+    the curvature kernel reads them: the lowered Christoffel symbols
     (:func:`lowered_christoffel`), (S, n, n^2), and the Hessian bracket, the
     block on 2-forms, flattened to (S, N^2), of
     1/2 (d_j d_l g_ik + d_i d_k g_jl - d_i d_l g_jk - d_j d_k g_il)."""
-    n = dg.shape[-1]
+    n = d1.shape[-1]
     # d2g[..., (ab), c, d] = d_c d_d g_ab, so that d_j d_l g_ik at [i, j, k, l]
     # is d2g[(ik), j, l], and so on
-    t = d2g.reshape(len(d2g), -1)[..., _hessian_index(n)]
-    bracket = 0.5 * (t[..., 0, :] + t[..., 1, :] - t[..., 2, :] - t[..., 3, :])
-    return lowered_christoffel(dg).reshape(-1, n, n * n), bracket
+    bracket = _half_sum(d2g.reshape(len(d2g), -1), _hessian_index(n))
+    return lowered_christoffel(d1).reshape(-1, n, n * n), bracket
 
 
 @dataclass
@@ -744,18 +791,20 @@ class MetricField:
 
         ``g`` is the samples.  The rest is the jet the field was made with (or
         its maker's, when first read), else the chart's jet of those components
-        of its function or, without one, of its samples, mirrored to ``g_ji``.
+        of its function or, without one, of its samples, mirrored to ``g_ji``
+        and kept, read-only, so that the jet is taken once per field.
         """
         if callable(self._jets):
             self._jets = self._jets()
-        if self._jets is not None:
-            return self._jets
-        n = self.dimension
-        flat, component = _symmetric_components(n)
-        source = (np.take(self.samples.reshape(-1, n * n), flat, axis=1) if self.func is None else
-                  lambda x: np.take(np.reshape(self.func(x), x.shape[:-1] + (n * n,)), flat, -1))
-        _, d1, d2 = self.chart.jet(source)
-        return self.samples, np.take(d1, component, axis=1), d2
+        if self._jets is None:
+            n = self.dimension
+            flat, component = _symmetric_components(n)
+            source = (np.take(self.samples.reshape(-1, n * n), flat, axis=1) if self.func is None
+                      else lambda x: np.take(np.reshape(self.func(x), x.shape[:-1] + (n * n,)),
+                                             flat, -1))
+            _, d1, d2 = self.chart.jet(source)
+            self._jets = (self.samples,) + _frozen(np.take(d1, component, axis=1), d2)
+        return self._jets
 
     def curvature_parts(self):
         """The lowered Christoffel symbols and the Hessian bracket of the
@@ -764,4 +813,4 @@ class MetricField:
         if self._parts is not None:
             return self._parts
         _, dg, d2g = self.jets()
-        return curvature_parts(dg, d2g)
+        return curvature_parts(_unmirrored(dg), d2g)

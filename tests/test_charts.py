@@ -18,10 +18,10 @@ from riemflow.charts import (
     richardson_jet,
     spd_inverse,
 )
-from riemflow.curvature import _gather
+from riemflow.curvature import _gather, riemann
 from riemflow.errors import NotPositiveDefinite, StencilOutOfDomain
 from riemflow.families import make_family
-from riemflow.variation import STEP
+from riemflow.variation import STEP, SolitonData, soliton_residual
 
 EPS = np.finfo(float).eps
 
@@ -317,6 +317,66 @@ def test_grid_jet_bitwise_equals_roll_oracle(n):
         for a, b in zip(grid_scalar_jet(values, chart), _roll_jet(values, chart)):
             assert a.dtype == b.dtype == complex
             assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("complex_step", [False, True], ids=["real", "complex"])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_grid_build_reads_only_the_upper_hessian_the_kernel_writes(n, complex_step, monkeypatch):
+    # the bound jet kernel writes only the Hessian's entries k <= l, and the
+    # curvature parts read no other; poisoning the k > l entries with NaN
+    # after each kernel call leaves a bound build's parts equal to those of
+    # the public jet, which mirrors them and is exactly symmetric
+    rng = np.random.default_rng(50 + n)
+    chart = GridChart(n, 8, tuple(1.0 + rng.uniform(size=n)))
+    A, B = rng.normal(size=(2, chart.sample_count, n, n))
+    g = 0.05 * (A + np.swapaxes(A, -1, -2)) + 2.0 * np.eye(n)
+    if complex_step:
+        g = g + 1j * STEP * (B + np.swapaxes(B, -1, -2))
+    want = MetricField.from_samples(chart, g)
+    d2g = want.jets()[2]
+    assert np.array_equal(d2g, np.swapaxes(d2g, -1, -2))
+
+    index = charts._hessian_index(n)
+    assert np.all(index % n ** 2 // n <= index % n)
+
+    kernel, lower = charts._grid_jet_kernel, np.tril_indices(n, -1)
+
+    def poisoned(*args):
+        jet = kernel(*args)
+
+        def run(values):
+            out = jet(values)
+            out[2][..., lower[0], lower[1]] = np.nan
+            return out
+        return run
+
+    monkeypatch.setattr(charts, "_grid_jet_kernel", poisoned)
+    got = chart.evolving(want)(g.copy())
+    for a, b in zip(got.curvature_parts(), want.curvature_parts()):
+        assert a.dtype == b.dtype == g.dtype and a.tobytes() == b.tobytes()
+
+
+def test_a_grid_field_takes_its_jet_once(monkeypatch):
+    # a field keeps the jet it takes: its jets, the curvature of its parts
+    # and its jets again build one stencil kernel, and a soliton residual
+    # takes one jet of the metric (and one of the potential)
+    fld = MetricField.from_function(GridChart(3, 8, 2.0 * np.pi),
+                                    make_family("conformal-torus", 3).metric_function)
+    kernel, tails = charts._grid_jet_kernel, []
+
+    def counted(chart, tail, dtype):
+        tails.append(tail)
+        return kernel(chart, tail, dtype)
+
+    monkeypatch.setattr(charts, "_grid_jet_kernel", counted)
+    jets = fld.jets()
+    riemann(fld)
+    assert fld.jets() is jets and tails == [(6,)]
+    assert not any(a.flags.writeable for a in jets[1:])
+    tails.clear()
+    soliton_residual(MetricField.from_samples(fld.chart, fld.samples),
+                     SolitonData(factor=0.0, potential=lambda x: np.cos(np.asarray(x)[..., 0])))
+    assert tails == [(6,), ()]
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])

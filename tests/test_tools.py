@@ -2,6 +2,7 @@ import argparse
 import importlib.util
 import json
 import shlex
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -157,3 +158,38 @@ def test_bench_pairs_prints_the_median_faults_per_workload():
     assert bench_pairs.fault_lines({"w": pairs, "v": pairs[:2]}) == [
         "w: median minor faults per run: parent 1000, change 50",
         "v: median minor faults per run: parent 950, change 50"]
+
+
+def test_bench_pairs_runs_a_git_revision_as_the_parent(tmp_path, capsys):
+    # a throwaway repository whose committed benchmark reports 0.5 s and whose
+    # working tree reports 0.25 s: the revision HEAD is exported and run as
+    # the parent, the working tree as the change, and the commit recorded
+    repo = tmp_path / "repo"
+    (repo / "perfbench").mkdir(parents=True)
+    script = ("import json\n"
+              "from pathlib import Path\n"
+              "out = Path('.perfbench_out/results')\n"
+              "out.mkdir(parents=True)\n"
+              "(out / 'w-seed3-trace0.json').write_text(json.dumps({'machine': 'm'}))\n"
+              "print(json.dumps({'correct': True, 'attempted': 1, 'failed': 0,\n"
+              "                  'metrics': {'solve_s': {'value': %s}}}))\n")
+    (repo / "perfbench" / "run.py").write_text(script % "0.5")
+    (repo / "BENCHMARK.json").write_text(json.dumps({"end_to_end": METRICS[:1]}))
+
+    def git(*args):
+        return subprocess.run(["git", "-C", str(repo), "-c", "user.name=t", "-c",
+                               "user.email=t@t", *args], check=True, stdout=subprocess.PIPE,
+                              text=True).stdout.strip()
+
+    git("init", "-q")
+    git("add", "-A")
+    git("commit", "-q", "-m", "stand-in")
+    (repo / "perfbench" / "run.py").write_text(script % "0.25")
+    out = tmp_path / "bench.json"
+    assert bench_pairs.main(["HEAD", str(repo), "--workload", "w", "--seeds", "3",
+                             "--out", str(out)]) == 0
+    bench = json.loads(out.read_text())
+    assert bench["parent_commit"] == git("rev-parse", "HEAD")
+    pair, = bench["workloads"]["w"]
+    assert (pair["parent"]["solve_s"], pair["change"]["solve_s"]) == (0.5, 0.25)
+    assert "| w | solve_s | 0.5 [0.5, 0.5] | 0.25 [0.25, 0.25] | 0.500 | 1/1 |" in capsys.readouterr().out

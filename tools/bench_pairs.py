@@ -5,7 +5,10 @@ Usage::
     python tools/bench_pairs.py PARENT CHANGE --workload W [--workload W ...] \\
         --seeds A-B --out BENCH_<n>.json
 
-``PARENT`` and ``CHANGE`` are roots of riemflow checkouts.  For each workload
+``CHANGE`` is the root of a riemflow checkout.  ``PARENT`` is the root of
+another, or a git revision of ``CHANGE``'s repository (``HEAD``, a branch, a
+commit), which is exported with ``git archive`` into a temporary directory
+for the runs and removed after them.  For each workload
 and each seed from A to B, one pair: ``python3 perfbench/run.py --workload W
 --seconds 6 --seed SEED --trace 0`` runs in each tree, one process at a time,
 the parent first in the first pair and the change first in the next, and so
@@ -28,12 +31,15 @@ checks, else 0.
 """
 
 import argparse
+import io
 import json
 import os
 import resource
 import statistics
 import subprocess
 import sys
+import tarfile
+import tempfile
 from pathlib import Path
 
 SIDES = ("parent", "change")
@@ -138,15 +144,38 @@ def commit_of(root):
     return proc.stdout.strip() if proc.returncode == 0 else None
 
 
+def export_revision(repository, revision, into):
+    """Export ``revision`` of the git repository at ``repository`` into the
+    directory ``into`` with ``git archive``; return the commit it names."""
+    def git(*args):
+        return subprocess.run(["git", "-C", str(repository), *args], stdout=subprocess.PIPE,
+                              check=True).stdout
+    commit = git("rev-parse", "--verify", f"{revision}^{{commit}}").decode().strip()
+    with tarfile.open(fileobj=io.BytesIO(git("archive", commit))) as archive:
+        archive.extractall(into, filter="data")
+    return commit
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("parent", type=Path)
+    parser.add_argument("parent", help="a checkout's root, or a git revision of CHANGE's")
     parser.add_argument("change", type=Path)
     parser.add_argument("--workload", action="append", required=True)
     parser.add_argument("--seeds", type=seed_range, required=True)
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
-    roots = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    change = args.change.resolve()
+    if Path(args.parent).is_dir():
+        return compare(Path(args.parent).resolve(), change, args)
+    with tempfile.TemporaryDirectory(prefix="bench-parent-") as tree:
+        return compare(Path(tree), change, args, export_revision(change, args.parent, tree))
+
+
+def compare(parent, change, args, parent_commit=None):
+    """The paired runs of ``args`` of the trees ``parent`` and ``change``,
+    written to ``args.out`` and summarized; the exit status.  The parent's
+    commit is ``parent_commit``, else the one checked out at ``parent``."""
+    roots = {"parent": parent, "change": change}
     metrics = json.loads((roots["change"] / "BENCHMARK.json").read_text())["end_to_end"]
 
     workloads, machine = {}, None
@@ -166,7 +195,7 @@ def main(argv=None):
     summary = summarize(workloads, metrics)
     seeds = f"{args.seeds[0]}-{args.seeds[-1]}"
     args.out.write_text(json.dumps({
-        "parent_commit": commit_of(roots["parent"]),
+        "parent_commit": parent_commit or commit_of(parent),
         "machine": machine,
         "description": (f"Paired runs of perfbench/run.py --seconds {SECONDS} --trace 0, "
                         "parent then change or change then parent alternately, one seed per "
