@@ -25,13 +25,15 @@ Two chart backends are supported, and they alone know their kind: a chart's
 * :class:`GridChart` -- a periodic grid over a flat torus.  Derivatives are
   taken with fourth-order central stencils and periodic wrap-around, so no
   boundary conditions ever enter.  The +/-1 and +/-2 shifts along an axis
-  are slices of one copy padded with two periodic layers per side, shared
-  by that axis's first and second derivative.  The stencils write into the
+  are views of one copy padded with two periodic layers per side, shared
+  by that axis's first and second derivative; the copies of all axes are
+  views of one block, filled in turn.  The stencils write into the
   jet's slots in place, in the order of the plain sums, bit for bit, and of
   the Hessian only the entries k <= l; the public jet
-  (:func:`grid_scalar_jet`) mirrors them after.  Those slots and the
-  stencils' work arrays belong to a kernel (:func:`_grid_jet_kernel`), which
-  an evolution binds once per run (:meth:`GridChart.evolving`).
+  (:func:`grid_scalar_jet`) mirrors them after.  Those slots, the padded
+  block with its shift views and the stencils' work arrays belong to a
+  kernel (:func:`_grid_jet_kernel`), which an evolution binds once per run
+  (:meth:`GridChart.evolving`).
 
 A :class:`MetricField` couples a chart with metric samples (S, n, n) and
 the source of their 2-jet ``(g, dg, d2g)``: the metric function, the jet
@@ -326,41 +328,56 @@ def _require_periodic(chart, func, name, symbol):
 # ---------------------------------------------------------------------------
 
 
-def _periodic_shifts(values, axis):
-    """``s -> np.roll(values, -s, axis)`` for ``|s| <= 2``, as views of one
-    copy of ``values`` padded with two periodic layers on each side of
-    ``axis``."""
-    N = values.shape[axis]
+def _periodic_pad(padded, axis):
+    """``fill(values)`` for an array ``padded`` of the shape of the values
+    but for four more entries along ``axis``: it copies ``values`` into
+    ``padded`` with two periodic layers on each side of ``axis`` and returns
+    the shifts ``np.roll(values, -s, axis)``, |s| <= 2, as views of it,
+    indexed by ``s`` (the negative shifts from the end).  The views are cut
+    here, once, so a fill makes three copies and cuts no slice."""
+    N = padded.shape[axis] - 4
     lead = (slice(None),) * axis
-    padded = np.concatenate([values[lead + (slice(N - 2, N),)], values,
-                             values[lead + (slice(0, 2),)]], axis=axis)
-    return lambda s: padded[lead + (slice(2 + s, 2 + s + N),)]
+
+    def cut(start, stop):
+        return padded[lead + (slice(start, stop),)]
+
+    shifts = tuple(cut(2 + s, 2 + s + N) for s in (0, 1, 2, -2, -1))
+    # the layers before and after the values, each with the values it repeats
+    ghosts = (cut(0, 2), cut(N, N + 2)), (cut(N + 2, N + 4), cut(2, 4))
+
+    def fill(values):
+        np.copyto(shifts[0], values)
+        for layer, source in ghosts:
+            np.copyto(layer, source)
+        return shifts
+
+    return fill
 
 
 def _grid_d1(sh, h, out, work):
     """Fourth-order periodic first derivative (-s(2) + 8 s(1) - 8 s(-1) +
-    s(-2)) / (12 h) from the shifts ``s = sh`` of :func:`_periodic_shifts`,
+    s(-2)) / (12 h) from the shifts ``s = sh[s]`` of :func:`_periodic_pad`,
     summed in the pair of arrays ``work`` and written to ``out``.  The sum
     starts from 8 s(1) - s(2), which is -s(2) + 8 s(1) exactly, and adds
     the other terms in order, so it is that expression bit for bit."""
     acc, term = work
-    np.multiply(sh(1), 8.0, out=acc)
-    acc -= sh(2)
-    acc -= np.multiply(sh(-1), 8.0, out=term)
-    acc += sh(-2)
+    np.multiply(sh[1], 8.0, out=acc)
+    acc -= sh[2]
+    acc -= np.multiply(sh[-1], 8.0, out=term)
+    acc += sh[-2]
     np.divide(acc, 12.0 * h, out=out)
 
 
 def _grid_d2(sh, h, out, work):
     """Fourth-order periodic pure second derivative (-s(2) + 16 s(1) - 30
-    s(0) + 16 s(-1) - s(-2)) / (12 h^2) from the shifts ``s = sh``, as
+    s(0) + 16 s(-1) - s(-2)) / (12 h^2) from the shifts ``s = sh[s]``, as
     :func:`_grid_d1` sums and writes it."""
     acc, term = work
-    np.multiply(sh(1), 16.0, out=acc)
-    acc -= sh(2)
-    acc -= np.multiply(sh(0), 30.0, out=term)
-    acc += np.multiply(sh(-1), 16.0, out=term)
-    acc -= sh(-2)
+    np.multiply(sh[1], 16.0, out=acc)
+    acc -= sh[2]
+    acc -= np.multiply(sh[0], 30.0, out=term)
+    acc += np.multiply(sh[-1], 16.0, out=term)
+    acc -= sh[-2]
     np.divide(acc, 12.0 * h * h, out=out)
 
 
@@ -381,12 +398,16 @@ def grid_scalar_jet(values, chart):
 
 def _grid_jet_kernel(chart, tail, dtype):
     """:func:`grid_scalar_jet` of values ``grid_shape + tail`` (a tuple) of
-    ``dtype``, bound once: the jet's derivative arrays and the pair of work
-    arrays the stencils sum in, of the values' dtype, so that a complex-step
-    field keeps its imaginary part.  Each axis is padded once and shared by its first and
-    second derivative, and the stencils write straight into the jet's slots:
-    every first derivative, and of the Hessian only the entries k <= l, which
-    is all :func:`curvature_parts` reads; the k > l entries hold whatever the
+    ``dtype``, bound once: the jet's derivative arrays, the pair of work
+    arrays the stencils sum in and the periodically padded copy their shifts
+    read, of the values' dtype, so that a complex-step field keeps its
+    imaginary part.  Each axis's copy is a view of one block, with its shift
+    views cut once (:func:`_periodic_pad`): the kernel fills and reads one
+    copy at a time, the values padded along an axis for its first and second
+    derivative, then that first derivative padded along each later axis for
+    the mixed ones.  The stencils write straight into the jet's slots: every
+    first derivative, and of the Hessian only the entries k <= l, which is
+    all :func:`curvature_parts` reads; the k > l entries hold whatever the
     arrays held.  The kernel owns those arrays, and each call overwrites the
     jet of the last, so it is made for one run, not cached."""
     n, hs = chart.dimension, chart.spacings
@@ -394,16 +415,21 @@ def _grid_jet_kernel(chart, tail, dtype):
     d1 = np.empty(shape + (n,), dtype)
     d2 = np.empty(shape + (n, n), dtype)
     work = np.empty(shape, dtype), np.empty(shape, dtype)
+    padded = [shape[:a] + (shape[a] + 4,) + shape[a + 1:] for a in range(n)]
+    block = np.empty(max(int(np.prod(p)) for p in padded), dtype)
+    pads = [_periodic_pad(block[:int(np.prod(p))].reshape(p), a) for a, p in enumerate(padded)]
+    first = [d1[..., a] for a in range(n)]
+    second = {(a, b): d2[..., a, b] for a in range(n) for b in range(a, n)}
     flat = (chart.sample_count,) + tail
     jet = d1.reshape(flat + (n,)), d2.reshape(flat + (n, n))
 
     def kernel(values):
         for a in range(n):
-            sh = _periodic_shifts(values, a)
-            _grid_d1(sh, hs[a], d1[..., a], work)
-            _grid_d2(sh, hs[a], d2[..., a, a], work)
+            sh = pads[a](values)
+            _grid_d1(sh, hs[a], first[a], work)
+            _grid_d2(sh, hs[a], second[a, a], work)
             for b in range(a + 1, n):
-                _grid_d1(_periodic_shifts(d1[..., a], b), hs[b], d2[..., a, b], work)
+                _grid_d1(pads[b](first[a]), hs[b], second[a, b], work)
         return (values.reshape(flat),) + jet
 
     return kernel
@@ -567,11 +593,21 @@ def _cofactor_pass(rows, index, weights, chunk):
     the n leading principal minors of ``re a``, (1 + n^2 + n, S), in chunks of
     at most ``chunk`` matrices, :data:`COFACTOR_GATHER` factors.  A
     polynomial in the entries, it keeps a complex ``a``'s dtype and a complex
-    step through it exact."""
+    step through it exact.  The signed sums are one real product, also of
+    complex products, read as pairs of floats of their precision: the
+    weights are real, so the real and the imaginary parts sum apart, where
+    numpy would promote the weights to complex and take 4 real products per
+    term.  A real stack's products are summed as they are.  It sums each
+    output's terms in BLAS's real order, not its complex one; the two agree
+    to roundoff, and bit for bit on the shipped grids (n = 3, a multiple of 4
+    samples), with the OpenBLAS the tests run on."""
     if rows.shape[1] > chunk:
         return np.concatenate([_cofactor_pass(rows[:, s:s + chunk], index, weights, chunk)
                                for s in range(0, rows.shape[1], chunk)], axis=1)
-    return weights.dot(np.multiply.reduce(rows.take(index, axis=0), axis=0))
+    products = np.multiply.reduce(rows.take(index, axis=0), axis=0)
+    if products.dtype.kind == "c":
+        return weights.dot(products.view(products.real.dtype)).view(complex)
+    return weights.dot(products)
 
 
 def spd_inverse(g):
@@ -589,8 +625,11 @@ def _inverse_kernel(n, count, dtype):
     ``dtype`` or else float64, its row of ones written here.  The kernel owns
     that buffer, so it is made for one run, not cached.  Unless every leading
     principal minor of ``g.real`` is positive (Sylvester), the eigenvalues of
-    the finite samples name the first sample that is not finite, else the
-    least, in :class:`NotPositiveDefinite`."""
+    the real parts of the finite samples name the first sample that is not
+    finite, in either part, else the least, in :class:`NotPositiveDefinite`.
+    A non-finite imaginary part fails the minors too: every product that
+    reads it has a real part that is not finite, which the zero weights
+    turn into NaN in every output of the signed sums."""
     nn, (index, real, weights) = n * n, _cofactor_terms(n)
     complex_ = np.dtype(dtype).kind == "c"
     dtype = dtype if complex_ else np.dtype(float)
@@ -611,10 +650,10 @@ def _inverse_kernel(n, count, dtype):
         minors = cof[1 + nn:].real
         # the least minor or the first NaN, where argmin finds it
         if not minors.item(minors.argmin()) > 0.0:
-            g = g.real
+            # a sample is finite when its imaginary parts are too
             finite = np.isfinite(g).all(axis=(1, 2))
             w = np.full(len(g), np.nan)
-            w[finite] = np.linalg.eigvalsh(g[finite])[:, 0]
+            w[finite] = np.linalg.eigvalsh(g.real[finite])[:, 0]
             worst = int(np.argmin(w))
             raise NotPositiveDefinite(worst, float(w[worst]))
         # the adjugate's rows are the samples' columns: one sample's column is

@@ -5,7 +5,7 @@ Linearizations are complex-step derivatives (Squire & Trapp, SIAM Review 40,
 the metric samples and every kernel from the jets onward is rational in
 them, so ``Im F(g + i STEP h) / STEP`` is F's derivative along a real ``h``
 to roundoff: no difference is taken, so nothing cancels, and only the real
-part g is checked for positivity, so ``h`` may have any size.  The
+part g is checked for positivity, so ``h`` may have any finite size.  The
 linearized flow is the flow's own RK4 of the complex samples g + i STEP h.
 The tests check both against central quotients and two-run tangency.
 """
@@ -46,7 +46,7 @@ class PerturbationField:
 
     def __post_init__(self):
         if not callable(self.direction):
-            h = np.asarray(self.direction, dtype=float)
+            h = _finite_direction(np.asarray(self.direction, dtype=float))
             if np.abs(h - np.swapaxes(h, -1, -2)).max() > 1e-12 * max(np.abs(h).max(), 1.0):
                 raise ValueError("perturbation directions must be symmetric")
             self.direction = h
@@ -71,10 +71,21 @@ class SolitonData:
     covector: object = None      # callable -> (..., n), or samples (S, n)
 
 
+def _finite_direction(h):
+    """The samples ``h`` (..., n, n) of a direction, or ``ValueError`` naming
+    the first sample that is not finite."""
+    finite = np.isfinite(h).reshape(-1, h.shape[-2] * h.shape[-1]).all(axis=1)
+    if not finite.all():
+        raise ValueError("the perturbation direction is not finite at sample "
+                         f"{int(np.argmin(finite))}")
+    return h
+
+
 def _perturbed_field(field, h, eps):
     """Metric field for g + eps h, from the field's function and a callable
-    ``h``, else from its samples and samples of ``h`` (grid charts); a
-    complex ``eps`` gives complex samples."""
+    ``h``, else from its samples and samples of ``h`` (grid charts), which
+    must be finite (:func:`_finite_direction`); a complex ``eps`` gives
+    complex samples."""
     if isinstance(h, PerturbationField):
         h = h.direction
     if callable(h) and field.func is None:
@@ -86,7 +97,7 @@ def _perturbed_field(field, h, eps):
             return np.asarray(base(x), dtype=float) + eps * np.asarray(h(x), dtype=float)
 
         return MetricField.from_function(field.chart, metric)
-    h = np.asarray(h, dtype=float).reshape(field.samples.shape)
+    h = _finite_direction(np.asarray(h, dtype=float).reshape(field.samples.shape))
     return MetricField.from_samples(field.chart, field.samples + eps * h)
 
 

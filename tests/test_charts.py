@@ -356,6 +356,47 @@ def test_grid_build_reads_only_the_upper_hessian_the_kernel_writes(n, complex_st
         assert a.dtype == b.dtype == g.dtype and a.tobytes() == b.tobytes()
 
 
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_a_bound_grid_jet_kernel_takes_each_jet_afresh(n, dtype):
+    # one kernel called on different values in turn gives each the jet of a
+    # fresh grid_scalar_jet, bit for bit (of the Hessian the entries k <= l
+    # it writes): a ghost layer left from the last call, or two padded
+    # copies overlapping in the block they share, would not
+    rng = np.random.default_rng(60 + n)
+    chart = GridChart(n, tuple(range(8, 8 + n)), tuple(1.0 + rng.uniform(size=n)))
+    tail = (2,)
+    kernel = charts._grid_jet_kernel(chart, tail, np.dtype(dtype))
+    rows, cols = np.triu_indices(n)
+    draws = [rng.normal(size=chart.grid_shape + tail) for _ in range(3)]
+    if dtype is complex:
+        draws = [v + 1j * rng.normal(size=v.shape) for v in draws]
+    for values in draws + draws[:1]:
+        want = grid_scalar_jet(values, chart)
+        got = kernel(values)
+        assert [a.dtype for a in got] == [np.dtype(dtype)] * 3
+        for a, b in zip(got[:2], want[:2]):
+            assert a.tobytes() == b.tobytes()
+        assert (got[2][..., rows, cols].tobytes() == want[2][..., rows, cols].tobytes())
+
+
+def test_a_warm_grid_jet_kernel_allocates_less_than_one_padded_copy():
+    # the padded copies and their shift views are bound with the kernel, so
+    # a warm call allocates no array of the grid's size
+    rng = np.random.default_rng(64)
+    chart = GridChart(3, (8, 9, 10), 2.0 * np.pi)
+    values = rng.normal(size=chart.grid_shape + (6,)) + 1j * rng.normal(size=chart.grid_shape + (6,))
+    kernel = charts._grid_jet_kernel(chart, (6,), values.dtype)
+    kernel(values)
+    tracemalloc.start()
+    try:
+        kernel(values)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < min(values.nbytes // N * (N + 4) for N in chart.grid_shape)
+
+
 def test_a_grid_field_takes_its_jet_once(monkeypatch):
     # a field keeps the jet it takes: its jets, the curvature of its parts
     # and its jets again build one stencil kernel, and a soliton residual
@@ -550,6 +591,20 @@ def test_spd_inverse_is_c_contiguous(S, dtype):
     assert ginv.flags.c_contiguous and ginv.dtype == g.dtype
 
 
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_spd_inverse_of_a_single_precision_complex_stack(n):
+    # the signed sums read complex64 products as pairs of float32, not as
+    # float64 bytes, and sum them in double precision as numpy's promotion of
+    # the weights did
+    rng = np.random.default_rng(80 + n)
+    a, b = rng.normal(size=(2, 7, n, n))
+    g = (a @ np.swapaxes(a, -1, -2) + np.eye(n) + 1e-3j * (b + np.swapaxes(b, -1, -2)))
+    g = g.astype(np.complex64)
+    ginv = spd_inverse(g)
+    assert ginv.dtype == complex
+    assert np.allclose(ginv, np.linalg.inv(g.astype(complex)), rtol=1e-4, atol=1e-4)
+
+
 def test_spd_inverse_names_a_sample_that_is_not_finite():
     # one NaN entry in a stack of two SPD matrices fails the check at its
     # sample, with eigenvalue NaN, rather than a LAPACK error from the
@@ -564,6 +619,66 @@ def test_spd_inverse_names_a_sample_that_is_not_finite():
         with pytest.raises(NotPositiveDefinite) as err:
             spd_inverse(g)
         assert err.value.sample_index == s and np.isnan(err.value.min_eigenvalue)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("dtype, part", [(float, "real"), (complex, "real"), (complex, "imag")])
+def test_spd_inverse_names_the_first_sample_not_finite_in_either_part(dtype, part, bad):
+    # samples 3 and 4 of five scaled identities are not finite in one part;
+    # the finite ones are judged on their real parts, so a non-finite
+    # imaginary part was named as sample 0, the smallest eigenvalue
+    for n in range(2, 6):
+        g = np.stack([np.eye(n) * (k + 1) for k in range(5)]).astype(dtype)
+        for s in (3, 4):
+            getattr(g, part)[s, 0, 1] = getattr(g, part)[s, 1, 0] = bad
+        with pytest.raises(NotPositiveDefinite) as err, np.errstate(invalid="ignore"):
+            spd_inverse(g)
+        assert err.value.sample_index == 3 and np.isnan(err.value.min_eigenvalue)
+
+
+def _promoted_pass(g, index, weights, chunk):
+    """The cofactor pass of the complex stack ``g`` (S, n, n), in chunks of
+    ``chunk`` samples, with numpy's complex promotion of the weights, and the
+    weighted sums of the absolute real and imaginary parts of its terms."""
+    S = len(g)
+    rows = np.concatenate([g.reshape(S, -1).T, g.real.reshape(S, -1).T, np.ones((1, S))])
+    parts = []
+    for s in range(0, S, chunk):
+        products = np.multiply.reduce(rows[:, s:s + chunk].take(index, axis=0), axis=0)
+        parts.append([weights.astype(complex).dot(products),
+                      np.abs(weights).dot(np.abs(products.real)),
+                      np.abs(weights).dot(np.abs(products.imag))])
+    return rows, [np.concatenate(p, axis=1) for p in zip(*parts)]
+
+
+@pytest.mark.parametrize("n, S", [(n, S) for n in range(2, 6) for S in (1, 512, "chunks")]
+                         + [(3, 1728)])
+def test_complex_signed_sums_are_the_complex_promoted_ones(n, S, monkeypatch):
+    # the pass sums a complex stack's signed products as one real product of
+    # their pairs of floats, where numpy would promote the weights to complex;
+    # BLAS then orders each output's terms its real way, not its complex one.
+    # The two agree to the roundoff of a reordered sum of the terms, and bit
+    # for bit on the shipped grids, n = 3 at 8^3 and 12^3 samples, so the
+    # inverse is the complex-promoted one there
+    index, _, weights = charts._cofactor_terms(n)
+    if S == "chunks":
+        monkeypatch.setattr(charts, "COFACTOR_GATHER", 100 * index.size)
+        S = 250
+    chunk = max(1, charts.COFACTOR_GATHER // index.size)
+    rng = np.random.default_rng(70 + n + S)
+    a, b = rng.normal(size=(2, S, n, n))
+    g = a @ np.swapaxes(a, -1, -2) + np.eye(n) + 1e-3j * (b + np.swapaxes(b, -1, -2))
+    rows, (want, size_re, size_im) = _promoted_pass(g, index, weights, chunk)
+    got = charts._cofactor_pass(rows, index, weights, chunk)
+    assert got.dtype == complex and got.shape == want.shape
+    terms = np.count_nonzero(weights, axis=1).max()
+    assert np.all(np.abs(got.real - want.real) <= 2 * terms * EPS * size_re)
+    assert np.all(np.abs(got.imag - want.imag) <= 2 * terms * EPS * size_im)
+    if n == 3 and S in (512, 1728):
+        assert got.tobytes() == want.tobytes()
+        nn = n * n
+        inv = np.ascontiguousarray((want[1:1 + nn] / want[0]).T).reshape(g.shape)
+        assert spd_inverse(g).tobytes() == inv.tobytes()
 
 
 @st.composite

@@ -959,6 +959,19 @@ def test_grid_rhs_allocates_no_jet_per_call(complex_step):
     assert peak <= before - d2_bytes
 
 
+@pytest.mark.parametrize("complex_step", [False, True], ids=["real", "complex"])
+def test_a_warm_grid_rhs_pads_without_concatenating(complex_step, monkeypatch):
+    # the jet's periodic copies are bound once per run; padding each axis by
+    # np.concatenate took 6 calls per rhs at n = 3
+    system, _, states = _grid_states(complex_step)
+    system.rhs([states[0]])
+    calls = []
+    monkeypatch.setattr(np, "concatenate",
+                        lambda *args, f=np.concatenate, **kw: calls.append(1) or f(*args, **kw))
+    system.rhs([states[1]])
+    assert calls == []
+
+
 def _assert_states_symmetric(traj):
     for g in traj.states:
         assert np.array_equal(g, np.swapaxes(g, -1, -2))

@@ -105,11 +105,28 @@ def test_bench_pairs_summarizes_synthetic_pairs():
     assert solve == {"workload": "w", "metric": "solve_s", "pairs": 5,
                      "parent_median": 3.0, "parent_q1": 2.0, "parent_q3": 4.0,
                      "change_median": 2.5, "change_q1": 2.0, "change_q3": 3.0,
-                     "ratio": 2.5 / 3.0, "change_better_pairs": 3}
+                     "ratio": 2.5 / 3.0, "change_better_pairs": 3,
+                     "beyond_parent_spread": False}
     assert rate["change_better_pairs"] == 3
     assert rate["parent_median"] == 1.0 / 3.0 and rate["change_median"] == 1.0 / 2.5
     assert bench_pairs.table_lines([solve], METRICS)[2] == (
-        "| w | solve_s | 3 [2, 4] | 2.5 [2, 3] | 0.833 | 3/5 | 0.2 |")
+        "| w | solve_s | 3 [2, 4] | 2.5 [2, 3] | 0.833 | 3/5 | no | 0.2 |")
+
+
+def test_bench_pairs_says_whether_the_medians_are_beyond_the_parent_spread():
+    # the second half of the rule for claiming a gain: the medians differ by
+    # more than the parent's q3 - q1, in either direction, strictly
+    def row(parent, change):
+        pairs = [{"parent": {"solve_s": p, "rate": 1.0}, "change": {"solve_s": c, "rate": 1.0}}
+                 for p, c in zip(parent, change)]
+        return bench_pairs.summarize({"w": pairs}, METRICS)[0]
+
+    parent = [1.0, 1.5, 2.0, 2.5, 3.0]          # median 2, q3 - q1 = 1
+    for shift, apart in ((-1.25, True), (-1.0, False), (0.5, False), (1.5, True)):
+        got = row(parent, [p + shift for p in parent])
+        assert got["beyond_parent_spread"] is apart
+        assert f"| {'yes' if apart else 'no'} | 0.2 |" in bench_pairs.table_lines([got], METRICS)[2]
+    assert bench_pairs.table_lines([], METRICS)[0].count("|") == 9
 
 
 def test_bench_pairs_reproduces_a_committed_summary():
@@ -121,6 +138,9 @@ def test_bench_pairs_reproduces_a_committed_summary():
     assert len(got) == len(bench["summary"])
     for row in bench["summary"]:
         mine = next(r for r in got if (r["workload"], r["metric"]) == (row["workload"], row["metric"]))
+        # the file predates the spread verdict, which its own quartiles give
+        assert mine.pop("beyond_parent_spread") is (
+            abs(row["change_median"] - row["parent_median"]) > row["parent_q3"] - row["parent_q1"])
         assert mine == pytest.approx(row, rel=1e-12)
 
 

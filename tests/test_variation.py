@@ -48,6 +48,30 @@ def test_perturbation_field_rejects_asymmetric(rng):
         PerturbationField(rng.normal(size=(1, 3, 3)))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_a_direction_that_is_not_finite_is_refused_at_its_sample(bad, rng):
+    # a NaN passes the symmetry test (the comparison is false), and a grid
+    # run would fail later with StepRejected or NotPositiveDefinite; every
+    # entry point refuses it up front, naming the first sample
+    fld, _ = torus_field(3, points=8, amplitude=0.06)
+    h = _sym_perturbation(fld.samples.shape, rng)
+    h[200, 0, 1] = h[200, 1, 0] = h[300, 2, 2] = bad
+    match = "not finite at sample 200"
+    with pytest.raises(ValueError, match=match):
+        PerturbationField(h)
+    with pytest.raises(ValueError, match=match):
+        integrate_linearized_flow(fld, h, "ricci", 1e-3, 2e-3)
+    with pytest.raises(ValueError, match=match):
+        linearized_flow_rhs(fld, h)
+    for which in ("Riem", "Ric"):
+        with pytest.raises(ValueError, match=match):
+            directional_curvature_derivative(fld, h, which)
+    # a callable direction is sampled at a grid field's points first
+    fld = MetricField.from_samples(fld.chart, fld.samples)
+    with pytest.raises(ValueError, match=match):
+        linearized_flow_rhs(fld, lambda x: h)
+
+
 def test_perturbation_field_raised_lowered_consistency(rng):
     # d(g^{jk})/d eps along g + eps h equals minus the raised direction
     fld, _ = torus_field(3, points=8, amplitude=0.06)

@@ -20,8 +20,11 @@ seed, the side that ran first, and per side ``correct``, ``attempted``,
 ``failed``, the end-to-end metrics and ``minor_faults``) and one ``summary``
 row per workload and end-to-end metric of the change tree's
 ``BENCHMARK.json``: each side's median and quartiles, the ratio of the
-medians (change over parent) and the pairs in which the change was better, a
-tie counting for neither.  ``minor_faults`` is the minor page faults of the
+medians (change over parent), the pairs in which the change was better, a
+tie counting for neither, and ``beyond_parent_spread``: whether the medians
+differ by more than the parent's q3 - q1.  A gain is claimed when the change
+is better in at least 9 of 10 pairs and the medians are that far apart.
+``minor_faults`` is the minor page faults of the
 run's processes (``ru_minflt`` of ``RUSAGE_CHILDREN`` over the run): it spans
 the benchmark's set-up probes, the worker's warm-up and all its rounds, not
 the timed rounds alone.  The script then prints that summary as a Markdown
@@ -105,6 +108,8 @@ def summarize(workloads, metrics):
             row["ratio"] = row["change_median"] / row["parent_median"]
             row["change_better_pairs"] = sum(sign * (change - parent) < 0.0 for parent, change
                                              in zip(values["parent"], values["change"]))
+            row["beyond_parent_spread"] = (abs(row["change_median"] - row["parent_median"])
+                                           > row["parent_q3"] - row["parent_q1"])
             rows.append(row)
     return rows
 
@@ -113,13 +118,14 @@ def table_lines(summary, metrics):
     """The summary as the rows of a Markdown table, each with its bound."""
     bounds = {metric["name"]: metric["bound"] for metric in metrics}
     lines = ["| workload | metric | parent | change | change/parent "
-             "| change better in pairs | bound |",
-             "| --- | --- | --- | --- | --- | --- | --- |"]
+             "| change better in pairs | medians apart > parent q3 - q1 | bound |",
+             "| --- | --- | --- | --- | --- | --- | --- | --- |"]
     for row in summary:
         sides = [f"{row[f'{side}_median']:.4g} [{row[f'{side}_q1']:.4g}, "
                  f"{row[f'{side}_q3']:.4g}]" for side in SIDES]
         lines.append(f"| {row['workload']} | {row['metric']} | {sides[0]} | {sides[1]} "
                      f"| {row['ratio']:.3f} | {row['change_better_pairs']}/{row['pairs']} "
+                     f"| {'yes' if row['beyond_parent_spread'] else 'no'} "
                      f"| {bounds[row['metric']]:g} |")
     return lines
 
