@@ -42,11 +42,10 @@ curvature kernel reads the jet's lowered Christoffel symbols and Hessian
 bracket (:meth:`MetricField.curvature_parts`), which an evolving analytic
 field carries and any other field takes of its jet.  Every metric jet, on
 either chart kind and in the frozen frame, differentiates only the n(n+1)/2
-components ``g_ij``, ``i <= j``.  The parts read the jet as it is taken:
-the first derivatives of the components, not mirrored, and the entries
-k <= l of each Hessian, through cached gather tables
-(:func:`_christoffel_index`, :func:`_hessian_index`).  :meth:`MetricField.jets`
-mirrors the first derivatives to ``g_ji`` once per field, and keeps the jet.
+components ``g_ij``, ``i <= j``, and keeps the layout it is taken in; the
+parts read its first derivatives and the entries k <= l of each Hessian
+through cached gather tables (:func:`_christoffel_index`,
+:func:`_hessian_index`).  A field keeps its jet once taken.
 A field checks positivity and inverts its
 metric once, in one cofactor pass vectorised over the samples
 (:func:`spd_inverse`, cached as :attr:`MetricField.inverse` or given to the
@@ -63,8 +62,9 @@ the curvature kernels are chosen when a kernel is bound to its stacks'
 shape: ``ndarray.take`` of the flat array for a stack of one sample, where
 its fixed cost per call is the lower, and fancy indexing for more, which
 gathers faster.
-Index conventions for metric jets: ``dg[..., i, j, k] = d_k g_ij`` and, over
-the components ``c = (i <= j)`` in ``np.triu_indices`` order,
+Index conventions for metric jets, one layout, components first and
+derivative axes last: over the components ``c = (i <= j)`` in
+``np.triu_indices`` order, ``dg[..., c, k] = d_k g_ij`` and
 ``d2g[..., c, k, l] = d_k d_l g_ij`` with the derivative pair symmetrised.
 Samples may be complex: fields, jets and inverses keep a complex dtype, so
 that a complex-step perturbation ``g + i e h`` keeps its imaginary part, and
@@ -188,7 +188,7 @@ class AnalyticChart:
         basis = (component == np.arange(len(flat))[:, None, None]).astype(float)
         images = np.einsum('pab,qbc,pdc->qpad', M, basis, M).reshape(len(flat), -1, n * n)
         _, d1, d2g = richardson_jet(stencil, images[..., flat])
-        pieces = (np.take(d1, component, axis=1), d2g, *curvature_parts(d1, d2g))
+        pieces = (d1, d2g, *curvature_parts(d1, d2g))
         jet_map = np.concatenate([p.reshape(len(flat), -1) for p in pieces], axis=1)
         ends = np.cumsum([0] + [p[0].size for p in pieces]).tolist()
         (dg, dg_shape), (d2g, d2g_shape), (low, low_shape), (bracket, bracket_shape) = [
@@ -689,7 +689,7 @@ def _block_index(n, patterns):
 @lru_cache(maxsize=None)
 def _christoffel_index(n):
     """Flat indices into first derivatives (n(n+1)/2, n) of the components
-    ``g_ij``, i <= j, unmirrored, of the three terms of each lowered symbol
+    ``g_ij``, i <= j, of the three terms of each lowered symbol
     ``[l, j, k]``: ``d_k g_lj``, ``d_j g_lk`` and ``d_l g_jk``.  Shape
     (3, n^3)."""
     component = _symmetric_components(n)[1]
@@ -712,14 +712,6 @@ def _hessian_index(n):
     return _frozen(component[full // n ** 2] * n ** 2 + np.minimum(c, d) * n + np.maximum(c, d))[0]
 
 
-def _unmirrored(dg):
-    """The first derivatives (..., n(n+1)/2, n) of the components ``g_ij``, i
-    <= j, in ``np.triu_indices`` order, of the mirrored ones ``dg`` (..., n,
-    n, n) of :meth:`MetricField.jets`: the layout the jets are taken in."""
-    n = dg.shape[-1]
-    return np.take(dg.reshape(dg.shape[:-3] + (n * n, n)), _symmetric_components(n)[0], axis=-2)
-
-
 def _half_sum(a, index):
     """``((a[..., i0] + a[..., i1]) - a[..., i2] - ...) * 0.5`` over the rows
     of ``index``, summed in place in the first gather, a fresh array."""
@@ -735,8 +727,7 @@ def lowered_christoffel(d1):
     """The lowered Christoffel symbols ``low[..., l, j, k] = Gamma_{l,jk} =
     1/2 (d_k g_lj + d_j g_lk - d_l g_jk)``, (..., n, n, n), of the first
     derivatives ``d1`` (..., n(n+1)/2, n) of the components ``g_ij``, i <=
-    j, unmirrored, as the chart jets take them (:func:`_unmirrored` of the
-    mirrored ones of :meth:`MetricField.jets`)."""
+    j, the ``dg`` of :meth:`MetricField.jets`."""
     n, lead = d1.shape[-1], d1.shape[:-2]
     return _half_sum(d1.reshape(lead + (-1,)), _christoffel_index(n)).reshape(lead + (n, n, n))
 
@@ -744,9 +735,9 @@ def lowered_christoffel(d1):
 def curvature_parts(d1, d2g):
     """The parts of the curvature linear in a metric's 2-jet, of stacks (S,
     ...) of the first derivatives ``d1`` (S, n(n+1)/2, n) of the components
-    ``g_ij``, i <= j, unmirrored, and their Hessians ``d2g`` (S, n(n+1)/2, n,
-    n), of which only the entries k <= l are read: the jet as the chart jets
-    take it, before any mirroring.  The parts are fresh arrays laid out as
+    ``g_ij``, i <= j, and their Hessians ``d2g`` (S, n(n+1)/2, n, n), of which
+    only the entries k <= l are read: the jet of :meth:`MetricField.jets`, or
+    as a grid kernel writes it.  The parts are fresh arrays laid out as
     the curvature kernel reads them: the lowered Christoffel symbols
     (:func:`lowered_christoffel`), (S, n, n^2), and the Hessian bracket, the
     block on 2-forms, flattened to (S, N^2), of
@@ -825,24 +816,25 @@ class MetricField:
         self.inverse
 
     def jets(self):
-        """Return ``(g, dg, d2g)`` flattened over samples, ``d2g`` over the
-        n(n+1)/2 components ``g_ij``, i <= j: shape (S, n(n+1)/2, n, n).
+        """Return ``(g, dg, d2g)`` flattened over samples, ``dg`` and ``d2g``
+        over the n(n+1)/2 components ``g_ij``, i <= j: shapes (S, n, n),
+        (S, n(n+1)/2, n) and (S, n(n+1)/2, n, n).
 
         ``g`` is the samples.  The rest is the jet the field was made with (or
         its maker's, when first read), else the chart's jet of those components
-        of its function or, without one, of its samples, mirrored to ``g_ji``
-        and kept, read-only, so that the jet is taken once per field.
+        of its function or, without one, of its samples, kept, read-only, so
+        that the jet is taken once per field.
         """
         if callable(self._jets):
             self._jets = self._jets()
         if self._jets is None:
             n = self.dimension
-            flat, component = _symmetric_components(n)
+            flat = _symmetric_components(n)[0]
             source = (np.take(self.samples.reshape(-1, n * n), flat, axis=1) if self.func is None
                       else lambda x: np.take(np.reshape(self.func(x), x.shape[:-1] + (n * n,)),
                                              flat, -1))
             _, d1, d2 = self.chart.jet(source)
-            self._jets = (self.samples,) + _frozen(np.take(d1, component, axis=1), d2)
+            self._jets = (self.samples,) + _frozen(d1, d2)
         return self._jets
 
     def curvature_parts(self):
@@ -851,5 +843,4 @@ class MetricField:
         with, else those of :meth:`jets`."""
         if self._parts is not None:
             return self._parts
-        _, dg, d2g = self.jets()
-        return curvature_parts(_unmirrored(dg), d2g)
+        return curvature_parts(*self.jets()[1:])

@@ -79,12 +79,13 @@ def _family_params(args):
 
 
 def _chart_spec(args):
-    """The scenario chart spec of the chart arguments; without a ``--point``
-    or a ``--step`` the scenario's own defaults apply."""
-    if args.grid:
-        return {"dimension": args.dimension, "kind": "periodic-grid", "points_per_axis": args.grid}
-    return {"dimension": args.dimension, "kind": "analytic-point", **_given(args, ("step",)),
-            **({"point": args.point} if args.point else {})}
+    """The scenario chart spec of the chart arguments, a grid with ``--grid``:
+    every chart option given is passed on, so the scenario refuses one the
+    chart kind does not take, and the scenario's own defaults apply to the rest."""
+    kind = "analytic-point" if args.grid is None else "periodic-grid"
+    spec = {"dimension": args.dimension, "kind": kind, "points_per_axis": args.grid,
+            "step": args.step, "point": args.point}
+    return {key: value for key, value in spec.items() if value is not None}
 
 
 def _build_field(args):

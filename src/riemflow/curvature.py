@@ -53,7 +53,6 @@ from .charts import (
     MetricField,
     _block_index,
     _frozen,
-    _unmirrored,
     curvature_parts,
     lowered_christoffel,
     spd_inverse,
@@ -197,9 +196,10 @@ def christoffel(field: MetricField) -> ConnectionField:
 
 def christoffel_from_jets(g, dg, ginv):
     """Christoffel symbols ``Gamma^i_jk = g^{il} Gamma_{l,jk}`` from the
-    1-jet ``(g, dg)`` and ``ginv``, the inverse of ``g``: one batched product
-    with the lowered symbols (:func:`~riemflow.charts.lowered_christoffel`)."""
-    low = lowered_christoffel(_unmirrored(dg))
+    1-jet ``(g, dg)`` in the layout of :meth:`MetricField.jets` (``dg`` over
+    the components i <= j) and ``ginv``, the inverse of ``g``: one batched
+    product with the lowered symbols (:func:`~riemflow.charts.lowered_christoffel`)."""
+    low = lowered_christoffel(dg)
     n = ginv.shape[-1]
     return (ginv @ low.reshape(low.shape[:-2] + (n * n,))).reshape(low.shape)
 
@@ -215,13 +215,12 @@ def riemann(field: MetricField) -> CurvatureTensor:
 
 def riemann_from_jets(g, dg, d2g, ginv):
     """Curvature block, shape ``lead + (N, N)``, from the 2-jet
-    ``(g, dg, d2g)`` in the layout of :meth:`MetricField.jets` (``d2g`` over
-    the components i <= j) and ``ginv``, the inverse of ``g``; ``g`` itself
-    does not enter.  The parts are taken of the components of ``dg``, one
-    take, and the upper entries of ``d2g`` (:func:`~riemflow.charts.curvature_parts`)."""
+    ``(g, dg, d2g)`` in the layout of :meth:`MetricField.jets` (``dg`` and
+    ``d2g`` over the components i <= j) and ``ginv``, the inverse of ``g``;
+    ``g`` itself does not enter.  The parts are taken of ``dg`` and the upper
+    entries of ``d2g`` (:func:`~riemflow.charts.curvature_parts`)."""
     n, lead = ginv.shape[-1], ginv.shape[:-2]
-    d1 = _unmirrored(dg)
-    parts = curvature_parts(d1.reshape((-1,) + d1.shape[-2:]), d2g.reshape((-1,) + d2g.shape[-3:]))
+    parts = curvature_parts(dg.reshape((-1,) + dg.shape[-2:]), d2g.reshape((-1,) + d2g.shape[-3:]))
     block = _riemann_kernel(n, math.prod(lead))(*parts, ginv.reshape(-1, n, n))
     return block.reshape(lead + block.shape[1:])
 

@@ -485,11 +485,16 @@ def _rk4_evolve(initial, law, order, velocity, dt, t_end, stride, collapse_thres
                 curvature_cap, cross_check_stride):
     """The trajectory of :func:`integrate_flow` (``order`` 1) or
     ``integrate_wave`` (``order`` 2) from a field or a state; a state's own
-    velocity, if it has one, replaces ``velocity``, which defaults to zero."""
+    velocity, if it has one, replaces ``velocity``, which defaults to zero.
+    A complex field or velocity, whose diagnostics would be complex, raises
+    ``ValueError``."""
     if isinstance(initial, MetricField):
         t0, fld = 0.0, initial
     else:
         t0, fld, velocity = initial.t, initial.field, getattr(initial, "velocity", velocity)
+    if np.iscomplexobj(fld.samples) or np.iscomplexobj(velocity):
+        raise ValueError("a complex field or velocity is a complex-step run: use "
+                         "integrate_linearized_flow")
     _check_schedule(t0, t_end, dt, stride)
     fld.validate_spd()
     if order == 2 and velocity is None:

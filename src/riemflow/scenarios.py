@@ -2,7 +2,8 @@
 
 A scenario is a JSON document selecting a metric family, a chart, an
 evolution law, integrator settings and output paths.  A document is checked
-when it is loaded, before any run starts: unknown keys, parameters the law
+when it is loaded, before any run starts: unknown keys (a chart's among
+them, if its kind does not take them), parameters the law
 or the family does not take or cannot use, a number that is not finite, a
 fraction where a whole number is needed (``dimension``, ``stride``,
 ``points_per_axis``, ``mode``, ``points``, ``seed``), a negative ``seed``,
@@ -95,6 +96,9 @@ class ScenarioConfig:
 
 _TOP_KEYS = {"id", "family", "chart", "law", "integrator", "stop",
              "initial_velocity_scale", "output", "seed"}
+# the keys each chart kind takes
+_CHART_KEYS = {"analytic-point": {"dimension", "kind", "point", "step"},
+               "periodic-grid": {"dimension", "kind", "points_per_axis", "lengths"}}
 
 
 def _require_known(mapping, allowed, context):
@@ -134,8 +138,6 @@ def config_from_dict(raw, default_id="scenario"):
     family_params = dict(family.get("params", {}))
 
     chart = dict(raw.get("chart", {}))
-    _require_known(chart, {"dimension", "kind", "point", "step",
-                           "points_per_axis", "lengths"}, "chart")
     dimension = whole_number(chart.get("dimension", family.get("dimension", 3)), "dimension",
                              least=2)
     # built here to refuse a bad family or chart at load; the run keeps the
@@ -222,24 +224,25 @@ def _chart_of(spec, family):
     kind = spec.get("kind")
     if kind is None:
         kind = "periodic-grid" if family.default_lengths else "analytic-point"
+    if not isinstance(kind, str) or kind not in _CHART_KEYS:
+        raise SchemaError(f"unknown chart kind {kind!r}", key="kind")
+    _require_known(spec, _CHART_KEYS[kind], f"{kind} chart")
     if kind == "analytic-point":
         point = np.asarray(spec.get("point", [0.0] * dimension), dtype=float)
         return AnalyticChart(dimension, point, float(spec.get("step", DEFAULT_ANALYTIC_STEP)))
-    if kind == "periodic-grid":
-        ppa = spec.get("points_per_axis", 16)
-        ppa = (whole_number(ppa, "points_per_axis") if np.isscalar(ppa)
-               else tuple(whole_number(p, "points_per_axis") for p in ppa))
-        lengths = spec.get("lengths", family.default_lengths or 2.0 * math.pi)
-        chart = GridChart(dimension, ppa, lengths if np.isscalar(lengths) else tuple(lengths))
-        if family.periods is not None and chart.lengths != family.periods:
-            raise SchemaError(f"chart lengths {list(chart.lengths)} are not the "
-                              f"{family.name} periods {list(family.periods)}", key="lengths")
-        try:
-            _require_periodic(chart, family.metric_function, f"{family.name} metric", "g")
-        except ValueError as exc:
-            raise SchemaError(f"bad chart: {exc}", key="chart") from None
-        return chart
-    raise SchemaError(f"unknown chart kind {kind!r}", key="kind")
+    ppa = spec.get("points_per_axis", 16)
+    ppa = (whole_number(ppa, "points_per_axis") if np.isscalar(ppa)
+           else tuple(whole_number(p, "points_per_axis") for p in ppa))
+    lengths = spec.get("lengths", family.default_lengths or 2.0 * math.pi)
+    chart = GridChart(dimension, ppa, lengths if np.isscalar(lengths) else tuple(lengths))
+    if family.periods is not None and chart.lengths != family.periods:
+        raise SchemaError(f"chart lengths {list(chart.lengths)} are not the "
+                          f"{family.name} periods {list(family.periods)}", key="lengths")
+    try:
+        _require_periodic(chart, family.metric_function, f"{family.name} metric", "g")
+    except ValueError as exc:
+        raise SchemaError(f"bad chart: {exc}", key="chart") from None
+    return chart
 
 
 def _fmt(x):

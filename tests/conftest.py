@@ -45,6 +45,14 @@ def torus_field(n=3, points=8, amplitude=0.08, mode=1, seed=3):
     return MetricField.from_function(chart, fam.metric_function), fam
 
 
+def components(dg):
+    """A full metric first derivative ``(..., n, n, n)`` in the layout of
+    ``MetricField.jets``: its components g_ij, i <= j, in ``np.triu_indices``
+    order, ``(..., n(n+1)/2, n)``."""
+    rows, cols = np.triu_indices(dg.shape[-1])
+    return dg[..., rows, cols, :]
+
+
 def upper_hessian(d2g):
     """A full metric Hessian ``(..., n, n, n, n)`` in the compact layout of
     ``MetricField.jets``: its components g_ij, i <= j, in ``np.triu_indices``

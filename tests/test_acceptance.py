@@ -20,6 +20,7 @@ from scipy.interpolate import interp1d
 from conftest import (
     HYPERBOLIC_FACTOR,
     SPHERE_FACTOR,
+    components,
     flat_grid_field,
     hyperbolic_field,
     rand_spd,
@@ -120,7 +121,8 @@ def test_acceptance_01_curvature_kernel():
         g0, d1, d2 = analytic_scalar_jet(fam.metric_function,
                                          chart.sample_points, 2, 1e-3)
         errs.append(np.abs(riemann(fldg).block
-                           - riemann_from_jets(g0, d1, upper_hessian(d2), np.linalg.inv(g0))).max())
+                           - riemann_from_jets(g0, components(d1), upper_hessian(d2),
+                                               np.linalg.inv(g0))).max())
     slopes = [np.log2(errs[i] / errs[i + 1]) for i in range(2)]
     checks["grid_order_4"] = all(abs(s - 4.0) <= 0.3 for s in slopes)
     _report(1, "curvature kernel: unit sectional factors and grid order "
@@ -218,7 +220,7 @@ def test_acceptance_05_dimension_three_equivalence():
         vel = resolve_law("riemann-induced", 3, 1).rate_at(fldg)
         g0, d1, d2 = analytic_scalar_jet(fam.metric_function,
                                          chart.sample_points, 3, 1e-3)
-        Rref = riemann_from_jets(g0, d1, upper_hessian(d2), np.linalg.inv(g0))
+        Rref = riemann_from_jets(g0, components(d1), upper_hessian(d2), np.linalg.inv(g0))
         vref = solve_pair_trace(g0, np.linalg.inv(g0), -2.0 * Rref)
         errs.append(np.abs(vel - vref).max())
     order = np.log2(errs[0] / errs[1])

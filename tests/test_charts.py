@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import nan_at, unit_floats, upper_hessian
+from conftest import components, nan_at, unit_floats, upper_hessian
 from riemflow import charts
 from riemflow.charts import (
     AnalyticChart,
@@ -15,7 +15,6 @@ from riemflow.charts import (
     analytic_scalar_jet,
     analytic_stencil,
     grid_scalar_jet,
-    richardson_jet,
     spd_inverse,
 )
 from riemflow.curvature import _gather, riemann
@@ -422,16 +421,23 @@ def test_a_grid_field_takes_its_jet_once(monkeypatch):
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_symmetric_component_jets_equal_full_jets(n):
-    # every metric jet differentiates the n(n+1)/2 components g_ij, i <= j,
-    # and mirrors them; on an exactly symmetric field that is the full n^2
-    # jet, bit for bit: grid samples, function fields on both chart kinds and
-    # the frozen frame's basis fields (no grid at n = 5, where the 8^5 full
-    # Hessian alone takes 164 MB)
-    def check(got, want):
-        want = want[:2] + (upper_hessian(want[2]),)
-        assert [a.shape for a in got] == [a.shape for a in want]
+    # every field's jet is the chart's jet of its n(n+1)/2 components g_ij,
+    # i <= j, in one layout, bit for bit, and on an exactly symmetric field
+    # those are the components of the full n^2 jet: function fields on both
+    # chart kinds, grid samples and the frozen frame's basis fields (no grid
+    # at n = 5, where the 8^5 full Hessian alone takes 164 MB)
+    rows, cols = np.triu_indices(n)
+
+    def check(fld, func):
+        # ``func`` is the field's metric function, or its samples on a grid
+        part = ((lambda x: func(x)[..., rows, cols]) if callable(func)
+                else func.reshape(-1, n, n)[:, rows, cols])
+        got, want, full = fld.jets()[1:], fld.chart.jet(part)[1:], fld.chart.jet(func)[1:]
+        assert got[0].shape == (fld.chart.sample_count, len(rows), n)
         for a, b in zip(got, want):
-            assert np.array_equal(a, b)
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+        assert np.array_equal(got[0], components(full[0]))
+        assert np.array_equal(got[1], upper_hessian(full[1]))
 
     rng = np.random.default_rng(n)
     C = rng.integers(-2, 3, size=(n, n, n)).astype(float)
@@ -447,20 +453,22 @@ def test_symmetric_component_jets_equal_full_jets(n):
         grid = GridChart(n, 8, 2.0 * np.pi)
         A = rng.normal(size=grid.grid_shape + (n, n))
         fld = MetricField.from_samples(grid, 0.05 * (A + np.swapaxes(A, -1, -2)) + 2.0 * np.eye(n))
-        check(fld.jets(), grid_scalar_jet(fld.values, grid))
+        check(fld, fld.samples)
         charts.append(grid)
     for chart in charts:
-        check(MetricField.from_function(chart, metric).jets(), chart.jet(metric))
-    # the frame's field of a basis matrix E is its image M E M^T at the stencil
+        check(MetricField.from_function(chart, metric), metric)
+    # the frame's field of a basis matrix E is its image M E M^T at the
+    # stencil, a function of the stencil's points
     stencil = analytic_stencil(n, point.step)
     build = point.evolving(MetricField.from_function(point, metric))
     L = np.linalg.cholesky(metric(point.point + stencil.offsets))
     M = L @ np.linalg.inv(L[0])
     M[0] = np.eye(n)
-    for i, j in zip(*np.triu_indices(n)):
+    for i, j in zip(rows, cols):
         E = np.zeros((1, n, n))
         E[0, i, j] = E[0, j, i] = 1.0
-        check(build(E).jets(), richardson_jet(stencil, np.einsum('pab,bc,pdc->pad', M, E[0], M)[None]))
+        image = np.einsum('pab,bc,pdc->pad', M, E[0], M)[None]
+        check(build(E), lambda x, image=image: image)
 
 
 def test_function_jet_is_the_chart_kind_s_jet():

@@ -9,6 +9,7 @@ from hypothesis.extra.numpy import arrays
 from conftest import (
     HYPERBOLIC_FACTOR,
     SPHERE_FACTOR,
+    components,
     flat_grid_field,
     frames,
     hyperbolic_field,
@@ -179,7 +180,7 @@ def test_grid_curvature_converges_to_analytic():
         Rg = riemann(fld).block
         g0, d1, d2 = analytic_scalar_jet(fam.metric_function, chart.sample_points,
                                          2, 1e-3)
-        Rref = riemann_from_jets(g0, d1, upper_hessian(d2), np.linalg.inv(g0))
+        Rref = riemann_from_jets(g0, components(d1), upper_hessian(d2), np.linalg.inv(g0))
         errs.append(np.abs(Rg - Rref).max())
     orders = [np.log2(errs[i] / errs[i + 1]) for i in range(2)]
     assert min(orders) > 3.7
@@ -423,7 +424,7 @@ def test_batched_contractions_match_component_formulas(n, S):
     rng = np.random.default_rng(100 * n + S)
     g, dg, d2g = _random_jets(S, n, rng)
     ginv = np.linalg.inv(g)
-    R = CurvatureTensor(riemann_from_jets(g, dg, upper_hessian(d2g), ginv))
+    R = CurvatureTensor(riemann_from_jets(g, components(dg), upper_hessian(d2g), ginv))
     assert _rel_err(R.array, _oracle_riemann(g, dg, d2g)) < 1e-12
     t2 = rng.normal(size=(S, n, n))
     t4 = CurvatureTensor(_random_blocks(S, n, rng))
@@ -548,8 +549,9 @@ def test_kernel_axis_permutations_match_einsum_bitwise(n, lead):
     S = int(np.prod(lead))
     g, dg, d2g = (a.reshape(lead + a.shape[1:]) for a in _random_jets(S, n, rng))
     ginv = np.linalg.inv(g)
-    assert np.array_equal(christoffel_from_jets(g, dg, ginv), _einsum_christoffel(g, dg, ginv))
-    assert np.array_equal(riemann_from_jets(g, dg, upper_hessian(d2g), ginv),
+    assert np.array_equal(christoffel_from_jets(g, components(dg), ginv),
+                          _einsum_christoffel(g, dg, ginv))
+    assert np.array_equal(riemann_from_jets(g, components(dg), upper_hessian(d2g), ginv),
                           _pair_block(_einsum_riemann(g, dg, d2g, ginv)))
 
 
@@ -604,7 +606,8 @@ def _metric_jets(draw):
 @given(_metric_jets())
 def test_riemann_first_bianchi_identity(jets):
     g, dg, d2g = jets
-    R = CurvatureTensor(riemann_from_jets(g, dg, upper_hessian(d2g), np.linalg.inv(g))).array
+    R = CurvatureTensor(riemann_from_jets(g, components(dg), upper_hessian(d2g),
+                                          np.linalg.inv(g))).array
     cyclic = R + np.transpose(R, (0, 1, 3, 4, 2)) + np.transpose(R, (0, 1, 4, 2, 3))
     assert np.abs(cyclic).max() <= 1e-12 * max(np.abs(R).max(), 1.0)
 
@@ -616,7 +619,7 @@ def test_packed_roundtrips(jets, data):
     # unpacking exactly
     g, dg, d2g = jets
     n = g.shape[-1]
-    R = CurvatureTensor(riemann_from_jets(g, dg, upper_hessian(d2g), np.linalg.inv(g)))
+    R = CurvatureTensor(riemann_from_jets(g, components(dg), upper_hessian(d2g), np.linalg.inv(g)))
     back = CurvatureTensor.from_packed(R.packed(), n).array
     assert np.abs(back - R.array).max() <= 1e-12 * max(np.abs(R.array).max(), 1.0)
     packed = data.draw(arrays(float, (3, CurvatureTensor.independent_component_count(n)),

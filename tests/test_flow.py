@@ -10,6 +10,7 @@ import pytest
 from conftest import (
     HYPERBOLIC_FACTOR,
     SPHERE_FACTOR,
+    components,
     flat_grid_field,
     hyperbolic_field,
     nan_at,
@@ -703,7 +704,7 @@ def test_frozen_frame_jets_match_richardson_on_stencil_values(family, n):
             vals = np.einsum('pab,bc,pdc->pad', L, Y, L)
             got = build(vals[:1]).jets()
             want = richardson_jet(stencil, vals[None])
-            want = want[:2] + (upper_hessian(want[2]),)
+            want = (want[0], components(want[1]), upper_hessian(want[2]))
             assert np.array_equal(got[0], want[0])
             floor = 64 * np.finfo(float).eps / h ** 2 * np.abs(want[0]).max()
             for a, b in zip(got[1:], want[1:]):
@@ -957,6 +958,22 @@ def test_grid_rhs_allocates_no_jet_per_call(complex_step):
     finally:
         tracemalloc.stop()
     assert peak <= before - d2_bytes
+
+
+@pytest.mark.parametrize("integrate, law", [(integrate_flow, "ricci"),
+                                             (integrate_wave, "riemann-wave")],
+                         ids=["flow", "wave"])
+def test_flows_and_waves_refuse_a_complex_step_field(integrate, law):
+    # a complex-step field is the linearized flow's; a flow or wave of it, or
+    # a wave of a real field with a complex velocity, would record complex
+    # diagnostics
+    fld = _grid_states(True)[1]
+    with pytest.raises(ValueError, match="integrate_linearized_flow"):
+        integrate(fld, law, 1e-3, 5e-3, stride=1)
+    if integrate is integrate_wave:
+        real = MetricField.from_samples(fld.chart, fld.samples.real)
+        with pytest.raises(ValueError, match="integrate_linearized_flow"):
+            integrate(real, law, 1e-3, 5e-3, velocity=fld.samples - real.samples, stride=1)
 
 
 @pytest.mark.parametrize("complex_step", [False, True], ids=["real", "complex"])

@@ -407,14 +407,61 @@ def test_cli_curvature_subcommand(capsys):
     ["curvature", "--family", "flat", "--grid", "4"],
     ["soliton", "--family", "flat", "--grid", "4"],
     ["linearize", "--grid", "4"],
-], ids=["curvature", "soliton", "linearize"])
-def test_cli_field_commands_refuse_a_bad_chart(argv, capsys):
-    # the same SchemaError as a scenario's chart, printed without a traceback
+    ["curvature", "--family", "conformal-torus", "--grid", "0"],
+    ["flow", "--family", "conformal-torus", "--grid", "0", "--t-end", "0.01"],
+], ids=["curvature", "soliton", "linearize", "curvature-no-points", "flow-no-points"])
+def test_cli_field_commands_refuse_a_bad_chart(argv, tmp_path, capsys, monkeypatch):
+    # the same SchemaError as a scenario's chart, printed without a traceback;
+    # a grid of no points is a grid too, not the analytic point, and no run
+    # starts
+    monkeypatch.chdir(tmp_path)
     assert cli_main(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == ("error: bad chart: grid charts need at least 8 points "
                             "per axis (key: 'chart')\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv, key", [
+    (["curvature", "--family", "conformal-torus", "--grid", "8", "--point", "0.1", "0.2", "0.3",
+      "--step", "0.5"], "step"),
+    (["flow", "--family", "conformal-torus", "--grid", "8", "--point", "0", "0", "0",
+      "--t-end", "0.01"], "point"),
+], ids=["curvature", "flow"])
+def test_cli_grid_refuses_an_analytic_point_s_options(argv, key, tmp_path, capsys, monkeypatch):
+    # every chart option given reaches the scenario's chart, which refuses
+    # one its kind does not take; no run starts
+    monkeypatch.chdir(tmp_path)
+    assert cli_main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: unknown periodic-grid chart key (key: {key!r})\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("family, chart, key", [
+    ("conformal-torus", {"kind": "periodic-grid", "points_per_axis": 8, "point": [1, 2, 3]},
+     "point"),
+    ("conformal-torus", {"kind": "periodic-grid", "step": 0.3}, "step"),
+    ("flat", {"points_per_axis": 8, "step": 0.3}, "step"),
+], ids=["point", "step", "default-kind"])
+def test_a_grid_chart_refuses_an_analytic_point_s_keys(family, chart, key):
+    with pytest.raises(SchemaError) as err:
+        config_from_dict({"family": family, "law": "riemann-flow", "chart": chart})
+    assert err.value.key == key
+
+
+@pytest.mark.parametrize("family, chart, key", [
+    ("conformal-torus", {"kind": "analytic-point", "points_per_axis": 8, "lengths": 3.0},
+     "points_per_axis"),
+    ("conformal-torus", {"kind": "analytic-point", "lengths": 3.0}, "lengths"),
+    ("sphere-stereographic", {"point": [0, 0, 0], "points_per_axis": 8}, "points_per_axis"),
+], ids=["points-per-axis", "lengths", "default-kind"])
+def test_an_analytic_chart_refuses_a_grid_s_keys(family, chart, key):
+    with pytest.raises(SchemaError) as err:
+        config_from_dict({"family": family, "law": "riemann-flow", "chart": chart})
+    assert err.value.key == key
 
 
 @pytest.mark.parametrize("argv, error", [

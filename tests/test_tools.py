@@ -81,7 +81,9 @@ def test_compare_outputs_runs_the_one_shot_commands(tmp_path):
     # the last accepted state before a failed step, recorded after the loop
     assert "flow --family hyperbolic-poincare --dt 0.3 --t-end 2 --stride 10" in runs_a
     assert "soliton --family flat --potential quadratic --lam 1" in runs_a
-    assert len(runs_a) == 20
+    # a grid soliton, the only command whose Christoffel symbols are a grid jet's
+    assert "soliton --family conformal-torus --grid 8" in runs_a
+    assert len(runs_a) == 21
 
 
 spec = importlib.util.spec_from_file_location(

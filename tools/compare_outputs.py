@@ -7,8 +7,8 @@ Usage: ``python tools/compare_outputs.py SRC_A SRC_B``
 ``SRC_A`` and ``SRC_B`` are roots of riemflow checkouts.  Each tree runs
 every ``configs/*.json`` of its own through ``riemflow run``, every
 ``demos/*.py`` of its own and every command of :data:`COMMANDS` (the
-one-shot ``curvature`` report on each family and chart kind, ``soliton``,
-``linearize``, ``identity-check``, three runs of the step loop's
+one-shot ``curvature`` report on each family and chart kind, ``soliton``
+on each chart kind, ``linearize``, ``identity-check``, three runs of the step loop's
 failed-step paths, two analytic evolutions off the origin, which no
 config reaches, a one-sample flow recorded at every step, a point given
 in scientific notation, a flow that records its last state after a failed
@@ -53,7 +53,9 @@ COMMANDS = [["curvature", *args] for args in (
     ["--family", "conformal-torus", *POINT], ["--family", "conformal-torus", "--grid", "8"],
     ["--family", "diagonal-lame", "--lame", "2 + sin(x1)", "1 + x1 * x2", "1", *POINT],
     ["--family", "diagonal-lame", "--lame", "2 + sin(x1)", "1", "1", "--grid", "8"])] + [
-    ["soliton", "--family", "hyperbolic-poincare", *POINT], ["linearize"], ["identity-check"]] + [
+    ["soliton", "--family", "hyperbolic-poincare", *POINT],
+    ["soliton", "--family", "conformal-torus", "--grid", "8"], ["linearize"],
+    ["identity-check"]] + [
     # step-loop paths no config reaches: a collapse found by bisecting the
     # first step, a coarse wave collapse and a scale-ODE root off the stride
     ["flow", "--family", "hyperbolic-poincare", "--dt", "1.5", "--t-end", "1.2", "--stride", "1"],
